@@ -2,7 +2,7 @@
 
 The benchmarks depend only on pytest-benchmark; a fallback no-op ``benchmark``
 fixture is provided so the modules can also be imported and their ``report()``
-helpers called directly (``python -m benchmarks.bench_interval_tree``) without
+helpers called directly (``python -m benchmarks.bench_service``) without
 pytest-benchmark installed.
 """
 

@@ -2,11 +2,11 @@
 
 The package has two halves:
 
-* **static** — AST-based checkers (stdlib :mod:`ast` only) that machine-check
-  the invariants every PR used to re-verify by hand: lock discipline over the
-  serving layer's mutation paths (:mod:`repro.analysis.lockcheck`), the full
-  per-op WAL lifecycle (:mod:`repro.analysis.walcheck`), and the typed error
-  taxonomy (:mod:`repro.analysis.errlint`).  :func:`repro.analysis.driver.run_lint`
+* **static** — checkers that machine-check the invariants every PR used to
+  re-verify by hand: lock discipline over the serving layer's mutation paths
+  (:mod:`repro.analysis.lockcheck`, from the AST), the op table's rows
+  (:mod:`repro.analysis.walcheck`), and the typed error taxonomy
+  (:mod:`repro.analysis.errlint`, from the AST).  :func:`repro.analysis.driver.run_lint`
   orchestrates them; the ``repro lint`` CLI verb is the entry point.
 * **runtime** — an opt-in instrumented lock layer
   (:mod:`repro.analysis.runtime`) that records the per-thread lock-acquisition

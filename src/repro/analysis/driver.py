@@ -5,14 +5,15 @@ Two modes:
 * **repo mode** (no targets) — lint the installed ``repro`` tree with the
   production configuration: lock rules over the serving layer (service,
   shard facade, replica, net) with decorator harvesting from the core /
-  column / xmlstore / agraph modules they annotate; the WAL lifecycle over
-  the real emit/replay/routing/net/test files; the error taxonomy over the
-  packages that own the typed error surface.
+  column / xmlstore / agraph modules they annotate; the rows of the op table
+  (:mod:`repro.service.ops`) against the crash/recovery test files; the error
+  taxonomy over the packages that own the typed error surface.
 * **target mode** (explicit paths) — lint a directory or file set as a
   self-contained mini-tree: every ``.py`` is in scope for the lock and
-  except rules, a ``*wal*.py`` (if present) switches on the WAL lifecycle
-  via filename classification, and an ``errors*.py`` (if present) roots the
-  taxonomy rule.  This is how the seeded fixtures under
+  except rules, an ``ops*.py`` defining an ``OPS`` table (if present)
+  switches on the op-table rule with the tree's ``*test*``/``*crash*`` files
+  as its crash tests, and an ``errors*.py`` (if present) roots the taxonomy
+  rule.  This is how the seeded fixtures under
   ``tests/fixtures/analysis/`` are checked.
 
 In both modes ``# repro: allow-<rule>`` pragmas are collected from every
@@ -66,14 +67,8 @@ def repo_layout() -> dict:
     return {
         "lock_analyze": service_files + shard_files + replica_files + net_files,
         "lock_annotations": [p for p in annotation_files if p.is_file()],
-        "wal_config": walcheck.WalCheckConfig(
-            wal_path=src_root / "service" / "wal.py",
-            emit_paths=[src_root / "service" / "service.py"],
-            replay_paths=[src_root / "service" / "durability.py"],
-            routing_paths=[src_root / "shard" / "service.py"],
-            net_paths=[src_root / "net" / "server.py"],
-            test_paths=sorted(set(wal_test_files)),
-        ),
+        "ops_path": src_root / "service" / "ops.py",
+        "wal_test_paths": sorted(set(wal_test_files)),
         "raise_paths": service_files + shard_files + replica_files + net_files,
         "except_paths": (
             service_files
@@ -113,14 +108,10 @@ def run_lint(targets: list[str | Path] | None = None) -> tuple[list[Finding], in
         if errors_files:
             raise_scope = [p for p in files if p not in errors_files]
             raw.extend(errlint.check_raises(raise_scope, errors_files[0]))
-        if any("wal" in p.name.lower() for p in files):
-            roots = {p if p.is_dir() else p.parent for p in map(Path, targets)}
-            for root in sorted(roots):
-                try:
-                    config = walcheck.classify_directory(root)
-                except FileNotFoundError:
-                    continue
-                raw.extend(walcheck.check_wal_lifecycle(config))
+        tests = [p for p in files if "test" in p.name or "crash" in p.name]
+        for table in (p for p in files if p.name.startswith("ops")):
+            rows = walcheck.load_table(table).values()
+            raw.extend(walcheck.check_op_table(rows, table, tests))
     else:
         layout = repo_layout()
         raw.extend(
@@ -128,7 +119,13 @@ def run_lint(targets: list[str | Path] | None = None) -> tuple[list[Finding], in
                 layout["lock_analyze"], layout["lock_annotations"]
             )
         )
-        raw.extend(walcheck.check_wal_lifecycle(layout["wal_config"]))
+        from repro.service import ops
+
+        raw.extend(
+            walcheck.check_op_table(
+                ops.OPS.values(), layout["ops_path"], layout["wal_test_paths"]
+            )
+        )
         raw.extend(errlint.check_raises(layout["raise_paths"], layout["errors_path"]))
         raw.extend(errlint.check_silent_excepts(layout["except_paths"]))
         pragma_files.update(layout["lock_analyze"])

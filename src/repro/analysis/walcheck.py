@@ -1,273 +1,86 @@
-"""WAL/wire invariant checker (rule ``wal-lifecycle``).
+"""Op-table invariant checker (rule ``wal-lifecycle``).
 
-Every durable operation lives in five places at once, and forgetting one of
-them is the classic way this codebase rots: the op is emitted but never
-replayed, or replayed but unreachable over the wire, or works but is never
-crash-tested.  For each op named in ``WAL_OPS`` this checker proves:
+Every service verb is declared once, as a row of the op table
+(:mod:`repro.service.ops`); WAL emit, replay, shard routing and wire dispatch
+are all derived from that row, so they cannot disagree.  What can still rot is
+the row itself, and this checker proves each one is whole:
 
-``emit``
-    The op name appears as a string literal in the serving layer that writes
-    WAL records (``GraphittiService._log`` / ``append_many`` call sites).
-``replay``
-    Recovery has a branch for the op — the name appears in an explicit
-    comparison (``op == "commit"`` / ``match`` case) in the replay module.
+``apply``
+    A row that names a WAL op has a replay function — its own, or (for a
+    verb like ``bulk_commit`` that emits another verb's records) the row that
+    owns that WAL op.
 ``routing``
-    The sharded facade defines a method of the same name, so the op is
-    routable to the owning shard.
-``net``
-    The network server's dispatch table has the op as a dict key, so the op
-    is reachable over the wire.  (The frame codec itself is op-agnostic —
-    wire coverage *is* the dispatch-table entry.)
-``tests``
-    At least one crash-matrix / recovery test file mentions the op by name.
+    The row says how the sharded facades place the verb.
+``codec``
+    The row says how its arguments and result cross the wire.
+``crash test``
+    At least one crash-matrix / recovery test file mentions each durable WAL
+    op by name.
 
-The checker also flags replay branches for ops that are *not* in
-``WAL_OPS`` — a comparison against an unknown op string is either dead code
-or an op that skipped registration.
-
-Stages are configured with explicit file lists (the driver wires up the real
-tree); :func:`classify_directory` maps a fixture directory onto stages by
-filename so synthetic mini-trees can exercise every failure mode.
+The table is loaded from its module (the installed one, or a fixture file
+defining ``OPS``), not scraped from the code that uses it.
 """
 
 from __future__ import annotations
 
-import ast
-from dataclasses import dataclass, field
+import importlib.util
 from pathlib import Path
+from typing import Any, Iterable
 
 from repro.analysis.report import Finding
+from repro.service.ops import ADMIN, ANY, BROADCAST, OWNER, READ, REFERENT, SCATTER, WRITE
 
-#: Stage key -> human description used in finding messages.
-STAGES = {
-    "emit": "WAL emit site (service layer string literal)",
-    "replay": "recovery replay branch (explicit op comparison)",
-    "routing": "shard-routing method (def <op> on the sharded facade)",
-    "net": "net dispatch entry (op key in the server dispatch table)",
-    "tests": "crash/recovery test referencing the op by name",
-}
+KINDS = frozenset({READ, WRITE, ADMIN})
+ROUTINGS = frozenset({OWNER, REFERENT, BROADCAST, SCATTER, ANY})
 
 
-@dataclass
-class WalCheckConfig:
-    """File lists for each lifecycle stage.
+def load_table(path: str | Path) -> dict[str, Any]:
+    """The ``OPS`` mapping defined by the table module at *path*."""
+    path = Path(path)
+    spec = importlib.util.spec_from_file_location(f"_repro_lint_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.OPS
 
-    ``wal_path`` is the module defining ``WAL_OPS``; each stage maps to the
-    files that must mention every op in the stage-appropriate shape.
+
+def check_op_table(
+    rows: Iterable[Any], table_path: str | Path, test_paths: Iterable[Path]
+) -> list[Finding]:
+    """Prove every row of the table at *table_path* is whole.
+
+    With no *test_paths* the crash-test column is not applicable (a fixture
+    may model the table alone).
     """
-
-    wal_path: Path
-    emit_paths: list[Path] = field(default_factory=list)
-    replay_paths: list[Path] = field(default_factory=list)
-    routing_paths: list[Path] = field(default_factory=list)
-    net_paths: list[Path] = field(default_factory=list)
-    test_paths: list[Path] = field(default_factory=list)
-
-
-def classify_directory(root: str | Path) -> WalCheckConfig:
-    """Build a config from a fixture mini-tree by filename convention.
-
-    Basenames containing ``wal`` define ``WAL_OPS``; ``service``/``emit`` are
-    emit sites; ``durability``/``replay`` are replay; ``shard``/``rout`` are
-    routing; ``net`` is wire dispatch; ``test``/``crash`` are tests.  One
-    file may serve several stages (``shard_routing.py`` is routing under
-    either token); only the WAL module itself is excluded from emit.
-    """
-    root = Path(root)
-    wal_path: Path | None = None
-    config_kwargs: dict[str, list[Path]] = {
-        "emit_paths": [],
-        "replay_paths": [],
-        "routing_paths": [],
-        "net_paths": [],
-        "test_paths": [],
-    }
-    for path in sorted(root.rglob("*.py")):
-        name = path.name.lower()
-        if "wal" in name and wal_path is None:
-            wal_path = path
-        if ("service" in name or "emit" in name) and "wal" not in name:
-            # The WAL module itself holds the WAL_OPS literals; counting it
-            # as an emit site would satisfy the emit stage vacuously.
-            config_kwargs["emit_paths"].append(path)
-        if "durability" in name or "replay" in name:
-            config_kwargs["replay_paths"].append(path)
-        if "shard" in name or "rout" in name:
-            config_kwargs["routing_paths"].append(path)
-        if "net" in name:
-            config_kwargs["net_paths"].append(path)
-        if "test" in name or "crash" in name:
-            config_kwargs["test_paths"].append(path)
-    if wal_path is None:
-        raise FileNotFoundError(f"no *wal*.py defining WAL_OPS under {root}")
-    return WalCheckConfig(wal_path=wal_path, **config_kwargs)
-
-
-def _parse(path: Path) -> ast.Module:
-    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-
-
-def discover_wal_ops(wal_path: Path) -> tuple[list[str], int]:
-    """The ``WAL_OPS`` tuple (and its line number) from the WAL module."""
-    tree = _parse(wal_path)
-    for node in ast.walk(tree):
-        targets: list[ast.expr] = []
-        value: ast.expr | None = None
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id == "WAL_OPS":
-                ops = [
-                    elt.value
-                    for elt in getattr(value, "elts", [])
-                    if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
-                ]
-                return ops, node.lineno
-    raise ValueError(f"WAL_OPS tuple not found in {wal_path}")
-
-
-def _string_constants(paths: list[Path]) -> set[str]:
-    found: set[str] = set()
-    for path in paths:
-        for node in ast.walk(_parse(path)):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                found.add(node.value)
-    return found
-
-
-def _comparison_strings(paths: list[Path]) -> set[str]:
-    """Strings used in explicit comparisons or ``match`` cases."""
-    found: set[str] = set()
-    for path in paths:
-        for node in ast.walk(_parse(path)):
-            if isinstance(node, ast.Compare):
-                for expr in [node.left, *node.comparators]:
-                    found.update(_constant_strings(expr))
-            elif isinstance(node, ast.match_case):
-                for child in ast.walk(node.pattern):
-                    if isinstance(child, ast.MatchValue):
-                        found.update(_constant_strings(child.value))
-    return found
-
-
-def _constant_strings(expr: ast.expr) -> set[str]:
-    out: set[str] = set()
-    for node in ast.walk(expr):
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.add(node.value)
-        elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-            continue
-    return out
-
-
-def _function_names(paths: list[Path]) -> set[str]:
-    found: set[str] = set()
-    for path in paths:
-        for node in ast.walk(_parse(path)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found.add(node.name)
-    return found
-
-
-def _dict_key_strings(paths: list[Path]) -> set[str]:
-    found: set[str] = set()
-    for path in paths:
-        for node in ast.walk(_parse(path)):
-            if isinstance(node, ast.Dict):
-                for key in node.keys:
-                    if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                        found.add(key.value)
-    return found
-
-
-def _raw_text_mentions(paths: list[Path]) -> str:
-    return "\n".join(path.read_text(encoding="utf-8") for path in paths)
-
-
-def check_wal_lifecycle(config: WalCheckConfig) -> list[Finding]:
-    """Prove every ``WAL_OPS`` entry is present at every lifecycle stage."""
-    ops, ops_line = discover_wal_ops(config.wal_path)
+    rows = list(rows)
+    test_paths = list(test_paths)
+    test_text = "\n".join(path.read_text(encoding="utf-8") for path in test_paths)
+    replayable = {row.wal_op for row in rows if row.apply is not None}
     findings: list[Finding] = []
 
-    stage_hits = {
-        "emit": _string_constants(config.emit_paths),
-        "replay": _comparison_strings(config.replay_paths),
-        "routing": _function_names(config.routing_paths),
-        "net": _dict_key_strings(config.net_paths),
-    }
-    test_text = _raw_text_mentions(config.test_paths)
-
-    for op in ops:
-        for stage, hits in stage_hits.items():
-            # A stage with no configured files is "not applicable" (fixture
-            # mini-trees may model a subset); a configured stage missing the
-            # op is a lifecycle hole.
-            paths = getattr(config, f"{stage}_paths")
-            if paths and op not in hits:
-                findings.append(
-                    Finding(
-                        rule="wal-lifecycle",
-                        path=str(config.wal_path),
-                        line=ops_line,
-                        message=(
-                            f"op {op!r} has no {STAGES[stage]} in "
-                            f"{_names(paths)}"
-                        ),
-                    )
-                )
-        if config.test_paths and op not in test_text:
-            findings.append(
-                Finding(
-                    rule="wal-lifecycle",
-                    path=str(config.wal_path),
-                    line=ops_line,
-                    message=(
-                        f"op {op!r} has no {STAGES['tests']} in "
-                        f"{_names(config.test_paths)}"
-                    ),
-                )
+    def report(row: Any, message: str) -> None:
+        findings.append(
+            Finding(
+                rule="wal-lifecycle",
+                path=str(table_path),
+                line=row.proto.__code__.co_firstlineno,
+                message=f"op {row.name!r} {message}",
             )
+        )
 
-    # Reverse direction: replay branches comparing against unknown op strings
-    # are dead code or unregistered ops.
-    known = set(ops)
-    for path in config.replay_paths:
-        for node in ast.walk(_parse(path)):
-            if not isinstance(node, ast.Compare):
-                continue
-            if not _mentions_op_variable(node):
-                continue
-            for value in _constant_strings(node):
-                if value not in known:
-                    findings.append(
-                        Finding(
-                            rule="wal-lifecycle",
-                            path=str(path),
-                            line=node.lineno,
-                            message=(
-                                f"replay branch compares op against {value!r}, "
-                                "which is not in WAL_OPS"
-                            ),
-                        )
-                    )
+    for row in rows:
+        if row.kind not in KINDS:
+            report(row, f"has no kind (one of {sorted(KINDS)})")
+        if row.routing not in ROUTINGS:
+            report(row, f"has no shard routing (one of {sorted(ROUTINGS)})")
+        if row.codec is None:
+            report(row, "has no wire codec for its args and result")
+        if row.wal_op is None:
+            if row.apply is not None:
+                report(row, "has an apply function but names no WAL op")
+            continue
+        if row.wal_op not in replayable:
+            report(row, f"logs WAL op {row.wal_op!r} but no row has an apply function for it")
+        if test_paths and row.wal_op not in test_text:
+            names = ", ".join(sorted(path.name for path in test_paths))
+            report(row, f"has no crash/recovery test mentioning {row.wal_op!r} in {names}")
     return findings
-
-
-def _mentions_op_variable(node: ast.Compare) -> bool:
-    """True when the comparison's non-constant side looks like an op value."""
-    for expr in [node.left, *node.comparators]:
-        if isinstance(expr, ast.Name) and expr.id in {"op", "op_name", "kind"}:
-            return True
-        if isinstance(expr, ast.Attribute) and expr.attr in {"op", "op_name", "kind"}:
-            return True
-        if isinstance(expr, ast.Subscript):
-            key = expr.slice
-            if isinstance(key, ast.Constant) and key.value in {"op", "kind"}:
-                return True
-    return False
-
-
-def _names(paths: list[Path]) -> str:
-    return ", ".join(sorted(path.name for path in paths))

@@ -128,125 +128,52 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_shard_worker(args: argparse.Namespace) -> int:
-    from repro.net.server import run_worker
-    from repro.obs import ObservabilityConfig
+def _service_config(args: argparse.Namespace, **extra):
     from repro.service import ServiceConfig
 
-    config = ServiceConfig(
+    return ServiceConfig(
         durability=args.durability,
         checkpoint_interval=args.checkpoint_interval,
         cache_capacity=args.cache_capacity,
-        observability=ObservabilityConfig(enabled=not args.no_obs),
+        **extra,
     )
+
+
+def _cmd_shard_worker(args: argparse.Namespace) -> int:
+    from repro.net.server import run_worker
+    from repro.obs import ObservabilityConfig
+
     run_worker(
         args.root,
         args.shard_index,
         host=args.host,
         port=args.port,
-        config=config,
+        config=_service_config(args, observability=ObservabilityConfig(enabled=not args.no_obs)),
         max_inflight=args.max_inflight,
     )
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import GraphittiService, ServiceConfig
     from repro.workloads.service_scenario import run_service_workload, seed_service_objects
 
-    config = ServiceConfig(
-        durability=args.durability,
-        checkpoint_interval=args.checkpoint_interval,
-        cache_capacity=args.cache_capacity,
-    )
-    factory = _SCENARIOS[args.scenario] if args.scenario else None
-    # A previously sharded root fixes the topology: serving it unsharded
-    # (the --shards default) would open a fresh empty instance NEXT TO the
-    # shard directories and look like data loss.
-    from repro.shard import read_manifest
-
-    manifest = read_manifest(args.root) if Path(args.root).exists() else None
-    sharded_root = manifest is not None or any(Path(args.root).glob("shard-*"))
-    replicated_root = (Path(args.root) / "replication.json").exists()
+    net_options = {}
     if args.net:
-        from repro.net import NetworkShardedGraphittiService
-
-        if args.scenario:
-            print(
-                "note: --scenario is ignored for network-sharded roots",
-                file=sys.stderr,
-            )
-        service = NetworkShardedGraphittiService.open(
-            args.root,
-            shards=args.shards,
-            config=config,
-            port_base=args.port_base,
-            max_inflight=args.max_inflight,
-            heartbeat_interval_s=args.heartbeat_interval,
-        )
-        status = service.network_status()
-        workers = ", ".join(
-            f"shard {row['shard']}@{row['host']}:{row['port']}"
-            + (f" pid {row['pid']}" if row.get("pid") else "")
-            for row in status["workers"]
-        )
-        print(f"serving {status['shards']} shard worker process(es) over TCP: {workers}")
-        if service.recovery_info is not None:
-            info = service.recovery_info
-            print(
-                f"recovered {info['shards']}-shard instance at {args.root}: "
-                f"replayed {info['replayed']} WAL record(s), "
-                f"{info['torn_tails']} torn tail(s) dropped"
-            )
-    elif (args.shards is not None and args.shards > 1) or sharded_root:
-        from repro.shard import ShardedGraphittiService
-
-        if args.scenario:
-            print(
-                "note: --scenario is ignored for sharded roots (scenario instances "
-                "are single-manager; sharded roots start empty)",
-                file=sys.stderr,
-            )
-        service = ShardedGraphittiService.open(
-            args.root, shards=args.shards, config=config, replicas=args.replicas
-        )
-        if service.recovery_info is not None:
-            info = service.recovery_info
-            print(
-                f"recovered {info['shards']}-shard instance at {args.root}: "
-                f"replayed {info['replayed']} WAL record(s), "
-                f"{info['torn_tails']} torn tail(s) dropped"
-            )
-        else:
-            print(f"opened fresh {service.shard_count}-shard instance at {args.root}")
-    elif args.replicas is not None or replicated_root:
-        from repro.replica import ReplicatedGraphittiService
-
-        service = ReplicatedGraphittiService.open(
-            args.root, replicas=args.replicas, config=config, manager_factory=factory
-        )
-        rep = service.replication_stats()
-        print(
-            f"opened replicated instance at {args.root}: term {rep['term']}, "
-            f"primary {rep['primary']}, {len(rep['followers'])} follower(s)"
-        )
-    else:
-        service = GraphittiService.open(args.root, config=config, manager_factory=factory)
-        if service.recovery_info is not None:
-            info = service.recovery_info
-            print(
-                f"recovered instance at {args.root}: snapshot={info['snapshot']}, "
-                f"replayed {info['replayed']} WAL record(s)"
-                + (", torn tail dropped" if info["torn_tail"] else "")
-            )
-            if args.scenario:
-                print(
-                    f"note: --scenario {args.scenario} ignored — the root already holds "
-                    "state (scenarios only seed fresh instances)",
-                    file=sys.stderr,
-                )
-        else:
-            print(f"opened fresh instance at {args.root}")
+        net_options = {
+            "port_base": args.port_base,
+            "max_inflight": args.max_inflight,
+            "heartbeat_interval_s": args.heartbeat_interval,
+        }
+    service = _open_service_for_root(
+        args.root,
+        config=_service_config(args),
+        net=args.net,
+        shards=args.shards,
+        replicas=args.replicas,
+        manager_factory=_SCENARIOS[args.scenario] if args.scenario else None,
+        **net_options,
+    )
+    _report_opened(service, args)
     object_ids = seed_service_objects(service)
     summary = run_service_workload(
         service,
@@ -301,31 +228,93 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_service_for_root(root: str | Path, config=None, net: bool = False):
-    """Open the service at *root* with the same topology detection as serve.
+def _is_sharded_root(root: Path) -> bool:
+    from repro.shard import read_manifest
 
-    A ``shards.json`` manifest (or ``shard-*`` directories) opens sharded; a
-    ``replication.json`` opens replicated; otherwise a single service.  With
-    ``net=True`` a sharded root is served by worker processes over TCP.
+    return root.exists() and (read_manifest(root) is not None or any(root.glob("shard-*")))
+
+
+def _open_service_for_root(
+    root: str | Path,
+    config=None,
+    net: bool = False,
+    shards: int | None = None,
+    replicas: int | None = None,
+    manager_factory=None,
+    **net_options,
+):
+    """Open (or recover) the service at *root*, detecting its topology.
+
+    A ``shards.json`` manifest (or ``shard-*`` directories) opens sharded, as
+    does asking for more than one shard; ``net=True`` serves the shards from
+    worker processes over TCP.  A ``replication.json`` (or *replicas*) opens
+    replicated; otherwise a single service.  What is on disk wins: serving a
+    sharded root unsharded would open a fresh empty instance NEXT TO the
+    shard directories and look like data loss.
     """
-    from repro.service import GraphittiService
-    from repro.shard import ShardedGraphittiService, read_manifest
-
-    root_path = Path(root)
-    manifest = read_manifest(root_path) if root_path.exists() else None
-    if manifest is not None or any(root_path.glob("shard-*")):
-        if net:
-            from repro.net import NetworkShardedGraphittiService
-
-            return NetworkShardedGraphittiService.open(root_path, config=config)
-        return ShardedGraphittiService.open(root_path, config=config)
+    root = Path(root)
     if net:
-        raise ServiceError(f"--net requires a sharded root; {root} is not sharded")
-    if (root_path / "replication.json").exists():
+        from repro.net import NetworkShardedGraphittiService
+
+        return NetworkShardedGraphittiService.open(
+            root, shards=shards, config=config, **net_options
+        )
+    if (shards is not None and shards > 1) or _is_sharded_root(root):
+        from repro.shard import ShardedGraphittiService
+
+        return ShardedGraphittiService.open(
+            root, shards=shards, config=config, replicas=replicas
+        )
+    if replicas is not None or (root / "replication.json").exists():
         from repro.replica import ReplicatedGraphittiService
 
-        return ReplicatedGraphittiService.open(root_path, config=config)
-    return GraphittiService.open(root_path, config=config)
+        return ReplicatedGraphittiService.open(
+            root, replicas=replicas, config=config, manager_factory=manager_factory
+        )
+    from repro.service import GraphittiService
+
+    return GraphittiService.open(root, config=config, manager_factory=manager_factory)
+
+
+def _report_opened(service, args: argparse.Namespace) -> None:
+    """Say what ``serve`` opened: topology, what recovery replayed, an unused --scenario."""
+    info = service.recovery_info
+    sharded = hasattr(service, "shard_count")
+    if args.net:
+        workers = ", ".join(
+            f"shard {row['shard']}@{row['host']}:{row['port']}"
+            + (f" pid {row['pid']}" if row.get("pid") else "")
+            for row in service.network_status()["workers"]
+        )
+        print(f"serving {service.shard_count} shard worker process(es) over TCP: {workers}")
+    if hasattr(service, "replication_stats"):
+        rep = service.replication_stats()
+        print(
+            f"opened replicated instance at {args.root}: term {rep['term']}, "
+            f"primary {rep['primary']}, {len(rep['followers'])} follower(s)"
+        )
+    elif info is None:
+        if not args.net:
+            shape = f"{service.shard_count}-shard " if sharded else ""
+            print(f"opened fresh {shape}instance at {args.root}")
+    elif sharded:
+        print(
+            f"recovered {info['shards']}-shard instance at {args.root}: "
+            f"replayed {info['replayed']} WAL record(s), "
+            f"{info['torn_tails']} torn tail(s) dropped"
+        )
+    else:
+        print(
+            f"recovered instance at {args.root}: snapshot={info['snapshot']}, "
+            f"replayed {info['replayed']} WAL record(s)"
+            + (", torn tail dropped" if info["torn_tail"] else "")
+        )
+    if args.scenario and (sharded or info is not None):
+        print(
+            f"note: --scenario {args.scenario} ignored — scenarios only seed a fresh, "
+            "unsharded root (sharded roots start empty)",
+            file=sys.stderr,
+        )
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
@@ -335,7 +324,11 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
     # Only pass net= when requested: test doubles wrap the opener with the
     # historical (root, config) signature.
-    opener_kwargs = {"net": True} if getattr(args, "net", False) else {}
+    opener_kwargs = {}
+    if getattr(args, "net", False):
+        if not _is_sharded_root(Path(args.root)):
+            raise ServiceError(f"--net requires a sharded root; {args.root} is not sharded")
+        opener_kwargs = {"net": True}
     service = _open_service_for_root(args.root, **opener_kwargs)
     try:
         if args.exercise:
@@ -438,7 +431,7 @@ def _cmd_promote(args: argparse.Namespace) -> int:
 
     root = Path(args.root)
     manual = ReplicationConfig(auto_ship=False, auto_failover=False)
-    if (root / "shards.json").exists() or any(root.glob("shard-*")):
+    if _is_sharded_root(root):
         from repro.shard import ShardedGraphittiService
 
         if args.shard is None:

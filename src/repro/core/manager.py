@@ -421,6 +421,18 @@ class Graphitti:
         self._cache_row(annotation_id, annotation)
         return annotation
 
+    def committed_referents(self, annotation_id: str) -> list[Referent]:
+        """Referents of *annotation_id*, or ``[]`` once it is deleted.
+
+        Materialized straight from the columns — GIL-atomic reads that touch
+        neither a lock nor the row cache — for the result-merge paths that
+        run after the query's own read view has closed.
+        """
+        slot = self.idspace.slot(annotation_id)
+        if slot is None or not self.columns.is_live(slot):
+            return []
+        return self.columns.materialize(annotation_id, slot, self.substructures.columns).referents
+
     def has_annotation(self, annotation_id: str) -> bool:
         """Whether *annotation_id* is a committed annotation."""
         return annotation_id in self._annotation_order
@@ -452,6 +464,8 @@ class Graphitti:
                 if referent_id in self.agraph:
                     self.agraph.graph.remove_node(referent_id)
                 self.substructures.discard(referent_id)
+            else:
+                self._retract_shared_edges(annotation, referent, others)
         if annotation_id in self.agraph:
             self.agraph.graph.remove_node(annotation_id)
         slot = self.idspace.slot(annotation_id)
@@ -462,6 +476,45 @@ class Graphitti:
         self.idspace.release(annotation_id)
         self.stats_catalogue.on_delete(annotation)
         self._bump_epoch()
+
+    def _retract_shared_edges(
+        self, annotation: Annotation, referent: Referent, survivors: list[str]
+    ) -> None:
+        """*annotation* stops marking *referent*, which *survivors* still mark.
+
+        The referent node stays, but the edges only *annotation* wired on it
+        must go: its referent→ontology pointers and its same-object links to
+        *annotation*'s other referents.  The live a-graph is then again the
+        union of what the remaining annotations wire — exactly what snapshot
+        rebuild and WAL replay construct — so PATH / REFERS pages agree live
+        and recovered.
+        """
+        from repro.agraph.agraph import SAME_OBJECT
+
+        referent_id = referent.referent_id
+        terms = set(referent.ontology_terms)
+        siblings = {
+            sibling.referent_id
+            for sibling in annotation.referents
+            if sibling.referent_id != referent_id
+            and sibling.ref.object_id == referent.ref.object_id
+        }
+        # Whatever a survivor also wires stays; stop reading survivors as soon
+        # as nothing is left to retract (the common case: nothing ever was).
+        for other_id in survivors:
+            if not terms and not siblings:
+                return
+            for theirs in self.annotation(other_id).referents:
+                if theirs.referent_id == referent_id:
+                    terms.difference_update(theirs.ontology_terms)
+                else:
+                    siblings.discard(theirs.referent_id)
+        for term in terms:
+            self.agraph.unlink_ontology(referent_id, term)
+        for sibling_id in siblings:
+            if sibling_id in self.agraph:
+                self.agraph.graph.remove_edges(referent_id, sibling_id, label=SAME_OBJECT)
+                self.agraph.graph.remove_edges(sibling_id, referent_id, label=SAME_OBJECT)
 
     #: Keys :meth:`update_annotation` understands.
     _UPDATE_KEYS = frozenset(
@@ -619,19 +672,26 @@ class Graphitti:
 
         # -- 2. referent removals (shared-referent survival rule) -----------
         for referent_id in dict.fromkeys(removals):
-            for referent in annotation._referents:  # noqa: SLF001 - owning mutation path
-                if referent.referent_id == referent_id:
-                    removed_parts.extend(_element_text_parts(referent.to_element()))
+            dropped = [
+                referent for referent in annotation._referents  # noqa: SLF001 - owning mutation path
+                if referent.referent_id == referent_id
+            ]
+            for referent in dropped:
+                removed_parts.extend(_element_text_parts(referent.to_element()))
             annotation._referents = [  # noqa: SLF001 - owning mutation path
                 referent for referent in annotation._referents
                 if referent.referent_id != referent_id
             ]
             if referent_id in self.agraph:
                 self.agraph.unlink_annotation(annotation_id, referent_id)
-                if not self.agraph.contents_annotating(referent_id):
+                survivors = self.agraph.contents_annotating(referent_id)
+                if not survivors:
                     # No other annotation needs this referent; drop node + index.
                     self.agraph.graph.remove_node(referent_id)
                     self.substructures.discard(referent_id)
+                else:
+                    for referent in dropped:
+                        self._retract_shared_edges(annotation, referent, survivors)
 
         # -- 3. referent additions (same wiring as a commit) -----------------
         for referent in additions:

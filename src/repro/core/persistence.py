@@ -228,6 +228,18 @@ def encode_register(obj: DataObject, metadata: dict[str, Any]) -> dict[str, Any]
     }
 
 
+def decode_register(record: dict[str, Any]) -> CatalogueObject:
+    """The catalogue placeholder for a :func:`encode_register` record (or a
+    metadata row, which has the same keys)."""
+    return CatalogueObject(
+        record["object_id"],
+        DataType(record["data_type"]),
+        domain=record.get("domain"),
+        description=record.get("description") or "",
+        metadata=record.get("metadata"),
+    )
+
+
 def apply_register_record(manager, payload: dict[str, Any]) -> None:
     """Replay a :func:`encode_register` record onto *manager*.
 
@@ -238,15 +250,7 @@ def apply_register_record(manager, payload: dict[str, Any]) -> None:
     """
     object_id = payload["object_id"]
     if object_id not in manager.registry:
-        manager.registry.register(
-            CatalogueObject(
-                object_id,
-                DataType(payload["data_type"]),
-                domain=payload.get("domain"),
-                description=payload.get("description", ""),
-                metadata=payload.get("metadata"),
-            )
-        )
+        manager.registry.register(decode_register(payload))
     table = manager.database.table(manager._OBJECT_TABLE)  # noqa: SLF001 - replay path
     if table.get(object_id) is None:
         table.insert(
@@ -275,15 +279,7 @@ def hydrate_catalogue(manager) -> int:
     for row in table:
         if row["object_id"] in manager.registry:
             continue
-        manager.registry.register(
-            CatalogueObject(
-                row["object_id"],
-                DataType(row["data_type"]),
-                domain=row.get("domain"),
-                description=row.get("description") or "",
-                metadata=row.get("metadata"),
-            )
-        )
+        manager.registry.register(decode_register(row))
         created += 1
     return created
 

@@ -40,16 +40,6 @@ import uuid
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.core.admin import IntegrityReport
-from repro.core.annotation import Annotation
-from repro.core.persistence import (
-    CatalogueObject,
-    decode_annotation,
-    encode_annotation,
-    encode_register,
-    encode_update_changes,
-)
-from repro.datatypes.base import DataType
 from repro.errors import (
     BackpressureError,
     GraphittiError,
@@ -58,10 +48,9 @@ from repro.errors import (
     ShardUnavailableError,
     WireError,
 )
-from repro.net.codec import decode_query_result
 from repro.net.wire import encode_frame, read_frame, send_frame
 from repro.obs import Observability
-from repro.query.result import QueryResult
+from repro.service import ops
 from repro.service.service import ServiceConfig
 
 
@@ -94,6 +83,19 @@ def _error_classes() -> dict[str, type[GraphittiError]]:
     return classes
 
 
+def _rpc_stub(op: ops.Op) -> Callable:
+    """One framed exchange: the row's args codec out, its result codec back."""
+    write = op.kind != ops.READ
+    decode = op.codec.decode
+
+    def stub(self, *args: Any, **kwargs: Any) -> Any:
+        value = self.call(op.name, op.wire_args(*args, **kwargs), write=write)
+        return decode(value) if decode is not None else value
+
+    return stub
+
+
+@ops.surface(_rpc_stub)
 class ShardClient:
     """RPC proxy for one shard worker, shaped like a ``GraphittiService``."""
 
@@ -243,19 +245,10 @@ class ShardClient:
                 pass
             raise
         if response is None:
-            self._checkin_or_close(sock, reuse=False)
+            sock.close()
             raise WireError(f"{self.name} closed the connection before responding")
         self._checkin(sock)
         return response
-
-    def _checkin_or_close(self, sock: socket.socket, reuse: bool) -> None:
-        if reuse:
-            self._checkin(sock)
-        else:
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - close race
-                pass
 
     # -- call core -------------------------------------------------------------
 
@@ -356,96 +349,9 @@ class ShardClient:
         return self.call("status")
 
     # -- GraphittiService surface ----------------------------------------------
-
-    def register_ontology(self, ontology, cache: bool = True):
-        self.call("register_ontology", {"ontology": ontology.to_dict()}, write=True)
-        return None
-
-    def register(self, obj, raw: bytes | None = None, **metadata: Any):
-        combined = dict(obj.metadata)
-        combined.update(metadata)
-        self.call("register", {"record": encode_register(obj, combined)}, write=True)
-        return obj
-
-    def reserve_annotation_id(self) -> str:
-        return self.call("reserve_annotation_id", write=True)
-
-    def commit(self, annotation: Annotation) -> Annotation:
-        payload = self.call("commit", {"annotation": encode_annotation(annotation)}, write=True)
-        return decode_annotation(payload)
-
-    def bulk_commit(self, annotations: list[Annotation]) -> list[Annotation]:
-        payload = self.call(
-            "bulk_commit",
-            {"annotations": [encode_annotation(annotation) for annotation in annotations]},
-            write=True,
-        )
-        return [decode_annotation(item) for item in payload]
-
-    def delete_annotation(self, annotation_id: str) -> None:
-        self.call("delete_annotation", {"annotation_id": annotation_id}, write=True)
-
-    def update_annotation(self, annotation_id: str, changes: dict[str, Any]) -> Annotation:
-        payload = self.call(
-            "update_annotation",
-            {"annotation_id": annotation_id, "changes": encode_update_changes(changes)},
-            write=True,
-        )
-        return decode_annotation(payload)
-
-    def delete_object(self, object_id: str, cascade: bool = True) -> list[str]:
-        return self.call("delete_object", {"object_id": object_id, "cascade": cascade}, write=True)
-
-    def annotations_on_object(self, object_id: str) -> list[str]:
-        return self.call("annotations_on_object", {"object_id": object_id})
-
-    def query(self, gql: str) -> QueryResult:
-        return decode_query_result(self.call("query", {"gql": gql}))
-
-    def explain(self, gql: str) -> dict:
-        return self.call("explain", {"gql": gql})
-
-    def annotation(self, annotation_id: str) -> Annotation:
-        return decode_annotation(self.call("annotation", {"annotation_id": annotation_id}))
-
-    def holds(self, annotation_id: str) -> bool:
-        return bool(self.call("holds", {"annotation_id": annotation_id}))
-
-    def search_by_keyword(self, keyword: str, mode: str = "and") -> list[str]:
-        return self.call("search_by_keyword", {"keyword": keyword, "mode": mode})
-
-    def search_by_ontology(self, term: str, **kwargs: Any) -> list[str]:
-        return self.call("search_by_ontology", {"term": term, "kwargs": kwargs})
-
-    def related_annotations(self, annotation_id: str) -> list[str]:
-        return self.call("related_annotations", {"annotation_id": annotation_id})
-
-    def resolve_ontology_term(self, text: str) -> str:
-        return self.call("resolve_ontology_term", {"text": text})
-
-    def data_object(self, object_id: str) -> CatalogueObject:
-        record = self.call("data_object", {"object_id": object_id})
-        return CatalogueObject(
-            record["object_id"],
-            DataType(record["data_type"]),
-            domain=record.get("domain"),
-            description=record.get("description", ""),
-            metadata=record.get("metadata"),
-        )
-
-    def check_integrity(self) -> IntegrityReport:
-        payload = self.call("check_integrity")
-        report = IntegrityReport(
-            ok=bool(payload.get("ok", True)),
-            errors=list(payload.get("errors", [])),
-            warnings=list(payload.get("warnings", [])),
-            checks_run=int(payload.get("checks_run", 0)),
-        )
-        return report
-
-    @property
-    def annotation_count(self) -> int:
-        return int(self.call("annotation_count"))
+    #
+    # Every table verb is generated by ``_rpc_stub``; only what the table does
+    # not describe (status-derived properties, shutdown) is written out.
 
     @property
     def last_wal_seq(self) -> int:
@@ -454,22 +360,6 @@ class ShardClient:
     @property
     def recovery_info(self) -> dict[str, Any] | None:
         return self.call("status").get("recovery")
-
-    def statistics(self) -> dict[str, Any]:
-        return self.call("statistics")
-
-    def metrics(self) -> dict[str, Any]:
-        return self.call("metrics")
-
-    def slow_ops(self) -> list[dict[str, Any]]:
-        return self.call("slow_ops")
-
-    def checkpoint(self) -> str | None:
-        return self.call("checkpoint", write=True)
-
-    def compact(self) -> dict[str, Any]:
-        """Compact the worker's column storage; returns its before/after report."""
-        return self.call("compact", write=True)
 
     def shutdown(self) -> None:
         """Ask the worker to checkpoint (per its config) and exit cleanly."""

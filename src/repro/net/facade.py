@@ -6,8 +6,8 @@ list from in-process ``GraphittiService`` objects to
 :class:`~repro.net.client.ShardClient` RPC proxies — the routing, merging,
 manifest and aggregation logic is inherited, so the two topologies cannot
 drift apart.  Only the seams that reach *into* a shard's memory are
-overridden: membership probes become ``holds`` RPCs, the REFERENTS merge
-reads the referent map each worker ships with its result page, and builder
+overridden: the REFERENTS merge reads the referent map each worker ships
+with its result page, the query gather admits degraded reads, and builder
 support (``data_object`` / ``resolve_ontology_term``) is served from a
 client-side catalog of the objects and ontologies registered through this
 facade (objects are replicated to every worker, but native payloads never
@@ -53,12 +53,15 @@ from repro.errors import (
 from repro.net.client import RetryPolicy, ShardClient
 from repro.net.server import ShardWorkerServer
 from repro.net.supervisor import HeartbeatMonitor, WorkerHandle
-from repro.query.ast import Query, ReturnKind
 from repro.query.result import QueryResult
-from repro.service.cache import normalize_gql
 from repro.service.service import GraphittiService, ServiceConfig
-from repro.shard.router import shard_dir_name, shard_namespace
-from repro.shard.service import ShardedGraphittiService, resolve_topology
+from repro.shard.router import shard_dir_name
+from repro.shard.service import (
+    ShardedGraphittiService,
+    open_shard,
+    resolve_topology,
+    shard_manager,
+)
 
 
 class NetworkShardedGraphittiService(ShardedGraphittiService):
@@ -185,17 +188,10 @@ class NetworkShardedGraphittiService(ShardedGraphittiService):
             servers = []
             worker_services = []
             for index in range(count):
-                namespace = shard_namespace(index)
-                factory = lambda namespace=namespace: Graphitti(  # noqa: E731
-                    f"{name}-{namespace}", id_namespace=namespace
-                )
                 if root is not None:
-                    service = GraphittiService.open(
-                        Path(root) / shard_dir_name(index), config=config, manager_factory=factory
-                    )
-                    service.manager.id_namespace = namespace
+                    service = open_shard(root / shard_dir_name(index), index, config, name)
                 else:
-                    service = GraphittiService(manager=factory(), config=config)
+                    service = GraphittiService(manager=shard_manager(name, index), config=config)
                 server = ShardWorkerServer(
                     service,
                     index,
@@ -232,18 +228,7 @@ class NetworkShardedGraphittiService(ShardedGraphittiService):
             auto_restart=auto_restart,
             start_monitor=start_monitor,
         )
-        if any(info is not None for info in recovery):
-            instance._recovery_info = {
-                "shards": count,
-                "replayed": sum((info or {}).get("replayed", 0) for info in recovery),
-                "skipped": sum((info or {}).get("skipped", 0) for info in recovery),
-                "torn_tails": sum(1 for info in recovery if (info or {}).get("torn_tail")),
-                "per_shard": recovery,
-            }
-        if root is not None and manifest is None:
-            instance._write_manifest()
-        elif manifest is not None:
-            instance._checkpoints = int(manifest.get("checkpoints", 0))
+        instance._adopt_topology(recovery, manifest)
         return instance
 
     # -- supervision -----------------------------------------------------------
@@ -326,11 +311,7 @@ class NetworkShardedGraphittiService(ShardedGraphittiService):
         if self._closed:
             return
         self.monitor.stop()
-        if self._root is not None:
-            try:
-                self._write_manifest()
-            except GraphittiError:  # pragma: no cover - dead shard at close
-                pass
+        self._write_manifest()  # an unreachable worker's WAL mark lands as 0
         for client in self._shards:
             try:
                 client.shutdown()
@@ -350,16 +331,7 @@ class NetworkShardedGraphittiService(ShardedGraphittiService):
         self._pool.shutdown(wait=True)
         self._closed = True
 
-    def _shard_wal_seq(self, shard: Any) -> int:
-        try:
-            return super()._shard_wal_seq(shard)
-        except GraphittiError:  # dead worker at manifest time: record unknown
-            return 0
-
-    # -- overridden shard-memory seams ----------------------------------------
-
-    def _shard_holds(self, index: int, annotation_id: str) -> bool:
-        return self._shards[index].holds(annotation_id)
+    # -- overridden shard-memory seam --------------------------------------------
 
     def _annotation_referents(self, index: int, annotation_id: str, result: QueryResult):
         shipped = getattr(result, "_net_referents_by_annotation", None) or {}
@@ -392,71 +364,28 @@ class NetworkShardedGraphittiService(ShardedGraphittiService):
             return self._catalog.resolve_ontology_term(text)
         return self._shards[0].resolve_ontology_term(text)
 
-    # -- read path (degraded-aware scatter) ------------------------------------
+    # -- read path (degraded-aware gather) -------------------------------------
 
-    def query(self, text_or_query: str | Query) -> QueryResult:
-        if isinstance(text_or_query, Query):
-            raise ServiceError(
-                "the network sharded service scatters GQL text; "
-                "pre-built Query objects cannot cross the wire"
-            )
-        obs = self.obs
-        if not obs.enabled:
-            return_kind, limit = self._query_shape(text_or_query)
-            results, missing = self._collect_query(
-                [
-                    self._pool.submit(self._shards[index].query, text_or_query)
-                    for index in range(len(self._shards))
-                ]
-            )
-            return self._finish_query(return_kind, limit, results, missing)
-        with obs.span("query") as root:
-            with obs.span("parse"):
-                return_kind, limit = self._query_shape(text_or_query)
-            with obs.span("scatter") as scatter:
-                futures = [
-                    self._pool.submit(self._traced_shard_query, index, text_or_query, scatter)
-                    for index in range(len(self._shards))
-                ]
-                results, missing = self._collect_query(futures)
-            with obs.span("merge") as merge_span:
-                merged = self._finish_query(return_kind, limit, results, missing)
-                merge_span.set("rows", merged.count)
-        if obs.is_slow(root):
-            root.set("gql", normalize_gql(text_or_query))
-            explain = None
-            if not missing:
-                try:
-                    explain = self.explain(text_or_query)
-                except GraphittiError:  # pragma: no cover - shard died mid-op
-                    explain = None
-            obs.record_slow("query", root, explain=explain)
-        return merged
+    def _gather_query(self, futures: list[Any]) -> list[QueryResult | None]:
+        """Collect shard pages, admitting unreachable shards per ``degraded_reads``.
 
-    def _collect_query(self, futures) -> tuple[list[QueryResult | None], list[int]]:
+        Strict reads (or every shard missing) raise a typed error naming the
+        missing shards; a degraded read returns ``None`` in their place and
+        the merge tags the page.
+        """
         results: list[QueryResult | None] = []
         missing: list[int] = []
-        self._last_scatter_causes: list[GraphittiError] = []
+        causes: list[GraphittiError] = []
         for index, future in enumerate(futures):
             try:
                 results.append(future.result())
             except (ShardUnavailableError, ShardTimeoutError) as exc:
                 results.append(None)
                 missing.append(index)
-                self._last_scatter_causes.append(exc)
-        return results, missing
-
-    def _finish_query(
-        self,
-        return_kind: ReturnKind,
-        limit: int | None,
-        results: list[QueryResult | None],
-        missing: list[int],
-    ) -> QueryResult:
+                causes.append(exc)
         if missing:
             if not self.degraded_reads or len(missing) == len(self._shards):
-                causes = getattr(self, "_last_scatter_causes", [])
-                if causes and all(isinstance(exc, ShardTimeoutError) for exc in causes):
+                if all(isinstance(exc, ShardTimeoutError) for exc in causes):
                     # Pure deadline misses keep their type — the same signal
                     # the threaded scatter deadline raises.
                     raise ShardTimeoutError(
@@ -468,11 +397,7 @@ class NetworkShardedGraphittiService(ShardedGraphittiService):
                     shards=tuple(missing),
                 )
             self.obs.count("query.degraded")
-        merged = self._merge_results(return_kind, limit, results)
-        if missing:
-            merged.degraded = True
-            merged.missing_shards = list(missing)
-        return merged
+        return results
 
     # -- aggregation extras ----------------------------------------------------
 

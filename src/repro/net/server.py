@@ -3,8 +3,9 @@
 A :class:`ShardWorkerServer` owns one per-shard
 :class:`~repro.service.service.GraphittiService` and serves it over the
 framed wire protocol: one thread per connection, one request in flight per
-connection, dispatch through a flat op table.  Robustness machinery lives
-here rather than in the client because the server is the authority:
+connection, dispatch through the op table (:mod:`repro.service.ops`).
+Robustness machinery lives here rather than in the client because the server
+is the authority:
 
 * **idempotency** — every mutation carries an ``idem`` key; the server keeps
   an LRU of key → response and replays the recorded ack (tagged
@@ -28,6 +29,7 @@ the crash window the fault matrix needs: die *after* the Nth WAL append but
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import socket
@@ -36,36 +38,14 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.core.persistence import (
-    CatalogueObject,
-    decode_annotation,
-    encode_annotation,
-    encode_register,
-)
-from repro.datatypes.base import DataType
+from repro.core.persistence import encode_referent, encode_register
 from repro.errors import BackpressureError, GraphittiError, ServiceError
 from repro.net.codec import encode_query_result
 from repro.net.wire import WireError, read_frame, send_frame
-from repro.ontology.model import Ontology
 from repro.query.ast import ReturnKind
+from repro.service import ops
 from repro.service.service import GraphittiService, ServiceConfig
-from repro.shard.router import shard_namespace
-
-#: Ops that mutate shard state: admission-controlled and idempotency-keyed.
-WRITE_OPS = frozenset(
-    {
-        "commit",
-        "bulk_commit",
-        "delete_annotation",
-        "update_annotation",
-        "delete_object",
-        "register",
-        "register_ontology",
-        "reserve_annotation_id",
-        "checkpoint",
-        "compact",
-    }
-)
+from repro.shard.service import open_shard
 
 #: Name of the per-shard announce file a worker writes after binding.
 ANNOUNCE_FILE = "net.json"
@@ -100,7 +80,18 @@ class ShardWorkerServer:
         self._stopped = threading.Event()
         self._connections: set[socket.socket] = set()
         self._connections_lock = threading.Lock()
-        self._handlers = self._build_handlers()
+        #: Handlers with server-side logic the table cannot express; every
+        #: other op is decoded, run and encoded by its table row.
+        self._handlers: dict[str, Callable[[dict[str, Any]], Any]] = {
+            "ping": self._serve_ping,
+            "status": self._serve_status,
+            "query": self._serve_query,
+            "data_object": self._serve_data_object,
+            "slow_ops": lambda args: [
+                {"shard": self.shard_index, **entry} for entry in self.service.slow_ops()
+            ],
+            "shutdown": lambda args: {"stopping": True},
+        }
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -132,9 +123,12 @@ class ShardWorkerServer:
         listener, self._listener = self._listener, None
         if listener is not None:
             try:
-                listener.close()
-            except OSError:  # pragma: no cover - close race
-                pass
+                # close() alone does not wake an accept() blocked on the
+                # socket; shutting it down does, so the join below is prompt.
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # a listener the platform refuses to shut down still closes
+            listener.close()
         with self._connections_lock:
             connections = list(self._connections)
             self._connections.clear()
@@ -224,19 +218,15 @@ class ShardWorkerServer:
         return response
 
     def _execute(self, op: str, args: dict[str, Any], idem: str | None) -> dict[str, Any]:
+        row = ops.OPS.get(op)
         handler = self._handlers.get(op)
         if handler is None:
-            return _error_response(ServiceError(f"unknown rpc op {op!r}"))
-        if op not in WRITE_OPS:
-            try:
-                return {"ok": True, "value": handler(args)}
-            except GraphittiError as exc:
-                return _error_response(exc)
-            except (KeyError, TypeError, ValueError) as exc:
-                # Malformed args must answer, not kill the connection thread.
-                return _error_response(
-                    ServiceError(f"malformed args for rpc op {op!r}: {exc!r}")
-                )
+            if row is None:
+                return _error_response(ServiceError(f"unknown rpc op {op!r}"))
+            handler = functools.partial(row.serve, self.service)
+        # Reads answer directly; writes are idempotency-keyed and admitted.
+        if row is None or row.kind == ops.READ:
+            return self._answer(op, handler, args)
         # Mutations: replay a recorded ack for a duplicate idempotency key...
         if idem is not None:
             with self._idempotent_lock:
@@ -261,18 +251,7 @@ class ShardWorkerServer:
             self._inflight += 1
             self._set_inflight_gauge()
         try:
-            try:
-                response: dict[str, Any] = {"ok": True, "value": handler(args)}
-            except GraphittiError as exc:
-                # Deterministic outcome (validation failure, unknown id, ...):
-                # record it so a retry replays the same refusal.
-                response = _error_response(exc)
-            except (KeyError, TypeError, ValueError) as exc:
-                # Malformed args are deterministic too: answer (and cache)
-                # the refusal instead of killing the connection thread.
-                response = _error_response(
-                    ServiceError(f"malformed args for rpc op {op!r}: {exc!r}")
-                )
+            response = self._answer(op, handler, args)
         finally:
             with self._admission_lock:
                 self._inflight -= 1
@@ -284,51 +263,29 @@ class ShardWorkerServer:
                     self._idempotent.popitem(last=False)
         return response
 
+    def _answer(
+        self, op: str, handler: Callable[[dict[str, Any]], Any], args: dict[str, Any]
+    ) -> dict[str, Any]:
+        """Run *handler*; a refusal answers instead of killing the connection thread.
+
+        Typed errors (validation failure, unknown id, ...) and malformed args
+        are deterministic outcomes, so a write's refusal is recorded under its
+        idempotency key and a retry replays it.
+        """
+        try:
+            return {"ok": True, "value": handler(args)}
+        except GraphittiError as exc:
+            return _error_response(exc)
+        except (KeyError, TypeError, ValueError) as exc:
+            return _error_response(ServiceError(f"malformed args for rpc op {op!r}: {exc!r}"))
+
     def _set_inflight_gauge(self) -> None:
         if self.service.obs.enabled:
             self.service.obs.registry.gauge("net.inflight").set(self._inflight)
 
-    # -- op handlers -----------------------------------------------------------
+    # -- handlers with server-side logic ----------------------------------------
 
-    def _build_handlers(self) -> dict[str, Callable[[dict[str, Any]], Any]]:
-        return {
-            "ping": self._op_ping,
-            "status": self._op_status,
-            "query": self._op_query,
-            "explain": lambda args: self.service.explain(args["gql"]),
-            "commit": self._op_commit,
-            "bulk_commit": self._op_bulk_commit,
-            "delete_annotation": self._op_delete_annotation,
-            "update_annotation": self._op_update_annotation,
-            "delete_object": lambda args: self.service.delete_object(
-                args["object_id"], cascade=bool(args.get("cascade", True))
-            ),
-            "register": self._op_register,
-            "register_ontology": self._op_register_ontology,
-            "reserve_annotation_id": lambda args: self.service.reserve_annotation_id(),
-            "annotation": lambda args: encode_annotation(self.service.annotation(args["annotation_id"])),
-            "holds": self._op_holds,
-            "annotations_on_object": lambda args: self.service.annotations_on_object(args["object_id"]),
-            "search_by_keyword": lambda args: self.service.search_by_keyword(
-                args["keyword"], mode=args.get("mode", "and")
-            ),
-            "search_by_ontology": lambda args: self.service.search_by_ontology(
-                args["term"], **args.get("kwargs", {})
-            ),
-            "related_annotations": lambda args: self.service.related_annotations(args["annotation_id"]),
-            "resolve_ontology_term": lambda args: self.service.resolve_ontology_term(args["text"]),
-            "data_object": self._op_data_object,
-            "annotation_count": lambda args: self.service.annotation_count,
-            "check_integrity": self._op_check_integrity,
-            "statistics": lambda args: self.service.statistics(),
-            "metrics": lambda args: self.service.metrics(),
-            "slow_ops": self._op_slow_ops,
-            "checkpoint": self._op_checkpoint,
-            "compact": lambda args: self.service.compact(),
-            "shutdown": self._op_shutdown,
-        }
-
-    def _op_ping(self, args: dict[str, Any]) -> dict[str, Any]:
+    def _serve_ping(self, args: dict[str, Any]) -> dict[str, Any]:
         # Deliberately lock-free (GIL-atomic reads): a heartbeat answers even
         # while a long write holds the service lock — it reports process and
         # event-loop liveness, not lock availability.
@@ -340,104 +297,34 @@ class ShardWorkerServer:
             "inflight": self._inflight,
         }
 
-    def _op_status(self, args: dict[str, Any]) -> dict[str, Any]:
-        status = self._op_ping(args)
+    def _serve_status(self, args: dict[str, Any]) -> dict[str, Any]:
+        status = self._serve_ping(args)
         status["recovery"] = self.service.recovery_info
         return status
 
-    def _op_query(self, args: dict[str, Any]) -> dict[str, Any]:
+    def _serve_query(self, args: dict[str, Any]) -> dict[str, Any]:
         result = self.service.query(args["gql"])
         referents_by_annotation = None
         if result.return_kind is ReturnKind.REFERENTS:
             # The client-side merge rebuilds referent pages in global order
             # and cannot reach into this worker's manager the way the
             # threaded merge does — ship each annotation's referent list.
-            from repro.core.persistence import encode_referent
-
-            # Materialize straight from the columns (GIL-atomic reads; no
-            # row-cache mutation), mirroring the old lock-free dict read.
             manager = self.service.manager
-            referents_by_annotation = {}
-            for annotation_id in result.annotation_ids:
-                slot = manager.idspace.slot(annotation_id)
-                if slot is None or not manager.columns.is_live(slot):
-                    continue
-                holder = manager.columns.materialize(
-                    annotation_id, slot, manager.substructures.columns
-                )
-                referents_by_annotation[annotation_id] = [
-                    encode_referent(referent) for referent in holder.referents
+            referents_by_annotation = {
+                annotation_id: [
+                    encode_referent(referent)
+                    for referent in manager.committed_referents(annotation_id)
                 ]
+                for annotation_id in result.annotation_ids
+            }
         return encode_query_result(result, referents_by_annotation)
 
-    def _op_commit(self, args: dict[str, Any]) -> dict[str, Any]:
-        committed = self.service.commit(decode_annotation(args["annotation"]))
-        return encode_annotation(committed)
-
-    def _op_bulk_commit(self, args: dict[str, Any]) -> list[dict[str, Any]]:
-        batch = [decode_annotation(item) for item in args["annotations"]]
-        return [encode_annotation(annotation) for annotation in self.service.bulk_commit(batch)]
-
-    def _op_delete_annotation(self, args: dict[str, Any]) -> None:
-        self.service.delete_annotation(args["annotation_id"])
-        return None
-
-    def _op_update_annotation(self, args: dict[str, Any]) -> dict[str, Any]:
-        # Changes arrive already codec-shaped (the client runs
-        # encode_update_changes); update_annotation accepts that form
-        # directly, the same way WAL replay does.
-        updated = self.service.update_annotation(args["annotation_id"], args["changes"])
-        return encode_annotation(updated)
-
-    def _op_register(self, args: dict[str, Any]) -> None:
-        record = args["record"]
-        obj = CatalogueObject(
-            record["object_id"],
-            DataType(record["data_type"]),
-            domain=record.get("domain"),
-            description=record.get("description", ""),
-            metadata=record.get("metadata"),
-        )
-        self.service.register(obj)
-        return None
-
-    def _op_register_ontology(self, args: dict[str, Any]) -> None:
-        self.service.register_ontology(Ontology.from_dict(args["ontology"]))
-        return None
-
-    def _op_holds(self, args: dict[str, Any]) -> bool:
-        return self.service.manager.has_annotation(args["annotation_id"])
-
-    def _op_data_object(self, args: dict[str, Any]) -> dict[str, Any]:
+    def _serve_data_object(self, args: dict[str, Any]) -> dict[str, Any]:
+        # The catalogue entry carries the metadata row the manager stored
+        # (the object's own metadata plus the register-call keywords).
         obj = self.service.data_object(args["object_id"])
         metadata = self.service.manager.object_metadata(args["object_id"])["metadata"]
         return encode_register(obj, metadata)
-
-    def _op_check_integrity(self, args: dict[str, Any]) -> dict[str, Any]:
-        report = self.service.check_integrity()
-        return {
-            "ok": report.ok,
-            "errors": list(report.errors),
-            "warnings": list(report.warnings),
-            "checks_run": report.checks_run,
-        }
-
-    def _op_slow_ops(self, args: dict[str, Any]) -> list[dict[str, Any]]:
-        entries = []
-        for entry in self.service.slow_ops():
-            tagged = dict(entry)
-            tagged.setdefault("shard", self.shard_index)
-            entries.append(tagged)
-        return entries
-
-    def _op_checkpoint(self, args: dict[str, Any]) -> str | None:
-        path = self.service.checkpoint()
-        return str(path) if path is not None else None
-
-    def _op_shutdown(self, args: dict[str, Any]) -> dict[str, Any]:
-        # The ack is sent first; _serve_connection sees the dispatch-level
-        # marker and stops the server after the reply is on the wire.
-        return {"stopping": True}
 
 
 def _error_response(exc: GraphittiError) -> dict[str, Any]:
@@ -493,17 +380,7 @@ def run_worker(
     import signal
 
     root = Path(root)
-    namespace = shard_namespace(shard_index)
-    from repro.core.manager import Graphitti
-
-    service = GraphittiService.open(
-        root,
-        config=config,
-        manager_factory=lambda: Graphitti(f"{service_name}-{namespace}", id_namespace=namespace),
-    )
-    # Recovery rebuilds the manager without the namespace; re-pin it so fresh
-    # reservations keep routing ids to this shard (mirrors the threaded open).
-    service.manager.id_namespace = namespace
+    service = open_shard(root, shard_index, config, service_name)
     _install_kill_after_apply(service)
 
     server = ShardWorkerServer(service, shard_index, host=host, port=port, max_inflight=max_inflight)

@@ -147,3 +147,27 @@ class Observability:
         snap["enabled"] = True
         snap["slow_ops"] = self.slow_log.stats()
         return snap
+
+    def fleet_snapshot(self, detail_key: str, children) -> dict[str, Any]:
+        """This facade's snapshot merged with its *children*'s.
+
+        *children* is a list (per shard) or a dict (per role) of child
+        snapshots; the breakdown stays reachable under *detail_key*.
+        """
+        parts = list(children.values()) if isinstance(children, dict) else list(children)
+        merged = merge_observability([self.snapshot()] + parts)
+        if merged.get("enabled"):
+            merged[detail_key] = children
+        return merged
+
+    def fleet_slow_ops(self, tag: str, children) -> list[dict[str, Any]]:
+        """This facade's slow-op entries plus each child's, oldest first.
+
+        *children* yields ``(label, entries)``; every child entry is
+        attributed with ``{tag: label}``.
+        """
+        entries = list(self.slow_log.entries()) if self.enabled else []
+        for label, child_entries in children:
+            entries.extend({**entry, tag: label} for entry in child_entries)
+        entries.sort(key=lambda entry: entry.get("recorded_at", 0.0))
+        return entries

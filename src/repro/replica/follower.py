@@ -38,9 +38,6 @@ from repro.service.wal import fsync_dir, sealed_segment_paths
 import json
 import os
 
-#: Ops whose replay can remove a-graph edges and stale the component index.
-_STRUCTURAL_OPS = ("delete_annotation", "update_annotation", "delete_object")
-
 
 class StaleTermError(ServiceError):
     """A shipment arrived from a primary whose term has been superseded.
@@ -132,15 +129,13 @@ class ReplicaFollower:
             raise ReplicationGapError(self.applied_seq + 1, fresh[0]["seq"], self.root)
         service = self.service
         with service._lock.write_locked():  # noqa: SLF001 - the replication write path
-            structural = False
             for record in fresh:
                 apply_record(service.manager, record)
                 service._store.wal.append_record(record)  # noqa: SLF001
-                structural = structural or record["op"] in _STRUCTURAL_OPS
-            if structural:
-                # Same discipline as the live mutation path: never let a
-                # reader race the lazy component rebuild.
-                service.manager.agraph.graph.rebuild_components()
+            # Same discipline as the live mutation path: never let a reader
+            # race the lazy component rebuild (no-op unless a record removed
+            # a-graph nodes or edges).
+            service.manager.agraph.graph.rebuild_components()
         return self.applied_seq
 
     # -- snapshot re-seed ------------------------------------------------------
@@ -187,12 +182,6 @@ class ReplicaFollower:
 
     def query(self, text_or_query):
         return self.service.query(text_or_query)
-
-    def statistics(self) -> dict[str, Any]:
-        return self.service.statistics()
-
-    def checkpoint(self) -> None:
-        self.service.checkpoint()
 
     def close(self) -> None:
         self.service.close()

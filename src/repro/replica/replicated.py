@@ -39,14 +39,14 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.core.annotation import Annotation
 from repro.core.builder import AnnotationBuilder
 from repro.core.manager import Graphitti
 from repro.errors import ServiceError
-from repro.obs import Observability, merge_observability
+from repro.obs import Observability
 from repro.query.result import QueryResult
 from repro.replica.follower import ReplicaFollower
 from repro.replica.tailer import ReplicationGapError, WalCursor, encode_shipment
+from repro.service import ops
 from repro.service.durability import SNAPSHOT_FILE, WAL_FILE, peek_snapshot_wal_seq
 from repro.service.service import GraphittiService, ServiceConfig
 from repro.service.wal import fsync_dir
@@ -128,6 +128,28 @@ class ReplicationConfig:
     ship_batch: int = 512
 
 
+def _delegate(op: ops.Op) -> Callable | None:
+    """Writes go to the live primary, reads to the primary-coherent copy, and
+    maintenance (``checkpoint``, ``compact``) runs on every role at a
+    replication quiesce point."""
+    if op.kind == ops.ADMIN:
+
+        def maintain(self):
+            # Drain the shipper first, under its mutex, so the WAL segments
+            # the primary seals and prunes cannot open a gap under a cursor.
+            with self._ship_mutex:
+                self.ship()
+                report = op.call(self._require_primary())
+                for follower in self._followers:
+                    op.call(follower.service)
+                return report
+
+        return maintain
+    target = "_primary_for_write" if op.kind == ops.WRITE else "_read_service"
+    return lambda self, *args, **kwargs: op.call(getattr(self, target)(), *args, **kwargs)
+
+
+@ops.surface(_delegate)
 class ReplicatedGraphittiService:
     """Primary + N followers behind one service facade.
 
@@ -172,12 +194,8 @@ class ReplicatedGraphittiService:
         # counters; per-role registries live in the primary/follower
         # services and merge into metrics().  Observability config follows
         # the primary's (or, primary dead, a follower's) ServiceConfig.
-        obs_source = primary if primary is not None else (
-            followers[0].service if followers else None
-        )
-        self.obs = Observability(
-            getattr(getattr(obs_source, "config", None), "observability", None)
-        )
+        roles = self._roles()
+        self.obs = Observability(roles[0][1].config.observability if roles else None)
         self._ships = 0
         self._records_shipped = 0
         self._reseeds = 0
@@ -226,42 +244,15 @@ class ReplicatedGraphittiService:
                     f"deployment at {root} has {len(manifest_followers)} replicas "
                     f"per its manifest; refusing to open with replicas={replicas}"
                 )
-            term = int(manifest["term"])
-            primary_dir = manifest["primary"]
-            dirs = list(manifest["replicas"])
         else:
             if replicas is None:
                 replicas = 2
             if replicas < 0:
                 raise ServiceError(f"replicas must be non-negative, got {replicas}")
-            term = 1
-            primary_dir = PRIMARY_DIR
             dirs = [PRIMARY_DIR] + [replica_dir_name(i) for i in range(replicas)]
-            write_replication_manifest(
-                root, {"version": 1, "term": term, "primary": primary_dir, "replicas": dirs}
-            )
-        primary = GraphittiService.open(
-            root / primary_dir, config=config, manager_factory=manager_factory
-        )
-        followers = [
-            ReplicaFollower(
-                root / name,
-                name=name,
-                config=replace(config) if config is not None else None,
-                term=term,
-            )
-            for name in dirs
-            if name != primary_dir
-        ]
-        return cls(
-            root,
-            primary,
-            primary_dir,
-            followers,
-            term,
-            dirs,
-            replication=replication,
-        )
+            manifest = {"version": 1, "term": 1, "primary": PRIMARY_DIR, "replicas": dirs}
+            write_replication_manifest(root, manifest)
+        return cls._from_manifest(root, manifest, config, replication, manager_factory)
 
     @classmethod
     def recover(
@@ -280,16 +271,32 @@ class ReplicatedGraphittiService:
         end in a torn record (the crash signature); the cursor-based drain
         tolerates exactly that.
         """
-        root = Path(root)
         manifest = read_replication_manifest(root)
         if manifest is None:
             raise ServiceError(f"no replication manifest at {root}; nothing to recover")
+        return cls._from_manifest(
+            Path(root), manifest, config, replication, None, open_primary=not assume_primary_dead
+        )
+
+    @classmethod
+    def _from_manifest(
+        cls,
+        root: Path,
+        manifest: dict[str, Any],
+        config: ServiceConfig | None,
+        replication: ReplicationConfig | None,
+        manager_factory: Callable[[], Graphitti] | None,
+        open_primary: bool = True,
+    ) -> "ReplicatedGraphittiService":
+        """Open the roles the manifest names (the one construction path)."""
         term = int(manifest["term"])
         primary_dir = manifest["primary"]
         dirs = list(manifest["replicas"])
         primary = None
-        if not assume_primary_dead:
-            primary = GraphittiService.open(root / primary_dir, config=config)
+        if open_primary:
+            primary = GraphittiService.open(
+                root / primary_dir, config=config, manager_factory=manager_factory
+            )
         followers = [
             ReplicaFollower(
                 root / name,
@@ -300,15 +307,7 @@ class ReplicatedGraphittiService:
             for name in dirs
             if name != primary_dir
         ]
-        return cls(
-            root,
-            primary,
-            primary_dir,
-            followers,
-            term,
-            dirs,
-            replication=replication,
-        )
+        return cls(root, primary, primary_dir, followers, term, dirs, replication=replication)
 
     def close(self) -> None:
         """Drain the shipper, stop the threads, close every role."""
@@ -372,12 +371,6 @@ class ReplicatedGraphittiService:
     @property
     def recovery_info(self) -> dict[str, Any] | None:
         return self._require_primary().recovery_info
-
-    @property
-    def _store(self):
-        # The sharded router introspects shard._store for durability facts;
-        # a replicated shard answers with its primary's store.
-        return self._require_primary()._store  # noqa: SLF001
 
     def _require_primary(self) -> GraphittiService:
         if self._primary is None:
@@ -593,115 +586,31 @@ class ReplicatedGraphittiService:
                 self._reads["replica"] += 1
                 return follower.query(text_or_query)
             self._reads["degraded"] += 1
-        if self._primary is not None:
-            self._reads["primary"] += 1
-            return self._primary.query(text_or_query)
         # No primary (declared dead) and no follower met the frontier: serve
         # the most-caught-up follower — graceful degradation, never a refusal.
-        best = max(self._followers, key=lambda f: f.applied_seq, default=None)
-        if best is None:
-            raise ServiceError("no primary and no followers to serve reads")
-        self._reads["degraded"] += 1
-        return best.query(text_or_query)
+        service = self._read_service()
+        self._reads["primary" if self._primary is not None else "degraded"] += 1
+        return service.query(text_or_query)
 
-    # -- write surface (primary delegation) ------------------------------------
-
-    def register_ontology(self, ontology, cache: bool = True):
-        return self._primary_for_write().register_ontology(ontology, cache=cache)
-
-    def register(self, obj, raw: bytes | None = None, **metadata: Any):
-        return self._primary_for_write().register(obj, raw=raw, **metadata)
-
-    def reserve_annotation_id(self) -> str:
-        return self._primary_for_write().reserve_annotation_id()
+    # -- the table surface -------------------------------------------------------
+    #
+    # Writes, point reads and maintenance verbs are generated per table row
+    # (``_delegate``); only the bounded-staleness ``query`` above, the builder
+    # hand-off and the fleet statistics are written out.
 
     def new_annotation(self, *args: Any, **kwargs: Any) -> AnnotationBuilder:
         builder = self._primary_for_write().new_annotation(*args, **kwargs)
         builder._manager = self  # noqa: SLF001 - route the builder's commit here
         return builder
 
-    def commit(self, annotation: Annotation | AnnotationBuilder) -> Annotation:
-        return self._primary_for_write().commit(annotation)
-
-    def bulk_commit(self, annotations) -> list[Annotation]:
-        return self._primary_for_write().bulk_commit(annotations)
-
-    def delete_annotation(self, annotation_id: str) -> None:
-        self._primary_for_write().delete_annotation(annotation_id)
-
-    def update_annotation(self, annotation_id: str, changes: dict[str, Any]):
-        return self._primary_for_write().update_annotation(annotation_id, changes)
-
-    def delete_object(self, object_id: str, cascade: bool = True) -> list[str]:
-        return self._primary_for_write().delete_object(object_id, cascade=cascade)
-
-    def checkpoint(self) -> None:
-        """Checkpoint the whole deployment at a replication quiesce point.
-
-        Drains the shipper first so the primary's WAL truncation cannot open
-        a gap under any cursor, then checkpoints primary and followers.
-        """
-        with self._ship_mutex:
-            self.ship()
-            self._require_primary().checkpoint()
-            for follower in self._followers:
-                follower.checkpoint()
-
-    def compact(self) -> dict[str, Any]:
-        """Compact the primary's column storage at a replication quiesce point.
-
-        Ships first under the mutex (same discipline as :meth:`checkpoint`) so
-        the segment pruning inside the primary's compaction cannot open a gap
-        under a cursor; followers compact their own storage afterwards.
-        """
-        with self._ship_mutex:
-            self.ship()
-            report = self._require_primary().compact()
-            for follower in self._followers:
-                follower.service.compact()
-            return report
-
-    # -- read passthroughs (primary-coherent) -----------------------------------
-
-    def explain(self, text_or_query):
-        return self._read_service().explain(text_or_query)
-
-    def annotation(self, annotation_id: str) -> Annotation:
-        return self._read_service().annotation(annotation_id)
-
-    def search_by_keyword(self, keyword: str, mode: str = "and") -> list[str]:
-        return self._read_service().search_by_keyword(keyword, mode=mode)
-
-    def search_by_ontology(self, term: str, **kwargs: Any) -> list[str]:
-        return self._read_service().search_by_ontology(term, **kwargs)
-
-    def related_annotations(self, annotation_id: str) -> list[str]:
-        return self._read_service().related_annotations(annotation_id)
-
-    def annotations_on_object(self, object_id: str) -> list[str]:
-        return self._read_service().annotations_on_object(object_id)
-
-    def check_integrity(self):
-        return self._read_service().check_integrity()
-
-    @property
-    def annotation_count(self) -> int:
-        return self._read_service().annotation_count
-
-    def resolve_ontology_term(self, text: str) -> str:
-        return self._read_service().resolve_ontology_term(text)
-
-    def data_object(self, object_id: str):
-        return self._read_service().data_object(object_id)
-
-    def _read_service(self):
+    def _read_service(self) -> GraphittiService:
         """Point reads stay primary-coherent while a primary exists."""
         if self._primary is not None:
             return self._primary
         best = max(self._followers, key=lambda f: f.applied_seq, default=None)
         if best is None:
             raise ServiceError("no primary and no followers to serve reads")
-        return best
+        return best.service
 
     # -- failure detection and fenced failover ----------------------------------
 
@@ -870,30 +779,17 @@ class ReplicatedGraphittiService:
         contract of :meth:`statistics`.  ``per_role`` keeps each role's own
         snapshot reachable.
         """
-        per_role: dict[str, dict[str, Any]] = {}
-        if self._primary is not None:
-            per_role[self._primary_dir] = self._primary.metrics()
-        for follower in self._followers:
-            per_role[follower.name] = follower.service.metrics()
-        snapshots = [self.obs.snapshot()] + list(per_role.values())
-        merged = merge_observability(snapshots)
-        if merged.get("enabled"):
-            merged["per_role"] = per_role
-        return merged
+        return self.obs.fleet_snapshot(
+            "per_role", {name: service.metrics() for name, service in self._roles()}
+        )
 
     def slow_ops(self) -> list[dict[str, Any]]:
         """Slow-op entries across the facade and every role (oldest first)."""
-        entries = []
-        if self.obs.enabled:
-            entries.extend(self.obs.slow_log.entries())
-        roles: list[tuple[str, GraphittiService]] = []
-        if self._primary is not None:
-            roles.append((self._primary_dir, self._primary))
-        roles.extend((follower.name, follower.service) for follower in self._followers)
-        for name, service in roles:
-            for entry in service.slow_ops():
-                attributed = dict(entry)
-                attributed["role"] = name
-                entries.append(attributed)
-        entries.sort(key=lambda entry: entry.get("recorded_at", 0.0))
-        return entries
+        return self.obs.fleet_slow_ops(
+            "role", ((name, service.slow_ops()) for name, service in self._roles())
+        )
+
+    def _roles(self) -> list[tuple[str, GraphittiService]]:
+        """Every live role's ``(directory name, service)``, primary first."""
+        roles = [(self._primary_dir, self._primary)] if self._primary is not None else []
+        return roles + [(follower.name, follower.service) for follower in self._followers]

@@ -38,17 +38,15 @@ import time
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.core.persistence import (
-    apply_register_record,
-    decode_annotation,
-    hydrate_catalogue,
-    rebuild,
-    snapshot as make_snapshot,
-    wire_annotation,
-)
+from repro.core.persistence import hydrate_catalogue, rebuild
 from repro.errors import ServiceError, WalCorruptionError
-from repro.ontology.model import Ontology
-from repro.service.wal import WriteAheadLog, fsync_dir, read_segmented_records
+from repro.service.ops import wal_row
+from repro.service.wal import (
+    WriteAheadLog,
+    fsync_dir,
+    read_segmented_records,
+    sealed_segment_paths,
+)
 
 SNAPSHOT_FILE = "snapshot.json"
 WAL_FILE = "wal.jsonl"
@@ -277,9 +275,6 @@ class DurableStore:
     #   seal_for_checkpoint()   O(1), runs under the service write lock
     #   write_snapshot(payload) the expensive part, safe off-lock
     #   finish_checkpoint(seq)  prunes superseded segments, safe off-lock
-    #
-    # The legacy synchronous checkpoint() composes all three for callers that
-    # do not need writer concurrency (CLI build paths, small instances).
 
     def seal_for_checkpoint(self) -> int:
         """Seal the active WAL segment and return the sequence high-water mark.
@@ -331,45 +326,30 @@ class DurableStore:
         _maybe_kill("prune")
         return removed
 
-    def checkpoint(self, manager) -> Path:
-        """Synchronous checkpoint: seal, snapshot *manager*, prune.
-
-        The non-blocking path in :class:`~repro.service.service.GraphittiService`
-        uses the three lifecycle steps directly with a frozen column view;
-        this composition serves callers without concurrent writers.
-        """
-        wal_seq = self.seal_for_checkpoint()
-        payload = make_snapshot(manager)
-        payload["wal_seq"] = wal_seq
-        path = self.write_snapshot(payload)
-        self.finish_checkpoint(wal_seq)
-        return path
-
     def close(self) -> None:
         self.wal.close()
 
 
+def has_durable_state(root: str | Path) -> bool:
+    """Whether *root* holds a single service's snapshot or WAL records.
+
+    Plain stats — no WAL open (which would repair a torn tail before
+    recovery can report it) and no log parse.  A crash after a seal but
+    before the snapshot landed leaves an empty active file next to sealed
+    segments — that is state too.
+    """
+    root = Path(root)
+    wal_file = root / WAL_FILE
+    return (
+        (root / SNAPSHOT_FILE).exists()
+        or (wal_file.exists() and wal_file.stat().st_size > 0)
+        or bool(sealed_segment_paths(wal_file))
+    )
+
+
 def apply_record(manager, record: dict[str, Any]) -> None:
-    """Apply one WAL record to *manager* (the replay half of the op codec)."""
-    op = record["op"]
-    payload = record["payload"]
-    if op == "register_ontology":
-        manager.register_ontology(Ontology.from_dict(payload))
-    elif op == "register":
-        apply_register_record(manager, payload)
-    elif op == "commit":
-        wire_annotation(manager, decode_annotation(payload), add_content_document=True)
-    elif op == "delete_annotation":
-        manager.delete_annotation(payload["annotation_id"])
-    elif op == "update_annotation":
-        # The logged changes are already codec-shaped (encode_update_changes);
-        # update_annotation accepts that form directly, so replay runs the
-        # exact delta-maintenance path the live apply ran.
-        manager.update_annotation(payload["annotation_id"], payload["changes"])
-    elif op == "delete_object":
-        manager.delete_object(payload["object_id"], cascade=payload.get("cascade", True))
-    else:  # pragma: no cover - read_records already validates ops
-        raise ServiceError(f"unknown WAL op {op!r}")
+    """Apply one WAL record to *manager* (the replay half of the op table)."""
+    wal_row(record["op"]).apply(manager, record["payload"])
 
 
 def recover_manager(root: str | Path):

@@ -36,12 +36,7 @@ from repro.analysis.annotations import mutates_state, requires_write_lock
 from repro.core.annotation import Annotation
 from repro.core.builder import AnnotationBuilder
 from repro.core.manager import Graphitti
-from repro.core.persistence import (
-    encode_annotation,
-    encode_register,
-    freeze_manager,
-    snapshot_from_frozen,
-)
+from repro.core.persistence import encode_annotation, freeze_manager, snapshot_from_frozen
 from repro.errors import ServiceError
 from repro.obs import Observability, ObservabilityConfig
 from repro.query.ast import Query
@@ -49,16 +44,15 @@ from repro.query.executor import QueryExecutor
 from repro.query.parser import parse_query
 from repro.query.planner import QueryPlan, QueryPlanner
 from repro.query.result import QueryResult
+from repro.service import ops
 from repro.service.cache import QueryResultCache, normalize_gql
 from repro.service.durability import (
-    SNAPSHOT_FILE,
-    WAL_FILE,
     DurableStore,
     gil_courtesy,
+    has_durable_state,
     recover_manager,
 )
 from repro.service.locks import ReadWriteLock
-from repro.service.wal import sealed_segment_paths
 
 
 @dataclass
@@ -91,6 +85,26 @@ class ServiceConfig:
     observability: ObservabilityConfig = ObservabilityConfig()
 
 
+def _service_method(op: ops.Op) -> Callable | None:
+    """What the table alone says about a verb on one instance.
+
+    A durable row is one logged write-lock hold (:meth:`_durable`); a read
+    the class does not write out is the manager's own method under a
+    consistent read view.  Everything else is hand-written below.
+    """
+    if op.apply is not None:
+        return lambda self, *args, **kwargs: self._durable(op, args, kwargs)
+    if op.kind == ops.READ:
+
+        def read(self, *args: Any, **kwargs: Any) -> Any:
+            with self._read_view():
+                return op.call(self._manager, *args, **kwargs)
+
+        return read
+    return None
+
+
+@ops.surface(_service_method)
 class GraphittiService:
     """A concurrent, durable, cache-fronted facade over one Graphitti.
 
@@ -167,19 +181,7 @@ class GraphittiService:
         *manager_factory* when given) and immediately checkpointed so the
         baseline is durable before any traffic is served.
         """
-        # Probe with plain stats — no WAL open (which would repair a torn
-        # tail before recover_manager can report it) and no full log parse
-        # (recovery and the WAL constructor each parse it once already).
-        root_path = Path(root)
-        wal_file = root_path / WAL_FILE
-        has_state = (
-            (root_path / SNAPSHOT_FILE).exists()
-            or (wal_file.exists() and wal_file.stat().st_size > 0)
-            # A crash after a seal but before the snapshot landed leaves an
-            # empty active file next to sealed segments — that is state too.
-            or bool(sealed_segment_paths(wal_file))
-        )
-        if has_state:
+        if has_durable_state(root):
             return cls.recover(root, config=config)
         manager = manager_factory() if manager_factory is not None else None
         service = cls(manager=manager, root=root, config=config)
@@ -308,6 +310,14 @@ class GraphittiService:
             with obs.span("lock.wait"):
                 self._lock.acquire_write()
             try:
+                # A failed append may have left a torn line; appending MORE
+                # records after it would bury valid data behind mid-file
+                # corruption that recovery rightly refuses to read past.
+                if self._wal_failed:
+                    raise ServiceError(
+                        "a WAL append failed earlier; the log may end in a torn record — "
+                        "recover from the existing snapshot + WAL before writing again"
+                    )
                 yield
             finally:
                 self._lock.release_write()
@@ -315,34 +325,21 @@ class GraphittiService:
             obs.record_slow(op, root)
 
     @mutates_state
-    def register_ontology(self, ontology, cache: bool = True):
-        """Register an ontology (serialized with other writers; WAL-logged)."""
-        self._ensure_open()
-        with self._traced_write("register_ontology"):
-            with self.obs.span("apply"):
-                ops = self._manager.register_ontology(ontology, cache=cache)
-            self._log("register_ontology", ontology.to_dict())
-            self._after_mutation_locked(1)
-        return ops
+    def _durable(self, op: ops.Op, args: tuple, kwargs: dict[str, Any]) -> Any:
+        """Run one durable table verb: lock, apply, log, acknowledge.
 
-    @mutates_state
-    def register(self, obj, raw: bytes | None = None, **metadata: Any):
-        """Register a data object (serialized with other writers; WAL-logged).
-
-        The WAL record carries the catalogue entry (type, domain, metadata
-        row), not the native bytes — recovery restores the catalogue exactly
-        as snapshots do.
+        Every WAL-logged mutation is this one write-lock hold: the row's live
+        apply, one WAL record carrying the payload it returned, one
+        checkpoint-interval tick.  The verb methods themselves
+        (``commit``, ``update_annotation``, ...) are generated from the rows.
         """
         self._ensure_open()
-        with self._traced_write("register"):
+        with self._traced_write(op.name):
             with self.obs.span("apply"):
-                registered = self._manager.register(obj, raw=raw, **metadata)
-            # Log exactly the metadata row the manager stored, so the WAL can
-            # never drift from the relational table's contents.
-            stored = self._manager.object_metadata(obj.object_id)
-            self._log("register", encode_register(obj, stored["metadata"]))
-            self._after_mutation_locked(1)
-        return registered
+                result, payload = op.apply_live(self._manager, *args, **kwargs)
+            self._log(op.wal_op, [payload])
+            self._after_mutation_locked(op.weight(result))
+        return result
 
     @mutates_state
     def reserve_annotation_id(self) -> str:
@@ -370,19 +367,6 @@ class GraphittiService:
         return builder
 
     @mutates_state
-    def commit(self, annotation: Annotation | AnnotationBuilder) -> Annotation:
-        """Commit one annotation (serialized with other writers; WAL-logged)."""
-        if isinstance(annotation, AnnotationBuilder):
-            annotation = annotation.build()
-        self._ensure_open()
-        with self._traced_write("commit"):
-            with self.obs.span("apply"):
-                committed = self._manager.commit(annotation)
-            self._log("commit", encode_annotation(committed))
-            self._after_mutation_locked(1)
-        return committed
-
-    @mutates_state
     def bulk_commit(self, annotations: Iterable[Annotation | AnnotationBuilder]) -> list[Annotation]:
         """Commit a batch under ONE lock acquisition and ONE WAL group commit.
 
@@ -398,98 +382,30 @@ class GraphittiService:
             return []
         self._ensure_open()
         with self._traced_write("bulk_commit"):
-            if self._store is not None and self._wal_failed:
-                raise ServiceError(
-                    "a WAL append failed earlier; the log may end in a torn record — "
-                    "recover from the existing snapshot + WAL before writing again"
-                )
             with self.obs.span("apply") as apply_span:
                 committed = self._manager.commit_many(batch)
                 apply_span.set("annotations", len(committed))
-            if self._store is not None:
-                with self.obs.span("wal.append"):
-                    try:
-                        self._store.wal.append_many(
-                            ("commit", encode_annotation(annotation)) for annotation in committed
-                        )
-                    except Exception:
-                        self._wal_failed = True
-                        raise
-                if self.after_append_hook is not None:
-                    self.after_append_hook("commit", self._store.wal.last_seq)
+            self._log(
+                ops.bulk_commit.wal_op,
+                [encode_annotation(annotation) for annotation in committed],
+                group=True,
+            )
             self._after_mutation_locked(len(committed))
         return committed
 
-    @mutates_state
-    def delete_annotation(self, annotation_id: str) -> None:
-        """Delete an annotation (serialized with other writers; WAL-logged)."""
-        self._ensure_open()
-        with self._traced_write("delete_annotation"):
-            with self.obs.span("apply"):
-                self._manager.delete_annotation(annotation_id)
-                # Deleting removes a-graph nodes, which marks the component
-                # index stale; rebuild before any reader can race the lazy
-                # rebuild.
-                self._manager.agraph.graph.rebuild_components()
-            self._log("delete_annotation", {"annotation_id": annotation_id})
-            self._after_mutation_locked(1)
-
-    @mutates_state
-    def update_annotation(self, annotation_id: str, changes: dict[str, Any]):
-        """Update an annotation in place (serialized; WAL-logged).
-
-        The delta maintenance happens inside the manager; here the update is
-        one write-lock hold, one WAL record (carrying the codec-shaped
-        changes), and one epoch bump — where a delete+recommit pays two lock
-        acquisitions, two WAL records, and two index churns.  The component
-        index is only rebuilt when the update actually removed graph edges
-        (referent removals / ontology unlinks); a content edit or extent move
-        leaves it untouched.
-        """
-        from repro.core.persistence import encode_update_changes
-
-        self._ensure_open()
-        encoded = encode_update_changes(changes)
-        with self._traced_write("update_annotation"):
-            with self.obs.span("apply"):
-                updated = self._manager.update_annotation(annotation_id, changes)
-                self._manager.agraph.graph.rebuild_components()  # no-op unless stale
-            self._log("update_annotation", {"annotation_id": annotation_id, "changes": encoded})
-            self._after_mutation_locked(1)
-        return updated
-
-    @mutates_state
-    def delete_object(self, object_id: str, cascade: bool = True) -> list[str]:
-        """Retire a data object, cascading through its annotations (WAL-logged)."""
-        self._ensure_open()
-        with self._traced_write("delete_object"):
-            with self.obs.span("apply"):
-                cascaded = self._manager.delete_object(object_id, cascade=cascade)
-                self._manager.agraph.graph.rebuild_components()
-            self._log("delete_object", {"object_id": object_id, "cascade": cascade})
-            self._after_mutation_locked(1 + len(cascaded))
-        return cascaded
-
-    def annotations_on_object(self, object_id: str) -> list[str]:
-        """Ids of annotations referencing *object_id* (read-locked)."""
-        with self._read_view():
-            return self._manager.annotations_on_object(object_id)
-
     @requires_write_lock
-    def _log(self, op: str, payload: dict[str, Any]) -> None:
+    def _log(self, op: str, payloads: list[dict[str, Any]], group: bool = False) -> None:
+        """Append one record per payload; *group* commits them with one sync."""
         if self._store is None:
             return
-        # A failed append may have left a torn line; appending MORE records
-        # after it would bury valid data behind mid-file corruption that
-        # recovery rightly refuses to read past.  Refuse instead.
-        if self._wal_failed:
-            raise ServiceError(
-                "a WAL append failed earlier; the log may end in a torn record — "
-                "recover from the existing snapshot + WAL before writing again"
-            )
+        wal = self._store.wal
         try:
             with self.obs.span("wal.append"):
-                seq = self._store.wal.append(op, payload)
+                if group:
+                    wal.append_many((op, payload) for payload in payloads)
+                else:
+                    for payload in payloads:
+                        wal.append(op, payload)
         except Exception:
             # The in-memory apply preceded the append; the caller sees this
             # exception (the op is NOT acknowledged), and poisoning the
@@ -500,12 +416,12 @@ class GraphittiService:
         if self.after_append_hook is not None:
             # Fault window: the record is durable but the caller has not been
             # acknowledged yet.  A raise here models a crash in that window.
-            self.after_append_hook(op, seq)
+            self.after_append_hook(op, wal.last_seq)
 
     @requires_write_lock
-    def _after_mutation_locked(self, ops: int) -> None:
+    def _after_mutation_locked(self, count: int) -> None:
         """Post-mutation bookkeeping; caller holds the write lock."""
-        self._ops_since_checkpoint += ops
+        self._ops_since_checkpoint += count
         interval = self.config.checkpoint_interval
         if self._store is not None and interval and self._ops_since_checkpoint >= interval:
             self._checkpoint_locked()
@@ -748,32 +664,19 @@ class GraphittiService:
                 text_or_query, enable_ordering=self.config.enable_ordering
             )
 
-    # -- read-locked passthroughs ----------------------------------------------
+    # -- reads -------------------------------------------------------------------
+    #
+    # Point reads and searches (``annotation``, ``search_by_keyword``,
+    # ``related_annotations``, ``check_integrity``, builder support, ...) are
+    # generated: the manager's method under a read view.
 
-    def annotation(self, annotation_id: str) -> Annotation:
-        """The committed annotation with id *annotation_id*."""
-        with self._read_view():
-            return self._manager.annotation(annotation_id)
+    def holds(self, annotation_id: str) -> bool:
+        """Whether *annotation_id* is committed here.
 
-    def search_by_keyword(self, keyword: str, mode: str = "and") -> list[str]:
-        """Keyword search (read-locked)."""
-        with self._read_view():
-            return self._manager.search_by_keyword(keyword, mode=mode)
-
-    def search_by_ontology(self, term: str, **kwargs: Any) -> list[str]:
-        """Ontology search (read-locked)."""
-        with self._read_view():
-            return self._manager.search_by_ontology(term, **kwargs)
-
-    def related_annotations(self, annotation_id: str) -> list[str]:
-        """Indirectly related annotations (read-locked)."""
-        with self._read_view():
-            return self._manager.related_annotations(annotation_id)
-
-    def check_integrity(self):
-        """Full integrity report under a consistent read view."""
-        with self._read_view():
-            return self._manager.check_integrity()
+        Deliberately lock-free: a GIL-atomic membership read, re-validated
+        under the lock by whatever operation the sharded router runs next.
+        """
+        return self._manager.has_annotation(annotation_id)
 
     def statistics(self) -> dict[str, Any]:
         """Instance statistics, including THIS service's own counters.
@@ -815,15 +718,11 @@ class GraphittiService:
 
     def _refresh_storage_gauges(self) -> None:
         registry = self.obs.registry
-        storage = getattr(self._manager, "storage_stats", None)
-        if storage is not None:
-            stats = storage()
-            for section in ("annotations", "referents"):
-                for key, value in stats.get(section, {}).items():
-                    registry.gauge(f"storage.{section}.{key}").set(value)
-            registry.gauge("storage.row_cache_entries").set(
-                stats.get("row_cache_entries", 0)
-            )
+        stats = self._manager.storage_stats()
+        for section in ("annotations", "referents"):
+            for key, value in stats.get(section, {}).items():
+                registry.gauge(f"storage.{section}.{key}").set(value)
+        registry.gauge("storage.row_cache_entries").set(stats.get("row_cache_entries", 0))
         if self._store is not None:
             for key, value in self._store.wal.segment_stats().items():
                 registry.gauge(f"wal.{key}").set(value)
@@ -833,23 +732,6 @@ class GraphittiService:
         if not self.obs.enabled:
             return []
         return self.obs.slow_log.entries()
-
-    @property
-    def annotation_count(self) -> int:
-        with self._read_view():
-            return self._manager.annotation_count
-
-    # -- builder support (the AnnotationBuilder calls these on its manager) -----
-
-    def resolve_ontology_term(self, text: str) -> str:
-        """Term resolution for builders (read-locked)."""
-        with self._read_view():
-            return self._manager.resolve_ontology_term(text)
-
-    def data_object(self, object_id: str):
-        """Data-object lookup for builders (read-locked)."""
-        with self._read_view():
-            return self._manager.data_object(object_id)
 
     # -- stats provider ---------------------------------------------------------
 
@@ -874,7 +756,5 @@ class GraphittiService:
                 **self._store.wal.segment_stats(),
             }
             stats["checkpoints"] = self._store.checkpoints
-        storage = getattr(self._manager, "storage_stats", None)
-        if storage is not None:
-            stats["storage"] = storage()
+        stats["storage"] = self._manager.storage_stats()
         return {"service": stats}

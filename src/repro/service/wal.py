@@ -37,16 +37,7 @@ from typing import Any, Callable, Iterable
 
 from repro.errors import ServiceError, WalCorruptionError
 from repro.analysis.annotations import io_under_lock_ok
-
-#: Operations the serving layer logs.
-WAL_OPS = (
-    "register_ontology",
-    "register",
-    "commit",
-    "delete_annotation",
-    "update_annotation",
-    "delete_object",
-)
+from repro.service.ops import WAL_OPS, wal_row
 
 #: fsync policies: every record, every batch/explicit sync, or never.
 DURABILITY_MODES = ("always", "batch", "never")
@@ -139,7 +130,7 @@ def _last_seq_in(path: Path) -> int:
             handle.seek(size - 65536)
         tail = handle.read()
     for line in reversed(tail.split(b"\n")):
-        record = _parse_record(line)
+        record = parse_record(line)
         if record is not None:
             return record["seq"]
     return 0
@@ -182,7 +173,7 @@ def read_records(path: str | Path) -> tuple[list[dict[str, Any]], bool]:
     records: list[dict[str, Any]] = []
     last = len(lines) - 1
     for position, line in enumerate(lines):
-        record = _parse_record(line)
+        record = parse_record(line)
         if record is None:
             if position == last:
                 return records, True
@@ -200,10 +191,6 @@ def parse_record(line: bytes) -> dict[str, Any] | None:
     shipped byte stream must accept exactly the records :func:`read_records`
     accepts.
     """
-    return _parse_record(line)
-
-
-def _parse_record(line: bytes) -> dict[str, Any] | None:
     try:
         record = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
@@ -324,8 +311,7 @@ class WriteAheadLog:
         return seq
 
     def _write(self, op: str, payload: dict[str, Any]) -> int:
-        if op not in WAL_OPS:
-            raise ServiceError(f"unknown WAL op {op!r}")
+        wal_row(op)  # refuses an op the table cannot replay
         line = encode_record({"seq": self.last_seq + 1, "op": op, "payload": payload})
         self.last_seq += 1
         self._handle.write(line + "\n")

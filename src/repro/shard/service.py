@@ -56,11 +56,13 @@ from repro.core.dublin_core import DublinCore
 from repro.core.manager import Graphitti
 from repro.errors import (
     AnnotationError,
+    GraphittiError,
     ServiceError,
     ShardTimeoutError,
+    ShardUnavailableError,
     UnknownObjectError,
 )
-from repro.obs import Observability, merge_observability, merge_stats
+from repro.obs import Observability, merge_stats
 from repro.query.ast import Query, ReturnKind
 from repro.query.parser import parse_query
 from repro.query.result import QueryResult
@@ -69,7 +71,9 @@ from repro.replica.replicated import (
     ReplicatedGraphittiService,
     ReplicationConfig,
 )
+from repro.service import ops
 from repro.service.cache import normalize_gql
+from repro.service.durability import SNAPSHOT_FILE, WAL_FILE, has_durable_state
 from repro.service.service import GraphittiService, ServiceConfig
 from repro.shard.router import (
     MANIFEST_FILE,
@@ -127,12 +131,7 @@ def resolve_topology(root: Path, shards: int | None) -> tuple[int, dict[str, Any
         # empty shard directories (and a manifest every later open
         # adopts) next to an existing snapshot/WAL would permanently
         # hide that data behind an empty sharded instance.
-        from repro.service.durability import SNAPSHOT_FILE, WAL_FILE
-
-        wal_path = root / WAL_FILE
-        if (root / SNAPSHOT_FILE).exists() or (
-            wal_path.exists() and wal_path.stat().st_size > 0
-        ):
+        if has_durable_state(root):
             raise ServiceError(
                 f"root {root} holds unsharded service state "
                 f"({SNAPSHOT_FILE}/{WAL_FILE}); open it with "
@@ -155,6 +154,65 @@ class ShardedIntegrityReport:
         return not self.errors
 
 
+def shard_manager(name: str, index: int) -> Graphitti:
+    """A fresh manager whose generated annotation ids encode shard *index*."""
+    namespace = shard_namespace(index)
+    return Graphitti(f"{name}-{namespace}", id_namespace=namespace)
+
+
+def open_shard(
+    shard_root: str | Path,
+    index: int,
+    config: ServiceConfig | None = None,
+    name: str = "graphitti",
+    opener: Callable[..., Any] = GraphittiService.open,
+    **options: Any,
+) -> Any:
+    """Open (or recover) the service of shard *index* in its own directory.
+
+    Shared by the threaded facade, the in-thread network workers and the
+    worker process, so every topology lays a shard out identically.
+    """
+    service = opener(
+        shard_root,
+        config=config,
+        manager_factory=lambda: shard_manager(name, index),
+        **options,
+    )
+    # WAL-only recoveries predate the namespace; (re)pin it so ids generated
+    # after a recovery or failover still encode their shard.
+    service.manager.id_namespace = shard_namespace(index)
+    return service
+
+
+def _routed(op: ops.Op) -> Callable | None:
+    """The facade method the row's routing column implies.
+
+    ``referent``-routed verbs (and any verb with its own merge) are written
+    out in the class; the rest are exactly their routing.
+    """
+    if op.routing == ops.OWNER:
+        return lambda self, annotation_id, *args, **kwargs: op.call(
+            self._owner(annotation_id), annotation_id, *args, **kwargs
+        )
+    if op.routing == ops.ANY:
+        # Replicated state (ontologies, the object catalogue): one shard answers.
+        return lambda self, *args, **kwargs: op.call(self._shards[0], *args, **kwargs)
+    if op.routing == ops.BROADCAST:
+        # Replication is what lets any shard validate and index any
+        # annotation; registrations are rare and small next to annotation
+        # traffic, so N copies are cheap.
+        return lambda self, *args, **kwargs: self._scatter(
+            lambda shard: op.call(shard, *args, **kwargs)
+        )[0]
+    if op.routing == ops.SCATTER:
+        return lambda self, *args, **kwargs: sorted(
+            set().union(*map(set, self._scatter(lambda shard: op.call(shard, *args, **kwargs))))
+        )
+    return None
+
+
+@ops.surface(_routed)
 class ShardedGraphittiService:
     """Hash-routed scatter-gather facade over N GraphittiService shards."""
 
@@ -172,19 +230,19 @@ class ShardedGraphittiService:
             count = shards if shards is not None else 4
             if count < 1:
                 raise ServiceError("a sharded service needs at least one shard")
-            self._shards = []
-            for index in range(count):
-                namespace = shard_namespace(index)
-                manager = Graphitti(f"{name}-{namespace}", id_namespace=namespace)
-                shard_root = Path(root) / shard_dir_name(index) if root is not None else None
-                self._shards.append(
-                    GraphittiService(manager=manager, root=shard_root, config=config)
+            self._shards = [
+                GraphittiService(
+                    manager=shard_manager(name, index),
+                    root=Path(root) / shard_dir_name(index) if root is not None else None,
+                    config=config,
                 )
+                for index in range(count)
+            ]
         self.config = self._shards[0].config
         # The facade's own registry records the scatter/merge stages; the
         # per-shard registries live in the shard services and merge into
         # metrics() the same way statistics() sums per-shard dicts.
-        self.obs = Observability(getattr(self.config, "observability", None))
+        self.obs = Observability(self.config.observability)
         self._root = Path(root) if root is not None else None
         self._pool = ThreadPoolExecutor(
             max_workers=max(2, len(self._shards)), thread_name_prefix="shard"
@@ -237,47 +295,38 @@ class ShardedGraphittiService:
             (root / shard_dir_name(index) / REPLICATION_MANIFEST).exists()
             for index in range(count)
         )
-        services = []
-        recovery: list[dict[str, Any] | None] = []
-        for index in range(count):
-            namespace = shard_namespace(index)
-            factory: Callable[[], Graphitti] = (
-                lambda namespace=namespace: Graphitti(
-                    f"{name}-{namespace}", id_namespace=namespace
-                )
-            )
-            if replicated:
-                service: Any = ReplicatedGraphittiService.open(
-                    root / shard_dir_name(index),
-                    replicas=replicas,
-                    config=config,
-                    replication=replication or ReplicationConfig(default_read="fresh"),
-                    manager_factory=factory,
-                )
-            else:
-                service = GraphittiService.open(
-                    root / shard_dir_name(index), config=config, manager_factory=factory
-                )
-            # WAL-only recoveries predate the namespace; (re)pin it so ids
-            # generated after a failover still encode their shard.
-            service.manager.id_namespace = namespace
-            services.append(service)
-            recovery.append(service.recovery_info)
+        options: dict[str, Any] = {}
+        if replicated:
+            options = {
+                "opener": ReplicatedGraphittiService.open,
+                "replicas": replicas,
+                "replication": replication or ReplicationConfig(default_read="fresh"),
+            }
+        services = [
+            open_shard(root / shard_dir_name(index), index, config, name, **options)
+            for index in range(count)
+        ]
+        recovery = [service.recovery_info for service in services]
         instance = cls(root=root, services=services)
-        instance._root = root
+        instance._adopt_topology(recovery, manifest)
+        return instance
+
+    def _adopt_topology(
+        self, recovery: list[dict[str, Any] | None], manifest: dict[str, Any] | None
+    ) -> None:
+        """Record what the shards recovered and land (or adopt) the manifest."""
         if any(info is not None for info in recovery):
-            instance._recovery_info = {
-                "shards": len(services),
+            self._recovery_info = {
+                "shards": len(recovery),
                 "replayed": sum((info or {}).get("replayed", 0) for info in recovery),
                 "skipped": sum((info or {}).get("skipped", 0) for info in recovery),
                 "torn_tails": sum(1 for info in recovery if (info or {}).get("torn_tail")),
                 "per_shard": recovery,
             }
         if manifest is None:
-            instance._write_manifest()
+            self._write_manifest()
         else:
-            instance._checkpoints = int(manifest.get("checkpoints", 0))
-        return instance
+            self._checkpoints = int(manifest.get("checkpoints", 0))
 
     @classmethod
     def recover(
@@ -342,7 +391,7 @@ class ShardedGraphittiService:
         deadline covers the whole scatter (it is a budget, not per shard):
         remaining futures get whatever budget is left.
         """
-        deadline = getattr(self.config, "scatter_deadline_s", None)
+        deadline = self.config.scatter_deadline_s
         if deadline is None:
             return [future.result() for future in futures]
         end = time.monotonic() + deadline
@@ -369,39 +418,28 @@ class ShardedGraphittiService:
         """
         encoded = shard_from_annotation_id(annotation_id)
         if encoded is not None and encoded < len(self._shards):
-            if self._shard_holds(encoded, annotation_id):
+            if self._shards[encoded].holds(annotation_id):
                 return encoded
         # Fall through to a full probe even when the id *looks* shard-encoded:
         # ids imported from another deployment (a different topology, a
         # migration) route by referent hash, not by their legacy encoding.
-        for index in range(len(self._shards)):
-            if index == encoded:
-                continue
-            if self._shard_holds(index, annotation_id):
+        for index, shard in enumerate(self._shards):
+            if index != encoded and shard.holds(annotation_id):
                 return index
         return None
 
-    def _shard_holds(self, index: int, annotation_id: str) -> bool:
-        return self._shards[index].manager.has_annotation(annotation_id)
+    def _owner(self, annotation_id: str) -> Any:
+        """The shard service holding *annotation_id* (owner-routed verbs)."""
+        index = self._owning_shard(annotation_id)
+        if index is None:
+            raise AnnotationError(f"no annotation {annotation_id!r}")
+        return self._shards[index]
+
+    def holds(self, annotation_id: str) -> bool:
+        """Whether any shard holds *annotation_id*."""
+        return self._owning_shard(annotation_id) is not None
 
     # -- write path ------------------------------------------------------------
-
-    def register_ontology(self, ontology, cache: bool = True):
-        """Broadcast an ontology registration to every shard."""
-        results = self._scatter(
-            lambda shard: shard.register_ontology(ontology, cache=cache)
-        )
-        return results[0]
-
-    def register(self, obj, raw: bytes | None = None, **metadata: Any):
-        """Broadcast a data-object registration to every shard.
-
-        Replication is what lets any shard validate and spatially index any
-        annotation; object registrations are rare and small next to
-        annotation traffic, so N copies of the catalogue row are cheap.
-        """
-        self._scatter(lambda shard: shard.register(obj, raw=raw, **metadata))
-        return obj
 
     def new_annotation(
         self,
@@ -504,29 +542,6 @@ class ShardedGraphittiService:
                 ordered[position] = annotation
         return [annotation for annotation in ordered if annotation is not None]
 
-    def delete_annotation(self, annotation_id: str) -> None:
-        """Delete an annotation on its owning shard."""
-        index = self._owning_shard(annotation_id)
-        if index is None:
-            raise AnnotationError(f"no annotation {annotation_id!r}")
-        self._shards[index].delete_annotation(annotation_id)
-
-    def update_annotation(self, annotation_id: str, changes: dict[str, Any]):
-        """Update an annotation in place on its owning shard.
-
-        The update stays on the shard that holds the annotation even when it
-        rewires referents to objects that would *hash* elsewhere — objects
-        are replicated to every shard, so the owning shard can validate and
-        index any referent, and an annotation never migrates mid-life
-        (re-homing is a delete+recommit, exactly like resharding is a
-        migration).  Only the owning shard's epoch bumps, so the other
-        shards' cached pages keep serving.
-        """
-        index = self._owning_shard(annotation_id)
-        if index is None:
-            raise AnnotationError(f"no annotation {annotation_id!r}")
-        return self._shards[index].update_annotation(annotation_id, changes)
-
     def delete_object(self, object_id: str, cascade: bool = True) -> list[str]:
         """Retire a data object: broadcast the delete, cascade per shard.
 
@@ -565,11 +580,6 @@ class ShardedGraphittiService:
             raise UnknownObjectError(f"no data object {object_id!r} registered")
         return sorted(set().union(*(set(result) for result in results if result)))
 
-    def annotations_on_object(self, object_id: str) -> list[str]:
-        """Ids of annotations referencing *object_id*, across every shard."""
-        results = self._scatter(lambda shard: shard.annotations_on_object(object_id))
-        return sorted(set().union(*map(set, results)))
-
     # -- read path -------------------------------------------------------------
 
     def _query_shape(self, text_or_query: str | Query) -> tuple[ReturnKind, int | None]:
@@ -601,8 +611,8 @@ class ShardedGraphittiService:
         obs = self.obs
         if not obs.enabled:
             return_kind, limit = self._query_shape(text_or_query)
-            results = self._scatter(lambda shard: shard.query(text_or_query))
-            return self._merge_results(return_kind, limit, results)
+            futures = [self._pool.submit(shard.query, text_or_query) for shard in self._shards]
+            return self._merge_results(return_kind, limit, self._gather_query(futures))
         with obs.span("query") as root:
             with obs.span("parse"):
                 return_kind, limit = self._query_shape(text_or_query)
@@ -615,15 +625,30 @@ class ShardedGraphittiService:
                     self._pool.submit(self._traced_shard_query, index, text_or_query, scatter)
                     for index in range(len(self._shards))
                 ]
-                results = self._gather(futures)
+                results = self._gather_query(futures)
             with obs.span("merge") as merge_span:
                 merged = self._merge_results(return_kind, limit, results)
                 merge_span.set("rows", merged.count)
         if obs.is_slow(root):
             if isinstance(text_or_query, str):
                 root.set("gql", normalize_gql(text_or_query))
-            obs.record_slow("query", root, explain=self.explain(text_or_query))
+            explain = None
+            if not merged.degraded:
+                try:
+                    explain = self.explain(text_or_query)
+                except (ShardUnavailableError, ShardTimeoutError):
+                    pass  # a shard went away after answering; keep the trace
+            obs.record_slow("query", root, explain=explain)
         return merged
+
+    def _gather_query(self, futures: list[Any]) -> list[QueryResult | None]:
+        """Collect the per-shard pages of one query, in shard order.
+
+        A ``None`` page is a shard that contributed nothing; the merge tags
+        the result degraded.  Here every shard must answer — the network
+        facade overrides this step to admit degraded reads.
+        """
+        return self._gather(futures)
 
     def _traced_shard_query(self, index: int, text_or_query: str | Query, parent) -> QueryResult:
         with self.obs.tracer.span("shard.query", parent=parent) as span:
@@ -651,8 +676,8 @@ class ShardedGraphittiService:
             ).encode("utf-8")
         ).hexdigest()[:16]
         merged.plan_fingerprint = f"shards[{len(results)}]:{digest}"
-        # A None result is a shard that contributed nothing (the network
-        # facade's degraded-read path); its rows are simply absent.
+        # A None result is a shard that contributed nothing (a degraded
+        # read); its rows are simply absent and the page is tagged.
         entries: list[tuple[str, int, Any]] = []
         for index, result in enumerate(results):
             if result is None:
@@ -701,6 +726,8 @@ class ShardedGraphittiService:
             merged.subgraphs = subgraphs
         for index, result in enumerate(results):
             if result is None:
+                merged.degraded = True
+                merged.missing_shards.append(index)
                 continue
             for detail in result.step_details:
                 attributed = dict(detail)
@@ -713,19 +740,11 @@ class ShardedGraphittiService:
     ) -> Iterable[Any]:
         """Referents of *annotation_id* for the REFERENTS merge.
 
-        The threaded facade materializes from the owning shard's columns
-        (GIL-atomic reads, no row-cache mutation); the network facade
+        Read lock-free from the owning shard's columns; the network facade
         overrides this to use the referent map each worker ships with its
         result page.
         """
-        manager = self._shards[index].manager
-        slot = manager.idspace.slot(annotation_id)
-        if slot is None or not manager.columns.is_live(slot):
-            return ()  # deleted between the shard query and the merge
-        holder = manager.columns.materialize(
-            annotation_id, slot, manager.substructures.columns
-        )
-        return holder.referents
+        return self._shards[index].manager.committed_referents(annotation_id)
 
     def explain(self, text_or_query: str | Query) -> dict:
         """Aggregate EXPLAIN: the scatter plan, one per-shard plan each."""
@@ -742,35 +761,7 @@ class ShardedGraphittiService:
             ),
         }
 
-    # -- read passthroughs -----------------------------------------------------
-
-    def annotation(self, annotation_id: str) -> Annotation:
-        """The committed annotation with id *annotation_id* (owner-routed)."""
-        index = self._owning_shard(annotation_id)
-        if index is None:
-            raise AnnotationError(f"no annotation {annotation_id!r}")
-        return self._shards[index].annotation(annotation_id)
-
-    def search_by_keyword(self, keyword: str, mode: str = "and") -> list[str]:
-        """Keyword search scattered to every shard; merged sorted union."""
-        results = self._scatter(lambda shard: shard.search_by_keyword(keyword, mode=mode))
-        return sorted(set().union(*map(set, results)))
-
-    def search_by_ontology(self, term: str, **kwargs: Any) -> list[str]:
-        """Ontology search scattered to every shard; merged sorted union."""
-        results = self._scatter(lambda shard: shard.search_by_ontology(term, **kwargs))
-        return sorted(set().union(*map(set, results)))
-
-    def related_annotations(self, annotation_id: str) -> list[str]:
-        """Indirectly related annotations.
-
-        Referent-sharing is shard-local by construction (annotations of one
-        object co-locate), so only the owning shard can answer.
-        """
-        index = self._owning_shard(annotation_id)
-        if index is None:
-            raise AnnotationError(f"no annotation {annotation_id!r}")
-        return self._shards[index].related_annotations(annotation_id)
+    # -- merged reads ------------------------------------------------------------
 
     def check_integrity(self) -> ShardedIntegrityReport:
         """Integrity checks on every shard, gathered into one report."""
@@ -780,14 +771,6 @@ class ShardedGraphittiService:
             for error in getattr(report, "errors", []):
                 merged.errors.append(f"shard {index}: {error}")
         return merged
-
-    def resolve_ontology_term(self, text: str) -> str:
-        """Term resolution for builders (ontologies are replicated)."""
-        return self._shards[0].resolve_ontology_term(text)
-
-    def data_object(self, object_id: str):
-        """Data-object lookup for builders (objects are replicated)."""
-        return self._shards[0].data_object(object_id)
 
     @property
     def annotation_count(self) -> int:
@@ -852,25 +835,13 @@ class ShardedGraphittiService:
         :meth:`statistics`.  ``per_shard`` keeps each shard's own snapshot
         reachable.
         """
-        per_shard = [shard.metrics() for shard in self._shards]
-        snapshots = [self.obs.snapshot()] + per_shard
-        merged = merge_observability(snapshots)
-        if merged.get("enabled"):
-            merged["per_shard"] = per_shard
-        return merged
+        return self.obs.fleet_snapshot("per_shard", [shard.metrics() for shard in self._shards])
 
     def slow_ops(self) -> list[dict[str, Any]]:
         """Slow-op entries across the facade and every shard (oldest first)."""
-        entries = []
-        if self.obs.enabled:
-            entries.extend(self.obs.slow_log.entries())
-        for index, shard in enumerate(self._shards):
-            for entry in shard.slow_ops():
-                attributed = dict(entry)
-                attributed["shard"] = index
-                entries.append(attributed)
-        entries.sort(key=lambda entry: entry.get("recorded_at", 0.0))
-        return entries
+        return self.obs.fleet_slow_ops(
+            "shard", ((index, shard.slow_ops()) for index, shard in enumerate(self._shards))
+        )
 
     # -- checkpointing ---------------------------------------------------------
 
@@ -895,14 +866,16 @@ class ShardedGraphittiService:
         reports = self._scatter(lambda shard: shard.compact())
         return {"shards": reports}
 
-    def _shard_wal_seq(self, shard: Any) -> int:
-        """A shard's WAL high-water mark for the manifest (0 if non-durable)."""
-        return int(getattr(shard, "last_wal_seq", 0))
-
     def _write_manifest(self) -> Path | None:
         if self._root is None:
             return None
-        wal_seqs = [self._shard_wal_seq(shard) for shard in self._shards]
+        wal_seqs = []
+        for shard in self._shards:
+            try:
+                # Replicated shards keep their frontier in replication.json.
+                wal_seqs.append(int(getattr(shard, "last_wal_seq", 0)))
+            except GraphittiError:
+                wal_seqs.append(0)  # unreachable worker at manifest time: unknown
         manifest = {
             "version": 1,
             "shards": len(self._shards),

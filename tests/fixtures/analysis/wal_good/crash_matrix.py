@@ -1,4 +1,4 @@
-"""Crash tests: every op has a crash/replay case."""
+"""Crash tests: every durable op has a crash/replay case."""
 
 
 def check_put_replay(harness):

@@ -27,7 +27,8 @@ def test_repo_layout_covers_the_serving_layer():
     layout = repo_layout()
     analyzed = {p.name for p in layout["lock_analyze"]}
     assert {"service.py", "wal.py", "durability.py", "follower.py", "server.py"} <= analyzed
-    assert layout["wal_config"].test_paths, "crash/recovery tests must be in scope"
+    assert layout["ops_path"].name == "ops.py"
+    assert layout["wal_test_paths"], "crash/recovery tests must be in scope"
 
 
 def test_cli_strict_exits_zero_on_repo(capsys):

@@ -171,6 +171,20 @@ def test_shutdown_rpc_stops_the_server(rig):
     assert server.wait(timeout=5.0)
 
 
+def test_stop_on_an_idle_server_returns_promptly(rig):
+    # close() alone does not wake a blocked accept(); stop() used to wait out
+    # its whole 2 s join on every call.
+    import time
+
+    _service, server, client = rig
+    client.ping()
+    time.sleep(0.1)  # the accept loop is parked in accept() again
+    began = time.monotonic()
+    server.stop()
+    assert time.monotonic() - began < 0.5
+    assert not server._accept_thread.is_alive()
+
+
 def test_malformed_args_answer_with_a_typed_error(rig):
     # A bad request must come back as an error response on the SAME
     # connection — not kill the worker's connection thread mid-exchange.

@@ -169,3 +169,67 @@ def test_closed_service_refuses_mutations():
         service.update_annotation("m1", {"title": "x"})
     with pytest.raises(ServiceError):
         service.delete_object("svc_seq1")
+
+
+def _edge_set(service):
+    return {
+        (edge.source, edge.target, edge.label) for edge in service.manager.agraph.graph.edges()
+    }
+
+
+@pytest.mark.parametrize("how", ["delete_annotation", "remove_referents"])
+def test_dropping_a_shared_referent_retracts_only_its_own_edges(tmp_path, how):
+    """Live state equals checkpoint + recover after one sharer lets go.
+
+    ``a`` and ``b`` mark the same extent with different ontology terms, and
+    ``a`` links it to a second same-object extent that ``c`` also marks.  When
+    ``a`` goes (or detaches the shared extent) the shared nodes survive, but
+    the term pointer and the same-object link only ``a`` wired must not: a
+    recovered instance rebuilds without them, and PATH / REFERS pages differ.
+    """
+    from repro.net.codec import encode_query_result
+    from repro.ontology.model import Ontology
+
+    root = tmp_path / "svc"
+    service = GraphittiService.open(root, config=NO_CLOSE_CHECKPOINT)
+    ontology = Ontology("go")
+    ontology.add_concept("GO:1", "alpha")
+    ontology.add_concept("GO:2", "beta")
+    service.register_ontology(ontology)
+    service.register(DnaSequence("chr1", "ACGT" * 100, domain="shared:chr1"))
+    a = (
+        service.new_annotation("a", title="A", keywords=["ka"])
+        .mark_sequence("chr1", 5, 40, ontology_terms=["GO:1"])
+        .mark_sequence("chr1", 50, 60)
+        .commit()
+    )
+    service.new_annotation("b", title="B", keywords=["kb"]).mark_sequence(
+        "chr1", 5, 40, ontology_terms=["GO:2"]
+    ).commit()
+    service.new_annotation("c", title="C", keywords=["kc"]).mark_sequence("chr1", 50, 60).commit()
+    shared, sibling = (referent.referent_id for referent in a.referents)
+    assert (shared, "GO:1", "refers_to") in _edge_set(service)
+
+    if how == "delete_annotation":
+        service.delete_annotation("a")
+    else:
+        service.update_annotation("a", {"remove_referents": [shared]})
+
+    queries = [
+        'SELECT referents WHERE { REFERENT REFERS "GO:1" }',
+        'SELECT contents WHERE { REFERENT REFERS "GO:2" }',
+        'SELECT contents WHERE { PATH "kb" TO "kc" MAXLEN 4 }',
+        'SELECT graph WHERE { PATH "kb" TO "alpha" MAXLEN 6 }',
+    ]
+    live_edges = _edge_set(service)
+    live_pages = [encode_query_result(service.query(text)) for text in queries]
+    assert (shared, "GO:1", "refers_to") not in live_edges
+    assert (shared, "GO:2", "refers_to") in live_edges  # b's own pointer stays
+    assert not {(shared, sibling), (sibling, shared)} & {edge[:2] for edge in live_edges}
+    service.checkpoint()
+    service.close()
+
+    recovered = GraphittiService.recover(root)
+    assert _edge_set(recovered) == live_edges
+    assert [encode_query_result(recovered.query(text)) for text in queries] == live_pages
+    recovered.close()
