@@ -18,9 +18,11 @@ Adjacency is indexed three ways so the query hot path never scans:
 On top of the adjacency indexes the graph maintains an **incremental
 connected-component index** (union-find with size-balanced merging and path
 compression, treating edges as undirected).  ``add_node``/``add_edge`` update
-it in O(alpha); ``remove_node`` only marks it stale, and the next component
-query rebuilds it in one pass.  Component queries therefore cost O(1) after
-the (amortised) maintenance instead of a BFS per call.
+it in O(alpha); ``remove_node``/``remove_edges`` mark only the component they
+touched as pending, and the next quiesce point (or component query)
+re-derives just those components from their own adjacency.  Component
+queries therefore cost O(1) after the (amortised) maintenance instead of a
+BFS per call, and a removal costs the component it split, not the graph.
 
 The ``iter_*`` accessors yield edges straight out of the index without
 copying; the list-returning accessors (``out_edges`` et al.) are kept for
@@ -87,11 +89,17 @@ class LabeledMultigraph:
         self._out_degree: dict[Hashable, int] = {}
         self._in_degree: dict[Hashable, int] = {}
         self._edge_count = 0
-        # Union-find component index (undirected view of the edges).
+        # Union-find component index (undirected view of the edges):
+        # node -> parent, and root -> member set.
         self._uf_parent: dict[Hashable, Hashable] = {}
-        self._uf_size: dict[Hashable, int] = {}
         self._uf_members: dict[Hashable, set[Hashable]] = {}
-        self._components_stale = False
+        # Roots of the components that lost a node or edge since they were
+        # last derived.  A removed node stays in its component's member set
+        # (and in ``_uf_parent``) until the re-derivation drops it, so finds
+        # through it keep working and a re-added id rejoins the pending set.
+        self._uf_pending: set[Hashable] = set()
+        #: Nodes visited by component re-derivation so far (a work counter).
+        self.rederived_nodes = 0
 
     # -- size ----------------------------------------------------------------
 
@@ -125,9 +133,8 @@ class LabeledMultigraph:
             self._out_degree[node_id] = 0
             self._in_degree[node_id] = 0
             self._kinds.setdefault(kind, {})[node_id] = None
-            if not self._components_stale:
+            if node_id not in self._uf_parent:  # else: removed, still pending
                 self._uf_parent[node_id] = node_id
-                self._uf_size[node_id] = 1
                 self._uf_members[node_id] = {node_id}
         else:
             if node.kind != kind:
@@ -172,7 +179,11 @@ class LabeledMultigraph:
         return {kind: len(bucket) for kind, bucket in self._kinds.items()}
 
     def remove_node(self, node_id: Hashable) -> None:
-        """Remove a node and every incident edge."""
+        """Remove a node and every incident edge.
+
+        Only the node's own component is marked pending re-derivation (see
+        :meth:`rebuild_components`); every other component stays as derived.
+        """
         if node_id not in self._nodes:
             raise UnknownNodeError(f"no node {node_id!r} in the graph")
         # Detach outgoing edges from their targets' in-indexes first; a
@@ -210,8 +221,9 @@ class LabeledMultigraph:
         del self._out_degree[node_id]
         del self._in_degree[node_id]
         del self._nodes[node_id]
-        # Splitting a union-find set is not incremental; rebuild lazily.
-        self._components_stale = True
+        # Splitting a union-find set is not incremental: re-derive this one
+        # component (not the graph) at the next quiesce point.
+        self._uf_pending.add(self._find(node_id))
 
     def _drop_neighbor(self, node_id: Hashable, label: str, neighbor: Hashable) -> None:
         bucket = self._undirected[node_id]
@@ -239,8 +251,8 @@ class LabeledMultigraph:
         mutation-lifecycle paths that rewire one relationship (an annotation
         dropping a referent it no longer marks, a content unlinking an
         ontology term) without touching either endpoint node.  Removing an
-        edge can split a component, so the union-find index is marked stale
-        exactly like :meth:`remove_node` does.
+        edge can split a component, so the endpoints' component is marked
+        pending re-derivation exactly like :meth:`remove_node` does.
         """
         if source not in self._nodes:
             raise UnknownNodeError(f"no node {source!r} in the graph")
@@ -267,8 +279,7 @@ class LabeledMultigraph:
             if source != target:
                 self._drop_neighbor(target, edge.label, source)
         if doomed:
-            # Splitting a union-find set is not incremental; rebuild lazily.
-            self._components_stale = True
+            self._uf_pending.add(self._find(source))  # may have split it
         return len(doomed)
 
     # -- edges ----------------------------------------------------------------
@@ -464,48 +475,81 @@ class LabeledMultigraph:
         return root
 
     def _union(self, a: Hashable, b: Hashable) -> None:
-        if self._components_stale:
-            return  # the pending rebuild re-derives everything from the edges
         root_a, root_b = self._find(a), self._find(b)
         if root_a == root_b:
             return
-        if self._uf_size[root_a] < self._uf_size[root_b]:
+        members = self._uf_members
+        if len(members[root_a]) < len(members[root_b]):
             root_a, root_b = root_b, root_a
         self._uf_parent[root_b] = root_a
-        self._uf_size[root_a] += self._uf_size[root_b]
-        self._uf_members[root_a] |= self._uf_members.pop(root_b)
+        members[root_a] |= members.pop(root_b)
+        if root_b in self._uf_pending:  # a merge with a pending component is pending
+            self._uf_pending.remove(root_b)
+            self._uf_pending.add(root_a)
+
+    def _rederive(self, members: Iterable[Hashable]) -> None:
+        """Derive the components of *members* from their own adjacency.
+
+        *members* must be closed under adjacency (whole components, or every
+        node); ids no longer in the graph are dropped from the index.
+        """
+        parent, groups, adjacency = self._uf_parent, self._uf_members, self._undirected
+        placed: set[Hashable] = set()
+        for start in members:
+            if start in placed:
+                continue
+            if start not in adjacency:  # removed since the last derivation
+                parent.pop(start, None)
+                continue
+            component = {start}
+            frontier = [start]
+            while frontier:
+                for neighbors in adjacency[frontier.pop()].values():
+                    for neighbor in neighbors:
+                        if neighbor not in component:
+                            component.add(neighbor)
+                            frontier.append(neighbor)
+            for member in component:
+                parent[member] = start
+            groups[start] = component
+            placed |= component
+        self.rederived_nodes += len(placed)
 
     def _rebuild_components(self) -> None:
-        self._uf_parent = {node_id: node_id for node_id in self._nodes}
-        self._uf_size = {node_id: 1 for node_id in self._nodes}
-        self._uf_members = {node_id: {node_id} for node_id in self._nodes}
-        self._components_stale = False
-        for source, target in self._pairs:
-            self._union(source, target)
+        """From-scratch derivation: the same routine applied to every node."""
+        self._uf_parent.clear()
+        self._uf_members.clear()
+        self._uf_pending.clear()
+        self._rederive(self._nodes)
 
-    def _ensure_components(self) -> None:
-        if self._components_stale:
-            self._rebuild_components()
+    def _ensure_components(self) -> bool:
+        """Re-derive the pending components; True when there were any."""
+        pending = self._uf_pending
+        if not pending:
+            return False
+        self._uf_pending = set()
+        for root in pending:
+            self._rederive(self._uf_members.pop(root))
+        return True
 
     @property
     def components_stale(self) -> bool:
-        """True when a ``remove_node`` left the component index pending rebuild."""
-        return self._components_stale
+        """True while a removal has left some component pending re-derivation."""
+        return bool(self._uf_pending)
 
     @requires_write_lock
     def rebuild_components(self) -> bool:
-        """Rebuild the component index now if (and only if) it is stale.
+        """Re-derive now the components a removal touched, if any.
 
-        ``remove_node`` marks the union-find index stale and defers the
-        rebuild to the next component query.  Callers with a natural quiesce
-        point (the serving layer's checkpoint, a bulk ingest boundary) invoke
-        this explicitly so the first query after recovery or a delete never
-        pays a surprise O(V + E) rebuild.  Returns True when a rebuild ran.
+        ``remove_node`` / ``remove_edges`` record the component they may have
+        split and defer its re-derivation to the next component query.
+        Callers with a natural quiesce point (the serving layer's mutation
+        apply, checkpoint and recovery) invoke this explicitly so no reader
+        ever pays — or races — the deferred work.  The cost is proportional
+        to the pending components, not the graph.  Returns True when
+        something was re-derived.
         """
-        if not self._components_stale:
-            return False
-        self._rebuild_components()
-        return True
+        return self._ensure_components()
 
     def component_root(self, node_id: Hashable) -> Hashable:
         """Canonical representative of the component containing *node_id*.
@@ -524,7 +568,7 @@ class LabeledMultigraph:
 
     def component_size(self, node_id: Hashable) -> int:
         """Size of the component containing *node_id*."""
-        return self._uf_size[self.component_root(node_id)]
+        return len(self._uf_members[self.component_root(node_id)])
 
     def same_component(self, a: Hashable, b: Hashable) -> bool:
         """True when both nodes lie in one connected component."""

@@ -1070,6 +1070,7 @@ class Graphitti:
             "agraph_nodes": self.agraph.node_count,
             "agraph_nodes_by_kind": self.agraph.graph.kind_counts(),
             "agraph_edges": self.agraph.edge_count,
+            "agraph": {"rederived_nodes": self.agraph.graph.rederived_nodes},
             "ontologies": len(self._ontologies),
             "mutation_epoch": self.mutation_epoch,
             "catalogue": self.stats_catalogue.summary(),

@@ -417,8 +417,9 @@ def recover_manager(root: str | Path):
     # A register record replayed above may have inserted a metadata row whose
     # placeholder the pre-replay hydration could not see; sweep once more.
     hydrate_catalogue(manager)
-    # Recovery is a natural quiesce point: rebuild the component index now so
-    # the first query after a crash never pays a surprise rebuild.
+    # Recovery is a natural quiesce point: re-derive, once, the components the
+    # replayed removals left pending, so the first query after a crash never
+    # pays for them.
     manager.agraph.graph.rebuild_components()
     return manager, {
         "snapshot": snapshot_path.exists(),

@@ -3,15 +3,19 @@
 The indexed :class:`LabeledMultigraph` maintains per-label adjacency, a pair
 index, a kind index, degree counters, and an incremental union-find component
 index.  These tests drive it through interleaved ``add_node`` / ``add_edge`` /
-``remove_node`` sequences and check every observable against a deliberately
-dumb reference model (a node dict plus a flat edge list, re-derived per
-query), so any index that drifts out of sync is caught.
+``remove_node`` / ``remove_edges`` sequences and check every observable against
+a deliberately dumb reference model (a node dict plus a flat edge list,
+re-derived per query), so any index that drifts out of sync is caught.  The
+component index is additionally checked after *every* step, on a copy, so
+components stay pending across steps exactly as they do between two quiesce
+points of the serving layer.
 
 Also holds the regression tests for the PR's bugfixes: ``connect()`` must
 validate an explicit hub up front, and a ``NOT`` constraint must not
 materialize the full annotation universe when a candidate set already exists.
 """
 
+import copy
 from collections import Counter, deque
 
 import pytest
@@ -41,6 +45,13 @@ class ReferenceModel:
     def remove_node(self, node):
         del self.nodes[node]
         self.edges = [e for e in self.edges if e[0] != node and e[1] != node]
+
+    def remove_edges(self, source, target, label=None):
+        self.edges = [
+            e
+            for e in self.edges
+            if not (e[0] == source and e[1] == target and (label is None or e[2] == label))
+        ]
 
     def successors(self, node, label=None):
         return Counter(
@@ -86,7 +97,10 @@ class ReferenceModel:
         return parts
 
 
-#: One mutation: ("node", id, kind) | ("edge", s, t, label) | ("remove", id).
+#: One mutation: ("node", id, kind) | ("edge", s, t, label) | ("remove", id)
+#: | ("unedge", s, t, label-or-None) | ("remove_root", id): remove the current
+#: union-find root of id's component | ("readd", id, kind, neighbor): remove id
+#: and add it straight back, wired to neighbor | ("quiesce",).
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("node"), st.integers(0, 11), st.sampled_from(KINDS)),
@@ -94,31 +108,69 @@ _ops = st.lists(
             st.just("edge"), st.integers(0, 11), st.integers(0, 11), st.sampled_from(LABELS)
         ),
         st.tuples(st.just("remove"), st.integers(0, 11)),
+        st.tuples(
+            st.just("unedge"),
+            st.integers(0, 11),
+            st.integers(0, 11),
+            st.one_of(st.none(), st.sampled_from(LABELS)),
+        ),
+        st.tuples(st.just("remove_root"), st.integers(0, 11)),
+        st.tuples(
+            st.just("readd"), st.integers(0, 11), st.sampled_from(KINDS), st.integers(0, 11)
+        ),
+        st.tuples(st.just("quiesce")),
     ),
     max_size=60,
 )
 
 
-def _apply(ops):
+def _apply(ops, after_step=None):
     graph = LabeledMultigraph()
     model = ReferenceModel()
     for op in ops:
-        if op[0] == "node":
-            _, node, kind = op
-            # The indexed graph updates kind in place; mirror that.
+        _step(graph, model, op)
+        if after_step is not None:
+            after_step(graph, model)
+    return graph, model
+
+
+def _step(graph, model, op):
+    if op[0] == "node":
+        _, node, kind = op
+        # The indexed graph updates kind in place; mirror that.
+        graph.add_node(node, kind=kind)
+        model.add_node(node, kind)
+    elif op[0] == "edge":
+        _, source, target, label = op
+        if source in model.nodes and target in model.nodes:
+            graph.add_edge(source, target, label=label)
+            model.add_edge(source, target, label)
+    elif op[0] == "unedge":
+        _, source, target, label = op
+        if source in model.nodes and target in model.nodes:
+            graph.remove_edges(source, target, label=label)
+            model.remove_edges(source, target, label)
+    elif op[0] == "quiesce":
+        graph.rebuild_components()
+    elif op[0] == "readd":
+        _, node, kind, neighbor = op
+        if node in model.nodes:
+            graph.remove_node(node)
+            model.remove_node(node)
             graph.add_node(node, kind=kind)
             model.add_node(node, kind)
-        elif op[0] == "edge":
-            _, source, target, label = op
-            if source in model.nodes and target in model.nodes:
-                graph.add_edge(source, target, label=label)
-                model.add_edge(source, target, label)
-        else:
-            _, node = op
-            if node in model.nodes:
-                graph.remove_node(node)
-                model.remove_node(node)
-    return graph, model
+            if neighbor in model.nodes:
+                graph.add_edge(node, neighbor, label=LABELS[0])
+                model.add_edge(node, neighbor, LABELS[0])
+    else:
+        node = op[1]
+        if op[0] == "remove_root" and node in model.nodes:
+            # The root as the union-find holds it right now (it may be a
+            # node removed earlier whose component is still pending).
+            node = graph._find(node)
+        if node in model.nodes:
+            graph.remove_node(node)
+            model.remove_node(node)
 
 
 @settings(max_examples=120, deadline=None)
@@ -142,10 +194,7 @@ def test_adjacency_agrees_with_reference(ops):
         assert {n.node_id for n in graph.nodes_of_kind(kind)} == model.nodes_of_kind(kind)
 
 
-@settings(max_examples=120, deadline=None)
-@given(ops=_ops)
-def test_component_index_agrees_with_reference(ops):
-    graph, model = _apply(ops)
+def _assert_components_agree(graph, model):
     expected = {frozenset(part) for part in model.components()}
     assert {frozenset(part) for part in graph.components()} == expected
     assert graph.component_count == len(expected)
@@ -159,6 +208,43 @@ def test_component_index_agrees_with_reference(ops):
         for b in model.nodes:
             same = any(a in part and b in part for part in expected)
             assert graph.same_component(a, b) == same
+
+
+@settings(max_examples=120, deadline=None)
+@given(ops=_ops)
+def test_component_index_agrees_with_reference(ops):
+    graph, model = _apply(ops)
+    _assert_components_agree(graph, model)
+
+
+@settings(max_examples=120, deadline=None)
+@given(ops=_ops)
+def test_component_index_agrees_after_every_step(ops):
+    """Component reads re-derive pending components, so each step is checked
+    on a copy: the driven graph keeps its pending set until a ``quiesce``."""
+    _apply(ops, after_step=lambda graph, model: _assert_components_agree(copy.deepcopy(graph), model))
+
+
+def test_splitting_the_big_component():
+    """A 300-node chain cut in the middle, with further edits while pending."""
+    graph, model = LabeledMultigraph(), ReferenceModel()
+    for node in range(300):
+        _step(graph, model, ("node", node, KINDS[0]))
+        if node:
+            _step(graph, model, ("edge", node - 1, node, LABELS[0]))
+    _step(graph, model, ("node", 1000, KINDS[1]))  # a clean singleton
+    _assert_components_agree(copy.deepcopy(graph), model)
+    _step(graph, model, ("unedge", 149, 150, None))  # split: pending
+    assert graph.components_stale
+    _step(graph, model, ("edge", 1000, 299, LABELS[1]))  # clean joins pending
+    _step(graph, model, ("remove_root", 10))
+    _assert_components_agree(copy.deepcopy(graph), model)
+    assert graph.components_stale  # the copy re-derived, not the graph
+    assert graph.rebuild_components() is True
+    _assert_components_agree(graph, model)
+    left = next(node for node in (140, 141) if node in model.nodes)
+    right = next(node for node in (160, 161) if node in model.nodes)
+    assert not graph.same_component(left, right)
 
 
 @settings(max_examples=80, deadline=None)

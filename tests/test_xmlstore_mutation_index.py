@@ -193,3 +193,71 @@ def test_manager_bulk_commit_delete_flush_interleaving():
     assert g.contents._index.document_frequency("only2") == 0
     report = g.check_integrity()
     assert report.ok, report.errors
+
+
+# -- live-ingested and recovered documents search alike -------------------------
+
+_BODIES = {
+    "d1": "Alpha beta cleavage site",
+    "d2": "beta gamma Binding pocket",
+    "d3": "alpha gamma protease cleavage",
+    "d4": "delta epsilon",
+}
+_PROBES = (
+    "alpha", "BETA", "cleavage site", "gamma alpha", "tagged", "revised draft", "draft", "zeta", "epsilon",
+)
+
+
+def _twins():
+    """The same corpus ingested live (``add``) and as recovery registers it
+    (``add_lazy``: text only, tree on demand)."""
+    live, recovered = DocumentCollection("live"), DocumentCollection("recovered")
+    for doc_id, body in _BODIES.items():
+        live.add(_doc(body), doc_id=doc_id)
+        recovered.add_lazy(
+            doc_id, DocumentCollection._searchable_text(_doc(body)), lambda body=body: _doc(body)
+        )
+    return live, recovered
+
+
+def assert_twins_agree(live, recovered):
+    assert live.document_ids() == recovered.document_ids()
+    for probe in _PROBES:
+        for mode in ("and", "or"):
+            hits = live.search_keyword(probe, mode=mode)
+            assert recovered.search_keyword(probe, mode=mode) == hits
+            for doc_id in live.document_ids():
+                member = doc_id in hits
+                assert live.document_matches_keyword(doc_id, probe, mode=mode) == member
+                assert recovered.document_matches_keyword(doc_id, probe, mode=mode) == member
+        # ground truth: the index-free scan over the materialized bodies
+        assert live.search_keyword(probe) == live.scan_keyword(probe)
+
+
+def test_live_and_recovered_collections_search_alike_through_mutations():
+    live, recovered = _twins()
+    assert recovered.lazy_document_count == len(_BODIES)
+    assert_twins_agree(live, recovered)
+    # verification never built a recovered tree, and never needs to
+    assert recovered.lazy_document_count == len(_BODIES) and live.lazy_document_count == 0
+    for collection in (live, recovered):
+        collection.update("d1", _doc("revised draft of alpha"))
+    assert_twins_agree(live, recovered)
+    for collection in (live, recovered):
+        collection.update_delta(
+            "d2", lambda: _doc("beta zeta Binding pocket"), ["gamma"], ["zeta"]
+        )
+    assert_twins_agree(live, recovered)
+    for collection in (live, recovered):
+        collection.remove("d3")
+    assert_twins_agree(live, recovered)
+    for collection in (live, recovered):
+        collection.add(_doc("late zeta cleavage site"), doc_id="d5", defer_index=True)
+        assert collection.pending_index_count == 1
+    assert_twins_agree(live, recovered)  # the search flushed the deferred add
+    for collection in (live, recovered):
+        collection.add(_doc("never searched"), doc_id="d6", defer_index=True)
+        collection.update("d6", _doc("epsilon after all"))  # edited while still pending
+        assert collection.flush_index() == 1
+    assert_twins_agree(live, recovered)
+    assert_index_equals_rebuild(live)
