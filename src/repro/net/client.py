@@ -4,7 +4,13 @@ A :class:`ShardClient` is the network twin of a local
 :class:`~repro.service.service.GraphittiService`: it exposes the same method
 surface (so :class:`~repro.shard.service.ShardedGraphittiService`'s routing
 and merging code drives it unchanged) and translates each call into one
-framed request/response exchange.
+framed request/response exchange.  An exchange has a **send half** (check a
+connection out, put the request frame on it) and a **receive half** (read
+the one reply, match its ``id``, pool the connection again);
+:meth:`ShardClient.call` runs its ``meanwhile`` callback between the two,
+which is how the network facade gets every shard's frame in flight before it
+blocks on any reply.  A connection still carries one frame at a time: a
+scatter's frames ride one connection per shard.
 
 Reliability mechanics, all client-side:
 
@@ -32,6 +38,7 @@ by :meth:`repro.replica.faults.FaultSchedule.install_network`; see
 
 from __future__ import annotations
 
+import itertools
 import random
 import socket
 import threading
@@ -52,6 +59,13 @@ from repro.net.wire import encode_frame, read_frame, send_frame
 from repro.obs import Observability
 from repro.service import ops
 from repro.service.service import ServiceConfig
+
+
+def _close(sock: socket.socket) -> None:
+    try:
+        sock.close()
+    except OSError:  # pragma: no cover - close race
+        pass
 
 
 @dataclass(frozen=True)
@@ -129,8 +143,7 @@ class ShardClient:
         self._pool_size = int(pool_size)
         self._pool_lock = threading.Lock()
         self._dead = False
-        self._request_serial = 0
-        self._serial_lock = threading.Lock()
+        self._request_ids = itertools.count(1)  # next() is atomic under the GIL
         self._errors = _error_classes()
 
     # -- supervisor hooks ------------------------------------------------------
@@ -158,10 +171,7 @@ class ShardClient:
         with self._pool_lock:
             pool, self._pool = self._pool, []
         for sock in pool:
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - close race
-                pass
+            _close(sock)
 
     def close(self) -> None:
         """Release pooled connections (the worker process outlives us)."""
@@ -171,11 +181,6 @@ class ShardClient:
 
     def _fires(self, point: str) -> bool:
         return self.fault_hook is not None and bool(self.fault_hook(point, self.name))
-
-    def _next_id(self) -> int:
-        with self._serial_lock:
-            self._request_serial += 1
-            return self._request_serial
 
     def _dial(self, timeout: float) -> socket.socket:
         if self._fires("net.refused"):
@@ -200,18 +205,18 @@ class ShardClient:
             if not self._dead and len(self._pool) < self._pool_size:
                 self._pool.append(sock)
                 return
-        try:
-            sock.close()
-        except OSError:  # pragma: no cover - close race
-            pass
+        _close(sock)
 
-    def _exchange_once(
+    def _send_once(
         self, op: str, args: dict[str, Any], idem: str | None, timeout: float
-    ) -> dict[str, Any]:
-        """One request/response exchange.  Any raise discards the connection."""
-        sock = self._checkout(timeout)
+    ) -> tuple[socket.socket, int] | Exception:
+        """Send half of one exchange: the checked-out socket now carrying the
+        request frame, and the request id.  A transport failure discards the
+        connection and is *returned* — the receive half raises it."""
+        sock = None
         try:
-            request: dict[str, Any] = {"id": self._next_id(), "op": op, "args": args}
+            sock = self._checkout(timeout)
+            request: dict[str, Any] = {"id": next(self._request_ids), "op": op, "args": args}
             if idem is not None:
                 request["idem"] = idem
             if self._fires("net.tear"):
@@ -219,12 +224,10 @@ class ShardClient:
                 # the connection; the request was never executed.
                 frame = encode_frame(request)
                 sock.sendall(frame[: max(1, len(frame) // 2)])
-                sock.close()
                 raise WireError(f"injected: frame to {self.name} torn mid-send")
             if self._fires("net.blackhole"):
                 # The request vanishes in the network: never delivered, and
                 # the client burns its full read deadline waiting.
-                sock.close()
                 raise socket.timeout(  # repro: allow-error-taxonomy - injected fault
                     f"injected: request to {self.name} black-holed"
                 )
@@ -233,22 +236,41 @@ class ShardClient:
                 # Slow-loris response: the worker EXECUTED the op but the
                 # reply does not arrive within the deadline.  The retry (same
                 # idempotency key) must dedup, not double-apply.
-                sock.close()
                 raise socket.timeout(  # repro: allow-error-taxonomy - injected fault
                     f"injected: response from {self.name} too slow"
                 )
+        except (WireError, OSError) as exc:
+            if sock is not None:
+                _close(sock)
+            return exc
+        return sock, request["id"]
+
+    def _receive_once(self, flight: tuple[socket.socket, int] | Exception) -> dict[str, Any]:
+        """Receive half: the one reply to the request :meth:`_send_once` put
+        in *flight*.  The socket is pooled again only when that reply was read
+        whole and carries the request's id; any raise discards it."""
+        if isinstance(flight, Exception):
+            raise flight
+        sock, request_id = flight
+        try:
             response = read_frame(sock)
-        except (socket.timeout, WireError, ConnectionError, OSError):
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - close race
-                pass
+            if response is None:
+                raise WireError(f"{self.name} closed the connection before responding")
+            if response.get("id") != request_id:
+                raise WireError(
+                    f"{self.name} answered request {response.get('id')!r}, not {request_id}"
+                )
+        except (WireError, OSError):
+            _close(sock)
             raise
-        if response is None:
-            sock.close()
-            raise WireError(f"{self.name} closed the connection before responding")
         self._checkin(sock)
         return response
+
+    def _exchange_once(
+        self, op: str, args: dict[str, Any], idem: str | None, timeout: float
+    ) -> dict[str, Any]:
+        """One request/response exchange: the send half, then the receive half."""
+        return self._receive_once(self._send_once(op, args, idem, timeout))
 
     # -- call core -------------------------------------------------------------
 
@@ -258,20 +280,36 @@ class ShardClient:
         args: dict[str, Any] | None = None,
         write: bool = False,
         timeout: float | None = None,
+        meanwhile: Callable[[], None] | None = None,
     ) -> Any:
-        """Issue one logical RPC with retries; returns the decoded value."""
-        if self._dead:
-            raise ShardUnavailableError(
-                f"{self.name} is marked dead (restarting or unreachable)",
-                shards=(self.shard_index,),
-            )
+        """Issue one logical RPC with retries; returns the decoded value.
+
+        *meanwhile* runs once between the first attempt's send half and its
+        receive half — with this request's frame out and the worker serving
+        it.  It runs even when the send half failed or the shard is marked
+        dead: that failure surfaces afterwards, through the retry loop.
+        """
         args = args or {}
         idem = uuid.uuid4().hex if write else None
         deadline = timeout if timeout is not None else self.op_timeout_s
         with self.obs.span("rpc.request") as span:
             span.set("shard", self.shard_index)
             span.set("op", op)
-            value = self._call_with_retries(op, args, idem, deadline, span)
+            if self._dead:
+                flight: Any = ShardUnavailableError(
+                    f"{self.name} is marked dead (restarting or unreachable)",
+                    shards=(self.shard_index,),
+                )
+            else:
+                flight = self._send_once(op, args, idem, deadline)
+            if meanwhile is not None:
+                try:
+                    meanwhile()
+                except BaseException:
+                    if isinstance(flight, tuple):
+                        _close(flight[0])  # its reply will never be read
+                    raise
+            value = self._call_with_retries(op, args, idem, deadline, span, flight)
         if self.obs.enabled:
             # Per-op latency distribution; the generic span.rpc.request
             # histogram is recorded by the tracer on span exit.
@@ -279,8 +317,11 @@ class ShardClient:
         return value
 
     def _call_with_retries(
-        self, op: str, args: dict[str, Any], idem: str | None, deadline: float, span: Any
+        self, op: str, args: dict[str, Any], idem: str | None, deadline: float, span: Any, flight: Any
     ) -> Any:
+        """The retry loop; *flight* is the first attempt's send half.  A
+        dead-marked shard's error is no transport error: the first receive
+        raises it straight through — fail fast, no dial, no retry."""
         obs = self.obs
         last_exc: Exception | None = None
         timed_out = False
@@ -291,8 +332,9 @@ class ShardClient:
                     time.sleep(min(last_exc.retry_after, self.retry.max_backoff_s))
                 else:
                     time.sleep(self.retry.backoff(attempt - 1, self._rng))
+                flight = self._send_once(op, args, idem, deadline)
             try:
-                response = self._exchange_once(op, args, idem, deadline)
+                response = self._receive_once(flight)
             except socket.timeout as exc:
                 last_exc, timed_out = exc, True
                 obs.count("rpc.timeouts")

@@ -66,12 +66,14 @@ def encode_query_result(
     *referents_by_annotation* rides along for REFERENTS-kind queries: the
     merge on the client side needs each annotation's full referent list to
     rebuild pages in global order, and over the network it cannot reach into
-    the worker's manager the way the threaded merge does.
+    the worker's manager the way the threaded merge does.  The flat page is
+    that map deduplicated in annotation order, so it is not shipped twice.
     """
+    flat = result.referents if referents_by_annotation is None else ()
     payload: dict[str, Any] = {
         "return_kind": result.return_kind.value,
         "annotation_ids": list(result.annotation_ids),
-        "referents": [encode_referent(referent) for referent in result.referents],
+        "referents": [encode_referent(referent) for referent in flat],
         "subgraphs": [encode_subgraph(subgraph) for subgraph in result.subgraphs],
         "step_details": [dict(detail) for detail in result.step_details],
         "fragments": [
@@ -90,7 +92,8 @@ def decode_query_result(payload: dict[str, Any]) -> QueryResult:
     """Rebuild a :class:`QueryResult` from :func:`encode_query_result`.
 
     The optional per-annotation referent map is attached as
-    ``_net_referents_by_annotation`` (decoded) for the network merge hook.
+    ``_net_referents_by_annotation`` (decoded) for the network merge hook,
+    and the flat page it replaced on the wire is rebuilt from it.
     """
     result = QueryResult(
         return_kind=ReturnKind(payload["return_kind"]),
@@ -107,8 +110,14 @@ def decode_query_result(payload: dict[str, Any]) -> QueryResult:
         missing_shards=list(payload.get("missing_shards", [])),
     )
     if "referents_by_annotation" in payload:
-        result._net_referents_by_annotation = {
+        shipped = result._net_referents_by_annotation = {
             annotation_id: [decode_referent(item) for item in items]
             for annotation_id, items in payload["referents_by_annotation"].items()
         }
+        seen: set[str] = set()
+        for annotation_id in result.annotation_ids:
+            for referent in shipped.get(annotation_id, ()):
+                if referent.referent_id not in seen:
+                    seen.add(referent.referent_id)
+                    result.referents.append(referent)
     return result

@@ -5,13 +5,15 @@
 list from in-process ``GraphittiService`` objects to
 :class:`~repro.net.client.ShardClient` RPC proxies — the routing, merging,
 manifest and aggregation logic is inherited, so the two topologies cannot
-drift apart.  Only the seams that reach *into* a shard's memory are
-overridden: the REFERENTS merge reads the referent map each worker ships
-with its result page, the query gather admits degraded reads, and builder
-support (``data_object`` / ``resolve_ontology_term``) is served from a
-client-side catalog of the objects and ontologies registered through this
-facade (objects are replicated to every worker, but native payloads never
-cross the wire).
+drift apart.  Overridden are the scatter seam — **frames out, then replies
+in, on the caller's thread**: every shard's request is in flight before the
+first reply is read, so a scatter is one blocking round with no pool hop, and
+this facade owns no thread pool — and the seams that reach *into* a shard's
+memory: the REFERENTS merge reads the referent map each worker ships with
+its page, the query gather admits degraded reads, and builder support
+(``data_object`` / ``resolve_ontology_term``) is served from a client-side
+catalog of what was registered through this facade (objects are replicated
+to every worker, but native payloads never cross the wire).
 
 Two worker modes:
 
@@ -39,9 +41,8 @@ Robustness contract:
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Sequence
 
 from repro.core.manager import Graphitti
 from repro.errors import (
@@ -53,7 +54,9 @@ from repro.errors import (
 from repro.net.client import RetryPolicy, ShardClient
 from repro.net.server import ShardWorkerServer
 from repro.net.supervisor import HeartbeatMonitor, WorkerHandle
+from repro.query.ast import Query
 from repro.query.result import QueryResult
+from repro.service.ops import OPS, READ
 from repro.service.service import GraphittiService, ServiceConfig
 from repro.shard.router import shard_dir_name
 from repro.shard.service import (
@@ -82,14 +85,9 @@ class NetworkShardedGraphittiService(ShardedGraphittiService):
         start_monitor: bool = True,
     ):
         super().__init__(services=clients, root=root)
-        # The inherited pool is sized for CPU-bound in-process shards (one
-        # worker per shard).  Network scatter tasks BLOCK on sockets, so that
-        # sizing serialises concurrent queries; widen it so several callers
-        # can have their full fan-out in flight at once.
+        # Scatters run on the caller's thread (see _scatter): no pool to keep.
         self._pool.shutdown(wait=False)
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(8, 4 * len(clients)), thread_name_prefix="netshard"
-        )
+        del self._pool
         self._catalog = catalog if catalog is not None else Graphitti("graphitti-catalog")
         self._handles = handles
         self._servers = servers
@@ -307,7 +305,7 @@ class NetworkShardedGraphittiService(ShardedGraphittiService):
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        """Stop the monitor, land the manifest, stop workers, free the pool."""
+        """Stop the monitor, land the manifest, stop workers, close the sockets."""
         if self._closed:
             return
         self.monitor.stop()
@@ -328,10 +326,56 @@ class NetworkShardedGraphittiService(ShardedGraphittiService):
                 service.close()
         for client in self._shards:
             client.close_pool()
-        self._pool.shutdown(wait=True)
         self._closed = True
 
-    # -- overridden shard-memory seam --------------------------------------------
+    # -- overridden seams ------------------------------------------------------
+
+    def _scatter(
+        self,
+        verb: str,
+        calls: Sequence[tuple[int, tuple, dict[str, Any]]],
+        tolerate: tuple[type[GraphittiError], ...] = (),
+        inline: bool = False,
+        meanwhile: Callable[[], None] | None = None,
+    ) -> list[Any]:
+        """Frames out, then replies in, on the calling thread.
+
+        Each row's call sends its frame and then, before awaiting its reply,
+        starts the next row's — so every request is in flight (one pooled
+        connection per shard) before the first reply is read, the workers
+        run in parallel and the caller blocks for one round, whatever the
+        fan-out.  *meanwhile* runs at that point: caller-side work that
+        overlaps the workers'.  Arguments are encoded before any frame
+        leaves, and every reply is collected — no socket is pooled with one
+        unread — before what *meanwhile* raised, or else the first failed row
+        not of a *tolerate* class, raises.
+        """
+        op = OPS[verb]
+        write = op.kind != READ
+        decode = op.codec.decode
+        wires = [op.wire_args(*args, **kwargs) for _, args, kwargs in calls]
+        outcomes: list[Any] = [None] * (len(calls) + 1)  # one per row, then *meanwhile*'s
+
+        def send_from(row: int) -> None:
+            try:
+                if row < len(calls):
+                    value = self._shards[calls[row][0]].call(
+                        verb, wires[row], write=write, meanwhile=lambda: send_from(row + 1)
+                    )
+                    outcomes[row] = decode(value) if decode is not None else value
+                elif meanwhile is not None:
+                    meanwhile()
+            except GraphittiError as exc:
+                outcomes[row] = exc
+
+        send_from(0)
+        interrupted = outcomes.pop()
+        if interrupted is not None:
+            raise interrupted
+        for outcome in outcomes:
+            if isinstance(outcome, GraphittiError) and not isinstance(outcome, tolerate):
+                raise outcome
+        return outcomes
 
     def _annotation_referents(self, index: int, annotation_id: str, result: QueryResult):
         shipped = getattr(result, "_net_referents_by_annotation", None) or {}
@@ -343,12 +387,12 @@ class NetworkShardedGraphittiService(ShardedGraphittiService):
         """Register locally (native object, so builders can mark it) and
         broadcast the catalogue record to every worker."""
         self._catalog.register(obj, raw=raw, **metadata)
-        self._scatter(lambda shard: shard.register(obj, raw=raw, **metadata))
+        self._scatter("register", self._all(obj, raw=raw, **metadata))
         return obj
 
     def register_ontology(self, ontology, cache: bool = True):
         ops = self._catalog.register_ontology(ontology, cache=cache)
-        self._scatter(lambda shard: shard.register_ontology(ontology, cache=cache))
+        self._scatter("register_ontology", self._all(ontology, cache=cache))
         return ops
 
     def data_object(self, object_id: str):
@@ -366,38 +410,49 @@ class NetworkShardedGraphittiService(ShardedGraphittiService):
 
     # -- read path (degraded-aware gather) -------------------------------------
 
-    def _gather_query(self, futures: list[Any]) -> list[QueryResult | None]:
+    def _shape_and_pages(self, text_or_query: str | Query):
         """Collect shard pages, admitting unreachable shards per ``degraded_reads``.
 
-        Strict reads (or every shard missing) raise a typed error naming the
-        missing shards; a degraded read returns ``None`` in their place and
-        the merge tags the page.
+        The shape is parsed with every worker's frame already out, so the
+        facade's parse overlaps theirs; malformed text still fails here, with
+        the parser's error.  Strict reads (or every shard missing) raise a
+        typed error naming the missing shards; a degraded read returns
+        ``None`` in their place and the merge tags the page.
         """
-        results: list[QueryResult | None] = []
-        missing: list[int] = []
-        causes: list[GraphittiError] = []
-        for index, future in enumerate(futures):
-            try:
-                results.append(future.result())
-            except (ShardUnavailableError, ShardTimeoutError) as exc:
-                results.append(None)
-                missing.append(index)
-                causes.append(exc)
-        if missing:
+        shape: list[Any] = []
+
+        def parse() -> None:
+            with self.obs.span("parse"):
+                shape.append(self._query_shape(text_or_query))
+
+        with self.obs.span("scatter"):
+            pages = self._scatter(
+                "query",
+                self._all(text_or_query),
+                tolerate=(ShardUnavailableError, ShardTimeoutError),
+                meanwhile=parse,
+            )
+        causes = {
+            index: page for index, page in enumerate(pages) if isinstance(page, GraphittiError)
+        }
+        if causes:
+            missing = list(causes)
             if not self.degraded_reads or len(missing) == len(self._shards):
-                if all(isinstance(exc, ShardTimeoutError) for exc in causes):
+                if all(isinstance(exc, ShardTimeoutError) for exc in causes.values()):
                     # Pure deadline misses keep their type — the same signal
                     # the threaded scatter deadline raises.
                     raise ShardTimeoutError(
                         f"shard(s) {missing} missed the query deadline"
-                    ) from causes[0]
+                    ) from causes[missing[0]]
                 raise ShardUnavailableError(
                     f"shard(s) {missing} unavailable for query "
                     f"(degraded reads {'exhausted' if self.degraded_reads else 'disabled'})",
                     shards=tuple(missing),
                 )
             self.obs.count("query.degraded")
-        return results
+            for index in missing:
+                pages[index] = None
+        return shape[0], pages
 
     # -- aggregation extras ----------------------------------------------------
 

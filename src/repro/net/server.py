@@ -148,6 +148,8 @@ class ShardWorkerServer:
                 sock, _addr = self._listener.accept()
             except OSError:
                 return  # listener closed by stop()
+            # Replies larger than one segment must not wait out Nagle + delayed ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with self._connections_lock:
                 self._connections.add(sock)
             thread = threading.Thread(

@@ -2,8 +2,11 @@
 
 Every message on a shard connection — request, response, heartbeat — is one
 *frame*: a 4-byte big-endian unsigned length prefix followed by exactly that
-many bytes of UTF-8 JSON.  Framing is the only layer that touches raw bytes;
-everything above it deals in dicts.
+many bytes of UTF-8 JSON (keys in insertion order: nothing reads frame bytes
+by key order).  Framing is the only layer that touches raw bytes; everything
+above it deals in dicts.  A connection is request/response — one frame in
+flight per *connection*; a scatter has several in flight, one per shard's
+connection — so :func:`read_frame` treats a second frame as a protocol error.
 
 The streaming :class:`FrameDecoder` makes no assumption about how TCP
 chunks the stream: a frame may arrive one byte at a time, many frames may
@@ -35,7 +38,7 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 def encode_frame(message: dict[str, Any]) -> bytes:
     """Serialise *message* to one length-prefixed frame."""
     try:
-        body = json.dumps(message, separators=(",", ":"), sort_keys=True).encode("utf-8")
+        body = json.dumps(message, separators=(",", ":")).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise WireError(f"message is not JSON-serialisable: {exc}") from exc
     if len(body) > MAX_FRAME_BYTES:

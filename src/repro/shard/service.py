@@ -63,6 +63,7 @@ from repro.errors import (
     UnknownObjectError,
 )
 from repro.obs import Observability, merge_stats
+from repro.obs.tracing import current_span
 from repro.query.ast import Query, ReturnKind
 from repro.query.parser import parse_query
 from repro.query.result import QueryResult
@@ -203,11 +204,11 @@ def _routed(op: ops.Op) -> Callable | None:
         # annotation; registrations are rare and small next to annotation
         # traffic, so N copies are cheap.
         return lambda self, *args, **kwargs: self._scatter(
-            lambda shard: op.call(shard, *args, **kwargs)
+            op.name, self._all(*args, **kwargs)
         )[0]
     if op.routing == ops.SCATTER:
         return lambda self, *args, **kwargs: sorted(
-            set().union(*map(set, self._scatter(lambda shard: op.call(shard, *args, **kwargs))))
+            set().union(*map(set, self._scatter(op.name, self._all(*args, **kwargs))))
         )
     return None
 
@@ -372,38 +373,64 @@ class ShardedGraphittiService:
 
     # -- scatter helpers -------------------------------------------------------
 
-    def _scatter(self, call: Callable[[GraphittiService], Any]) -> list[Any]:
-        """Run *call* against every shard in parallel; results in shard order.
+    def _all(self, *args: Any, **kwargs: Any) -> list[tuple[int, tuple, dict[str, Any]]]:
+        """The same call on every shard, as rows for :meth:`_scatter`."""
+        return [(index, args, kwargs) for index in range(len(self._shards))]
 
-        Shard tasks never re-enter the pool (a shard call is self-contained),
-        so waiting on the futures from the caller thread cannot deadlock.
-        """
-        futures = [self._pool.submit(call, shard) for shard in self._shards]
-        return self._gather(futures)
+    def _scatter(
+        self,
+        verb: str,
+        calls: Sequence[tuple[int, tuple, dict[str, Any]]],
+        tolerate: tuple[type[GraphittiError], ...] = (),
+        inline: bool = False,
+    ) -> list[Any]:
+        """The one scatter seam: table verb *verb* on each ``(shard index,
+        args, kwargs)`` row of *calls* in parallel; results in row order.
 
-    def _gather(self, futures: list[Any]) -> list[Any]:
-        """Collect scatter futures, honouring the configured shard deadline.
+        An error of a *tolerate* class is returned in its row's place, not
+        raised.  *inline* marks a call too cheap for a pool hop (a lock-free
+        membership probe): here it runs on the caller's thread.  Shard tasks
+        never re-enter the pool, so waiting on them cannot deadlock.  The
+        network facade overrides this method alone, to scatter without a pool.
 
         With ``ServiceConfig.scatter_deadline_s`` set, a shard that does not
-        answer within the deadline raises :class:`ShardTimeoutError` — the
-        same typed error the network path maps its per-op timeouts to —
-        instead of blocking the merge forever behind one hung shard.  The
-        deadline covers the whole scatter (it is a budget, not per shard):
-        remaining futures get whatever budget is left.
+        answer in time raises :class:`ShardTimeoutError` — the typed error the
+        network path maps its per-op timeouts to — instead of hanging the
+        merge.  The deadline is one budget for the whole scatter, not per shard.
         """
-        deadline = self.config.scatter_deadline_s
-        if deadline is None:
-            return [future.result() for future in futures]
-        end = time.monotonic() + deadline
-        results = []
-        for index, future in enumerate(futures):
+        op = ops.OPS[verb]
+        # Pool threads have their own (empty) span stacks: a traced caller's
+        # open span is handed to each shard task as explicit parent, and what
+        # the shard traces hangs off that task's shard.<verb> span.
+        parent = current_span() if self.obs.enabled else None
+
+        def run(index: int, args: tuple, kwargs: dict[str, Any]) -> Any:
             try:
-                results.append(future.result(timeout=max(0.0, end - time.monotonic())))
+                if parent is None:
+                    return op.call(self._shards[index], *args, **kwargs)
+                with self.obs.tracer.span(f"shard.{verb}", parent=parent) as span:
+                    span.set("shard", index)
+                    return op.call(self._shards[index], *args, **kwargs)
+            except tolerate as exc:
+                return exc
+
+        if inline:
+            return [run(*call) for call in calls]
+        futures = [self._pool.submit(run, *call) for call in calls]
+        deadline = self.config.scatter_deadline_s
+        end = None if deadline is None else time.monotonic() + deadline
+        results = []
+        for position, future in enumerate(futures):
+            try:
+                results.append(
+                    future.result(None if end is None else max(0.0, end - time.monotonic()))
+                )
             except FuturesTimeoutError:
-                for pending in futures[index:]:
+                for pending in futures[position:]:
                     pending.cancel()
                 raise ShardTimeoutError(
-                    f"shard {index} did not answer within the {deadline}s scatter deadline"
+                    f"shard {calls[position][0]} did not answer within the "
+                    f"{deadline}s scatter deadline"
                 ) from None
         return results
 
@@ -411,10 +438,10 @@ class ShardedGraphittiService:
         """The shard holding *annotation_id*, or None.
 
         Generated ids encode their shard and resolve in O(1); foreign
-        (caller-chosen) ids fall back to probing each shard's committed-id
-        dict — a GIL-atomic membership read, cheap enough for point lookups
-        and re-validated under the owning shard's lock by whatever operation
-        follows.
+        (caller-chosen) ids fall back to probing every shard's committed-id
+        dict in one scatter round — a GIL-atomic membership read, cheap
+        enough for point lookups and re-validated under the owning shard's
+        lock by whatever operation follows.
         """
         encoded = shard_from_annotation_id(annotation_id)
         if encoded is not None and encoded < len(self._shards):
@@ -423,10 +450,9 @@ class ShardedGraphittiService:
         # Fall through to a full probe even when the id *looks* shard-encoded:
         # ids imported from another deployment (a different topology, a
         # migration) route by referent hash, not by their legacy encoding.
-        for index, shard in enumerate(self._shards):
-            if index != encoded and shard.holds(annotation_id):
-                return index
-        return None
+        others = [call for call in self._all(annotation_id) if call[0] != encoded]
+        held = self._scatter("holds", others, inline=True)
+        return next((call[0] for call, answer in zip(others, held) if answer), None)
 
     def _owner(self, annotation_id: str) -> Any:
         """The shard service holding *annotation_id* (owner-routed verbs)."""
@@ -529,15 +555,12 @@ class ShardedGraphittiService:
                 )
             seen_ids.add(annotation.annotation_id)
             groups.setdefault(index, []).append((position, annotation))
-        futures = {
-            index: self._pool.submit(
-                self._shards[index].bulk_commit, [item for _, item in group]
-            )
-            for index, group in groups.items()
-        }
+        committed_groups = self._scatter(
+            "bulk_commit",
+            [(index, ([item for _, item in group],), {}) for index, group in groups.items()],
+        )
         ordered: list[Annotation | None] = [None] * len(batch)
-        for index, group in groups.items():
-            committed = futures[index].result()
+        for group, committed in zip(groups.values(), committed_groups):
             for (position, _), annotation in zip(group, committed):
                 ordered[position] = annotation
         return [annotation for annotation in ordered if annotation is not None]
@@ -559,26 +582,20 @@ class ShardedGraphittiService:
         shard knows the object.  Returns the cascaded annotation ids.
         """
         if not cascade:
-            referencing = self._scatter(
-                lambda shard: shard.annotations_on_object(object_id)
-            )
-            held = sorted(set().union(*map(set, referencing)))
+            held = self.annotations_on_object(object_id)
             if held:
                 raise AnnotationError(
                     f"data object {object_id!r} is referenced by "
                     f"{len(held)} annotation(s); pass cascade=True to delete them"
                 )
-
-        def _delete(shard: GraphittiService) -> list[str] | None:
-            try:
-                return shard.delete_object(object_id, cascade=cascade)
-            except UnknownObjectError:
-                return None  # this replica is already gone; converge
-
-        results = self._scatter(_delete)
-        if all(result is None for result in results):
+        # A shard whose replica is already gone answers UnknownObjectError; converge.
+        results = self._scatter(
+            "delete_object", self._all(object_id, cascade=cascade), tolerate=(UnknownObjectError,)
+        )
+        cascaded = [result for result in results if not isinstance(result, UnknownObjectError)]
+        if not cascaded:
             raise UnknownObjectError(f"no data object {object_id!r} registered")
-        return sorted(set().union(*(set(result) for result in results if result)))
+        return sorted(set().union(*map(set, cascaded)))
 
     # -- read path -------------------------------------------------------------
 
@@ -603,29 +620,14 @@ class ShardedGraphittiService:
     def query(self, text_or_query: str | Query) -> QueryResult:
         """Scatter the query to every shard and gather one merged result.
 
-        The query shape is parsed once up front, so malformed text fails
-        here — it can never reach (or alias) a shard's memoized plan.  Each
-        shard serves from its own cache when its epoch allows, which is the
-        sharding win: a write invalidates one shard's entry, not all N.
+        The facade parses the query shape itself, so malformed text fails
+        here whatever a shard's memoized plans hold.  Each shard serves from
+        its own cache when its epoch allows, which is the sharding win: a
+        write invalidates one shard's entry, not all N.
         """
-        obs = self.obs
-        if not obs.enabled:
-            return_kind, limit = self._query_shape(text_or_query)
-            futures = [self._pool.submit(shard.query, text_or_query) for shard in self._shards]
-            return self._merge_results(return_kind, limit, self._gather_query(futures))
+        obs = self.obs  # disabled: every span below is the shared no-op
         with obs.span("query") as root:
-            with obs.span("parse"):
-                return_kind, limit = self._query_shape(text_or_query)
-            with obs.span("scatter") as scatter:
-                # Pool threads have their own (empty) span stacks, so each
-                # shard task is handed the scatter span as explicit parent;
-                # everything the shard's own service traces on that thread
-                # then hangs off its shard.query span automatically.
-                futures = [
-                    self._pool.submit(self._traced_shard_query, index, text_or_query, scatter)
-                    for index in range(len(self._shards))
-                ]
-                results = self._gather_query(futures)
+            (return_kind, limit), results = self._shape_and_pages(text_or_query)
             with obs.span("merge") as merge_span:
                 merged = self._merge_results(return_kind, limit, results)
                 merge_span.set("rows", merged.count)
@@ -641,19 +643,21 @@ class ShardedGraphittiService:
             obs.record_slow("query", root, explain=explain)
         return merged
 
-    def _gather_query(self, futures: list[Any]) -> list[QueryResult | None]:
-        """Collect the per-shard pages of one query, in shard order.
+    def _shape_and_pages(
+        self, text_or_query: str | Query
+    ) -> tuple[tuple[ReturnKind, int | None], list[QueryResult | None]]:
+        """The query's shape and its per-shard pages, in shard order.
 
         A ``None`` page is a shard that contributed nothing; the merge tags
-        the result degraded.  Here every shard must answer — the network
-        facade overrides this step to admit degraded reads.
+        the result degraded.  Here the shape is parsed up front (malformed
+        text never reaches a shard) and every shard must answer — the network
+        facade overrides this step to parse while its workers run and to
+        admit degraded reads.
         """
-        return self._gather(futures)
-
-    def _traced_shard_query(self, index: int, text_or_query: str | Query, parent) -> QueryResult:
-        with self.obs.tracer.span("shard.query", parent=parent) as span:
-            span.set("shard", index)
-            return self._shards[index].query(text_or_query)
+        with self.obs.span("parse"):
+            shape = self._query_shape(text_or_query)
+        with self.obs.span("scatter"):
+            return shape, self._scatter("query", self._all(text_or_query))
 
     def _merge_results(
         self,
@@ -748,7 +752,7 @@ class ShardedGraphittiService:
 
     def explain(self, text_or_query: str | Query) -> dict:
         """Aggregate EXPLAIN: the scatter plan, one per-shard plan each."""
-        plans = self._scatter(lambda shard: shard.explain(text_or_query))
+        plans = self._scatter("explain", self._all(text_or_query))
         return {
             "query": plans[0]["query"],
             "mode": "scatter-gather",
@@ -765,7 +769,7 @@ class ShardedGraphittiService:
 
     def check_integrity(self) -> ShardedIntegrityReport:
         """Integrity checks on every shard, gathered into one report."""
-        reports = self._scatter(lambda shard: shard.check_integrity())
+        reports = self._scatter("check_integrity", self._all())
         merged = ShardedIntegrityReport(reports=reports)
         for index, report in enumerate(reports):
             for error in getattr(report, "errors", []):
@@ -774,7 +778,7 @@ class ShardedGraphittiService:
 
     @property
     def annotation_count(self) -> int:
-        return sum(self._scatter(lambda shard: shard.annotation_count))
+        return sum(self._scatter("annotation_count", self._all()))
 
     # -- statistics ------------------------------------------------------------
 
@@ -788,7 +792,7 @@ class ShardedGraphittiService:
         lookups.  ``sharding`` carries the topology plus compact per-shard
         rows, and ``per_shard`` under it keeps the full breakdown reachable.
         """
-        per_shard = self._scatter(lambda shard: shard.statistics())
+        per_shard = self._scatter("statistics", self._all())
         without_service = [
             {
                 key: value
@@ -855,7 +859,7 @@ class ShardedGraphittiService:
         manifest in place, which recovery handles like any mid-checkpoint
         crash: replay skips what each shard's snapshot already covers.
         """
-        self._scatter(lambda shard: shard.checkpoint())
+        self._scatter("checkpoint", self._all())
         self._checkpoints += 1
         if self._root is None:
             return None
@@ -863,7 +867,7 @@ class ShardedGraphittiService:
 
     def compact(self) -> dict[str, Any]:
         """Compact every shard's column storage; returns per-shard reports."""
-        reports = self._scatter(lambda shard: shard.compact())
+        reports = self._scatter("compact", self._all())
         return {"shards": reports}
 
     def _write_manifest(self) -> Path | None:

@@ -12,13 +12,19 @@ evaluation time) and asserted against the two contracts that matter:
   a silent wrong answer.
 """
 
+import select
+import sys
+import threading
+
 import pytest
 
 from repro.core.manager import Graphitti
 from repro.errors import ServiceError, ShardTimeoutError, ShardUnavailableError
 from repro.net import NetworkShardedGraphittiService, RetryPolicy
+from repro.net.codec import encode_query_result
 from repro.replica.faults import NET_FAULT_POINTS, FaultRule, FaultSchedule
 from repro.service import GraphittiService
+from repro.shard import ShardedGraphittiService
 
 from test_shard_service import PROBES, assert_bit_identical, populate
 
@@ -164,3 +170,156 @@ def test_seeded_fault_matrix_zero_acked_loss_and_oracle_reads(seed):
     assert not service.check_integrity().errors
     service.close()
     oracle.close()
+
+
+# -- mid-scatter faults: the facade sends every shard's frame, then collects ------
+
+TYPED = {
+    "net.refused": ShardUnavailableError,
+    "net.tear": ShardUnavailableError,
+    "net.blackhole": ShardTimeoutError,
+    "net.slow": ShardTimeoutError,
+}
+
+
+def page_key(page):
+    """Everything a merged page carries except its per-step timings."""
+    encoded = encode_query_result(page)
+    del encoded["step_details"]
+    return encoded
+
+
+def assert_sockets_idle(service):
+    """Every pooled socket is idle — no unread reply, no EOF — and the pool is capped."""
+    for client in service.shards:
+        assert len(client._pool) <= client._pool_size
+        if client._pool:
+            readable, _, _ = select.select(client._pool, [], [], 0)
+            assert not readable, f"{client.name} pooled a socket with buffered bytes"
+
+
+def arm(service, point, shard, count=1, at=1):
+    service.shards[shard].close_pool()  # net.refused fires at dial
+    return install(service, FaultRule(point=point, at=at, target=f"shard-{shard}", count=count))
+
+
+@pytest.mark.parametrize("degraded", [False, True])
+@pytest.mark.parametrize("shard", [0, 1])
+@pytest.mark.parametrize("point", NET_FAULT_POINTS)
+def test_mid_scatter_fault_matrix(point, shard, degraded):
+    # shard 1 faults with shard 0's request already in flight; shard 0 faults
+    # and shard 1's frame still goes out before anything is collected.
+    service = open_net(degraded_reads=degraded)
+    populate(service, count=12)
+    expected = page_key(service.query(PROBES[0]))
+    # One fault, inside the retry budget: the same page, after one retry.
+    schedule = arm(service, point, shard)
+    assert page_key(service.query(PROBES[0])) == expected
+    assert [fired["point"] for fired in schedule.fired] == [point]
+    assert service.obs.registry.counter("rpc.retries").value == 1
+    assert_sockets_idle(service)
+    # A burst as long as the retry budget: typed error, or the degraded page.
+    arm(service, point, shard, count=FAST_RETRY.attempts)
+    if degraded:
+        page = service.query(PROBES[0])
+        assert page.degraded and page.missing_shards == [shard]
+        assert page.annotation_ids == service.shards[1 - shard].query(PROBES[0]).annotation_ids
+        assert service.obs.registry.counter("query.degraded").value == 1
+    else:
+        with pytest.raises(TYPED[point]) as excinfo:
+            service.query(PROBES[0])
+        if TYPED[point] is ShardUnavailableError:
+            assert excinfo.value.shards == (shard,)
+    assert_sockets_idle(service)
+    # A scatter with no degraded form abandons the other shard's reply: that
+    # socket is closed, never pooled with the reply still on it.
+    arm(service, point, shard, count=FAST_RETRY.attempts)
+    with pytest.raises(TYPED[point]):
+        service.search_by_keyword("common")
+    assert_sockets_idle(service)
+    assert page_key(service.query(PROBES[0])) == expected  # burst spent
+    assert_sockets_idle(service)
+    service.close()
+
+
+@pytest.mark.parametrize("shard", [0, 1])
+def test_mid_scatter_slow_write_dedups_by_idempotency_key(shard):
+    service = open_net()
+    object_ids = populate(service, count=8)
+    before = service.annotation_count
+    batch = [
+        service.new_annotation(f"bulk-{index}", keywords=["bulk"]).mark_sequence(object_id, 1, 20)
+        for index, object_id in enumerate(object_ids)
+    ]
+    # bulk_commit probes each explicit id on every shard first (one holds
+    # frame per annotation per shard); the next frame is the shard's group.
+    schedule = arm(service, "net.slow", shard, at=len(batch) + 1)
+    committed = service.bulk_commit(batch)
+    assert len(schedule.fired) == 1
+    assert [annotation.annotation_id for annotation in committed] == [
+        f"bulk-{index}" for index in range(len(batch))
+    ]
+    assert service.annotation_count == before + len(batch)  # each group applied once
+    replays = [
+        worker.obs.registry.counter("rpc.idempotent_replays").value
+        for worker in service._worker_services
+    ]
+    assert replays[shard] == 1 and replays[1 - shard] == 0
+    assert_sockets_idle(service)
+    service.close()
+
+
+def test_eight_caller_threads_get_the_threaded_facades_pages():
+    net = open_net()
+    threaded = ShardedGraphittiService(shards=2, name="graphitti")
+    populate(net)
+    populate(threaded)
+    expected = {text: page_key(threaded.query(text)) for text in PROBES}
+    mismatches = []
+
+    def caller():
+        for _ in range(5):
+            for text in PROBES:
+                if page_key(net.query(text)) != expected[text]:
+                    mismatches.append(text)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not mismatches
+    assert_sockets_idle(net)
+    net.close()
+    threaded.close()
+
+
+def test_network_facade_scatters_without_a_thread_pool():
+    service = open_net()
+    populate(service, count=8)
+    service.query(PROBES[0])
+    service.statistics()
+    assert not hasattr(service, "_pool")
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("netshard")]
+    service.close()
+
+
+def test_malformed_text_fails_at_the_facade_with_every_reply_collected():
+    # The facade parses while its workers run, so malformed text does reach
+    # them — but it fails here with the parser's error, as on the threaded
+    # facade, and no socket is pooled with a worker's refusal unread.
+    from repro.errors import QuerySyntaxError
+
+    service = open_net()
+    populate(service, count=8)
+    with pytest.raises(QuerySyntaxError):
+        service.query("SELECT contents WHERE { CONTENT CONTAINS }")
+    assert_sockets_idle(service)
+    assert page_key(service.query(PROBES[0]))["annotation_ids"]
+    service.close()

@@ -128,6 +128,86 @@ def test_dead_mark_fails_fast_without_dialing(rig):
     assert client.annotation_count == 0
 
 
+def _pool_a_socket_with_an_unread_reply(client):
+    """What an abandoned pipelined scatter would leave behind, if it pooled."""
+    import select
+
+    from repro.net import send_frame
+
+    sock = client._checkout(5.0)
+    send_frame(sock, {"id": 999_999, "op": "ping", "args": {}})
+    assert select.select([sock], [], [], 5.0)[0]  # the stale reply has landed
+    client._checkin(sock)
+    return sock
+
+
+def test_reply_id_mismatch_is_a_wire_error_and_discards_the_socket():
+    import threading
+
+    from repro.errors import WireError
+    from repro.net import read_frame, send_frame
+
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+
+    def answer_someone_elses_request():
+        connection, _ = listener.accept()
+        with connection:
+            request = read_frame(connection)
+            send_frame(connection, {"id": request["id"] + 1, "ok": True, "value": {}})
+
+    server = threading.Thread(target=answer_someone_elses_request)
+    server.start()
+    try:
+        client = ShardClient(0, "127.0.0.1", listener.getsockname()[1], op_timeout_s=5.0)
+        with pytest.raises(WireError, match="answered request 2, not 1"):
+            client._exchange_once("ping", {}, None, 5.0)
+        assert not client._pool  # closed, not pooled
+    finally:
+        server.join(timeout=5.0)
+        listener.close()
+    assert not server.is_alive()
+
+
+def test_a_pooled_socket_with_an_unread_reply_never_answers_the_next_caller(rig):
+    # The stale reply is caught by its id (or, when the worker's next reply
+    # lands in the same recv, as two frames on a one-frame connection): one
+    # transport error, retried on a fresh socket.
+    _service, _server, client = rig
+    stale = _pool_a_socket_with_an_unread_reply(client)
+    assert client.call("status")["shard"] == 0
+    assert client.obs.registry.counter("rpc.transport_errors").value == 1
+    assert stale.fileno() == -1 and stale not in client._pool
+
+
+def test_meanwhile_runs_between_the_send_half_and_the_receive_half(rig):
+    _service, _server, client = rig
+    seen = []
+
+    def nested():
+        # The outer frame is out on a checked-out socket (not in the pool);
+        # a call made now rides a second connection and is answered first.
+        seen.append(("pooled-during-outer", len(client._pool)))
+        seen.append(("inner", client.call("status")["shard"]))
+
+    assert client.call("status", meanwhile=nested)["shard"] == 0
+    assert seen == [("pooled-during-outer", 0), ("inner", 0)]
+    assert len(client._pool) == 2  # both replies read: both sockets pooled
+
+    def boom():
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        client.call("status", meanwhile=boom)
+    assert len(client._pool) == 1  # the abandoned request's socket was closed, not pooled
+    client.mark_dead()
+    ran = []
+    with pytest.raises(ShardUnavailableError):
+        client.call("status", meanwhile=lambda: ran.append(True))
+    assert ran == [True]  # a scatter's chain is never cut by a dead shard
+
+
 def test_unreachable_worker_exhausts_retries(rig):
     _service, server, client = rig
     server.stop()
