@@ -17,8 +17,8 @@ catalogue is enough to answer queries over existing annotations.
 The module also exposes the **record codec** the serving layer's write-ahead
 log shares with the snapshot format: :func:`encode_annotation` /
 :func:`decode_annotation` round-trip one annotation (including its full
-Dublin Core metadata, body and user tags), :func:`wire_annotation` applies a
-decoded annotation to an instance exactly like a live commit would, and
+Dublin Core metadata, body and user tags), :func:`wire_annotations` applies
+decoded annotations to an instance exactly like live commits would, and
 :func:`encode_register` / :func:`apply_register_record` do the same for data
 object registrations (as catalogue entries).
 """
@@ -129,54 +129,70 @@ def decode_annotation(payload: dict[str, Any]) -> Annotation:
     return annotation
 
 
-def wire_annotation(manager, annotation: Annotation, add_content_document: bool = False) -> None:
-    """Wire a decoded annotation into *manager*'s substrates.
+def wire_annotations(
+    manager, annotations: list[Annotation], add_content_documents: bool = False
+) -> None:
+    """Wire decoded annotations into *manager*'s substrates, in order.
 
-    Performs the same a-graph / substructure wiring as a live
+    The one wiring routine of recovery: a snapshot load hands it every
+    record at once, WAL replay one record at a time.  Performs the same
+    a-graph / substructure wiring as a live
     :meth:`~repro.core.manager.Graphitti.commit` but skips registry
     validation, so it works on catalogue-only instances whose native data
-    objects were not reconstructed.  With ``add_content_document=True`` the
-    content document is regenerated and stored too (the WAL replay path; the
-    snapshot path loads documents from the snapshot's own collection dump).
+    objects were not reconstructed.  The batch's referents reach the
+    substructure store as one batch, so an index that is still empty is
+    built once instead of insert by insert.  With
+    ``add_content_documents=True`` each content document is regenerated and
+    stored too (the WAL replay path; the snapshot path loads documents from
+    the snapshot's own collection dump).
     """
     from repro.agraph.agraph import SAME_OBJECT
 
-    annotation_id = annotation.annotation_id
-    if add_content_document and annotation_id not in manager.contents:
-        manager.contents.add(annotation.to_document(), doc_id=annotation_id)
-    manager.agraph.add_content(
-        annotation_id,
-        title=annotation.content.dublin_core.title,
-        keywords=tuple(annotation.content.keywords()),
+    manager.substructures.add_many(
+        referent for annotation in annotations for referent in annotation.referents
     )
-    per_object: dict[str, list[str]] = {}
-    for referent in annotation.referents:
-        referent_id = manager.substructures.add(referent)
-        manager.agraph.add_referent(
-            referent_id,
-            object=referent.ref.object_id,
-            data_type=referent.ref.data_type.value,
+    agraph = manager.agraph
+    for annotation in annotations:
+        annotation_id = annotation.annotation_id
+        if add_content_documents and annotation_id not in manager.contents:
+            manager.contents.add(annotation.to_document(), doc_id=annotation_id)
+        agraph.add_content(
+            annotation_id,
+            title=annotation.content.dublin_core.title,
+            keywords=tuple(annotation.content.keywords()),
         )
-        manager.agraph.link_annotation(annotation_id, referent_id)
-        for term in referent.ontology_terms:
-            manager.agraph.add_ontology_node(term)
-            manager.agraph.link_ontology(referent_id, term)
-        for other_id in per_object.get(referent.ref.object_id, []):
-            manager.agraph.link_referents(referent_id, other_id, label=SAME_OBJECT)
-        per_object.setdefault(referent.ref.object_id, []).append(referent_id)
-    for term in annotation.content.ontology_terms:
-        manager.agraph.add_ontology_node(term)
-        manager.agraph.link_ontology(annotation_id, term)
-    # Same bookkeeping as a live commit: the columnar store, the statistics
-    # catalogue and the id interner are rebuilt record by record during
-    # snapshot load and WAL replay, so the recovered instance matches the
-    # pre-crash state.
-    slot = manager.idspace.intern(annotation_id)
-    manager.columns.store(slot, annotation, manager.substructures.columns)
-    manager._annotation_order[annotation_id] = None  # noqa: SLF001 - rebuild path
-    manager._cache_row(annotation_id, annotation)  # noqa: SLF001 - rebuild path
-    manager.stats_catalogue.on_commit(annotation)
-    manager._bump_epoch()  # noqa: SLF001 - rebuild path
+        per_object: dict[str, list[str]] = {}
+        for referent in annotation.referents:
+            referent_id = referent.referent_id
+            agraph.add_referent(
+                referent_id,
+                object=referent.ref.object_id,
+                data_type=referent.ref.data_type.value,
+            )
+            agraph.link_annotation(annotation_id, referent_id)
+            for term in referent.ontology_terms:
+                agraph.add_ontology_node(term)
+                agraph.link_ontology(referent_id, term)
+            for other_id in per_object.get(referent.ref.object_id, []):
+                agraph.link_referents(referent_id, other_id, label=SAME_OBJECT)
+            per_object.setdefault(referent.ref.object_id, []).append(referent_id)
+        for term in annotation.content.ontology_terms:
+            agraph.add_ontology_node(term)
+            agraph.link_ontology(annotation_id, term)
+        # Same bookkeeping as a live commit: the columnar store, the
+        # statistics catalogue and the id interner are rebuilt record by
+        # record, so the recovered instance matches the pre-crash state.
+        slot = manager.idspace.intern(annotation_id)
+        manager.columns.store(slot, annotation, manager.substructures.columns)
+        manager._annotation_order[annotation_id] = None  # noqa: SLF001 - rebuild path
+        manager._cache_row(annotation_id, annotation)  # noqa: SLF001 - rebuild path
+        manager.stats_catalogue.on_commit(annotation)
+        manager._bump_epoch()  # noqa: SLF001 - rebuild path
+
+
+def wire_annotation(manager, annotation: Annotation, add_content_document: bool = False) -> None:
+    """Wire one decoded annotation: :func:`wire_annotations` on a batch of one."""
+    wire_annotations(manager, [annotation], add_content_documents=add_content_document)
 
 
 # -- data-object (catalogue) record codec --------------------------------------
@@ -408,21 +424,28 @@ def rebuild(payload: dict[str, Any], eager_documents: bool = False):
     manager.contents = DocumentCollection(
         f"{manager.name}-annotations", indexed=payload.get("indexed_contents", True)
     )
-    annotation_doc_ids = {item["annotation_id"] for item in payload.get("annotations", [])}
+    records = payload.get("annotations", [])
+    annotation_doc_ids = {item["annotation_id"] for item in records}
+    lazy: list[tuple[str, str, Any]] = []
     for doc_id, document_payload in payload.get("contents", {}).items():
         if eager_documents or doc_id not in annotation_doc_ids:
+            manager.contents.add_lazy_many(lazy)  # keep the dump's document order
+            lazy = []
             manager.contents.add(XmlDocument.from_dict(document_payload), doc_id=doc_id)
         else:
-            manager.contents.add_lazy(
-                doc_id,
-                _dict_searchable_text(document_payload),
-                manager._document_regenerator(doc_id),
+            lazy.append(
+                (
+                    doc_id,
+                    _dict_searchable_text(document_payload),
+                    manager._document_regenerator(doc_id),
+                )
             )
+    manager.contents.add_lazy_many(lazy)
 
     # Re-wire the a-graph and indexes directly from the annotation payloads
-    # (content documents were registered above from the snapshot's own dump).
-    for item in payload.get("annotations", []):
-        wire_annotation(manager, decode_annotation(item), add_content_document=False)
+    # (content documents were registered above from the snapshot's own dump),
+    # every record in one batch.
+    wire_annotations(manager, [decode_annotation(item) for item in records])
     return manager
 
 

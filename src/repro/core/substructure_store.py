@@ -10,7 +10,7 @@ overlap / containment queries the query processor issues against substructures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Iterable
 
 from repro.core.annotation import Referent
 from repro.core.columns import ReferentColumns
@@ -89,10 +89,42 @@ class SubstructureStore:
         mark the same substructure, which is what makes the a-graph connect
         two annotations).
         """
+        placed = self._register(referent)
+        if placed is not None:
+            family, key, extent = placed
+            family.insert(key, extent)
+        return referent.referent_id
+
+    def add_many(self, referents: Iterable[Referent]) -> None:
+        """Register a batch of referents (:meth:`add` for each, in order).
+
+        Columns, the per-object / per-type maps and the extent summaries fill
+        in batch order — the float sums are the ones repeated :meth:`add`
+        calls would produce — and each domain's / space's extents then reach
+        their tree as one batch, which a still-empty tree builds in a single
+        pass (:meth:`IntervalTree.insert_many
+        <repro.spatial.interval_tree.IntervalTree.insert_many>`,
+        :meth:`RTree.insert_many <repro.spatial.rtree.RTree.insert_many>`).
+        """
+        batches: dict[tuple[Any, str], list] = {}
+        for referent in referents:
+            placed = self._register(referent)
+            if placed is not None:
+                family, key, extent = placed
+                batches.setdefault((family, key), []).append(extent)
+        for (family, key), extents in batches.items():
+            family.insert_many(key, extents)
+
+    def _register(self, referent: Referent):
+        """Everything :meth:`add` does short of the tree insert.
+
+        Returns ``(index family, domain or space, extent to index)``, or
+        ``None`` when the referent is already present or has no extent.
+        """
         referent_id = referent.referent_id
         assert referent_id is not None
         if referent_id in self.columns:
-            return referent_id
+            return None
         self.columns.add(referent)
         ref = referent.ref
         self._by_object.setdefault(ref.object_id, set()).add(referent_id)
@@ -100,18 +132,18 @@ class SubstructureStore:
         if ref.interval is not None:
             domain = ref.interval.domain or ref.object_id
             indexed = Interval(ref.interval.start, ref.interval.end, domain=domain, payload=referent_id)
-            self._intervals.insert(domain, indexed)
             summary = self._interval_summaries.setdefault(domain, ExtentSummary())
             summary.count += 1
             summary.total_measure += indexed.length
-        elif ref.rect is not None:
+            return self._intervals, domain, indexed
+        if ref.rect is not None:
             space = ref.rect.space or ref.object_id
             indexed = Rect(ref.rect.lo, ref.rect.hi, space=space, payload=referent_id)
-            self._rtrees.insert(space, indexed)
             summary = self._region_summaries.setdefault(space, ExtentSummary())
             summary.count += 1
             summary.total_measure += indexed.area()
-        return referent_id
+            return self._rtrees, space, indexed
+        return None
 
     def discard(self, referent_id: str) -> bool:
         """Remove a referent and its indexed extent; returns ``True`` if present."""

@@ -145,6 +145,23 @@ def gil_courtesy():
                     gc.enable()
 
 
+@contextlib.contextmanager
+def collector_paused():
+    """Pause the cyclic collector for an allocation-only stretch of work.
+
+    Reference counting still frees everything acyclic; whatever state the
+    collector was in before (a caller may already have it off) is restored
+    on the way out, also when the work raises.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def dump_json_chunked(handle, payload: dict[str, Any]) -> None:
     """Serialize *payload* to *handle*, byte-identical to ``json.dump``.
 
@@ -352,8 +369,13 @@ def apply_record(manager, record: dict[str, Any]) -> None:
     wal_row(record["op"]).apply(manager, record["payload"])
 
 
+@collector_paused()
 def recover_manager(root: str | Path):
     """Rebuild the manager for the instance at *root*.
+
+    Runs with the cyclic collector paused: recovery only allocates — the
+    decoded payload, then the structures built from it — so the generational
+    collections it would trigger re-walk a growing heap and free nothing.
 
     Returns ``(manager, info)`` where *info* reports what recovery saw:
     ``{"snapshot": bool, "base_seq": int, "replayed": int, "skipped": int,

@@ -246,6 +246,8 @@ class GraphittiService:
         view first drains both under the write lock, then downgrades to the
         shared lock.  The re-check loop covers a writer sneaking new
         deferred work in between the drain and the read acquisition.
+        Documents a recovery merely parked (``add_lazy``) are not drained:
+        a reader that needs one builds it itself, and most are never read.
         """
         contents = self._manager.contents
         while True:

@@ -79,6 +79,24 @@ def _balance(node: _Node) -> _Node:
     return node
 
 
+def _build_balanced(nodes: list[_Node], lo: int, hi: int) -> _Node | None:
+    """Link the key-sorted ``nodes[lo:hi]`` into a perfectly balanced subtree.
+
+    The middle node is the root, so sibling subtrees differ by at most one
+    node and therefore at most one level — the AVL invariant later
+    ``insert``/``remove`` calls rebalance from — and ``height`` / ``max_end``
+    are filled in bottom-up on the way out.
+    """
+    if lo >= hi:
+        return None
+    mid = (lo + hi) // 2
+    node = nodes[mid]
+    node.left = _build_balanced(nodes, lo, mid)
+    node.right = _build_balanced(nodes, mid + 1, hi)
+    _update(node)
+    return node
+
+
 class IntervalTree:
     """Augmented AVL interval tree over one coordinate domain.
 
@@ -115,9 +133,34 @@ class IntervalTree:
         self._size += 1
 
     def insert_many(self, intervals: list[Interval]) -> None:
-        """Insert several intervals."""
-        for interval in intervals:
-            self.insert(interval)
+        """Insert a batch of intervals.
+
+        An empty tree is built from the sorted batch in one pass
+        (:func:`_build_balanced`), after the same domain check :meth:`insert`
+        makes; a tree that already holds intervals takes them one by one.
+        Intervals sharing a ``(start, end)`` key keep their batch order
+        inside the node, exactly as repeated inserts would leave them.
+        """
+        intervals = list(intervals)
+        if self._size:
+            for interval in intervals:
+                self.insert(interval)
+            return
+        if self.domain is not None:
+            for interval in intervals:
+                if interval.domain not in (None, self.domain):
+                    raise SpatialError(
+                        f"interval domain {interval.domain!r} does not match "
+                        f"tree domain {self.domain!r}"
+                    )
+        nodes: list[_Node] = []
+        for interval in sorted(intervals, key=lambda item: (item.start, item.end)):
+            if nodes and nodes[-1].key == (interval.start, interval.end):
+                nodes[-1].intervals.append(interval)
+            else:
+                nodes.append(_Node(interval))
+        self._root = _build_balanced(nodes, 0, len(nodes))
+        self._size = len(intervals)
 
     def remove(self, interval: Interval) -> bool:
         """Remove one stored interval equal to *interval* (same start/end and
@@ -260,7 +303,8 @@ class IntervalTree:
 
     @classmethod
     def from_intervals(cls, intervals: list[Interval], domain: str | None = None) -> "IntervalTree":
-        """Build a tree from a list of intervals."""
+        """Build a balanced tree from a list of intervals (one sorted pass;
+        see :meth:`insert_many`)."""
         tree = cls(domain=domain)
         tree.insert_many(intervals)
         return tree
@@ -298,6 +342,11 @@ class IntervalIndexFamily:
     def insert(self, domain: str, interval: Interval) -> None:
         """Insert an interval into the tree for *domain*."""
         self.tree(domain).insert(interval)
+
+    def insert_many(self, domain: str, intervals: list[Interval]) -> None:
+        """Insert a batch into the tree for *domain* (one sorted build when
+        that tree is still empty; see :meth:`IntervalTree.insert_many`)."""
+        self.tree(domain).insert_many(intervals)
 
     def search_overlap(self, domain: str, query: Interval) -> list[Interval]:
         """Overlap query against one domain (empty when the domain is unknown)."""

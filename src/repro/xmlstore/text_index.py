@@ -81,6 +81,36 @@ class InvertedIndex:
         self._doc_lengths[doc_id] = len(tokens)
         self._doc_terms[doc_id] = tuple(counts)
 
+    def add_documents(self, documents: Iterable[tuple[str, str]]) -> None:
+        """Index a batch of ``(doc_id, text)`` pairs.
+
+        Leaves exactly the postings, lengths and per-document term order that
+        :meth:`add_document` on each pair would, for less work: a document's
+        tokens are counted once and expanded per *distinct* token, and a
+        token's expansion is computed once for the whole batch (annotation
+        texts share most of their vocabulary).
+        """
+        postings = self._postings
+        expansions: dict[str, tuple[str, ...]] = {}
+        for doc_id, text in documents:
+            if doc_id in self._doc_lengths:
+                self.remove_document(doc_id)
+            tokens = tokenize(text)
+            counts: dict[str, int] = {}
+            for token, occurrences in Counter(tokens).items():
+                terms = expansions.get(token)
+                if terms is None:
+                    terms = expansions[token] = tuple(_expand_token(token))
+                for term in terms:
+                    counts[term] = counts.get(term, 0) + occurrences
+            for term, count in counts.items():
+                bucket = postings.get(term)
+                if bucket is None:
+                    bucket = postings[term] = {}
+                bucket[doc_id] = count
+            self._doc_lengths[doc_id] = len(tokens)
+            self._doc_terms[doc_id] = tuple(counts)
+
     def update_document(self, doc_id: str, text: str) -> tuple[int, int]:
         """Re-index a document's text by *term diff*; returns ``(touched, dropped)``.
 
