@@ -18,8 +18,8 @@ copy-on-write checkpoint pipeline buy at the storage layer:
 * **cold recovery RSS + time** — a checkpointed root is recovered in a
   fresh subprocess two ways: the columnar path (lazy documents, packed
   columns) and the pre-refactor object-graph baseline
-  (``rebuild(eager_documents=True)`` with every annotation materialized
-  and retained).  Each probe reports ``rss_bytes`` (peak RSS) and
+  (``rebuild(eager_documents=True)``: every annotation document rendered
+  from its record up front, every annotation materialized and retained).  Each probe reports ``rss_bytes`` (peak RSS) and
   ``recovery_s``.  Floor: **columnar RSS <= object-graph RSS**.
 
 ``python -m benchmarks.bench_storage`` prints the table, writes

@@ -25,6 +25,17 @@ from repro.datatypes.base import SubstructureRef
 from repro.errors import AnnotationError
 from repro.xmlstore.document import XmlDocument, XmlElement
 
+#: Descriptor keys a referent renders, as ``descriptor`` elements.
+RENDERED_DESCRIPTORS = frozenset({"residues", "block", "leaves", "nodes", "edges", "row_keys"})
+
+
+def rect_corners(rect) -> tuple[str, str]:
+    """The rendered ``lo`` / ``hi`` attribute strings of a region."""
+    return (
+        ",".join(str(value) for value in rect.lo),
+        ",".join(str(value) for value in rect.hi),
+    )
+
 
 @dataclass
 class Referent:
@@ -63,18 +74,36 @@ class Referent:
                 domain=str(self.ref.interval.domain or ""),
             )
         if self.ref.rect is not None:
-            element.add(
-                "region",
-                lo=",".join(str(value) for value in self.ref.rect.lo),
-                hi=",".join(str(value) for value in self.ref.rect.hi),
-                space=str(self.ref.rect.space or ""),
-            )
+            lo, hi = rect_corners(self.ref.rect)
+            element.add("region", lo=lo, hi=hi, space=str(self.ref.rect.space or ""))
         for key, value in sorted(self.ref.descriptor.items()):
-            if key in ("residues", "block", "leaves", "nodes", "edges", "row_keys"):
+            if key in RENDERED_DESCRIPTORS:
                 element.add("descriptor", text=str(value), key=key)
         for term in self.ontology_terms:
             element.add("ontology-ref", term=term)
         return element
+
+    def searchable_parts(self) -> tuple[list[str], list[str]]:
+        """What :meth:`to_element` makes searchable, without building it:
+        ``(truthy texts, attribute values)``, each in document order."""
+        ref = self.ref
+        texts: list[str] = []
+        attributes = [self.referent_id or "", ref.object_id, ref.data_type.value]
+        if ref.label:
+            attributes.append(str(ref.label))
+        if ref.interval is not None:
+            interval = ref.interval
+            attributes += (str(interval.start), str(interval.end), str(interval.domain or ""))
+        if ref.rect is not None:
+            attributes += (*rect_corners(ref.rect), str(ref.rect.space or ""))
+        for key, value in sorted(ref.descriptor.items()):
+            if key in RENDERED_DESCRIPTORS:
+                text = str(value)
+                if text:
+                    texts.append(text)
+                attributes.append(key)
+        attributes.extend(str(term) for term in self.ontology_terms)
+        return texts, attributes
 
 
 @dataclass
@@ -171,6 +200,27 @@ class Annotation:
         for referent in self._referents:
             referents.append(referent.to_element())
         return XmlDocument(root, doc_id=self.annotation_id)
+
+    def searchable_text(self) -> str:
+        """The searchable text of :meth:`to_document`, without building it.
+
+        Byte-identical to ``DocumentCollection._searchable_text`` of the
+        rendered document: every truthy text depth-first, space-joined, then
+        every attribute value in document order.  Recovery indexes a record
+        with it, so a document nobody reads never becomes a tree.
+        """
+        content = self.content
+        texts = [text for _, text in content.dublin_core.populated()]
+        if content.body:
+            texts.append(content.body)
+        texts.extend(value for value in content.user_tags.values() if value)
+        attributes = [self.annotation_id]
+        attributes.extend(str(term) for term in content.ontology_terms)
+        for referent in self._referents:
+            referent_texts, referent_attributes = referent.searchable_parts()
+            texts += referent_texts
+            attributes += referent_attributes
+        return " ".join([" ".join(texts), *attributes])
 
     def to_xml(self) -> str:
         """Serialize the annotation to XML text."""

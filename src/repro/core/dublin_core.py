@@ -62,18 +62,20 @@ class DublinCore:
         """The subject keywords (a common query target)."""
         return list(self.subject)
 
-    def to_elements(self) -> list[XmlElement]:
-        """Render the populated elements as ``dc:*`` XML elements."""
-        elements: list[XmlElement] = []
+    def populated(self) -> list[tuple[str, str]]:
+        """``(element name, text)`` of every populated value, in render order."""
+        items: list[tuple[str, str]] = []
         for name in DC_ELEMENTS:
             value = getattr(self, name)
             if isinstance(value, list):
-                for item in value:
-                    if item:
-                        elements.append(XmlElement(f"dc:{name}", text=str(item)))
+                items.extend((name, str(item)) for item in value if item)
             elif value:
-                elements.append(XmlElement(f"dc:{name}", text=str(value)))
-        return elements
+                items.append((name, str(value)))
+        return items
+
+    def to_elements(self) -> list[XmlElement]:
+        """Render the populated elements as ``dc:*`` XML elements."""
+        return [XmlElement(f"dc:{name}", text=text) for name, text in self.populated()]
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-compatible representation."""

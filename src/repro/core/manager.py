@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterable
 from repro.agraph.agraph import AGraph
 from repro.analysis.annotations import requires_write_lock
 from repro.agraph.connection import ConnectionSubgraph
-from repro.core.annotation import Annotation, Referent
+from repro.core.annotation import Annotation, Referent, rect_corners
 from repro.core.builder import AnnotationBuilder
 from repro.core.columns import AnnotationColumns
 from repro.core.dublin_core import DublinCore
@@ -45,36 +45,13 @@ from repro.spatial.coordinate import CoordinateSystemRegistry
 from repro.xmlstore.collection import DocumentCollection
 
 
-def _element_text_parts(element) -> list[str]:
-    """Every searchable text part of an XML element subtree.
-
-    Mirrors ``DocumentCollection._searchable_text``'s extraction rules (text
-    nodes plus attribute values) for one element, so the update path can
-    account a removed/added referent's exact index contribution.
-    """
-    parts: list[str] = []
-    for node in element.iter():
-        if node.text:
-            parts.append(node.text)
-        parts.extend(node.attributes.values())
-    return parts
-
-
-def _rect_text_parts(rect) -> tuple[str, str]:
-    """The rendered ``lo``/``hi`` attribute strings of a region element."""
-    return (
-        ",".join(str(value) for value in rect.lo),
-        ",".join(str(value) for value in rect.hi),
-    )
-
-
 def _extent_text_parts(ref) -> list[str]:
     """The rendered coordinate strings of a spatial extent (its document
     text contribution that changes under a move)."""
     if ref.interval is not None:
         return [str(ref.interval.start), str(ref.interval.end)]
     if ref.rect is not None:
-        return list(_rect_text_parts(ref.rect))
+        return list(rect_corners(ref.rect))
     return []
 
 
@@ -677,7 +654,8 @@ class Graphitti:
                 if referent.referent_id == referent_id
             ]
             for referent in dropped:
-                removed_parts.extend(_element_text_parts(referent.to_element()))
+                for parts in referent.searchable_parts():
+                    removed_parts.extend(parts)
             annotation._referents = [  # noqa: SLF001 - owning mutation path
                 referent for referent in annotation._referents
                 if referent.referent_id != referent_id
@@ -707,7 +685,8 @@ class Graphitti:
                 self.agraph.add_ontology_node(term)
                 self.agraph.link_ontology(referent_id, term)
             self._link_same_object(referent_id, referent.ref.object_id, annotation)
-            added_parts.extend(_element_text_parts(referent.to_element()))
+            for parts in referent.searchable_parts():
+                added_parts.extend(parts)
 
         # -- 4. extent moves (one remove+insert inside the owning tree) ------
         for referent_id, extent in moves.items():

@@ -1,10 +1,15 @@
 """Whole-instance persistence for a Graphitti instance.
 
-Snapshots the independently reconstructable state of a
-:class:`~repro.core.manager.Graphitti` -- the registered ontologies, the
-object-metadata relation, the annotation-content collection, and every
-committed annotation's referents and a-graph links -- to a single JSON
-document, and rebuilds a **query- and explore-capable** instance from it.
+Snapshots the state of a :class:`~repro.core.manager.Graphitti` that cannot
+be derived -- the registered ontologies, the object-metadata relation, every
+committed annotation's record (content, referents, ontology pointers) and
+any content document no annotation owns -- to a single JSON document, and
+rebuilds a **query- and explore-capable** instance from it.  An annotation's
+content document is a rendering of its record, so it is not written: a
+rebuild indexes the record's :meth:`~repro.core.annotation.Annotation.searchable_text`
+and renders the tree only when something reads it.  Snapshots written before
+that rule (v1, every document dumped) load through the same reader, which
+ignores a dumped document whose annotation record is present.
 
 The reconstructed instance can be queried, explored, and administered exactly
 like the original.  It cannot mark *new* annotations against the old data
@@ -143,8 +148,8 @@ def wire_annotations(
     substructure store as one batch, so an index that is still empty is
     built once instead of insert by insert.  With
     ``add_content_documents=True`` each content document is regenerated and
-    stored too (the WAL replay path; the snapshot path loads documents from
-    the snapshot's own collection dump).
+    stored too (the WAL replay path; :func:`rebuild` registers the snapshot's
+    documents itself, lazily).
     """
     from repro.agraph.agraph import SAME_OBJECT
 
@@ -304,22 +309,9 @@ def hydrate_catalogue(manager) -> int:
 
 
 def snapshot(manager) -> dict[str, Any]:
-    """Produce a JSON-compatible snapshot of *manager*."""
-    manager.contents.flush_index()
-    return {
-        "name": manager.name,
-        "id_namespace": manager.id_namespace,
-        "indexed_contents": manager.contents.indexed,
-        "ontologies": [manager.ontology(name).to_dict() for name in manager.ontologies()],
-        "object_metadata": manager.database.to_dict(),
-        "contents": {
-            # document_dict regenerates lazy/stale bodies without retaining
-            # the trees, so snapshotting never pins the XML object graph.
-            doc_id: manager.contents.document_dict(doc_id)
-            for doc_id in manager.contents.document_ids()
-        },
-        "annotations": [encode_annotation(annotation) for annotation in manager.annotations()],
-    }
+    """Produce a JSON-compatible snapshot of *manager* (a checkpoint's
+    payload, built in the caller's thread)."""
+    return snapshot_from_frozen(freeze_manager(manager))
 
 
 def save_instance(manager, path: str | Path) -> Path:
@@ -341,39 +333,17 @@ def load_instance(path: str | Path):
     return rebuild(payload)
 
 
-def _dict_searchable_text(document_payload: dict[str, Any]) -> str:
-    """The exact searchable text of a document *payload*.
-
-    Byte-identical to ``DocumentCollection._searchable_text`` applied to
-    ``XmlDocument.from_dict(payload)`` — depth-first truthy text nodes joined
-    with spaces, then every attribute value in document order — but computed
-    from the raw dicts, so lazy recovery can index a document without ever
-    building its element tree.
-    """
-    texts: list[str] = []
-    attributes: list[str] = []
-
-    def walk(node: dict[str, Any]) -> None:
-        text = node.get("text")
-        if text:
-            texts.append(text)
-        attributes.extend(node.get("attributes", {}).values())
-        for child in node.get("children", ()):
-            walk(child)
-
-    walk(document_payload["root"])
-    return " ".join([" ".join(texts)] + attributes)
-
-
 def rebuild(payload: dict[str, Any], eager_documents: bool = False):
     """Rebuild a Graphitti instance from a :func:`snapshot` payload.
 
-    By default annotation content documents are registered **lazily**: the
-    inverted index is fed from text extracted straight off the snapshot dicts
-    and the XML trees regenerate from the columnar store only if something
-    actually reads them, so cold recovery neither builds nor retains the
-    document object graph.  ``eager_documents=True`` restores the old
-    materialize-everything behavior (the benchmarks use it as the
+    Every annotation's content document is registered **lazily**: the
+    inverted index is fed the record's searchable text and the XML tree
+    regenerates from the columnar store only if something actually reads
+    it, so cold recovery neither builds nor retains the document object
+    graph.  A dumped document an annotation record owns (all of them, in a
+    v1 snapshot) is derivable and only keeps its place in the document
+    order; the others are materialized.  ``eager_documents=True`` renders
+    every annotation document up front instead (the benchmarks'
     object-graph baseline).
     """
     from repro.core.columns import AnnotationColumns
@@ -416,36 +386,37 @@ def rebuild(payload: dict[str, Any], eager_documents: bool = False):
     manager.idspace = AnnotationIdSpace()
     manager.stats_catalogue = StatisticsCatalogue()
 
-    # Rebuild the content collection.  Annotation documents (everything the
-    # annotation payloads cover) regenerate from the columnar store on
-    # demand; anything else in the dump is materialized eagerly.
+    # Rebuild the content collection: dumped documents first, in dump order,
+    # then the annotation documents no dump mentions (every one, in a v2
+    # snapshot).  Annotation documents derive from their records.
     from repro.xmlstore.collection import DocumentCollection
 
     manager.contents = DocumentCollection(
         f"{manager.name}-annotations", indexed=payload.get("indexed_contents", True)
     )
-    records = payload.get("annotations", [])
-    annotation_doc_ids = {item["annotation_id"] for item in records}
+    annotations = [decode_annotation(item) for item in payload.get("annotations", [])]
+    records = {annotation.annotation_id: annotation for annotation in annotations}
+    dumped = payload.get("contents", {})
     lazy: list[tuple[str, str, Any]] = []
-    for doc_id, document_payload in payload.get("contents", {}).items():
-        if eager_documents or doc_id not in annotation_doc_ids:
-            manager.contents.add_lazy_many(lazy)  # keep the dump's document order
-            lazy = []
-            manager.contents.add(XmlDocument.from_dict(document_payload), doc_id=doc_id)
-        else:
+    for doc_id in dict.fromkeys([*dumped, *records]):
+        annotation = records.get(doc_id)
+        if annotation is not None and not eager_documents:
             lazy.append(
-                (
-                    doc_id,
-                    _dict_searchable_text(document_payload),
-                    manager._document_regenerator(doc_id),
-                )
+                (doc_id, annotation.searchable_text(), manager._document_regenerator(doc_id))
             )
+            continue
+        manager.contents.add_lazy_many(lazy)  # keep the document order
+        lazy = []
+        document = (
+            XmlDocument.from_dict(dumped[doc_id])
+            if annotation is None
+            else annotation.to_document()
+        )
+        manager.contents.add(document, doc_id=doc_id)
     manager.contents.add_lazy_many(lazy)
 
-    # Re-wire the a-graph and indexes directly from the annotation payloads
-    # (content documents were registered above from the snapshot's own dump),
-    # every record in one batch.
-    wire_annotations(manager, [decode_annotation(item) for item in records])
+    # Re-wire the a-graph and indexes from the same records, in one batch.
+    wire_annotations(manager, annotations)
     return manager
 
 
@@ -494,7 +465,7 @@ def freeze_manager(manager) -> FrozenManager:
     slots = [manager.idspace.slot(annotation_id) for annotation_id in order]
     known = manager._annotation_order  # noqa: SLF001 - freeze path
     extra_documents = {
-        doc_id: manager.contents.document_dict(doc_id)
+        doc_id: manager.contents.get(doc_id).to_dict()
         for doc_id in manager.contents.document_ids()
         if doc_id not in known
     }
@@ -533,11 +504,12 @@ def materialize_frozen_annotation(annotation_id: str, slot: int, acols, rcols) -
 
 
 def snapshot_from_frozen(frozen: FrozenManager) -> dict[str, Any]:
-    """Produce a :func:`snapshot`-identical payload from a frozen image.
+    """The snapshot payload of a frozen image (the one payload builder).
 
     Runs on the background checkpoint thread: materializes each frozen row
-    once to render both its codec record and its content document, touching
-    no live manager state.  Every few hundred rows the loop naps for a
+    once to encode its record, touching no live manager state.  Content
+    documents are renderings of those records, so only the ones no
+    annotation owns are carried.  Every few hundred rows the loop naps for a
     moment — on a single-core host the scheduler otherwise lets this
     CPU-bound loop keep the core for a full timeslice after a committer's
     fsync completes, which shows up as multi-millisecond commit p99 even
@@ -545,7 +517,6 @@ def snapshot_from_frozen(frozen: FrozenManager) -> dict[str, Any]:
     """
     import time as _time
 
-    contents: dict[str, Any] = dict(frozen.extra_documents)
     annotations: list[dict[str, Any]] = []
     acols, rcols = frozen.acols, frozen.rcols
     for index, (annotation_id, slot) in enumerate(zip(frozen.order, frozen.slots)):
@@ -553,13 +524,12 @@ def snapshot_from_frozen(frozen: FrozenManager) -> dict[str, Any]:
             _time.sleep(0.0005)
         annotation = materialize_frozen_annotation(annotation_id, slot, acols, rcols)
         annotations.append(encode_annotation(annotation))
-        contents[annotation_id] = annotation.to_document().to_dict()
     return {
         "name": frozen.name,
         "id_namespace": frozen.id_namespace,
         "indexed_contents": frozen.indexed_contents,
         "ontologies": frozen.ontologies,
         "object_metadata": frozen.object_metadata,
-        "contents": contents,
+        "contents": dict(frozen.extra_documents),
         "annotations": annotations,
     }

@@ -130,6 +130,14 @@ class WalCorruptionError(ServiceError):
     recovery refuses to guess."""
 
 
+class SnapshotCorruptionError(ServiceError):
+    """A snapshot's bytes do not match the checksum written with them.
+
+    Raised for damage that would still parse (a flipped digit) as well as
+    for a truncated file: a snapshot is only loaded when it is exactly what
+    the writer wrote."""
+
+
 class WireError(ServiceError):
     """A network frame could not be encoded, decoded, or fully delivered.
 

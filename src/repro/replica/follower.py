@@ -31,12 +31,9 @@ from typing import Any, Callable
 from repro.core.manager import Graphitti
 from repro.errors import ServiceError
 from repro.replica.tailer import ReplicationGapError, decode_shipment
-from repro.service.durability import SNAPSHOT_FILE, WAL_FILE, apply_record
+from repro.service.durability import SNAPSHOT_FILE, WAL_FILE, apply_record, write_snapshot_file
 from repro.service.service import GraphittiService, ServiceConfig
 from repro.service.wal import fsync_dir, sealed_segment_paths
-
-import json
-import os
 
 
 class StaleTermError(ServiceError):
@@ -146,8 +143,9 @@ class ReplicaFollower:
         Used when the primary checkpointed away records this replica never
         saw: replaying the remaining WAL would skip history, so the replica
         adopts the snapshot (whose ``wal_seq`` becomes the new frontier) and
-        resumes tailing from there.  The snapshot lands with the same
-        write-temp + fsync + rename + dir-fsync discipline checkpoints use.
+        resumes tailing from there.  The snapshot lands through the same
+        writer checkpoints use (``wal_seq`` first, checksum, paced writes,
+        temp + fsync + rename + dir fsync).
         """
         base_seq = int(snapshot_payload.get("wal_seq", 0))
         if base_seq < self.applied_seq:
@@ -157,14 +155,7 @@ class ReplicaFollower:
             )
         self.service.config.checkpoint_on_close = False
         self.service.close()
-        snapshot_path = self.root / SNAPSHOT_FILE
-        tmp = snapshot_path.with_suffix(".json.tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            json.dump(snapshot_payload, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, snapshot_path)
-        fsync_dir(self.root)
+        write_snapshot_file(self.root / SNAPSHOT_FILE, snapshot_payload)
         # The old WAL's records are all covered by (or behind) the snapshot —
         # the active file AND any segments this replica's own checkpoints
         # sealed (leaving them would make the next recovery replay history

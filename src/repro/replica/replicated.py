@@ -47,7 +47,7 @@ from repro.query.result import QueryResult
 from repro.replica.follower import ReplicaFollower
 from repro.replica.tailer import ReplicationGapError, WalCursor, encode_shipment
 from repro.service import ops
-from repro.service.durability import SNAPSHOT_FILE, WAL_FILE, peek_snapshot_wal_seq
+from repro.service.durability import SNAPSHOT_FILE, WAL_FILE, peek_snapshot_wal_seq, read_snapshot
 from repro.service.service import GraphittiService, ServiceConfig
 from repro.service.wal import fsync_dir
 
@@ -487,9 +487,7 @@ class ReplicatedGraphittiService:
                 f"replica {follower.name} needs records the WAL no longer holds "
                 f"and {snapshot_path} does not exist; cannot re-seed"
             )
-        with snapshot_path.open("r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        follower.reseed(payload)
+        follower.reseed(read_snapshot(snapshot_path))
         self._reset_cursor(follower)
         self._reseeds += 1
 

@@ -3,7 +3,7 @@
 A served instance lives in one directory::
 
     <root>/
-      snapshot.json    # the latest checkpoint (embeds "wal_seq" as its FIRST key)
+      snapshot.json    # the latest checkpoint: "wal_seq" FIRST, then "crc32"
       wal.jsonl        # the ACTIVE segment: records appended after the last seal
       wal.000017.jsonl # sealed, immutable segments awaiting a durable snapshot
 
@@ -15,6 +15,13 @@ supersedes.  A crash at any point leaves either the old snapshot with all
 segments intact, or the new snapshot with records recovery recognizes as
 already-applied (their ``seq`` is at or below the snapshot's ``wal_seq``) and
 skips — checkpointing is idempotent.
+
+**Checksum.**  A snapshot's second key is ``"crc32"``: eight hex digits of
+``zlib.crc32`` over every byte after that field.  :func:`read_snapshot`
+verifies it before parsing and raises
+:class:`~repro.errors.SnapshotCorruptionError` on damage, truncation
+included; a snapshot without the field (written before it existed) loads
+unverified.
 
 **Recovery** rebuilds the manager from the snapshot (or a fresh instance when
 none exists), hydrates catalogue placeholders for every metadata row so
@@ -35,11 +42,12 @@ import signal
 import sys
 import threading
 import time
+import zlib
 from pathlib import Path
 from typing import Any, Callable
 
 from repro.core.persistence import hydrate_catalogue, rebuild
-from repro.errors import ServiceError, WalCorruptionError
+from repro.errors import ServiceError, SnapshotCorruptionError, WalCorruptionError
 from repro.service.ops import wal_row
 from repro.service.wal import (
     WriteAheadLog,
@@ -58,6 +66,9 @@ WAL_FILE = "wal.jsonl"
 KILL_ENV = "REPRO_CKPT_KILL_AFTER"
 
 _WAL_SEQ_HEAD = re.compile(rb'^\s*\{\s*"wal_seq"\s*:\s*(\d+)')
+
+#: The head of a checksummed snapshot; the checksum covers every byte after it.
+_CHECKSUM_HEAD = re.compile(rb'^\{"wal_seq": \d+, "crc32": "([0-9a-f]{8})"')
 
 
 def _maybe_kill(point: str) -> None:
@@ -209,7 +220,8 @@ _SNAPSHOT_PACE_S = 0.002
 
 
 class _PacedWriter:
-    """File-like wrapper that syncs every ~chunk bytes and pauses briefly.
+    """Text-to-binary file wrapper that syncs every ~chunk bytes, pauses
+    briefly, and checksums what it writes past the first *unchecked* bytes.
 
     Deferring a multi-megabyte snapshot to one final fsync builds a flush
     storm that queues ahead of concurrent WAL fsyncs on the same
@@ -219,16 +231,22 @@ class _PacedWriter:
     milliseconds; the caller still fsyncs once at the end for the metadata.
     """
 
-    def __init__(self, handle, chunk_bytes: int = _SNAPSHOT_CHUNK_BYTES,
+    def __init__(self, handle, unchecked: int = 0, chunk_bytes: int = _SNAPSHOT_CHUNK_BYTES,
                  pace_s: float = _SNAPSHOT_PACE_S):
         self._handle = handle
         self._chunk = chunk_bytes
         self._pace = pace_s
         self._pending = 0
+        self._unchecked = unchecked
+        self.crc32 = 0
 
     def write(self, text: str) -> int:
-        written = self._handle.write(text)
-        self._pending += len(text)
+        data = text.encode("utf-8")
+        skipped = min(self._unchecked, len(data))
+        self._unchecked -= skipped
+        self.crc32 = zlib.crc32(memoryview(data)[skipped:], self.crc32)
+        written = self._handle.write(data)
+        self._pending += written
         if self._pending >= self._chunk:
             self._handle.flush()
             os.fdatasync(self._handle.fileno())
@@ -254,6 +272,67 @@ def _preallocate(handle, estimate: int) -> None:
         fallocate(handle.fileno(), 0, estimate)
     except OSError:  # pragma: no cover - filesystem without fallocate
         pass
+
+
+def write_snapshot_file(path: Path, payload: dict[str, Any]) -> Path:
+    """Write *payload* durably at *path*: the one snapshot file writer.
+
+    ``wal_seq`` is emitted as the FIRST key so reopen/recovery can peek it
+    without parsing the payload (see :func:`peek_snapshot_wal_seq`), and the
+    checksum as the second, written as a placeholder and patched in place
+    once the bytes after it are known.  Temp file (preallocated to the size
+    of the snapshot it replaces, paced to disk) + fsync + atomic rename +
+    directory fsync.
+    """
+    wal_seq = int(payload.get("wal_seq", 0))
+    ordered: dict[str, Any] = {"wal_seq": wal_seq, "crc32": "0" * 8}
+    for key, value in payload.items():
+        if key not in ordered:
+            ordered[key] = value
+    checksum_at = len(f'{{"wal_seq": {wal_seq}, "crc32": "')
+    tmp = path.with_suffix(".json.tmp")
+    try:
+        estimate = path.stat().st_size
+    except OSError:
+        estimate = 0
+    with tmp.open("wb") as handle:
+        _preallocate(handle, estimate)
+        writer = _PacedWriter(handle, unchecked=checksum_at + 9)  # 8 digits + quote
+        dump_json_chunked(writer, ordered)
+        handle.truncate()  # trim any over-allocation from the estimate
+        handle.seek(checksum_at)
+        handle.write(b"%08x" % writer.crc32)
+        handle.flush()
+        os.fsync(handle.fileno())
+    _maybe_kill("tmp")
+    os.replace(tmp, path)
+    # The rename itself is only durable once the directory entry reaches
+    # disk; fsync the directory BEFORE pruning segments, or a power
+    # failure could leave the old snapshot next to already-pruned history.
+    fsync_dir(path.parent)
+    _maybe_kill("rename")
+    return path
+
+
+def read_snapshot(path: str | Path) -> dict[str, Any]:
+    """Parse the snapshot at *path* after verifying its checksum.
+
+    Raises :class:`~repro.errors.SnapshotCorruptionError` when the bytes
+    after the ``crc32`` field are not the ones written with it — damage
+    that would still parse, or a truncated file.  A snapshot without the
+    field predates it and is parsed unverified.
+    """
+    data = Path(path).read_bytes()
+    head = _CHECKSUM_HEAD.match(data)
+    if head is not None:
+        expected = int(head.group(1), 16)
+        actual = zlib.crc32(memoryview(data)[head.end():])
+        if actual != expected:
+            raise SnapshotCorruptionError(
+                f"snapshot {path} is damaged: crc32 {actual:08x} over {len(data)} bytes, "
+                f"written as {expected:08x}"
+            )
+    return json.loads(data)
 
 
 class DurableStore:
@@ -306,36 +385,10 @@ class DurableStore:
         return self.wal.last_seq
 
     def write_snapshot(self, payload: dict[str, Any]) -> Path:
-        """Write *payload* durably via temp file + atomic rename.
-
-        ``wal_seq`` is re-emitted as the FIRST key so reopen/recovery can peek
-        it without parsing the payload (see :func:`peek_snapshot_wal_seq`).
-        """
+        """Write *payload* as this root's snapshot (:func:`write_snapshot_file`)."""
         if self.snapshot_write_hook is not None:
             self.snapshot_write_hook()
-        ordered: dict[str, Any] = {"wal_seq": int(payload.get("wal_seq", 0))}
-        for key, value in payload.items():
-            if key != "wal_seq":
-                ordered[key] = value
-        tmp = self.snapshot_path.with_suffix(".json.tmp")
-        try:
-            estimate = self.snapshot_path.stat().st_size
-        except OSError:
-            estimate = 0
-        with tmp.open("w", encoding="utf-8") as handle:
-            _preallocate(handle, estimate)
-            dump_json_chunked(_PacedWriter(handle), ordered)
-            handle.flush()
-            handle.truncate()  # trim any over-allocation from the estimate
-            os.fsync(handle.fileno())
-        _maybe_kill("tmp")
-        os.replace(tmp, self.snapshot_path)
-        # The rename itself is only durable once the directory entry reaches
-        # disk; fsync the directory BEFORE pruning segments, or a power
-        # failure could leave the old snapshot next to already-pruned history.
-        fsync_dir(self.root)
-        _maybe_kill("rename")
-        return self.snapshot_path
+        return write_snapshot_file(self.snapshot_path, payload)
 
     def finish_checkpoint(self, wal_seq: int) -> list[Path]:
         """Prune sealed segments the durable snapshot at *wal_seq* supersedes."""
@@ -404,8 +457,7 @@ def recover_manager(root: str | Path):
 
     base_seq = 0
     if snapshot_path.exists():
-        with snapshot_path.open("r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+        payload = read_snapshot(snapshot_path)
         manager = rebuild(payload)
         base_seq = int(payload.get("wal_seq", 0))
     else:

@@ -74,10 +74,11 @@ def recover_record_by_record(root: Path):
     """``recover_manager``'s result, built the way it was before batching."""
     payload = json.loads((root / SNAPSHOT_FILE).read_text(encoding="utf-8"))
     records = payload["annotations"]
-    # No annotation payloads: every document is added (and indexed) on its own.
+    # No annotation payloads: every document is rendered, added and indexed
+    # on its own, the way WAL replay adds one.
     manager = rebuild({**payload, "annotations": []})
     for item in records:
-        wire_annotation(manager, decode_annotation(item))
+        wire_annotation(manager, decode_annotation(item), add_content_document=True)
     hydrate_catalogue(manager)
     for record in read_segmented_records(root / WAL_FILE)[0]:
         if record["seq"] > payload["wal_seq"]:
@@ -213,6 +214,7 @@ def test_collector_is_restored_when_the_snapshot_is_corrupt(small_root, collecto
     snapshot = small_root / SNAPSHOT_FILE
     payload = json.loads(snapshot.read_text(encoding="utf-8"))
     del payload["object_metadata"]  # still JSON: ``rebuild`` is what raises
+    del payload["crc32"]  # (a doctored snapshot that kept its checksum would not get that far)
     snapshot.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(KeyError):
         recover_manager(small_root)
