@@ -5,8 +5,9 @@ A from-scratch Python reproduction of the ICDE 2008 demonstration paper
 Sandeep Gupta, Christopher Condit and Amarnath Gupta (San Diego Supercomputer
 Center).
 
-The public entry point is :class:`repro.core.Graphitti`.  See ``DESIGN.md``
-for the system inventory and ``EXPERIMENTS.md`` for the reproduced artifacts.
+The public entry point is :class:`repro.core.Graphitti`.  See ``README.md``
+for the architecture and the measured results, and ``ROADMAP.md`` for what
+is open.
 """
 
 from repro.core import Annotation, AnnotationContent, DublinCore, Graphitti, Referent

@@ -1,19 +1,13 @@
-"""Baseline implementations for benchmark comparison.
+"""Reference implementations the indexed structures are checked against.
 
-The paper's design choices (interval trees, R-trees, the a-graph join index,
-an indexed XML content collection, a query planner) only justify themselves
-against the obvious alternatives.  This package provides those alternatives so
-the benchmark harness can quantify the speed-up:
+Nothing in the library imports this package; tests and benchmarks do:
 
 * :mod:`repro.baselines.linear_scan` -- substructure overlap by linear scan
-  (no interval tree / R-tree),
-* :mod:`repro.baselines.naive_graph` -- a-graph path/connection search over an
-  unindexed edge list, and a networkx-backed comparator,
+  (no interval tree / R-tree); the spatial index tests compare against it,
 * :mod:`repro.baselines.unindexed_multigraph` -- the pre-indexing multigraph
   engine (flat per-node edge lists, list-concatenating BFS, per-query
-  component sweeps, pairwise path evaluation),
-* :mod:`repro.baselines.relational_annotation` -- a Bhagwat-style single-table
-  relational annotation store (annotations as rows, searched by scan).
+  component sweeps, pairwise path evaluation); ``bench_adjacency_engine``
+  measures the indexed a-graph against it.
 """
 
 from repro.baselines.linear_scan import (
@@ -22,8 +16,6 @@ from repro.baselines.linear_scan import (
     linear_interval_overlap,
     linear_region_overlap,
 )
-from repro.baselines.naive_graph import NaiveGraph, networkx_shortest_path
-from repro.baselines.relational_annotation import RelationalAnnotationStore
 from repro.baselines.unindexed_multigraph import UnindexedMultigraph, mirror_agraph
 
 __all__ = [
@@ -31,9 +23,6 @@ __all__ = [
     "LinearRegionIndex",
     "linear_interval_overlap",
     "linear_region_overlap",
-    "NaiveGraph",
-    "networkx_shortest_path",
-    "RelationalAnnotationStore",
     "UnindexedMultigraph",
     "mirror_agraph",
 ]

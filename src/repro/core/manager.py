@@ -4,8 +4,8 @@
 substrate and wires them together on commit:
 
 * the :class:`~repro.datatypes.registry.DataTypeRegistry` of annotable objects,
-* the embedded relational :class:`~repro.relational.database.Database` holding
-  per-type metadata and raw data,
+* one metadata row per registered object (type, domain, description,
+  metadata and raw bytes), built by :func:`repro.core.persistence.metadata_row`,
 * the :class:`~repro.xmlstore.collection.DocumentCollection` of annotation
   contents,
 * the :class:`~repro.core.substructure_store.SubstructureStore` (interval
@@ -31,6 +31,7 @@ from repro.core.builder import AnnotationBuilder
 from repro.core.columns import AnnotationColumns
 from repro.core.dublin_core import DublinCore
 from repro.core.annotation import AnnotationContent
+from repro.core.persistence import decode_referent, encode_register, metadata_row
 from repro.core.substructure_store import SubstructureStore
 from repro.datatypes.base import DataObject, DataType
 from repro.datatypes.registry import DataTypeRegistry
@@ -39,8 +40,6 @@ from repro.ontology.model import Ontology
 from repro.ontology.operations import OntologyOperations
 from repro.query.idspace import AnnotationIdSpace
 from repro.query.stats import StatisticsCatalogue
-from repro.relational.database import Database
-from repro.relational.schema import Column, ColumnType, TableSchema
 from repro.spatial.coordinate import CoordinateSystemRegistry
 from repro.xmlstore.collection import DocumentCollection
 
@@ -61,7 +60,7 @@ class Graphitti:
     Parameters
     ----------
     name:
-        Instance name (used to name the relational database and collection).
+        Instance name (used to name the content collection and snapshots).
     indexed_contents:
         Whether the annotation-content collection maintains a keyword index
         (default True; set False to benchmark the index-free path).
@@ -72,9 +71,6 @@ class Graphitti:
         point lookups route without a scatter.
     """
 
-    #: Metadata table schema shared by every registered data object.
-    _OBJECT_TABLE = "data_objects"
-
     def __init__(
         self,
         name: str = "graphitti",
@@ -84,7 +80,8 @@ class Graphitti:
         self.name = name
         self.id_namespace = id_namespace
         self.registry = DataTypeRegistry()
-        self.database = Database(name)
+        #: ``object_id -> metadata row`` in registration order.
+        self.metadata_rows: dict[str, dict[str, Any]] = {}
         self.contents = DocumentCollection(f"{name}-annotations", indexed=indexed_contents)
         self.substructures = SubstructureStore()
         self.agraph = AGraph()
@@ -117,28 +114,11 @@ class Graphitti:
         #: Live statistics catalogue feeding the cost-based planner; updated
         #: on every commit/delete and rebuilt by snapshot load / WAL replay.
         self.stats_catalogue = StatisticsCatalogue()
-        self._init_metadata_table()
 
     def _bump_epoch(self) -> int:
         """Advance the mutation epoch (called after every state mutation)."""
         self.mutation_epoch += 1
         return self.mutation_epoch
-
-    def _init_metadata_table(self) -> None:
-        schema = TableSchema(
-            name=self._OBJECT_TABLE,
-            columns=[
-                Column("object_id", ColumnType.TEXT, nullable=False),
-                Column("data_type", ColumnType.TEXT, nullable=False),
-                Column("domain", ColumnType.TEXT),
-                Column("description", ColumnType.TEXT),
-                Column("metadata", ColumnType.JSON),
-                Column("raw", ColumnType.BLOB),
-            ],
-            primary_key="object_id",
-        )
-        table = self.database.create_table(schema)
-        table.create_index("data_type")
 
     # -- ontology management --------------------------------------------------
 
@@ -192,20 +172,17 @@ class Graphitti:
 
     @requires_write_lock
     def register(self, obj: DataObject, raw: bytes | None = None, **metadata: Any) -> DataObject:
-        """Register an annotable data object and record its metadata row."""
+        """Register an annotable data object and record its metadata row.
+
+        The row is built and checked first, so a refused registration
+        (metadata that is not JSON-compatible, *raw* that is not bytes, an id
+        already taken) changes nothing.
+        """
+        if obj.object_id in self.metadata_rows:
+            raise UnknownObjectError(f"data object {obj.object_id!r} already registered")
+        row = metadata_row(encode_register(obj, {**obj.metadata, **metadata}), raw)
         self.registry.register(obj)
-        combined = dict(obj.metadata)
-        combined.update(metadata)
-        self.database.table(self._OBJECT_TABLE).insert(
-            {
-                "object_id": obj.object_id,
-                "data_type": obj.data_type.value,
-                "domain": obj.coordinate_domain,
-                "description": obj.describe(),
-                "metadata": combined,
-                "raw": raw,
-            }
-        )
+        self.metadata_rows[obj.object_id] = row
         self._register_coordinate_system(obj)
         self._bump_epoch()
         return obj
@@ -230,11 +207,11 @@ class Graphitti:
         return self.registry.get(object_id)
 
     def object_metadata(self, object_id: str) -> dict[str, Any]:
-        """The metadata row for *object_id* from the relational store."""
-        row = self.database.table(self._OBJECT_TABLE).get(object_id)
+        """A copy of the metadata row for *object_id*."""
+        row = self.metadata_rows.get(object_id)
         if row is None:
             raise UnknownObjectError(f"no metadata for object {object_id!r}")
-        return row
+        return dict(row)
 
     # -- annotation workflow ---------------------------------------------------
 
@@ -535,8 +512,6 @@ class Graphitti:
             raise AnnotationError(
                 f"unknown update key(s) {sorted(unknown)!r} for annotation {annotation_id!r}"
             )
-        from repro.core.persistence import decode_referent
-
         additions = [
             item if isinstance(item, Referent) else decode_referent(item)
             for item in changes.get("add_referents", ())
@@ -803,9 +778,7 @@ class Graphitti:
             if referent_id in self.agraph:
                 self.agraph.graph.remove_node(referent_id)
         self.registry.unregister(object_id)
-        from repro.relational.query import eq
-
-        self.database.table(self._OBJECT_TABLE).delete(eq("object_id", object_id))
+        self.metadata_rows.pop(object_id, None)
         self._bump_epoch()
         return annotation_ids
 

@@ -1,7 +1,7 @@
 """Whole-instance persistence for a Graphitti instance.
 
 Snapshots the state of a :class:`~repro.core.manager.Graphitti` that cannot
-be derived -- the registered ontologies, the object-metadata relation, every
+be derived -- the registered ontologies, the object-metadata rows, every
 committed annotation's record (content, referents, ontology pointers) and
 any content document no annotation owns -- to a single JSON document, and
 rebuilds a **query- and explore-capable** instance from it.  An annotation's
@@ -14,10 +14,18 @@ ignores a dumped document whose annotation record is present.
 The reconstructed instance can be queried, explored, and administered exactly
 like the original.  It cannot mark *new* annotations against the old data
 objects, because the native data objects (sequence residues, image pixels,
-...) are not part of the snapshot; the metadata relation records their
-descriptors but not their bytes.  This mirrors how the paper's relational
-store holds metadata while the raw data lives alongside it -- a reloaded
-catalogue is enough to answer queries over existing annotations.
+...) are not part of the snapshot; a metadata row records an object's
+descriptors, and its ``raw`` bytes are always written as ``null``.  This
+mirrors how the paper keeps each object's metadata in a relation while the
+raw data lives alongside it -- a reloaded catalogue is enough to answer
+queries over existing annotations.
+
+This module is the only one that knows the snapshot's ``object_metadata``
+layout: :func:`metadata_row` builds (and checks) every row the manager
+keeps, :func:`encode_object_metadata` / :func:`decode_object_metadata`
+write and read the section.  The section keeps the shape of a one-table
+database dump, schema included, byte for byte, so snapshots written by
+earlier versions load and re-checkpoint unchanged.
 
 The module also exposes the **record codec** the serving layer's write-ahead
 log shares with the snapshot format: :func:`encode_annotation` /
@@ -32,12 +40,12 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from repro.core.annotation import Annotation, AnnotationContent, Referent
 from repro.core.dublin_core import DublinCore
 from repro.datatypes.base import DataObject, DataType, SubstructureRef
-from repro.errors import GraphittiError
+from repro.errors import AnnotationError, GraphittiError
 from repro.ontology.model import Ontology
 
 
@@ -261,29 +269,103 @@ def decode_register(record: dict[str, Any]) -> CatalogueObject:
     )
 
 
+def _is_json(value: Any) -> bool:
+    """Whether *value* is built only from JSON-compatible types."""
+    if value is None or isinstance(value, (str, int, float, bool)):
+        return True
+    if isinstance(value, (list, tuple)):
+        return all(_is_json(item) for item in value)
+    if isinstance(value, dict):
+        return all(isinstance(key, str) and _is_json(item) for key, item in value.items())
+    return False
+
+
+def metadata_row(record: dict[str, Any], raw: bytes | None = None) -> dict[str, Any]:
+    """The object-metadata row for an :func:`encode_register` record.
+
+    The one row constructor: live registration, WAL replay and snapshot
+    load all build rows here.  Raises :class:`~repro.errors.AnnotationError`
+    when the metadata is not JSON-compatible or *raw* is not bytes.
+    """
+    object_id = record["object_id"]
+    metadata = record.get("metadata", {})
+    if not _is_json(metadata):
+        raise AnnotationError(f"metadata of object {object_id!r} is not JSON-compatible")
+    if raw is not None and not isinstance(raw, (bytes, bytearray)):
+        raise AnnotationError(
+            f"raw data of object {object_id!r} must be bytes, not {type(raw).__name__}"
+        )
+    return {
+        "object_id": object_id,
+        "data_type": record["data_type"],
+        "domain": record.get("domain"),
+        "description": record.get("description"),
+        "metadata": metadata,
+        "raw": None if raw is None else bytes(raw),
+    }
+
+
+#: ``(name, type, nullable)`` of the section's columns, in row-key order.
+_METADATA_COLUMNS = (
+    ("object_id", "text", False),
+    ("data_type", "text", False),
+    ("domain", "text", True),
+    ("description", "text", True),
+    ("metadata", "json", True),
+    ("raw", "blob", True),
+)
+
+
+def encode_object_metadata(name: str, rows: Iterable[dict[str, Any]]) -> dict[str, Any]:
+    """The snapshot's ``object_metadata`` section for *rows*.
+
+    Native bytes are never persisted, so every row writes ``"raw": null``.
+    """
+    return {
+        "name": name,
+        "tables": {
+            "data_objects": {
+                "schema": {
+                    "name": "data_objects",
+                    "columns": [
+                        {"name": column, "type": kind, "nullable": nullable, "default": None}
+                        for column, kind, nullable in _METADATA_COLUMNS
+                    ],
+                    "primary_key": "object_id",
+                    "unique": [],
+                },
+                "rows": [{**row, "raw": None} for row in rows],
+            }
+        },
+    }
+
+
+def decode_object_metadata(section: dict[str, Any]) -> dict[str, dict[str, Any]]:
+    """``object_id -> row`` from an :func:`encode_object_metadata` section.
+
+    A row's ``raw`` field is ignored: it is ``null``, or the hex blob older
+    snapshots wrote, which recovery never restores.
+    """
+    rows = {}
+    for item in section["tables"]["data_objects"]["rows"]:
+        row = metadata_row(item)
+        rows[row["object_id"]] = row
+    return rows
+
+
 def apply_register_record(manager, payload: dict[str, Any]) -> None:
     """Replay a :func:`encode_register` record onto *manager*.
 
-    Registers a :class:`CatalogueObject` and inserts the metadata row, so the
-    recovered instance's registry and relational store match the original's
-    counts.  Records for objects already present (e.g. replayed over a
-    snapshot that carried the metadata row) only fill the registry gap.
+    Registers a :class:`CatalogueObject` and records the metadata row, so the
+    recovered instance's registry and metadata rows match the original's.
+    Records for objects already present (e.g. replayed over a snapshot that
+    carried the metadata row) only fill the registry gap.
     """
     object_id = payload["object_id"]
+    if object_id not in manager.metadata_rows:
+        manager.metadata_rows[object_id] = metadata_row(payload)
     if object_id not in manager.registry:
         manager.registry.register(decode_register(payload))
-    table = manager.database.table(manager._OBJECT_TABLE)  # noqa: SLF001 - replay path
-    if table.get(object_id) is None:
-        table.insert(
-            {
-                "object_id": object_id,
-                "data_type": payload["data_type"],
-                "domain": payload.get("domain"),
-                "description": payload.get("description"),
-                "metadata": payload.get("metadata", {}),
-                "raw": None,
-            }
-        )
     manager._bump_epoch()  # noqa: SLF001 - replay path
 
 
@@ -296,8 +378,7 @@ def hydrate_catalogue(manager) -> int:
     instance even though native data objects are gone.
     """
     created = 0
-    table = manager.database.table(manager._OBJECT_TABLE)  # noqa: SLF001 - recovery path
-    for row in table:
+    for row in manager.metadata_rows.values():
         if row["object_id"] in manager.registry:
             continue
         manager.registry.register(decode_register(row))
@@ -348,7 +429,6 @@ def rebuild(payload: dict[str, Any], eager_documents: bool = False):
     """
     from repro.core.columns import AnnotationColumns
     from repro.core.manager import Graphitti
-    from repro.relational.database import Database
     from repro.xmlstore.document import XmlDocument
 
     manager = Graphitti.__new__(Graphitti)
@@ -361,8 +441,7 @@ def rebuild(payload: dict[str, Any], eager_documents: bool = False):
     manager._ontology_ops = {}
     for ontology_payload in payload.get("ontologies", []):
         manager.register_ontology(Ontology.from_dict(ontology_payload))
-    # Rebuild the metadata relation.
-    manager.database = Database.from_dict(payload["object_metadata"])
+    manager.metadata_rows = decode_object_metadata(payload["object_metadata"])
     # Fresh substructure store, columns, a-graph, registry, annotations.
     from collections import OrderedDict
 
@@ -456,8 +535,8 @@ def freeze_manager(manager) -> FrozenManager:
     """Freeze *manager*'s snapshot-relevant state (call under the write lock).
 
     Annotation state freezes via the columns' copy-on-write views; ontologies
-    and the metadata relation (both small next to the annotation store) are
-    dumped inline.  Documents not backed by an annotation row — there are
+    and the metadata rows (both small next to the annotation store) are
+    encoded inline.  Documents not backed by an annotation row — there are
     normally none — are captured eagerly so the frozen image is complete.
     """
     manager.contents.flush_index()
@@ -474,7 +553,7 @@ def freeze_manager(manager) -> FrozenManager:
         id_namespace=manager.id_namespace,
         indexed_contents=manager.contents.indexed,
         ontologies=[manager.ontology(name).to_dict() for name in manager.ontologies()],
-        object_metadata=manager.database.to_dict(),
+        object_metadata=encode_object_metadata(manager.name, manager.metadata_rows.values()),
         order=order,
         slots=slots,
         acols=manager.columns.freeze(),

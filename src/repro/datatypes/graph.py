@@ -18,9 +18,8 @@ class InteractionGraph(DataObject):
     """An undirected molecular interaction graph.
 
     Nodes are biomolecule identifiers; edges carry an optional interaction
-    type and weight.  The implementation is a plain adjacency map so the core
-    library has no hard dependency on networkx (networkx is used only in the
-    baselines for comparison).
+    type and weight.  The implementation is a plain adjacency map, so the
+    library does not depend on networkx.
     """
 
     data_type = DataType.GRAPH

@@ -44,7 +44,7 @@ class DataTypeRegistry:
 
         Only the catalogue entry is dropped; callers (the manager's
         ``delete_object``) are responsible for cascading through annotations
-        and the metadata relation first.
+        and the metadata row.
         """
         obj = self._objects.pop(object_id, None)
         if obj is None:

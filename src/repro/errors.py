@@ -3,8 +3,8 @@
 All errors raised by the library derive from :class:`GraphittiError`, so a
 caller can catch one base class to handle any library failure.  Each
 subsystem gets its own subclass so that callers who care about the origin of
-a failure (the relational substrate vs. the query parser, say) can
-discriminate without string matching.
+a failure (the XML store vs. the query parser, say) can discriminate
+without string matching.
 """
 
 from __future__ import annotations
@@ -12,26 +12,6 @@ from __future__ import annotations
 
 class GraphittiError(Exception):
     """Base class for every error raised by the Graphitti library."""
-
-
-class RelationalError(GraphittiError):
-    """Error raised by the embedded relational engine."""
-
-
-class SchemaError(RelationalError):
-    """A table schema is invalid or an operation violates it."""
-
-
-class ConstraintViolation(RelationalError):
-    """A primary-key, unique, or not-null constraint was violated."""
-
-
-class UnknownTableError(RelationalError):
-    """A query referenced a table that does not exist."""
-
-
-class UnknownColumnError(RelationalError):
-    """A query referenced a column that does not exist."""
 
 
 class XmlStoreError(GraphittiError):

@@ -1,30 +1,10 @@
-"""Annotation provenance and propagation (paper extension).
+"""Derivations between data objects (paper extension).
 
-The paper's introduction frames annotation as "superimposing information on an
-existing database", and its references cover *propagation of annotations and
-deletions through views* ([3] Buneman et al.) and *intensional associations
-between data and metadata* ([8] Srivastava & Velegrakis).  Graphitti itself
-demonstrates annotation and query; this package implements the propagation
-machinery those references describe as a coherent extension:
-
-* :mod:`repro.provenance.derivation` -- how a derived data object relates to a
-  source (a subsequence crop, an image crop) and the coordinate transform
-  between them,
-* :mod:`repro.provenance.ledger` -- a provenance ledger recording each
-  annotation's lineage,
-* :mod:`repro.provenance.propagation` -- propagation of annotations from a
-  source object to a derived object (forward) and propagation of deletions
-  from a source annotation to its derived copies (backward).
+:mod:`repro.provenance.derivation` records how a derived data object (a
+subsequence crop, an image crop) relates to its source and maps source
+substructures into the derived object's coordinate frame.
 """
 
 from repro.provenance.derivation import Derivation, DerivationKind
-from repro.provenance.ledger import ProvenanceLedger, ProvenanceRecord
-from repro.provenance.propagation import AnnotationPropagator
 
-__all__ = [
-    "Derivation",
-    "DerivationKind",
-    "ProvenanceLedger",
-    "ProvenanceRecord",
-    "AnnotationPropagator",
-]
+__all__ = ["Derivation", "DerivationKind"]

@@ -232,8 +232,8 @@ def _live_register_ontology(manager: Any, ontology: Any, cache: bool = True):
 
 def _live_register(manager: Any, obj: Any, raw: bytes | None = None, **metadata: Any):
     registered = manager.register(obj, raw=raw, **metadata)
-    # Log exactly the metadata row the manager stored, so the WAL can never
-    # drift from the relational table's contents.
+    # Log exactly the metadata the manager's row holds, so the WAL can never
+    # drift from the rows a snapshot writes.
     stored = manager.object_metadata(obj.object_id)["metadata"]
     return registered, encode_register(obj, stored)
 

@@ -13,8 +13,6 @@ from repro.spatial.interval import Interval, merge_intervals, total_coverage
 from repro.spatial.interval_tree import IntervalIndexFamily, IntervalTree
 from repro.spatial.rect import Rect, bounding_rect
 from repro.spatial.rtree import RTree, RTreeFamily
-from repro.spatial.segment_tree import SegmentTree
-from repro.spatial.kdtree import KdTree
 from repro.spatial.coordinate import (
     CoordinateKind,
     CoordinateSystem,
@@ -36,8 +34,6 @@ __all__ = [
     "Rect",
     "RTree",
     "RTreeFamily",
-    "SegmentTree",
-    "KdTree",
     "CoordinateKind",
     "CoordinateSystem",
     "CoordinateSystemRegistry",

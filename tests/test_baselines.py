@@ -1,8 +1,6 @@
-"""Tests for the baseline implementations (used by benchmarks)."""
+"""Tests for the linear-scan references (the spatial tests compare against them)."""
 
 import random
-
-import pytest
 
 from repro.baselines.linear_scan import (
     LinearIntervalIndex,
@@ -10,8 +8,6 @@ from repro.baselines.linear_scan import (
     linear_interval_overlap,
     linear_region_overlap,
 )
-from repro.baselines.naive_graph import NaiveGraph, networkx_shortest_path
-from repro.baselines.relational_annotation import RelationalAnnotationStore
 from repro.spatial.interval import Interval
 from repro.spatial.interval_tree import IntervalTree
 from repro.spatial.rect import Rect
@@ -51,65 +47,3 @@ def test_linear_region_index_api():
     index.insert_many([Rect((0, 0), (2, 2)), Rect((10, 10), (12, 12))])
     assert index.count_overlap(Rect((0, 0), (100, 100))) == 2
 
-
-def test_naive_graph_path():
-    g = NaiveGraph()
-    g.add_edge("a", "b")
-    g.add_edge("b", "c")
-    assert g.path("a", "c") == ["a", "b", "c"]
-    assert g.connected("a", "c")
-
-
-def test_naive_graph_no_path():
-    g = NaiveGraph()
-    g.add_node("a")
-    g.add_node("b")
-    assert g.path("a", "b") is None
-
-
-def test_naive_graph_matches_networkx():
-    edges = [("a", "b"), ("b", "c"), ("c", "d")]
-    g = NaiveGraph()
-    for source, target in edges:
-        g.add_edge(source, target)
-    naive = g.path("a", "d")
-    nx_path = networkx_shortest_path(edges, "a", "d")
-    assert len(naive) == len(nx_path)
-
-
-def test_relational_annotation_store_keyword():
-    store = RelationalAnnotationStore()
-    store.add_referent_row("a1", "protease cleavage", "seq1", "dna", "chr1", 10, 40, "protein:protease")
-    store.add_referent_row("a2", "kinase", "seq2", "dna", "chr1", 50, 70, None)
-    assert store.search_keyword("protease") == ["a1"]
-    assert store.search_keyword("kinase") == ["a2"]
-
-
-def test_relational_annotation_store_overlap():
-    store = RelationalAnnotationStore()
-    store.add_referent_row("a1", "x", "seq1", "dna", "chr1", 10, 40)
-    store.add_referent_row("a2", "y", "seq2", "dna", "chr1", 100, 140)
-    assert store.search_overlap("chr1", 20, 30) == ["a1"]
-    assert store.search_overlap("chr1", 110, 120) == ["a2"]
-
-
-def test_relational_annotation_store_ontology():
-    store = RelationalAnnotationStore()
-    store.add_referent_row("a1", "x", "seq1", "dna", "chr1", 10, 40, "protein:protease")
-    assert store.search_ontology("protein:protease") == ["a1"]
-
-
-def test_relational_annotation_store_mixed():
-    store = RelationalAnnotationStore(indexed=True)
-    store.add_referent_row("a1", "protease", "seq1", "dna", "chr1", 10, 40, "protein:protease")
-    store.add_referent_row("a1", "protease", "seq1", "dna", "chr1", 200, 240, None)
-    store.add_referent_row("a2", "protease", "seq2", "dna", "chr1", 10, 40, None)
-    result = store.mixed_query("protease", "chr1", 20, 30, term="protein:protease")
-    assert result == ["a1"]
-
-
-def test_relational_store_row_count():
-    store = RelationalAnnotationStore()
-    store.add_referent_row("a1", "x", "s", "dna", "c", 1, 2)
-    store.add_referent_row("a1", "x", "s", "dna", "c", 3, 4)
-    assert store.row_count == 2

@@ -43,6 +43,28 @@ def test_register_stores_raw_bytes():
     assert g.object_metadata("s")["raw"] == b"\x00\x01"
 
 
+def test_a_refused_register_leaves_no_half_registered_object():
+    g = Graphitti()
+    seq = DnaSequence("s", "ACGT")
+    epoch = g.mutation_epoch
+    with pytest.raises(AnnotationError):
+        g.register(seq, bad=object())
+    with pytest.raises(AnnotationError):
+        g.register(seq, raw="not bytes")
+    assert "s" not in g.registry and g.mutation_epoch == epoch
+    with pytest.raises(UnknownObjectError):
+        g.object_metadata("s")
+    g.register(seq, tags=["a", {"b": None}])  # the retry is not "already registered"
+    assert g.object_metadata("s")["metadata"] == {"tags": ["a", {"b": None}]}
+
+
+def test_object_metadata_returns_a_copy():
+    g = Graphitti()
+    g.register(DnaSequence("s", "ACGT"), organism="test")
+    g.object_metadata("s")["domain"] = "elsewhere"
+    assert g.object_metadata("s")["domain"] == "s"
+
+
 def test_object_metadata_unknown():
     g = Graphitti()
     with pytest.raises(UnknownObjectError):

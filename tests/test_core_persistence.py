@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.persistence import load_instance, rebuild, save_instance, snapshot
-from repro.errors import GraphittiError
+from repro.datatypes import DnaSequence
+from repro.errors import GraphittiError, UnknownObjectError
 from repro.query.builder import QueryBuilder
 
 
@@ -78,6 +79,15 @@ def test_metadata_preserved(influenza):
     reloaded = rebuild(snapshot(influenza))
     meta = reloaded.object_metadata("HA_chicken")
     assert meta["data_type"] == "dna_sequence"
+
+
+def test_a_loaded_metadata_row_refuses_a_second_registration(influenza):
+    reloaded = rebuild(snapshot(influenza))  # rows loaded, registry not hydrated
+    before = reloaded.object_metadata("HA_chicken")
+    with pytest.raises(UnknownObjectError):
+        reloaded.register(DnaSequence("HA_chicken", "ACGT"))
+    assert "HA_chicken" not in reloaded.registry
+    assert reloaded.object_metadata("HA_chicken") == before
 
 
 def test_roundtrip_preserves_dublin_core_and_provenance(small_graphitti):

@@ -14,19 +14,18 @@ def test_all_errors_derive_from_base():
 
 
 def test_subsystem_hierarchy():
-    assert issubclass(errors.SchemaError, errors.RelationalError)
-    assert issubclass(errors.ConstraintViolation, errors.RelationalError)
     assert issubclass(errors.XmlParseError, errors.XmlStoreError)
     assert issubclass(errors.XPathError, errors.XmlStoreError)
     assert issubclass(errors.CoordinateSystemError, errors.SpatialError)
     assert issubclass(errors.UnknownTermError, errors.OntologyError)
     assert issubclass(errors.UnknownNodeError, errors.AGraphError)
     assert issubclass(errors.QuerySyntaxError, errors.QueryError)
+    assert issubclass(errors.UnknownObjectError, errors.AnnotationError)
 
 
 def test_catch_base_catches_all():
     for exc_type in (
-        errors.SchemaError,
+        errors.UnknownObjectError,
         errors.XPathError,
         errors.SpatialError,
         errors.OntologyError,
@@ -37,5 +36,5 @@ def test_catch_base_catches_all():
 
 
 def test_distinct_subsystems_are_unrelated():
-    assert not issubclass(errors.RelationalError, errors.SpatialError)
+    assert not issubclass(errors.XmlStoreError, errors.SpatialError)
     assert not issubclass(errors.QueryError, errors.OntologyError)

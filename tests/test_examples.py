@@ -16,7 +16,6 @@ EXAMPLE_NAMES = [
     "influenza_study",
     "neuroscience_study",
     "collaborative_review",
-    "provenance_propagation",
     "admin_dashboard",
     "genome_pipeline",
 ]

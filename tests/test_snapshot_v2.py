@@ -10,6 +10,9 @@
   alike.
 * Every snapshot carries a CRC32 of its bytes; damage that would still
   parse, and truncation, raise :class:`SnapshotCorruptionError`.
+* The ``object_metadata`` section is written byte-for-byte as commit
+  6862682 wrote it, except that native bytes are never persisted: a row's
+  ``raw`` is ``null`` in every snapshot, as it is in every WAL record.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from benchmarks.e2e.oracle import pages  # noqa: E402
 
 from repro.core.annotation import Annotation, AnnotationContent, Referent  # noqa: E402
 from repro.core.dublin_core import DublinCore  # noqa: E402
-from repro.core.persistence import rebuild, snapshot  # noqa: E402
+from repro.core.persistence import CatalogueObject, rebuild, snapshot  # noqa: E402
+from repro.datatypes import DnaSequence, Image  # noqa: E402
 from repro.datatypes.base import DataType, SubstructureRef  # noqa: E402
 from repro.errors import SnapshotCorruptionError  # noqa: E402
 from repro.replica.follower import ReplicaFollower  # noqa: E402
@@ -311,3 +315,101 @@ def test_a_reseeded_replica_root_gets_the_checkpoint_writers_file(v2_root, tmp_p
         assert follower.manager.annotation_count == len(payload["annotations"])
     finally:
         follower.close()
+
+
+# -- object metadata ---------------------------------------------------------------------
+
+#: The ``object_metadata`` section commit 6862682 wrote for
+#: :func:`registered_root` (``raw`` bytes then went out as a hex blob).
+PARENT_METADATA_SECTION = (
+    b'{"name": "graphitti", "tables": {"data_objects": {"schema": {"name": "data_objects", "columns": ['
+    b'{"name": "object_id", "type": "text", "nullable": false, "default": null}, '
+    b'{"name": "data_type", "type": "text", "nullable": false, "default": null}, '
+    b'{"name": "domain", "type": "text", "nullable": true, "default": null}, '
+    b'{"name": "description", "type": "text", "nullable": true, "default": null}, '
+    b'{"name": "metadata", "type": "json", "nullable": true, "default": null}, '
+    b'{"name": "raw", "type": "blob", "nullable": true, "default": null}], '
+    b'"primary_key": "object_id", "unique": []}, '
+    b'"rows": ['
+    b'{"object_id": "seq-a", "data_type": "dna_sequence", "domain": "chr1", "description": "dna sequence seq-a (4 residues)", '
+    b'"metadata": {"lab": "wet", "tags": ["a", null, {"depth": [1, 2.5, true], "empty": {}}], "note": null}, "raw": {"__blob__": "0001"}}, '
+    b'{"object_id": "net-b", "data_type": "interaction_graph", "domain": null, "description": "interaction_graph net-b (catalogue entry)", '
+    b'"metadata": {"source": {"db": "string", "ids": []}}, "raw": null}, '
+    b'{"object_id": "seq-d", "data_type": "dna_sequence", "domain": "seq-d", "description": "dna sequence seq-d (7 residues)", '
+    b'"metadata": {"curated": false}, "raw": null}]}}}'
+)
+
+RAW = b"\x00\x01"
+
+
+def registered_root(root: Path) -> dict:
+    """Checkpoint rows of every value shape; return the live rows."""
+    service = GraphittiService.open(root, config=CONFIG)
+    try:
+        service.register(
+            DnaSequence("seq-a", "ACGT", domain="chr1"),
+            raw=RAW,
+            lab="wet",
+            tags=["a", None, {"depth": [1, 2.5, True], "empty": {}}],
+            note=None,
+        )
+        service.register(
+            CatalogueObject("net-b", DataType.GRAPH, metadata={"source": {"db": "string", "ids": []}})
+        )
+        service.register(Image("img-c", dimension=2, space="atlas"), stain=None)
+        service.delete_object("img-c")
+        service.register(DnaSequence("seq-d", "GATTACA"), curated=False)
+        live = {
+            object_id: service.manager.object_metadata(object_id)
+            for object_id in ("seq-a", "net-b", "seq-d")
+        }
+        service.checkpoint()
+    finally:
+        service.close()
+    return live
+
+
+def metadata_section(path: Path) -> bytes:
+    data = path.read_bytes()
+    start = data.index(b'"object_metadata": ') + len(b'"object_metadata": ')
+    return data[start:data.index(b', "contents": ', start)]
+
+
+def test_the_object_metadata_section_is_written_as_before(tmp_path):
+    live = registered_root(tmp_path / "root")
+    assert live["net-b"]["domain"] is None and live["seq-a"]["raw"] == RAW
+    written = metadata_section(tmp_path / "root" / SNAPSHOT_FILE)
+    assert written == PARENT_METADATA_SECTION.replace(b'{"__blob__": "0001"}', b"null")
+
+
+def test_a_parent_written_object_metadata_section_recovers_the_same_rows(tmp_path):
+    live = registered_root(tmp_path / "root")
+    path = tmp_path / "root" / SNAPSHOT_FILE
+    payload = read_snapshot(path)
+    del payload["crc32"]
+    payload["object_metadata"] = json.loads(PARENT_METADATA_SECTION)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    manager, _ = recover_manager(tmp_path / "root")
+    assert list(manager.metadata_rows) == list(live)
+    for object_id, row in live.items():
+        assert manager.object_metadata(object_id) == {**row, "raw": None}
+    assert sorted(manager.registry.object_ids()) == sorted(live)
+
+
+def test_native_bytes_are_never_persisted(tmp_path):
+    recovered = {}
+    for checkpoint in (False, True):
+        root = tmp_path / f"checkpoint-{checkpoint}"
+        service = GraphittiService.open(root, config=CONFIG)
+        try:
+            service.register(DnaSequence("seq-a", "ACGT"), raw=RAW)
+            if checkpoint:
+                service.checkpoint()
+            assert service.manager.object_metadata("seq-a")["raw"] == RAW
+        finally:
+            service.close()
+        manager, info = recover_manager(root)
+        assert info["replayed"] == (0 if checkpoint else 1)  # the register record
+        recovered[checkpoint] = manager.object_metadata("seq-a")
+    assert recovered[True] == recovered[False]
+    assert recovered[True]["raw"] is None

@@ -1,95 +1,10 @@
-"""Tests for the alternate index structures (segment tree, KD-tree, STR load)."""
+"""Tests for the STR bulk load of the R-tree."""
 
 import random
 
-import pytest
-from hypothesis import given, settings, strategies as st
-
-from repro.baselines.linear_scan import linear_interval_overlap, linear_region_overlap
-from repro.spatial.interval import Interval
-from repro.spatial.kdtree import KdTree
+from repro.baselines.linear_scan import linear_region_overlap
 from repro.spatial.rect import Rect
 from repro.spatial.rtree import RTree
-from repro.spatial.segment_tree import SegmentTree
-
-
-# -- segment tree -----------------------------------------------------------
-
-
-def test_segment_tree_empty():
-    tree = SegmentTree.from_intervals([])
-    assert len(tree) == 0
-    assert tree.stab(5) == []
-
-
-def test_segment_tree_stab():
-    tree = SegmentTree.from_intervals([Interval(1, 5), Interval(4, 8), Interval(10, 12)])
-    assert len(tree.stab(4)) == 2
-    assert len(tree.stab(11)) == 1
-    assert tree.stab(20) == []
-
-
-def test_segment_tree_overlap():
-    tree = SegmentTree.from_intervals([Interval(1, 5), Interval(4, 8), Interval(20, 30)])
-    assert len(tree.search_overlap(Interval(3, 6))) == 2
-
-
-@settings(max_examples=40)
-@given(
-    intervals=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 40)), min_size=1, max_size=60),
-    point=st.integers(0, 200),
-)
-def test_segment_tree_stab_matches_bruteforce(intervals, point):
-    items = [Interval(start, start + length) for start, length in intervals]
-    tree = SegmentTree.from_intervals(items)
-    expected = sorted((i.start, i.end) for i in items if i.contains_point(point))
-    actual = sorted((i.start, i.end) for i in tree.stab(point))
-    assert actual == expected
-
-
-# -- KD-tree ----------------------------------------------------------------
-
-
-def test_kdtree_overlap_matches_scan():
-    rng = random.Random(2)
-    rects = [Rect((x := rng.uniform(0, 500), y := rng.uniform(0, 500)), (x + 10, y + 10)) for _ in range(300)]
-    tree = KdTree.from_rects(rects)
-    query = Rect((100, 100), (200, 200))
-    assert tree.count_overlap(query) == len(linear_region_overlap(rects, query))
-
-
-def test_kdtree_3d():
-    rng = random.Random(3)
-    rects = [
-        Rect((x := rng.uniform(0, 100), y := rng.uniform(0, 100), z := rng.uniform(0, 100)), (x + 5, y + 5, z + 5))
-        for _ in range(200)
-    ]
-    tree = KdTree.from_rects(rects)
-    query = Rect((10, 10, 10), (40, 40, 40))
-    assert tree.count_overlap(query) == len(linear_region_overlap(rects, query))
-
-
-def test_kdtree_space_mismatch():
-    tree = KdTree.from_rects([Rect((0, 0), (1, 1), space="a")], space="a")
-    with pytest.raises(Exception):
-        tree.search_overlap(Rect((0, 0), (1, 1), space="b"))
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    rects=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 200), st.integers(1, 20), st.integers(1, 20)), min_size=1, max_size=60),
-    query=st.tuples(st.integers(0, 200), st.integers(0, 200), st.integers(1, 40), st.integers(1, 40)),
-)
-def test_kdtree_matches_scan_property(rects, query):
-    items = [Rect((x, y), (x + w, y + h), payload=i) for i, (x, y, w, h) in enumerate(rects)]
-    tree = KdTree.from_rects(items)
-    q = Rect((query[0], query[1]), (query[0] + query[2], query[1] + query[3]))
-    expected = {rect.payload for rect in linear_region_overlap(items, q)}
-    actual = {rect.payload for rect in tree.search_overlap(q)}
-    assert actual == expected
-
-
-# -- STR bulk load ----------------------------------------------------------
 
 
 def test_str_bulk_load_correct():
