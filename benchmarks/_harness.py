@@ -143,6 +143,14 @@ def measure_recovery(open_fn: Callable[[], Any]) -> tuple[Any, float]:
     return opened, time.perf_counter() - start
 
 
+def usable_cores() -> int:
+    """Cores this process may run on (its affinity mask, where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
 def format_row(values, widths) -> str:
     """Format a table row with fixed column widths."""
     cells = []
@@ -170,11 +178,15 @@ def write_results(name: str, rows: list[dict[str, Any]], **metadata: Any) -> Pat
     *rows* is a list of flat dicts (one measurement each, times in seconds).
     The file is what tracks the performance trajectory across PRs: each CI
     run uploads it, and any regression shows up as a diff of numbers rather
-    than of prose.  Returns the path written.
+    than of prose.  The host (usable cores, platform string) is recorded
+    with every result, since a floor read on one core means something else
+    on eight.  Returns the path written.
     """
     payload = {
         "benchmark": name,
         "unit": "seconds",
+        "cores": usable_cores(),
+        "platform": platform.platform(),
         "python": platform.python_version(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "rows": rows,

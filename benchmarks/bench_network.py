@@ -43,20 +43,13 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks._harness import format_row, percentile, speedup, write_results
+from benchmarks._harness import format_row, percentile, speedup, usable_cores, write_results
 from repro.datatypes.sequence import DnaSequence
 from repro.net import NetworkShardedGraphittiService
 from repro.service import ServiceConfig
 from repro.shard import ShardedGraphittiService
 
-def _cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-CORES = _cores()
+CORES = usable_cores()
 
 #: With >= 2 cores, process-per-shard must WIN: the scatter fans out across
 #: interpreters while the threaded facade serialises on the GIL.
@@ -270,7 +263,6 @@ def report() -> int:
         "network",
         rows,
         smoke=_SMOKE,
-        cores=CORES,
         parallel_floors=PARALLEL_FLOORS,
         throughput_floor=throughput_floor,
         p99_floor=p99_floor,

@@ -48,6 +48,7 @@ from benchmarks._harness import (
     percentile,
     sample_stats,
     subprocess_probe,
+    usable_cores,
     write_results,
 )
 
@@ -169,18 +170,11 @@ def measure_checkpoint_stall() -> dict:
         "p99_ratio_floor": STALL_P99_FACTOR,
         "p99_grace_seconds": STALL_P99_GRACE_S,
         "p99_ceiling_seconds": STALL_P99_CEILING_S,
-        "ratio_floor_enforced": _multi_core(),
+        "ratio_floor_enforced": usable_cores() > 1,
     }
     row.update(sample_stats(baseline, prefix="baseline"))
     row.update(sample_stats(during, prefix="during"))
     return row
-
-
-def _multi_core() -> bool:
-    affinity = getattr(os, "sched_getaffinity", None)
-    if affinity is not None:
-        return len(affinity(0)) > 1
-    return (os.cpu_count() or 1) > 1  # pragma: no cover - non-Linux fallback
 
 
 def measure_recovery() -> list[dict]:

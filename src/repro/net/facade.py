@@ -4,16 +4,16 @@
 :class:`~repro.shard.service.ShardedGraphittiService` and swaps the shard
 list from in-process ``GraphittiService`` objects to
 :class:`~repro.net.client.ShardClient` RPC proxies — the routing, merging,
-manifest and aggregation logic is inherited, so the two topologies cannot
-drift apart.  Overridden are the scatter seam — **frames out, then replies
-in, on the caller's thread**: every shard's request is in flight before the
-first reply is read, so a scatter is one blocking round with no pool hop, and
-this facade owns no thread pool — and the seams that reach *into* a shard's
-memory: the REFERENTS merge reads the referent map each worker ships with
-its page, the query gather admits degraded reads, and builder support
-(``data_object`` / ``resolve_ontology_term``) is served from a client-side
-catalog of what was registered through this facade (objects are replicated
-to every worker, but native payloads never cross the wire).
+manifest, scatter loop and aggregation logic is inherited, so the two
+topologies cannot drift apart.  Overridden are the per-shard scatter hook —
+**frame out, then the later rows' frames, then reply in**: every shard's
+request is in flight before the first reply is read, so a scatter is one
+blocking round on the caller's thread — and the seams that reach *into* a
+shard's memory: the REFERENTS merge reads the referent map each worker ships
+with its page, and builder support (``data_object`` /
+``resolve_ontology_term``) is served from a client-side catalog of what was
+registered through this facade (objects are replicated to every worker, but
+native payloads never cross the wire).
 
 Two worker modes:
 
@@ -42,21 +42,15 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.core.manager import Graphitti
-from repro.errors import (
-    GraphittiError,
-    ServiceError,
-    ShardTimeoutError,
-    ShardUnavailableError,
-)
+from repro.errors import GraphittiError, ServiceError
 from repro.net.client import RetryPolicy, ShardClient
 from repro.net.server import ShardWorkerServer
 from repro.net.supervisor import HeartbeatMonitor, WorkerHandle
-from repro.query.ast import Query
 from repro.query.result import QueryResult
-from repro.service.ops import OPS, READ
+from repro.service.ops import READ, Op
 from repro.service.service import GraphittiService, ServiceConfig
 from repro.shard.router import shard_dir_name
 from repro.shard.service import (
@@ -85,9 +79,6 @@ class NetworkShardedGraphittiService(ShardedGraphittiService):
         start_monitor: bool = True,
     ):
         super().__init__(services=clients, root=root)
-        # Scatters run on the caller's thread (see _scatter): no pool to keep.
-        self._pool.shutdown(wait=False)
-        del self._pool
         self._catalog = catalog if catalog is not None else Graphitti("graphitti-catalog")
         self._handles = handles
         self._servers = servers
@@ -330,52 +321,21 @@ class NetworkShardedGraphittiService(ShardedGraphittiService):
 
     # -- overridden seams ------------------------------------------------------
 
-    def _scatter(
-        self,
-        verb: str,
-        calls: Sequence[tuple[int, tuple, dict[str, Any]]],
-        tolerate: tuple[type[GraphittiError], ...] = (),
-        inline: bool = False,
-        meanwhile: Callable[[], None] | None = None,
-    ) -> list[Any]:
-        """Frames out, then replies in, on the calling thread.
+    def _shard_call(
+        self, index: int, op: Op, args: tuple, kwargs: dict[str, Any], then: Callable[[], None]
+    ) -> Any:
+        """Frame out, *then* (the later rows' frames), reply in.
 
-        Each row's call sends its frame and then, before awaiting its reply,
-        starts the next row's — so every request is in flight (one pooled
-        connection per shard) before the first reply is read, the workers
-        run in parallel and the caller blocks for one round, whatever the
-        fan-out.  *meanwhile* runs at that point: caller-side work that
-        overlaps the workers'.  Arguments are encoded before any frame
-        leaves, and every reply is collected — no socket is pooled with one
-        unread — before what *meanwhile* raised, or else the first failed row
-        not of a *tolerate* class, raises.
+        So every request is in flight (one pooled connection per shard)
+        before the first reply is read: the workers run in parallel and the
+        caller blocks for one round, whatever the fan-out.  The scatter loop
+        collects what a later row raised, so this reply is read first and no
+        socket is pooled with one unread.
         """
-        op = OPS[verb]
-        write = op.kind != READ
-        decode = op.codec.decode
-        wires = [op.wire_args(*args, **kwargs) for _, args, kwargs in calls]
-        outcomes: list[Any] = [None] * (len(calls) + 1)  # one per row, then *meanwhile*'s
-
-        def send_from(row: int) -> None:
-            try:
-                if row < len(calls):
-                    value = self._shards[calls[row][0]].call(
-                        verb, wires[row], write=write, meanwhile=lambda: send_from(row + 1)
-                    )
-                    outcomes[row] = decode(value) if decode is not None else value
-                elif meanwhile is not None:
-                    meanwhile()
-            except GraphittiError as exc:
-                outcomes[row] = exc
-
-        send_from(0)
-        interrupted = outcomes.pop()
-        if interrupted is not None:
-            raise interrupted
-        for outcome in outcomes:
-            if isinstance(outcome, GraphittiError) and not isinstance(outcome, tolerate):
-                raise outcome
-        return outcomes
+        value = self._shards[index].call(
+            op.name, op.wire_args(*args, **kwargs), write=op.kind != READ, meanwhile=then
+        )
+        return op.codec.decode(value) if op.codec.decode is not None else value
 
     def _annotation_referents(self, index: int, annotation_id: str, result: QueryResult):
         shipped = getattr(result, "_net_referents_by_annotation", None) or {}
@@ -407,52 +367,6 @@ class NetworkShardedGraphittiService(ShardedGraphittiService):
         if self._catalog.ontologies():
             return self._catalog.resolve_ontology_term(text)
         return self._shards[0].resolve_ontology_term(text)
-
-    # -- read path (degraded-aware gather) -------------------------------------
-
-    def _shape_and_pages(self, text_or_query: str | Query):
-        """Collect shard pages, admitting unreachable shards per ``degraded_reads``.
-
-        The shape is parsed with every worker's frame already out, so the
-        facade's parse overlaps theirs; malformed text still fails here, with
-        the parser's error.  Strict reads (or every shard missing) raise a
-        typed error naming the missing shards; a degraded read returns
-        ``None`` in their place and the merge tags the page.
-        """
-        shape: list[Any] = []
-
-        def parse() -> None:
-            with self.obs.span("parse"):
-                shape.append(self._query_shape(text_or_query))
-
-        with self.obs.span("scatter"):
-            pages = self._scatter(
-                "query",
-                self._all(text_or_query),
-                tolerate=(ShardUnavailableError, ShardTimeoutError),
-                meanwhile=parse,
-            )
-        causes = {
-            index: page for index, page in enumerate(pages) if isinstance(page, GraphittiError)
-        }
-        if causes:
-            missing = list(causes)
-            if not self.degraded_reads or len(missing) == len(self._shards):
-                if all(isinstance(exc, ShardTimeoutError) for exc in causes.values()):
-                    # Pure deadline misses keep their type — the same signal
-                    # the threaded scatter deadline raises.
-                    raise ShardTimeoutError(
-                        f"shard(s) {missing} missed the query deadline"
-                    ) from causes[missing[0]]
-                raise ShardUnavailableError(
-                    f"shard(s) {missing} unavailable for query "
-                    f"(degraded reads {'exhausted' if self.degraded_reads else 'disabled'})",
-                    shards=tuple(missing),
-                )
-            self.obs.count("query.degraded")
-            for index in missing:
-                pages[index] = None
-        return shape[0], pages
 
     # -- aggregation extras ----------------------------------------------------
 

@@ -6,8 +6,7 @@ sinks every layer records into:
 * a :class:`~repro.obs.metrics.MetricsRegistry` of counters, gauges, and
   fixed-bucket latency histograms (mergeable across shards/replicas);
 * a :class:`~repro.obs.tracing.Tracer` handing out context-managed spans
-  with automatic parent/child linking (thread-local stack, explicit
-  ``parent=`` across pool threads);
+  with automatic parent/child linking (a thread-local stack);
 * a :class:`~repro.obs.slowlog.SlowOpLog` ring buffer capturing the full
   trace plus ``explain()`` output of any op over the threshold.
 
@@ -117,8 +116,8 @@ class Observability:
             self.slow_log = None
 
     # -- recording -------------------------------------------------------
-    def span(self, name: str, parent: Optional[Span] = None):
-        return self.tracer.span(name, parent=parent)
+    def span(self, name: str):
+        return self.tracer.span(name)
 
     def count(self, name: str, amount: int | float = 1) -> None:
         if self.enabled:

@@ -6,8 +6,7 @@ nest: entering a span pushes it onto a thread-local stack shared by *every*
 tracer in the process, so when the sharded facade's ``query`` span is open
 and a shard's own service opens its ``query`` span on the same thread, the
 child attaches automatically — no tracer object needs to be plumbed between
-layers.  Work handed to a pool thread passes ``parent=`` explicitly, since
-the thread-local stack does not cross threads.
+layers.
 
 When tracing is disabled the tracer hands out :data:`NULL_SPAN`, a shared
 no-op whose ``__enter__``/``__exit__``/``set`` do nothing — the disabled
@@ -45,12 +44,11 @@ class Span:
         "start", "duration", "_tracer", "_on_stack",
     )
 
-    def __init__(self, name: str, tracer: Optional["Tracer"] = None,
-                 parent: Optional["Span"] = None):
+    def __init__(self, name: str, tracer: Optional["Tracer"] = None):
         self.name = name
         self.attributes: dict[str, Any] = {}
         self.children: list[Span] = []
-        self.parent = parent
+        self.parent: Optional[Span] = None
         self.start = 0.0
         self.duration = 0.0
         self._tracer = tracer
@@ -77,11 +75,8 @@ class Span:
         new_parent.children.append(self)
 
     def __enter__(self) -> "Span":
-        if self.parent is None:
-            self.parent = current_span()
+        self.parent = current_span()
         if self.parent is not None:
-            # list.append is atomic under the GIL; cross-thread children
-            # (scatter-gather workers) attach here without a lock.
             self.parent.children.append(self)
         stack = _stack()
         stack.append(self)
@@ -173,10 +168,10 @@ class Tracer:
         # creation (locked) only on first sighting of a span name.
         self._histograms: dict[str, Any] = {}
 
-    def span(self, name: str, parent: Optional[Span] = None):
+    def span(self, name: str):
         if not self.enabled:
             return NULL_SPAN
-        return Span(name, tracer=self, parent=parent)
+        return Span(name, tracer=self)
 
     def _finished(self, span: Span) -> None:
         registry = self.registry

@@ -74,10 +74,6 @@ class ServiceConfig:
     planner_mode: str | None = None
     #: Checkpoint once more when the service closes.
     checkpoint_on_close: bool = True
-    #: Whole-scatter deadline (seconds) for the sharded facades; a shard
-    #: that does not answer in time raises ShardTimeoutError instead of
-    #: blocking the merge forever.  None disables the deadline.
-    scatter_deadline_s: float | None = None
     #: Observability knobs (metrics/tracing/slow-op log).  The config rides
     #: in ServiceConfig so it persists across recovery the same way the
     #: durability policy does; the registry itself is in-memory per instance,
@@ -209,24 +205,27 @@ class GraphittiService:
         return self._recovery_info
 
     def close(self) -> None:
-        """Checkpoint (per config) and release the WAL file handle."""
+        """Checkpoint (per config) and release the WAL file handle — even
+        when that checkpoint fails (the WAL keeps every acknowledged write)."""
         if self._closed:
             return
-        # A background snapshot still in flight uses the store; wait it out
-        # before the final checkpoint / handle release.
-        self._join_checkpoint()
-        if self._store is not None and self.config.checkpoint_on_close and not self._wal_failed:
-            self.checkpoint()
-        self._join_checkpoint()
-        if self._store is not None:
-            self._store.close()
-        # Detach our stats provider so a long-lived manager neither reports a
-        # dead service's counters nor keeps it (and its cached results) alive.
         try:
-            self._manager.stats_providers.remove(self._service_stats)
-        except ValueError:
-            pass
-        self._closed = True
+            # A background snapshot still in flight uses the store; wait it
+            # out before the final checkpoint / handle release.
+            self._join_checkpoint()
+            if self._store is not None and self.config.checkpoint_on_close and not self._wal_failed:
+                self.checkpoint()
+        finally:
+            self._join_checkpoint()
+            if self._store is not None:
+                self._store.close()
+            # Detach our stats provider so a long-lived manager neither reports a
+            # dead service's counters nor keeps it (and its cached results) alive.
+            try:
+                self._manager.stats_providers.remove(self._service_stats)
+            except ValueError:
+                pass
+            self._closed = True
 
     def __enter__(self) -> "GraphittiService":
         return self

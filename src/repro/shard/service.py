@@ -8,21 +8,23 @@ independent :class:`~repro.service.service.GraphittiService` shards:
   object — and the a-graph edges between them — stay co-located; data
   objects and ontologies are broadcast to every shard so any shard can
   validate and index any annotation.
-* **queries scatter-gather** — the query text runs on every shard in
-  parallel on a thread pool (each shard plans against its own statistics
-  catalogue and serves from its own epoch-tagged result cache), and the
+* **queries scatter-gather** — the query text runs on every shard, one
+  after another on the caller's thread (in-process shards share one
+  interpreter: a pool would add hops, not parallelism; concurrent callers
+  read a shard in turn); each shard plans against its own statistics
+  catalogue and serves from its own epoch-tagged result cache, and the
   per-shard :class:`~repro.query.result.QueryResult` pages merge with a
   stable global ordering: annotation ids merge-sort lexicographically (the
   executor's own collation order), ``LIMIT`` is re-applied globally, and
   fragments/referents/subgraphs follow the merged order.
 * **durability is per shard, coordination is a manifest** — every shard
-  keeps its own WAL + snapshot directory; :meth:`checkpoint` checkpoints all
-  shards in parallel and then atomically lands a ``shards.json`` manifest
+  keeps its own WAL + snapshot directory; :meth:`checkpoint` checkpoints
+  every shard and then atomically lands a ``shards.json`` manifest
   recording the topology and per-shard WAL high-water marks;
   :meth:`recover` replays every shard (same torn-tail rules as a single
   service) before the router accepts traffic.
 * **bulk ingest stays grouped** — :meth:`bulk_commit` groups the batch by
-  shard and group-commits the per-shard batches concurrently.
+  shard and group-commits the per-shard batches in one scatter.
 
 Because each shard caches and invalidates independently, a mutation only
 evicts cached results on the shard it touched: a hot scatter-gather query
@@ -41,11 +43,8 @@ from __future__ import annotations
 
 import hashlib
 import threading
-import time
 import uuid
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -63,7 +62,6 @@ from repro.errors import (
     UnknownObjectError,
 )
 from repro.obs import Observability, merge_stats
-from repro.obs.tracing import current_span
 from repro.query.ast import Query, ReturnKind
 from repro.query.parser import parse_query
 from repro.query.result import QueryResult
@@ -217,6 +215,10 @@ def _routed(op: ops.Op) -> Callable | None:
 class ShardedGraphittiService:
     """Hash-routed scatter-gather facade over N GraphittiService shards."""
 
+    #: Whether a query some shard could not answer returns the other shards'
+    #: pages, tagged degraded, instead of raising (a network facade option).
+    degraded_reads = False
+
     def __init__(
         self,
         shards: int | None = None,
@@ -245,9 +247,10 @@ class ShardedGraphittiService:
         # metrics() the same way statistics() sums per-shard dicts.
         self.obs = Observability(self.config.observability)
         self._root = Path(root) if root is not None else None
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(2, len(self._shards)), thread_name_prefix="shard"
-        )
+        # One read at a time per in-process shard: under the GIL two reads
+        # of one shard cannot run in parallel anyway, and interleaving them
+        # lets concurrent callers miss the same cache entry and both execute it.
+        self._read_mutexes = [threading.Lock() for _ in self._shards]
         self._checkpoints = 0
         self._closed = False
         self._recovery_info: dict[str, Any] | None = None
@@ -355,15 +358,21 @@ class ShardedGraphittiService:
         return self._recovery_info
 
     def close(self) -> None:
-        """Checkpoint (per shard config), close every shard, stop the pool."""
+        """Checkpoint (per shard config) and close every shard, land the
+        manifest, then raise the first shard's close error, if any."""
         if self._closed:
             return
+        errors = []
         for shard in self._shards:
-            shard.close()
+            try:
+                shard.close()
+            except GraphittiError as exc:
+                errors.append(exc)
         if self._root is not None:
             self._write_manifest()
-        self._pool.shutdown(wait=True)
         self._closed = True
+        if errors:
+            raise errors[0]
 
     def __enter__(self) -> "ShardedGraphittiService":
         return self
@@ -382,57 +391,54 @@ class ShardedGraphittiService:
         verb: str,
         calls: Sequence[tuple[int, tuple, dict[str, Any]]],
         tolerate: tuple[type[GraphittiError], ...] = (),
-        inline: bool = False,
+        meanwhile: Callable[[], None] | None = None,
     ) -> list[Any]:
         """The one scatter seam: table verb *verb* on each ``(shard index,
-        args, kwargs)`` row of *calls* in parallel; results in row order.
+        args, kwargs)`` row of *calls*; results in row order.
 
-        An error of a *tolerate* class is returned in its row's place, not
-        raised.  *inline* marks a call too cheap for a pool hop (a lock-free
-        membership probe): here it runs on the caller's thread.  Shard tasks
-        never re-enter the pool, so waiting on them cannot deadlock.  The
-        network facade overrides this method alone, to scatter without a pool.
-
-        With ``ServiceConfig.scatter_deadline_s`` set, a shard that does not
-        answer in time raises :class:`ShardTimeoutError` — the typed error the
-        network path maps its per-op timeouts to — instead of hanging the
-        merge.  The deadline is one budget for the whole scatter, not per shard.
+        Row k's :meth:`_shard_call` starts row k+1 through ``then``; after
+        the last row, *meanwhile* runs.  Every outcome is collected before
+        anything raises: what *meanwhile* raised, else the first failed row
+        not of a *tolerate* class (a tolerated error stands in its row).
         """
         op = ops.OPS[verb]
-        # Pool threads have their own (empty) span stacks: a traced caller's
-        # open span is handed to each shard task as explicit parent, and what
-        # the shard traces hangs off that task's shard.<verb> span.
-        parent = current_span() if self.obs.enabled else None
+        outcomes: list[Any] = [None] * (len(calls) + 1)  # one per row, then *meanwhile*'s
 
-        def run(index: int, args: tuple, kwargs: dict[str, Any]) -> Any:
+        def run_from(row: int) -> None:
             try:
-                if parent is None:
-                    return op.call(self._shards[index], *args, **kwargs)
-                with self.obs.tracer.span(f"shard.{verb}", parent=parent) as span:
-                    span.set("shard", index)
-                    return op.call(self._shards[index], *args, **kwargs)
-            except tolerate as exc:
-                return exc
+                if row < len(calls):
+                    index, args, kwargs = calls[row]
+                    outcomes[row] = self._shard_call(
+                        index, op, args, kwargs, lambda: run_from(row + 1)
+                    )
+                elif meanwhile is not None:
+                    meanwhile()
+            except GraphittiError as exc:
+                outcomes[row] = exc
 
-        if inline:
-            return [run(*call) for call in calls]
-        futures = [self._pool.submit(run, *call) for call in calls]
-        deadline = self.config.scatter_deadline_s
-        end = None if deadline is None else time.monotonic() + deadline
-        results = []
-        for position, future in enumerate(futures):
-            try:
-                results.append(
-                    future.result(None if end is None else max(0.0, end - time.monotonic()))
-                )
-            except FuturesTimeoutError:
-                for pending in futures[position:]:
-                    pending.cancel()
-                raise ShardTimeoutError(
-                    f"shard {calls[position][0]} did not answer within the "
-                    f"{deadline}s scatter deadline"
-                ) from None
-        return results
+        run_from(0)
+        interrupted = outcomes.pop()
+        if interrupted is not None:
+            raise interrupted
+        for outcome in outcomes:
+            if isinstance(outcome, GraphittiError) and not isinstance(outcome, tolerate):
+                raise outcome
+        return outcomes
+
+    def _shard_call(
+        self, index: int, op: ops.Op, args: tuple, kwargs: dict[str, Any], then: Callable[[], None]
+    ) -> Any:
+        """One scatter row in process.  *then* (the later rows) runs first,
+        so this row's ``shard.<verb>`` span opens after theirs closed and the
+        spans stay siblings, and no shard's read mutex is held while another
+        is taken.  The network facade overrides this hook alone."""
+        then()
+        with self.obs.span(f"shard.{op.name}") as span:
+            span.set("shard", index)
+            if op.kind != ops.READ:
+                return op.call(self._shards[index], *args, **kwargs)
+            with self._read_mutexes[index]:
+                return op.call(self._shards[index], *args, **kwargs)
 
     def _owning_shard(self, annotation_id: str) -> int | None:
         """The shard holding *annotation_id*, or None.
@@ -451,7 +457,7 @@ class ShardedGraphittiService:
         # ids imported from another deployment (a different topology, a
         # migration) route by referent hash, not by their legacy encoding.
         others = [call for call in self._all(annotation_id) if call[0] != encoded]
-        held = self._scatter("holds", others, inline=True)
+        held = self._scatter("holds", others)
         return next((call[0] for call, answer in zip(others, held) if answer), None)
 
     def _owner(self, annotation_id: str) -> Any:
@@ -528,7 +534,7 @@ class ShardedGraphittiService:
     def bulk_commit(
         self, annotations: Iterable[Annotation | AnnotationBuilder]
     ) -> list[Annotation]:
-        """Group a batch by shard and group-commit the groups concurrently.
+        """Group a batch by shard and group-commit the groups in one scatter.
 
         Each per-shard group commits atomically (one lock acquisition, one
         WAL group commit on that shard); atomicity across shards is not
@@ -648,16 +654,44 @@ class ShardedGraphittiService:
     ) -> tuple[tuple[ReturnKind, int | None], list[QueryResult | None]]:
         """The query's shape and its per-shard pages, in shard order.
 
-        A ``None`` page is a shard that contributed nothing; the merge tags
-        the result degraded.  Here the shape is parsed up front (malformed
-        text never reaches a shard) and every shard must answer — the network
-        facade overrides this step to parse while its workers run and to
-        admit degraded reads.
+        The shape is parsed inside the scatter round (overlapping a network
+        facade's workers); malformed text fails here, with the parser's
+        error.  An unreachable or timed-out shard raises a typed error naming
+        the missing shards, unless :attr:`degraded_reads` admits a partial
+        page: ``None`` takes its place and the merge tags the result.
         """
-        with self.obs.span("parse"):
-            shape = self._query_shape(text_or_query)
+        shape: list[Any] = []
+
+        def parse() -> None:
+            with self.obs.span("parse"):
+                shape.append(self._query_shape(text_or_query))
+
         with self.obs.span("scatter"):
-            return shape, self._scatter("query", self._all(text_or_query))
+            pages = self._scatter(
+                "query",
+                self._all(text_or_query),
+                tolerate=(ShardUnavailableError, ShardTimeoutError),
+                meanwhile=parse,
+            )
+        causes = {
+            index: page for index, page in enumerate(pages) if isinstance(page, GraphittiError)
+        }
+        if causes:
+            missing = list(causes)
+            if not self.degraded_reads or len(missing) == len(self._shards):
+                if all(isinstance(exc, ShardTimeoutError) for exc in causes.values()):
+                    raise ShardTimeoutError(
+                        f"shard(s) {missing} missed the query deadline"
+                    ) from causes[missing[0]]
+                raise ShardUnavailableError(
+                    f"shard(s) {missing} unavailable for query "
+                    f"(degraded reads {'exhausted' if self.degraded_reads else 'disabled'})",
+                    shards=tuple(missing),
+                )
+            self.obs.count("query.degraded")
+            for index in missing:
+                pages[index] = None
+        return shape[0], pages
 
     def _merge_results(
         self,
@@ -850,7 +884,7 @@ class ShardedGraphittiService:
     # -- checkpointing ---------------------------------------------------------
 
     def checkpoint(self) -> Path | None:
-        """Checkpoint every shard in parallel, then land the manifest.
+        """Checkpoint every shard, then land the manifest.
 
         Each shard's checkpoint is individually atomic (snapshot rename +
         WAL truncate); the manifest — written last, write-temp + fsync +

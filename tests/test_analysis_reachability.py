@@ -22,8 +22,6 @@ UNREACHED = {
     "repro.baselines": "package of the two references below",
     "repro.baselines.linear_scan": "reference the spatial index tests compare against",
     "repro.baselines.unindexed_multigraph": "reference the bench_adjacency_engine gate compares against",
-    "repro.provenance": "package of the derivation module below",
-    "repro.provenance.derivation": "coordinate transforms pinned by tests/test_provenance_derivation.py",
     "repro.workloads.replication_scenario": "scenario benchmarks/bench_replication.py drives",
 }
 

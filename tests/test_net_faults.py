@@ -300,13 +300,37 @@ def test_eight_caller_threads_get_the_threaded_facades_pages():
     threaded.close()
 
 
-def test_network_facade_scatters_without_a_thread_pool():
-    service = open_net()
-    populate(service, count=8)
-    service.query(PROBES[0])
-    service.statistics()
+@pytest.mark.parametrize("facade", ["threaded", "network"])
+def test_network_facade_scatters_without_a_thread_pool(facade):
+    # Both facades scatter through one loop on the caller's thread.
+    service = open_net() if facade == "network" else ShardedGraphittiService(shards=2)
+    object_ids = populate(service, count=8)
     assert not hasattr(service, "_pool")
-    assert not [t.name for t in threading.enumerate() if t.name.startswith("netshard")]
+    threads = set(threading.enumerate())
+    service.query(PROBES[0])
+    batch = [
+        service.new_annotation(title=f"pool-{index}").mark_sequence(object_ids[index], 0, 10)
+        for index in range(4)
+    ]
+    assert len(service.bulk_commit(batch)) == 4
+    service.checkpoint()
+    assert not service.holds("caller-chosen-id")
+    assert set(threading.enumerate()) <= threads  # earlier tests' threads may still be exiting
+    if facade == "threaded":
+        with service.obs.tracer.span("capture") as capture:
+            service.query(PROBES[1])
+        scatter = next(span for span in capture.children[0].children if span.name == "scatter")
+        assert [span.name for span in scatter.children] == ["parse", "shard.query", "shard.query"]
+        assert sorted(span.attributes["shard"] for span in scatter.children[1:]) == [0, 1]
+
+        from repro.errors import QuerySyntaxError
+
+        calls = []
+        for shard in service.shards:
+            shard.query = lambda text, original=shard.query: calls.append(text) or original(text)
+        with pytest.raises(QuerySyntaxError):
+            service.query("SELECT contents WHERE { CONTENT CONTAINS }")
+        assert len(calls) == service.shard_count
     service.close()
 
 

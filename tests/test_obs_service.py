@@ -165,10 +165,12 @@ def test_sharded_trace_has_one_child_span_per_shard():
     (root,) = capture.children
     assert root.name == "query"
     stages = [child.name for child in root.children]
-    assert stages == ["parse", "scatter", "merge"]
-    scatter = root.children[1]
+    assert stages == ["scatter", "merge"]
+    scatter = root.children[0]
+    # The facade parses the shape inside the scatter round, before any shard runs.
+    assert scatter.children[0].name == "parse"
     shard_spans = [child for child in scatter.children if child.name == "shard.query"]
-    assert len(shard_spans) == 3
+    assert len(shard_spans) == 3 == len(scatter.children) - 1
     assert sorted(span.attributes["shard"] for span in shard_spans) == [0, 1, 2]
     # Each shard's own query tree hangs off its shard.query span.
     for span in shard_spans:

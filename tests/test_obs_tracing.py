@@ -34,21 +34,6 @@ def test_span_records_error_attribute():
     assert span.attributes["error"] == "KeyError"
 
 
-def test_explicit_parent_crosses_threads():
-    tracer = Tracer(enabled=True)
-    with tracer.span("scatter") as scatter:
-
-        def worker():
-            with tracer.span("shard.query", parent=scatter) as span:
-                span.set("shard", 0)
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join()
-    assert [child.name for child in scatter.children] == ["shard.query"]
-    assert scatter.children[0].attributes["shard"] == 0
-
-
 def test_thread_local_stacks_are_independent():
     """Concurrent roots on different threads never adopt each other."""
     tracer = Tracer(enabled=True)

@@ -6,6 +6,9 @@ annotation ids, same order, same referent pages — while writes route, caches
 invalidate per shard, and every shard recovers independently.
 """
 
+import threading
+import time
+
 import pytest
 
 from repro.core.manager import Graphitti
@@ -271,6 +274,64 @@ def test_recover_replays_unsnapshotted_wal(tmp_path):
     recovered = ShardedGraphittiService.recover(root, config=config)
     info = recovered.recovery_info
     assert info is not None and info["replayed"] > 0
+    assert_bit_identical(recovered, oracle)
+    recovered.close()
+    oracle.close()
+
+
+def test_reads_of_one_in_process_shard_take_turns():
+    """Two callers scattering the same query read shard 0 one after the other,
+    so the second is served from the entry the first cached."""
+    service = ShardedGraphittiService(shards=2)
+    populate(service, count=8)
+    inside, release, entered = threading.Event(), threading.Event(), []
+    original = service.shards[0].query
+
+    def parked(text):
+        entered.append(text)
+        inside.set()
+        release.wait(10)
+        return original(text)
+
+    service.shards[0].query = parked
+    callers = [threading.Thread(target=service.query, args=(PROBES[0],)) for _ in range(2)]
+    callers[0].start()
+    assert inside.wait(10)
+    callers[1].start()
+    time.sleep(0.2)
+    assert len(entered) == 1  # the second caller waits at the shard, not inside it
+    release.set()
+    for caller in callers:
+        caller.join(10)
+    assert not any(caller.is_alive() for caller in callers)
+    cache = service.shards[0]._cache.stats()
+    assert (cache["misses"], cache["hits"]) == (1, 1)
+    service.close()
+
+
+def test_close_finishes_when_a_final_checkpoint_fails(tmp_path):
+    """Regression: one shard's failed close-time checkpoint must not leak its
+    WAL handle, skip the shards after it, or skip the manifest."""
+    root = tmp_path / "failing-close"
+    sharded = ShardedGraphittiService.open(root, shards=3)
+    oracle = GraphittiService(manager=Graphitti("close-oracle"))
+    populate(sharded)
+    populate(oracle)
+
+    def disk_full():
+        raise OSError("disk full")
+
+    sharded.shards[0]._store.snapshot_write_hook = disk_full
+    with pytest.raises(ServiceError):
+        sharded.close()
+    assert all(shard._closed for shard in sharded.shards)
+    assert all(shard._store.wal._handle.closed for shard in sharded.shards)
+    wal_seqs = read_manifest(root)["wal_seqs"]
+    assert wal_seqs == [shard.last_wal_seq for shard in sharded.shards]
+    assert all(seq > 0 for seq in wal_seqs)
+
+    recovered = ShardedGraphittiService.recover(root)
+    assert recovered.recovery_info["replayed"] > 0  # shard 0's WAL, never snapshotted
     assert_bit_identical(recovered, oracle)
     recovered.close()
     oracle.close()
