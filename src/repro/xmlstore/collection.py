@@ -23,7 +23,11 @@ from repro.xmlstore.xpath import XPath
 
 
 class DocumentCollection:
-    """A keyed collection of XML documents with a keyword index."""
+    """A keyed collection of XML documents with a keyword index.
+
+    Phrase verification reads one cached lower-cased text per document
+    version, so a search never re-renders a document it verified before.
+    """
 
     def __init__(self, name: str = "annotations", indexed: bool = True):
         self.name = name
@@ -39,14 +43,19 @@ class DocumentCollection:
         # document does, once.
         self._stale: dict[str, Callable[[], XmlDocument]] = {}
         # Documents registered via :meth:`add_lazy` whose trees were never
-        # materialized — doc id -> regenerator, and doc id -> the exact
-        # searchable text keyword verification reads instead of rendering the
-        # document.  Unlike a stale body, a parked document is safe for a
-        # *reader* to materialize (see :meth:`_materialize`), so nothing
-        # drains these ahead of reads.  Both entries drop on materialization
-        # or when an in-place edit supersedes the registered body.
+        # materialized — doc id -> regenerator.  Unlike a stale body, a
+        # parked document is safe for a *reader* to materialize (see
+        # :meth:`_materialize`), so nothing drains these ahead of reads.  The
+        # entry drops on materialization or when an in-place edit supersedes
+        # the registered body.
         self._lazy: dict[str, Callable[[], XmlDocument]] = {}
-        self._lazy_text: dict[str, str] = {}
+        # doc id -> the lower-cased searchable text of its *latest* body, the
+        # string keyword verification reads.  Filled where the text is
+        # computed anyway (indexing, ``add_lazy_many``, ``update``) or by the
+        # first verify that misses; dropped only by ``update_delta`` and
+        # ``remove``.  A reader may fill it under the shared lock: readers
+        # never see a stale body, so the text they store is current.
+        self._text: dict[str, str] = {}
         self._next_serial = 1
 
     # -- container protocol -----------------------------------------------------
@@ -83,7 +92,6 @@ class DocumentCollection:
         document.doc_id = doc_id
         self._documents[doc_id] = document
         self._lazy.pop(doc_id, None)
-        self._lazy_text.pop(doc_id, None)
 
     def _materialize_all(self) -> None:
         """Build every stale or parked document (bulk readers call this first)."""
@@ -137,7 +145,9 @@ class DocumentCollection:
             if defer_index:
                 self._pending_index[identifier] = None
             else:
-                self._index.add_document(identifier, self._searchable_text(document))
+                text = self._searchable_text(document)
+                self._index.add_document(identifier, text)
+                self._text[identifier] = text.lower()
         return identifier
 
     def add_lazy(
@@ -157,11 +167,12 @@ class DocumentCollection:
         document's exact searchable text (the same string
         :meth:`_searchable_text` would extract) and a zero-arg regenerator
         producing the tree on demand.  The inverted index is fed from the
-        texts as one batch; keyword verification also reads the cached text,
-        so a lazily-registered document that is never read never builds a
-        tree at all.  Recovery uses this to register every annotation content
-        document from the snapshot's records — cold-start cost and RSS scale
-        with the index, not with the XML object graph.
+        texts as one batch, and each text becomes the document's one cached
+        lower-cased text per document version, which keyword verification
+        reads — so a lazily-registered document that is never read never
+        builds a tree at all.  Recovery uses this to register every
+        annotation content document from the snapshot's records — cold-start
+        cost and RSS scale with the index, not with the XML object graph.
         """
         texts: list[tuple[str, str]] = []
         for doc_id, searchable_text, regenerate in entries:
@@ -171,7 +182,7 @@ class DocumentCollection:
             # before touching the stored value.
             self._documents[doc_id] = None
             self._lazy[doc_id] = regenerate
-            self._lazy_text[doc_id] = searchable_text
+            self._text[doc_id] = searchable_text.lower()
             texts.append((doc_id, searchable_text))
         if self._index is not None:
             self._index.add_documents(texts)
@@ -179,7 +190,7 @@ class DocumentCollection:
     @property
     def lazy_document_count(self) -> int:
         """Documents registered lazily whose trees were never built."""
-        return len(self._lazy_text)
+        return len(self._lazy)
 
     @property
     def pending_index_count(self) -> int:
@@ -200,21 +211,19 @@ class DocumentCollection:
             self._materialize(identifier)  # index the *latest* body
             document = self._documents.get(identifier)
             if document is not None:
-                self._index.add_document(identifier, self._searchable_text(document))
+                text = self._searchable_text(document)
+                self._index.add_document(identifier, text)
+                self._text[identifier] = text.lower()
         return len(pending)
 
     def add_xml(self, text: str, doc_id: str | None = None) -> str:
         """Parse XML text and store the resulting document."""
         return self.add(parse_xml(text), doc_id=doc_id)
 
-    def replace(self, doc_id: str, document: XmlDocument) -> None:
-        """Replace a stored document under the same id (alias of :meth:`update`)."""
-        self.update(doc_id, document)
-
     def update(self, doc_id: str, document: XmlDocument) -> None:
         """Replace a stored document with *delta* index maintenance.
 
-        Unlike :meth:`replace` (which re-feeds the whole text through
+        Unlike re-adding it (which re-feeds the whole text through
         ``add_document``), this hands the new text to
         :meth:`InvertedIndex.update_document`, so only the postings whose
         terms actually changed are touched — the inverted-index half of the
@@ -227,11 +236,13 @@ class DocumentCollection:
             raise XmlStoreError(f"no document {doc_id!r} in collection {self.name!r}")
         self._stale.pop(doc_id, None)  # superseded before it was ever read
         self._lazy.pop(doc_id, None)
-        self._lazy_text.pop(doc_id, None)
+        self._text.pop(doc_id, None)
         document.doc_id = doc_id
         self._documents[doc_id] = document
         if self._index is not None and doc_id not in self._pending_index:
-            self._index.update_document(doc_id, self._searchable_text(document))
+            text = self._searchable_text(document)
+            self._index.update_document(doc_id, text)
+            self._text[doc_id] = text.lower()
 
     def update_delta(
         self,
@@ -264,7 +275,7 @@ class DocumentCollection:
             raise XmlStoreError(f"no document {doc_id!r} in collection {self.name!r}")
         self._stale[doc_id] = regenerate
         self._lazy.pop(doc_id, None)  # the edit supersedes the registered body
-        self._lazy_text.pop(doc_id, None)  # text changed; recompute on next verify
+        self._text.pop(doc_id, None)  # text changed; recompute on next verify
         if self._index is None or doc_id in self._pending_index:
             return
         self._index.apply_text_delta(doc_id, removed_parts, added_parts)
@@ -275,7 +286,7 @@ class DocumentCollection:
             raise XmlStoreError(f"no document {doc_id!r} in collection {self.name!r}")
         self._stale.pop(doc_id, None)
         self._lazy.pop(doc_id, None)
-        self._lazy_text.pop(doc_id, None)
+        self._text.pop(doc_id, None)
         del self._documents[doc_id]
         if doc_id in self._pending_index:
             del self._pending_index[doc_id]  # never reached the index
@@ -334,15 +345,16 @@ class DocumentCollection:
     def _verify_text(self, doc_id: str, phrase: str) -> bool:
         """Phrase-verify *doc_id* against its latest searchable text.
 
-        Lazily-registered documents verify against the cached text string
-        without ever building the tree; everything else materializes the
-        latest body first (the pre-lazy behavior).
+        Reads the one cached lower-cased text per document version, so a
+        lazily-registered document never builds its tree here.  A document
+        with no cached text (edited in place since, or in an unindexed
+        collection) materializes its latest body and renders the text once.
         """
-        text = self._lazy_text.get(doc_id)
+        text = self._text.get(doc_id)
         if text is None:
             self._materialize(doc_id)  # verify against the latest body
-            text = self._searchable_text(self._documents[doc_id])
-        text = text.lower()
+            text = self._searchable_text(self._documents[doc_id]).lower()
+            self._text[doc_id] = text
         return phrase in text or all(token in text for token in phrase.split())
 
     def document_matches_keyword(self, doc_id: str, keyword: str, mode: str = "and") -> bool:
@@ -389,7 +401,12 @@ class DocumentCollection:
         return min(frequencies)
 
     def scan_keyword(self, keyword: str) -> list[str]:
-        """Index-free keyword search (full scan); baseline for benchmarks."""
+        """Index-free keyword search (full scan); baseline for benchmarks.
+
+        Renders every document's text from its tree and never reads the
+        cached ``_text``, so tests can use it as ground truth for the
+        index-and-cache path of :meth:`search_keyword`.
+        """
         self._materialize_all()
         phrase = keyword.strip().lower()
         matches = []

@@ -78,7 +78,7 @@ def test_replace():
     collection = make_collection()
     from repro.xmlstore.parser import parse_xml
 
-    collection.replace("a2", parse_xml("<annotation><body>protease now</body></annotation>"))
+    collection.update("a2", parse_xml("<annotation><body>protease now</body></annotation>"))
     assert "a2" in collection.search_keyword("protease")
 
 
@@ -201,7 +201,7 @@ def test_deferred_then_replaced_indexes_new_text():
 
     collection.add(parse_xml("<annotation><body>first text</body></annotation>"),
                    doc_id="d1", defer_index=True)
-    collection.replace("d1", parse_xml("<annotation><body>second text</body></annotation>"))
+    collection.update("d1", parse_xml("<annotation><body>second text</body></annotation>"))
     assert collection.search_keyword("second") == ["d1"]
     assert collection.search_keyword("first") == []
 

@@ -4,8 +4,14 @@ Covers the two new inverted-index paths (``update_document`` term diff,
 ``apply_text_delta`` exact part delta), the collection's in-place update
 methods, and the deferred-indexing delete regression: a document committed
 with ``defer_index=True`` and removed before ``flush_index()`` must never
-resurrect ghost postings.
+resurrect ghost postings.  Also pinned: keyword verification renders each
+document version's text at most once, and concurrent readers cache only
+current texts.
 """
+
+import sys
+import threading
+from collections import Counter
 
 import pytest
 
@@ -261,3 +267,142 @@ def test_live_and_recovered_collections_search_alike_through_mutations():
         assert collection.flush_index() == 1
     assert_twins_agree(live, recovered)
     assert_index_equals_rebuild(live)
+
+
+# -- one cached lower-cased text per document version ---------------------------
+
+_COUNTED_PROBES = ("tagged", "alpha", "cleavage site", "beta gamma", "zeta", "draft", "parked")
+
+
+def _probe(collection, probes: int = 50) -> None:
+    """*probes* keyword probes alternating the two verifying read paths."""
+    for serial in range(probes):
+        keyword = _COUNTED_PROBES[serial % len(_COUNTED_PROBES)]
+        if serial % 2 == 0:
+            collection.search_keyword(keyword)
+        else:
+            doc_ids = collection.document_ids()
+            collection.document_matches_keyword(doc_ids[serial % len(doc_ids)], keyword)
+
+
+def test_searchable_text_renders_once_per_document_version(monkeypatch):
+    parked = {"p1": "parked alpha", "p2": "parked cleavage site"}
+    parked_texts = {doc_id: DocumentCollection._searchable_text(_doc(body)) for doc_id, body in parked.items()}
+    renders: Counter = Counter()
+    searchable_text = DocumentCollection._searchable_text
+
+    def counting(document):
+        renders[document.doc_id] += 1
+        return searchable_text(document)
+
+    monkeypatch.setattr(DocumentCollection, "_searchable_text", staticmethod(counting))
+    collection = DocumentCollection("counted")
+    for doc_id, body in _BODIES.items():
+        collection.add(_doc(body), doc_id=doc_id)
+    expected = Counter(dict.fromkeys(_BODIES, 1))  # a live add renders once
+    _probe(collection)
+    assert renders == expected
+
+    collection.add(_doc("late draft"), doc_id="d5", defer_index=True)
+    assert renders == expected  # deferral renders nothing yet
+    collection.flush_index()
+    expected["d5"] += 1  # the flush renders it once
+    _probe(collection)
+    assert renders == expected
+
+    collection.update("d1", _doc("revised draft of alpha"))
+    expected["d1"] += 1  # each update renders once
+    _probe(collection)
+    assert renders == expected
+
+    collection.update_delta("d2", lambda: _doc("beta zeta Binding pocket"), ["gamma"], ["zeta"])
+    assert renders == expected  # the edit itself renders nothing
+    _probe(collection)
+    expected["d2"] += 1  # the first verify after it renders once
+    assert renders == expected
+
+    collection.add_lazy_many(
+        (doc_id, parked_texts[doc_id], lambda body=body: _doc(body)) for doc_id, body in parked.items()
+    )
+    _probe(collection)
+    assert renders == expected  # registered text is verified, never rendered
+    assert collection.search_keyword("parked") == ["p1", "p2"]
+    assert collection.search_keyword("zeta") == ["d2"]
+    assert collection.lazy_document_count == len(parked)
+
+
+def _pages(result):
+    from repro.net.codec import encode_query_result
+
+    page = encode_query_result(result)
+    return page["annotation_ids"], page["referents"], page["fragments"]
+
+
+def test_concurrent_readers_cache_only_current_texts(tmp_path):
+    """Eight readers fill the text cache under the shared lock of a service
+    whose corpus is recovered (parked), live-ingested and edited in place;
+    every page matches a single-threaded oracle, every cached text is the
+    latest body's."""
+    from repro.core.manager import Graphitti
+    from repro.service.service import GraphittiService, ServiceConfig
+    from repro.workloads import seed_churn_corpus
+    from repro.workloads.churn_scenario import CHURN_KEYWORDS
+
+    config = ServiceConfig(cache_capacity=0, checkpoint_on_close=False)
+    service = GraphittiService.open(tmp_path, config=config)
+    try:
+        seed_churn_corpus(service, objects=3, annotations=90, tag="parked")
+        service.checkpoint()
+    finally:
+        service.close()
+    service = GraphittiService.recover(tmp_path, config=config)
+    oracle = Graphitti("oracle")
+    seed_churn_corpus(oracle, objects=3, annotations=90, tag="parked")
+    edited = [f"churn-parked-{serial}" for serial in range(0, 90, 7)]
+    edited += [f"churn-live-{serial}" for serial in range(0, 60, 5)]
+    for target in (service, oracle):
+        seed_churn_corpus(target, objects=2, annotations=60, domain="churn:live", seed=17, tag="live")
+        for serial, annotation_id in enumerate(edited):
+            word = CHURN_KEYWORDS[serial % len(CHURN_KEYWORDS)]
+            target.update_annotation(
+                annotation_id, {"title": f"edited {annotation_id}", "keywords": ["edited", word]}
+            )
+    contents = service.manager.contents
+    assert contents.lazy_document_count == 90 - len(range(0, 90, 7))
+    assert contents.stale_document_count == len(edited)
+    keywords = ("churn", "edited", "edited churn", "initial mark", "mark 7 on", "curator-1", *CHURN_KEYWORDS)
+    texts = [f'SELECT contents WHERE {{ CONTENT CONTAINS "{keyword}" }}' for keyword in keywords]
+    texts.append('SELECT referents WHERE { CONTENT CONTAINS "churn" CONTENT CONTAINS "edited" }')
+    expected = {text: _pages(oracle.query(text)) for text in texts}
+    failures: list[str] = []
+    start = threading.Barrier(8)
+
+    def reader(offset: int) -> None:
+        try:
+            start.wait(timeout=30)
+            for index in range(len(texts)):  # every thread a different rotation
+                text = texts[(index + offset) % len(texts)]
+                if _pages(service.query(text)) != expected[text]:
+                    failures.append(text)
+        except Exception as error:  # noqa: BLE001 - reported below, on the main thread
+            failures.append(repr(error))
+
+    threads = [threading.Thread(target=reader, args=(offset,)) for offset in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+        alive = [thread for thread in threads if thread.is_alive()]
+    try:
+        assert not alive
+        assert failures == []
+        assert set(contents._text) == set(contents.document_ids())
+        for doc_id, text in contents._text.items():
+            assert text == DocumentCollection._searchable_text(contents.get(doc_id)).lower(), doc_id
+    finally:
+        service.close()
