@@ -1,7 +1,7 @@
 """Shared measurement helpers for the benchmark report() functions.
 
 ``pytest-benchmark`` drives the ``test_*`` functions; the ``report()``
-functions use :func:`time_call` so EXPERIMENTS.md can be regenerated with a
+functions use :func:`time_samples` so EXPERIMENTS.md can be regenerated with a
 plain ``python -m benchmarks.bench_x`` invocation that does not depend on the
 pytest-benchmark plugin.
 """
@@ -19,16 +19,11 @@ from pathlib import Path
 from typing import Any, Callable
 
 
-def time_call(fn: Callable, repeat: int = 5, number: int = 1) -> float:
-    """Return the best per-call wall-clock time (seconds) over *repeat* rounds."""
-    return min(time_samples(fn, repeat=repeat, number=number))
-
-
 def time_samples(fn: Callable, repeat: int = 5, number: int = 1) -> list[float]:
     """Per-round mean per-call times (seconds), one sample per round.
 
     The raw samples are what percentile reporting needs: the *best* round
-    (what :func:`time_call` returns) tracks the code's floor, while
+    tracks the code's floor, while
     p50/p95/p99 of the rounds expose the latency tail a mean hides — the
     reason the known small-corpus planner regression went unnoticed.
     """

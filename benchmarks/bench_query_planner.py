@@ -1,26 +1,18 @@
-"""PERF-6 / Q-2: query planning — static constants vs. stats-driven adaptive.
+"""PERF-6 / Q-2: the stats-driven adaptive planner on skewed cardinalities.
 
-Two workloads:
+One low-selectivity keyword (matching ~90% of a >=10k-annotation corpus)
+conjoined with one high-selectivity spatial window (matching a handful).
+The baseline is the in-bench reference the old constant-table planner ran
+for exactly this query: materialize the keyword's ~10k-row match set
+(``search_by_keyword``), materialize the window's
+(``search_by_overlap_interval``), intersect.  The planner measures both
+cardinalities, runs the window first, and **semi-join probes** the
+surviving candidates against the keyword index.  Floor: **>= 3x**, with
+identical ids.
 
-* **ordering on vs. off** (the original PERF-6 reproduction): the benefit of
-  the paper's "find a feasible order among the subqueries" step at all.
-* **skewed cardinalities** (the PR-3 tentpole): one low-selectivity keyword
-  (matching ~90% of a >=10k-annotation corpus) conjoined with one
-  high-selectivity spatial window (matching a handful).  The static
-  constant-table planner schedules the keyword first and materializes its
-  ~10k-row match set; the statistics-driven planner measures both
-  cardinalities, runs the window first, and **semi-join probes** the
-  surviving candidates against the keyword index.  Floor: **>= 3x**.
-* **small-end default** (ROADMAP item 5): below
-  :data:`~repro.query.planner.SMALL_CORPUS_THRESHOLD` annotations the
-  estimate pass used to cost 0.83–0.94x against static ordering, so the
-  implicit default now falls back to the static table there.  Floor: the
-  implicit default must stay within **>= 0.95x** of explicit static
-  ordering on every sub-threshold corpus size.
-
-``python -m benchmarks.bench_query_planner`` prints the tables, writes
-``BENCH_query_planner.json`` via the harness, and exits non-zero below
-either floor (the CI benchmark job runs exactly that).
+``python -m benchmarks.bench_query_planner`` prints the table, writes
+``BENCH_query_planner.json`` via the harness, and exits non-zero below the
+floor (the CI benchmark job runs exactly that).
 """
 
 from __future__ import annotations
@@ -33,7 +25,6 @@ from benchmarks._harness import (
     format_row,
     sample_stats,
     speedup,
-    time_call,
     time_samples,
     write_results,
 )
@@ -44,15 +35,9 @@ from repro.workloads.generators import WorkloadConfig, generate_annotation_workl
 
 SIZES = (200, 1000, 3000)
 
-#: Minimum acceptable speedup of the adaptive pipeline over the static
-#: constant-table planner on the skewed workload.
+#: Minimum acceptable speedup of the adaptive pipeline over the
+#: materialize-and-intersect reference on the skewed workload.
 ADAPTIVE_SPEEDUP_FLOOR = 3.0
-
-#: The implicit planning default may not cost more than this against
-#: explicit static ordering on corpora below the small-corpus threshold
-#: (the fallback makes the two the same code path; the margin absorbs
-#: timer noise).
-SMALL_END_FLOOR = 0.95
 
 #: Skewed-workload scale (>= 10k annotations per the acceptance criteria).
 SKEW_ANNOTATIONS = 12_000
@@ -128,90 +113,49 @@ def skewed_query():
     )
 
 
+def skewed_reference(manager: Graphitti) -> list[str]:
+    """Materialize both match sets and intersect: no planner, no probes."""
+    keyword = set(manager.search_by_keyword("ubiquitous"))
+    window = set(manager.search_by_overlap_interval(_DOMAIN, 0, _WINDOW_END))
+    return sorted(keyword & window)
+
+
 def measure_skewed() -> dict[str, float]:
-    """Skewed conjunction: static constant-table planner vs. adaptive."""
+    """Skewed conjunction: materialize-and-intersect reference vs. adaptive."""
     manager = build_skewed_corpus()
     query = skewed_query()
-    adaptive_result = manager.query(query, mode="cost")
-    static_result = manager.query(query, mode="static")
-    assert adaptive_result.annotation_ids == static_result.annotation_ids, (
-        "adaptive and static planners disagree"
+    adaptive_result = manager.query(query)
+    assert adaptive_result.annotation_ids == skewed_reference(manager), (
+        "adaptive pipeline and reference disagree"
     )
     probe_steps = [d for d in adaptive_result.step_details if d["mode"] == "probe"]
-    static_samples = time_samples(lambda: manager.query(query, mode="static"), repeat=5)
-    adaptive_samples = time_samples(lambda: manager.query(query, mode="cost"), repeat=5)
-    static_seconds = min(static_samples)
+    reference_samples = time_samples(lambda: skewed_reference(manager), repeat=5)
+    adaptive_samples = time_samples(lambda: manager.query(query), repeat=5)
+    reference_seconds = min(reference_samples)
     adaptive_seconds = min(adaptive_samples)
     row = {
         "workload": "skewed_cardinalities",
         "annotations": SKEW_ANNOTATIONS,
         "matches": len(adaptive_result.annotation_ids),
-        "baseline_seconds": static_seconds,
+        "baseline_seconds": reference_seconds,
         "candidate_seconds": adaptive_seconds,
-        "speedup": speedup(static_seconds, adaptive_seconds),
+        "speedup": speedup(reference_seconds, adaptive_seconds),
         "probe_steps": len(probe_steps),
         "speedup_floor": ADAPTIVE_SPEEDUP_FLOOR,
     }
-    row.update(sample_stats(static_samples, prefix="baseline"))
+    row.update(sample_stats(reference_samples, prefix="baseline"))
     row.update(sample_stats(adaptive_samples, prefix="candidate"))
     return row
-
-
-def measure_small_end() -> list[dict[str, float]]:
-    """Implicit default vs. explicit static/cost on sub-threshold corpora.
-
-    With the fallback active the implicit default *is* the static path, so
-    its speedup against explicit static should sit at ~1.0x; the explicit
-    cost column is kept to document what the fallback is avoiding.
-    """
-    from repro.query.planner import SMALL_CORPUS_THRESHOLD, QueryPlanner
-
-    rows = []
-    for size in SIZES:
-        if size >= SMALL_CORPUS_THRESHOLD:
-            continue
-        g = _make_graphitti(size)
-        query = _query()
-        assert QueryPlanner(manager=g).effective_mode() == "static", (
-            f"fallback inactive at {size} annotations"
-        )
-        # Sub-millisecond calls: best-of-many with several calls per round,
-        # or scheduler noise alone can breach the 5% floor margin.
-        static_samples = time_samples(lambda: g.query(query, mode="static"), repeat=15, number=3)
-        default_samples = time_samples(lambda: g.query(query), repeat=15, number=3)
-        cost_seconds = time_call(lambda: g.query(query, mode="cost"), repeat=15, number=3)
-        static_seconds = min(static_samples)
-        default_seconds = min(default_samples)
-        row = {
-            "workload": "small_end_default",
-            "annotations": size,
-            "baseline_seconds": static_seconds,
-            "candidate_seconds": default_seconds,
-            "explicit_cost_seconds": cost_seconds,
-            "speedup": speedup(static_seconds, default_seconds),
-            "speedup_floor": SMALL_END_FLOOR,
-        }
-        row.update(sample_stats(static_samples, prefix="baseline"))
-        row.update(sample_stats(default_samples, prefix="candidate"))
-        rows.append(row)
-    return rows
 
 
 # -- pytest-benchmark entry points --------------------------------------------
 
 
 @pytest.mark.parametrize("size", SIZES)
-def test_query_ordered(benchmark, size):
+def test_query(benchmark, size):
     g = _make_graphitti(size)
     query = _query()
-    benchmark(lambda: g.query(query, enable_ordering=True))
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_query_unordered(benchmark, size):
-    g = _make_graphitti(size)
-    query = _query()
-    benchmark(lambda: g.query(query, enable_ordering=False))
+    benchmark(lambda: g.query(query))
 
 
 @pytest.fixture(scope="module")
@@ -219,78 +163,27 @@ def skewed_corpus():
     return build_skewed_corpus()
 
 
-def test_skewed_static(benchmark, skewed_corpus):
-    query = skewed_query()
-    benchmark(lambda: skewed_corpus.query(query, mode="static"))
+def test_skewed_reference(benchmark, skewed_corpus):
+    benchmark(lambda: skewed_reference(skewed_corpus))
 
 
 def test_skewed_adaptive(benchmark, skewed_corpus):
     query = skewed_query()
-    benchmark(lambda: skewed_corpus.query(query, mode="cost"))
+    benchmark(lambda: skewed_corpus.query(query))
 
 
 # -- report -------------------------------------------------------------------
 
 
 def report() -> tuple[str, bool]:
-    lines = ["PERF-6  query planner: ordering modes and stats-driven adaptivity"]
-    lines.append(format_row(["annos", "ordered (us)", "naive (us)", "speedup"], [8, 14, 13, 10]))
-    ordering_rows = []
-    for size in SIZES:
-        g = _make_graphitti(size)
-        query = _query()
-        ordered_samples = time_samples(lambda: g.query(query, enable_ordering=True), repeat=5)
-        naive_samples = time_samples(lambda: g.query(query, enable_ordering=False), repeat=5)
-        ordered = min(ordered_samples)
-        naive = min(naive_samples)
-        ordering_row = {
-            "workload": "ordering_on_vs_off",
-            "annotations": size,
-            "baseline_seconds": naive,
-            "candidate_seconds": ordered,
-            "speedup": speedup(naive, ordered),
-        }
-        ordering_row.update(sample_stats(naive_samples, prefix="baseline"))
-        ordering_row.update(sample_stats(ordered_samples, prefix="candidate"))
-        ordering_rows.append(ordering_row)
-        lines.append(
-            format_row(
-                [size, f"{ordered * 1e6:.1f}", f"{naive * 1e6:.1f}", f"{speedup(naive, ordered):.2f}x"],
-                [8, 14, 13, 10],
-            )
-        )
-
-    small_rows = measure_small_end()
-    lines.append("")
-    lines.append("small-end default (implicit vs. explicit static, fallback active)")
-    widths = [8, 14, 14, 14, 10, 8]
-    lines.append(
-        format_row(["annos", "static (us)", "default (us)", "cost (us)", "speedup", "floor"], widths)
-    )
-    for row in small_rows:
-        lines.append(
-            format_row(
-                [
-                    row["annotations"],
-                    f"{row['baseline_seconds'] * 1e6:.1f}",
-                    f"{row['candidate_seconds'] * 1e6:.1f}",
-                    f"{row['explicit_cost_seconds'] * 1e6:.1f}",
-                    f"{row['speedup']:.2f}x",
-                    f"{SMALL_END_FLOOR:.2f}x",
-                ],
-                widths,
-            )
-        )
-    small_ok = all(row["speedup"] >= SMALL_END_FLOOR for row in small_rows)
-
+    lines = ["PERF-6  query planner: stats-driven adaptivity on skewed cardinalities"]
     skew_row = measure_skewed()
-    lines.append("")
     lines.append(
         f"skewed cardinalities ({skew_row['annotations']} annotations, "
         f"{skew_row['matches']} matches, {skew_row['probe_steps']} probe step(s))"
     )
     widths = [24, 16, 16, 10, 8]
-    lines.append(format_row(["workload", "static (ms)", "adaptive (ms)", "speedup", "floor"], widths))
+    lines.append(format_row(["workload", "reference (ms)", "adaptive (ms)", "speedup", "floor"], widths))
     lines.append(
         format_row(
             [
@@ -306,18 +199,15 @@ def report() -> tuple[str, bool]:
     ok = skew_row["speedup"] >= ADAPTIVE_SPEEDUP_FLOOR
     path = write_results(
         "query_planner",
-        ordering_rows + small_rows + [skew_row],
+        [skew_row],
         skew_annotations=SKEW_ANNOTATIONS,
         skew_keyword_fraction=SKEW_KEYWORD_FRACTION,
         adaptive_speedup_floor=ADAPTIVE_SPEEDUP_FLOOR,
-        small_end_floor=SMALL_END_FLOOR,
     )
     lines.append(f"results written to {path}")
     if not ok:
         lines.append("FAIL: adaptive pipeline is below its speedup floor")
-    if not small_ok:
-        lines.append("FAIL: implicit small-corpus default is below its static floor")
-    return "\n".join(lines), ok and small_ok
+    return "\n".join(lines), ok
 
 
 if __name__ == "__main__":

@@ -108,8 +108,8 @@ class Graphitti:
         #: Extra statistics sources merged into :meth:`statistics` (the
         #: serving layer registers its cache/WAL counters here).
         self.stats_providers: list[Callable[[], dict[str, Any]]] = []
-        #: Dense annotation-id interner backing the executor's bitset
-        #: candidate sets (see :mod:`repro.query.idspace`).
+        #: Dense annotation-id interner the column store keys its rows by
+        #: (see :mod:`repro.query.idspace`).
         self.idspace = AnnotationIdSpace()
         #: Live statistics catalogue feeding the cost-based planner; updated
         #: on every commit/delete and rebuilt by snapshot load / WAL replay.
@@ -875,59 +875,49 @@ class Graphitti:
         """A path in the a-graph between two annotation contents."""
         return self.agraph.path(annotation1, annotation2)
 
-    def query(self, text_or_query, enable_ordering: bool = True, mode: str | None = None,
-              tracer=None):
+    def query(self, text_or_query, tracer=None):
         """Run a GQL query (text or :class:`~repro.query.ast.Query`) and return
         its :class:`~repro.query.result.QueryResult`.
 
-        With ordering enabled the planner is **cost-based**: constraint order
-        comes from live cardinality estimates (see
+        The planner orders constraints by live cardinality estimates (see
         :mod:`repro.query.stats`) and the executor adapts as the candidate
-        set shrinks.  *mode* overrides the planning mode explicitly
-        (``"off"``, ``"static"``, ``"cost"``) — the benchmarks use
-        ``"static"`` to measure the old constant-table planner.  *tracer*
-        (a :class:`repro.obs.Tracer`) makes the executor emit per-constraint
-        and collation spans under whatever span is open on this thread.
+        set shrinks.  *tracer* (a :class:`repro.obs.Tracer`) makes the
+        executor emit per-constraint and collation spans under whatever span
+        is open on this thread.
         """
         from repro.query.ast import Query as _Query
         from repro.query.executor import QueryExecutor
         from repro.query.parser import parse_query
-        from repro.query.planner import QueryPlanner
 
         query = text_or_query if isinstance(text_or_query, _Query) else parse_query(text_or_query)
-        planner = QueryPlanner(enable_ordering=enable_ordering, manager=self, mode=mode)
-        executor = QueryExecutor(self, planner=planner, tracer=tracer)
-        return executor.execute(query)
+        return QueryExecutor(self, tracer=tracer).execute(query)
 
-    def explain(self, text_or_query, enable_ordering: bool = True, mode: str | None = None) -> dict:
+    def explain(self, text_or_query) -> dict:
         """Return the query plan and its estimated cost without executing it.
 
         The returned dict holds the parsed query description, the ordered plan
-        explanation (with per-constraint row estimates in cost mode), the
-        per-type subquery count, the planner's static cost estimate, and the
+        explanation (with per-constraint row estimates), the per-type
+        subquery count, the planner's static cost estimate, and the
         catalogue's estimated rows — the information an ``EXPLAIN`` surfaces.
+        It is the plan :meth:`query` would execute.
         """
         from repro.query.ast import Query as _Query
         from repro.query.parser import parse_query
         from repro.query.planner import QueryPlanner
 
         query = text_or_query if isinstance(text_or_query, _Query) else parse_query(text_or_query)
-        planner = QueryPlanner(enable_ordering=enable_ordering, manager=self, mode=mode)
-        plan = planner.plan(query)
-        explanation = {
+        plan = QueryPlanner(self).plan(query)
+        return {
             "query": query.describe(),
             "plan": plan.explain(),
             "subqueries": plan.subquery_count(),
             "estimated_cost": QueryPlanner.estimated_cost(query),
             "targets": [target.value for target in query.targets_present()],
-            "mode": plan.mode,
-        }
-        if plan.estimated_rows is not None:
-            explanation["estimated_rows"] = [
+            "estimated_rows": [
                 (constraint.describe(), rows)
                 for constraint, rows in zip(plan.ordered_constraints, plan.estimated_rows)
-            ]
-        return explanation
+            ],
+        }
 
     def connect_annotations(self, *annotation_ids: str) -> ConnectionSubgraph:
         """A connection subgraph intervening several annotations."""

@@ -15,13 +15,13 @@ This package implements GQL end to end:
 * :mod:`repro.query.tokenizer` -- the lexer,
 * :mod:`repro.query.parser` -- the recursive-descent parser,
 * :mod:`repro.query.planner` -- per-type subquery separation + cost-based
-  ordering (modes: off / static / cost),
+  ordering,
 * :mod:`repro.query.stats` -- the live statistics catalogue and cardinality
   estimator feeding the cost-based planner,
-* :mod:`repro.query.idspace` -- the dense annotation-id interner backing the
-  executor's bitset candidate sets,
+* :mod:`repro.query.idspace` -- the dense annotation-id interner the
+  column store keys its rows by,
 * :mod:`repro.query.executor` -- adaptive constraint evaluation (semi-join
-  probes, bitset narrowing) and result collation,
+  probes, candidate-set narrowing) and result collation,
 * :mod:`repro.query.result` -- the result model,
 * :mod:`repro.query.builder` -- a programmatic query builder.
 """

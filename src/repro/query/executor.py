@@ -7,11 +7,10 @@ requested result form (contents, referents, or connection subgraphs), exactly
 the "collating partial results from these subqueries into a set of
 type-extended connection subgraphs" step the paper describes.
 
-Under a cost-mode plan the executor is **adaptive**:
+The executor is **adaptive**:
 
-* candidate sets are big-int **bitsets** over the manager's dense
-  :class:`~repro.query.idspace.AnnotationIdSpace` (AND/OR/NOT are single
-  big-int ops, cardinality is one popcount) instead of ``set[str]``;
+* the candidate set is a plain ``set[str]`` of annotation ids; the first
+  step materializes the plan's smallest-estimate constraint;
 * after each step it re-picks the cheapest remaining constraint *relative to
   the current candidate count* — a constraint whose estimated match set
   dwarfs the survivors is deferred, because probing beats materializing it;
@@ -20,9 +19,6 @@ Under a cost-mode plan the executor is **adaptive**:
   is far below the constraint's estimated match set: each candidate is
   verified against the index in O(1)-ish instead of materializing and
   intersecting the full match set.
-
-Static / off plans keep the original materialize-then-intersect execution,
-which is what the planner benchmarks measure the adaptive pipeline against.
 """
 
 from __future__ import annotations
@@ -44,7 +40,7 @@ from repro.query.ast import (
 )
 from repro.core.annotation import Referent
 from repro.obs.tracing import NULL_SPAN
-from repro.query.planner import MODE_COST, QueryPlan, QueryPlanner
+from repro.query.planner import QueryPlan, QueryPlanner
 from repro.query.result import QueryResult
 from repro.agraph.connection import ConnectionSubgraph
 from repro.errors import QueryExecutionError
@@ -70,7 +66,7 @@ class QueryExecutor:
 
     def __init__(self, manager, planner: QueryPlanner | None = None, tracer=None):
         self._manager = manager
-        self._planner = planner or QueryPlanner(manager=manager)
+        self._planner = planner or QueryPlanner(manager)
         # Optional repro.obs Tracer: when attached, each constraint
         # evaluation and the collation emit child spans of whatever span is
         # open on the calling thread (the serving layer's "execute" span).
@@ -93,48 +89,27 @@ class QueryExecutor:
         """Execute a pre-built :class:`QueryPlan`."""
         query = plan.query
         result = QueryResult(return_kind=query.return_kind, plan_fingerprint=plan.fingerprint())
-        if plan.mode == MODE_COST and getattr(self._manager, "idspace", None) is not None:
-            surviving = self._run_adaptive(plan, result)
-        else:
-            surviving = self._run_static(plan, result)
+        surviving = self._narrow(plan, result)
         with self._span("collate") as span:
             span.set("survivors", len(surviving))
             self._collate(query, surviving, result)
         return result
 
-    # -- static (materialize-and-intersect) execution -------------------------
-
-    def _run_static(self, plan: QueryPlan, result: QueryResult) -> list[str]:
-        candidates: set[str] | None = None
-        for position, constraint in enumerate(plan.ordered_constraints):
-            with self._span("execute.constraint") as span:
-                matched = self._evaluate(constraint, candidates)
-                candidates = matched if candidates is None else (candidates & matched)
-                span.set("constraint", constraint.describe())
-                span.set("survivors", len(candidates))
-            result.record_step(constraint.describe(), len(candidates), position=position)
-            if not candidates:
-                break
-        if candidates is None:
-            return sorted(self._all_annotation_ids())
-        return sorted(candidates)
-
-    # -- adaptive (bitset + semi-join) execution ------------------------------
-
-    def _run_adaptive(self, plan: QueryPlan, result: QueryResult) -> list[str]:
-        idspace = self._manager.idspace
-        estimates = plan.estimated_rows or [0] * len(plan.ordered_constraints)
+    def _narrow(self, plan: QueryPlan, result: QueryResult) -> list[str]:
+        """Apply the plan's constraints adaptively; the sorted survivors."""
         remaining: list[tuple[int, Constraint, int]] = [
-            (position, constraint, estimates[position])
-            for position, constraint in enumerate(plan.ordered_constraints)
+            (position, constraint, estimate)
+            for position, (constraint, estimate) in enumerate(
+                zip(plan.ordered_constraints, plan.estimated_rows)
+            )
         ]
-        candidates: int | None = None
+        candidates: set[str] | None = None
         while remaining:
             if candidates is None:
                 # Plan order already has the smallest estimate first.
                 index = 0
             else:
-                count = candidates.bit_count()
+                count = len(candidates)
                 index = min(
                     range(len(remaining)),
                     key=lambda i: self._step_cost(remaining[i][1], remaining[i][2], count),
@@ -143,40 +118,27 @@ class QueryExecutor:
             probe = (
                 candidates is not None
                 and isinstance(constraint, _PROBEABLE)
-                and candidates.bit_count() * PROBE_COST_FACTOR < estimate
+                and len(candidates) * PROBE_COST_FACTOR < estimate
             )
             with self._span("execute.constraint") as span:
                 if probe:
-                    matched_ids = self._probe(constraint, idspace.iter_ids(candidates))
-                    candidates &= idspace.to_bits(matched_ids)
+                    candidates = self._probe(constraint, candidates)
                     mode = "probe"
                 else:
-                    # Only the universe-restricted evaluators (type, NOT, OR —
-                    # whose parts may be either) read the candidate set; skip
-                    # the bitset -> string-set conversion for the rest.
-                    consumes_candidates = isinstance(
-                        constraint, (TypeConstraint, NotConstraint, OrConstraint)
-                    )
-                    candidate_ids = (
-                        set(idspace.iter_ids(candidates))
-                        if candidates is not None and consumes_candidates
-                        else None
-                    )
-                    matched_bits = idspace.to_bits(self._evaluate(constraint, candidate_ids))
-                    candidates = matched_bits if candidates is None else candidates & matched_bits
+                    matched = self._evaluate(constraint, candidates)
+                    candidates = matched if candidates is None else candidates & matched
                     mode = "materialize"
-                survivors = candidates.bit_count()
                 span.set("constraint", constraint.describe())
                 span.set("mode", mode)
-                span.set("survivors", survivors)
+                span.set("survivors", len(candidates))
             result.record_step(
-                constraint.describe(), survivors, estimated=estimate, mode=mode, position=position
+                constraint.describe(), len(candidates), estimated=estimate, mode=mode, position=position
             )
             if not candidates:
                 break
         if candidates is None:
             return sorted(self._all_annotation_ids())
-        return sorted(idspace.iter_ids(candidates))
+        return sorted(candidates)
 
     @staticmethod
     def _step_cost(constraint: Constraint, estimate: int, candidate_count: int) -> int:
@@ -358,27 +320,12 @@ class QueryExecutor:
 
         Reads the per-data-type annotation-id index the statistics catalogue
         maintains on commit/delete — O(answer), never a full annotation scan.
-        Falls back to the scan for manager objects without a catalogue.
         """
-        catalogue = getattr(self._manager, "stats_catalogue", None)
-        if catalogue is not None:
-            of_type = catalogue.members_of_type(constraint.data_type)
-            if candidates is None:
-                return set(of_type)
-            # set.__and__ iterates the smaller operand; no copy of the index.
-            return candidates & of_type
-        matches: set[str] = set()
-        wanted = constraint.data_type.lower()
+        of_type = self._manager.stats_catalogue.members_of_type(constraint.data_type)
         if candidates is None:
-            scanned = self._manager.annotations()
-        else:
-            scanned = [self._manager.annotation(annotation_id) for annotation_id in candidates]
-        for annotation in scanned:
-            for referent in annotation.referents:
-                if referent.ref.data_type.value == wanted or referent.ref.data_type.name.lower() == wanted:
-                    matches.add(annotation.annotation_id)
-                    break
-        return matches
+            return set(of_type)
+        # set.__and__ iterates the smaller operand; no copy of the index.
+        return candidates & of_type
 
     def _evaluate_path(self, constraint: PathConstraint) -> set[str]:
         """Contents lying on a bounded a-graph path from a source to a target.

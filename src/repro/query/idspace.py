@@ -1,23 +1,16 @@
-"""Dense annotation-id interning and big-int bitset candidate sets.
+"""Dense annotation-id interning.
 
-The query executor narrows a *candidate set* of annotation ids constraint by
-constraint.  Hash sets of string ids make every intersection pay per-element
-hashing; interning each annotation id into a dense integer slot lets the
-executor represent candidate sets as plain Python ``int`` bitmaps instead,
-where AND/OR/NOT are single big-int operations and cardinality is one
-``int.bit_count()`` call.  Ids convert back to strings only at collation.
+Each live annotation id is interned into a dense integer slot; the column
+store (:mod:`repro.core.columns`) keys its per-annotation rows by that slot,
+and the executor's interval/region probes and collation read rows through
+it.  Slots freed by :meth:`AnnotationIdSpace.release` are recycled so the
+columns stay dense across delete-heavy workloads.
 
-Slots freed by :meth:`AnnotationIdSpace.release` are recycled so the bitmaps
-stay dense across delete-heavy workloads, and :attr:`live_mask` always equals
-the bitset of every live annotation (the NOT-constraint universe).
-
-**Slot-reuse contract:** a bitset is only meaningful at the mutation epoch it
-was computed at — after a release, the next ``intern`` may hand the same slot
-to a different annotation.  Audited for the mutation-lifecycle PR: every
-bitset in the codebase is built and consumed inside one ``QueryExecutor``
-execution (under the serving layer's read lock), the statistics catalogue's
-TYPE index and cached query results hold *string* ids, and memoized plans
-hold no bitsets — so no bitset survives across an epoch.  An in-place
+**Slot-reuse contract:** a slot names an annotation only at the mutation
+epoch it was looked up at — after a release, the next ``intern`` may hand
+the same slot to a different annotation.  Nothing outside the column store
+holds a slot across an epoch: candidate sets, the statistics catalogue's
+TYPE index and cached query results all hold *string* ids.  An in-place
 ``update_annotation`` deliberately keeps its slot (no release/intern), which
 is what makes update cheaper than delete+recommit here.  The
 delete→commit→query aliasing property test (``test_property_mutation``) pins
@@ -25,8 +18,6 @@ this.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Iterator
 
 
 class AnnotationIdSpace:
@@ -36,8 +27,6 @@ class AnnotationIdSpace:
         self._slot_of: dict[str, int] = {}
         self._id_at: list[str | None] = []
         self._free: list[int] = []
-        #: Bitset with one bit set per live (interned, not released) slot.
-        self.live_mask: int = 0
 
     def __len__(self) -> int:
         return len(self._slot_of)
@@ -57,7 +46,6 @@ class AnnotationIdSpace:
             slot = len(self._id_at)
             self._id_at.append(annotation_id)
         self._slot_of[annotation_id] = slot
-        self.live_mask |= 1 << slot
         return slot
 
     def release(self, annotation_id: str) -> bool:
@@ -67,7 +55,6 @@ class AnnotationIdSpace:
             return False
         self._id_at[slot] = None
         self._free.append(slot)
-        self.live_mask &= ~(1 << slot)
         return True
 
     def slot(self, annotation_id: str) -> int | None:
@@ -79,35 +66,3 @@ class AnnotationIdSpace:
         if 0 <= slot < len(self._id_at):
             return self._id_at[slot]
         return None
-
-    # -- bitset conversion -----------------------------------------------------
-
-    def to_bits(self, annotation_ids: Iterable[str]) -> int:
-        """Bitset of every *interned* id in the iterable (unknown ids dropped)."""
-        bits = 0
-        slot_of = self._slot_of
-        for annotation_id in annotation_ids:
-            slot = slot_of.get(annotation_id)
-            if slot is not None:
-                bits |= 1 << slot
-        return bits
-
-    def iter_ids(self, bits: int) -> Iterator[str]:
-        """Iterate the annotation ids of every set bit (lowest slot first)."""
-        id_at = self._id_at
-        while bits:
-            low = bits & -bits
-            slot = low.bit_length() - 1
-            bits ^= low
-            annotation_id = id_at[slot]
-            if annotation_id is not None:
-                yield annotation_id
-
-    def ids(self, bits: int) -> list[str]:
-        """The annotation ids of every set bit, as a list."""
-        return list(self.iter_ids(bits))
-
-    @staticmethod
-    def count(bits: int) -> int:
-        """Population count of a candidate bitset."""
-        return bits.bit_count()

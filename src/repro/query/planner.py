@@ -6,26 +6,17 @@ subqueries, and collating partial results."
 
 The planner groups the query's constraints by the data element they target
 (content, ontology, 1D substructure, 2D/3D substructure, type, path), then
-orders them for execution.  Three ordering modes exist:
-
-* ``cost`` (default when a manager is available) — each constraint gets a
-  cardinality estimate from the live :class:`~repro.query.stats.StatisticsCatalogue`
-  and the constraints run smallest-estimate first; the adaptive executor
-  then re-orders the remainder after every step and switches index-backed
-  constraints into semi-join probe mode when the surviving candidate set is
-  far smaller than a constraint's estimated match set.  On corpora below
-  :data:`SMALL_CORPUS_THRESHOLD` annotations the implicit default falls
-  back to ``static`` per plan — the estimate pass costs more than ordering
-  can win at that scale (an explicit ``mode="cost"`` disables the
-  fallback).
-* ``static`` — the pre-statistics behaviour: a hard-coded per-class
-  selectivity constant table (kept as the benchmark baseline and as the
-  fallback when no manager is attached).
-* ``off`` — declaration order (the naive baseline).
+orders them for execution: each constraint gets a cardinality estimate from
+the live :class:`~repro.query.stats.StatisticsCatalogue` and the constraints
+run smallest-estimate first, ties broken by a per-class selectivity table.
+The adaptive executor then re-orders the remainder after every step and
+switches index-backed constraints into semi-join probe mode when the
+surviving candidate set is far smaller than a constraint's estimated match
+set.
 
 The result is a :class:`QueryPlan`: an ordered list of constraints plus the
-grouping and (in cost mode) the per-constraint row estimates, which the
-executor runs step by step.
+grouping and the per-constraint row estimates, which the executor runs step
+by step.
 """
 
 from __future__ import annotations
@@ -46,11 +37,11 @@ from repro.query.ast import (
     Target,
     TypeConstraint,
 )
+from repro.query.stats import CardinalityEstimator
 
-#: Lower score == more selective == scheduled earlier.  The pre-statistics
-#: guess table: kept as the ``static`` planning mode (the measured baseline
-#: the cost-based planner is benchmarked against) and as the tie-breaker
-#: between equal cardinality estimates.
+#: Lower score == more selective == scheduled earlier.  The tie-breaker
+#: between equal cardinality estimates (an empty corpus estimates every
+#: constraint at 0) and the basis of :meth:`QueryPlanner.estimated_cost`.
 _SELECTIVITY: dict[type, int] = {
     KeywordConstraint: 10,
     OntologyConstraint: 20,
@@ -62,20 +53,6 @@ _SELECTIVITY: dict[type, int] = {
     NotConstraint: 90,   # negation restricts the surviving candidates; last
 }
 
-#: Planner modes.
-MODE_OFF = "off"
-MODE_STATIC = "static"
-MODE_COST = "cost"
-
-#: Below this live corpus size (annotations in the statistics catalogue) the
-#: implicitly chosen cost mode falls back to the static table: on a small
-#: corpus every constraint's candidate set is small, the orders rarely
-#: differ, and the per-plan estimate pass (a catalogue probe per constraint)
-#: costs more than any ordering win repays.  An *explicit* ``mode="cost"``
-#: is honored regardless — the override exists for exactly the callers
-#: (tests, benchmarks) that want the estimate pass on any corpus.
-SMALL_CORPUS_THRESHOLD = 3000
-
 
 @dataclass
 class QueryPlan:
@@ -86,26 +63,19 @@ class QueryPlan:
     query:
         The query being planned.
     ordered_constraints:
-        Constraints in planned execution order (most selective first).
+        Constraints in planned execution order (smallest estimate first).
+    estimated_rows:
+        The catalogue's cardinality estimate per constraint, aligned with
+        ``ordered_constraints``.
     groups:
         Constraints grouped by the data element they target (the per-type
         subqueries).
-    ordering_enabled:
-        Whether any ordering was applied (False reproduces the naive
-        declaration-order execution used as the PERF-6 baseline).
-    mode:
-        The planning mode that produced this plan (off / static / cost).
-    estimated_rows:
-        Cost mode only: the catalogue's cardinality estimate per constraint,
-        aligned with ``ordered_constraints``.
     """
 
     query: Query
     ordered_constraints: list[Constraint]
+    estimated_rows: list[int]
     groups: dict[Target, list[Constraint]] = field(default_factory=dict)
-    ordering_enabled: bool = True
-    mode: str = MODE_STATIC
-    estimated_rows: list[int] | None = None
     _fingerprint: str | None = field(default=None, repr=False, compare=False)
 
     def explain(self, actual_rows: dict[int, int] | None = None) -> str:
@@ -117,18 +87,13 @@ class QueryPlan:
         ``est~`` against ``act=``.  Actuals live on the result, not the
         plan: plans are memoized and shared across concurrent executions.
         """
-        ordering = f"on ({self.mode})" if self.ordering_enabled else "off"
-        lines = [f"PLAN (return {self.query.return_kind.value}, ordering={ordering}):"]
-        for position, constraint in enumerate(self.ordered_constraints, start=1):
-            line = f"  {position}. [{constraint.target.value}] {constraint.describe()}"
-            annotations = []
-            if self.estimated_rows is not None:
-                annotations.append(f"est~{self.estimated_rows[position - 1]}")
-            if actual_rows is not None and position - 1 in actual_rows:
-                annotations.append(f"act={actual_rows[position - 1]}")
-            if annotations:
-                line += f"  ({', '.join(annotations)})"
-            lines.append(line)
+        lines = [f"PLAN (return {self.query.return_kind.value}):"]
+        for position, constraint in enumerate(self.ordered_constraints):
+            line = f"  {position + 1}. [{constraint.target.value}] {constraint.describe()}"
+            annotations = [f"est~{self.estimated_rows[position]}"]
+            if actual_rows is not None and position in actual_rows:
+                annotations.append(f"act={actual_rows[position]}")
+            lines.append(f"{line}  ({', '.join(annotations)})")
         return "\n".join(lines)
 
     def subquery_count(self) -> int:
@@ -139,22 +104,21 @@ class QueryPlan:
         """A stable digest of the plan's semantics.
 
         Two queries share a fingerprint exactly when they produce the same
-        return kind and the same ordered constraint sequence under the same
-        planner mode — so the fingerprint reflects the order the cost-based
-        planner actually chose, and (together with the normalized query
-        text) is a sound cache key for query results: a stats-driven re-plan
-        that picks a different order changes the fingerprint and naturally
-        misses the old cache entries, while a re-plan with the same order
-        relies on the cache's epoch tagging.  Computed once per plan (the
-        executor stamps it on every result, so it is on the execution path).
-        ``estimated_rows`` and ``actual_rows`` are observational — they do
-        not change which annotations a plan returns — and are excluded.
+        return kind and the same ordered constraint sequence — so the
+        fingerprint reflects the order the planner actually chose, and
+        (together with the normalized query text) is a sound cache key for
+        query results: a stats-driven re-plan that picks a different order
+        changes the fingerprint and naturally misses the old cache entries,
+        while a re-plan with the same order relies on the cache's epoch
+        tagging.  Computed once per plan (the executor stamps it on every
+        result, so it is on the execution path).  ``estimated_rows`` and
+        ``actual_rows`` are observational — they do not change which
+        annotations a plan returns — and are excluded.
         """
         if self._fingerprint is not None:
             return self._fingerprint
         digest = hashlib.sha256()
         digest.update(self.query.return_kind.value.encode())
-        digest.update(f"|mode={self.mode}".encode())
         for constraint in self.ordered_constraints:
             digest.update(b"|")
             digest.update(constraint.target.value.encode())
@@ -167,81 +131,35 @@ class QueryPlan:
 class QueryPlanner:
     """Builds a :class:`QueryPlan` from a :class:`Query`.
 
-    Parameters
-    ----------
-    enable_ordering:
-        False forces declaration-order planning (the naive baseline).
-    manager:
-        The :class:`~repro.core.manager.Graphitti` whose statistics catalogue
-        feeds cardinality estimates.  Without one, cost mode degrades to the
-        static constant table.
-    mode:
-        Explicit mode override (``"off"``, ``"static"``, ``"cost"``); by
-        default ordering uses cost mode when a manager is attached and
-        static otherwise.
+    *manager* is the :class:`~repro.core.manager.Graphitti` whose statistics
+    catalogue feeds the cardinality estimates.
     """
 
-    def __init__(self, enable_ordering: bool = True, manager=None, mode: str | None = None):
-        self._explicit_mode = mode is not None
-        if mode is None:
-            mode = (MODE_COST if manager is not None else MODE_STATIC) if enable_ordering else MODE_OFF
-        if mode not in (MODE_OFF, MODE_STATIC, MODE_COST):
-            raise ValueError(f"unknown planner mode {mode!r}")
-        if mode == MODE_COST and manager is None:
-            mode = MODE_STATIC
-        self.mode = mode
-        self.enable_ordering = mode != MODE_OFF
+    def __init__(self, manager):
         self._manager = manager
-
-    def effective_mode(self) -> str:
-        """The mode the next plan will use, small-corpus fallback applied.
-
-        Per-plan, not per-planner: the catalogue's annotation total is live,
-        so a corpus that grows past :data:`SMALL_CORPUS_THRESHOLD` starts
-        getting cost-based plans without anyone reconstructing the planner.
-        """
-        if self.mode == MODE_COST and not self._explicit_mode:
-            if self._manager.stats_catalogue.annotation_total < SMALL_CORPUS_THRESHOLD:
-                return MODE_STATIC
-        return self.mode
 
     def plan(self, query: Query) -> QueryPlan:
         """Produce an execution plan for *query*."""
         groups: dict[Target, list[Constraint]] = {}
         for constraint in query.constraints:
             groups.setdefault(constraint.target, []).append(constraint)
-
-        mode = self.effective_mode()
-        estimated_rows: list[int] | None = None
-        if mode == MODE_COST:
-            from repro.query.stats import CardinalityEstimator
-
-            estimator = CardinalityEstimator(self._manager)
-            estimates = {id(constraint): estimator.estimate(constraint) for constraint in query.constraints}
-            ordered = sorted(
-                query.constraints,
-                key=lambda constraint: (
-                    estimates[id(constraint)],
-                    _SELECTIVITY.get(type(constraint), 50),
-                    constraint.describe(),
-                ),
-            )
-            estimated_rows = [estimates[id(constraint)] for constraint in ordered]
-        elif mode == MODE_STATIC:
-            ordered = sorted(
-                query.constraints,
-                key=lambda constraint: (_SELECTIVITY.get(type(constraint), 50), constraint.describe()),
-            )
-        else:
-            ordered = list(query.constraints)
-
+        estimator = CardinalityEstimator(self._manager)
+        constraints = query.constraints
+        estimates = [estimator.estimate(constraint) for constraint in constraints]
+        # sorted() is stable: full ties keep declaration order.
+        order = sorted(
+            range(len(constraints)),
+            key=lambda i: (
+                estimates[i],
+                _SELECTIVITY.get(type(constraints[i]), 50),
+                constraints[i].describe(),
+            ),
+        )
         return QueryPlan(
             query=query,
-            ordered_constraints=ordered,
+            ordered_constraints=[constraints[i] for i in order],
+            estimated_rows=[estimates[i] for i in order],
             groups=groups,
-            ordering_enabled=self.enable_ordering,
-            mode=mode,
-            estimated_rows=estimated_rows,
         )
 
     @staticmethod

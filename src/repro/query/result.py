@@ -25,9 +25,9 @@ class QueryResult:
     referents: list[Any] = field(default_factory=list)
     subgraphs: list[ConnectionSubgraph] = field(default_factory=list)
     #: Per-step execution detail: constraint label, surviving candidates,
-    #: the planner's estimated rows (None outside cost mode), how the step
-    #: ran ("materialize" or "probe" — the adaptive semi-join path), and the
-    #: constraint's plan position.  ``steps`` is derived from this.
+    #: the planner's estimated rows, how the step ran ("materialize" or
+    #: "probe" — the adaptive semi-join path), and the constraint's plan
+    #: position.  ``steps`` is derived from this.
     step_details: list[dict[str, Any]] = field(default_factory=list)
     fragments: list[Any] = field(default_factory=list)
     #: Fingerprint of the plan that produced this result (see

@@ -23,7 +23,6 @@ from repro.replica.replicated import (
     ReplicationConfig,
     read_replication_manifest,
     replica_dir_name,
-    write_replication_manifest,
 )
 from repro.replica.tailer import (
     ReplicationGapError,
@@ -42,7 +41,6 @@ __all__ = [
     "ReplicatedGraphittiService",
     "ReplicationConfig",
     "read_replication_manifest",
-    "write_replication_manifest",
     "replica_dir_name",
     "REPLICATION_MANIFEST",
     "PRIMARY_DIR",

@@ -49,10 +49,9 @@ from repro.replica.tailer import ReplicationGapError, WalCursor, encode_shipment
 from repro.service import ops
 from repro.service.durability import SNAPSHOT_FILE, WAL_FILE, peek_snapshot_wal_seq, read_snapshot
 from repro.service.service import GraphittiService, ServiceConfig
-from repro.service.wal import fsync_dir
+from repro.service.wal import write_json_atomic
 
 import json
-import os
 import zlib
 
 #: Topology + term manifest written next to the role directories.
@@ -74,26 +73,6 @@ def read_replication_manifest(root: str | Path) -> dict[str, Any] | None:
         return None
     with path.open("r", encoding="utf-8") as handle:
         return json.load(handle)
-
-
-def write_replication_manifest(root: str | Path, manifest: dict[str, Any]) -> Path:
-    """Atomically persist the manifest (temp + fsync + rename + dir fsync).
-
-    The manifest carries the **term** — the one fact a post-crash open must
-    never read torn, because it decides which directory is allowed to
-    acknowledge writes.
-    """
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    path = root / REPLICATION_MANIFEST
-    tmp = path.with_suffix(".json.tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    fsync_dir(root)
-    return path
 
 
 @dataclass
@@ -251,7 +230,7 @@ class ReplicatedGraphittiService:
                 raise ServiceError(f"replicas must be non-negative, got {replicas}")
             dirs = [PRIMARY_DIR] + [replica_dir_name(i) for i in range(replicas)]
             manifest = {"version": 1, "term": 1, "primary": PRIMARY_DIR, "replicas": dirs}
-            write_replication_manifest(root, manifest)
+            write_json_atomic(root / REPLICATION_MANIFEST, manifest)
         return cls._from_manifest(root, manifest, config, replication, manager_factory)
 
     @classmethod
@@ -719,8 +698,10 @@ class ReplicatedGraphittiService:
             for follower in self._followers:
                 follower.term = self._term
                 self._reset_cursor(follower)
-            write_replication_manifest(
-                self.root,
+            # The term is the one fact a post-crash open must never read
+            # torn: it decides which directory may acknowledge writes.
+            write_json_atomic(
+                self.root / REPLICATION_MANIFEST,
                 {
                     "version": 1,
                     "term": self._term,

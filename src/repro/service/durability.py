@@ -114,9 +114,8 @@ _COURTESY_GC_WAS_ENABLED = False
 _COURTESY_INTERVAL_S = 0.0005
 
 
-@contextlib.contextmanager
-def gil_courtesy():
-    """Make background CPU work polite to latency-sensitive threads.
+def enter_gil_courtesy() -> None:
+    """Open a window that makes background CPU work polite to latency-sensitive threads.
 
     Snapshot serialization is pure CPU on a background thread, and two
     interpreter-global mechanisms turn that into commit stalls even though
@@ -133,9 +132,14 @@ def gil_courtesy():
       frees the serialization garbage, and the deferred cyclic pass runs at
       the next threshold crossing after the window closes.
 
-    The window is process-global, so a depth count keeps overlapping
-    checkpoints (per-shard services share the interpreter) from restoring a
-    still-lowered interval or re-enabling GC a sibling paused.
+    Enter and leave are separate calls so the window can open on the thread
+    that starts the background work and close on the thread that does it:
+    a new thread keeps the GIL for a whole switch interval before it runs a
+    line of its own.  Every enter must be paired with exactly one
+    :func:`leave_gil_courtesy`.  The window is process-global, so a depth
+    count keeps overlapping checkpoints (per-shard services share the
+    interpreter) from restoring a still-lowered interval or re-enabling GC a
+    sibling paused.
     """
     global _COURTESY_DEPTH, _COURTESY_PREVIOUS, _COURTESY_GC_WAS_ENABLED
     with _COURTESY_LOCK:
@@ -145,15 +149,17 @@ def gil_courtesy():
             sys.setswitchinterval(_COURTESY_INTERVAL_S)
             gc.disable()
         _COURTESY_DEPTH += 1
-    try:
-        yield
-    finally:
-        with _COURTESY_LOCK:
-            _COURTESY_DEPTH -= 1
-            if _COURTESY_DEPTH == 0:
-                sys.setswitchinterval(_COURTESY_PREVIOUS)
-                if _COURTESY_GC_WAS_ENABLED:
-                    gc.enable()
+
+
+def leave_gil_courtesy() -> None:
+    """Close one :func:`enter_gil_courtesy` window; the last restores the interpreter."""
+    global _COURTESY_DEPTH
+    with _COURTESY_LOCK:
+        _COURTESY_DEPTH -= 1
+        if _COURTESY_DEPTH == 0:
+            sys.setswitchinterval(_COURTESY_PREVIOUS)
+            if _COURTESY_GC_WAS_ENABLED:
+                gc.enable()
 
 
 @contextlib.contextmanager

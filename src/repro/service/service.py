@@ -48,8 +48,9 @@ from repro.service import ops
 from repro.service.cache import QueryResultCache, normalize_gql
 from repro.service.durability import (
     DurableStore,
-    gil_courtesy,
+    enter_gil_courtesy,
     has_durable_state,
+    leave_gil_courtesy,
     recover_manager,
 )
 from repro.service.locks import ReadWriteLock
@@ -67,11 +68,6 @@ class ServiceConfig:
     checkpoint_interval: int = 0
     #: WAL fsync policy: "always" (per record), "batch", or "never".
     durability: str = "always"
-    #: Whether the planner applies selectivity ordering.
-    enable_ordering: bool = True
-    #: Explicit planner mode ("off", "static", "cost"); None keeps the
-    #: implicit default (cost with the small-corpus static fallback).
-    planner_mode: str | None = None
     #: Checkpoint once more when the service closes.
     checkpoint_on_close: bool = True
     #: Observability knobs (metrics/tracing/slow-op log).  The config rides
@@ -154,11 +150,7 @@ class GraphittiService:
         # hold on return — but writers never wait on serialization.
         self._ckpt_thread: threading.Thread | None = None
         self._ckpt_error: Exception | None = None
-        self._planner = QueryPlanner(
-            enable_ordering=self.config.enable_ordering,
-            manager=self._manager,
-            mode=self.config.planner_mode,
-        )
+        self._planner = QueryPlanner(self._manager)
         self._manager.stats_providers.append(self._service_stats)
 
     # -- lifecycle -------------------------------------------------------------
@@ -495,24 +487,37 @@ class GraphittiService:
                 name="repro-checkpoint",
                 daemon=True,
             )
+            # Open the courtesy window before start(), which returns only
+            # once the new thread has run: at the default switch interval
+            # that thread holds the GIL for 5 ms first, with the write lock
+            # held here.  The thread closes the window.
+            enter_gil_courtesy()
+            try:
+                thread.start()
+            except BaseException:
+                leave_gil_courtesy()
+                raise
             self._ckpt_thread = thread
-            thread.start()
         self.obs.count("checkpoints")
         return thread
 
     def _run_checkpoint(self, frozen, wal_seq: int) -> None:
         """Background half of a checkpoint: serialize, land, prune.
 
-        Serialization is pure CPU; inside a :func:`gil_courtesy` window the
+        Serialization is pure CPU; inside the courtesy window
+        :meth:`_checkpoint_locked` opened (:func:`enter_gil_courtesy`) the
         interpreter hands the GIL back to concurrent committers promptly
         instead of making each of their re-acquisitions wait out the default
-        5 ms switch interval.
+        5 ms switch interval.  This thread closes the window, whatever
+        happens.
         """
         try:
-            with gil_courtesy():
+            try:
                 payload = snapshot_from_frozen(frozen)
                 payload["wal_seq"] = wal_seq
                 self._store.write_snapshot(payload)
+            finally:
+                leave_gil_courtesy()
             self._store.finish_checkpoint(wal_seq)
         except Exception as exc:  # surfaced on the next checkpoint/close
             self._ckpt_error = exc
@@ -645,7 +650,6 @@ class GraphittiService:
             parsed = parse_query(text_or_query)
         with self.obs.span("plan") as plan_span:
             plan = self._planner.plan(parsed)
-            plan_span.set("mode", getattr(plan, "mode", None))
         if plan_span and trace_sink is not None:
             trace_sink.append(parse_span)
             trace_sink.append(plan_span)
@@ -659,11 +663,10 @@ class GraphittiService:
         return normalized, plan, fingerprint
 
     def explain(self, text_or_query: str | Query) -> dict:
-        """Plan explanation without execution (read-locked)."""
+        """Plan explanation without execution (read-locked): the plan
+        :meth:`query` would run at this epoch."""
         with self._read_view():
-            return self._manager.explain(
-                text_or_query, enable_ordering=self.config.enable_ordering
-            )
+            return self._manager.explain(text_or_query)
 
     # -- reads -------------------------------------------------------------------
     #

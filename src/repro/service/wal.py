@@ -58,6 +58,25 @@ def fsync_dir(path: str | Path) -> None:
         os.close(directory_fd)
 
 
+def write_json_atomic(path: str | Path, obj: Any) -> Path:
+    """Durably replace the JSON file at *path* with *obj*.
+
+    Temp file, fsync, atomic rename, directory fsync: a crash leaves the old
+    file or the new one, never a torn one.  Creates the parent directory.
+    The bytes are ``json.dump(obj, indent=2, sort_keys=True)``.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    with tmp.open("w", encoding="utf-8") as handle:
+        json.dump(obj, handle, indent=2, sort_keys=True)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    fsync_dir(path.parent)
+    return path
+
+
 def sealed_segment_name(active: Path, index: int) -> str:
     """Filename of sealed segment *index* for the active log at *active*.
 

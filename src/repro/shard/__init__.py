@@ -15,7 +15,6 @@ from repro.shard.router import (
     shard_for_key,
     shard_from_annotation_id,
     shard_namespace,
-    write_manifest,
 )
 from repro.shard.service import ShardedGraphittiService, ShardedIntegrityReport
 
@@ -25,7 +24,6 @@ __all__ = [
     "MANIFEST_FILE",
     "ROUTING_SCHEME",
     "read_manifest",
-    "write_manifest",
     "shard_for_key",
     "shard_for_annotation",
     "shard_from_annotation_id",

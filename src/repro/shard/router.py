@@ -16,22 +16,21 @@ CRC32 is used instead of :func:`hash` because routing must be stable across
 processes and restarts (``PYTHONHASHSEED`` randomizes ``str.__hash__``).
 
 The shard topology of a durable deployment is recorded in a ``shards.json``
-manifest next to the per-shard directories; :func:`write_manifest` lands it
-with the same write-temp + fsync + atomic-rename discipline snapshots use,
-so a crash mid-checkpoint can never leave a half-written topology.
+manifest next to the per-shard directories, landed by
+:func:`~repro.service.wal.write_json_atomic` (write-temp + fsync +
+atomic-rename), so a crash mid-checkpoint can never leave a half-written
+topology.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
 import zlib
 from pathlib import Path
 from typing import Any
 
 from repro.errors import ServiceError
-from repro.service.wal import fsync_dir
 
 #: Topology manifest written next to the per-shard directories.
 MANIFEST_FILE = "shards.json"
@@ -89,18 +88,3 @@ def read_manifest(root: str | Path) -> dict[str, Any] | None:
             f"this router implements {ROUTING_SCHEME!r}"
         )
     return manifest
-
-
-def write_manifest(root: str | Path, manifest: dict[str, Any]) -> Path:
-    """Atomically persist the shard manifest (temp file + fsync + rename)."""
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    path = root / MANIFEST_FILE
-    tmp = path.with_suffix(".json.tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    fsync_dir(root)
-    return path

@@ -74,6 +74,7 @@ from repro.service import ops
 from repro.service.cache import normalize_gql
 from repro.service.durability import SNAPSHOT_FILE, WAL_FILE, has_durable_state
 from repro.service.service import GraphittiService, ServiceConfig
+from repro.service.wal import write_json_atomic
 from repro.shard.router import (
     MANIFEST_FILE,
     ROUTING_SCHEME,
@@ -82,7 +83,6 @@ from repro.shard.router import (
     shard_for_annotation,
     shard_from_annotation_id,
     shard_namespace,
-    write_manifest,
 )
 
 _PENDING_PREFIX = "anno-pending-"
@@ -928,4 +928,4 @@ class ShardedGraphittiService:
                 for shard in self._shards
                 if isinstance(shard, ReplicatedGraphittiService)
             ]
-        return write_manifest(self._root, manifest)
+        return write_json_atomic(self._root / MANIFEST_FILE, manifest)

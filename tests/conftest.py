@@ -1,5 +1,6 @@
 """Shared pytest fixtures for the Graphitti test suite."""
 
+import itertools
 import random
 import sys
 
@@ -19,6 +20,9 @@ def pytest_configure(config):
 from repro import Graphitti
 from repro.datatypes import DnaSequence, Image, ProteinSequence
 from repro.ontology import build_brain_region_ontology, build_protein_ontology
+from repro.query.executor import QueryExecutor
+from repro.query.planner import QueryPlan, QueryPlanner
+from repro.query.result import QueryResult
 from repro.workloads import build_influenza_instance, build_neuroscience_instance
 from repro.workloads.generators import WorkloadConfig, generate_annotation_workload
 
@@ -78,3 +82,52 @@ def workload_graphitti():
     config = WorkloadConfig(seed=42, sequence_count=8, annotation_count=60, image_count=3)
     summary = generate_annotation_workload(graphitti, config)
     return graphitti, summary
+
+
+def _reference_result(manager, query) -> QueryResult:
+    """Planner-free reference: the declaration-order intersection of every
+    constraint's materialized match set, then collated."""
+    executor = QueryExecutor(manager)
+    candidates = None
+    for constraint in query.constraints:
+        matched = executor._evaluate(constraint)  # noqa: SLF001 - the reference
+        candidates = matched if candidates is None else candidates & matched
+    surviving = sorted(manager.annotation_ids() if candidates is None else candidates)
+    result = QueryResult(return_kind=query.return_kind)
+    executor._collate(query, surviving, result)  # noqa: SLF001 - the reference
+    return result
+
+
+def _pages(result: QueryResult) -> tuple:
+    return (
+        result.annotation_ids,
+        [referent.referent_id for referent in result.referents],
+        [subgraph.to_dict() for subgraph in result.subgraphs],
+    )
+
+
+def check_plan_order_invariance(manager, query) -> QueryResult:
+    """Run every permutation of *query*'s plan (estimates permuted alongside)
+    through ``execute_plan`` and require each to match the planner-free
+    reference; returns the reference."""
+    reference = _reference_result(manager, query)
+    plan = QueryPlanner(manager).plan(query)
+    executor = QueryExecutor(manager)
+    steps = list(zip(plan.ordered_constraints, plan.estimated_rows))
+    for order in itertools.permutations(steps):
+        permuted = QueryPlan(
+            query=query,
+            ordered_constraints=[constraint for constraint, _ in order],
+            estimated_rows=[estimate for _, estimate in order],
+            groups=plan.groups,
+        )
+        assert _pages(executor.execute_plan(permuted)) == _pages(reference), [
+            constraint.describe() for constraint, _ in order
+        ]
+    return reference
+
+
+@pytest.fixture
+def plan_order_invariant():
+    """:func:`check_plan_order_invariance`, for tests to call."""
+    return check_plan_order_invariance

@@ -58,11 +58,12 @@ def test_query_limit(instance):
     assert result.count == 1
 
 
-def test_query_ordering_equivalence(instance):
+def test_query_ordering_equivalence(instance, plan_order_invariant):
+    from repro.query.parser import parse_query
+
     q = 'SELECT contents WHERE { CONTENT CONTAINS "protease" INTERVAL OVERLAPS chr1 [0,1000] }'
-    a = instance.query(q, enable_ordering=True)
-    b = instance.query(q, enable_ordering=False)
-    assert set(a.annotation_ids) == set(b.annotation_ids)
+    reference = plan_order_invariant(instance, parse_query(q))
+    assert instance.query(q).annotation_ids == reference.annotation_ids
 
 
 def test_query_type(instance):

@@ -62,10 +62,11 @@ def test_delete_commit_query_never_aliases(ops, seed):
             )
             live[annotation_id] = unique
             serial += 1
-        # interner invariant: live bits == live annotations, always
-        assert g.idspace.live_mask.bit_count() == len(live)
+        # interner invariant: interned ids == live annotations, always
+        assert len(g.idspace) == len(live)
+        assert all(annotation_id in g.idspace for annotation_id in live)
     # every unique keyword resolves to exactly its live owner; dead ids never
-    # resurface through slot-recycled bitsets
+    # resurface through recycled slots
     for annotation_id, unique in live.items():
         result = g.query(f'SELECT contents WHERE {{ CONTENT CONTAINS "{unique}" }}')
         assert result.annotation_ids == [annotation_id]

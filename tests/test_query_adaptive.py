@@ -1,8 +1,9 @@
 """Tests for the cost-based adaptive query pipeline.
 
-Plan-order invariance (off / static / cost modes agree, including NOT / OR
-nesting), semi-join probe behaviour, estimated-vs-actual reporting, and the
-sweep-based type-extension pairing against its quadratic baseline.
+Plan-order invariance (every permutation of a plan agrees with a
+planner-free reference, including NOT / OR nesting), semi-join probe
+behaviour, estimated-vs-actual reporting, and the sweep-based
+type-extension pairing against its quadratic baseline.
 """
 
 import pytest
@@ -18,8 +19,6 @@ from repro.spatial.interval import Interval
 from repro.spatial.operators import if_overlap, intersect
 from repro.spatial.rect import Rect
 from repro.workloads.generators import WorkloadConfig, generate_annotation_workload
-
-MODES = ("off", "static", "cost")
 
 
 @pytest.fixture(scope="module")
@@ -67,14 +66,14 @@ def _queries():
 
 
 @pytest.mark.parametrize("index", range(len(_queries())))
-def test_plan_order_invariance(workload, index):
-    """off / static / cost execution produce identical results."""
+def test_plan_order_invariance(workload, index, plan_order_invariant):
+    """Every constraint order produces the planner-free reference's pages,
+    and so does the planned query."""
     query = _queries()[index]
-    results = {mode: workload.query(query, mode=mode) for mode in MODES}
-    baseline = results["off"]
-    for mode in ("static", "cost"):
-        assert results[mode].annotation_ids == baseline.annotation_ids, mode
-        assert results[mode].count == baseline.count, mode
+    reference = plan_order_invariant(workload, query)
+    result = workload.query(query)
+    assert result.annotation_ids == reference.annotation_ids
+    assert result.count == reference.count
 
 
 def test_adaptive_uses_probe_for_broad_constraints(workload):
@@ -85,7 +84,7 @@ def test_adaptive_uses_probe_for_broad_constraints(workload):
         .of_type("dna_sequence")  # very broad
         .build()
     )
-    result = workload.query(query, mode="cost")
+    result = workload.query(query)
     modes = {detail["label"]: detail["mode"] for detail in result.step_details}
     assert modes["interval OVERLAPS genome:chrX[100,250] (>= 1)"] == "materialize"
     assert modes["type dna_sequence"] == "probe"
@@ -146,15 +145,15 @@ def test_probe_region_matches_materialized(workload):
     assert probed == materialized
 
 
-def test_min_count_respected_in_probe_mode(workload):
+def test_min_count_respected_in_probe_mode(workload, plan_order_invariant):
     query = (
         QueryBuilder.contents()
         .contains("epitope")
         .overlaps_interval("genome:chrX", 0, 30000, min_count=2)
         .build()
     )
-    results = {mode: workload.query(query, mode=mode) for mode in MODES}
-    assert results["cost"].annotation_ids == results["off"].annotation_ids
+    reference = plan_order_invariant(workload, query)
+    assert workload.query(query).annotation_ids == reference.annotation_ids
 
 
 def test_explain_shows_estimated_and_actual(workload):
@@ -162,7 +161,7 @@ def test_explain_shows_estimated_and_actual(workload):
     from repro.query.executor import QueryExecutor
     from repro.query.planner import QueryPlanner
 
-    plan = QueryPlanner(manager=workload, mode="cost").plan(query)
+    plan = QueryPlanner(workload).plan(query)
     assert "est~" in plan.explain()
     assert "act=" not in plan.explain()
     result = QueryExecutor(workload).execute_plan(plan)
@@ -181,50 +180,33 @@ def test_fingerprint_reflects_chosen_order(workload):
         'SELECT contents WHERE { CONTENT CONTAINS "epitope" '
         "INTERVAL OVERLAPS genome:chrX [100, 250] TYPE dna_sequence }"
     )
-    cost_plan = QueryPlanner(manager=workload, mode="cost").plan(parse_query(text))
+    cost_plan = QueryPlanner(workload).plan(parse_query(text))
     empty = Graphitti("adaptive-empty")
-    empty_plan = QueryPlanner(manager=empty, mode="cost").plan(parse_query(text))
-    assert cost_plan.mode == empty_plan.mode == "cost"
+    empty_plan = QueryPlanner(empty).plan(parse_query(text))
     orders = [c.describe() for c in cost_plan.ordered_constraints]
     empty_orders = [c.describe() for c in empty_plan.ordered_constraints]
     # The workload's stats pull the tiny interval window ahead of the
-    # keyword; the empty instance (all estimates 0) falls back to the static
-    # tie-break where the keyword leads.  Different order, different digest.
+    # keyword; the empty instance (all estimates 0) falls back to the
+    # selectivity tie-break where the keyword leads.  Different order, different digest.
     assert orders[0].startswith("interval")
     assert empty_orders[0].startswith("content")
     assert cost_plan.fingerprint() != empty_plan.fingerprint()
     # Same manager, same stats -> deterministic fingerprint.
-    again = QueryPlanner(manager=workload, mode="cost").plan(parse_query(text))
+    again = QueryPlanner(workload).plan(parse_query(text))
     assert again.fingerprint() == cost_plan.fingerprint()
 
 
-def test_executor_default_mode_tracks_corpus_size(workload):
-    """The implicit default is cost mode — but only past the small-corpus
-    threshold, below which the estimate pass cannot pay for itself and the
-    planner falls back to the static table per plan."""
+def test_small_corpus_plans_by_cost(workload):
+    """There is no small-corpus fallback: a 600-annotation corpus gets the
+    catalogue's estimates like any other, and the executor adapts on them."""
     from repro.query.executor import QueryExecutor
-    from repro.query.planner import SMALL_CORPUS_THRESHOLD, QueryPlanner
+    from repro.query.stats import CardinalityEstimator
 
-    # The workload fixture is below the threshold: implicit -> static.
-    assert workload.stats_catalogue.annotation_total < SMALL_CORPUS_THRESHOLD
-    assert QueryPlanner(manager=workload).effective_mode() == "static"
-    executor = QueryExecutor(workload)
-    result = executor.execute(QueryBuilder.contents().contains("epitope").build())
-    assert result.step_details and result.step_details[0]["estimated"] is None
-
-    # An explicit mode="cost" disables the fallback on the same corpus.
-    explicit = QueryExecutor(workload, planner=QueryPlanner(manager=workload, mode="cost"))
-    result = explicit.execute(QueryBuilder.contents().contains("epitope").build())
-    assert result.step_details and result.step_details[0]["estimated"] is not None
-
-    # Once the catalogue reports a large corpus the implicit default IS cost
-    # again — the fallback is per plan, against the live annotation total.
-    planner = QueryPlanner(manager=workload)
-    workload.stats_catalogue._annotation_total += SMALL_CORPUS_THRESHOLD  # noqa: SLF001
-    try:
-        assert planner.effective_mode() == "cost"
-    finally:
-        workload.stats_catalogue._annotation_total -= SMALL_CORPUS_THRESHOLD  # noqa: SLF001
+    keyword = KeywordConstraint(keyword="epitope")
+    result = QueryExecutor(workload).execute(QueryBuilder.contents().contains("epitope").build())
+    assert [detail["estimated"] for detail in result.step_details] == [
+        CardinalityEstimator(workload).estimate(keyword)
+    ]
 
 
 # -- sweep-based type extension vs. the quadratic baseline ---------------------
@@ -285,10 +267,8 @@ def test_sweep_pairs_match_quadratic_baseline(spec):
     assert swept == quadratic
 
 
-def test_type_extension_results_unchanged(workload):
-    """End-to-end: GRAPH results carry identical type extensions per mode."""
+def test_type_extension_results_unchanged(workload, plan_order_invariant):
+    """End-to-end: GRAPH results carry the reference's type extensions."""
     query = QueryBuilder.graph().overlaps_interval("genome:chrX", 0, 2000).build()
-    results = {mode: workload.query(query, mode=mode) for mode in MODES}
-    reference = [s.to_dict() for s in results["off"].subgraphs]
-    for mode in ("static", "cost"):
-        assert [s.to_dict() for s in results[mode].subgraphs] == reference
+    reference = [s.to_dict() for s in plan_order_invariant(workload, query).subgraphs]
+    assert [s.to_dict() for s in workload.query(query).subgraphs] == reference

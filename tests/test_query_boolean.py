@@ -78,7 +78,7 @@ def test_not_ordering_last(small_graphitti):
     from repro.query.planner import QueryPlanner
 
     query = QueryBuilder.contents().exclude(KeywordConstraint("kinase")).contains("protease").build()
-    plan = QueryPlanner().plan(query)
+    plan = QueryPlanner(small_graphitti).plan(query)
     # the NOT constraint should be scheduled after the keyword constraint
     kinds = [type(c).__name__ for c in plan.ordered_constraints]
     assert kinds.index("NotConstraint") > kinds.index("KeywordConstraint")

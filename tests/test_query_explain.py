@@ -21,11 +21,15 @@ def test_explain_text_query(small_graphitti):
 
 
 def test_explain_ordering_changes_plan(small_graphitti):
+    """TYPE is declared first, but the rarer keyword is planned first."""
     query = QueryBuilder.contents().of_type("dna_sequence").contains("protease").build()
-    ordered = small_graphitti.explain(query, enable_ordering=True)["plan"]
-    naive = small_graphitti.explain(query, enable_ordering=False)["plan"]
-    assert "ordering=on" in ordered
-    assert "ordering=off" in naive
+    explanation = small_graphitti.explain(query)
+    assert explanation["estimated_rows"] == [
+        ("content CONTAINS 'protease'", 1),
+        ("type dna_sequence", 2),
+    ]
+    assert "1. [content]" in explanation["plan"]
+    assert "2. [type]" in explanation["plan"]
 
 
 def test_explain_does_not_execute(small_graphitti):

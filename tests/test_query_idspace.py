@@ -1,4 +1,4 @@
-"""Tests for the dense annotation-id interner and bitset candidate sets."""
+"""Tests for the dense annotation-id interner."""
 
 from repro.query.idspace import AnnotationIdSpace
 
@@ -28,47 +28,11 @@ def test_release_recycles_slots():
     assert space.intern("e") == 3
 
 
-def test_live_mask_tracks_membership():
+def test_membership_tracks_intern_and_release():
     space = AnnotationIdSpace()
     for name in "abcd":
         space.intern(name)
-    assert space.live_mask == 0b1111
+    assert len(space) == 4
     space.release("c")
-    assert space.live_mask == 0b1011
-    assert space.ids(space.live_mask) == ["a", "b", "d"]
-
-
-def test_to_bits_and_back():
-    space = AnnotationIdSpace()
-    for name in ("x", "y", "z"):
-        space.intern(name)
-    bits = space.to_bits(["z", "x", "unknown"])
-    assert AnnotationIdSpace.count(bits) == 2
-    assert space.ids(bits) == ["x", "z"]  # slot order
-    assert space.to_bits([]) == 0
-    assert space.ids(0) == []
-
-
-def test_bitset_algebra_matches_set_algebra():
-    space = AnnotationIdSpace()
-    universe = [f"anno-{i}" for i in range(200)]
-    for name in universe:
-        space.intern(name)
-    evens = {name for i, name in enumerate(universe) if i % 2 == 0}
-    thirds = {name for i, name in enumerate(universe) if i % 3 == 0}
-    even_bits = space.to_bits(evens)
-    third_bits = space.to_bits(thirds)
-    assert set(space.ids(even_bits & third_bits)) == evens & thirds
-    assert set(space.ids(even_bits | third_bits)) == evens | thirds
-    assert set(space.ids(space.live_mask & ~even_bits)) == set(universe) - evens
-    assert (even_bits & third_bits).bit_count() == len(evens & thirds)
-
-
-def test_released_slot_bits_are_skipped():
-    space = AnnotationIdSpace()
-    for name in "abc":
-        space.intern(name)
-    bits = space.to_bits(["a", "b", "c"])
-    space.release("b")
-    # A stale bitset mentioning the freed slot yields only live ids.
-    assert space.ids(bits) == ["a", "c"]
+    assert len(space) == 3
+    assert [name for name in "abcd" if name in space] == ["a", "b", "d"]

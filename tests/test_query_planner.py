@@ -1,5 +1,6 @@
 """Tests for the query planner (per-type separation and ordering)."""
 
+from repro import Graphitti
 from repro.query.ast import Target
 from repro.query.builder import QueryBuilder
 from repro.query.parser import parse_query
@@ -14,7 +15,7 @@ def test_plan_orders_by_selectivity():
         .refers("protein:protease")
         .build()
     )
-    plan = QueryPlanner().plan(query)
+    plan = QueryPlanner(Graphitti()).plan(query)
     # keyword (10) should come before ontology (20) before type (60)
     order = [type(c).__name__ for c in plan.ordered_constraints]
     assert order.index("KeywordConstraint") < order.index("OntologyConstraint")
@@ -29,30 +30,16 @@ def test_plan_grouping_by_target():
         .refers("t")
         .build()
     )
-    plan = QueryPlanner().plan(query)
+    plan = QueryPlanner(Graphitti()).plan(query)
     assert Target.CONTENT in plan.groups
     assert Target.INTERVAL in plan.groups
     assert Target.ONTOLOGY in plan.groups
     assert plan.subquery_count() == 3
 
 
-def test_plan_ordering_disabled_preserves_declaration_order():
-    query = (
-        QueryBuilder.contents()
-        .of_type("dna")
-        .contains("protease")
-        .build()
-    )
-    plan = QueryPlanner(enable_ordering=False).plan(query)
-    assert [type(c).__name__ for c in plan.ordered_constraints] == [
-        "TypeConstraint",
-        "KeywordConstraint",
-    ]
-
-
 def test_plan_explain():
     query = QueryBuilder.contents().contains("protease").build()
-    plan = QueryPlanner().plan(query)
+    plan = QueryPlanner(Graphitti()).plan(query)
     assert "content CONTAINS" in plan.explain()
 
 
@@ -66,5 +53,5 @@ def test_plan_preserves_all_constraints():
     query = parse_query(
         'SELECT contents WHERE { CONTENT CONTAINS "a" CONTENT CONTAINS "b" TYPE dna }'
     )
-    plan = QueryPlanner().plan(query)
+    plan = QueryPlanner(Graphitti()).plan(query)
     assert len(plan.ordered_constraints) == 3

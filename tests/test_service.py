@@ -28,15 +28,15 @@ def durable_service(tmp_path):
 
 
 def test_plan_fingerprint_stable_and_discriminating():
-    planner = QueryPlanner()
+    planner = QueryPlanner(build_influenza_instance())
     plan_a = planner.plan(parse_query(KEYWORD_QUERY))
     plan_b = planner.plan(parse_query('SELECT contents WHERE {CONTENT CONTAINS "cleavage"}'))
     plan_c = planner.plan(parse_query('SELECT contents WHERE { CONTENT CONTAINS "other" }'))
     assert plan_a.fingerprint() == plan_b.fingerprint()
     assert plan_a.fingerprint() != plan_c.fingerprint()
-    # Planner configuration participates in the fingerprint.
-    unordered = QueryPlanner(enable_ordering=False).plan(parse_query(KEYWORD_QUERY))
-    assert unordered.fingerprint() != plan_a.fingerprint()
+    # The return kind participates in the fingerprint.
+    referents = planner.plan(parse_query('SELECT referents WHERE { CONTENT CONTAINS "cleavage" }'))
+    assert referents.fingerprint() != plan_a.fingerprint()
 
 
 def test_result_carries_fingerprint(service):

@@ -35,9 +35,7 @@ def _commit(service, annotation_id: str, keywords, start: float, end: float) -> 
 
 @pytest.fixture
 def service():
-    # Explicit cost mode: the corpus here is far below the small-corpus
-    # fallback threshold, and these tests exercise stats-driven re-planning.
-    svc = GraphittiService(manager=_manager(), config=ServiceConfig(planner_mode="cost"))
+    svc = GraphittiService(manager=_manager())
     yield svc
     svc.close()
 
@@ -85,14 +83,28 @@ def test_query_object_and_text_agree_on_fingerprint(service):
     assert by_text.annotation_ids == by_object.annotation_ids
 
 
-def test_results_identical_across_epochs_and_orders(service):
-    """Whatever order the planner picks, the answers match a cold engine."""
+def test_results_identical_across_epochs_and_orders(service, plan_order_invariant):
+    """Whatever order the planner picks, the answers match the reference."""
+    from repro.query.parser import parse_query
+
     _commit(service, "a0", ["shared"], 0, 40)
     for index in range(40):
         _commit(service, f"shared-{index}", ["shared"], 600 + index * 10, 610 + index * 10)
     served = service.query(QUERY)
-    cold = service.manager.query(QUERY, mode="off")
-    assert served.annotation_ids == cold.annotation_ids
+    reference = plan_order_invariant(service.manager, parse_query(QUERY))
+    assert served.annotation_ids == reference.annotation_ids
+
+
+def test_explain_shows_the_plan_query_runs(service):
+    """explain() reports the order and estimates query() executes with."""
+    _commit(service, "a0", ["shared"], 0, 40)
+    for index in range(30):
+        _commit(service, f"bulk-{index}", ["filler"], 100 + index * 30, 120 + index * 30)
+    explanation = service.explain(QUERY)
+    result = service.query(QUERY)
+    steps = sorted(result.step_details, key=lambda detail: detail["position"])
+    assert [(d["label"], d["estimated"]) for d in steps] == explanation["estimated_rows"]
+    assert result.annotation_ids == ["a0"]
 
 
 def test_plan_cache_capacity_zero_replans_every_time():

@@ -11,6 +11,7 @@ from repro.service.wal import (
     encode_record,
     parse_record,
     read_records,
+    write_json_atomic,
 )
 
 
@@ -170,3 +171,12 @@ def test_codec_round_trips_every_op_shape(tmp_path):
         assert parse_record(line.encode("utf-8")) == record
         # Shipping frames records exactly as the log stores them.
         assert parse_record((line + "\n").encode("utf-8").rstrip(b"\n")) == record
+
+
+def test_write_json_atomic_replaces_the_whole_file(tmp_path):
+    path = tmp_path / "nested" / "state.json"
+    write_json_atomic(path, {"b": [1, 2], "a": {"z": 1, "y": 2}, "long": "x" * 100})
+    smaller = {"b": 1, "a": 0}
+    assert write_json_atomic(path, smaller) == path
+    assert path.read_text(encoding="utf-8") == json.dumps(smaller, indent=2, sort_keys=True)
+    assert [child.name for child in path.parent.iterdir()] == ["state.json"]

@@ -8,6 +8,7 @@ from repro.core.annotation import Annotation, AnnotationContent
 from repro.core.dublin_core import DublinCore
 from repro.datatypes.base import DataType, SubstructureRef
 from repro.errors import ServiceError
+from repro.service.wal import write_json_atomic
 from repro.shard.router import (
     MANIFEST_FILE,
     ROUTING_SCHEME,
@@ -16,7 +17,6 @@ from repro.shard.router import (
     shard_for_key,
     shard_from_annotation_id,
     shard_namespace,
-    write_manifest,
 )
 
 
@@ -72,9 +72,11 @@ def test_foreign_ids_do_not_decode():
 
 def test_manifest_round_trip(tmp_path):
     payload = {"version": 1, "shards": 4, "routing": ROUTING_SCHEME, "checkpoints": 2}
-    path = write_manifest(tmp_path, payload)
+    path = write_json_atomic(tmp_path / MANIFEST_FILE, payload)
     assert path.name == MANIFEST_FILE
     assert read_manifest(tmp_path) == payload
+    # the manifest bytes: indented, keys sorted
+    assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True)
     # write-temp + rename: no temp file left behind
     assert list(tmp_path.glob("*.tmp")) == []
 

@@ -148,7 +148,11 @@ def _point_instance() -> Graphitti:
     return manager
 
 
-def test_point_annotation_survives_store_and_query_at_touching_endpoint():
+def test_point_annotation_survives_store_and_query_at_touching_endpoint(plan_order_invariant):
+    from repro.query.ast import OverlapConstraint
+    from repro.query.executor import QueryExecutor
+    from repro.query.parser import parse_query
+
     manager = _point_instance()
     # store level: overlap window touching the point exactly at its endpoint
     assert manager.search_by_overlap_interval("zl:chr1", 50, 60) == ["point-anno"]
@@ -156,12 +160,16 @@ def test_point_annotation_survives_store_and_query_at_touching_endpoint():
         "point-anno",
         "range-anno",
     ]
-    # query level, materialize and (cost-mode) probe paths both
-    for mode in ("off", "static", "cost"):
-        result = manager.query(
-            "SELECT contents WHERE { INTERVAL OVERLAPS zl:chr1 [50, 50] }", mode=mode
-        )
-        assert result.annotation_ids == ["point-anno"], mode
+    # query level: every plan order agrees with the reference
+    query = parse_query("SELECT contents WHERE { INTERVAL OVERLAPS zl:chr1 [50, 50] }")
+    assert plan_order_invariant(manager, query).annotation_ids == ["point-anno"]
+    assert manager.query(query).annotation_ids == ["point-anno"]
+    # probe path: per-candidate verification at touching endpoints
+    executor = QueryExecutor(manager)
+    for start, end, expected in ((50, 50, {"point-anno"}), (40, 40, {"range-anno"})):
+        constraint = OverlapConstraint(domain="zl:chr1", start=start, end=end)
+        assert executor._probe(constraint, ["point-anno", "range-anno"]) == expected
+        assert executor._evaluate(constraint) == expected
 
 
 def test_estimator_extent_bounds_follow_deletions():
