@@ -75,7 +75,7 @@ class QueryError(GraphittiError):
 
 
 class QuerySyntaxError(QueryError):
-    """The GQL text could not be tokenized or parsed."""
+    """The GQL text could not be lexed or parsed."""
 
 
 class QueryPlanError(QueryError):

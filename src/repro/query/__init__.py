@@ -12,8 +12,8 @@ feasible order among these subqueries, and collating partial results."
 This package implements GQL end to end:
 
 * :mod:`repro.query.ast` -- the query AST (constraints + return spec),
-* :mod:`repro.query.tokenizer` -- the lexer,
-* :mod:`repro.query.parser` -- the recursive-descent parser,
+* :mod:`repro.query.parser` -- the one-pattern scanner and the
+  recursive-descent parser over its lexemes,
 * :mod:`repro.query.planner` -- per-type subquery separation + cost-based
   ordering,
 * :mod:`repro.query.stats` -- the live statistics catalogue and cardinality

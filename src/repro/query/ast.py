@@ -53,7 +53,10 @@ class KeywordConstraint(Constraint):
     target: Target = field(default=Target.CONTENT, init=False)
 
     def describe(self) -> str:
-        return f"content CONTAINS {self.keyword!r}"
+        # The mode changes the rows: result keys and plan fingerprints are
+        # built from this text, so a non-default mode must show in it.
+        suffix = "" if self.mode == "and" else f" ({self.mode})"
+        return f"content CONTAINS {self.keyword!r}{suffix}"
 
 
 @dataclass

@@ -106,7 +106,7 @@ class QueryPlan:
         Two queries share a fingerprint exactly when they produce the same
         return kind and the same ordered constraint sequence — so the
         fingerprint reflects the order the planner actually chose, and
-        (together with the normalized query text) is a sound cache key for
+        (together with the query's ``describe()``) is a sound cache key for
         query results: a stats-driven re-plan that picks a different order
         changes the fingerprint and naturally misses the old cache entries,
         while a re-plan with the same order relies on the cache's epoch

@@ -12,7 +12,7 @@ epoch-invalidated query-result cache, and a group-committed bulk ingest path:
 * :mod:`repro.service.service` -- the :class:`GraphittiService` facade.
 """
 
-from repro.service.cache import QueryResultCache, normalize_gql
+from repro.service.cache import QueryResultCache
 from repro.service.durability import DurableStore, apply_record, recover_manager
 from repro.service.locks import ReadWriteLock
 from repro.service.service import GraphittiService, ServiceConfig
@@ -30,7 +30,6 @@ __all__ = [
     "ServiceConfig",
     "ReadWriteLock",
     "QueryResultCache",
-    "normalize_gql",
     "WriteAheadLog",
     "read_records",
     "read_segmented_records",

@@ -4,10 +4,11 @@ Repeated structural queries dominate annotation workloads, so the serving
 layer fronts the query engine with a result cache.  Correctness comes from
 two ingredients:
 
-* the **key** is the normalized GQL text plus the plan fingerprint
-  (:meth:`~repro.query.planner.QueryPlan.fingerprint`), so a planner or
-  configuration change can never serve a result computed under different
-  execution semantics;
+* the **key** is the parsed query's ``describe()`` plus the plan
+  fingerprint (:meth:`~repro.query.planner.QueryPlan.fingerprint`): two
+  texts share entries exactly when they parse to equal queries, whatever
+  their spelling, and a result computed under one constraint order is never
+  served for another;
 * every entry is **tagged with the mutation epoch** it was computed at.  The
   manager bumps its epoch on every mutation, and :meth:`QueryResultCache.get`
   treats an entry from an older epoch as a miss and drops it — invalidation
@@ -25,40 +26,6 @@ import threading
 from repro.errors import ConfigError
 from collections import OrderedDict
 from typing import Any, Hashable
-
-
-#: Marker appended to the normalized form of a query whose quotes never
-#: close.  It contains a character the normalizer strips from every balanced
-#: query (a bare newline outside quotes), so no well-formed query's key can
-#: collide with a malformed one's — a malformed text must never alias a
-#: cached well-formed query's plan or result.
-_UNBALANCED_MARK = "\n<unbalanced-quote>"
-
-
-def normalize_gql(text: str) -> str:
-    """Normalize GQL text for cache keying.
-
-    Whitespace is collapsed only *outside* double-quoted string literals —
-    quoted content is preserved verbatim, so two texts normalize equal only
-    when they tokenize identically and normalization can never alias two
-    different queries (e.g. ``"foo bar"`` vs ``"foo  bar"`` stay distinct).
-
-    A text with an unbalanced trailing quote keeps its open tail verbatim
-    and is additionally tagged with a marker no balanced query's normal form
-    can contain: the cache/plan-memo key of a malformed query therefore
-    never equals a well-formed one's, so a malformed submission can only
-    ever reach the parser (and fail there), not a memoized plan.
-    """
-    segments = text.split('"')
-    # Even segments are outside quotes, odd segments are inside (GQL has no
-    # escaped quotes).  An even segment count means an odd number of quote
-    # characters: the final quote never closes.
-    for index in range(0, len(segments), 2):
-        segments[index] = " ".join(segments[index].split())
-    normalized = '"'.join(segments)
-    if len(segments) % 2 == 0:
-        normalized += _UNBALANCED_MARK
-    return normalized
 
 
 class QueryResultCache:

@@ -9,10 +9,11 @@ instance in the coordination a multi-user deployment needs:
 * **durability** — every acknowledged mutation is appended to a write-ahead
   log layered on snapshots (see :mod:`repro.service.durability`), and
   :meth:`recover` rebuilds the exact pre-crash state from snapshot + replay;
-* **query-result caching** — results are cached under (normalized GQL text,
-  plan fingerprint) and invalidated wholesale by mutation-epoch compare (see
-  :mod:`repro.service.cache`), with a prepared-plan memo so a cache hit
-  skips parsing and planning entirely;
+* **query-result caching** — results are cached under (the parsed query's
+  ``describe()``, plan fingerprint) and invalidated wholesale by
+  mutation-epoch compare (see :mod:`repro.service.cache`), with a
+  prepared-plan memo keyed by the caller's text so a repeated text skips
+  parsing and planning entirely;
 * **bulk ingest** — :meth:`bulk_commit` groups many annotations into one
   lock acquisition and one group-committed WAL batch, deferring per-commit
   keyword-index bookkeeping to the first subsequent search.
@@ -45,7 +46,7 @@ from repro.query.parser import parse_query
 from repro.query.planner import QueryPlan, QueryPlanner
 from repro.query.result import QueryResult
 from repro.service import ops
-from repro.service.cache import QueryResultCache, normalize_gql
+from repro.service.cache import QueryResultCache
 from repro.service.durability import (
     DurableStore,
     enter_gil_courtesy,
@@ -123,12 +124,12 @@ class GraphittiService:
         else:
             self._cache_hit_counter = None
         self._cache = QueryResultCache(self.config.cache_capacity)
-        # normalized text -> (mutation epoch the plan was computed at, plan,
-        # fingerprint).  Cost-based plans depend on live statistics, so a
-        # memoized plan is only valid at the epoch it was planned at; any
-        # mutation forces a re-plan, whose fingerprint (covering the chosen
-        # order and estimates) keys the result cache.
-        self._plans: OrderedDict[str, tuple[int, QueryPlan, str]] = OrderedDict()
+        # caller's text -> (mutation epoch the plan was computed at, result
+        # key, plan, fingerprint).  Cost-based plans depend on live
+        # statistics, so a memoized plan is only valid at the epoch it was
+        # planned at; any mutation forces a re-plan, whose fingerprint
+        # (covering the chosen order) keys the result cache.
+        self._plans: OrderedDict[str, tuple[int, str, QueryPlan, str]] = OrderedDict()
         self._plans_mutex = threading.Lock()
         self._store = DurableStore(root, durability=self.config.durability) if root else None
         if self._store is not None and self.obs.enabled:
@@ -562,9 +563,10 @@ class GraphittiService:
     def query(self, text_or_query: str | Query) -> QueryResult:
         """Run a GQL query through the result cache.
 
-        Cache key: (normalized GQL text, plan fingerprint); entries are valid
-        only at the mutation epoch they were computed at.  A hit for repeated
-        text also skips parsing and planning via the prepared-plan memo.
+        Cache key: (the parsed query's ``describe()``, plan fingerprint), so
+        a text and an equal :class:`Query` share entries; entries are valid
+        only at the mutation epoch they were computed at.  A repeated text
+        also skips parsing and planning via the prepared-plan memo.
 
         Planning happens *inside* the read view: the cost-based planner
         reads live structures (interval-tree spans, catalogue dicts, the
@@ -575,8 +577,8 @@ class GraphittiService:
         prep_spans: list = []
         began = time.perf_counter()
         with self._read_view():
-            normalized, plan, fingerprint = self._prepare(text_or_query, prep_spans)
-            key = (normalized, fingerprint)
+            described, plan, fingerprint = self._prepare(text_or_query, prep_spans)
+            key = (described, fingerprint)
             epoch = self._manager.mutation_epoch
             cached = self._cache.get(key, epoch)
             if cached is not None:
@@ -612,14 +614,18 @@ class GraphittiService:
         if obs.is_slow(root):
             # explain() re-takes the read lock, so the slow capture runs only
             # after the query's own view is released.
-            root.set("gql", normalized)
+            root.set("gql", text_or_query if isinstance(text_or_query, str) else described)
             obs.record_slow("query", root, explain=self.explain(text_or_query))
         return result
 
     def _prepare(
         self, text_or_query: str | Query, trace_sink: list | None = None
     ) -> tuple[str, QueryPlan, str]:
-        """Normalize + parse + plan, memoized on (normalized text, epoch).
+        """Parse + plan; returns (result key, plan, fingerprint).
+
+        A text's plan is memoized on (the caller's text, epoch): a memo hit
+        is one dict lookup.  The result key is the parsed query's
+        ``describe()``, the key a :class:`Query` object gets too.
 
         A memoized plan is reused only while the manager's mutation epoch
         matches the epoch it was planned at: cost-based plans embed live
@@ -638,14 +644,13 @@ class GraphittiService:
             if plan_span and trace_sink is not None:
                 trace_sink.append(plan_span)
             return text_or_query.describe(), plan, plan.fingerprint()
-        normalized = normalize_gql(text_or_query)
         with self._plans_mutex:
-            prepared = self._plans.get(normalized)
+            prepared = self._plans.get(text_or_query)
             if prepared is not None and prepared[0] == epoch:
                 # Memo hit: deliberately span-free — repeated hot queries
                 # skip parse AND plan, and the trace should show that.
-                self._plans.move_to_end(normalized)
-                return (normalized, prepared[1], prepared[2])
+                self._plans.move_to_end(text_or_query)
+                return prepared[1:]
         with self.obs.span("parse") as parse_span:
             parsed = parse_query(text_or_query)
         with self.obs.span("plan") as plan_span:
@@ -653,14 +658,15 @@ class GraphittiService:
         if plan_span and trace_sink is not None:
             trace_sink.append(parse_span)
             trace_sink.append(plan_span)
+        described = parsed.describe()
         fingerprint = plan.fingerprint()
         if self.config.plan_cache_capacity:
             with self._plans_mutex:
-                self._plans[normalized] = (epoch, plan, fingerprint)
-                self._plans.move_to_end(normalized)
+                self._plans[text_or_query] = (epoch, described, plan, fingerprint)
+                self._plans.move_to_end(text_or_query)
                 while len(self._plans) > self.config.plan_cache_capacity:
                     self._plans.popitem(last=False)
-        return normalized, plan, fingerprint
+        return described, plan, fingerprint
 
     def explain(self, text_or_query: str | Query) -> dict:
         """Plan explanation without execution (read-locked): the plan

@@ -71,7 +71,6 @@ from repro.replica.replicated import (
     ReplicationConfig,
 )
 from repro.service import ops
-from repro.service.cache import normalize_gql
 from repro.service.durability import SNAPSHOT_FILE, WAL_FILE, has_durable_state
 from repro.service.service import GraphittiService, ServiceConfig
 from repro.service.wal import write_json_atomic
@@ -254,7 +253,7 @@ class ShardedGraphittiService:
         self._checkpoints = 0
         self._closed = False
         self._recovery_info: dict[str, Any] | None = None
-        # normalized GQL -> (return kind, limit); the merge step needs the
+        # caller's GQL text -> (return kind, limit); the merge step needs the
         # query shape, and parsing it once per distinct text is enough (the
         # shape does not depend on data, unlike plans).
         self._shapes: OrderedDict[str, tuple[ReturnKind, int | None]] = OrderedDict()
@@ -608,17 +607,16 @@ class ShardedGraphittiService:
     def _query_shape(self, text_or_query: str | Query) -> tuple[ReturnKind, int | None]:
         if isinstance(text_or_query, Query):
             return text_or_query.return_kind, text_or_query.limit
-        normalized = normalize_gql(text_or_query)
         with self._shapes_mutex:
-            shape = self._shapes.get(normalized)
+            shape = self._shapes.get(text_or_query)
             if shape is not None:
-                self._shapes.move_to_end(normalized)
+                self._shapes.move_to_end(text_or_query)
                 return shape
         query = parse_query(text_or_query)
         shape = (query.return_kind, query.limit)
         with self._shapes_mutex:
-            self._shapes[normalized] = shape
-            self._shapes.move_to_end(normalized)
+            self._shapes[text_or_query] = shape
+            self._shapes.move_to_end(text_or_query)
             while len(self._shapes) > 512:
                 self._shapes.popitem(last=False)
         return shape
@@ -639,7 +637,7 @@ class ShardedGraphittiService:
                 merge_span.set("rows", merged.count)
         if obs.is_slow(root):
             if isinstance(text_or_query, str):
-                root.set("gql", normalize_gql(text_or_query))
+                root.set("gql", text_or_query)
             explain = None
             if not merged.degraded:
                 try:

@@ -110,6 +110,47 @@ def test_parse_unknown_constraint():
         parse_query("SELECT contents WHERE { BOGUS thing }")
 
 
+def test_parse_negative_limit_rejected():
+    # it used to become surviving[:-1], silently dropping the last row
+    with pytest.raises(QuerySyntaxError, match="non-negative integer at offset 53, got '-1'"):
+        parse_query('SELECT contents WHERE { CONTENT CONTAINS "x" } LIMIT -1')
+
+
+def test_parse_fractional_limit_rejected():
+    with pytest.raises(QuerySyntaxError, match=r"non-negative integer at offset 53, got '2\.9'"):
+        parse_query('SELECT contents WHERE { CONTENT CONTAINS "x" } LIMIT 2.9')
+
+
+def test_parse_fractional_maxlen_rejected():
+    with pytest.raises(QuerySyntaxError, match=r"non-negative integer at offset 44, got '0\.5'"):
+        parse_query("SELECT graph WHERE { PATH 'a' TO 'b' MAXLEN 0.5 }")
+
+
+def test_parse_negative_mincount_rejected():
+    with pytest.raises(QuerySyntaxError, match="non-negative integer at offset 60, got '-2'"):
+        parse_query("SELECT contents WHERE { INTERVAL OVERLAPS d [1, 2] MINCOUNT -2 }")
+
+
+def test_parse_non_ascii_digit_count_rejected():
+    # "²" used to escape parse_query as a bare ValueError from float()
+    with pytest.raises(QuerySyntaxError, match="unexpected character '²' at offset 53"):
+        parse_query('SELECT contents WHERE { CONTENT CONTAINS "x" } LIMIT ²')
+    # "٣" used to be read as 3: numbers are ASCII only
+    with pytest.raises(QuerySyntaxError, match="unexpected character '٣' at offset 53"):
+        parse_query('SELECT contents WHERE { CONTENT CONTAINS "x" } LIMIT ٣')
+
+
+def test_parse_count_too_long_for_int_rejected():
+    with pytest.raises(QuerySyntaxError, match="expected a count with fewer digits at offset 32"):
+        parse_query("SELECT contents WHERE { } LIMIT " + "9" * 5000)
+
+
+def test_parse_zero_counts_accepted():
+    q = parse_query("SELECT graph WHERE { PATH 'a' TO 'b' MAXLEN 0 } LIMIT 007")
+    assert q.constraints[0].max_length == 0
+    assert q.limit == 7
+
+
 def test_query_describe_roundtrips_structure():
     q = parse_query('SELECT contents WHERE { CONTENT CONTAINS "protease" }')
     description = q.describe()

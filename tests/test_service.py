@@ -51,7 +51,7 @@ def test_result_carries_fingerprint(service):
 def test_repeated_query_hits_cache(service):
     first = service.query(KEYWORD_QUERY)
     second = service.query("  SELECT contents  WHERE { CONTENT CONTAINS \"cleavage\" } ")
-    # Same normalized text -> served from cache, as an independent copy (a
+    # Same parsed query -> served from cache, as an independent copy (a
     # caller consuming one result must not corrupt the other's view).
     assert second is not first
     assert second.to_dict() == first.to_dict()

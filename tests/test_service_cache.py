@@ -1,19 +1,29 @@
-"""Tests for the epoch-tagged LRU query-result cache."""
+"""Tests for the epoch-tagged LRU query-result cache and the keys the service gives it."""
 
+import dataclasses
 import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.service.cache import QueryResultCache, normalize_gql
-
-
-def test_normalize_gql_collapses_whitespace():
-    a = normalize_gql('SELECT contents WHERE { CONTENT CONTAINS "x" }')
-    b = normalize_gql('  SELECT   contents\nWHERE  { CONTENT CONTAINS "x" }  ')
-    assert a == b
-    # Content differences survive normalization.
-    assert a != normalize_gql('SELECT contents WHERE { CONTENT CONTAINS "y" }')
+from repro.core.manager import Graphitti
+from repro.datatypes.sequence import DnaSequence
+from repro.errors import GraphittiError, QuerySyntaxError
+from repro.query import QueryBuilder, parse_query
+from repro.query.ast import (
+    KeywordConstraint,
+    NotConstraint,
+    OntologyConstraint,
+    OrConstraint,
+    OverlapConstraint,
+    PathConstraint,
+    Query,
+    RegionConstraint,
+    ReturnKind,
+    TypeConstraint,
+)
+from repro.service import GraphittiService
+from repro.service.cache import QueryResultCache
 
 
 def test_hit_and_miss():
@@ -71,66 +81,258 @@ def test_clear_and_hit_rate():
     assert stats["hit_rate"] == pytest.approx(0.5)
 
 
-def test_normalize_gql_preserves_quoted_whitespace():
-    """Regression: whitespace inside quoted literals is semantic and must not
-    be collapsed, or the plan memo would alias different queries."""
-    a = normalize_gql('SELECT contents WHERE { CONTENT CONTAINS "foo bar" }')
-    b = normalize_gql('SELECT contents WHERE { CONTENT CONTAINS "foo  bar" }')
-    assert a != b
-    # Outside quotes still collapses.
-    assert normalize_gql('A   "x y"  B') == normalize_gql('A "x y" B')
+# -- result keys: the parsed query, never the spelling -------------------------
 
 
-# -- unbalanced-quote keying ---------------------------------------------------
+def _keyed_service() -> GraphittiService:
+    manager = Graphitti("cache-keys")
+    manager.register(DnaSequence("seqk", "ACGT" * 100, domain="k:chr1"))
+    for annotation_id, keywords in (("both", ["alpha", "beta"]), ("only", ["alpha"])):
+        manager.new_annotation(annotation_id, keywords=keywords).mark_sequence(
+            "seqk", 10, 20
+        ).commit()
+    return GraphittiService(manager=manager)
 
 
-def _reference_form(text: str) -> tuple:
-    """The semantic identity normalization may (and must only) collapse to:
-    quote-delimited segments with whitespace canonicalized outside quotes,
-    plus whether the final quote never closes."""
-    segments = text.split('"')
-    outside = [" ".join(segment.split()) for segment in segments[0::2]]
-    inside = segments[1::2]
-    return tuple(outside), tuple(inside), len(segments) % 2 == 0
+@pytest.fixture
+def keyed():
+    service = _keyed_service()
+    yield service
+    service.close()
 
 
-def test_unbalanced_quote_cannot_alias_balanced_query():
-    """Regression: a malformed query (unbalanced trailing quote) must never
-    produce the same cache key as any well-formed query — a collision would
-    serve the well-formed query's memoized plan for garbage input."""
-    malformed = 'SELECT contents WHERE { CONTENT CONTAINS "x }'
-    for balanced in (
-        'SELECT contents WHERE { CONTENT CONTAINS "x }"',
-        'SELECT contents WHERE { CONTENT CONTAINS "x" }',
-        normalize_gql('SELECT contents WHERE { CONTENT CONTAINS "x }'),
-    ):
-        if balanced.count('"') % 2 == 0:
-            assert normalize_gql(malformed) != normalize_gql(balanced)
-    # normalization stays deterministic for malformed input
-    assert normalize_gql(malformed) == normalize_gql(malformed)
+def _labels(result) -> list[str]:
+    return [detail["label"] for detail in result.step_details]
 
 
-_GQL_ALPHABET = st.text(
-    alphabet=list('abXY{}[]()<>,.:;"  \t\n'), min_size=0, max_size=40
+def test_spellings_of_one_query_share_a_cached_result(keyed):
+    keyed.query('SELECT contents WHERE { CONTENT CONTAINS "alpha" }')
+    hits = keyed.statistics()["service"]["query_cache"]["hits"]
+    respelled = keyed.query("select CONTENTS where {\n  content contains 'alpha' # note\n}")
+    assert respelled.annotation_ids == ["both", "only"]
+    assert keyed.statistics()["service"]["query_cache"]["hits"] == hits + 1
+    # a text and an equal Query object share the entry too
+    keyed.query(parse_query('SELECT contents WHERE { CONTENT CONTAINS "alpha" }'))
+    assert keyed.statistics()["service"]["query_cache"]["hits"] == hits + 2
+    beta = keyed.query('SELECT contents WHERE { CONTENT CONTAINS "beta" }')
+    assert beta.annotation_ids == ["both"]
+
+
+def test_and_and_or_keyword_queries_do_not_share_a_result(keyed):
+    either = QueryBuilder().contains("alpha beta", mode="or").build()
+    assert keyed.query(either).annotation_ids == ["both", "only"]
+    every = QueryBuilder().contains("alpha beta").build()
+    assert keyed.manager.query(every).annotation_ids == ["both"]
+    assert keyed.query(every).annotation_ids == ["both"]
+
+
+def _served_as_itself(service, first: str, second: str) -> None:
+    """Query *first*, then *second*: *second* must run its own plan."""
+    template = "SELECT contents WHERE {{ CONTENT CONTAINS {} }}"
+    service.query(template.format(first))
+    text = template.format(second)
+    served, fresh = service.query(text), service.manager.query(text)
+    keyword = parse_query(text).constraints[0].keyword
+    assert _labels(served) == _labels(fresh) == [f"content CONTAINS {keyword!r}"]
+    assert served.plan_fingerprint == fresh.plan_fingerprint
+
+
+def test_whitespace_inside_single_quotes_is_part_of_the_key(keyed):
+    _served_as_itself(keyed, "'foo bar'", "'foo  bar'")
+
+
+def test_whitespace_after_an_escaped_quote_is_part_of_the_key(keyed):
+    _served_as_itself(keyed, '"foo\\" bar"', '"foo\\"  bar"')
+
+
+def test_a_comment_that_swallows_the_query_is_not_served_rows(keyed):
+    rows = keyed.query('SELECT contents WHERE { # note\n CONTENT CONTAINS "alpha" }')
+    assert rows.annotation_ids == ["both", "only"]
+    with pytest.raises(QuerySyntaxError, match="unterminated WHERE block"):
+        keyed.query('SELECT contents WHERE { # note CONTENT CONTAINS "alpha" }')
+
+
+# -- describe() is the key: equal exactly for equal queries ---------------------
+
+_WORDS = st.sampled_from(["x", "x y", "x  y", "it's", 'a"b', "back\\slash"])
+_IDENTS = st.sampled_from(["d", "genome:chrX", "mouse-atlas:25um"])
+_NUMBERS = st.sampled_from([0.0, 1.0, 1.5, -2.0])
+_COUNTS = st.integers(min_value=0, max_value=2)
+_CORNERS = st.lists(_NUMBERS, min_size=1, max_size=2).map(tuple)
+
+_LEAVES = st.one_of(
+    st.builds(KeywordConstraint, _WORDS, st.sampled_from(["and", "or"])),
+    st.builds(OntologyConstraint, _WORDS, st.none() | _IDENTS, st.booleans()),
+    st.builds(OverlapConstraint, _IDENTS, _NUMBERS, _NUMBERS, _COUNTS),
+    st.builds(RegionConstraint, _IDENTS, _CORNERS, _CORNERS, _COUNTS),
+    st.builds(TypeConstraint, _IDENTS),
+    st.builds(PathConstraint, _WORDS, _WORDS, _COUNTS),
+)
+_CONSTRAINTS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.builds(NotConstraint, inner),
+        st.lists(inner, min_size=2, max_size=3).map(lambda parts: OrConstraint(tuple(parts))),
+    ),
+    max_leaves=4,
+)
+_BUILT = st.builds(
+    Query, st.sampled_from(ReturnKind), st.lists(_CONSTRAINTS, max_size=2), st.none() | _COUNTS
 )
 
 
-@given(_GQL_ALPHABET, _GQL_ALPHABET)
-def test_normalize_injective_modulo_outside_whitespace(left, right):
-    """Property: two texts normalize equal iff they differ only in whitespace
-    outside quotes (same quote structure, same quoted content, same
-    balancedness) — normalization is injective modulo outside whitespace."""
-    same_key = normalize_gql(left) == normalize_gql(right)
-    same_meaning = _reference_form(left) == _reference_form(right)
-    assert same_key == same_meaning
+def _expressible(query: Query) -> bool:
+    """Whether GQL text can spell *query* (it has no OR-mode keyword and
+    matching region corners)."""
+
+    def fits(constraint) -> bool:
+        if isinstance(constraint, KeywordConstraint):
+            return constraint.mode == "and"
+        if isinstance(constraint, RegionConstraint):
+            return len(constraint.lo) == len(constraint.hi)
+        if isinstance(constraint, NotConstraint):
+            return fits(constraint.inner)
+        if isinstance(constraint, OrConstraint):
+            return all(map(fits, constraint.parts))
+        return True
+
+    return all(map(fits, query.constraints))
 
 
-@given(_GQL_ALPHABET)
-def test_normalize_idempotent_and_parity_preserving(text):
-    normalized = normalize_gql(text)
-    assert normalize_gql(normalized) == normalized or text.count('"') % 2 == 1
-    # quote count is preserved, so balancedness can never be laundered
-    assert normalized.count('"') == text.count('"')
+@st.composite
+def _spelled(draw, query: Query) -> str:
+    """GQL text for *query*, in random case, quotes, blanks and comments."""
+
+    def word(keyword: str) -> str:
+        return draw(st.sampled_from([keyword, keyword.lower(), keyword.title()]))
+
+    def string(value: str) -> str:
+        quote = draw(st.sampled_from(['"', "'"]))
+        return quote + value.replace("\\", "\\\\").replace(quote, "\\" + quote) + quote
+
+    def corner(values) -> list[str]:
+        return ["[", ", ".join(map(repr, values)), "]"]
+
+    def spell(constraint) -> list[str]:
+        if isinstance(constraint, KeywordConstraint):
+            return [word("CONTENT"), word("CONTAINS"), string(constraint.keyword)]
+        if isinstance(constraint, OntologyConstraint):
+            parts = [word("REFERENT"), word("REFERS"), string(constraint.term)]
+            if constraint.ontology is not None:
+                parts += [word("IN"), constraint.ontology]
+            if not constraint.include_descendants:
+                return parts + [word("NODESC")]
+            return parts + draw(st.sampled_from([[], [word("WITH"), word("DESCENDANTS")]]))
+        if isinstance(constraint, OverlapConstraint):
+            parts = [word("INTERVAL"), word("OVERLAPS"), constraint.domain]
+            parts += corner((constraint.start, constraint.end))
+            return parts + [word("MINCOUNT"), str(constraint.min_count)]
+        if isinstance(constraint, RegionConstraint):
+            parts = [word("REGION"), word("OVERLAPS"), constraint.space]
+            parts += corner(constraint.lo) + [".."] + corner(constraint.hi)
+            return parts + [word("MINCOUNT"), str(constraint.min_count)]
+        if isinstance(constraint, TypeConstraint):
+            return [word("TYPE"), constraint.data_type]
+        if isinstance(constraint, PathConstraint):
+            parts = [word("PATH"), string(constraint.from_keyword), word("TO")]
+            return parts + [string(constraint.to_keyword), word("MAXLEN"), str(constraint.max_length)]
+        if isinstance(constraint, NotConstraint):
+            return [word("NOT"), "{"] + spell(constraint.inner) + ["}"]
+        return [word("ANY"), "{"] + [part for inner in constraint.parts for part in spell(inner)] + ["}"]
+
+    parts = [word("SELECT"), word(query.return_kind.value.upper()), word("WHERE"), "{"]
+    parts += [part for constraint in query.constraints for part in spell(constraint)] + ["}"]
+    if query.limit is not None:
+        parts += [word("LIMIT"), str(query.limit)]
+    blanks = st.sampled_from([" ", "\n", "\t ", " # note\n"])
+    return "".join(part + draw(blanks) for part in parts)
+
+
+_FIELDS = {
+    "keyword": _WORDS,
+    "mode": st.sampled_from(["and", "or"]),
+    "term": _WORDS,
+    "ontology": st.none() | _IDENTS,
+    "include_descendants": st.booleans(),
+    "domain": _IDENTS,
+    "start": _NUMBERS,
+    "end": _NUMBERS,
+    "min_count": _COUNTS,
+    "space": _IDENTS,
+    "lo": _CORNERS,
+    "hi": _CORNERS,
+    "data_type": _IDENTS,
+    "from_keyword": _WORDS,
+    "to_keyword": _WORDS,
+    "max_length": _COUNTS,
+}
+
+
+@st.composite
+def _tweaked(draw, query: Query) -> Query:
+    """*query* with one field of each leaf redrawn from its small pool: now
+    equal to *query*, now one field off."""
+
+    def tweak(constraint):
+        if isinstance(constraint, NotConstraint):
+            return NotConstraint(tweak(constraint.inner))
+        if isinstance(constraint, OrConstraint):
+            return OrConstraint(tuple(map(tweak, constraint.parts)))
+        names = [field.name for field in dataclasses.fields(constraint) if field.init]
+        name = draw(st.sampled_from(names))
+        return dataclasses.replace(constraint, **{name: draw(_FIELDS[name])})
+
+    return Query(query.return_kind, [tweak(c) for c in query.constraints], query.limit)
+
+
+_PARSED = _BUILT.filter(_expressible).flatmap(_spelled).map(parse_query)
+_QUERIES = _BUILT | _PARSED
+_PAIRS = st.tuples(_QUERIES, _QUERIES) | _BUILT.flatmap(
+    lambda query: st.tuples(st.just(query), _tweaked(query))
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_PAIRS)
+def test_describe_equal_iff_queries_equal(pair):
+    """Property: two queries share a result key exactly when they are equal,
+    whether built in code or parsed from any spelling of their text."""
+    left, right = pair
+    assert (left.describe() == right.describe()) == (left == right)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_BUILT.filter(_expressible).flatmap(lambda query: st.tuples(st.just(query), _spelled(query))))
+def test_spelled_text_parses_back_to_its_query(case):
+    query, text = case
+    assert parse_query(text) == query
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _BUILT.filter(_expressible).flatmap(_spelled),
+    st.integers(min_value=0),
+    st.sampled_from(["", "{", "}", '"', "'", "#", "\n", "$", "-", ".", "x"]),
+)
+def test_text_that_fails_to_parse_never_enters_the_memo(text, at, insert):
+    """A text reaches the plan memo only through a successful parse: a
+    malformed one is never served the plan or rows of a memoized text."""
+    at %= len(text)
+    mangled = text[:at] + insert + text[at + 1 :]
+    service = _keyed_service()
+    try:
+        for query in (text, mangled):
+            before = service.statistics()["service"]["prepared_plans"]
+            try:
+                service.query(query)
+            except QuerySyntaxError:
+                assert service.statistics()["service"]["prepared_plans"] == before
+                with pytest.raises(QuerySyntaxError):
+                    service.query(query)
+            except GraphittiError:
+                pass  # parsed and planned, then refused by an index (say, start > end)
+    finally:
+        service.close()
 
 
 # -- concurrent readers sharing a hot entry ------------------------------------

@@ -1,10 +1,11 @@
 """Service-level guarantees for stats-driven plans and the result cache.
 
-The result cache is keyed by (normalized GQL, plan fingerprint) and tagged
-with the mutation epoch; the prepared-plan memo is epoch-validated.  These
-tests prove the service can never serve a result that was produced under a
-different plan for the same GQL text, even as live statistics shift the
-cost-based planner's chosen order.
+The result cache is keyed by (the parsed query's ``describe()``, plan
+fingerprint) and tagged with the mutation epoch; the prepared-plan memo is
+keyed by the caller's text and epoch-validated.  These tests prove the
+service can never serve a result that was produced under a different plan
+for the same query, even as live statistics shift the cost-based planner's
+chosen order.
 """
 
 import pytest
