@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-from collections import Counter, deque
+from collections import deque
 from typing import Any, Hashable, Iterable
 
 from repro.agraph.connection import ConnectionSubgraph
@@ -166,20 +166,24 @@ class AGraph:
         """Contents that annotate *referent_id*."""
         return self._graph.predecessors(referent_id, label=ANNOTATES)
 
-    def annotation_counts(self, referent_ids: Iterable[Hashable]) -> Counter:
+    def annotation_counts(self, referent_ids: Iterable[Hashable]) -> dict[Hashable, int]:
         """For a batch of referents, how many of them each content annotates.
 
-        One indexed ``annotates`` in-edge walk per referent; the counter keys
-        are content ids.  Referent ids absent from the graph are skipped, so
+        The one "referents -> annotation counts" step every spatial search
+        shares: each referent's ``annotates`` in-edges are read straight from
+        the label-indexed in-edge index and counted in a plain dict keyed by
+        content id.  Referent ids absent from the graph are skipped, so
         callers can feed store-level hits straight in.
         """
-        counts: Counter = Counter()
-        graph = self._graph
+        counts: dict[Hashable, int] = {}
+        get = counts.get
+        in_edges = self._graph.in_edge_index
         for referent_id in referent_ids:
-            if referent_id not in graph:
-                continue
-            for edge in graph.iter_in_edges(referent_id, label=ANNOTATES):
-                counts[edge.source] += 1
+            buckets = in_edges.get(referent_id)
+            if buckets:
+                for edge in buckets.get(ANNOTATES, ()):
+                    source = edge.source
+                    counts[source] = get(source, 0) + 1
         return counts
 
     def related_annotations(self, content_id: Hashable) -> set[Hashable]:

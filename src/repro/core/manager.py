@@ -857,19 +857,13 @@ class Graphitti:
 
     def search_by_overlap_interval(self, domain: str, start: float, end: float) -> list[str]:
         """Annotation ids whose referents overlap ``[start, end]`` in *domain*."""
-        referents = self.substructures.overlapping_intervals(domain, start, end)
-        return self._annotations_for_referents(referents)
+        referent_ids = self.substructures.interval_ids(domain, start, end)
+        return sorted(self.agraph.annotation_counts(referent_ids))
 
     def search_by_overlap_region(self, space: str, lo, hi) -> list[str]:
         """Annotation ids whose referents overlap the query box in *space*."""
-        referents = self.substructures.overlapping_regions(space, lo, hi)
-        return self._annotations_for_referents(referents)
-
-    def _annotations_for_referents(self, referents: list) -> list[str]:
-        counts = self.agraph.annotation_counts(
-            referent.referent_id for referent in referents
-        )
-        return sorted(counts)
+        referent_ids = self.substructures.region_ids(space, lo, hi)
+        return sorted(self.agraph.annotation_counts(referent_ids))
 
     def path_between_annotations(self, annotation1: str, annotation2: str) -> list | None:
         """A path in the a-graph between two annotation contents."""

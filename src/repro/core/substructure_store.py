@@ -272,19 +272,31 @@ class SubstructureStore:
 
     # -- spatial queries ------------------------------------------------------
 
+    # Every indexed extent's payload is the id of a registered referent: an
+    # extent enters its tree after the referent's columns and leaves it with
+    # them, so the id searches hand the payloads back unchecked.
+
+    def interval_ids(self, domain: str, start: float, end: float) -> list[str]:
+        """Ids of the referents whose 1D extent overlaps ``[start, end]`` in
+        *domain*, in ``(start, end)`` order."""
+        hits = self._intervals.search_overlap(domain, Interval(start, end, domain=domain))
+        return [interval.payload for interval in hits]
+
+    def region_ids(self, space: str, lo: Iterable[float], hi: Iterable[float]) -> list[str]:
+        """Ids of the referents whose 2D/3D extent overlaps the query box in
+        *space*, in the R-tree's depth-first order."""
+        hits = self._rtrees.search_overlap(space, Rect(tuple(lo), tuple(hi), space=space))
+        return [rect.payload for rect in hits]
+
     def overlapping_intervals(self, domain: str, start: float, end: float) -> list[Referent]:
         """Referents whose 1D extent overlaps ``[start, end]`` in *domain*."""
-        query = Interval(start, end, domain=domain)
-        hits = self._intervals.search_overlap(domain, query)
-        columns = self.columns
-        return [columns.view(i.payload) for i in hits if i.payload in columns]
+        view = self.columns.view
+        return [view(referent_id) for referent_id in self.interval_ids(domain, start, end)]
 
     def overlapping_regions(self, space: str, lo: Iterable[float], hi: Iterable[float]) -> list[Referent]:
         """Referents whose 2D/3D extent overlaps the query box in *space*."""
-        query = Rect(tuple(lo), tuple(hi), space=space)
-        hits = self._rtrees.search_overlap(space, query)
-        columns = self.columns
-        return [columns.view(r.payload) for r in hits if r.payload in columns]
+        view = self.columns.view
+        return [view(referent_id) for referent_id in self.region_ids(space, lo, hi)]
 
     def point_intervals(self, domain: str, point: float) -> list[Referent]:
         """Referents whose 1D extent contains *point*."""

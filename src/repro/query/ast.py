@@ -13,6 +13,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.errors import SpatialError
+
 
 class ReturnKind(enum.Enum):
     """What a query returns (the three result kinds in the paper)."""
@@ -84,6 +86,12 @@ class OverlapConstraint(Constraint):
     min_count: int = 1
     target: Target = field(default=Target.INTERVAL, init=False)
 
+    def __post_init__(self) -> None:
+        # Refused here, so whether a query is refused never depends on which
+        # step of its plan runs first (or on the data).
+        if self.end < self.start:
+            raise SpatialError(f"interval end {self.end} precedes start {self.start}")
+
     def describe(self) -> str:
         return f"interval OVERLAPS {self.domain}[{self.start},{self.end}] (>= {self.min_count})"
 
@@ -97,6 +105,18 @@ class RegionConstraint(Constraint):
     hi: tuple[float, ...]
     min_count: int = 1
     target: Target = field(default=Target.REGION, init=False)
+
+    def __post_init__(self) -> None:
+        # The checks Rect makes, made where the query is built (see
+        # OverlapConstraint); a box whose dimension differs from its space's
+        # is refused by the planner, which knows the space.
+        if len(self.lo) != len(self.hi):
+            raise SpatialError("lo and hi must have the same dimensionality")
+        if not self.lo:
+            raise SpatialError("a rectangle needs at least one dimension")
+        for low, high in zip(self.lo, self.hi):
+            if high < low:
+                raise SpatialError(f"upper bound {high} precedes lower bound {low}")
 
     def describe(self) -> str:
         return f"region OVERLAPS {self.space}{self.lo}..{self.hi} (>= {self.min_count})"

@@ -290,30 +290,20 @@ class QueryExecutor:
             return universe - self._evaluate(constraint.inner, universe)
         raise QueryExecutionError(f"unknown constraint type {type(constraint).__name__}")
 
+    # MINCOUNT is the paper's "images having at least 2 regions annotated
+    # with T" count constraint.
+
     def _evaluate_interval(self, constraint: OverlapConstraint) -> set[str]:
-        referents = self._manager.substructures.overlapping_intervals(
+        manager = self._manager
+        referent_ids = manager.substructures.interval_ids(
             constraint.domain, constraint.start, constraint.end
         )
-        return self._annotations_meeting_count(referents, constraint.min_count)
+        return _meeting(manager.agraph.annotation_counts(referent_ids), constraint.min_count)
 
     def _evaluate_region(self, constraint: RegionConstraint) -> set[str]:
-        referents = self._manager.substructures.overlapping_regions(
-            constraint.space, constraint.lo, constraint.hi
-        )
-        return self._annotations_meeting_count(referents, constraint.min_count)
-
-    def _annotations_meeting_count(self, referents: Iterable, min_count: int) -> set[str]:
-        """Annotations with at least *min_count* of the matching referents.
-
-        This implements the paper's "images having at least 2 regions
-        annotated with T" style count constraint.  The whole referent batch is
-        handed to the a-graph in one call, which walks the label-indexed
-        ``annotates`` in-edges and accumulates a :class:`collections.Counter`.
-        """
-        counts = self._manager.agraph.annotation_counts(
-            referent.referent_id for referent in referents
-        )
-        return {annotation_id for annotation_id, count in counts.items() if count >= min_count}
+        manager = self._manager
+        referent_ids = manager.substructures.region_ids(constraint.space, constraint.lo, constraint.hi)
+        return _meeting(manager.agraph.annotation_counts(referent_ids), constraint.min_count)
 
     def _evaluate_type(self, constraint: TypeConstraint, candidates: set[str] | None = None) -> set[str]:
         """Annotations with a referent of the requested data type.
@@ -463,6 +453,11 @@ class QueryExecutor:
 
     def _all_annotation_ids(self) -> list[str]:
         return list(self._manager.annotation_ids())
+
+
+def _meeting(counts: dict[str, int], min_count: int) -> set[str]:
+    """The annotations counted at least *min_count* times."""
+    return {annotation_id for annotation_id, count in counts.items() if count >= min_count}
 
 
 def _overlapping_pairs(referents: list) -> list[tuple]:

@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.datatypes.base import DataType
+from repro.errors import SpatialError
 from repro.query.ast import (
     Constraint,
     KeywordConstraint,
@@ -286,7 +287,12 @@ class CardinalityEstimator:
         bounds_lo, bounds_hi = bounds
         dimension = len(bounds_lo)
         if len(constraint.lo) != dimension:
-            return 0
+            # Refused at planning, as the R-tree walk would refuse it: the
+            # refusal must not depend on whether an earlier step ends the run.
+            raise SpatialError(
+                f"dimension mismatch: {constraint.space!r} holds {dimension}-D regions, "
+                f"the query box is {len(constraint.lo)}-D"
+            )
         fraction = 1.0
         mean_edge = summary.mean_measure() ** (1.0 / dimension)
         for axis in range(dimension):

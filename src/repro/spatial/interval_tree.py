@@ -234,11 +234,37 @@ class IntervalTree:
     # -- queries ------------------------------------------------------------
 
     def search_overlap(self, query: Interval) -> list[Interval]:
-        """All stored intervals overlapping *query*, sorted by (start, end)."""
+        """All stored intervals overlapping *query*, sorted by (start, end);
+        intervals sharing a key come in insertion order.
+
+        One iterative in-order walk: a subtree whose ``max_end`` is below the
+        query's start is skipped, and the walk stops at the first node that
+        starts past the query's end.  A node's intervals all share its key, so
+        a node whose key overlaps contributes them whole -- unless the query
+        names a domain other than the tree's, when each interval's own domain
+        is tested (a domain-less interval still matches).
+        """
+        start, end = query.start, query.end
+        foreign = query.domain is not None and query.domain != self.domain
         results: list[Interval] = []
-        self._search(self._root, query, results)
-        results.sort(key=lambda item: (item.start, item.end))
-        return results
+        stack: list[_Node] = []
+        node = self._root
+        while True:
+            while node is not None and node.max_end >= start:
+                stack.append(node)
+                node = node.left
+            if not stack:
+                return results
+            node = stack.pop()
+            key_start, key_end = node.key
+            if key_start > end:
+                return results
+            if key_end >= start:
+                if foreign:
+                    results.extend(interval for interval in node.intervals if interval.overlaps(query))
+                else:
+                    results.extend(node.intervals)
+            node = node.right
 
     def stab(self, point: float) -> list[Interval]:
         """All stored intervals containing *point*."""
@@ -278,19 +304,6 @@ class IntervalTree:
     def height(self) -> int:
         """Tree height (0 when empty); useful for balance assertions."""
         return _height(self._root)
-
-    def _search(self, node: _Node | None, query: Interval, results: list[Interval]) -> None:
-        if node is None:
-            return
-        if _max_end(node) < query.start:
-            return
-        self._search(node.left, query, results)
-        if node.key[0] <= query.end and query.start <= node.key[1]:
-            results.extend(
-                interval for interval in node.intervals if interval.overlaps(query)
-            )
-        if node.key[0] <= query.end:
-            self._search(node.right, query, results)
 
     def _inorder(self, node: _Node | None) -> Iterator[Interval]:
         if node is None:

@@ -18,14 +18,14 @@ from repro.spatial.rect import Rect, bounding_rect
 
 
 class _Entry:
-    """An entry in an R-tree node: a box plus either a child node or a leaf record."""
+    """An entry in an R-tree node: a box plus, in an inner node, the child it
+    bounds.  A leaf entry's box is the stored record itself."""
 
-    __slots__ = ("rect", "child", "record")
+    __slots__ = ("rect", "child")
 
-    def __init__(self, rect: Rect, child: "_Node | None" = None, record: Rect | None = None):
+    def __init__(self, rect: Rect, child: "_Node | None" = None):
         self.rect = rect
         self.child = child
-        self.record = record
 
 
 class _Node:
@@ -74,11 +74,20 @@ class RTree:
         """Exact minimum bounding rect of every stored rect (None when empty).
 
         Read from the root's maintained entry MBRs — O(root fan-out), kept
-        tight by insert/remove adjustment, so deletions shrink it.
+        tight by insert/remove adjustment, so deletions shrink it.  The
+        corners are folded per axis over the floats, and only the result is
+        built as a :class:`Rect`; the boxes are checked against one another
+        as :func:`~repro.spatial.rect.bounding_rect` would.
         """
         if self._size == 0:
             return None
-        return self._root.mbr()
+        rects = [entry.rect for entry in self._root.entries]
+        anchor = next((rect for rect in rects if rect.space is not None), rects[0])
+        for rect in rects:
+            anchor._check_compatible(rect)
+        lo = tuple(map(min, zip(*(rect.lo for rect in rects))))
+        hi = tuple(map(max, zip(*(rect.hi for rect in rects))))
+        return Rect(lo, hi, space=anchor.space)
 
     def __iter__(self) -> Iterator[Rect]:
         yield from self._iterate(self._root)
@@ -86,8 +95,7 @@ class RTree:
     def _iterate(self, node: _Node) -> Iterator[Rect]:
         for entry in node.entries:
             if node.leaf:
-                assert entry.record is not None
-                yield entry.record
+                yield entry.rect
             else:
                 assert entry.child is not None
                 yield from self._iterate(entry.child)
@@ -101,7 +109,7 @@ class RTree:
                 f"rect space {rect.space!r} does not match R-tree space {self.space!r}"
             )
         leaf = self._choose_leaf(self._root, rect)
-        leaf.entries.append(_Entry(rect, record=rect))
+        leaf.entries.append(_Entry(rect))
         self._size += 1
         self._handle_overflow(leaf)
         self._adjust_upward(leaf)
@@ -249,7 +257,7 @@ class RTree:
         if leaf is None:
             return False
         for position, entry in enumerate(leaf.entries):
-            if entry.record is not None and entry.record == rect and entry.record.payload == rect.payload:
+            if entry.rect == rect and entry.rect.payload == rect.payload:
                 leaf.entries.pop(position)
                 self._size -= 1
                 self._condense(leaf)
@@ -259,7 +267,7 @@ class RTree:
     def _find_leaf(self, node: _Node, rect: Rect) -> _Node | None:
         if node.leaf:
             for entry in node.entries:
-                if entry.record is not None and entry.record == rect and entry.record.payload == rect.payload:
+                if entry.rect == rect and entry.rect.payload == rect.payload:
                     return node
             return None
         for entry in node.entries:
@@ -301,16 +309,13 @@ class RTree:
     # -- queries ------------------------------------------------------------
 
     def search_overlap(self, query: Rect) -> list[Rect]:
-        """All stored records whose box overlaps *query*."""
-        results: list[Rect] = []
-        self._search(self._root, query, results, containment=False)
-        return results
+        """All stored records whose box overlaps *query*, depth-first in
+        entry order."""
+        return self._search(query, containment=False)
 
     def search_contained_in(self, query: Rect) -> list[Rect]:
         """All stored records fully contained in *query*."""
-        results: list[Rect] = []
-        self._search(self._root, query, results, containment=True)
-        return results
+        return self._search(query, containment=True)
 
     def search_point(self, point: tuple[float, ...]) -> list[Rect]:
         """All stored records containing *point*."""
@@ -339,8 +344,7 @@ class RTree:
                 if len(best) >= count and distance > best[-1][0]:
                     continue
                 if node.leaf:
-                    assert entry.record is not None
-                    best.append((distance, next(counter), entry.record))
+                    best.append((distance, next(counter), entry.rect))
                     best.sort(key=lambda item: (item[0], item[1]))
                     del best[count:]
                 else:
@@ -360,20 +364,42 @@ class RTree:
             node = node.entries[0].child
         return height
 
-    def _search(self, node: _Node, query: Rect, results: list[Rect], containment: bool) -> None:
-        for entry in node.entries:
-            if not entry.rect.overlaps(query):
-                continue
-            if node.leaf:
-                assert entry.record is not None
-                if containment:
-                    if query.contains(entry.record):
-                        results.append(entry.record)
-                elif entry.record.overlaps(query):
-                    results.append(entry.record)
-            else:
-                assert entry.child is not None
-                self._search(entry.child, query, results, containment)
+    def _search(self, query: Rect, containment: bool) -> list[Rect]:
+        """Depth-first walk in entry order that tests each entry's box once.
+
+        The overlap comparison is inlined.  A box of another dimension than
+        the query's, or of another space than a query naming a space other
+        than the tree's, goes to ``_check_compatible``, which raises
+        :class:`SpatialError` for it; stored boxes carry no space or the
+        tree's, so a query in the tree's own space skips the space test.
+        With *containment*, a leaf record must also lie inside *query*.
+        """
+        query_lo, query_hi, space = query.lo, query.hi, query.space
+        dimension = len(query_lo)
+        axes = range(dimension)
+        foreign = space is not None and space != self.space
+        results: list[Rect] = []
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            leaf = node.leaf
+            children = []
+            for entry in node.entries:
+                rect = entry.rect
+                lo, hi = rect.lo, rect.hi
+                if len(lo) != dimension or (foreign and rect.space not in (None, space)):
+                    rect._check_compatible(query)
+                for axis in axes:
+                    if lo[axis] > query_hi[axis] or query_lo[axis] > hi[axis]:
+                        break
+                else:
+                    if not leaf:
+                        children.append(entry.child)
+                    elif not containment or query.contains(rect):
+                        results.append(rect)
+            # Reversed onto the stack, so the first child is walked first.
+            stack.extend(reversed(children))
+        return results
 
     # -- bulk construction ----------------------------------------------------
 
@@ -421,7 +447,7 @@ class RTree:
             offset = 0
             for size in tile_sizes:
                 leaf = _Node(leaf=True)
-                leaf.entries = [_Entry(rect, record=rect) for rect in tile[offset:offset + size]]
+                leaf.entries = [_Entry(rect) for rect in tile[offset:offset + size]]
                 offset += size
                 nodes.append(leaf)
         while len(nodes) > 1:

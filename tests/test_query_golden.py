@@ -5,13 +5,14 @@ the query's ``describe()``, or the error's class and message (offsets
 included).  ``fixtures/make_gql_golden.py`` wrote it and says which texts.
 Every row must come out the same, except the rows below, which changed on
 purpose: a count (``LIMIT``, ``MINCOUNT``, ``MAXLEN``) must be a
-non-negative integer literal, and number literals are ASCII only.
+non-negative integer literal, number literals are ASCII only, and an
+interval or box whose upper end lies below its lower one is refused.
 """
 
 import json
 from pathlib import Path
 
-from repro.errors import QuerySyntaxError
+from repro.errors import QuerySyntaxError, SpatialError
 from repro.query.parser import parse_query
 
 GOLDEN = Path(__file__).parent / "fixtures" / "gql_golden.jsonl"
@@ -44,11 +45,32 @@ CHANGED = {
         "unexpected character '١' at offset 45",
 }
 
+#: text -> the SpatialError message it raises now: these parsed, and their
+#: malformed extent was refused only if execution reached it.  A text with a
+#: syntax error as well still raises the QuerySyntaxError it always did.
+REFUSED = {
+    "SELECT # c\nGRAPH where{path \"x\"  TO # c\n'it\\'s' Maxlen\n2any { referent refers \"\"\tNODESC "
+    "type _x\nREGION\nOverlaps\tbo [ 12 # c\n]\t..[ 4.5\t] }} ":
+        "upper bound 4.5 precedes lower bound 12.0",
+    " select referents # c\nwhere # c\n{path  'it\\'s'\tTO\n\"a\\\"b\" Interval  OVERLAPS atlas:25um "
+    "[  4.5 , -0.25 ]\tContent\tContains 'y z'\n}  ":
+        "interval end -0.25 precedes start 4.5",
+    "\nselect Referents\nWHERE { CONTENT contains \"kw012\"Region  overlaps\tdna_sequence [ 0 ,  -0.25,\n"
+    "0 # c\n]  .. [ -0.25\n, -0.25 , 0 # c\n] # c\n}\tLIMIT 41\n":
+        "upper bound -0.25 precedes lower bound 0.0",
+    " Select contents Where\t{ NOT  {Any { region  OVERLAPS  dna_sequence[4.5 # c\n,\n0 , # c\n-0.25 # c\n] "
+    ".. # c\n[\n-0.25 ,  12\t,12] TYPE atlas:25um } } # c\n}\tlimit  64 ":
+        "upper bound -0.25 precedes lower bound 4.5",
+    "Select\tReferents  WHERE { not  { ANY  { # c\nContent  CONTAINS # c\n\"#no comment\"region\toverlaps\t"
+    "mouse-atlas:25um [  0\n]\n.. [-3 ] } # c\n}}\t":
+        "upper bound -3.0 precedes lower bound 0.0",
+}
+
 
 def _outcome(text: str) -> dict:
     try:
         return {"describe": parse_query(text).describe()}
-    except QuerySyntaxError as exc:
+    except (QuerySyntaxError, SpatialError) as exc:
         return {"error": type(exc).__name__, "message": str(exc)}
 
 
@@ -62,13 +84,13 @@ def test_fixture_covers_every_kind_of_text():
     for row in _rows():
         kinds[row["kind"]] = kinds.get(row["kind"], 0) + 1
     assert kinds == {"adhoc": 150, "browse": 64, "hand": 101, "grammar": 50, "tokens": 70, "chars": 60}
-    assert set(CHANGED) <= {row["text"] for row in _rows()}
+    assert set(CHANGED) | set(REFUSED) <= {row["text"] for row in _rows()}
 
 
 def test_parser_reproduces_every_unchanged_row():
     mismatches = []
     for row in _rows():
-        if row["text"] in CHANGED:
+        if row["text"] in CHANGED or row["text"] in REFUSED:
             continue
         expected = {key: row[key] for key in ("describe", "error", "message") if key in row}
         got = _outcome(row["text"])
@@ -80,3 +102,8 @@ def test_parser_reproduces_every_unchanged_row():
 def test_changed_rows_raise_query_syntax_errors():
     for text, message in CHANGED.items():
         assert _outcome(text) == {"error": "QuerySyntaxError", "message": message}, text
+
+
+def test_rows_with_a_malformed_extent_raise_spatial_errors():
+    for text, message in REFUSED.items():
+        assert _outcome(text) == {"error": "SpatialError", "message": message}, text

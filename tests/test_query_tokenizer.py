@@ -37,7 +37,7 @@ def test_double_quoted_string():
 
 
 def test_numbers():
-    query = parse_query("SELECT contents WHERE { REGION OVERLAPS v [10, -5, 3.14] .. [1, 2, 3] }")
+    query = parse_query("SELECT contents WHERE { REGION OVERLAPS v [10, -5, 3.14] .. [11, 2, 3.5] }")
     assert query.constraints[0].lo == (10.0, -5.0, 3.14)
     with pytest.raises(QuerySyntaxError, match=r"expected number at offset 45, got '\.'"):
         parse_query("SELECT contents WHERE { INTERVAL OVERLAPS d [.5, 4] }")

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.manager import Graphitti
 from repro.datatypes.sequence import DnaSequence
-from repro.errors import GraphittiError, QuerySyntaxError
+from repro.errors import GraphittiError, QuerySyntaxError, SpatialError
 from repro.query import QueryBuilder, parse_query
 from repro.query.ast import (
     KeywordConstraint,
@@ -159,12 +159,15 @@ _IDENTS = st.sampled_from(["d", "genome:chrX", "mouse-atlas:25um"])
 _NUMBERS = st.sampled_from([0.0, 1.0, 1.5, -2.0])
 _COUNTS = st.integers(min_value=0, max_value=2)
 _CORNERS = st.lists(_NUMBERS, min_size=1, max_size=2).map(tuple)
+# A constraint refuses a malformed extent, so only (lo <= hi) spans are built.
+_SPANS = st.tuples(_NUMBERS, _NUMBERS).map(sorted)
+_BOXES = st.lists(_SPANS, min_size=1, max_size=2).map(lambda spans: tuple(zip(*spans)))
 
 _LEAVES = st.one_of(
     st.builds(KeywordConstraint, _WORDS, st.sampled_from(["and", "or"])),
     st.builds(OntologyConstraint, _WORDS, st.none() | _IDENTS, st.booleans()),
-    st.builds(OverlapConstraint, _IDENTS, _NUMBERS, _NUMBERS, _COUNTS),
-    st.builds(RegionConstraint, _IDENTS, _CORNERS, _CORNERS, _COUNTS),
+    st.builds(lambda domain, span, count: OverlapConstraint(domain, *span, count), _IDENTS, _SPANS, _COUNTS),
+    st.builds(lambda space, box, count: RegionConstraint(space, *box, count), _IDENTS, _BOXES, _COUNTS),
     st.builds(TypeConstraint, _IDENTS),
     st.builds(PathConstraint, _WORDS, _WORDS, _COUNTS),
 )
@@ -182,14 +185,11 @@ _BUILT = st.builds(
 
 
 def _expressible(query: Query) -> bool:
-    """Whether GQL text can spell *query* (it has no OR-mode keyword and
-    matching region corners)."""
+    """Whether GQL text can spell *query* (it has no OR-mode keyword)."""
 
     def fits(constraint) -> bool:
         if isinstance(constraint, KeywordConstraint):
             return constraint.mode == "and"
-        if isinstance(constraint, RegionConstraint):
-            return len(constraint.lo) == len(constraint.hi)
         if isinstance(constraint, NotConstraint):
             return fits(constraint.inner)
         if isinstance(constraint, OrConstraint):
@@ -280,7 +280,10 @@ def _tweaked(draw, query: Query) -> Query:
             return OrConstraint(tuple(map(tweak, constraint.parts)))
         names = [field.name for field in dataclasses.fields(constraint) if field.init]
         name = draw(st.sampled_from(names))
-        return dataclasses.replace(constraint, **{name: draw(_FIELDS[name])})
+        try:
+            return dataclasses.replace(constraint, **{name: draw(_FIELDS[name])})
+        except SpatialError:  # the redrawn field made a malformed extent
+            return constraint
 
     return Query(query.return_kind, [tweak(c) for c in query.constraints], query.limit)
 
@@ -330,7 +333,7 @@ def test_text_that_fails_to_parse_never_enters_the_memo(text, at, insert):
                 with pytest.raises(QuerySyntaxError):
                     service.query(query)
             except GraphittiError:
-                pass  # parsed and planned, then refused by an index (say, start > end)
+                pass  # parsed, then refused (say, a mangled extent with start > end)
     finally:
         service.close()
 

@@ -35,7 +35,7 @@ def rtree_leaf_sizes(tree: RTree) -> list[int]:
             leaf_depths.add(depth)
             leaf_sizes.append(len(node.entries))
             records += len(node.entries)
-            assert all(entry.rect == entry.record for entry in node.entries)
+            assert all(entry.child is None for entry in node.entries)
             return
         for entry in node.entries:
             assert entry.child.parent is node
