@@ -170,20 +170,19 @@ class AGraph:
         """For a batch of referents, how many of them each content annotates.
 
         The one "referents -> annotation counts" step every spatial search
-        shares: each referent's ``annotates`` in-edges are read straight from
-        the label-indexed in-edge index and counted in a plain dict keyed by
-        content id.  Referent ids absent from the graph are skipped, so
-        callers can feed store-level hits straight in.
+        shares: one indexed ``annotates`` in-edge walk per referent, counted
+        in a plain dict keyed by content id.  Referent ids absent from the
+        graph are skipped, so callers can feed store-level hits straight in.
         """
         counts: dict[Hashable, int] = {}
         get = counts.get
-        in_edges = self._graph.in_edge_index
+        graph = self._graph
         for referent_id in referent_ids:
-            buckets = in_edges.get(referent_id)
-            if buckets:
-                for edge in buckets.get(ANNOTATES, ()):
-                    source = edge.source
-                    counts[source] = get(source, 0) + 1
+            if referent_id not in graph:
+                continue
+            for edge in graph.iter_in_edges(referent_id, label=ANNOTATES):
+                source = edge.source
+                counts[source] = get(source, 0) + 1
         return counts
 
     def related_annotations(self, content_id: Hashable) -> set[Hashable]:

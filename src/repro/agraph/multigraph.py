@@ -406,16 +406,6 @@ class LabeledMultigraph:
         return neighbors
 
     @property
-    def in_edge_index(self) -> dict[Hashable, dict[str, list[Edge]]]:
-        """The whole in-edge index: node -> label -> incoming edges.
-
-        Exposed, like :attr:`undirected_adjacency`, for loops that cannot
-        afford a generator per node.  The mapping is live graph structure
-        and MUST NOT be mutated by callers.
-        """
-        return self._in
-
-    @property
     def undirected_adjacency(self) -> dict[Hashable, dict[str, list[Hashable]]]:
         """The whole BFS expansion index: node -> label -> neighbor ids.
 

@@ -288,20 +288,6 @@ class SubstructureStore:
         hits = self._rtrees.search_overlap(space, Rect(tuple(lo), tuple(hi), space=space))
         return [rect.payload for rect in hits]
 
-    def overlapping_intervals(self, domain: str, start: float, end: float) -> list[Referent]:
-        """Referents whose 1D extent overlaps ``[start, end]`` in *domain*."""
-        view = self.columns.view
-        return [view(referent_id) for referent_id in self.interval_ids(domain, start, end)]
-
-    def overlapping_regions(self, space: str, lo: Iterable[float], hi: Iterable[float]) -> list[Referent]:
-        """Referents whose 2D/3D extent overlaps the query box in *space*."""
-        view = self.columns.view
-        return [view(referent_id) for referent_id in self.region_ids(space, lo, hi)]
-
-    def point_intervals(self, domain: str, point: float) -> list[Referent]:
-        """Referents whose 1D extent contains *point*."""
-        return self.overlapping_intervals(domain, point, point)
-
     # -- stats ----------------------------------------------------------------
 
     def interval_summary(self, domain: str) -> ExtentSummary | None:

@@ -28,9 +28,9 @@ the lexemes as a list of strings in a single call, and the descent reads
 those strings directly.  Offsets are worked out only when raising: an error
 reports the text's first lexical error if it has one (a text is lexed whole
 before it is parsed), else the offset of the lexeme the descent stopped at.
-A text that parses but holds a malformed extent (an interval ending before
-it starts, a box with a lower corner above its upper one) raises the
-:class:`~repro.errors.SpatialError` its constraint raised.
+A malformed extent (an interval ending before it starts, a box with a lower
+corner above its upper one) raises the :class:`~repro.errors.SpatialError`
+its constraint raises, as soon as the descent builds that constraint.
 
 The parser is intentionally forgiving about statement order inside the
 ``WHERE`` block; ordering is the planner's job, not the grammar's.
@@ -41,7 +41,7 @@ from __future__ import annotations
 import re
 from typing import Callable, NoReturn
 
-from repro.errors import QuerySyntaxError, SpatialError
+from repro.errors import QuerySyntaxError
 from repro.query.ast import (
     KeywordConstraint,
     NotConstraint,
@@ -123,10 +123,9 @@ def _shown(lexeme: str) -> str:
 
 
 class _Descent:
-    """One parse: the text, its lexemes, the index of the next one, and the
-    first malformed spatial extent met so far."""
+    """One parse: the text, its lexemes and the index of the next one."""
 
-    __slots__ = ("text", "lexemes", "at", "refusal")
+    __slots__ = ("text", "lexemes", "at")
 
     def __init__(self, text: str):
         lexemes = _LEXEME.findall(text)
@@ -135,7 +134,6 @@ class _Descent:
         self.text = text
         self.lexemes = lexemes
         self.at = 0
-        self.refusal: SpatialError | None = None
 
     # -- errors ---------------------------------------------------------------
 
@@ -219,8 +217,6 @@ class _Descent:
             query.limit = self._count()
         if self.lexemes[self.at]:
             self._fail(lambda offset, got: f"trailing tokens after query at offset {offset}")
-        if self.refusal is not None:
-            raise self.refusal
         return query
 
     def _block(self, name: str) -> list:
@@ -279,7 +275,7 @@ class _Descent:
         end = self._number()
         self._punct("]")
         min_count = self._count() if self._optional("MINCOUNT") else 1
-        return self._extent(OverlapConstraint, domain, start, end, min_count)
+        return OverlapConstraint(domain, start, end, min_count)
 
     def _region(self) -> RegionConstraint:
         self._keyword("OVERLAPS")
@@ -290,18 +286,7 @@ class _Descent:
         if len(lo) != len(hi):
             self._fail("region corners must have equal dimensionality")
         min_count = self._count() if self._optional("MINCOUNT") else 1
-        return self._extent(RegionConstraint, space, lo, hi, min_count)
-
-    def _extent(self, build, *fields):
-        """A spatial constraint.  A malformed extent's :class:`SpatialError`
-        (raised by the constraint itself) is held until the whole text has
-        parsed, so a syntax error anywhere in the text still wins."""
-        try:
-            return build(*fields)
-        except SpatialError as exc:
-            if self.refusal is None:
-                self.refusal = exc
-            return None
+        return RegionConstraint(space, lo, hi, min_count)
 
     def _coords(self) -> tuple[float, ...]:
         self._punct("[")

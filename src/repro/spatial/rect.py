@@ -164,10 +164,18 @@ class Rect:
 
 
 def bounding_rect(rects: Sequence[Rect]) -> Rect:
-    """Smallest box covering every box in *rects*."""
+    """Smallest box covering every box in *rects*.
+
+    The boxes must share a dimension and a coordinate space (a box naming
+    none fits any); the result is in the first space named.  The corners are
+    folded per axis over the floats, so only the result is built as a
+    :class:`Rect` -- the same box a :meth:`Rect.union` fold would give.
+    """
     if not rects:
         raise SpatialError("bounding_rect() of an empty sequence")
-    result = rects[0]
-    for rect in rects[1:]:
-        result = result.union(rect)
-    return result
+    anchor = next((rect for rect in rects if rect.space is not None), rects[0])
+    for rect in rects:
+        anchor._check_compatible(rect)
+    lo = tuple(map(min, zip(*(rect.lo for rect in rects))))
+    hi = tuple(map(max, zip(*(rect.hi for rect in rects))))
+    return Rect(lo, hi, space=anchor.space)

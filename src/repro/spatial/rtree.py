@@ -74,20 +74,11 @@ class RTree:
         """Exact minimum bounding rect of every stored rect (None when empty).
 
         Read from the root's maintained entry MBRs — O(root fan-out), kept
-        tight by insert/remove adjustment, so deletions shrink it.  The
-        corners are folded per axis over the floats, and only the result is
-        built as a :class:`Rect`; the boxes are checked against one another
-        as :func:`~repro.spatial.rect.bounding_rect` would.
+        tight by insert/remove adjustment, so deletions shrink it.
         """
         if self._size == 0:
             return None
-        rects = [entry.rect for entry in self._root.entries]
-        anchor = next((rect for rect in rects if rect.space is not None), rects[0])
-        for rect in rects:
-            anchor._check_compatible(rect)
-        lo = tuple(map(min, zip(*(rect.lo for rect in rects))))
-        hi = tuple(map(max, zip(*(rect.hi for rect in rects))))
-        return Rect(lo, hi, space=anchor.space)
+        return self._root.mbr()
 
     def __iter__(self) -> Iterator[Rect]:
         yield from self._iterate(self._root)

@@ -142,6 +142,14 @@ def _rect(spec, payload) -> Rect:
     return Rect((x, y), (x + width, y + height), space=space, payload=payload)
 
 
+def _union_fold(rects: list[Rect]) -> Rect:
+    """The bounding box as a ``Rect.union`` fold, one ``Rect`` per step."""
+    result = rects[0]
+    for rect in rects[1:]:
+        result = result.union(rect)
+    return result
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     batch=st.lists(_rect_specs, max_size=30),
@@ -151,8 +159,8 @@ def _rect(spec, payload) -> Rect:
 )
 def test_rtree_search_is_the_scan_and_bounds_the_old_fold_under_churn(batch, ops, max_entries, queries):
     """``search_overlap`` returns the linear scan's records (as a multiset)
-    and refuses what the scan refuses; ``bounds()`` is the ``Rect.union``
-    fold over the root's entries it replaced."""
+    and refuses what the scan refuses; ``bounds()`` and ``bounding_rect``
+    are the ``Rect.union`` fold over the records."""
     present = [_rect(spec, f"b{index}") for index, spec in enumerate(batch)]
     tree = RTree(max_entries=max_entries, space="atlas")
     tree.insert_many(present)
@@ -166,7 +174,7 @@ def test_rtree_search_is_the_scan_and_bounds_the_old_fold_under_churn(batch, ops
         assert len(tree) == len(present)
         bounds = tree.bounds()
         if present:
-            old = tree._root.mbr()  # noqa: SLF001 - the fold bounds() replaced
+            old = _union_fold(present)
             assert bounds == old == bounding_rect(present) and bounds.space == old.space
             with pytest.raises(SpatialError):
                 tree.search_overlap(Rect((0, 0, 0), (50, 50, 50)))

@@ -45,9 +45,10 @@ CHANGED = {
         "unexpected character '١' at offset 45",
 }
 
-#: text -> the SpatialError message it raises now: these parsed, and their
-#: malformed extent was refused only if execution reached it.  A text with a
-#: syntax error as well still raises the QuerySyntaxError it always did.
+#: text -> the SpatialError message it raises now.  The first five parsed,
+#: and their malformed extent was refused only if execution reached it; the
+#: last three hold a syntax error after the malformed extent, and the
+#: descent now stops at the extent.
 REFUSED = {
     "SELECT # c\nGRAPH where{path \"x\"  TO # c\n'it\\'s' Maxlen\n2any { referent refers \"\"\tNODESC "
     "type _x\nREGION\nOverlaps\tbo [ 12 # c\n]\t..[ 4.5\t] }} ":
@@ -64,6 +65,21 @@ REFUSED = {
     "Select\tReferents  WHERE { not  { ANY  { # c\nContent  CONTAINS # c\n\"#no comment\"region\toverlaps\t"
     "mouse-atlas:25um [  0\n]\n.. [-3 ] } # c\n}}\t":
         "upper bound -3.0 precedes lower bound 0.0",
+    # previously "unexpected token 'TYPEbo' at offset 93 in WHERE block"
+    "select Referents where { ANY # c\n{Any # c\n{ # c\nINTERVAL OVERLAPS\n_x[  -0.25  , # c\n-3 "
+    "# c\n] TYPEbo PATH\"kw012\"\tTO \"a\\\"b\" } any  {path 'it\\'s'to  \"kw012\" # c\n"
+    "region OVERLAPSatlas:25um # c\n[ 0\t,  0\t, -3  ]..\n[ 12\n, 0 # c\n, 4.5\t] mincount 0\nTYPE _x }"
+    "Referent REFERS\t'it\\'s' # c\nIn\nchr1}  Not\n{ referent\nRefers 'it\\'s' IN mouse-atlas:25um"
+    "\nnodesc } content\tCONTAINS \"\"} ":
+        "interval end -3.0 precedes start -0.25",
+    # previously "trailing tokens after query at offset 144"
+    "\nselect\ngraph # c\nWHERE # c\n{  region\tOVERLAPS\tmouse-atlas:25um [\n0  , -3]\t..\t[\t"
+    "-0.25 # c\n, # c\n4.5 ] Mincount 2 # c\ncontent # c\nContains\t\"x\" } Limit79\n":
+        "upper bound -0.25 precedes lower bound 0.0",
+    # previously "unexpected token 'MINCOUN' at offset 119 in WHERE block"
+    "SELECT graph WHERE { CONTENT CONTAINS \"kw049\" REFERENT REFERS \"bo:11\" REGION OVERLAPS "
+    "atlas:25um [11, 81] .. [714, 68] MINCOUN T2 }":
+        "upper bound 68.0 precedes lower bound 81.0",
 }
 
 

@@ -97,6 +97,15 @@ def test_bounding_rect_empty():
         bounding_rect([])
 
 
+def test_bounding_rect_takes_the_first_named_space_and_refuses_a_mismatch():
+    rects = [Rect((0, 0), (1, 1)), Rect((2, 2), (3, 3), space="a"), Rect((1, 1), (2, 2))]
+    assert bounding_rect(rects).space == "a"
+    with pytest.raises(SpatialError, match="coordinate-space"):
+        bounding_rect(rects + [Rect((0, 0), (1, 1), space="b")])
+    with pytest.raises(SpatialError, match="dimension"):
+        bounding_rect(rects + [Rect((0, 0, 0), (1, 1, 1))])
+
+
 @given(
     ax=st.integers(-20, 20), ay=st.integers(-20, 20),
     aw=st.integers(0, 20), ah=st.integers(0, 20),
