@@ -24,7 +24,7 @@ import random
 import pytest
 
 from benchmarks._harness import format_row, sample_stats, speedup, time_samples, write_results
-from repro.agraph.agraph import AGraph
+from repro.agraph.agraph import ANNOTATES, REFERS_TO, SAME_OBJECT, AGraph
 from repro.baselines.unindexed_multigraph import UnindexedMultigraph, mirror_agraph
 
 #: Minimum acceptable speedup of the indexed engine over the pre-refactor one.
@@ -54,17 +54,17 @@ def build_workload(seed: int = 11):
     for referent in referents:
         g.add_referent(referent)
     for index in range(1, big_referents):
-        g.link_referents(referents[index - 1], referents[index])
+        g.link(SAME_OBJECT, referents[index - 1], referents[index])
     contents = []
     for index in range(big_contents):
         content = f"c{index}"
         g.add_content(content)
         contents.append(content)
         for _ in range(rng.randint(2, 4)):
-            g.link_annotation(content, rng.choice(referents))
-        g.link_ontology(content, rng.choice(terms))
+            g.link(ANNOTATES, content, rng.choice(referents))
+        g.link(REFERS_TO, content, rng.choice(terms))
     for index, referent in enumerate(referents):
-        g.link_ontology(referent, terms[index % term_count])
+        g.link(REFERS_TO, referent, terms[index % term_count])
 
     cluster_seeds = []
     for cluster in range(small_clusters):
@@ -72,12 +72,12 @@ def build_workload(seed: int = 11):
         for referent in local_refs:
             g.add_referent(referent)
         for index in range(1, 5):
-            g.link_referents(local_refs[index - 1], local_refs[index])
+            g.link(SAME_OBJECT, local_refs[index - 1], local_refs[index])
         for index in range(10):
             content = f"s{cluster}_c{index}"
             g.add_content(content)
             for _ in range(rng.randint(2, 3)):
-                g.link_annotation(content, rng.choice(local_refs))
+                g.link(ANNOTATES, content, rng.choice(local_refs))
             if index == 0:
                 cluster_seeds.append(content)
     return g, contents, cluster_seeds

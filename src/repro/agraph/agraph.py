@@ -6,11 +6,21 @@ The a-graph has three node kinds:
 * ``REFERENT`` — a marked substructure of a data object,
 * ``ONTOLOGY`` — an ontology term a referent or content points at.
 
-Directed edges connect a content to each of its referents (label
-``annotates``) and referents/contents to ontology nodes (label
-``refers_to``).  Because the same referent can be annotated by two different
-contents, two annotations become "indirectly related" — which is exactly the
-structure the paper's queries traverse.
+:data:`EDGE_TYPES` declares each edge label once, with the node kinds its
+source and target may have: a content ``annotates`` each of its referents,
+a referent or content ``refers_to`` an ontology term, and a referent links
+to each earlier referent of the same data object in its annotation
+(``same_object``).  :meth:`AGraph.link` refuses any edge outside it.
+Because the same referent can be annotated by two different contents, two
+annotations become "indirectly related" — which is exactly the structure
+the paper's queries traverse.
+
+The manager keeps one invariant: the edge multiset is the sum, over live
+annotations, of :meth:`Annotation.agraph_edges()
+<repro.core.annotation.Annotation.agraph_edges>`.  Commit, WAL replay and
+snapshot rebuild link that list, a delete unlinks it, an update applies the
+difference of its two derivations, and ``check_integrity`` compares the
+graph with the sum.
 
 The two primitives are:
 
@@ -27,7 +37,6 @@ instead of a per-call BFS.
 from __future__ import annotations
 
 import enum
-import heapq
 from collections import deque
 from typing import Any, Hashable, Iterable
 
@@ -41,8 +50,6 @@ ANNOTATES = "annotates"
 REFERS_TO = "refers_to"
 #: Edge label: referent --same_object--> referent (share a data object).
 SAME_OBJECT = "same_object"
-#: Edge label: referent --relates--> referent (inter-substructure relation).
-RELATES = "relates"
 
 
 class NodeKind(enum.Enum):
@@ -53,12 +60,21 @@ class NodeKind(enum.Enum):
     ONTOLOGY = "ontology"
 
 
+#: The a-graph schema: ``label -> (source kinds, target kinds)``, each kind a
+#: :class:`NodeKind` value.
+EDGE_TYPES: dict[str, tuple[frozenset[str], frozenset[str]]] = {
+    ANNOTATES: (frozenset({"content"}), frozenset({"referent"})),
+    REFERS_TO: (frozenset({"content", "referent"}), frozenset({"ontology"})),
+    SAME_OBJECT: (frozenset({"referent"}), frozenset({"referent"})),
+}
+
+
 class AGraph:
     """The annotation graph: a typed labeled multigraph + primitives.
 
     The a-graph wraps a :class:`~repro.agraph.multigraph.LabeledMultigraph`
-    and adds the node-kind bookkeeping, the two primitive operations, and the
-    supporting graph algorithms (BFS/Dijkstra path search, BFS-tree
+    and adds the node-kind bookkeeping, the edge schema, the two primitive
+    operations, and the supporting graph algorithms (BFS path search, BFS-tree
     connection-subgraph construction, component analysis).
     """
 
@@ -102,47 +118,31 @@ class AGraph:
         self._graph.add_node(term_id, kind=NodeKind.ONTOLOGY.value, **attributes)
         return term_id
 
-    def link_annotation(self, content_id: Hashable, referent_id: Hashable, **attributes: Any) -> Edge:
-        """Add the ``content --annotates--> referent`` edge."""
-        self._require_kind(content_id, NodeKind.CONTENT)
-        self._require_kind(referent_id, NodeKind.REFERENT)
-        return self._graph.add_edge(content_id, referent_id, label=ANNOTATES, **attributes)
+    def check_edge(self, label: str, source: Hashable, target: Hashable) -> None:
+        """Raise unless :data:`EDGE_TYPES` admits ``source --label--> target``
+        between the two existing nodes."""
+        node = self._graph.node
+        source_kind, target_kind = node(source).kind, node(target).kind
+        kinds = EDGE_TYPES.get(label)
+        if kinds is None or source_kind not in kinds[0] or target_kind not in kinds[1]:
+            raise AGraphError(
+                f"edge {(label, source, target)!r} ({source_kind} -> {target_kind}) "
+                f"is not in EDGE_TYPES"
+            )
 
-    def link_ontology(self, source_id: Hashable, term_id: Hashable, **attributes: Any) -> Edge:
-        """Add a ``source --refers_to--> ontology`` edge."""
-        if term_id not in self._graph or self._graph.node(term_id).kind != NodeKind.ONTOLOGY.value:
-            raise AGraphError(f"{term_id!r} is not an ontology node")
-        return self._graph.add_edge(source_id, term_id, label=REFERS_TO, **attributes)
+    def link(self, label: str, source: Hashable, target: Hashable) -> Edge:
+        """Add one ``source --label--> target`` edge after :meth:`check_edge`."""
+        self.check_edge(label, source, target)
+        return self._graph.add_edge(source, target, label=label)
 
-    def link_referents(self, left_id: Hashable, right_id: Hashable, label: str = RELATES, **attributes: Any) -> Edge:
-        """Add an inter-referent edge (e.g. sub-sequence to sequence)."""
-        self._require_kind(left_id, NodeKind.REFERENT)
-        self._require_kind(right_id, NodeKind.REFERENT)
-        return self._graph.add_edge(left_id, right_id, label=label, **attributes)
+    def unlink(self, label: str, source: Hashable, target: Hashable) -> bool:
+        """Remove one copy of ``source --label--> target``; False when absent.
 
-    def unlink_annotation(self, content_id: Hashable, referent_id: Hashable) -> int:
-        """Remove the ``content --annotates--> referent`` edge(s).
-
-        The update path uses this when an annotation drops a referent: the
-        edge goes, the referent node's survival is decided separately (it
-        stays while any *other* content still annotates it).
+        Nodes stay: the caller decides whether an endpoint left without edges
+        goes (a referent no content annotates does; ontology terms are shared
+        vocabulary and never do).
         """
-        return self._graph.remove_edges(content_id, referent_id, label=ANNOTATES)
-
-    def unlink_ontology(self, source_id: Hashable, term_id: Hashable) -> int:
-        """Remove the ``source --refers_to--> ontology`` edge(s).
-
-        Ontology nodes themselves are never dropped here — they are shared
-        vocabulary, and an unreferenced term node is harmless (and cheap).
-        """
-        return self._graph.remove_edges(source_id, term_id, label=REFERS_TO)
-
-    def _require_kind(self, node_id: Hashable, kind: NodeKind) -> None:
-        if node_id not in self._graph:
-            raise UnknownNodeError(f"no node {node_id!r} in the a-graph")
-        actual = self._graph.node(node_id).kind
-        if actual != kind.value:
-            raise AGraphError(f"node {node_id!r} has kind {actual!r}, expected {kind.value!r}")
+        return self._graph.remove_edge(source, target, label)
 
     # -- typed accessors -------------------------------------------------------
 
@@ -274,75 +274,6 @@ class AGraph:
                 frontier_2 = next_frontier
         return None
 
-    def weighted_path(
-        self,
-        node1: Hashable,
-        node2: Hashable,
-        weight_attribute: str = "weight",
-        default_weight: float = 1.0,
-    ) -> tuple[list[Hashable], float] | None:
-        """Shortest *weighted* path (Dijkstra) between two nodes.
-
-        Returns ``(path, total_cost)`` or ``None``.  Used by the connection
-        primitive when edges carry a cost attribute.
-        """
-        if node1 not in self._graph or node2 not in self._graph:
-            raise UnknownNodeError("both endpoints must be nodes in the a-graph")
-        if not self._graph.same_component(node1, node2):
-            return None
-        distances: dict[Hashable, float] = {node1: 0.0}
-        previous: dict[Hashable, Hashable] = {node1: node1}
-        heap: list[tuple[float, int, Hashable]] = [(0.0, 0, node1)]
-        counter = 0
-        visited: set[Hashable] = set()
-        graph = self._graph
-        while heap:
-            cost, _, current = heapq.heappop(heap)
-            if current in visited:
-                continue
-            visited.add(current)
-            if current == node2:
-                return self._reconstruct(previous, node1, node2), cost
-            for edge in graph.iter_incident(current):
-                neighbor = edge.target if edge.source == current else edge.source
-                if neighbor in visited:
-                    continue
-                step = float(edge.attribute(weight_attribute, default_weight))
-                new_cost = cost + step
-                if new_cost < distances.get(neighbor, float("inf")):
-                    distances[neighbor] = new_cost
-                    previous[neighbor] = current
-                    counter += 1
-                    heapq.heappush(heap, (new_cost, counter, neighbor))
-        return None
-
-    def all_paths(
-        self,
-        node1: Hashable,
-        node2: Hashable,
-        max_length: int = 6,
-    ) -> list[list[Hashable]]:
-        """Every simple path between two nodes up to *max_length* edges."""
-        if node1 not in self._graph or node2 not in self._graph:
-            raise UnknownNodeError("both endpoints must be nodes in the a-graph")
-        results: list[list[Hashable]] = []
-        graph = self._graph
-
-        def walk(current: Hashable, target: Hashable, visited: list[Hashable]) -> None:
-            if len(visited) - 1 > max_length:
-                return
-            if current == target:
-                results.append(list(visited))
-                return
-            for neighbor in graph.iter_neighbors(current):
-                if neighbor not in visited:
-                    visited.append(neighbor)
-                    walk(neighbor, target, visited)
-                    visited.pop()
-
-        walk(node1, node2, [node1])
-        return results
-
     # -- multi-source traversal ------------------------------------------------
 
     def multi_source_distances(
@@ -468,14 +399,6 @@ class AGraph:
             result.add_path(path, edges)
         return result
 
-    def connection_exists(self, *node_ids: Hashable) -> bool:
-        """True when every requested node lies in one connected component."""
-        terminals = tuple(node_ids)
-        if len(terminals) < 2:
-            raise AGraphError("connect() requires at least two nodes")
-        first = terminals[0]
-        return all(self._graph.same_component(first, terminal) for terminal in terminals[1:])
-
     # -- component analysis -----------------------------------------------------
 
     def connected_component(self, node_id: Hashable) -> set[Hashable]:
@@ -498,10 +421,6 @@ class AGraph:
 
     # -- internals --------------------------------------------------------------
 
-    def _incident_edges(self, node_id: Hashable, allowed: Iterable[str] | None) -> Iterable[Edge]:
-        """Incident edges of *node_id*, optionally label-filtered (zero-copy)."""
-        return self._graph.iter_incident(node_id, allowed)
-
     def _edges_along(self, path: list[Hashable]) -> list[Edge]:
         find_edge = self._graph.find_edge
         edges: list[Edge] = []
@@ -510,9 +429,6 @@ class AGraph:
             if edge is not None:
                 edges.append(edge)
         return edges
-
-    def _find_edge(self, source: Hashable, target: Hashable) -> Edge | None:
-        return self._graph.find_edge(source, target)
 
     @staticmethod
     def _reconstruct(previous: dict[Hashable, Hashable], start: Hashable, end: Hashable) -> list[Hashable]:

@@ -18,7 +18,7 @@ Adjacency is indexed three ways so the query hot path never scans:
 On top of the adjacency indexes the graph maintains an **incremental
 connected-component index** (union-find with size-balanced merging and path
 compression, treating edges as undirected).  ``add_node``/``add_edge`` update
-it in O(alpha); ``remove_node``/``remove_edges`` mark only the component they
+it in O(alpha); ``remove_node``/``remove_edge`` mark only the component they
 touched as pending, and the next quiesce point (or component query)
 re-derives just those components from their own adjacency.  Component
 queries therefore cost O(1) after the (amortised) maintenance instead of a
@@ -243,44 +243,35 @@ class LabeledMultigraph:
             del self._label_counts[edge.label]
         self._edge_count -= 1
 
-    def remove_edges(self, source: Hashable, target: Hashable, label: str | None = None) -> int:
-        """Remove every directed ``source -> target`` edge (optionally only
-        those carrying *label*); returns how many edges were removed.
+    def remove_edge(self, source: Hashable, target: Hashable, label: str) -> bool:
+        """Remove one directed ``source -> target`` edge carrying *label*
+        (the earliest such copy); returns False when there is none.
 
         This is the surgical counterpart of :meth:`remove_node` for the
-        mutation-lifecycle paths that rewire one relationship (an annotation
-        dropping a referent it no longer marks, a content unlinking an
-        ontology term) without touching either endpoint node.  Removing an
-        edge can split a component, so the endpoints' component is marked
-        pending re-derivation exactly like :meth:`remove_node` does.
+        mutation-lifecycle paths that retract one relationship without
+        touching either endpoint node.  Removing an edge can split a
+        component, so the endpoints' component is marked pending
+        re-derivation exactly like :meth:`remove_node` does.
         """
-        if source not in self._nodes:
-            raise UnknownNodeError(f"no node {source!r} in the graph")
-        if target not in self._nodes:
-            raise UnknownNodeError(f"no node {target!r} in the graph")
-        doomed = [
-            edge
-            for edge in self._pairs.get((source, target), ())
-            if label is None or edge.label == label
-        ]
-        for edge in doomed:
-            self._unindex_edge(edge)
-            out_bucket = self._out[source]
-            out_bucket[edge.label] = [item for item in out_bucket[edge.label] if item is not edge]
-            if not out_bucket[edge.label]:
-                del out_bucket[edge.label]
-            in_bucket = self._in[target]
-            in_bucket[edge.label] = [item for item in in_bucket[edge.label] if item is not edge]
-            if not in_bucket[edge.label]:
-                del in_bucket[edge.label]
-            self._out_degree[source] -= 1
-            self._in_degree[target] -= 1
-            self._drop_neighbor(source, edge.label, target)
-            if source != target:
-                self._drop_neighbor(target, edge.label, source)
-        if doomed:
-            self._uf_pending.add(self._find(source))  # may have split it
-        return len(doomed)
+        edge = next(
+            (item for item in self._pairs.get((source, target), ()) if item.label == label), None
+        )
+        if edge is None:
+            return False
+        self._unindex_edge(edge)
+        for bucket in (self._out[source], self._in[target]):
+            remaining = [item for item in bucket[label] if item is not edge]
+            if remaining:
+                bucket[label] = remaining
+            else:
+                del bucket[label]
+        self._out_degree[source] -= 1
+        self._in_degree[target] -= 1
+        self._drop_neighbor(source, label, target)
+        if source != target:
+            self._drop_neighbor(target, label, source)
+        self._uf_pending.add(self._find(source))  # may have split it
+        return True
 
     # -- edges ----------------------------------------------------------------
 
@@ -541,7 +532,7 @@ class LabeledMultigraph:
     def rebuild_components(self) -> bool:
         """Re-derive now the components a removal touched, if any.
 
-        ``remove_node`` / ``remove_edges`` record the component they may have
+        ``remove_node`` / ``remove_edge`` record the component they may have
         split and defer its re-derivation to the next component query.
         Callers with a natural quiesce point (the serving layer's mutation
         apply, checkpoint and recovery) invoke this explicitly so no reader

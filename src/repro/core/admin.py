@@ -10,10 +10,12 @@ is internally sound after a batch of commits.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.agraph.agraph import NodeKind
+from repro.errors import AGraphError
 
 
 @dataclass
@@ -58,27 +60,27 @@ class Administrator:
 
         Verifies that, for every committed annotation, (a) its content
         document is in the collection, (b) its content node is in the a-graph,
-        (c) each referent is indexed and has a referent node linked by an
-        ``annotates`` edge, and (d) every referenced data object is registered.
+        (c) each referent is indexed, and (d) every referenced data object is
+        registered; then that every a-graph edge fits ``EDGE_TYPES`` and that
+        the edges are exactly the sum of the annotations' derived edges.
         """
         report = IntegrityReport()
         manager = self._manager
+        derived: Counter = Counter()
         for annotation in manager.annotations():
             report.checks_run += 1
             annotation_id = annotation.annotation_id
+            derived.update(annotation.agraph_edges())
             if annotation_id not in manager.contents:
                 report.fail(f"annotation {annotation_id!r} has no content document")
             if annotation_id not in manager.agraph:
                 report.fail(f"annotation {annotation_id!r} has no a-graph content node")
             elif manager.agraph.graph.node(annotation_id).kind != NodeKind.CONTENT.value:
                 report.fail(f"annotation {annotation_id!r} node is not a content node")
-            linked = set(manager.agraph.referents_of(annotation_id)) if annotation_id in manager.agraph else set()
             for referent in annotation.referents:
                 referent_id = referent.referent_id
                 if referent_id not in manager.substructures:
                     report.fail(f"referent {referent_id!r} of {annotation_id!r} is not indexed")
-                if referent_id not in linked:
-                    report.fail(f"referent {referent_id!r} is not linked from {annotation_id!r}")
                 if referent.ref.object_id not in manager.registry:
                     if getattr(manager, "catalogue_only", False):
                         report.warn(
@@ -88,11 +90,11 @@ class Administrator:
                         report.fail(
                             f"annotation {annotation_id!r} references unregistered object {referent.ref.object_id!r}"
                         )
-        self._check_agraph_consistency(report)
+        self._check_agraph_consistency(report, derived)
         self._check_index_consistency(report)
         return report
 
-    def _check_agraph_consistency(self, report: IntegrityReport) -> None:
+    def _check_agraph_consistency(self, report: IntegrityReport, derived: Counter) -> None:
         manager = self._manager
         report.checks_run += 1
         for content_id in manager.agraph.contents():
@@ -101,6 +103,18 @@ class Administrator:
         for referent_id in manager.agraph.referents():
             if referent_id not in manager.substructures:
                 report.warn(f"a-graph referent node {referent_id!r} is not in the substructure store")
+        live: Counter = Counter()
+        for edge in manager.agraph.graph.edges():
+            key = (edge.label, edge.source, edge.target)
+            live[key] += 1
+            try:
+                manager.agraph.check_edge(*key)
+            except AGraphError as exc:
+                report.fail(str(exc))
+        for key, count in (live - derived).items():
+            report.fail(f"a-graph edge {key!r}: {count} more than the annotations derive")
+        for key, count in (derived - live).items():
+            report.fail(f"a-graph edge {key!r}: {count} fewer than the annotations derive")
 
     def _check_index_consistency(self, report: IntegrityReport) -> None:
         manager = self._manager

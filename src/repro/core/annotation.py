@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from repro.agraph.agraph import ANNOTATES, REFERS_TO, SAME_OBJECT
 from repro.core.dublin_core import DublinCore
 from repro.datatypes.base import SubstructureRef
 from repro.errors import AnnotationError
@@ -177,6 +178,28 @@ class Annotation:
     def object_ids(self) -> set[str]:
         """Ids of every data object this annotation touches."""
         return {referent.ref.object_id for referent in self._referents}
+
+    def agraph_edges(self) -> list[tuple[str, str, str]]:
+        """The a-graph edges this annotation contributes, as
+        ``(label, source, target)`` in wiring order.
+
+        Per referent: its ``annotates`` edge, its ``refers_to`` terms, then a
+        ``same_object`` edge to each earlier referent of the same object;
+        then the content's ``refers_to`` terms.  The live a-graph's edge
+        multiset is the sum of this list over the live annotations.
+        """
+        annotation_id = self.annotation_id
+        edges = []
+        earlier: dict[str, list[str]] = {}
+        for referent in self._referents:
+            referent_id = referent.referent_id
+            edges.append((ANNOTATES, annotation_id, referent_id))
+            edges.extend((REFERS_TO, referent_id, term) for term in referent.ontology_terms)
+            same_object = earlier.setdefault(referent.ref.object_id, [])
+            edges.extend((SAME_OBJECT, referent_id, other_id) for other_id in same_object)
+            same_object.append(referent_id)
+        edges.extend((REFERS_TO, annotation_id, term) for term in self.content.ontology_terms)
+        return edges
 
     def to_document(self) -> XmlDocument:
         """Render the whole annotation as one XML document.

@@ -20,10 +20,10 @@ It exposes the paper's three workflows: **annotate** (``new_annotation`` +
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from typing import Any, Callable, Iterable
 
-from repro.agraph.agraph import AGraph
+from repro.agraph.agraph import ANNOTATES, AGraph
 from repro.analysis.annotations import requires_write_lock
 from repro.agraph.connection import ConnectionSubgraph
 from repro.core.annotation import Annotation, Referent, rect_corners
@@ -31,7 +31,13 @@ from repro.core.builder import AnnotationBuilder
 from repro.core.columns import AnnotationColumns
 from repro.core.dublin_core import DublinCore
 from repro.core.annotation import AnnotationContent
-from repro.core.persistence import decode_referent, encode_register, metadata_row
+from repro.core.persistence import (
+    decode_referent,
+    encode_register,
+    link_edges,
+    metadata_row,
+    wire_annotations,
+)
 from repro.core.substructure_store import SubstructureStore
 from repro.datatypes.base import DataObject, DataType
 from repro.datatypes.registry import DataTypeRegistry
@@ -266,43 +272,10 @@ class Graphitti:
                 raise UnknownObjectError(
                     f"annotation references unregistered object {referent.ref.object_id!r}"
                 )
-        # 1. Store the annotation content as an XML document.
         document = annotation.to_document()
         self.contents.add(document, doc_id=annotation.annotation_id, defer_index=defer_index)
-        # 2. Create the content node in the a-graph.
-        self.agraph.add_content(
-            annotation.annotation_id,
-            title=annotation.content.dublin_core.title,
-            keywords=tuple(annotation.content.keywords()),
-        )
-        # 3. Index referents and wire content->referent edges.
-        for referent in annotation.referents:
-            referent_id = self.substructures.add(referent)
-            self.agraph.add_referent(
-                referent_id,
-                object=referent.ref.object_id,
-                data_type=referent.ref.data_type.value,
-            )
-            self.agraph.link_annotation(annotation.annotation_id, referent_id)
-            # 4. Wire referent->ontology edges.
-            for term in referent.ontology_terms:
-                self.agraph.add_ontology_node(term)
-                self.agraph.link_ontology(referent_id, term)
-            # 5. Link referents that share a data object (same_object edges).
-            self._link_same_object(referent_id, referent.ref.object_id, annotation)
-        # 6. Wire content->ontology edges.
-        for term in annotation.content.ontology_terms:
-            self.agraph.add_ontology_node(term)
-            self.agraph.link_ontology(annotation.annotation_id, term)
-        # Columnar store: the annotation's content blob + packed term/referent
-        # spans land at its dense id-space slot; the committed object itself
-        # seeds the row cache for the commit-then-read pattern.
-        slot = self.idspace.intern(annotation.annotation_id)
-        self.columns.store(slot, annotation, self.substructures.columns)
-        self._annotation_order[annotation.annotation_id] = None
-        self._cache_row(annotation.annotation_id, annotation)
-        self.stats_catalogue.on_commit(annotation)
-        self._bump_epoch()
+        # Referents, a-graph, columns and catalogue: the routine recovery runs.
+        wire_annotations(self, [annotation])
         return annotation
 
     @requires_write_lock
@@ -334,17 +307,6 @@ class Graphitti:
         for annotation in batch:
             self.commit(annotation, defer_index=True)
         return batch
-
-    def _link_same_object(self, referent_id: str, object_id: str, annotation: Annotation) -> None:
-        """Within one annotation, link referents marking the same object."""
-        for other in annotation.referents:
-            other_id = other.referent_id
-            if other_id == referent_id or other_id is None:
-                continue
-            if other.ref.object_id == object_id and other_id in self.agraph:
-                from repro.agraph.agraph import SAME_OBJECT
-
-                self.agraph.link_referents(referent_id, other_id, label=SAME_OBJECT)
 
     #: Materialized row views kept hot (commit seeds entries; reads refresh).
     _ROW_CACHE_SIZE = 2048
@@ -399,27 +361,16 @@ class Graphitti:
     def delete_annotation(self, annotation_id: str) -> None:
         """Remove a committed annotation and tidy the wired substrates.
 
-        The content document and content node are removed.  Referent nodes and
-        their indexed extents are removed only when no *other* annotation still
-        shares them (a referent shared by several annotations survives), which
-        keeps the indirect-relatedness structure correct.
+        The content document and content node are removed, and one copy of
+        each edge the annotation derives (:meth:`Annotation.agraph_edges`) is
+        unlinked.  Referent nodes and their indexed extents are removed only
+        when no *other* annotation still shares them (a referent shared by
+        several annotations survives), which keeps the indirect-relatedness
+        structure correct.
         """
         annotation = self.annotation(annotation_id)
         self.contents.remove(annotation_id)
-        for referent in annotation.referents:
-            referent_id = referent.referent_id
-            others = [
-                other
-                for other in self.agraph.contents_annotating(referent_id)
-                if other != annotation_id
-            ]
-            if not others:
-                # No other annotation needs this referent; drop its node and index.
-                if referent_id in self.agraph:
-                    self.agraph.graph.remove_node(referent_id)
-                self.substructures.discard(referent_id)
-            else:
-                self._retract_shared_edges(annotation, referent, others)
+        self._unlink_edges(annotation.agraph_edges())
         if annotation_id in self.agraph:
             self.agraph.graph.remove_node(annotation_id)
         slot = self.idspace.slot(annotation_id)
@@ -431,44 +382,23 @@ class Graphitti:
         self.stats_catalogue.on_delete(annotation)
         self._bump_epoch()
 
-    def _retract_shared_edges(
-        self, annotation: Annotation, referent: Referent, survivors: list[str]
-    ) -> None:
-        """*annotation* stops marking *referent*, which *survivors* still mark.
+    def _unlink_edges(self, edges: list[tuple[str, str, str]]) -> None:
+        """Unlink one copy of each derived edge in *edges*.
 
-        The referent node stays, but the edges only *annotation* wired on it
-        must go: its referent→ontology pointers and its same-object links to
-        *annotation*'s other referents.  The live a-graph is then again the
-        union of what the remaining annotations wire — exactly what snapshot
-        rebuild and WAL replay construct — so PATH / REFERS pages agree live
-        and recovered.
+        A referent left with no ``annotates`` in-edge — no annotation marks
+        it any more — loses its node and its indexed extent.
         """
-        from repro.agraph.agraph import SAME_OBJECT
-
-        referent_id = referent.referent_id
-        terms = set(referent.ontology_terms)
-        siblings = {
-            sibling.referent_id
-            for sibling in annotation.referents
-            if sibling.referent_id != referent_id
-            and sibling.ref.object_id == referent.ref.object_id
-        }
-        # Whatever a survivor also wires stays; stop reading survivors as soon
-        # as nothing is left to retract (the common case: nothing ever was).
-        for other_id in survivors:
-            if not terms and not siblings:
-                return
-            for theirs in self.annotation(other_id).referents:
-                if theirs.referent_id == referent_id:
-                    terms.difference_update(theirs.ontology_terms)
-                else:
-                    siblings.discard(theirs.referent_id)
-        for term in terms:
-            self.agraph.unlink_ontology(referent_id, term)
-        for sibling_id in siblings:
-            if sibling_id in self.agraph:
-                self.agraph.graph.remove_edges(referent_id, sibling_id, label=SAME_OBJECT)
-                self.agraph.graph.remove_edges(sibling_id, referent_id, label=SAME_OBJECT)
+        agraph = self.agraph
+        for label, source, target in edges:
+            agraph.unlink(label, source, target)
+        for label, _, referent_id in edges:
+            if (
+                label == ANNOTATES
+                and referent_id in agraph
+                and not agraph.contents_annotating(referent_id)
+            ):
+                agraph.graph.remove_node(referent_id)
+                self.substructures.discard(referent_id)
 
     #: Keys :meth:`update_annotation` understands.
     _UPDATE_KEYS = frozenset(
@@ -538,7 +468,7 @@ class Graphitti:
                 raise AnnotationError(
                     f"annotation {annotation_id!r} cannot move referent {referent_id!r}"
                 )
-            # Fully vet the move here: steps 1-3 below mutate state before the
+            # Fully vet the move here: steps 1-4 below mutate state before the
             # move applies, so a bad extent spec must never get past
             # validation (the whole change set applies or none of it does).
             target = next(
@@ -577,9 +507,10 @@ class Graphitti:
                 "an annotation must keep at least one referent or ontology reference"
             )
 
-        # -- capture pre-update statistics inputs --------------------------
+        # -- capture pre-update statistics inputs and a-graph edges ---------
         old_types = {referent.ref.data_type.value for referent in annotation.referents}
         old_terms = set(annotation.ontology_terms())
+        old_edges = annotation.agraph_edges()
         # Exact searchable-text delta of the edit: every part (field text,
         # attribute value) the edit removes/adds, accumulated as the change
         # applies.  Token counts are additive over parts (the document codec
@@ -622,48 +553,34 @@ class Graphitti:
             ]
             added_parts.extend(str(term) for term in content.ontology_terms)
 
-        # -- 2. referent removals (shared-referent survival rule) -----------
+        # -- 2. referent removals -------------------------------------------
         for referent_id in dict.fromkeys(removals):
-            dropped = [
-                referent for referent in annotation._referents  # noqa: SLF001 - owning mutation path
-                if referent.referent_id == referent_id
-            ]
-            for referent in dropped:
-                for parts in referent.searchable_parts():
-                    removed_parts.extend(parts)
+            for referent in annotation._referents:  # noqa: SLF001 - owning mutation path
+                if referent.referent_id == referent_id:
+                    for parts in referent.searchable_parts():
+                        removed_parts.extend(parts)
             annotation._referents = [  # noqa: SLF001 - owning mutation path
                 referent for referent in annotation._referents
                 if referent.referent_id != referent_id
             ]
-            if referent_id in self.agraph:
-                self.agraph.unlink_annotation(annotation_id, referent_id)
-                survivors = self.agraph.contents_annotating(referent_id)
-                if not survivors:
-                    # No other annotation needs this referent; drop node + index.
-                    self.agraph.graph.remove_node(referent_id)
-                    self.substructures.discard(referent_id)
-                else:
-                    for referent in dropped:
-                        self._retract_shared_edges(annotation, referent, survivors)
 
-        # -- 3. referent additions (same wiring as a commit) -----------------
+        # -- 3. referent additions ------------------------------------------
         for referent in additions:
             annotation._referents.append(referent)  # noqa: SLF001 - owning mutation path
-            referent_id = self.substructures.add(referent)
-            self.agraph.add_referent(
-                referent_id,
-                object=referent.ref.object_id,
-                data_type=referent.ref.data_type.value,
-            )
-            self.agraph.link_annotation(annotation_id, referent_id)
-            for term in referent.ontology_terms:
-                self.agraph.add_ontology_node(term)
-                self.agraph.link_ontology(referent_id, term)
-            self._link_same_object(referent_id, referent.ref.object_id, annotation)
+            self.substructures.add(referent)
             for parts in referent.searchable_parts():
                 added_parts.extend(parts)
 
-        # -- 4. extent moves (one remove+insert inside the owning tree) ------
+        # -- 4. a-graph: link what the edit derives anew, unlink what it lost
+        # (shared-referent survival rule); field edits and moves derive the
+        # same edges, so they skip this.
+        new_edges = annotation.agraph_edges()
+        if new_edges != old_edges:
+            old_counts, new_counts = Counter(old_edges), Counter(new_edges)
+            link_edges(self.agraph, annotation, (new_counts - old_counts).elements())
+            self._unlink_edges(list((old_counts - new_counts).elements()))
+
+        # -- 5. extent moves (one remove+insert inside the owning tree) ------
         for referent_id, extent in moves.items():
             moved = self.substructures.get(referent_id)
             move_removed = _extent_text_parts(moved.ref)
@@ -693,15 +610,6 @@ class Graphitti:
                         move_removed,
                         move_added,
                     )
-
-        # -- 5. content->ontology edge rewiring (diff, not rebuild) ----------
-        linked = set(self.agraph.ontology_terms_of(annotation_id))
-        wanted = set(content.ontology_terms)
-        for term in linked - wanted:
-            self.agraph.unlink_ontology(annotation_id, term)
-        for term in wanted - linked:
-            self.agraph.add_ontology_node(term)
-            self.agraph.link_ontology(annotation_id, term)
 
         # -- 6. content node attributes + delta document re-index ------------
         self.agraph.add_content(

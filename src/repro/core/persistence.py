@@ -30,8 +30,8 @@ earlier versions load and re-checkpoint unchanged.
 The module also exposes the **record codec** the serving layer's write-ahead
 log shares with the snapshot format: :func:`encode_annotation` /
 :func:`decode_annotation` round-trip one annotation (including its full
-Dublin Core metadata, body and user tags), :func:`wire_annotations` applies
-decoded annotations to an instance exactly like live commits would, and
+Dublin Core metadata, body and user tags), :func:`wire_annotations` wires
+annotations into an instance (live commits, snapshot load and replay), and
 :func:`encode_register` / :func:`apply_register_record` do the same for data
 object registrations (as catalogue entries).
 """
@@ -42,6 +42,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterable
 
+from repro.agraph.agraph import ANNOTATES, REFERS_TO
 from repro.core.annotation import Annotation, AnnotationContent, Referent
 from repro.core.dublin_core import DublinCore
 from repro.datatypes.base import DataObject, DataType, SubstructureRef
@@ -142,25 +143,41 @@ def decode_annotation(payload: dict[str, Any]) -> Annotation:
     return annotation
 
 
+def link_edges(agraph, annotation: Annotation, edges: Iterable[tuple[str, str, str]]) -> None:
+    """Link *edges*, drawn from ``annotation.agraph_edges()``, into *agraph*.
+
+    A referent node is added (or its attributes refreshed) just before each
+    ``annotates`` edge into it, and an ontology node just before each
+    ``refers_to`` edge into it, so a whole derivation builds its nodes in
+    wiring order.
+    """
+    refs = {referent.referent_id: referent.ref for referent in annotation.referents}
+    for label, source, target in edges:
+        if label == ANNOTATES:
+            ref = refs[target]
+            agraph.add_referent(target, object=ref.object_id, data_type=ref.data_type.value)
+        elif label == REFERS_TO:
+            agraph.add_ontology_node(target)
+        agraph.link(label, source, target)
+
+
 def wire_annotations(
     manager, annotations: list[Annotation], add_content_documents: bool = False
 ) -> None:
-    """Wire decoded annotations into *manager*'s substrates, in order.
+    """Wire annotations into *manager*'s substrates, in order.
 
-    The one wiring routine of recovery: a snapshot load hands it every
-    record at once, WAL replay one record at a time.  Performs the same
-    a-graph / substructure wiring as a live
-    :meth:`~repro.core.manager.Graphitti.commit` but skips registry
-    validation, so it works on catalogue-only instances whose native data
-    objects were not reconstructed.  The batch's referents reach the
-    substructure store as one batch, so an index that is still empty is
-    built once instead of insert by insert.  With
+    The one wiring routine: a live :meth:`~repro.core.manager.Graphitti.commit`
+    hands it its validated annotation, a snapshot load every record at once,
+    WAL replay one record at a time.  It does no registry validation, so it
+    works on catalogue-only instances whose native data objects were not
+    reconstructed.  The batch's referents reach the substructure store as
+    one batch, so an index that is still empty is built once instead of
+    insert by insert; each annotation's a-graph edges are exactly its
+    :meth:`~repro.core.annotation.Annotation.agraph_edges`.  With
     ``add_content_documents=True`` each content document is regenerated and
     stored too (the WAL replay path; :func:`rebuild` registers the snapshot's
-    documents itself, lazily).
+    documents itself, lazily, and a commit stores its own).
     """
-    from repro.agraph.agraph import SAME_OBJECT
-
     manager.substructures.add_many(
         referent for annotation in annotations for referent in annotation.referents
     )
@@ -174,33 +191,16 @@ def wire_annotations(
             title=annotation.content.dublin_core.title,
             keywords=tuple(annotation.content.keywords()),
         )
-        per_object: dict[str, list[str]] = {}
-        for referent in annotation.referents:
-            referent_id = referent.referent_id
-            agraph.add_referent(
-                referent_id,
-                object=referent.ref.object_id,
-                data_type=referent.ref.data_type.value,
-            )
-            agraph.link_annotation(annotation_id, referent_id)
-            for term in referent.ontology_terms:
-                agraph.add_ontology_node(term)
-                agraph.link_ontology(referent_id, term)
-            for other_id in per_object.get(referent.ref.object_id, []):
-                agraph.link_referents(referent_id, other_id, label=SAME_OBJECT)
-            per_object.setdefault(referent.ref.object_id, []).append(referent_id)
-        for term in annotation.content.ontology_terms:
-            agraph.add_ontology_node(term)
-            agraph.link_ontology(annotation_id, term)
-        # Same bookkeeping as a live commit: the columnar store, the
-        # statistics catalogue and the id interner are rebuilt record by
-        # record, so the recovered instance matches the pre-crash state.
+        link_edges(agraph, annotation, annotation.agraph_edges())
+        # The columnar store, the statistics catalogue and the id interner
+        # fill record by record, so a recovered instance matches the
+        # pre-crash state; the committed object seeds the row cache.
         slot = manager.idspace.intern(annotation_id)
         manager.columns.store(slot, annotation, manager.substructures.columns)
-        manager._annotation_order[annotation_id] = None  # noqa: SLF001 - rebuild path
-        manager._cache_row(annotation_id, annotation)  # noqa: SLF001 - rebuild path
+        manager._annotation_order[annotation_id] = None  # noqa: SLF001 - wiring path
+        manager._cache_row(annotation_id, annotation)  # noqa: SLF001 - wiring path
         manager.stats_catalogue.on_commit(annotation)
-        manager._bump_epoch()  # noqa: SLF001 - rebuild path
+        manager._bump_epoch()  # noqa: SLF001 - wiring path
 
 
 def wire_annotation(manager, annotation: Annotation, add_content_document: bool = False) -> None:

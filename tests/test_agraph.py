@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.agraph.agraph import AGraph, NodeKind
+from repro.agraph.agraph import ANNOTATES, REFERS_TO, SAME_OBJECT, AGraph, NodeKind
 from repro.errors import AGraphError, UnknownNodeError
 
 
@@ -13,10 +13,10 @@ def make_agraph():
     g.add_referent("r1")
     g.add_referent("r2")
     g.add_ontology_node("t1")
-    g.link_annotation("c1", "r1")
-    g.link_annotation("c1", "r2")
-    g.link_annotation("c2", "r1")  # c1 and c2 share r1
-    g.link_ontology("r2", "t1")
+    g.link(ANNOTATES, "c1", "r1")
+    g.link(ANNOTATES, "c1", "r2")
+    g.link(ANNOTATES, "c2", "r1")  # c1 and c2 share r1
+    g.link(REFERS_TO, "r2", "t1")
     return g
 
 
@@ -51,13 +51,34 @@ def test_ontology_terms_of():
 def test_link_wrong_kind():
     g = make_agraph()
     with pytest.raises(AGraphError):
-        g.link_annotation("r1", "r2")  # r1 is a referent, not content
+        g.link(ANNOTATES, "r1", "r2")  # r1 is a referent, not content
+    with pytest.raises(AGraphError):
+        g.link(SAME_OBJECT, "c1", "r1")  # same_object joins two referents
+    with pytest.raises(AGraphError):
+        g.link("relates", "r1", "r2")  # not a label EDGE_TYPES declares
+    with pytest.raises(UnknownNodeError):
+        g.link(ANNOTATES, "c1", "ghost")
+    assert g.edge_count == 4
 
 
 def test_link_ontology_requires_ontology_node():
     g = make_agraph()
     with pytest.raises(AGraphError):
-        g.link_ontology("c1", "r1")  # r1 is not an ontology node
+        g.link(REFERS_TO, "c1", "r1")  # r1 is not an ontology node
+    g.add_ontology_node("t2")
+    with pytest.raises(AGraphError):
+        g.link(REFERS_TO, "t1", "t2")  # only contents and referents refer
+    assert g.ontology_terms_of("t1") == []
+
+
+def test_unlink_removes_one_copy():
+    g = make_agraph()
+    g.link(REFERS_TO, "r2", "t1")  # a parallel copy, as two annotations wire
+    assert g.unlink(REFERS_TO, "r2", "t1") is True
+    assert g.ontology_terms_of("r2") == ["t1"]
+    assert g.unlink(REFERS_TO, "r2", "t1") is True
+    assert g.unlink(REFERS_TO, "r2", "t1") is False
+    assert g.ontology_terms_of("r2") == [] and "t1" in g
 
 
 def test_path_same_node():
@@ -92,25 +113,6 @@ def test_path_with_label_filter():
     assert path is None
 
 
-def test_weighted_path():
-    g = AGraph()
-    g.add_content("c1")
-    g.add_referent("r1")
-    g.add_referent("r2")
-    g.link_annotation("c1", "r1", weight=5)
-    g.link_referents("r1", "r2", weight=1)
-    result = g.weighted_path("c1", "r2")
-    assert result is not None
-    path, cost = result
-    assert cost == 6
-
-
-def test_all_paths():
-    g = make_agraph()
-    paths = g.all_paths("c1", "c2", max_length=4)
-    assert any(path[0] == "c1" and path[-1] == "c2" for path in paths)
-
-
 def test_connect_requires_two_nodes():
     g = make_agraph()
     with pytest.raises(AGraphError):
@@ -130,11 +132,6 @@ def test_connect_with_hub():
     assert subgraph.is_connected
 
 
-def test_connection_exists():
-    g = make_agraph()
-    assert g.connection_exists("c1", "c2")
-
-
 def test_connected_component():
     g = make_agraph()
     component = g.connected_component("c1")
@@ -146,7 +143,7 @@ def test_connected_components_count():
     g.add_content("c1")
     g.add_content("c2")
     g.add_referent("r1")
-    g.link_annotation("c1", "r1")
+    g.link(ANNOTATES, "c1", "r1")
     # c2 is isolated
     components = g.connected_components()
     assert len(components) == 2
@@ -156,5 +153,5 @@ def test_same_object_link():
     g = AGraph()
     g.add_referent("r1")
     g.add_referent("r2")
-    edge = g.link_referents("r1", "r2")
-    assert edge.label == "relates"
+    edge = g.link(SAME_OBJECT, "r1", "r2")
+    assert (edge.label, edge.source, edge.target) == ("same_object", "r1", "r2")

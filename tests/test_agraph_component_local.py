@@ -101,7 +101,7 @@ def test_cascade_inside_one_component_is_one_pass():
 def test_from_scratch_build_is_the_same_routine_over_every_node():
     graph = big_and_small()
     graph.remove_node("b400")
-    graph.remove_edges("s3a", "s3b")
+    graph.remove_edge("s3a", "s3b", "pair")
     local = index_partition(graph)  # the two pending components, re-derived
     before = graph.rederived_nodes
     graph._rebuild_components()
@@ -157,7 +157,7 @@ def test_add_edge_between_a_pending_and_a_clean_component():
 
 def test_a_pending_component_absorbed_by_a_clean_one_stays_pending():
     graph = big_and_small()
-    graph.remove_edges("s5a", "s5b")  # the pair is pending (and split)
+    graph.remove_edge("s5a", "s5b", "pair")  # the pair is pending (and split)
     graph.add_edge("s5b", "b0", "bridge")  # ... and absorbed by the clean chain
     assert graph.components_stale is True
     graph.rebuild_components()
@@ -168,14 +168,17 @@ def test_a_pending_component_absorbed_by_a_clean_one_stays_pending():
 
 def test_remove_edges_splits_only_when_the_last_parallel_edge_goes():
     graph = big_and_small()
+    graph.add_edge("b399", "b400", "next")  # a parallel copy
     graph.add_edge("b400", "b399", "back")  # parallel, opposite direction
-    assert graph.remove_edges("b399", "b400") == 1
+    assert graph.remove_edge("b399", "b400", "next") is True  # one copy only
+    assert len(graph.edges_between("b399", "b400")) == 1
+    assert graph.remove_edge("b399", "b400", "next") is True
     graph.rebuild_components()
     assert graph.same_component("b0", "b999")
-    assert graph.remove_edges("b400", "b399", label="back") == 1
+    assert graph.remove_edge("b400", "b399", "back") is True
     graph.rebuild_components()
     assert not graph.same_component("b0", "b999")
-    assert graph.remove_edges("b0", "b1", label="absent") == 0
+    assert graph.remove_edge("b0", "b1", "absent") is False
     assert graph.components_stale is False  # nothing removed, nothing pending
     assert_index_matches_bfs(graph)
 

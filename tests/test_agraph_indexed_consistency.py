@@ -3,7 +3,7 @@
 The indexed :class:`LabeledMultigraph` maintains per-label adjacency, a pair
 index, a kind index, degree counters, and an incremental union-find component
 index.  These tests drive it through interleaved ``add_node`` / ``add_edge`` /
-``remove_node`` / ``remove_edges`` sequences and check every observable against
+``remove_node`` / ``remove_edge`` sequences and check every observable against
 a deliberately dumb reference model (a node dict plus a flat edge list,
 re-derived per query), so any index that drifts out of sync is caught.  The
 component index is additionally checked after *every* step, on a copy, so
@@ -21,7 +21,7 @@ from collections import Counter, deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.agraph.agraph import AGraph
+from repro.agraph.agraph import ANNOTATES, AGraph
 from repro.agraph.multigraph import LabeledMultigraph
 from repro.errors import UnknownNodeError
 
@@ -46,12 +46,9 @@ class ReferenceModel:
         del self.nodes[node]
         self.edges = [e for e in self.edges if e[0] != node and e[1] != node]
 
-    def remove_edges(self, source, target, label=None):
-        self.edges = [
-            e
-            for e in self.edges
-            if not (e[0] == source and e[1] == target and (label is None or e[2] == label))
-        ]
+    def remove_edge(self, source, target, label):
+        if (source, target, label) in self.edges:
+            self.edges.remove((source, target, label))
 
     def successors(self, node, label=None):
         return Counter(
@@ -98,7 +95,7 @@ class ReferenceModel:
 
 
 #: One mutation: ("node", id, kind) | ("edge", s, t, label) | ("remove", id)
-#: | ("unedge", s, t, label-or-None) | ("remove_root", id): remove the current
+#: | ("unedge", s, t, label): one copy | ("remove_root", id): remove the current
 #: union-find root of id's component | ("readd", id, kind, neighbor): remove id
 #: and add it straight back, wired to neighbor | ("quiesce",).
 _ops = st.lists(
@@ -112,7 +109,7 @@ _ops = st.lists(
             st.just("unedge"),
             st.integers(0, 11),
             st.integers(0, 11),
-            st.one_of(st.none(), st.sampled_from(LABELS)),
+            st.sampled_from(LABELS),
         ),
         st.tuples(st.just("remove_root"), st.integers(0, 11)),
         st.tuples(
@@ -148,8 +145,8 @@ def _step(graph, model, op):
     elif op[0] == "unedge":
         _, source, target, label = op
         if source in model.nodes and target in model.nodes:
-            graph.remove_edges(source, target, label=label)
-            model.remove_edges(source, target, label)
+            graph.remove_edge(source, target, label)
+            model.remove_edge(source, target, label)
     elif op[0] == "quiesce":
         graph.rebuild_components()
     elif op[0] == "readd":
@@ -234,7 +231,7 @@ def test_splitting_the_big_component():
             _step(graph, model, ("edge", node - 1, node, LABELS[0]))
     _step(graph, model, ("node", 1000, KINDS[1]))  # a clean singleton
     _assert_components_agree(copy.deepcopy(graph), model)
-    _step(graph, model, ("unedge", 149, 150, None))  # split: pending
+    _step(graph, model, ("unedge", 149, 150, LABELS[0]))  # split: pending
     assert graph.components_stale
     _step(graph, model, ("edge", 1000, 299, LABELS[1]))  # clean joins pending
     _step(graph, model, ("remove_root", 10))
@@ -310,8 +307,8 @@ def test_connect_rejects_unknown_hub():
     g.add_content("c1")
     g.add_content("c2")
     g.add_referent("r1")
-    g.link_annotation("c1", "r1")
-    g.link_annotation("c2", "r1")
+    g.link(ANNOTATES, "c1", "r1")
+    g.link(ANNOTATES, "c2", "r1")
     with pytest.raises(UnknownNodeError):
         g.connect("c1", "c2", hub="ghost")
 

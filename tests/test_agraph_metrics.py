@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.agraph.agraph import AGraph
+from repro.agraph.agraph import ANNOTATES, REFERS_TO, AGraph
 from repro.agraph.metrics import AGraphMetrics
 
 
@@ -13,12 +13,12 @@ def build_agraph():
     for r in ["r1", "r2", "r3"]:
         g.add_referent(r)
     g.add_ontology_node("t1")
-    g.link_annotation("c1", "r1")
-    g.link_annotation("c1", "r2")
-    g.link_annotation("c2", "r1")  # c1, c2 share r1
-    g.link_annotation("c3", "r3")
-    g.link_ontology("r1", "t1")
-    g.link_ontology("r2", "t1")
+    g.link(ANNOTATES, "c1", "r1")
+    g.link(ANNOTATES, "c1", "r2")
+    g.link(ANNOTATES, "c2", "r1")  # c1, c2 share r1
+    g.link(ANNOTATES, "c3", "r3")
+    g.link(REFERS_TO, "r1", "t1")
+    g.link(REFERS_TO, "r2", "t1")
     return g
 
 
@@ -78,10 +78,10 @@ def test_articulation_annotations():
         g.add_content(c)
     for r in ["r1", "r2"]:
         g.add_referent(r)
-    g.link_annotation("c1", "r1")
-    g.link_annotation("c2", "r1")
-    g.link_annotation("c2", "r2")
-    g.link_annotation("c3", "r2")
+    g.link(ANNOTATES, "c1", "r1")
+    g.link(ANNOTATES, "c2", "r1")
+    g.link(ANNOTATES, "c2", "r2")
+    g.link(ANNOTATES, "c3", "r2")
     metrics = AGraphMetrics(g)
     assert "c2" in metrics.articulation_annotations()
     assert "c1" not in metrics.articulation_annotations()

@@ -1,9 +1,6 @@
 """Additional tests for a-graph path algorithms and edge cases."""
 
-import pytest
-
-from repro.agraph.agraph import AGraph
-from repro.errors import AGraphError, UnknownNodeError
+from repro.agraph.agraph import ANNOTATES, REFERS_TO, AGraph
 
 
 def linear_agraph(length):
@@ -16,8 +13,8 @@ def linear_agraph(length):
         if prev_content is not None:
             referent = f"r{index}"
             g.add_referent(referent)
-            g.link_annotation(prev_content, referent)
-            g.link_annotation(content, referent)
+            g.link(ANNOTATES, prev_content, referent)
+            g.link(ANNOTATES, content, referent)
         prev_content = content
     return g
 
@@ -30,51 +27,18 @@ def test_path_length_in_chain():
     assert len(path) == 7
 
 
-def test_weighted_path_prefers_low_cost():
-    g = AGraph()
-    g.add_content("c1")
-    g.add_referent("r_direct")
-    g.add_referent("r_a")
-    g.add_referent("r_b")
-    g.add_content("c2")
-    # direct heavy edge vs two light edges
-    g.link_annotation("c1", "r_direct", weight=10)
-    g.link_annotation("c2", "r_direct", weight=10)
-    g.link_annotation("c1", "r_a", weight=1)
-    g.link_referents("r_a", "r_b", weight=1)
-    g.link_annotation("c2", "r_b", weight=1)
-    result = g.weighted_path("c1", "c2")
-    assert result is not None
-    _, cost = result
-    assert cost == 3  # the light three-edge route
-
-
-def test_all_paths_respects_max_length():
-    g = linear_agraph(5)
-    paths = g.all_paths("c0", "c4", max_length=4)
-    assert paths == []  # the only path is longer than 4 edges
-    paths_long = g.all_paths("c0", "c4", max_length=20)
-    assert any(p[0] == "c0" and p[-1] == "c4" for p in paths_long)
-
-
 def test_path_label_filter_blocks_ontology_hops():
     g = AGraph()
     g.add_content("c1")
     g.add_referent("r1")
     g.add_ontology_node("t1")
     g.add_content("c2")
-    g.link_annotation("c1", "r1")
-    g.link_ontology("r1", "t1")
-    g.link_ontology("c2", "t1")
+    g.link(ANNOTATES, "c1", "r1")
+    g.link(REFERS_TO, "r1", "t1")
+    g.link(REFERS_TO, "c2", "t1")
     # c1 reaches c2 only through the ontology term
     assert g.path("c1", "c2") is not None
     assert g.path("c1", "c2", labels=["annotates"]) is None
-
-
-def test_weighted_path_unknown_node():
-    g = linear_agraph(2)
-    with pytest.raises(UnknownNodeError):
-        g.weighted_path("c0", "ghost")
 
 
 def test_connect_hub_not_present():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.agraph.agraph import AGraph
+from repro.agraph.agraph import ANNOTATES, AGraph
 
 
 def _build_bipartite(num_contents, num_referents, edges):
@@ -14,7 +14,7 @@ def _build_bipartite(num_contents, num_referents, edges):
         g.add_referent(f"r{index}")
     for content_index, referent_index in edges:
         if content_index < num_contents and referent_index < num_referents:
-            g.link_annotation(f"c{content_index}", f"r{referent_index}")
+            g.link(ANNOTATES, f"c{content_index}", f"r{referent_index}")
     return g
 
 
