@@ -21,10 +21,12 @@ from repro.errors import AnnotationError
 class AnnotationBuilder:
     """Accumulates referents and content, then commits via the manager."""
 
-    def __init__(self, manager, annotation_id: str, content: AnnotationContent):
+    def __init__(self, manager, annotation_id: str, title: str = "", creator: str = "",
+                 keywords: Iterable[str] = (), body: str = "", description: str = ""):
         self._manager = manager
-        self._annotation = Annotation(annotation_id, content)
-        self._committed = False
+        dublin_core = DublinCore(title=title, creator=creator, subject=list(keywords),
+                                 description=description, identifier=annotation_id)
+        self._annotation = Annotation(annotation_id, AnnotationContent(dublin_core, body=body))
 
     # -- content ---------------------------------------------------------------
 
@@ -120,10 +122,8 @@ class AnnotationBuilder:
         return self._annotation
 
     def commit(self) -> Annotation:
-        """Commit the annotation through the manager and return it."""
-        if self._committed:
-            raise AnnotationError(f"annotation {self._annotation.annotation_id!r} already committed")
+        """Commit the annotation through the manager and return it (a second
+        commit is refused like any commit of a committed id)."""
         annotation = self.build()
         self._manager.commit(annotation)
-        self._committed = True
         return annotation

@@ -29,8 +29,6 @@ from repro.agraph.connection import ConnectionSubgraph
 from repro.core.annotation import Annotation, Referent, rect_corners
 from repro.core.builder import AnnotationBuilder
 from repro.core.columns import AnnotationColumns
-from repro.core.dublin_core import DublinCore
-from repro.core.annotation import AnnotationContent
 from repro.core.persistence import (
     decode_referent,
     encode_register,
@@ -128,11 +126,15 @@ class Graphitti:
 
     # -- ontology management --------------------------------------------------
 
+    def approve_register_ontology(self, ontology: Ontology) -> None:
+        """Refuse registering *ontology* when its name is taken."""
+        if ontology.name in self._ontologies:
+            raise GraphittiError(f"ontology {ontology.name!r} already registered")
+
     @requires_write_lock
     def register_ontology(self, ontology: Ontology, cache: bool = True) -> OntologyOperations:
         """Register an ontology and return its operation interface."""
-        if ontology.name in self._ontologies:
-            raise GraphittiError(f"ontology {ontology.name!r} already registered")
+        self.approve_register_ontology(ontology)
         self._ontologies[ontology.name] = ontology
         ops = OntologyOperations(ontology, cache=cache)
         self._ontology_ops[ontology.name] = ops
@@ -176,17 +178,19 @@ class Graphitti:
 
     # -- data object registration ---------------------------------------------
 
-    @requires_write_lock
-    def register(self, obj: DataObject, raw: bytes | None = None, **metadata: Any) -> DataObject:
-        """Register an annotable data object and record its metadata row.
-
-        The row is built and checked first, so a refused registration
-        (metadata that is not JSON-compatible, *raw* that is not bytes, an id
-        already taken) changes nothing.
-        """
+    def approve_register(
+        self, obj: DataObject, raw: bytes | None = None, **metadata: Any
+    ) -> dict[str, Any]:
+        """Refuse registering *obj* (an id already taken, metadata that is
+        not JSON-compatible, *raw* that is not bytes); returns its row."""
         if obj.object_id in self.metadata_rows:
             raise UnknownObjectError(f"data object {obj.object_id!r} already registered")
-        row = metadata_row(encode_register(obj, {**obj.metadata, **metadata}), raw)
+        return metadata_row(encode_register(obj, {**obj.metadata, **metadata}), raw)
+
+    @requires_write_lock
+    def register(self, obj: DataObject, raw: bytes | None = None, **metadata: Any) -> DataObject:
+        """Register an annotable data object and record its metadata row."""
+        row = self.approve_register(obj, raw, **metadata)
         self.registry.register(obj)
         self.metadata_rows[obj.object_id] = row
         self._register_coordinate_system(obj)
@@ -235,15 +239,7 @@ class Graphitti:
         identifier = annotation_id or self._generate_annotation_id()
         if identifier in self._annotation_order:
             raise AnnotationError(f"annotation id {identifier!r} already exists")
-        dublin_core = DublinCore(
-            title=title,
-            creator=creator,
-            subject=list(keywords),
-            description=description,
-            identifier=identifier,
-        )
-        content = AnnotationContent(dublin_core=dublin_core, body=body)
-        return AnnotationBuilder(self, identifier, content)
+        return AnnotationBuilder(self, identifier, title, creator, keywords, body, description)
 
     @requires_write_lock
     def _generate_annotation_id(self) -> str:
@@ -254,26 +250,27 @@ class Graphitti:
             if identifier not in self._annotation_order:
                 return identifier
 
-    @requires_write_lock
-    def commit(self, annotation: Annotation, defer_index: bool = False) -> Annotation:
-        """Commit an annotation: store content, index referents, wire a-graph.
+    def approve_commit(self, annotations: Iterable[Annotation]) -> None:
+        """Refuse committing *annotations* (one, or a batch) when an id is
+        committed here or repeats inside the batch, or a referent marks an
+        unregistered object."""
+        seen: set[str] = set()
+        for annotation in annotations:
+            identifier = annotation.annotation_id
+            if identifier in self._annotation_order or identifier in seen:
+                raise AnnotationError(f"annotation {identifier!r} already committed")
+            seen.add(identifier)
+            for referent in annotation.referents:
+                if referent.ref.object_id not in self.registry:
+                    raise UnknownObjectError(
+                        f"annotation references unregistered object {referent.ref.object_id!r}"
+                    )
 
-        With ``defer_index=True`` the content document's keyword indexing is
-        deferred (see :meth:`DocumentCollection.add
-        <repro.xmlstore.collection.DocumentCollection.add>`); keyword searches
-        flush the deferred work before reading, so results are unaffected.
-        :meth:`commit_many` uses this to amortize indexing out of bulk ingest.
-        """
-        if annotation.annotation_id in self._annotation_order:
-            raise AnnotationError(f"annotation {annotation.annotation_id!r} already committed")
-        # Validate referents reference registered objects.
-        for referent in annotation.referents:
-            if referent.ref.object_id not in self.registry:
-                raise UnknownObjectError(
-                    f"annotation references unregistered object {referent.ref.object_id!r}"
-                )
-        document = annotation.to_document()
-        self.contents.add(document, doc_id=annotation.annotation_id, defer_index=defer_index)
+    @requires_write_lock
+    def commit(self, annotation: Annotation) -> Annotation:
+        """Commit an annotation: store content, index referents, wire a-graph."""
+        self.approve_commit([annotation])
+        self.contents.add(annotation.to_document(), doc_id=annotation.annotation_id)
         # Referents, a-graph, columns and catalogue: the routine recovery runs.
         wire_annotations(self, [annotation])
         return annotation
@@ -282,30 +279,20 @@ class Graphitti:
     def commit_many(self, annotations: Iterable[Annotation]) -> list[Annotation]:
         """Commit a batch of annotations with deferred content indexing.
 
-        The whole batch is validated up front (no annotation already
-        committed, every referent's object registered, no duplicate ids
-        inside the batch), so a bad batch fails before any member is applied.
-        Each member then commits with ``defer_index=True``: the per-commit
-        keyword-index bookkeeping — the dominant cost of a small commit — is
-        queued and performed once, lazily, on the first subsequent keyword
-        search.  This is the manager half of the serving layer's bulk-commit
-        fast path.
+        The batch is approved once, whole, so a bad batch fails before any
+        member applies.  Each member's keyword indexing — the dominant cost
+        of a small commit — is then deferred (see :meth:`DocumentCollection.add
+        <repro.xmlstore.collection.DocumentCollection.add>`) and performed
+        once, lazily, on the first subsequent keyword search.  This is the
+        manager half of the serving layer's bulk-commit fast path.
         """
         batch = list(annotations)
-        seen: set[str] = set()
+        self.approve_commit(batch)
         for annotation in batch:
-            if annotation.annotation_id in self._annotation_order or annotation.annotation_id in seen:
-                raise AnnotationError(
-                    f"annotation {annotation.annotation_id!r} already committed"
-                )
-            seen.add(annotation.annotation_id)
-            for referent in annotation.referents:
-                if referent.ref.object_id not in self.registry:
-                    raise UnknownObjectError(
-                        f"annotation references unregistered object {referent.ref.object_id!r}"
-                    )
-        for annotation in batch:
-            self.commit(annotation, defer_index=True)
+            self.contents.add(
+                annotation.to_document(), doc_id=annotation.annotation_id, defer_index=True
+            )
+            wire_annotations(self, [annotation])
         return batch
 
     #: Materialized row views kept hot (commit seeds entries; reads refresh).
@@ -357,6 +344,10 @@ class Graphitti:
         """Ids of every committed annotation, in commit order."""
         return list(self._annotation_order)
 
+    def approve_delete_annotation(self, annotation_id: str) -> Annotation:
+        """Refuse deleting an annotation not committed here; returns its row."""
+        return self.annotation(annotation_id)
+
     @requires_write_lock
     def delete_annotation(self, annotation_id: str) -> None:
         """Remove a committed annotation and tidy the wired substrates.
@@ -368,7 +359,7 @@ class Graphitti:
         several annotations survives), which keeps the indirect-relatedness
         structure correct.
         """
-        annotation = self.annotation(annotation_id)
+        annotation = self.approve_delete_annotation(annotation_id)
         self.contents.remove(annotation_id)
         self._unlink_edges(annotation.agraph_edges())
         if annotation_id in self.agraph:
@@ -408,50 +399,34 @@ class Graphitti:
         }
     )
 
-    @requires_write_lock
-    def update_annotation(self, annotation_id: str, changes: dict[str, Any]) -> Annotation:
-        """Apply *changes* to a committed annotation with **delta** index
-        maintenance — the edit stays in place instead of delete+recommit.
+    def approve_update(
+        self, annotation_id: str, changes: dict[str, Any]
+    ) -> tuple[Annotation, dict[str, Any]]:
+        """Refuse an :meth:`update_annotation` that could not apply whole.
 
-        Supported keys:
-
-        * ``title`` / ``creator`` / ``description`` / ``keywords`` / ``body``
-          / ``user_tags`` — replace the corresponding content field;
-        * ``ontology_terms`` — replace the *content-level* ontology pointers
-          (``refers_to`` edges are diffed, not rebuilt);
-        * ``add_referents`` — :class:`Referent` objects (or their codec
-          dicts) to attach, wired exactly like a commit wires them;
-        * ``remove_referents`` — referent ids to detach; a referent still
-          annotated by another annotation survives (the shared-referent
-          survival rule deletes obey);
-        * ``move_referents`` — ``{referent_id: {"start": .., "end": ..}}``
-          (or ``{"lo": .., "hi": ..}``) extent moves applied in place inside
-          the interval tree / R-tree.
-
-        Index maintenance is proportional to the *diff*: the inverted index
-        re-posts only changed terms (via the doc→terms reverse map), spatial
-        trees see one remove+insert per moved extent, the statistics
-        catalogue adjusts by set differences, and the annotation keeps its
-        dense id-space slot (no release/re-intern, so no slot churn).  The
-        whole change set is validated before anything applies.
+        Returns the annotation's row view and the normalized change set
+        (``add_referents`` decoded, ``remove_referents`` a list,
+        ``move_referents`` plain dicts, ``ontology_terms`` deduplicated), so
+        the apply decodes nothing twice.
         """
         annotation = self.annotation(annotation_id)
-        changes = dict(changes)
         unknown = set(changes) - self._UPDATE_KEYS
         if unknown:
             raise AnnotationError(
                 f"unknown update key(s) {sorted(unknown)!r} for annotation {annotation_id!r}"
             )
-        additions = [
+        normalized = dict(changes)
+        additions = normalized["add_referents"] = [
             item if isinstance(item, Referent) else decode_referent(item)
             for item in changes.get("add_referents", ())
         ]
-        removals = list(changes.get("remove_referents", ()))
-        moves = {
+        removals = normalized["remove_referents"] = list(changes.get("remove_referents", ()))
+        moves = normalized["move_referents"] = {
             referent_id: dict(extent)
             for referent_id, extent in dict(changes.get("move_referents", {})).items()
         }
-        # -- validate the whole change set before anything applies ---------
+        if "ontology_terms" in changes:
+            normalized["ontology_terms"] = list(dict.fromkeys(changes["ontology_terms"]))
         for referent in additions:
             if referent.ref.object_id not in self.registry:
                 raise UnknownObjectError(
@@ -468,9 +443,9 @@ class Graphitti:
                 raise AnnotationError(
                     f"annotation {annotation_id!r} cannot move referent {referent_id!r}"
                 )
-            # Fully vet the move here: steps 1-4 below mutate state before the
-            # move applies, so a bad extent spec must never get past
-            # validation (the whole change set applies or none of it does).
+            # Fully vet the move here: the apply mutates state before the
+            # move applies, so a bad extent spec must never get past approval
+            # (the whole change set applies or none of it does).
             target = next(
                 referent for referent in annotation.referents
                 if referent.referent_id == referent_id
@@ -497,15 +472,42 @@ class Graphitti:
                     f"referent {referent_id!r} has no spatial extent to move"
                 )
         surviving = len(existing_ids) - len(set(removals)) + len(additions)
-        final_content_terms = (
-            list(dict.fromkeys(changes["ontology_terms"]))
-            if "ontology_terms" in changes
-            else list(annotation.content.ontology_terms)
-        )
-        if surviving <= 0 and not final_content_terms:
+        terms = normalized.get("ontology_terms", annotation.content.ontology_terms)
+        if surviving <= 0 and not terms:
             raise AnnotationError(
                 "an annotation must keep at least one referent or ontology reference"
             )
+        return annotation, normalized
+
+    @requires_write_lock
+    def update_annotation(self, annotation_id: str, changes: dict[str, Any]) -> Annotation:
+        """Apply *changes* to a committed annotation with **delta** index
+        maintenance — the edit stays in place instead of delete+recommit.
+
+        Supported keys:
+
+        * ``title`` / ``creator`` / ``description`` / ``keywords`` / ``body``
+          / ``user_tags`` — replace the corresponding content field;
+        * ``ontology_terms`` — replace the *content-level* ontology pointers
+          (``refers_to`` edges are diffed, not rebuilt);
+        * ``add_referents`` — :class:`Referent` objects (or their codec
+          dicts) to attach, wired exactly like a commit wires them;
+        * ``remove_referents`` — referent ids to detach; a referent still
+          annotated by another annotation survives (the shared-referent
+          survival rule deletes obey);
+        * ``move_referents`` — ``{referent_id: {"start": .., "end": ..}}``
+          (or ``{"lo": .., "hi": ..}``) extent moves applied in place inside
+          the interval tree / R-tree.
+
+        Index maintenance is proportional to the *diff*: the inverted index
+        re-posts only changed terms (via the doc→terms reverse map), spatial
+        trees see one remove+insert per moved extent, the statistics
+        catalogue adjusts by set differences, and the annotation keeps its
+        dense id-space slot (no release/re-intern, so no slot churn).  The
+        whole change set is approved (:meth:`approve_update`) before anything
+        applies.
+        """
+        annotation, changes = self.approve_update(annotation_id, changes)
 
         # -- capture pre-update statistics inputs and a-graph edges ---------
         old_types = {referent.ref.data_type.value for referent in annotation.referents}
@@ -549,12 +551,12 @@ class Graphitti:
         if "ontology_terms" in changes:
             removed_parts.extend(str(term) for term in content.ontology_terms)
             content.ontology_terms = [
-                self.resolve_ontology_term(term) for term in final_content_terms
+                self.resolve_ontology_term(term) for term in changes["ontology_terms"]
             ]
             added_parts.extend(str(term) for term in content.ontology_terms)
 
         # -- 2. referent removals -------------------------------------------
-        for referent_id in dict.fromkeys(removals):
+        for referent_id in dict.fromkeys(changes["remove_referents"]):
             for referent in annotation._referents:  # noqa: SLF001 - owning mutation path
                 if referent.referent_id == referent_id:
                     for parts in referent.searchable_parts():
@@ -565,7 +567,7 @@ class Graphitti:
             ]
 
         # -- 3. referent additions ------------------------------------------
-        for referent in additions:
+        for referent in changes["add_referents"]:
             annotation._referents.append(referent)  # noqa: SLF001 - owning mutation path
             self.substructures.add(referent)
             for parts in referent.searchable_parts():
@@ -581,7 +583,7 @@ class Graphitti:
             self._unlink_edges(list((old_counts - new_counts).elements()))
 
         # -- 5. extent moves (one remove+insert inside the owning tree) ------
-        for referent_id, extent in moves.items():
+        for referent_id, extent in changes["move_referents"].items():
             moved = self.substructures.get(referent_id)
             move_removed = _extent_text_parts(moved.ref)
             self.substructures.move(referent_id, **extent)
@@ -656,6 +658,19 @@ class Graphitti:
             )
         )
 
+    def approve_delete_object(self, object_id: str, cascade: bool = True) -> list[str]:
+        """Refuse retiring an unknown object, or (without *cascade*) one an
+        annotation still references; returns the annotations on it."""
+        if object_id not in self.registry:
+            raise UnknownObjectError(f"no data object {object_id!r} registered")
+        annotation_ids = self.annotations_on_object(object_id)
+        if annotation_ids and not cascade:
+            raise AnnotationError(
+                f"data object {object_id!r} is referenced by "
+                f"{len(annotation_ids)} annotation(s); pass cascade=True to delete them"
+            )
+        return annotation_ids
+
     @requires_write_lock
     def delete_object(self, object_id: str, cascade: bool = True) -> list[str]:
         """Retire a data object; returns the ids of cascade-deleted annotations.
@@ -668,14 +683,7 @@ class Graphitti:
         and metadata row are then removed, along with any referent of the
         object left in the store.
         """
-        if object_id not in self.registry:
-            raise UnknownObjectError(f"no data object {object_id!r} registered")
-        annotation_ids = self.annotations_on_object(object_id)
-        if annotation_ids and not cascade:
-            raise AnnotationError(
-                f"data object {object_id!r} is referenced by "
-                f"{len(annotation_ids)} annotation(s); pass cascade=True to delete them"
-            )
+        annotation_ids = self.approve_delete_object(object_id, cascade)
         for annotation_id in annotation_ids:
             self.delete_annotation(annotation_id)
         # Defensive sweep: a referent of the object that somehow survived the

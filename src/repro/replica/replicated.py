@@ -108,7 +108,8 @@ class ReplicationConfig:
 
 
 def _delegate(op: ops.Op) -> Callable | None:
-    """Writes go to the live primary, reads to the primary-coherent copy, and
+    """Writes (and ``approve``, the broadcast read that answers for a write)
+    go to the live primary, reads to the primary-coherent copy, and
     maintenance (``checkpoint``, ``compact``) runs on every role at a
     replication quiesce point."""
     if op.kind == ops.ADMIN:
@@ -124,7 +125,8 @@ def _delegate(op: ops.Op) -> Callable | None:
                 return report
 
         return maintain
-    target = "_primary_for_write" if op.kind == ops.WRITE else "_read_service"
+    writes = op.kind == ops.WRITE or op.routing == ops.BROADCAST
+    target = "_primary_for_write" if writes else "_read_service"
     return lambda self, *args, **kwargs: op.call(getattr(self, target)(), *args, **kwargs)
 
 

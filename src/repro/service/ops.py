@@ -17,6 +17,12 @@ One row per verb says what every layer needs to know about it:
     ``apply(manager, payload)``, and (optionally) the live half
     ``live(manager, *args) -> (result, payload)``.  Without ``live`` the
     payload is the verb's wire arguments and the live apply *is* the replay.
+``approve``
+    For writes: ``approve(manager, *args, **kwargs)``, the verb's read-only
+    refusal.  It raises what the write would raise and mutates nothing; the
+    manager's mutator runs it first, and the sharded facades run it on every
+    shard (the ``approve`` verb) before an apply round shards could disagree
+    on, so a refused write applies nothing in any deployment.
 ``codec``
     How arguments and result cross the wire, built from the record codec in
     :mod:`repro.core.persistence` and :mod:`repro.net.codec`.
@@ -87,6 +93,7 @@ class Op:
     wal_op: str | None = None
     apply: Callable[[Any, dict[str, Any]], Any] | None = None
     live: Callable[..., tuple[Any, dict[str, Any]]] | None = None
+    approve: Callable[..., Any] | None = None
     #: Mutations one call counts as toward the checkpoint interval.
     weight: Callable[[Any], int] = lambda result: 1
     is_property: bool = False
@@ -109,10 +116,13 @@ class Op:
         bound.apply_defaults()
         return dict(bound.arguments)
 
+    def keywords(self, wire: dict[str, Any]) -> dict[str, Any]:
+        """The server half of the args codec."""
+        return self.codec.from_wire(wire) if self.codec.from_wire else wire
+
     def serve(self, service: Any, wire: dict[str, Any]) -> Any:
         """The server half: decode the args, call *service*, encode the result."""
-        keywords = self.codec.from_wire(wire) if self.codec.from_wire else wire
-        result = self.call(service, **keywords)
+        result = self.call(service, **self.keywords(wire))
         return self.codec.encode(result) if self.codec.encode else result
 
     def apply_live(self, manager: Any, *args: Any, **kwargs: Any) -> tuple[Any, dict[str, Any]]:
@@ -265,7 +275,8 @@ _ANNOTATION_RESULT = {"encode": _encode_annotation, "decode": decode_annotation}
             from_wire=lambda wire: {"ontology": Ontology.from_dict(wire["ontology"])},
             encode=_no_value),
       wal_op="register_ontology", live=_live_register_ontology,
-      apply=lambda manager, payload: manager.register_ontology(Ontology.from_dict(payload)))
+      apply=lambda manager, payload: manager.register_ontology(Ontology.from_dict(payload)),
+      approve=lambda manager, ontology, cache=True: manager.approve_register_ontology(ontology))
 def register_ontology(self, ontology, cache: bool = True):
     """Register an ontology (replicated to every shard)."""
 
@@ -275,7 +286,9 @@ def register_ontology(self, ontology, cache: bool = True):
                 "record": encode_register(obj, {**obj.metadata, **metadata})},
             from_wire=lambda wire: {"obj": decode_register(wire["record"])},
             encode=_no_value),
-      wal_op="register", live=_live_register, apply=apply_register_record)
+      wal_op="register", live=_live_register, apply=apply_register_record,
+      approve=lambda manager, obj, raw=None, **metadata: manager.approve_register(
+          obj, raw, **metadata))
 def register(self, obj, raw: bytes | None = None, **metadata: Any):
     """Register a data object (replicated to every shard).
 
@@ -301,7 +314,8 @@ def reserve_annotation_id(self) -> str:
             **_ANNOTATION_RESULT),
       wal_op="commit", live=_live_commit,
       apply=lambda manager, payload: wire_annotation(
-          manager, decode_annotation(payload), add_content_document=True))
+          manager, decode_annotation(payload), add_content_document=True),
+      approve=lambda manager, annotation: manager.approve_commit([annotation]))
 def commit(self, annotation):
     """Commit one annotation (or builder); returns the committed annotation."""
 
@@ -313,13 +327,14 @@ def commit(self, annotation):
                 "annotations": [decode_annotation(item) for item in wire["annotations"]]},
             encode=lambda committed: [encode_annotation(annotation) for annotation in committed],
             decode=lambda payload: [decode_annotation(item) for item in payload]),
-      wal_op="commit")
+      wal_op="commit", approve=lambda manager, annotations: manager.approve_commit(annotations))
 def bulk_commit(self, annotations):
     """Commit a batch under one lock hold and one WAL group commit per shard."""
 
 
 @verb(WRITE, OWNER, PLAIN, wal_op="delete_annotation",
-      apply=lambda manager, payload: manager.delete_annotation(payload["annotation_id"]))
+      apply=lambda manager, payload: manager.delete_annotation(payload["annotation_id"]),
+      approve=lambda manager, annotation_id: manager.approve_delete_annotation(annotation_id))
 def delete_annotation(self, annotation_id: str) -> None:
     """Delete an annotation."""
 
@@ -332,7 +347,9 @@ def delete_annotation(self, annotation_id: str) -> None:
             **_ANNOTATION_RESULT),
       wal_op="update_annotation", live=_live_update_annotation,
       apply=lambda manager, payload: manager.update_annotation(
-          payload["annotation_id"], payload["changes"]))
+          payload["annotation_id"], payload["changes"]),
+      approve=lambda manager, annotation_id, changes: manager.approve_update(
+          annotation_id, changes))
 def update_annotation(self, annotation_id: str, changes: dict[str, Any]):
     """Update an annotation in place: one lock hold, one WAL record, one
     epoch bump, index maintenance proportional to the diff.  The annotation
@@ -342,10 +359,24 @@ def update_annotation(self, annotation_id: str, changes: dict[str, Any]):
 @verb(WRITE, BROADCAST, PLAIN, wal_op="delete_object",
       apply=lambda manager, payload: manager.delete_object(
           payload["object_id"], cascade=payload.get("cascade", True)),
+      approve=lambda manager, object_id, cascade=True: manager.approve_delete_object(
+          object_id, cascade),
       weight=lambda cascaded: 1 + len(cascaded))
 def delete_object(self, object_id: str, cascade: bool = True) -> list[str]:
     """Retire a data object, cascading through its annotations; returns the
     cascaded annotation ids."""
+
+
+@verb(READ, BROADCAST,
+      Codec(to_wire=lambda verb, *args, **kwargs: {
+                "verb": verb, "args": OPS[verb].wire_args(*args, **kwargs)},
+            from_wire=lambda wire: {
+                "verb": wire["verb"], **OPS[wire["verb"]].keywords(wire["args"])},
+            encode=_no_value))
+def approve(self, verb: str, *args: Any, **kwargs: Any) -> None:
+    """Raise what write *verb* would raise for these arguments, applying
+    nothing (the row's ``approve`` column; every shard answers).  The
+    arguments cross the wire in *verb*'s own codec."""
 
 
 @verb(READ, SCATTER, PLAIN)

@@ -344,6 +344,7 @@ class GraphittiService:
         underlying serial only advances, so two reservations never collide
         even if the first id is never committed.
         """
+        self._ensure_open()
         with self._lock.write_locked():
             return self._manager._generate_annotation_id()  # noqa: SLF001 - id authority
 
@@ -355,6 +356,7 @@ class GraphittiService:
         ``commit()`` lands here (lock + WAL + cache invalidation), not on the
         bare manager.
         """
+        self._ensure_open()
         with self._lock.write_locked():
             builder = self._manager.new_annotation(*args, **kwargs)
         builder._manager = self  # noqa: SLF001 - route the builder's commit here
@@ -673,6 +675,17 @@ class GraphittiService:
         :meth:`query` would run at this epoch."""
         with self._read_view():
             return self._manager.explain(text_or_query)
+
+    def approve(self, verb: str, *args: Any, **kwargs: Any) -> None:
+        """Refuse what write *verb* would refuse here, under the read lock.
+
+        A closed or fenced service refuses every write, so it refuses here
+        too; the write itself still approves under its own write lock.  No
+        approval reads the content index, so deferred indexing stays deferred.
+        """
+        self._ensure_open()
+        with self._lock.read_locked():
+            ops.OPS[verb].approve(self._manager, *args, **kwargs)
 
     # -- reads -------------------------------------------------------------------
     #

@@ -25,6 +25,12 @@ independent :class:`~repro.service.service.GraphittiService` shards:
   service) before the router accepts traffic.
 * **bulk ingest stays grouped** — :meth:`bulk_commit` groups the batch by
   shard and group-commits the per-shard batches in one scatter.
+* **writes approve before they apply** — wherever shards could disagree on a
+  refusal (a caller-chosen id held elsewhere, a batch, ``delete_object``),
+  one ``approve`` round asks every shard first (the op table's ``approve``
+  column), so a write one shard refuses applies nowhere.  A writer can still
+  interleave between the two rounds: atomicity under concurrency would need
+  prepare records in each shard's WAL (two-phase commit).
 
 Because each shard caches and invalidates independently, a mutation only
 evicts cached results on the shard it touched: a hot scatter-gather query
@@ -49,9 +55,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.core.annotation import Annotation, AnnotationContent
+from repro.core.annotation import Annotation
 from repro.core.builder import AnnotationBuilder
-from repro.core.dublin_core import DublinCore
 from repro.core.manager import Graphitti
 from repro.errors import (
     AnnotationError,
@@ -472,16 +477,9 @@ class ShardedGraphittiService:
 
     # -- write path ------------------------------------------------------------
 
-    def new_annotation(
-        self,
-        annotation_id: str | None = None,
-        title: str = "",
-        creator: str = "",
-        keywords: Iterable[str] = (),
-        body: str = "",
-        description: str = "",
-    ) -> AnnotationBuilder:
-        """Start building an annotation whose commit routes through the router.
+    def new_annotation(self, annotation_id: str | None = None, **fields: Any) -> AnnotationBuilder:
+        """Start building an annotation whose commit routes through the router
+        (*fields* are :class:`AnnotationBuilder`'s content fields).
 
         With no explicit id the definitive, shard-encoding id is assigned at
         commit time — only then is the annotated object (and therefore the
@@ -489,57 +487,46 @@ class ShardedGraphittiService:
         placeholder.
         """
         if annotation_id is None:
-            identifier = _PENDING_PREFIX + uuid.uuid4().hex
-        else:
-            identifier = annotation_id
-            if self._owning_shard(identifier) is not None:
-                raise AnnotationError(f"annotation id {identifier!r} already exists")
-        dublin_core = DublinCore(
-            title=title,
-            creator=creator,
-            subject=list(keywords),
-            description=description,
-            identifier=identifier,
-        )
-        content = AnnotationContent(dublin_core=dublin_core, body=body)
-        return AnnotationBuilder(self, identifier, content)
+            annotation_id = _PENDING_PREFIX + uuid.uuid4().hex
+        elif self._owning_shard(annotation_id) is not None:
+            raise AnnotationError(f"annotation id {annotation_id!r} already exists")
+        return AnnotationBuilder(self, annotation_id, **fields)
 
     def _finalize_routing(self, annotation: Annotation) -> int:
-        """Pick the owning shard; materialize a pending id on that shard.
-
-        Explicit ids are re-checked against EVERY shard here, at commit
-        time: the owning shard's own commit only rejects duplicates it
-        holds, and two same-id annotations routing to different shards would
-        otherwise both land — a ghost duplicate no single service allows.
-        """
+        """Pick the owning shard; materialize a pending id on that shard."""
         index = shard_for_annotation(annotation, len(self._shards))
         if annotation.annotation_id.startswith(_PENDING_PREFIX):
             identifier = self._shards[index].reserve_annotation_id()
             annotation.annotation_id = identifier
             annotation.content.dublin_core.identifier = identifier
-        elif self._owning_shard(annotation.annotation_id) is not None:
-            raise AnnotationError(
-                f"annotation {annotation.annotation_id!r} already committed"
-            )
         return index
 
     def commit(self, annotation: Annotation | AnnotationBuilder) -> Annotation:
-        """Commit one annotation on the shard its annotated object routes to."""
+        """Commit one annotation on the shard its annotated object routes to.
+
+        A caller-chosen id is approved on every shard first: the owning
+        shard only knows the ids it holds.  A pending id is fresh, and the
+        owning shard's own approval covers the rest.
+        """
         if isinstance(annotation, AnnotationBuilder):
             annotation = annotation.build()
+        if not annotation.annotation_id.startswith(_PENDING_PREFIX):
+            self.approve("commit", annotation)
         index = self._finalize_routing(annotation)
         return self._shards[index].commit(annotation)
 
     def bulk_commit(
         self, annotations: Iterable[Annotation | AnnotationBuilder]
     ) -> list[Annotation]:
-        """Group a batch by shard and group-commit the groups in one scatter.
+        """Approve the whole batch on every shard, then group it by shard
+        and group-commit the groups in one scatter.
 
-        Each per-shard group commits atomically (one lock acquisition, one
-        WAL group commit on that shard); atomicity across shards is not
-        provided — a batch that fails validation on one shard leaves the
-        other shards' groups committed, exactly like two independent bulk
-        loads.  Returns the committed annotations in input order.
+        Every shard sees every member in the approve round (ids it holds,
+        in-batch duplicates, unregistered objects), so a batch one shard
+        refuses applies on none; pending ids are reserved only after it
+        passes.  Each group then commits under one lock hold and one WAL
+        group commit on its shard.  Returns the committed annotations in
+        input order.
         """
         batch = [
             item.build() if isinstance(item, AnnotationBuilder) else item
@@ -547,28 +534,21 @@ class ShardedGraphittiService:
         ]
         if not batch:
             return []
-        groups: dict[int, list[tuple[int, Annotation]]] = {}
-        seen_ids: set[str] = set()
+        self.approve("bulk_commit", batch)
+        groups: dict[int, list[int]] = {}
         for position, annotation in enumerate(batch):
-            index = self._finalize_routing(annotation)
-            # Intra-batch duplicates that route to DIFFERENT shards would
-            # slip past each shard group's own validation; reject them here
-            # like a single service's batch validation does.
-            if annotation.annotation_id in seen_ids:
-                raise AnnotationError(
-                    f"annotation {annotation.annotation_id!r} already committed"
-                )
-            seen_ids.add(annotation.annotation_id)
-            groups.setdefault(index, []).append((position, annotation))
+            groups.setdefault(self._finalize_routing(annotation), []).append(position)
         committed_groups = self._scatter(
             "bulk_commit",
-            [(index, ([item for _, item in group],), {}) for index, group in groups.items()],
+            [
+                (index, ([batch[position] for position in group],), {})
+                for index, group in groups.items()
+            ],
         )
-        ordered: list[Annotation | None] = [None] * len(batch)
         for group, committed in zip(groups.values(), committed_groups):
-            for (position, _), annotation in zip(group, committed):
-                ordered[position] = annotation
-        return [annotation for annotation in ordered if annotation is not None]
+            for position, annotation in zip(group, committed):
+                batch[position] = annotation
+        return batch
 
     def delete_object(self, object_id: str, cascade: bool = True) -> list[str]:
         """Retire a data object: broadcast the delete, cascade per shard.
@@ -576,27 +556,18 @@ class ShardedGraphittiService:
         Objects are replicated, and annotations routed by their *first*
         referent's object can still reference this object from any shard —
         so the delete goes to every shard and each cascades through the
-        annotations it holds.  With ``cascade=False`` the check aggregates
-        across shards *before* any shard mutates; like ``bulk_commit``,
-        cross-shard atomicity is not provided, so under a concurrent commit
-        the precheck is advisory and one shard's own locked re-check may
-        still refuse after others deleted their copies.  The broadcast is
-        **convergent** to make that recoverable: a shard whose copy is
-        already gone reports no work instead of failing, so re-running (with
-        ``cascade=True``) finishes the retirement.  Raises only when *no*
-        shard knows the object.  Returns the cascaded annotation ids.
+        annotations it holds.  Every shard approves first, so with
+        ``cascade=False`` an annotation on any shard refuses the delete
+        before any shard mutates.  Both rounds are **convergent**: a shard
+        whose copy is already gone (a broadcast a crash cut short) answers
+        no work instead of failing, so re-running finishes the retirement.
+        Raises only when *no* shard knows the object.  Returns the cascaded
+        annotation ids.
         """
-        if not cascade:
-            held = self.annotations_on_object(object_id)
-            if held:
-                raise AnnotationError(
-                    f"data object {object_id!r} is referenced by "
-                    f"{len(held)} annotation(s); pass cascade=True to delete them"
-                )
         # A shard whose replica is already gone answers UnknownObjectError; converge.
-        results = self._scatter(
-            "delete_object", self._all(object_id, cascade=cascade), tolerate=(UnknownObjectError,)
-        )
+        tolerate = (UnknownObjectError,)
+        self._scatter("approve", self._all("delete_object", object_id, cascade), tolerate)
+        results = self._scatter("delete_object", self._all(object_id, cascade=cascade), tolerate)
         cascaded = [result for result in results if not isinstance(result, UnknownObjectError)]
         if not cascaded:
             raise UnknownObjectError(f"no data object {object_id!r} registered")

@@ -251,9 +251,9 @@ def test_mid_scatter_slow_write_dedups_by_idempotency_key(shard):
         service.new_annotation(f"bulk-{index}", keywords=["bulk"]).mark_sequence(object_id, 1, 20)
         for index, object_id in enumerate(object_ids)
     ]
-    # bulk_commit probes each explicit id on every shard first (one holds
-    # frame per annotation per shard); the next frame is the shard's group.
-    schedule = arm(service, "net.slow", shard, at=len(batch) + 1)
+    # bulk_commit approves the whole batch on every shard first (one approve
+    # frame per shard); the next frame is the shard's group.
+    schedule = arm(service, "net.slow", shard, at=2)
     committed = service.bulk_commit(batch)
     assert len(schedule.fired) == 1
     assert [annotation.annotation_id for annotation in committed] == [

@@ -1,10 +1,11 @@
 """The op table is the one declaration of the service surface.
 
-Three proofs: every verb exists, with a compatible signature, on every class
+Four proofs: every verb exists, with a compatible signature, on every class
 that carries the surface; a *seventh* durable op added as one row plus one
 apply function works through emit, WAL, replay, replication, shard routing
-and wire dispatch with no other source edit; and the six real WAL ops still
-write the bytes the parent commit wrote.
+and wire dispatch with no other source edit (``approve`` is optional); every
+row's ``approve`` column refuses without mutating; and the six real WAL ops
+still write the bytes the parent commit wrote.
 """
 
 import inspect
@@ -15,7 +16,7 @@ import pytest
 from repro.core.annotation import Referent
 from repro.core.persistence import decode_annotation, encode_annotation
 from repro.datatypes.sequence import DnaSequence
-from repro.errors import AnnotationError
+from repro.errors import AnnotationError, GraphittiError
 from repro.net import NetworkShardedGraphittiService, ShardClient
 from repro.ontology.model import Ontology
 from repro.replica import ReplicatedGraphittiService, ReplicationConfig
@@ -212,6 +213,40 @@ def test_removing_the_row_removes_every_trace(retitle):
         assert "retitle" not in WAL_OPS and "retitle" not in ops.OPS
     finally:
         ops.add_op(retitle)  # the fixture's teardown removes it again
+
+
+def _approvals(service):
+    """Row name -> (accepted args, refused args) on a service :func:`_seed` filled."""
+    fresh = service.new_annotation(annotation_id="t2").mark_sequence("chr1", 50, 60).build()
+    moved = {service.annotation("t1").referents[0].referent_id: {"start": 6, "end": 30}}
+    return {
+        "register_ontology": ((Ontology("fresh"),), (Ontology("go"),)),
+        "register": ((DnaSequence("chr2", "ACGT"),), (DnaSequence("chr1", "ACGT"),)),
+        "commit": ((fresh,), (service.annotation("t1"),)),
+        "bulk_commit": (([fresh],), ([fresh, fresh],)),
+        "delete_annotation": (("t1",), ("no-such-annotation",)),
+        "update_annotation": (("t1", {"title": "x", "move_referents": moved}), ("t1", {"colour": 1})),
+        "delete_object": (("chr1",), ("chr1", False)),
+    }
+
+
+def test_approve_is_read_only_for_every_row(tmp_path):
+    service = GraphittiService.open(tmp_path, config=ServiceConfig(checkpoint_on_close=False))
+    service.register_ontology(Ontology("go"))
+    _seed(service)
+    approvals = _approvals(service)
+    assert set(approvals) == {op.name for op in ops.OPS.values() if op.approve is not None}
+    manager, wal = service.manager, tmp_path / "wal.jsonl"
+    before = (manager.mutation_epoch, service.statistics(), wal.read_bytes())
+    for name, (accepted, refused) in approvals.items():
+        row = ops.OPS[name]
+        row.approve(manager, *accepted)
+        with pytest.raises(GraphittiError):
+            row.approve(manager, *refused)
+        # The verb over the surface asks the same column under a read view.
+        service.approve(name, *accepted)
+    assert (manager.mutation_epoch, service.statistics(), wal.read_bytes()) == before
+    service.close()
 
 
 # -- (3) the durable format did not move ---------------------------------------------
