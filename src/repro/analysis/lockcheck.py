@@ -64,6 +64,7 @@ BLOCKING_NAMES = frozenset(
         "connect",
         "sleep",
         "dump_json_chunked",
+        "read_previous_snapshot",
         "write_snapshot",
         "snapshot_from_frozen",
         "save_instance",

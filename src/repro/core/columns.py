@@ -33,6 +33,19 @@ a background checkpoint mid-serialization — keeps reading the old ones.
 which concurrent writers only ever append to.  The frozen view is therefore an
 exact image of the store at freeze time, built in O(slots) pointer copies
 under the write lock, readable lock-free afterwards.
+
+**Stamps**: each column store keeps a per-slot ``stamp`` array fed by its own
+clock.  Every mutator ticks the clock and stamps the slot it touches —
+:meth:`AnnotationColumns.store` / :meth:`~AnnotationColumns.clear`, and
+:meth:`ReferentColumns.refresh` (an ``add`` or an extent move replacing the
+payload) / :meth:`~ReferentColumns.discard` — and a freeze copies the stamps
+and the clock with the other fixed-width arrays.  A row whose stamp, and the
+stamp of every referent slot in its span, are no newer than the clocks of an
+earlier freeze is unchanged since that freeze: a checkpoint copies its record
+from the snapshot that freeze produced (see
+:func:`repro.core.persistence.snapshot_from_frozen`).  Stamps are per row, not
+per chunk: a checkpoint interval's updates and deletes land on random slots
+and would dirty nearly every chunk.
 """
 
 from __future__ import annotations
@@ -43,11 +56,8 @@ from typing import Any, Iterator
 
 from repro.core.annotation import Annotation, AnnotationContent, Referent
 from repro.analysis.annotations import requires_write_lock
-from repro.core.dublin_core import DC_ELEMENTS, DublinCore
+from repro.core.dublin_core import DC_DEFAULTS, DC_ELEMENTS, DublinCore
 from repro.errors import AnnotationError
-
-#: Defaults a sparse content blob omits; decode restores them.
-_DC_DEFAULTS = {name: getattr(DublinCore(), name) for name in DC_ELEMENTS}
 
 #: Extent kinds in the packed referent columns.
 EXTENT_NONE, EXTENT_INTERVAL, EXTENT_RECT = 0, 1, 2
@@ -101,7 +111,7 @@ def encode_content(content: AnnotationContent) -> str:
     dublin_core = content.dublin_core
     for name in DC_ELEMENTS:
         value = getattr(dublin_core, name)
-        if value != _DC_DEFAULTS[name]:
+        if value != DC_DEFAULTS[name]:
             dc[name] = value
     payload: dict[str, Any] = {}
     if dc:
@@ -151,6 +161,9 @@ class ReferentColumns:
         self._rect_dim = array("b")
         self._rect_heap = array("d")  # lo dims then hi dims per rect slot
         self._rect_dead = 0
+        #: Clock value of each slot's last write (see the module docstring).
+        self._stamp = array("q")
+        self._clock = 0
 
     # -- slot management -------------------------------------------------------
 
@@ -181,6 +194,7 @@ class ReferentColumns:
         self._hi0.append(0.0)
         self._rect_off.append(0)
         self._rect_dim.append(0)
+        self._stamp.append(0)
         return slot
 
     @requires_write_lock
@@ -210,7 +224,12 @@ class ReferentColumns:
         self._payload[slot] = None
         self._kind[slot] = EXTENT_NONE
         self._free.append(slot)
+        self._touch(slot)
         return slot
+
+    def _touch(self, slot: int) -> None:
+        self._clock += 1
+        self._stamp[slot] = self._clock
 
     def view(self, referent_id: str) -> Referent | None:
         slot = self._slot_of.get(referent_id)
@@ -231,6 +250,7 @@ class ReferentColumns:
             return
         ref = referent.ref
         self._payload[slot] = ref.to_dict()
+        self._touch(slot)
         self._type_ref[slot] = self.pool.intern(ref.data_type.value)
         if ref.interval is not None:
             interval = ref.interval
@@ -284,7 +304,9 @@ class ReferentColumns:
     # -- lifecycle -------------------------------------------------------------
 
     def freeze(self) -> "FrozenReferents":
-        return FrozenReferents(list(self._id_at), list(self._payload))
+        return FrozenReferents(
+            list(self._id_at), list(self._payload), array("q", self._stamp), self._clock
+        )
 
     @requires_write_lock
     def compact(self) -> None:
@@ -314,11 +336,14 @@ class ReferentColumns:
 class FrozenReferents:
     """Point-in-time referent view for a background snapshot."""
 
-    __slots__ = ("id_at", "payload")
+    __slots__ = ("id_at", "payload", "stamp", "clock")
 
-    def __init__(self, id_at: list[str | None], payload: list[dict[str, Any] | None]):
+    def __init__(self, id_at: list[str | None], payload: list[dict[str, Any] | None],
+                 stamp: array, clock: int):
         self.id_at = id_at
         self.payload = payload
+        self.stamp = stamp
+        self.clock = clock
 
 
 class AnnotationColumns:
@@ -344,6 +369,9 @@ class AnnotationColumns:
         self._blob_bytes = 0
         self._dead_blob_bytes = 0
         self._dead_heap_ints = 0
+        #: Clock value of each slot's last write (see the module docstring).
+        self._stamp = array("q")
+        self._clock = 0
 
     # -- writes ----------------------------------------------------------------
 
@@ -353,6 +381,11 @@ class AnnotationColumns:
             self._blob_ref.append(-1)
             self._span_off.append(0)
             self._span_len.append(0)
+            self._stamp.append(0)
+
+    def _touch(self, slot: int) -> None:
+        self._clock += 1
+        self._stamp[slot] = self._clock
 
     @requires_write_lock
     def store(self, slot: int, annotation: Annotation, referents: "ReferentColumns") -> None:
@@ -379,6 +412,7 @@ class AnnotationColumns:
         self._span_len[slot] = len(span)
         self._heap.extend(span)
         self._live[slot] = 1
+        self._touch(slot)
 
     def _account_dead(self, slot: int) -> None:
         self._dead_heap_ints += self._span_len[slot]
@@ -392,6 +426,7 @@ class AnnotationColumns:
         if slot < len(self._live) and self._live[slot]:
             self._account_dead(slot)
             self._live[slot] = 0
+            self._touch(slot)
 
     # -- reads -----------------------------------------------------------------
 
@@ -496,6 +531,8 @@ class AnnotationColumns:
             heap_cap=len(self._heap),
             pool=self.pool,
             pool_cap=len(self.pool),
+            stamp=array("q", self._stamp),
+            clock=self._clock,
         )
 
     @requires_write_lock
@@ -563,11 +600,11 @@ class FrozenAnnotations:
 
     __slots__ = (
         "live", "blob_ref", "span_off", "span_len",
-        "blob_heap", "blob_cap", "heap", "heap_cap", "pool", "pool_cap",
+        "blob_heap", "blob_cap", "heap", "heap_cap", "pool", "pool_cap", "stamp", "clock",
     )
 
     def __init__(self, live, blob_ref, span_off, span_len,
-                 blob_heap, blob_cap, heap, heap_cap, pool, pool_cap):
+                 blob_heap, blob_cap, heap, heap_cap, pool, pool_cap, stamp, clock):
         self.live = live
         self.blob_ref = blob_ref
         self.span_off = span_off
@@ -578,6 +615,8 @@ class FrozenAnnotations:
         self.heap_cap = heap_cap
         self.pool = pool
         self.pool_cap = pool_cap
+        self.stamp = stamp
+        self.clock = clock
 
     def live_slots(self) -> Iterator[int]:
         for slot, live in enumerate(self.live):
@@ -607,3 +646,15 @@ class FrozenAnnotations:
 
     def blob(self, slot: int) -> str:
         return self.blob_heap[self.blob_ref[slot]]
+
+    def referent_slots(self, slot: int) -> list[int]:
+        heap = self.heap
+        cursor = self.span_off[slot]
+        cursor += 1 + heap[cursor]
+        count = heap[cursor]
+        cursor += 1
+        slots: list[int] = []
+        for _ in range(count):
+            slots.append(heap[cursor])
+            cursor += 2 + heap[cursor + 1]
+        return slots

@@ -88,18 +88,7 @@ class DublinCore:
         Unknown keys are ignored and missing keys keep their defaults, so the
         codec tolerates payloads written by older snapshot versions.
         """
-        core = cls()
-        for name in DC_ELEMENTS:
-            value = payload.get(name)
-            if value is None:
-                continue
-            if isinstance(getattr(core, name), list):
-                if isinstance(value, str):  # a scalar where a list is expected
-                    value = [value]
-                setattr(core, name, [str(item) for item in value])
-            else:
-                setattr(core, name, str(value))
-        return core
+        return cls(**normalized_dict(payload))
 
     @classmethod
     def from_elements(cls, elements: list[XmlElement]) -> "DublinCore":
@@ -117,3 +106,30 @@ class DublinCore:
             else:
                 setattr(core, name, element.text)
         return core
+
+
+#: The default of every element; list defaults are empty.
+DC_DEFAULTS = {name: getattr(DublinCore(), name) for name in DC_ELEMENTS}
+
+_LIST_ELEMENTS = frozenset(name for name, value in DC_DEFAULTS.items() if isinstance(value, list))
+
+
+def normalized_dict(payload: dict[str, Any]) -> dict[str, Any]:
+    """``DublinCore.from_dict(payload).to_dict()``, without building the object.
+
+    Values become strings (a scalar where a list is expected becomes a
+    one-item list), and a missing or ``null`` element takes its default.
+    """
+    core = dict(DC_DEFAULTS)
+    for name in _LIST_ELEMENTS:
+        core[name] = []
+    for name, value in payload.items():
+        if value is None or name not in core:
+            continue
+        if name in _LIST_ELEMENTS:
+            if isinstance(value, str):  # a scalar where a list is expected
+                value = [value]
+            core[name] = [str(item) for item in value]
+        else:
+            core[name] = str(value)
+    return core

@@ -44,7 +44,7 @@ from typing import Any, Iterable
 
 from repro.agraph.agraph import ANNOTATES, REFERS_TO
 from repro.core.annotation import Annotation, AnnotationContent, Referent
-from repro.core.dublin_core import DublinCore
+from repro.core.dublin_core import DublinCore, normalized_dict
 from repro.datatypes.base import DataObject, DataType, SubstructureRef
 from repro.errors import AnnotationError, GraphittiError
 from repro.ontology.model import Ontology
@@ -509,16 +509,17 @@ class FrozenManager:
     O(slots) pointer/array copies; :func:`snapshot_from_frozen` then builds
     the full snapshot payload off-lock while writers keep mutating the live
     store (whose heaps are append-only and whose copy-on-write payload dicts
-    are replaced, never mutated — see :mod:`repro.core.columns`).
+    are replaced, never mutated — see :mod:`repro.core.columns`).  ``stores``
+    holds the two live column objects the views were frozen from.
     """
 
     __slots__ = (
         "name", "id_namespace", "indexed_contents", "ontologies",
-        "object_metadata", "order", "slots", "acols", "rcols", "extra_documents",
+        "object_metadata", "order", "slots", "acols", "rcols", "stores", "extra_documents",
     )
 
     def __init__(self, name, id_namespace, indexed_contents, ontologies,
-                 object_metadata, order, slots, acols, rcols, extra_documents):
+                 object_metadata, order, slots, acols, rcols, stores, extra_documents):
         self.name = name
         self.id_namespace = id_namespace
         self.indexed_contents = indexed_contents
@@ -528,6 +529,7 @@ class FrozenManager:
         self.slots = slots
         self.acols = acols
         self.rcols = rcols
+        self.stores = stores
         self.extra_documents = extra_documents
 
 
@@ -548,6 +550,7 @@ def freeze_manager(manager) -> FrozenManager:
         for doc_id in manager.contents.document_ids()
         if doc_id not in known
     }
+    referents = manager.substructures.columns
     return FrozenManager(
         name=manager.name,
         id_namespace=manager.id_namespace,
@@ -557,52 +560,97 @@ def freeze_manager(manager) -> FrozenManager:
         order=order,
         slots=slots,
         acols=manager.columns.freeze(),
-        rcols=manager.substructures.columns.freeze(),
+        rcols=referents.freeze(),
+        stores=(manager.columns, referents),
         extra_documents=extra_documents,
     )
 
 
-def materialize_frozen_annotation(annotation_id: str, slot: int, acols, rcols) -> Annotation:
-    """Build an :class:`Annotation` from frozen column views (off-lock)."""
-    from repro.core.columns import decode_content
+class CheckpointBase:
+    """What a landed checkpoint leaves the next one.
 
-    content = decode_content(acols.blob(slot), acols.content_terms(slot))
-    annotation = Annotation(annotation_id, content)
-    for rslot, terms in acols.referent_entries(slot):
-        payload = rcols.payload[rslot]
-        if payload is None:  # pragma: no cover - frozen views are consistent
-            continue
-        annotation._referents.append(  # noqa: SLF001 - codec rebuild path
-            Referent(
-                ref=SubstructureRef.from_dict(payload),
-                ontology_terms=terms,
-                referent_id=rcols.id_at[rslot],
-            )
-        )
-    return annotation
+    The live column objects and their clocks at the freeze, the frozen
+    order, the ``[start, end)`` byte offsets of each record in the snapshot
+    file (``spans[2 * i]``, ``spans[2 * i + 1]`` for ``order[i]``) and that
+    file's CRC32.  No record text is kept.
+    """
+
+    __slots__ = ("stores", "clocks", "order", "spans", "crc32")
+
+    def __init__(self, frozen: FrozenManager, spans, crc32: int):
+        self.stores = frozen.stores
+        self.clocks = (frozen.acols.clock, frozen.rcols.clock)
+        self.order = frozen.order
+        self.spans = spans
+        self.crc32 = crc32
 
 
-def snapshot_from_frozen(frozen: FrozenManager) -> dict[str, Any]:
+def encode_frozen_row(annotation_id: str, slot: int, acols, rcols) -> dict[str, Any]:
+    """The :func:`encode_annotation` record of a frozen row, built from the
+    columns directly: the content blob, the heap span and the referent
+    columns' payload dicts (shared, not copied: the columns replace a
+    payload, never mutate it)."""
+    data = json.loads(acols.blob(slot))
+    dublin_core = normalized_dict(data.get("dc", {}))
+    id_at, payload = rcols.id_at, rcols.payload
+    return {
+        "annotation_id": annotation_id,
+        "dublin_core": dublin_core,
+        "body": data.get("b", ""),
+        "user_tags": dict(data.get("t", {})),
+        "content_ontology_terms": acols.content_terms(slot),
+        "keywords": list(dublin_core["subject"]),
+        "referents": [
+            {"referent_id": id_at[rslot], "ref": payload[rslot], "ontology_terms": terms}
+            for rslot, terms in acols.referent_entries(slot)
+            if payload[rslot] is not None  # swept by delete_object's defensive pass
+        ],
+    }
+
+
+def snapshot_from_frozen(frozen: FrozenManager, base: CheckpointBase | None = None) -> dict[str, Any]:
     """The snapshot payload of a frozen image (the one payload builder).
 
-    Runs on the background checkpoint thread: materializes each frozen row
-    once to encode its record, touching no live manager state.  Content
-    documents are renderings of those records, so only the ones no
-    annotation owns are carried.  Every few hundred rows the loop naps for a
-    moment — on a single-core host the scheduler otherwise lets this
-    CPU-bound loop keep the core for a full timeslice after a committer's
-    fsync completes, which shows up as multi-millisecond commit p99 even
-    though no lock is shared.
+    Runs on the background checkpoint thread and touches no live manager
+    state.  Each record is a dict from :func:`encode_frozen_row`, or — given
+    the *base* the previous checkpoint left, whose file the caller has
+    verified — a ``slice`` of that file's bytes to copy.  A row is copied
+    only when the base was frozen from these same column objects, the row's
+    stamp and the stamp of every referent slot in its span are no newer than
+    the base's clocks, and its id is in the base's order; every other row is
+    encoded.  Content documents are renderings of the records, so only the
+    ones no annotation owns are carried.  Every 256 *encoded* rows the loop
+    naps for a moment — on a single-core host the scheduler otherwise lets
+    this CPU-bound loop keep the core for a full timeslice after a
+    committer's fsync completes, which shows up as multi-millisecond commit
+    p99 even though no lock is shared.
     """
     import time as _time
 
-    annotations: list[dict[str, Any]] = []
     acols, rcols = frozen.acols, frozen.rcols
-    for index, (annotation_id, slot) in enumerate(zip(frozen.order, frozen.slots)):
-        if index and index % 256 == 0:
+    previous: dict[str, int] = {}
+    annotation_clock = referent_clock = 0
+    spans: Any = ()
+    if base is not None and all(a is b for a, b in zip(base.stores, frozen.stores)):
+        previous = {annotation_id: index for index, annotation_id in enumerate(base.order)}
+        annotation_clock, referent_clock = base.clocks
+        spans = base.spans
+    row_stamp, referent_stamp = acols.stamp, rcols.stamp
+    annotations: list[dict[str, Any] | slice] = []
+    encoded = 0
+    for annotation_id, slot in zip(frozen.order, frozen.slots):
+        index = previous.get(annotation_id)
+        if (
+            index is not None
+            and row_stamp[slot] <= annotation_clock
+            and all(referent_stamp[rslot] <= referent_clock for rslot in acols.referent_slots(slot))
+        ):
+            annotations.append(slice(spans[2 * index], spans[2 * index + 1]))
+            continue
+        if encoded and encoded % 256 == 0:
             _time.sleep(0.0005)
-        annotation = materialize_frozen_annotation(annotation_id, slot, acols, rcols)
-        annotations.append(encode_annotation(annotation))
+        encoded += 1
+        annotations.append(encode_frozen_row(annotation_id, slot, acols, rcols))
     return {
         "name": frozen.name,
         "id_namespace": frozen.id_namespace,

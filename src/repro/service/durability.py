@@ -36,6 +36,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import json
+import mmap
 import os
 import re
 import signal
@@ -43,8 +44,9 @@ import sys
 import threading
 import time
 import zlib
+from array import array
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.core.persistence import hydrate_catalogue, rebuild
 from repro.errors import ServiceError, SnapshotCorruptionError, WalCorruptionError
@@ -179,7 +181,7 @@ def collector_paused():
             gc.enable()
 
 
-def dump_json_chunked(handle, payload: dict[str, Any]) -> None:
+def dump_json_chunked(handle, payload: dict[str, Any], source=None) -> array:
     """Serialize *payload* to *handle*, byte-identical to ``json.dump``.
 
     One monolithic ``json.dumps`` of a large snapshot is a single C call
@@ -188,7 +190,15 @@ def dump_json_chunked(handle, payload: dict[str, Any]) -> None:
     collections entry-by-entry keeps each C call microseconds long, with a
     GIL yield point between entries, while still using the C encoder for
     the actual byte generation.
+
+    The items of ``payload["annotations"]`` are the snapshot's records
+    (:func:`~repro.core.persistence.snapshot_from_frozen`): a dict is
+    encoded, a ``slice`` is copied verbatim from *source* (the bytes of the
+    snapshot being replaced), and slices adjacent there go out as one run.
+    Returns each record's ``[start, end)`` byte offsets in the output,
+    ``spans[2 * i]`` and ``spans[2 * i + 1]``, read from ``handle.position``.
     """
+    spans = array("q")
     handle.write("{")
     first = True
     for key, value in payload.items():
@@ -197,7 +207,9 @@ def dump_json_chunked(handle, payload: dict[str, Any]) -> None:
         first = False
         handle.write(json.dumps(key))
         handle.write(": ")
-        if isinstance(value, list):
+        if key == "annotations":
+            _dump_records(handle, value, source, spans)
+        elif isinstance(value, list):
             handle.write("[")
             for index, item in enumerate(value):
                 if index:
@@ -218,6 +230,38 @@ def dump_json_chunked(handle, payload: dict[str, Any]) -> None:
             # would; let the stock encoder keep the bytes canonical.
             handle.write(json.dumps(value))
     handle.write("}")
+    return spans
+
+
+def _dump_records(handle, records, source, spans: array) -> None:
+    """The records array of :func:`dump_json_chunked`, recording *spans*."""
+    handle.write("[")
+    run: slice | None = None  # source bytes not yet written, landing at *at*
+    at = 0
+    for index, record in enumerate(records):
+        if type(record) is slice:
+            if run is not None and record.start == run.stop + len(", "):
+                run = slice(run.start, record.stop)  # adjacent: one run
+            else:
+                if run is not None:
+                    handle.write(source[run])
+                if index:
+                    handle.write(", ")
+                run, at = record, handle.position
+            spans.append(at + record.start - run.start)
+            spans.append(at + record.stop - run.start)
+            continue
+        if run is not None:
+            handle.write(source[run])
+            run = None
+        if index:
+            handle.write(", ")
+        spans.append(handle.position)
+        handle.write(json.dumps(record))
+        spans.append(handle.position)
+    if run is not None:
+        handle.write(source[run])
+    handle.write("]")
 
 
 #: Snapshot IO pacing: fsync roughly every this many bytes, then pause.
@@ -226,8 +270,11 @@ _SNAPSHOT_PACE_S = 0.002
 
 
 class _PacedWriter:
-    """Text-to-binary file wrapper that syncs every ~chunk bytes, pauses
-    briefly, and checksums what it writes past the first *unchecked* bytes.
+    """Binary file wrapper that syncs every ~chunk bytes, pauses briefly,
+    and checksums what it writes past the first *unchecked* bytes; its
+    ``position`` counts those checksummed bytes.  Text is written as UTF-8,
+    bytes-like objects (a ``memoryview`` of the previous snapshot) as they
+    are.
 
     Deferring a multi-megabyte snapshot to one final fsync builds a flush
     storm that queues ahead of concurrent WAL fsyncs on the same
@@ -245,13 +292,15 @@ class _PacedWriter:
         self._pending = 0
         self._unchecked = unchecked
         self.crc32 = 0
+        self.position = 0
 
-    def write(self, text: str) -> int:
-        data = text.encode("utf-8")
+    def write(self, text) -> int:
+        data = text.encode("utf-8") if isinstance(text, str) else text
         skipped = min(self._unchecked, len(data))
         self._unchecked -= skipped
         self.crc32 = zlib.crc32(memoryview(data)[skipped:], self.crc32)
         written = self._handle.write(data)
+        self.position += written - skipped
         self._pending += written
         if self._pending >= self._chunk:
             self._handle.flush()
@@ -280,7 +329,18 @@ def _preallocate(handle, estimate: int) -> None:
         pass
 
 
-def write_snapshot_file(path: Path, payload: dict[str, Any]) -> Path:
+class SnapshotLayout(NamedTuple):
+    """A written snapshot's checksum, and where its records landed.
+
+    Offsets count from the first checksummed byte, so they hold for any
+    file with the same checksum, whatever its ``wal_seq``.
+    """
+
+    crc32: int
+    spans: array  # [start, end) of record i at 2 * i, 2 * i + 1
+
+
+def write_snapshot_file(path: Path, payload: dict[str, Any], source=None) -> SnapshotLayout:
     """Write *payload* durably at *path*: the one snapshot file writer.
 
     ``wal_seq`` is emitted as the FIRST key so reopen/recovery can peek it
@@ -288,7 +348,8 @@ def write_snapshot_file(path: Path, payload: dict[str, Any]) -> Path:
     checksum as the second, written as a placeholder and patched in place
     once the bytes after it are known.  Temp file (preallocated to the size
     of the snapshot it replaces, paced to disk) + fsync + atomic rename +
-    directory fsync.
+    directory fsync.  Records given as slices are copied from *source* (see
+    :func:`dump_json_chunked`).
     """
     wal_seq = int(payload.get("wal_seq", 0))
     ordered: dict[str, Any] = {"wal_seq": wal_seq, "crc32": "0" * 8}
@@ -304,7 +365,7 @@ def write_snapshot_file(path: Path, payload: dict[str, Any]) -> Path:
     with tmp.open("wb") as handle:
         _preallocate(handle, estimate)
         writer = _PacedWriter(handle, unchecked=checksum_at + 9)  # 8 digits + quote
-        dump_json_chunked(writer, ordered)
+        spans = dump_json_chunked(writer, ordered, source)
         handle.truncate()  # trim any over-allocation from the estimate
         handle.seek(checksum_at)
         handle.write(b"%08x" % writer.crc32)
@@ -317,7 +378,7 @@ def write_snapshot_file(path: Path, payload: dict[str, Any]) -> Path:
     # failure could leave the old snapshot next to already-pruned history.
     fsync_dir(path.parent)
     _maybe_kill("rename")
-    return path
+    return SnapshotLayout(writer.crc32, spans)
 
 
 def read_snapshot(path: str | Path) -> dict[str, Any]:
@@ -361,6 +422,8 @@ class DurableStore:
         #: The concurrent-writer stress test parks a checkpoint here to prove
         #: writers never block on serialization.
         self.snapshot_write_hook: Callable[[], None] | None = None
+        #: What the last :meth:`write_snapshot` wrote (None before one lands).
+        self.layout: SnapshotLayout | None = None
 
     def _snapshot_wal_seq(self) -> int:
         """The ``wal_seq`` embedded in the current snapshot (0 when absent)."""
@@ -390,11 +453,35 @@ class DurableStore:
         self.checkpoints += 1
         return self.wal.last_seq
 
-    def write_snapshot(self, payload: dict[str, Any]) -> Path:
-        """Write *payload* as this root's snapshot (:func:`write_snapshot_file`)."""
+    def read_previous_snapshot(self, crc32: int) -> memoryview | None:
+        """The checksummed bytes of this root's snapshot (the ones a
+        :class:`SnapshotLayout` counts in), if the file still carries
+        checksum *crc32* and they verify against it; None otherwise (the
+        file is gone, replaced or damaged).
+
+        The file is mapped, not read into a ``bytes``: freeing a
+        multi-megabyte buffer makes glibc's allocator raise its mmap
+        threshold, and the process then keeps that much more heap resident.
+        """
+        try:
+            with self.snapshot_path.open("rb") as handle:
+                data = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        except (OSError, ValueError):  # missing, or empty (nothing to map)
+            return None
+        head = _CHECKSUM_HEAD.match(data)
+        if head is None or int(head.group(1), 16) != crc32:
+            return None
+        checked = memoryview(data)[head.end():]
+        return checked if zlib.crc32(checked) == crc32 else None
+
+    def write_snapshot(self, payload: dict[str, Any], source=None) -> Path:
+        """Write *payload* as this root's snapshot (:func:`write_snapshot_file`),
+        recording where its records landed in :attr:`layout`."""
+        self.layout = None
         if self.snapshot_write_hook is not None:
             self.snapshot_write_hook()
-        return write_snapshot_file(self.snapshot_path, payload)
+        self.layout = write_snapshot_file(self.snapshot_path, payload, source)
+        return self.snapshot_path
 
     def finish_checkpoint(self, wal_seq: int) -> list[Path]:
         """Prune sealed segments the durable snapshot at *wal_seq* supersedes."""

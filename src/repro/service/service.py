@@ -37,7 +37,12 @@ from repro.analysis.annotations import mutates_state, requires_write_lock
 from repro.core.annotation import Annotation
 from repro.core.builder import AnnotationBuilder
 from repro.core.manager import Graphitti
-from repro.core.persistence import encode_annotation, freeze_manager, snapshot_from_frozen
+from repro.core.persistence import (
+    CheckpointBase,
+    encode_annotation,
+    freeze_manager,
+    snapshot_from_frozen,
+)
 from repro.errors import ServiceError
 from repro.obs import Observability, ObservabilityConfig
 from repro.query.ast import Query
@@ -151,6 +156,11 @@ class GraphittiService:
         # hold on return — but writers never wait on serialization.
         self._ckpt_thread: threading.Thread | None = None
         self._ckpt_error: Exception | None = None
+        # What the last landed checkpoint leaves the next one, which copies
+        # the records of unchanged rows from its file (see _run_checkpoint).
+        self._ckpt_base: CheckpointBase | None = None
+        self._rows_encoded = 0
+        self._rows_copied = 0
         self._planner = QueryPlanner(self._manager)
         self._manager.stats_providers.append(self._service_stats)
 
@@ -507,6 +517,14 @@ class GraphittiService:
     def _run_checkpoint(self, frozen, wal_seq: int) -> None:
         """Background half of a checkpoint: serialize, land, prune.
 
+        Only rows written since the previous checkpoint are encoded: the
+        others are copied from the snapshot file that checkpoint landed,
+        provided the file still verifies against the checksum it was written
+        with (see :func:`snapshot_from_frozen`).  A landed checkpoint leaves
+        its :class:`CheckpointBase` to the next one; a failed one leaves
+        nothing, so the next encodes every row.  At most one checkpoint
+        thread runs at a time, so the handoff needs no lock.
+
         Serialization is pure CPU; inside the courtesy window
         :meth:`_checkpoint_locked` opened (:func:`enter_gil_courtesy`) the
         interpreter hands the GIL back to concurrent committers promptly
@@ -514,16 +532,25 @@ class GraphittiService:
         5 ms switch interval.  This thread closes the window, whatever
         happens.
         """
+        base, self._ckpt_base = self._ckpt_base, None
         try:
             try:
-                payload = snapshot_from_frozen(frozen)
+                source = None if base is None else self._store.read_previous_snapshot(base.crc32)
+                payload = snapshot_from_frozen(frozen, None if source is None else base)
                 payload["wal_seq"] = wal_seq
-                self._store.write_snapshot(payload)
+                self._store.write_snapshot(payload, source)
             finally:
                 leave_gil_courtesy()
             self._store.finish_checkpoint(wal_seq)
         except Exception as exc:  # surfaced on the next checkpoint/close
             self._ckpt_error = exc
+            return
+        records = payload["annotations"]
+        copied = sum(type(record) is slice for record in records)
+        self._rows_copied += copied
+        self._rows_encoded += len(records) - copied
+        layout = self._store.layout
+        self._ckpt_base = CheckpointBase(frozen, layout.spans, layout.crc32)
 
     def _join_checkpoint(self) -> None:
         """Wait for any in-flight background checkpoint (never under the lock)."""
@@ -779,5 +806,7 @@ class GraphittiService:
                 **self._store.wal.segment_stats(),
             }
             stats["checkpoints"] = self._store.checkpoints
+            stats["checkpoint_rows_encoded"] = self._rows_encoded
+            stats["checkpoint_rows_copied"] = self._rows_copied
         stats["storage"] = self._manager.storage_stats()
         return {"service": stats}

@@ -92,3 +92,26 @@ class Svc:
     io = [f for f in findings if f.rule == "lock-io"]
     assert len(io) == 1
     assert "_serialize_all -> _land -> fsync" in io[0].message
+
+
+def test_reading_the_previous_snapshot_under_the_write_lock_is_flagged(tmp_path):
+    target = tmp_path / "service_mod.py"
+    target.write_text(
+        '''
+from repro.analysis.annotations import mutates_state
+from repro.service.locks import ReadWriteLock
+
+
+class Svc:
+    def __init__(self, store):
+        self._lock = ReadWriteLock()
+        self._store = store
+
+    @mutates_state
+    def checkpoint(self, crc32):
+        with self._lock.write_locked():
+            return self._store.read_previous_snapshot(crc32)
+'''
+    )
+    io = [f for f in check_lock_discipline([target]) if f.rule == "lock-io"]
+    assert len(io) == 1 and "read_previous_snapshot" in io[0].message

@@ -10,6 +10,10 @@
   alike.
 * Every snapshot carries a CRC32 of its bytes; damage that would still
   parse, and truncation, raise :class:`SnapshotCorruptionError`.
+* A checkpoint copies the records of unchanged rows from the snapshot it
+  replaces only while that file verifies against the checksum it was written
+  with: a flipped byte, a replaced file or a recovered service makes it
+  encode every row, and the file it writes is still a full encode's.
 * The ``object_metadata`` section is written byte-for-byte as commit
   6862682 wrote it, except that native bytes are never persisted: a row's
   ``raw`` is ``null`` in every snapshot, as it is in every WAL record.
@@ -45,6 +49,7 @@ from repro.service.durability import (  # noqa: E402
     peek_snapshot_wal_seq,
     read_snapshot,
     recover_manager,
+    write_snapshot_file,
 )
 from repro.spatial.interval import Interval  # noqa: E402
 from repro.spatial.rect import Rect  # noqa: E402
@@ -315,6 +320,87 @@ def test_a_reseeded_replica_root_gets_the_checkpoint_writers_file(v2_root, tmp_p
         assert follower.manager.annotation_count == len(payload["annotations"])
     finally:
         follower.close()
+
+
+# -- incremental checkpoints never launder damage ------------------------------------------
+
+
+def full_encode(service: GraphittiService, root: Path) -> bytes:
+    """The file a full encode of *service*'s state writes for its snapshot."""
+    payload = snapshot(service.manager)
+    payload["wal_seq"] = peek_snapshot_wal_seq(root / SNAPSHOT_FILE)
+    target = root.parent / "full.json"
+    write_snapshot_file(target, payload)
+    return target.read_bytes()
+
+
+def rows(service: GraphittiService) -> tuple[int, int]:
+    counters = service.statistics()["service"]
+    return counters["checkpoint_rows_encoded"], counters["checkpoint_rows_copied"]
+
+
+def checkpoint_after_edits(service: GraphittiService, root: Path) -> tuple[int, int]:
+    """Edit two annotations, checkpoint; ``(encoded, copied)`` by that checkpoint."""
+    for annotation_id in sorted(service.manager.annotation_ids())[:2]:
+        service.update_annotation(annotation_id, {"title": "edited after the checkpoint"})
+    encoded, copied = rows(service)
+    service.checkpoint()
+    assert (root / SNAPSHOT_FILE).read_bytes() == full_encode(service, root)
+    recovered, _ = recover_manager(root)
+    assert plain(snapshot(recovered)) == plain(snapshot(service.manager))
+    after = rows(service)
+    return after[0] - encoded, after[1] - copied
+
+
+def test_an_undamaged_snapshot_is_copied_from(tmp_path):
+    root = tmp_path / "root"
+    service = churned_root(root, annotations=20, operations=30)
+    try:
+        service.checkpoint()
+        assert checkpoint_after_edits(service, root) == (2, service.annotation_count - 2)
+    finally:
+        service.close()
+
+
+def test_a_damaged_record_is_never_copied_forward(tmp_path):
+    root = tmp_path / "root"
+    service = churned_root(root, annotations=20, operations=30)
+    try:
+        service.checkpoint()
+        path = root / SNAPSHOT_FILE
+        data = path.read_bytes()
+        at = re.search(rb'"body": "initial mark (\d)', data).start(1)
+        path.write_bytes(data[:at] + b"%d" % ((int(data[at:at + 1]) + 1) % 10) + data[at + 1:])
+        assert checkpoint_after_edits(service, root) == (service.annotation_count, 0)
+    finally:
+        service.close()
+
+
+def test_a_replaced_snapshot_is_never_copied_from(tmp_path):
+    root = tmp_path / "root"
+    service = churned_root(root, annotations=20, operations=30)
+    try:
+        service.checkpoint()
+        path = root / SNAPSHOT_FILE
+        payload = read_snapshot(path)
+        payload["annotations"][0]["body"] = "a different snapshot"
+        write_snapshot_file(path, payload)  # verifies, under another checksum
+        assert checkpoint_after_edits(service, root) == (service.annotation_count, 0)
+    finally:
+        service.close()
+
+
+def test_a_recovered_service_copies_nothing_from_the_file_it_recovered(tmp_path):
+    root = tmp_path / "root"
+    service = churned_root(root, annotations=20, operations=30)
+    service.checkpoint()
+    service.close()
+    service = GraphittiService.recover(root, config=CONFIG)
+    try:
+        assert checkpoint_after_edits(service, root) == (service.annotation_count, 0)
+        assert checkpoint_after_edits(service, root) == (2, service.annotation_count - 2)
+    finally:
+        service.close()
 
 
 # -- object metadata ---------------------------------------------------------------------
