@@ -123,7 +123,10 @@ class WireError(ServiceError):
 
     Raised for torn/truncated frames, oversized frames, and bodies that are
     not valid JSON.  A client treats it like a connection loss: the request
-    outcome is unknown and the connection must be discarded."""
+    outcome is unknown and the connection must be discarded.  Also raised
+    for a reply read whole whose query page does not decode (a missing key,
+    a malformed fragment row): that call fails, the connection stays
+    pooled."""
 
 
 class ShardTimeoutError(ServiceError):

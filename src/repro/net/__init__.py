@@ -6,9 +6,13 @@ length-framed JSON protocol over TCP:
 
 - :mod:`repro.net.wire` — the framing codec (4-byte length prefix + JSON
   body) and a streaming decoder that tolerates arbitrary chunk boundaries.
+- :mod:`repro.net.codec` — query pages to and from wire JSON; a CONTENTS
+  fragment crosses as the JSON text of its rows, encoded once per stored
+  document version.
 - :mod:`repro.net.server` — ``ShardWorkerServer``, one per worker process,
   wrapping a per-shard :class:`repro.service.GraphittiService` with
-  idempotency-keyed mutation dedup and a bounded write-admission window.
+  idempotency-keyed mutation dedup, a bounded write-admission window and
+  the memo of fragment texts.
 - :mod:`repro.net.client` — ``ShardClient``, a connection-pooled RPC proxy
   with per-op timeouts, capped exponential backoff with jitter, and
   idempotency keys so a retried commit never double-applies.

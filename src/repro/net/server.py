@@ -34,6 +34,7 @@ import json
 import os
 import socket
 import threading
+import weakref
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable
@@ -46,6 +47,7 @@ from repro.query.ast import ReturnKind
 from repro.service import ops
 from repro.service.service import GraphittiService, ServiceConfig
 from repro.shard.service import open_shard
+from repro.xmlstore.document import XmlDocument
 
 #: Name of the per-shard announce file a worker writes after binding.
 ANNOUNCE_FILE = "net.json"
@@ -80,6 +82,11 @@ class ShardWorkerServer:
         self._stopped = threading.Event()
         self._connections: set[socket.socket] = set()
         self._connections_lock = threading.Lock()
+        #: Stored content document -> its CONTENTS-page wire text, shared by
+        #: the connection threads through ``get`` and assignment only (see
+        #: :mod:`repro.net.codec`).  Weak keys: an entry dies with the
+        #: document version it encodes.
+        self._documents: weakref.WeakKeyDictionary[XmlDocument, str] = weakref.WeakKeyDictionary()
         #: Handlers with server-side logic the table cannot express; every
         #: other op is decoded, run and encoded by its table row.
         self._handlers: dict[str, Callable[[dict[str, Any]], Any]] = {
@@ -319,7 +326,7 @@ class ShardWorkerServer:
                 ]
                 for annotation_id in result.annotation_ids
             }
-        return encode_query_result(result, referents_by_annotation)
+        return encode_query_result(result, referents_by_annotation, self._documents)
 
     def _serve_data_object(self, args: dict[str, Any]) -> dict[str, Any]:
         # The catalogue entry carries the metadata row the manager stored

@@ -170,6 +170,15 @@ class XmlElement:
             element.append(cls.from_dict(child_payload))
         return element
 
+    def to_rows(self) -> list[Any]:
+        """The subtree as nested rows: ``[tag, attributes, text, [child rows...]]``.
+
+        The compact twin of :meth:`to_dict`: positions instead of keys, so
+        its JSON text is shorter and :meth:`XmlDocument.from_rows` unpacks
+        it without a key lookup.
+        """
+        return [self.tag, dict(self.attributes), self.text, [child.to_rows() for child in self._children]]
+
     def copy(self) -> "XmlElement":
         """Deep copy of the subtree (detached from any parent)."""
         clone = XmlElement(self.tag, attributes=dict(self.attributes), text=self.text)
@@ -179,6 +188,28 @@ class XmlElement:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<XmlElement {self.tag} attrs={len(self.attributes)} children={len(self._children)}>"
+
+
+def _element_from_row(row: Any, parent: XmlElement | None) -> XmlElement:
+    """One element of :meth:`XmlDocument.from_rows`, with its subtree."""
+    if type(row) is not list or len(row) != 4:
+        raise XmlStoreError(f"element row must be a list of 4 items, got {row!r:.80}")
+    tag, attributes, text, children = row
+    if (
+        type(tag) is not str
+        or not tag
+        or type(attributes) is not dict
+        or type(text) is not str
+        or type(children) is not list
+    ):
+        raise XmlStoreError(f"element row must be [str, dict, str, list], got {row!r:.80}")
+    element = XmlElement.__new__(XmlElement)
+    element.tag = tag
+    element.attributes = attributes
+    element.text = text
+    element.parent = parent
+    element._children = [_element_from_row(child, element) for child in children]
+    return element
 
 
 class XmlDocument:
@@ -212,6 +243,32 @@ class XmlDocument:
     def from_dict(cls, payload: Mapping[str, Any]) -> "XmlDocument":
         """Reconstruct from :meth:`to_dict` output."""
         return cls(root=XmlElement.from_dict(payload["root"]), doc_id=payload.get("doc_id"))
+
+    def to_rows(self) -> list[Any]:
+        """The document as ``[doc_id, root row]`` (see :meth:`XmlElement.to_rows`).
+
+        The network codec's form for a document; :meth:`to_dict` stays the
+        disk form.
+        """
+        return [self.doc_id, self.root.to_rows()]
+
+    @classmethod
+    def from_rows(cls, rows: Any) -> "XmlDocument":
+        """Rebuild a document from :meth:`to_rows` output (e.g. fresh ``json.loads``).
+
+        Each element's slots and ``parent`` link are set directly — no
+        ``XmlElement.__init__``, no ``append`` — and its attributes dict is
+        adopted, not copied, so the caller hands *rows* over.  Raises
+        :class:`XmlStoreError` unless *rows* is ``[doc_id, root row]`` with a
+        ``str`` or ``None`` doc id and every element row is
+        ``[str, dict, str, list]`` with a non-empty tag.
+        """
+        if type(rows) is not list or len(rows) != 2:
+            raise XmlStoreError(f"document rows must be [doc_id, root row], got {rows!r:.80}")
+        doc_id, root = rows
+        if doc_id is not None and type(doc_id) is not str:
+            raise XmlStoreError(f"document id must be a string or null, got {doc_id!r:.80}")
+        return cls(_element_from_row(root, None), doc_id=doc_id)
 
     def copy(self) -> "XmlDocument":
         """Deep copy of the document."""

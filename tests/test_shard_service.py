@@ -73,6 +73,19 @@ def assert_bit_identical(sharded, oracle):
         left_refs = [referent.referent_id for referent in left.referents]
         right_refs = [referent.referent_id for referent in right.referents]
         assert left_refs == right_refs, text
+        assert _fragment_rows(left) == _fragment_rows(right), text
+        left_graphs = [subgraph.to_dict() for subgraph in left.subgraphs]
+        assert left_graphs == [subgraph.to_dict() for subgraph in right.subgraphs], text
+
+
+def _fragment_rows(result):
+    """Each fragment's ``to_dict()`` beside its annotation id (``None`` kept)."""
+    fragments = result.fragments
+    assert not fragments or len(fragments) == len(result.annotation_ids)
+    return [
+        (annotation_id, None if fragment is None else fragment.to_dict())
+        for annotation_id, fragment in zip(result.annotation_ids, fragments)
+    ]
 
 
 def test_queries_bit_identical_to_unsharded(pair):

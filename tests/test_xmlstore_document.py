@@ -139,3 +139,71 @@ def test_document_roundtrip_dict():
     restored = XmlDocument.from_dict(document.to_dict())
     assert restored.doc_id == "d1"
     assert restored.root.equals(root)
+
+
+def _sample_document(doc_id="d1"):
+    root = XmlElement("annotation", attributes={"id": doc_id, "lang": "en"})
+    metadata = root.add("metadata")
+    metadata.add("dc:title", text="A title")
+    root.add("body", text="free text, with \"quotes\" and é")
+    referents = root.add("referents")
+    referent = referents.add("referent", id="r1", object="obj")
+    referent.add("interval", start="5", end="40", domain="chr1")
+    referents.add("referent", id="r2", object="obj")
+    return XmlDocument(root, doc_id=doc_id)
+
+
+def test_document_roundtrip_rows_through_json():
+    import json
+
+    document = _sample_document()
+    restored = XmlDocument.from_rows(json.loads(json.dumps(document.to_rows())))
+    assert restored.to_dict() == document.to_dict()
+    assert json.dumps(restored.to_dict()) == json.dumps(document.to_dict())  # same key order
+    for element in restored.iter():
+        for child in element:
+            assert child.parent is element
+    assert restored.root.parent is None
+    assert restored.root.find("referents").children[0].path() == "/annotation/referents/referent"
+    assert XmlDocument.from_rows([None, ["x", {}, "", []]]).doc_id is None
+
+
+def test_to_rows_shares_nothing_mutable_with_the_tree():
+    document = _sample_document()
+    rows = document.to_rows()
+    rows[1][1]["id"] = "changed"
+    assert document.root.get("id") == "d1"
+
+
+def test_from_rows_adopts_the_rows_it_is_handed():
+    rows = ["d", ["root", {"k": "v"}, "", [["leaf", {}, "t", []]]]]
+    document = XmlDocument.from_rows(rows)
+    assert document.root.attributes is rows[1][1]
+    leaf = document.root.find("leaf")
+    assert leaf.text == "t" and leaf.parent is document.root
+    document.root.add("more")  # a built tree is an ordinary, mutable tree
+    assert [child.tag for child in document.root] == ["leaf", "more"]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        None,
+        {},
+        ["d"],
+        ["d", ["root", {}, ""]],
+        [3, ["root", {}, "", []]],
+        ["d", ["", {}, "", []]],
+        ["d", [7, {}, "", []]],
+        ["d", ["root", [], "", []]],
+        ["d", ["root", {}, None, []]],
+        ["d", ["root", {}, "", {}]],
+        ["d", ["root", {}, "", [["child", {}, ""]]]],
+        ["d", ["root", {}, "", [["child", {}, "", "not a list"]]]],
+        ["d", ["root", {}, "", ["child"]]],
+        ["d", {"tag": "root", "attributes": {}, "text": "", "children": []}],
+    ],
+)
+def test_from_rows_refuses_malformed_rows(rows):
+    with pytest.raises(XmlStoreError):
+        XmlDocument.from_rows(rows)
