@@ -10,6 +10,7 @@ hands out :class:`AnnotationBuilder` instances from
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterable
 
 from repro.core.annotation import Annotation, AnnotationContent
@@ -60,7 +61,18 @@ class AnnotationBuilder:
     # -- referents -------------------------------------------------------------
 
     def add_referent(self, ref: SubstructureRef, ontology_terms: Iterable[str] = ()) -> "AnnotationBuilder":
-        """Attach a pre-built substructure reference as a referent."""
+        """Attach a pre-built substructure reference as a referent.
+
+        The annotation holds a copy of *ref*.  A ref read back from a
+        committed annotation is the store's canonical object, which a move
+        rewrites in place; holding that object would move this referent's
+        extent too, without re-indexing it.
+        """
+        ref = replace(ref, descriptor=dict(ref.descriptor))
+        return self._attach(ref, ontology_terms)
+
+    def _attach(self, ref: SubstructureRef, ontology_terms: Iterable[str]) -> "AnnotationBuilder":
+        """Attach a ref no one else holds (a fresh mark) as a referent."""
         resolved = [self._manager.resolve_ontology_term(term) for term in ontology_terms]
         self._annotation.add_referent(ref, ontology_terms=resolved)
         return self
@@ -69,49 +81,49 @@ class AnnotationBuilder:
         """Mark a residue interval on a registered sequence."""
         obj = self._manager.data_object(object_id)
         ref = obj.mark(start, end, label=label)
-        return self.add_referent(ref, ontology_terms)
+        return self._attach(ref, ontology_terms)
 
     def mark_alignment_columns(self, object_id: str, start: int, end: int, ontology_terms: Iterable[str] = ()) -> "AnnotationBuilder":
         """Mark a column block on a registered alignment."""
         obj = self._manager.data_object(object_id)
         ref = obj.mark_columns(start, end)
-        return self.add_referent(ref, ontology_terms)
+        return self._attach(ref, ontology_terms)
 
     def mark_region(self, object_id: str, lo, hi, ontology_terms: Iterable[str] = (), label: str | None = None) -> "AnnotationBuilder":
         """Mark a 2D/3D region on a registered image."""
         obj = self._manager.data_object(object_id)
         ref = obj.mark_region(lo, hi, label=label)
-        return self.add_referent(ref, ontology_terms)
+        return self._attach(ref, ontology_terms)
 
     def mark_record_block(self, object_id: str, row_keys: Iterable[str], ontology_terms: Iterable[str] = ()) -> "AnnotationBuilder":
         """Mark a block of rows on a registered relational record."""
         obj = self._manager.data_object(object_id)
         ref = obj.mark_block(row_keys)
-        return self.add_referent(ref, ontology_terms)
+        return self._attach(ref, ontology_terms)
 
     def mark_clade(self, object_id: str, clade_name: str, ontology_terms: Iterable[str] = ()) -> "AnnotationBuilder":
         """Mark a clade on a registered phylogenetic tree."""
         obj = self._manager.data_object(object_id)
         ref = obj.mark_clade(clade_name)
-        return self.add_referent(ref, ontology_terms)
+        return self._attach(ref, ontology_terms)
 
     def mark_clade_by_leaves(self, object_id: str, leaf_names: Iterable[str], ontology_terms: Iterable[str] = ()) -> "AnnotationBuilder":
         """Mark the smallest clade covering the named leaves."""
         obj = self._manager.data_object(object_id)
         ref = obj.mark_clade_by_leaves(list(leaf_names))
-        return self.add_referent(ref, ontology_terms)
+        return self._attach(ref, ontology_terms)
 
     def mark_subgraph(self, object_id: str, nodes: Iterable[str], ontology_terms: Iterable[str] = ()) -> "AnnotationBuilder":
         """Mark an induced subgraph on a registered interaction graph."""
         obj = self._manager.data_object(object_id)
         ref = obj.mark_subgraph(nodes)
-        return self.add_referent(ref, ontology_terms)
+        return self._attach(ref, ontology_terms)
 
     def mark_neighborhood(self, object_id: str, node: str, radius: int = 1, ontology_terms: Iterable[str] = ()) -> "AnnotationBuilder":
         """Mark a node's neighbourhood subgraph on an interaction graph."""
         obj = self._manager.data_object(object_id)
         ref = obj.mark_neighborhood(node, radius=radius)
-        return self.add_referent(ref, ontology_terms)
+        return self._attach(ref, ontology_terms)
 
     # -- commit -----------------------------------------------------------------
 

@@ -283,8 +283,11 @@ class Graphitti:
         member applies.  Each member's keyword indexing — the dominant cost
         of a small commit — is then deferred (see :meth:`DocumentCollection.add
         <repro.xmlstore.collection.DocumentCollection.add>`) and performed
-        once, lazily, on the first subsequent keyword search.  This is the
-        manager half of the serving layer's bulk-commit fast path.
+        once, lazily, on the first subsequent keyword search.  The batch is
+        then wired once, exactly as a snapshot load wires its records
+        (:func:`~repro.core.persistence.wire_annotations`), so each spatial
+        index takes the batch's extents in one ``insert_many`` call.  This is
+        the manager half of the serving layer's bulk-commit fast path.
         """
         batch = list(annotations)
         self.approve_commit(batch)
@@ -292,7 +295,7 @@ class Graphitti:
             self.contents.add(
                 annotation.to_document(), doc_id=annotation.annotation_id, defer_index=True
             )
-            wire_annotations(self, [annotation])
+        wire_annotations(self, batch)
         return batch
 
     #: Materialized row views kept hot (commit seeds entries; reads refresh).

@@ -167,13 +167,15 @@ def wire_annotations(
     """Wire annotations into *manager*'s substrates, in order.
 
     The one wiring routine: a live :meth:`~repro.core.manager.Graphitti.commit`
-    hands it its validated annotation, a snapshot load every record at once,
-    WAL replay one record at a time.  It does no registry validation, so it
+    hands it its validated annotation, :meth:`~repro.core.manager.Graphitti.commit_many`
+    its whole approved batch, a snapshot load every record at once, WAL
+    replay one record at a time.  It does no registry validation, so it
     works on catalogue-only instances whose native data objects were not
     reconstructed.  The batch's referents reach the substructure store as
-    one batch, so an index that is still empty is built once instead of
-    insert by insert; each annotation's a-graph edges are exactly its
-    :meth:`~repro.core.annotation.Annotation.agraph_edges`.  With
+    one batch, so each index takes its share in one ``insert_many`` call --
+    a bulk build when the index is empty, one rebuild when the batch is
+    large against it, inserts otherwise; each annotation's a-graph edges
+    are exactly its :meth:`~repro.core.annotation.Annotation.agraph_edges`.  With
     ``add_content_documents=True`` each content document is regenerated and
     stored too (the WAL replay path; :func:`rebuild` registers the snapshot's
     documents itself, lazily, and a commit stores its own).

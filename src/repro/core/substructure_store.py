@@ -101,8 +101,8 @@ class SubstructureStore:
         Columns, the per-object / per-type maps and the extent summaries fill
         in batch order — the float sums are the ones repeated :meth:`add`
         calls would produce — and each domain's / space's extents then reach
-        their tree as one batch, which a still-empty tree builds in a single
-        pass (:meth:`IntervalTree.insert_many
+        their tree as one batch, which the tree builds in a single pass when
+        it is empty or the batch is large against it (:meth:`IntervalTree.insert_many
         <repro.spatial.interval_tree.IntervalTree.insert_many>`,
         :meth:`RTree.insert_many <repro.spatial.rtree.RTree.insert_many>`).
         """

@@ -10,10 +10,13 @@ two ingredients:
   their spelling, and a result computed under one constraint order is never
   served for another;
 * every entry is **tagged with the mutation epoch** it was computed at.  The
-  manager bumps its epoch on every mutation, and :meth:`QueryResultCache.get`
-  treats an entry from an older epoch as a miss and drops it — invalidation
-  is one integer compare, with no tracking of which queries a mutation could
-  affect.
+  manager bumps its epoch on every mutation, and an entry from an older
+  epoch is never served — invalidation is one integer compare, with no
+  tracking of which queries a mutation could affect.  Epochs only grow, so
+  the first lookup or store that names a newer epoch than any before drops
+  every entry at once: a stale entry can never hit again, and kept until
+  its own key came back it would pin the document versions its result
+  holds (which the network worker's wire-text memo then cannot forget).
 
 The cache is LRU-bounded and thread-safe (its own mutex; callers hold the
 service read lock, which does not exclude other readers).
@@ -41,6 +44,8 @@ class QueryResultCache:
         self.capacity = capacity
         self._entries: OrderedDict[Hashable, tuple[int, Any]] = OrderedDict()
         self._mutex = threading.Lock()
+        #: The newest epoch a lookup or store has named; every entry is at it.
+        self._epoch = 0
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -58,6 +63,7 @@ class QueryResultCache:
         invalidation as well as a miss.
         """
         with self._mutex:
+            self._advance(epoch)
             entry = self._entries.get(key)
             if entry is None:
                 self._misses += 1
@@ -77,11 +83,22 @@ class QueryResultCache:
         if self.capacity == 0:
             return
         with self._mutex:
+            self._advance(epoch)
+            if epoch != self._epoch:
+                return  # computed before a mutation that has since landed
             self._entries[key] = (epoch, value)
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self._evictions += 1
+
+    def _advance(self, epoch: int) -> None:
+        """Drop every entry, as invalidated, when *epoch* is newer than all
+        seen before (the caller holds the mutex)."""
+        if epoch > self._epoch:
+            self._epoch = epoch
+            self._invalidations += len(self._entries)
+            self._entries.clear()
 
     def clear(self) -> int:
         """Drop every entry; returns how many were dropped."""

@@ -32,7 +32,11 @@ class ReadWriteLock:
     """
 
     def __init__(self) -> None:
-        self._monitor = threading.Condition()
+        # Entered through its bare mutex: the condition's own ``with`` adds
+        # a Python-level call to the hottest lock path (every read), and
+        # holding the mutex is holding the condition.
+        self._mutex = threading.Lock()
+        self._monitor = threading.Condition(self._mutex)
         self._active_readers = 0
         self._writer_active = False
         self._writers_waiting = 0
@@ -59,7 +63,7 @@ class ReadWriteLock:
         """Block until no writer is active or waiting, then enter as a reader."""
         metrics = self._metrics
         waited = 0.0
-        with self._monitor:
+        with self._mutex:
             if self._writer_active or self._writers_waiting:
                 start = perf_counter() if metrics is not None else 0.0
                 while self._writer_active or self._writers_waiting:
@@ -71,10 +75,15 @@ class ReadWriteLock:
             metrics["read_wait"].observe(waited)
 
     def release_read(self) -> None:
-        """Leave the reader side, waking writers when the last reader exits."""
-        with self._monitor:
+        """Leave the reader side, waking writers when the last reader exits.
+
+        Only writers ever wait for readers to leave, and a waiting writer is
+        counted in ``_writers_waiting`` before it waits, so with none counted
+        there is no one to wake.
+        """
+        with self._mutex:
             self._active_readers -= 1
-            if self._active_readers == 0:
+            if self._active_readers == 0 and self._writers_waiting:
                 self._monitor.notify_all()
 
     @contextmanager
@@ -94,7 +103,7 @@ class ReadWriteLock:
         start = perf_counter() if metrics is not None else 0.0
         if metrics is not None:
             metrics["writers_queued"].inc()
-        with self._monitor:
+        with self._mutex:
             self._writers_waiting += 1
             try:
                 while self._writer_active or self._active_readers:
@@ -113,7 +122,7 @@ class ReadWriteLock:
         metrics = self._metrics
         if metrics is not None and self._write_acquired_at:
             metrics["write_hold"].observe(perf_counter() - self._write_acquired_at)
-        with self._monitor:
+        with self._mutex:
             self._writer_active = False
             self._monitor.notify_all()
 
@@ -130,7 +139,7 @@ class ReadWriteLock:
 
     def snapshot(self) -> dict[str, int | bool]:
         """A point-in-time view of the lock state (diagnostics only)."""
-        with self._monitor:
+        with self._mutex:
             return {
                 "active_readers": self._active_readers,
                 "writer_active": self._writer_active,

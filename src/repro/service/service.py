@@ -162,6 +162,7 @@ class GraphittiService:
         self._rows_encoded = 0
         self._rows_copied = 0
         self._planner = QueryPlanner(self._manager)
+        self._view = _ReadView(self._manager, self._lock)
         self._manager.stats_providers.append(self._service_stats)
 
     # -- lifecycle -------------------------------------------------------------
@@ -238,8 +239,7 @@ class GraphittiService:
 
     # -- locking helpers -------------------------------------------------------
 
-    @contextmanager
-    def _read_view(self) -> Iterator[None]:
+    def _read_view(self) -> "_ReadView":
         """A consistent read view: shared lock + fully drained deferred work.
 
         Deferred index work (from bulk commits) and stale document bodies
@@ -251,21 +251,7 @@ class GraphittiService:
         Documents a recovery merely parked (``add_lazy``) are not drained:
         a reader that needs one builds it itself, and most are never read.
         """
-        contents = self._manager.contents
-        while True:
-            if contents.pending_index_count or contents.stale_document_count:
-                with self._lock.write_locked():
-                    contents.flush_index()
-                    contents.materialize_documents()
-            self._lock.acquire_read()
-            if contents.pending_index_count or contents.stale_document_count:
-                self._lock.release_read()
-                continue
-            break
-        try:
-            yield
-        finally:
-            self._lock.release_read()
+        return self._view
 
     # -- fencing ---------------------------------------------------------------
 
@@ -810,3 +796,35 @@ class GraphittiService:
             stats["checkpoint_rows_copied"] = self._rows_copied
         stats["storage"] = self._manager.storage_stats()
         return {"service": stats}
+
+
+class _ReadView:
+    """What :meth:`GraphittiService._read_view` returns: one per service.
+
+    It holds no per-use state, so concurrent and successive views share
+    it.  A class rather than a generator context manager: every read, and
+    every lookup a builder makes through the service, enters one, and a
+    generator frame per entry costs more than the shared-lock round trip.
+    """
+
+    __slots__ = ("_manager", "_lock")
+
+    def __init__(self, manager: Graphitti, lock: ReadWriteLock):
+        self._manager = manager
+        self._lock = lock
+
+    def __enter__(self) -> None:
+        contents = self._manager.contents
+        lock = self._lock
+        while True:
+            if contents.pending_index_count or contents.stale_document_count:
+                with lock.write_locked():
+                    contents.flush_index()
+                    contents.materialize_documents()
+            lock.acquire_read()
+            if not (contents.pending_index_count or contents.stale_document_count):
+                return
+            lock.release_read()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._lock.release_read()

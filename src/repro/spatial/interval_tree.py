@@ -14,6 +14,7 @@ from typing import Any, Callable, Iterator
 
 from repro.errors import SpatialError
 from repro.spatial.interval import Interval
+from repro.spatial.rebuild import rebuild_pays
 
 
 class _Node:
@@ -119,48 +120,72 @@ class IntervalTree:
         return self._size > 0
 
     def __iter__(self) -> Iterator[Interval]:
-        yield from self._inorder(self._root)
+        for node in self._nodes():
+            yield from node.intervals
 
     # -- mutation -----------------------------------------------------------
 
     def insert(self, interval: Interval) -> None:
         """Insert an interval (duplicates with distinct payloads are kept)."""
-        if self.domain is not None and interval.domain not in (None, self.domain):
-            raise SpatialError(
-                f"interval domain {interval.domain!r} does not match tree domain {self.domain!r}"
-            )
+        self._refuse_foreign((interval,))
         self._root = self._insert(self._root, interval)
         self._size += 1
 
     def insert_many(self, intervals: list[Interval]) -> None:
         """Insert a batch of intervals.
 
-        An empty tree is built from the sorted batch in one pass
-        (:func:`_build_balanced`), after the same domain check :meth:`insert`
-        makes; a tree that already holds intervals takes them one by one.
-        Intervals sharing a ``(start, end)`` key keep their batch order
-        inside the node, exactly as repeated inserts would leave them.
+        The whole batch is checked first, as :meth:`insert` checks one
+        interval, so a batch with one foreign member is refused and the tree
+        left unchanged.  A batch too small against the tree for a rebuild to
+        pay (:func:`~repro.spatial.rebuild.rebuild_pays`) then takes one AVL
+        insert per interval; a larger one is sorted, merged with the stored
+        nodes in key order and linked into a balanced tree in one pass
+        (:func:`_build_balanced`), which on an empty tree is a bulk build.
+        Intervals sharing a ``(start, end)`` key keep their insertion order
+        inside the node -- stored ones first, then the batch's in batch
+        order -- exactly as repeated inserts would leave them.
         """
         intervals = list(intervals)
-        if self._size:
+        self._refuse_foreign(intervals)
+        if not rebuild_pays(self._size, len(intervals)):
             for interval in intervals:
-                self.insert(interval)
+                self._root = self._insert(self._root, interval)
+            self._size += len(intervals)
             return
-        if self.domain is not None:
-            for interval in intervals:
-                if interval.domain not in (None, self.domain):
-                    raise SpatialError(
-                        f"interval domain {interval.domain!r} does not match "
-                        f"tree domain {self.domain!r}"
-                    )
         nodes: list[_Node] = []
-        for interval in sorted(intervals, key=lambda item: (item.start, item.end)):
-            if nodes and nodes[-1].key == (interval.start, interval.end):
-                nodes[-1].intervals.append(interval)
+        # A stable sort: equal keys stay stored node first, then the batch's
+        # intervals in batch order.
+        for node in sorted([*self._nodes(), *map(_Node, intervals)], key=lambda item: item.key):
+            if nodes and nodes[-1].key == node.key:
+                nodes[-1].intervals.extend(node.intervals)
             else:
-                nodes.append(_Node(interval))
+                nodes.append(node)
         self._root = _build_balanced(nodes, 0, len(nodes))
-        self._size = len(intervals)
+        self._size += len(intervals)
+
+    def _refuse_foreign(self, intervals: "tuple[Interval, ...] | list[Interval]") -> None:
+        """Raise :class:`SpatialError` for an interval in another domain than
+        the tree's (a domain-less interval fits any tree)."""
+        if self.domain is None:
+            return
+        for interval in intervals:
+            if interval.domain not in (None, self.domain):
+                raise SpatialError(
+                    f"interval domain {interval.domain!r} does not match "
+                    f"tree domain {self.domain!r}"
+                )
+
+    def _nodes(self) -> Iterator[_Node]:
+        """The stored nodes in key order (an iterative in-order walk)."""
+        stack: list[_Node] = []
+        node = self._root
+        while stack or node is not None:
+            while node is not None:
+                stack.append(node)
+                node = node.left
+            node = stack.pop()
+            yield node
+            node = node.right
 
     def remove(self, interval: Interval) -> bool:
         """Remove one stored interval equal to *interval* (same start/end and
@@ -305,19 +330,12 @@ class IntervalTree:
         """Tree height (0 when empty); useful for balance assertions."""
         return _height(self._root)
 
-    def _inorder(self, node: _Node | None) -> Iterator[Interval]:
-        if node is None:
-            return
-        yield from self._inorder(node.left)
-        yield from node.intervals
-        yield from self._inorder(node.right)
-
     # -- bulk construction ----------------------------------------------------
 
     @classmethod
     def from_intervals(cls, intervals: list[Interval], domain: str | None = None) -> "IntervalTree":
-        """Build a balanced tree from a list of intervals (one sorted pass;
-        see :meth:`insert_many`)."""
+        """Build a balanced tree from a list of intervals (one sorted pass
+        for more than a few; see :meth:`insert_many`)."""
         tree = cls(domain=domain)
         tree.insert_many(intervals)
         return tree
@@ -357,8 +375,8 @@ class IntervalIndexFamily:
         self.tree(domain).insert(interval)
 
     def insert_many(self, domain: str, intervals: list[Interval]) -> None:
-        """Insert a batch into the tree for *domain* (one sorted build when
-        that tree is still empty; see :meth:`IntervalTree.insert_many`)."""
+        """Insert a batch into the tree for *domain* (one sorted rebuild when
+        the batch is large against that tree; see :meth:`IntervalTree.insert_many`)."""
         self.tree(domain).insert_many(intervals)
 
     def search_overlap(self, domain: str, query: Interval) -> list[Interval]:

@@ -14,6 +14,7 @@ import math
 from typing import Any, Iterator
 
 from repro.errors import SpatialError
+from repro.spatial.rebuild import rebuild_pays
 from repro.spatial.rect import Rect, bounding_rect
 
 
@@ -94,47 +95,85 @@ class RTree:
     # -- insertion ----------------------------------------------------------
 
     def insert(self, rect: Rect) -> None:
-        """Insert a rectangle record."""
-        if self.space is not None and rect.space not in (None, self.space):
-            raise SpatialError(
-                f"rect space {rect.space!r} does not match R-tree space {self.space!r}"
-            )
-        leaf = self._choose_leaf(self._root, rect)
-        leaf.entries.append(_Entry(rect))
-        self._size += 1
-        self._handle_overflow(leaf)
-        self._adjust_upward(leaf)
+        """Insert a rectangle record.
+
+        A box in another space than the tree's, or of another dimension than
+        the boxes already stored, is refused before anything changes.
+        """
+        self._refuse_misfits((rect,))
+        self._insert(rect)
 
     def insert_many(self, rects: list[Rect]) -> None:
         """Insert a batch of rectangles.
 
-        An empty tree handed more than one leaf's worth is packed in one go
-        by Sort-Tile-Recursive (:meth:`_str_pack`), after the same space
-        check :meth:`insert` makes; a tree that already holds records, or a
-        batch that fits one leaf, takes them one by one.
+        The whole batch is checked first, as :meth:`insert` checks one box,
+        so a batch with one misfit is refused and the tree left unchanged.
+        A batch that fits one leaf, or one too small against the tree for a
+        rebuild to pay (:func:`~repro.spatial.rebuild.rebuild_pays`), then
+        takes one insert per box; a larger one re-packs the stored boxes and
+        the batch together by Sort-Tile-Recursive (:meth:`_str_pack`), which
+        on an empty tree is a bulk load.
         """
         rects = list(rects)
-        if self._size or len(rects) <= self._max_entries:
+        self._refuse_misfits(rects)
+        if len(rects) <= self._max_entries or not rebuild_pays(self._size, len(rects)):
             for rect in rects:
-                self.insert(rect)
+                self._insert(rect)
             return
-        if self.space is not None:
-            for rect in rects:
-                if rect.space not in (None, self.space):
-                    raise SpatialError(
-                        f"rect space {rect.space!r} does not match R-tree space {self.space!r}"
-                    )
+        if self._size:
+            rects = [*self._iterate(self._root), *rects]
         self._root = self._str_pack(rects)
         self._size = len(rects)
 
+    def _refuse_misfits(self, rects: "tuple[Rect, ...] | list[Rect]") -> None:
+        """Raise :class:`SpatialError` for a box this tree cannot hold: one in
+        another space than the tree's, or of another dimension than the
+        stored boxes (in an empty tree, than the first box given)."""
+        if not rects:
+            return
+        dimension = len((self._root.entries[0].rect if self._size else rects[0]).lo)
+        for rect in rects:
+            if self.space is not None and rect.space not in (None, self.space):
+                raise SpatialError(
+                    f"rect space {rect.space!r} does not match R-tree space {self.space!r}"
+                )
+            if len(rect.lo) != dimension:
+                raise SpatialError(f"dimension mismatch: {len(rect.lo)} vs {dimension}")
+
+    def _insert(self, rect: Rect) -> None:
+        leaf = self._choose_leaf(self._root, rect)
+        leaf.entries.append(_Entry(rect))
+        self._size += 1
+        self._handle_overflow(leaf)
+
     def _choose_leaf(self, node: _Node, rect: Rect) -> _Node:
+        """Descend to the leaf whose path needs the least enlargement, ties
+        to the smaller box, widening each chosen entry's box on the way.
+
+        Every stored box is tight, so the widened box is its subtree's exact
+        bounding box once *rect* is in the leaf, and a split below leaves it
+        so (a split moves records, it adds none): nothing above the leaf is
+        adjusted after an insert.
+
+        The candidates are scored on their corner tuples (:func:`_area`,
+        :func:`_union_area`): the floats ``enlargement_to_include`` and
+        ``area`` would give, with no :class:`Rect` built for them.
+        """
+        lo, hi = rect.lo, rect.hi
         while not node.leaf:
             best: _Entry | None = None
-            best_key: tuple[float, float] | None = None
+            best_enlargement = best_area = 0.0
             for entry in node.entries:
-                key = (entry.rect.enlargement_to_include(rect), entry.rect.area())
-                if best_key is None or key < best_key:
-                    best, best_key = entry, key
+                box = entry.rect
+                area = _area(box.lo, box.hi)
+                enlargement = _union_area(box.lo, box.hi, lo, hi) - area
+                # The tuple order (enlargement, area) <, spelled out.
+                if (
+                    best is None
+                    or enlargement < best_enlargement
+                    or (enlargement == best_enlargement and area < best_area)
+                ):
+                    best, best_enlargement, best_area = entry, enlargement, area
             assert best is not None and best.child is not None
             best.rect = best.rect.union(rect)
             node = best.child
@@ -161,14 +200,19 @@ class RTree:
 
     def _split(self, node: _Node) -> _Node:
         """Quadratic split: pick the two seeds wasting the most area, then
-        distribute remaining entries by minimum enlargement."""
+        distribute remaining entries by minimum enlargement.
+
+        Each group's box is kept as corner tuples and its area as a float,
+        so scoring builds no :class:`Rect`.
+        """
         entries = node.entries
         seed_a, seed_b = self._pick_seeds(entries)
         group_a = [entries[seed_a]]
         group_b = [entries[seed_b]]
         remaining = [entry for position, entry in enumerate(entries) if position not in (seed_a, seed_b)]
-        mbr_a = group_a[0].rect
-        mbr_b = group_b[0].rect
+        lo_a, hi_a = group_a[0].rect.lo, group_a[0].rect.hi
+        lo_b, hi_b = group_b[0].rect.lo, group_b[0].rect.hi
+        area_a, area_b = _area(lo_a, hi_a), _area(lo_b, hi_b)
         while remaining:
             # Force assignment when one group must absorb all remaining entries.
             if len(group_a) + len(remaining) == self._min_entries:
@@ -179,16 +223,18 @@ class RTree:
                 group_b.extend(remaining)
                 remaining = []
                 break
-            entry = self._pick_next(remaining, mbr_a, mbr_b)
-            remaining.remove(entry)
-            enlarge_a = mbr_a.enlargement_to_include(entry.rect)
-            enlarge_b = mbr_b.enlargement_to_include(entry.rect)
-            if (enlarge_a, mbr_a.area(), len(group_a)) <= (enlarge_b, mbr_b.area(), len(group_b)):
+            entry = remaining.pop(self._pick_next(remaining, lo_a, hi_a, area_a, lo_b, hi_b, area_b))
+            lo, hi = entry.rect.lo, entry.rect.hi
+            enlarge_a = _union_area(lo_a, hi_a, lo, hi) - area_a
+            enlarge_b = _union_area(lo_b, hi_b, lo, hi) - area_b
+            if (enlarge_a, area_a, len(group_a)) <= (enlarge_b, area_b, len(group_b)):
                 group_a.append(entry)
-                mbr_a = mbr_a.union(entry.rect)
+                lo_a, hi_a = _union_corners(lo_a, hi_a, lo, hi)
+                area_a = _area(lo_a, hi_a)
             else:
                 group_b.append(entry)
-                mbr_b = mbr_b.union(entry.rect)
+                lo_b, hi_b = _union_corners(lo_b, hi_b, lo, hi)
+                area_b = _area(lo_b, hi_b)
         node.entries = group_a
         sibling = _Node(leaf=node.leaf)
         sibling.entries = group_b
@@ -200,41 +246,44 @@ class RTree:
 
     @staticmethod
     def _pick_seeds(entries: list[_Entry]) -> tuple[int, int]:
+        """The first pair, in entry order, whose covering box wastes the most
+        area beyond the two boxes' own."""
+        corners = [(entry.rect.lo, entry.rect.hi) for entry in entries]
+        areas = [_area(lo, hi) for lo, hi in corners]
         worst_pair = (0, 1)
         worst_waste = float("-inf")
-        for (pos_a, entry_a), (pos_b, entry_b) in itertools.combinations(enumerate(entries), 2):
-            waste = (
-                entry_a.rect.union(entry_b.rect).area()
-                - entry_a.rect.area()
-                - entry_b.rect.area()
-            )
+        for pos_a, pos_b in itertools.combinations(range(len(entries)), 2):
+            lo_a, hi_a = corners[pos_a]
+            lo_b, hi_b = corners[pos_b]
+            waste = _union_area(lo_a, hi_a, lo_b, hi_b) - areas[pos_a] - areas[pos_b]
             if waste > worst_waste:
                 worst_waste = waste
                 worst_pair = (pos_a, pos_b)
         return worst_pair
 
     @staticmethod
-    def _pick_next(remaining: list[_Entry], mbr_a: Rect, mbr_b: Rect) -> _Entry:
-        best_entry = remaining[0]
+    def _pick_next(
+        remaining: list[_Entry],
+        lo_a: tuple[float, ...],
+        hi_a: tuple[float, ...],
+        area_a: float,
+        lo_b: tuple[float, ...],
+        hi_b: tuple[float, ...],
+        area_b: float,
+    ) -> int:
+        """Position of the first remaining entry with the strongest
+        preference for one group."""
+        best = 0
         best_difference = float("-inf")
-        for entry in remaining:
+        for position, entry in enumerate(remaining):
+            lo, hi = entry.rect.lo, entry.rect.hi
             difference = abs(
-                mbr_a.enlargement_to_include(entry.rect) - mbr_b.enlargement_to_include(entry.rect)
+                (_union_area(lo_a, hi_a, lo, hi) - area_a) - (_union_area(lo_b, hi_b, lo, hi) - area_b)
             )
             if difference > best_difference:
                 best_difference = difference
-                best_entry = entry
-        return best_entry
-
-    def _adjust_upward(self, node: _Node) -> None:
-        current = node
-        while current.parent is not None:
-            parent = current.parent
-            for entry in parent.entries:
-                if entry.child is current:
-                    entry.rect = current.mbr()
-                    break
-            current = parent
+                best = position
+        return best
 
     # -- deletion -----------------------------------------------------------
 
@@ -472,6 +521,47 @@ class RTree:
         return _deal(count, min(math.ceil(count / fill), count // self._min_entries))
 
 
+def _area(lo: tuple[float, ...], hi: tuple[float, ...]) -> float:
+    """:meth:`Rect.area` of the box with corners *lo* and *hi*."""
+    result = 1.0
+    for low, high in zip(lo, hi):
+        result *= high - low
+    return result
+
+
+def _union_area(
+    lo: tuple[float, ...],
+    hi: tuple[float, ...],
+    other_lo: tuple[float, ...],
+    other_hi: tuple[float, ...],
+) -> float:
+    """``rect.union(other).area()`` on corner tuples.
+
+    The same comparisons ``min`` / ``max`` make, with the same argument
+    order, and the same products in the same order, so the float is the
+    one the :class:`Rect` methods give -- and a tie breaks the same way.
+    """
+    result = 1.0
+    for low, high, other_low, other_high in zip(lo, hi, other_lo, other_hi):
+        result *= (other_high if other_high > high else high) - (
+            other_low if other_low < low else low
+        )
+    return result
+
+
+def _union_corners(
+    lo: tuple[float, ...],
+    hi: tuple[float, ...],
+    other_lo: tuple[float, ...],
+    other_hi: tuple[float, ...],
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The corners of ``rect.union(other)``."""
+    return (
+        tuple(map(min, lo, other_lo)),
+        tuple(map(max, hi, other_hi)),
+    )
+
+
 def _deal(count: int, groups: int) -> list[int]:
     """Sizes of *groups* runs sharing *count* items as evenly as possible."""
     base, extra = divmod(count, groups)
@@ -512,8 +602,8 @@ class RTreeFamily:
         self.tree(space).insert(rect)
 
     def insert_many(self, space: str, rects: list[Rect]) -> None:
-        """Insert a batch into the R-tree for *space* (STR-packed when that
-        tree is still empty; see :meth:`RTree.insert_many`)."""
+        """Insert a batch into the R-tree for *space* (one STR re-pack when
+        the batch is large against that tree; see :meth:`RTree.insert_many`)."""
         self.tree(space).insert_many(rects)
 
     def search_overlap(self, space: str, query: Rect) -> list[Rect]:

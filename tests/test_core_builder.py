@@ -90,3 +90,21 @@ def test_builder_ontology_only_annotation(rich_instance):
     annotation = rich_instance.new_annotation("onto-only").refer_ontology("protein:TP53").commit()
     assert annotation.referent_count == 0
     assert "protein:TP53" in annotation.content.ontology_terms
+
+
+def test_a_ref_read_back_from_a_committed_annotation_is_attached_as_a_copy():
+    # The read-back ref is the store's canonical object: a move rewrites it
+    # in place.  A new annotation attaching it must not move with it.
+    g = Graphitti("alias")
+    g.register(DnaSequence("seq", "ACGT" * 100, domain="chr1"))
+    g.new_annotation("a").mark_sequence("seq", 10, 20).commit()
+    moved_id = g.annotation("a").referents[0].referent_id
+    g.update_annotation("a", {"move_referents": {moved_id: {"start": 30, "end": 40}}})
+    g.new_annotation("b").add_referent(g.annotation("a").referents[0].ref).commit()
+    g.update_annotation("a", {"move_referents": {moved_id: {"start": 60, "end": 70}}})
+    interval = g.annotation("b").referents[0].ref.interval
+    assert (interval.start, interval.end) == (30, 40)
+    assert g.annotation("a").referents[0].ref.interval.start == 60
+    found = g.query("SELECT referents WHERE { INTERVAL OVERLAPS chr1 [30, 40] }")
+    assert "b" in found.annotation_ids and "a" not in found.annotation_ids
+    assert g.check_integrity().ok

@@ -46,6 +46,22 @@ def test_epoch_bump_invalidates():
     assert cache.get("k", epoch=1) is None
 
 
+def test_a_newer_epoch_drops_every_older_entry():
+    # A stale entry never hits again; held until its own key came back it
+    # would keep its result (and the documents in it) alive.
+    cache = QueryResultCache(capacity=4)
+    cache.put("a", 1, "A")
+    cache.put("b", 1, "B")
+    assert cache.get("c", 2) is None
+    assert len(cache) == 0
+    assert cache.stats()["invalidations"] == 2
+    cache.put("c", 2, "C")
+    cache.put("a", 1, "late A")  # computed before epoch 2 landed: not kept
+    assert cache.get("c", 2) == "C"
+    assert cache.get("a", 2) is None
+    assert len(cache) == 1
+
+
 def test_lru_eviction_order():
     cache = QueryResultCache(capacity=2)
     cache.put("a", 1, "A")

@@ -107,6 +107,30 @@ def test_writer_preference_blocks_new_readers():
     assert order == ["writer", "late-reader"]
 
 
+def test_a_waiting_writer_enters_once_the_last_reader_leaves():
+    # release_read wakes only when a writer is counted as waiting.
+    lock = ReadWriteLock()
+    lock.acquire_read()
+    lock.acquire_read()
+    entered = threading.Event()
+
+    def writer():
+        with lock.write_locked():
+            entered.set()
+
+    thread = threading.Thread(target=writer)
+    thread.start()
+    deadline = time.monotonic() + 5
+    while lock.snapshot()["writers_waiting"] == 0 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    lock.release_read()
+    assert not entered.wait(timeout=0.05)  # one reader still inside
+    lock.release_read()
+    assert entered.wait(timeout=5)
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
 def test_snapshot_counts():
     lock = ReadWriteLock()
     assert lock.snapshot() == {

@@ -1,10 +1,13 @@
 """A bulk-built index is the index repeated inserts would have built.
 
-Recovery hands each R-tree and interval tree its whole batch at once
-(:meth:`RTree.insert_many`, :meth:`IntervalTree.insert_many`).  Here the
-bulk-built tree and the insert-built tree are held against each other and
-against a linear scan: same answers, same structural invariants, and still
-so after a random stream of further inserts and removes.
+Recovery and batch commits hand each R-tree and interval tree their whole
+batch at once (:meth:`RTree.insert_many`, :meth:`IntervalTree.insert_many`).
+Here the bulk-built tree and the insert-built tree are held against each
+other and against a linear scan: same answers, same structural invariants,
+and still so after a random stream of further inserts and removes.  A batch
+into a tree that already holds records re-packs it only when the batch is
+large against it (:func:`repro.spatial.rebuild.rebuild_pays`); a small one
+leaves exactly the tree repeated inserts leave.
 """
 
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SpatialError
 from repro.spatial.interval import Interval
 from repro.spatial.interval_tree import IntervalIndexFamily, IntervalTree, _height
+from repro.spatial.rebuild import SMALL_BATCH, rebuild_pays
 from repro.spatial.rect import Rect, bounding_rect
 from repro.spatial.rtree import RTree, RTreeFamily
 
@@ -172,20 +176,6 @@ def test_bulk_load_leaves_no_node_under_filled(count):
             assert max(sizes) - min(sizes) <= 1  # the remainder is dealt evenly
 
 
-def test_rtree_insert_many_packs_only_an_empty_tree():
-    items = [Rect((i, i % 7), (i + 2, i % 7 + 2), payload=i) for i in range(100)]
-    family = RTreeFamily(max_entries=8)
-    family.insert_many("atlas", items[:60])
-    packed_height = family.tree("atlas").height()
-    assert packed_height == RTree.bulk_load(items[:60], max_entries=8).height()
-    family.insert_many("atlas", items[60:])  # populated now: one by one
-    tree = family.tree("atlas")
-    rtree_leaf_sizes(tree)
-    assert payloads(tree) == list(range(100))
-    query = Rect((10, 0), (30, 9))
-    assert payloads(tree.search_overlap(query)) == payloads(r for r in items if r.overlaps(query))
-
-
 # -- interval tree ------------------------------------------------------------------
 
 
@@ -254,12 +244,131 @@ def test_interval_insert_many_checks_the_domain_like_insert_does():
     assert len(tree) == 6
 
 
-def test_interval_insert_many_builds_only_an_empty_tree():
-    items = [Interval(i * 3 % 50, i * 3 % 50 + 4, payload=i) for i in range(90)]
+# -- a batch into a populated tree ----------------------------------------------------
+
+
+def rtree_layout(node):
+    """An R-tree node's entries in order: box corners, then payload or subtree."""
+    return [
+        (entry.rect.lo, entry.rect.hi, entry.rect.payload if node.leaf else rtree_layout(entry.child))
+        for entry in node.entries
+    ]
+
+
+def interval_layout(node):
+    """An interval-tree node as (key, payloads in order, left, right)."""
+    if node is None:
+        return None
+    return (node.key, [i.payload for i in node.intervals], interval_layout(node.left), interval_layout(node.right))
+
+
+def grid_rects(count, first=0):
+    return [
+        Rect((i * 7 % 101, i * 13 % 97), (i * 7 % 101 + 3, i * 13 % 97 + 2), payload=i)
+        for i in range(first, first + count)
+    ]
+
+
+def grid_intervals(count, first=0):
+    return [Interval(i * 3 % 50, i * 3 % 50 + 4, payload=i) for i in range(first, first + count)]
+
+
+def test_the_rebuild_rule():
+    for stored in (0, 1, 2, 5, 100, 100_000):
+        assert not any(rebuild_pays(stored, batch) for batch in range(SMALL_BATCH + 1))
+    assert all(rebuild_pays(0, batch) for batch in range(SMALL_BATCH + 1, 100))
+    # A 100k-box tree takes a few thousand boxes by insert before it re-packs.
+    assert not rebuild_pays(100_000, 5_000) and rebuild_pays(100_000, 6_000)
+    assert rebuild_pays(60, 40) and not rebuild_pays(1_000, 40)
+
+
+@pytest.mark.parametrize("stored", [1, 2, 7, 60, 400])
+def test_a_small_batch_into_a_populated_tree_is_repeated_insert(stored):
+    for batch in (grid_rects(count, stored) for count in (1, 2, 3, 8)):
+        one_by_one = RTree.from_rects(grid_rects(stored), max_entries=8)
+        batched = RTree.from_rects(grid_rects(stored), max_entries=8)
+        for rect in batch:
+            one_by_one.insert(rect)
+        batched.insert_many(batch)  # 8 fits one leaf: inserts too
+        assert rtree_layout(batched._root) == rtree_layout(one_by_one._root)
+    for batch in (grid_intervals(count, stored) for count in (1, 2, 3)):
+        one_by_one = IntervalTree()
+        batched = IntervalTree()
+        for interval in grid_intervals(stored):
+            one_by_one.insert(interval)
+            batched.insert(interval)
+        for interval in batch:
+            one_by_one.insert(interval)
+        batched.insert_many(batch)
+        assert interval_layout(batched._root) == interval_layout(one_by_one._root)
+
+
+def test_a_large_batch_rebuilds_a_populated_rtree_once():
+    stored, batch = grid_rects(60), grid_rects(40, 60)
+    family = RTreeFamily(max_entries=8)
+    for rect in stored:
+        family.insert("atlas", rect)
+    tree = family.tree("atlas")
+    held = list(tree)
+    family.insert_many("atlas", batch)
+    # The stored records (in tree order) and the batch, packed by STR.
+    assert rtree_layout(tree._root) == rtree_layout(RTree.bulk_load(held + batch, max_entries=8)._root)
+    rtree_leaf_sizes(tree)
+    assert payloads(tree) == list(range(100))
+    for query in (Rect((10, 0), (30, 9)), Rect((0, 40), (100, 60)), Rect((50, 50), (50, 50))):
+        assert payloads(tree.search_overlap(query)) == payloads(r for r in stored + batch if r.overlaps(query))
+
+
+def test_a_large_batch_rebuilds_a_populated_interval_tree_once():
+    stored, batch = grid_intervals(50), grid_intervals(40, 50)
     family = IntervalIndexFamily()
-    family.insert_many("chr1", items[:50])
-    assert family.tree("chr1").height() == 6  # 50 keys packed: ceil(log2(51))
-    family.insert_many("chr1", items[50:])  # populated now: AVL inserts
+    for interval in stored:
+        family.insert("chr1", interval)
     tree = family.tree("chr1")
+    family.insert_many("chr1", batch)
+    rebuilt = IntervalTree.from_intervals(list(IntervalTree.from_intervals(stored)) + batch)
+    assert interval_layout(tree._root) == interval_layout(rebuilt._root)
+    assert tree.height() == 6  # 50 distinct keys packed: ceil(log2(51))
     check_interval_tree(tree)
-    assert payloads(tree) == list(range(90))
+    grown = IntervalTree()
+    for interval in stored + batch:
+        grown.insert(interval)
+    assert [i.payload for i in tree] == [i.payload for i in grown]
+    for start, end in ((0, 3), (10, 20), (49, 60)):
+        query = Interval(start, end)
+        expected = [i.payload for i in grown.search_overlap(query)]
+        assert [i.payload for i in tree.search_overlap(query)] == expected
+        assert sorted(expected) == sorted(i.payload for i in stored + batch if i.overlaps(query))
+
+
+def test_a_rebuild_keeps_equal_keys_in_insertion_order():
+    tree = IntervalTree()
+    for payload in ("a", "b"):
+        tree.insert(Interval(5, 10, payload=payload))
+    tree.insert(Interval(1, 2, payload="x"))
+    batch = [Interval(5, 10, payload="c"), *grid_intervals(20), Interval(5, 10, payload="d")]
+    assert rebuild_pays(len(tree), len(batch))
+    tree.insert_many(batch)
+    check_interval_tree(tree)
+    assert [i.payload for i in tree.search_overlap(Interval(5, 10)) if (i.start, i.end) == (5, 10)] == [
+        "a", "b", "c", "d",
+    ]
+
+
+@pytest.mark.parametrize("count", [2, 40])
+def test_a_batch_with_one_misfit_is_refused_whole(count):
+    rtree = RTree.from_rects([Rect(r.lo, r.hi, space="atlas", payload=r.payload) for r in grid_rects(30)],
+                             max_entries=8, space="atlas")
+    rtree_before = rtree_layout(rtree._root)
+    good = grid_rects(count, 30)
+    for misfit in (Rect((0, 0), (1, 1), space="other"), Rect((0, 0, 0), (1, 1, 1)), Rect((0,), (1,))):
+        with pytest.raises(SpatialError):
+            rtree.insert_many(good + [misfit])
+        assert rtree_layout(rtree._root) == rtree_before and len(rtree) == 30
+    itree = IntervalTree.from_intervals(
+        [Interval(i.start, i.end, domain="chr1", payload=i.payload) for i in grid_intervals(30)], domain="chr1"
+    )
+    itree_before = interval_layout(itree._root)
+    with pytest.raises(SpatialError):
+        itree.insert_many(grid_intervals(count, 30) + [Interval(0, 1, domain="chr2")])
+    assert interval_layout(itree._root) == itree_before and len(itree) == 30
