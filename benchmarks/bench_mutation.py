@@ -112,7 +112,6 @@ def build_corpus(name: str) -> tuple[Graphitti, list[str]]:
             .build()
         )
     manager.commit_many(batch)
-    manager.contents.flush_index()
     annotation_ids = [annotation.annotation_id for annotation in batch]
     return manager, annotation_ids
 

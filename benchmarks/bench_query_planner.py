@@ -100,7 +100,6 @@ def build_skewed_corpus(annotation_count: int = SKEW_ANNOTATIONS) -> Graphitti:
         ).mark_sequence("chrB", start, start + rng.randrange(20, 120))
         batch.append(builder.build())
     manager.commit_many(batch)
-    manager.contents.flush_index()
     return manager
 
 

@@ -8,7 +8,7 @@ Two workloads measure what :mod:`repro.service` adds over the bare engine:
   prepared-plan memo).  Floor: **>= 5x**.
 * **bulk vs. sequential durable commits** — N annotations committed through
   ``bulk_commit`` (one lock acquisition, one group-committed WAL batch,
-  deferred keyword indexing) vs. one ``commit`` per annotation (per-record
+  one batch registration) vs. one ``commit`` per annotation (per-record
   fsync), on a fresh durable root each round.  Floor: **>= 2x**.
 
 ``python -m benchmarks.bench_service`` prints the table, writes

@@ -18,8 +18,9 @@ copy-on-write checkpoint pipeline buy at the storage layer:
 * **cold recovery RSS + time** — a checkpointed root is recovered in a
   fresh subprocess two ways: the columnar path (lazy documents, packed
   columns) and the pre-refactor object-graph baseline
-  (``rebuild(eager_documents=True)``: every annotation document rendered
-  from its record up front, every annotation materialized and retained).  Each probe reports ``rss_bytes`` (peak RSS) and
+  (``rebuild`` followed by ``contents.get`` of every document: every
+  annotation document built from its record up front, every annotation
+  materialized and retained).  Each probe reports ``rss_bytes`` (peak RSS) and
   ``recovery_s``.  Floor: **columnar RSS <= object-graph RSS**.
 
 ``python -m benchmarks.bench_storage`` prints the table, writes
@@ -230,11 +231,9 @@ def _probe_main(mode: str, root: str) -> int:
         recovery_s = time.perf_counter() - start
         retained = service  # keep the recovered service resident
     elif mode == "object_graph":
-        from repro.core.persistence import rebuild
-
         payload = json.loads((Path(root) / "snapshot.json").read_text())
         start = time.perf_counter()
-        manager = rebuild(payload, eager_documents=True)
+        manager = _object_graph(payload)
         retained = (manager, list(manager.annotations()))  # the old resident graph
         count = len(retained[1])
         recovery_s = time.perf_counter() - start
@@ -256,9 +255,18 @@ def _probe_main(mode: str, root: str) -> int:
     return 0
 
 
+def _object_graph(payload: dict):
+    """The object-graph baseline: a rebuild with every document built."""
+    from repro.core.persistence import rebuild
+
+    manager = rebuild(payload)
+    for doc_id in manager.contents.document_ids():
+        manager.contents.get(doc_id)
+    return manager
+
+
 def _recovery_equivalence_check() -> None:
     """Sanity: the columnar recovery serves the object-graph oracle's answers."""
-    from repro.core.persistence import rebuild
     from repro.service import GraphittiService, ServiceConfig
 
     root = tempfile.mkdtemp(prefix="bench-storage-eq-")
@@ -273,7 +281,7 @@ def _recovery_equivalence_check() -> None:
         served = (sorted(probe.annotation_ids), recovered.statistics()["annotations"])
         recovered.close()
         payload = json.loads((Path(root) / "snapshot.json").read_text())
-        oracle = rebuild(payload, eager_documents=True)
+        oracle = _object_graph(payload)
         oracle_ids = sorted(
             annotation.annotation_id for annotation in oracle.annotations()
         )

@@ -268,33 +268,23 @@ class Graphitti:
 
     @requires_write_lock
     def commit(self, annotation: Annotation) -> Annotation:
-        """Commit an annotation: store content, index referents, wire a-graph."""
-        self.approve_commit([annotation])
-        self.contents.add(annotation.to_document(), doc_id=annotation.annotation_id)
-        # Referents, a-graph, columns and catalogue: the routine recovery runs.
-        wire_annotations(self, [annotation])
-        return annotation
+        """Commit one annotation: :meth:`commit_many` on a batch of one."""
+        return self.commit_many([annotation])[0]
 
     @requires_write_lock
     def commit_many(self, annotations: Iterable[Annotation]) -> list[Annotation]:
-        """Commit a batch of annotations with deferred content indexing.
+        """Commit a batch of annotations: store content, index referents,
+        wire the a-graph.
 
         The batch is approved once, whole, so a bad batch fails before any
-        member applies.  Each member's keyword indexing — the dominant cost
-        of a small commit — is then deferred (see :meth:`DocumentCollection.add
-        <repro.xmlstore.collection.DocumentCollection.add>`) and performed
-        once, lazily, on the first subsequent keyword search.  The batch is
-        then wired once, exactly as a snapshot load wires its records
-        (:func:`~repro.core.persistence.wire_annotations`), so each spatial
-        index takes the batch's extents in one ``insert_many`` call.  This is
-        the manager half of the serving layer's bulk-commit fast path.
+        member applies.  It is then registered exactly as a snapshot load
+        registers its records (:func:`~repro.core.persistence.wire_annotations`):
+        each content document is parked — its searchable text indexed now,
+        its tree built for the first reader handed it — and each spatial
+        index takes the batch's extents in one ``insert_many`` call.
         """
         batch = list(annotations)
         self.approve_commit(batch)
-        for annotation in batch:
-            self.contents.add(
-                annotation.to_document(), doc_id=annotation.annotation_id, defer_index=True
-            )
         wire_annotations(self, batch)
         return batch
 
@@ -302,9 +292,12 @@ class Graphitti:
     _ROW_CACHE_SIZE = 2048
 
     def _cache_row(self, annotation_id: str, annotation: Annotation) -> None:
+        # Concurrent readers share the cache without a lock, so another
+        # reader may evict this id at any moment: pop then set moves it to
+        # the end without a ``move_to_end`` that could miss it.
         cache = self._row_cache
+        cache.pop(annotation_id, None)
         cache[annotation_id] = annotation
-        cache.move_to_end(annotation_id)
         while len(cache) > self._ROW_CACHE_SIZE:
             cache.popitem(last=False)
 
@@ -318,7 +311,10 @@ class Graphitti:
         """
         cached = self._row_cache.get(annotation_id)
         if cached is not None:
-            self._row_cache.move_to_end(annotation_id)
+            try:
+                self._row_cache.move_to_end(annotation_id)
+            except KeyError:  # another reader evicted it meanwhile
+                pass
             return cached
         slot = self.idspace.slot(annotation_id)
         if slot is None or not self.columns.is_live(slot):
@@ -622,11 +618,10 @@ class Graphitti:
             title=dublin_core.title,
             keywords=tuple(content.keywords()),
         )
-        # The index adjusts now (exactly, from the parts); the stored XML
-        # regenerates lazily on first read — churn never renders documents
-        # nobody reads between edits.
+        # The index adjusts now (exactly, from the parts); the document is
+        # re-parked — churn never renders documents nobody reads between edits.
         self.contents.update_delta(
-            annotation_id, annotation.to_document, removed_parts, added_parts
+            annotation_id, self._document_regenerator(annotation_id), removed_parts, added_parts
         )
 
         # -- 7. catalogue delta; the id-space slot stays put by design -------

@@ -161,33 +161,37 @@ def link_edges(agraph, annotation: Annotation, edges: Iterable[tuple[str, str, s
         agraph.link(label, source, target)
 
 
-def wire_annotations(
-    manager, annotations: list[Annotation], add_content_documents: bool = False
-) -> None:
-    """Wire annotations into *manager*'s substrates, in order.
+def wire_annotations(manager, annotations: list[Annotation]) -> None:
+    """Register and wire annotations into *manager*'s substrates, in order.
 
-    The one wiring routine: a live :meth:`~repro.core.manager.Graphitti.commit`
-    hands it its validated annotation, :meth:`~repro.core.manager.Graphitti.commit_many`
-    its whole approved batch, a snapshot load every record at once, WAL
-    replay one record at a time.  It does no registry validation, so it
-    works on catalogue-only instances whose native data objects were not
-    reconstructed.  The batch's referents reach the substructure store as
-    one batch, so each index takes its share in one ``insert_many`` call --
-    a bulk build when the index is empty, one rebuild when the batch is
-    large against it, inserts otherwise; each annotation's a-graph edges
-    are exactly its :meth:`~repro.core.annotation.Annotation.agraph_edges`.  With
-    ``add_content_documents=True`` each content document is regenerated and
-    stored too (the WAL replay path; :func:`rebuild` registers the snapshot's
-    documents itself, lazily, and a commit stores its own).
+    The one registration routine: :meth:`~repro.core.manager.Graphitti.commit_many`
+    (and so ``commit``) hands it its approved batch, a snapshot load every
+    record at once, WAL replay one record at a time.  It does no registry
+    validation, so it works on catalogue-only instances whose native data
+    objects were not reconstructed.  Each annotation's content document is
+    parked (:meth:`~repro.xmlstore.collection.DocumentCollection.add_lazy_many`):
+    the batch's searchable texts feed the inverted index in one batch and the
+    tree is built for the first reader handed it.  The batch's referents
+    reach the substructure store as one batch, so each index takes its share
+    in one ``insert_many`` call -- a bulk build when the index is empty, one
+    rebuild when the batch is large against it, inserts otherwise; each
+    annotation's a-graph edges are exactly its
+    :meth:`~repro.core.annotation.Annotation.agraph_edges`.
     """
+    manager.contents.add_lazy_many(
+        (
+            annotation.annotation_id,
+            annotation.searchable_text(),
+            manager._document_regenerator(annotation.annotation_id),  # noqa: SLF001 - wiring path
+        )
+        for annotation in annotations
+    )
     manager.substructures.add_many(
         referent for annotation in annotations for referent in annotation.referents
     )
     agraph = manager.agraph
     for annotation in annotations:
         annotation_id = annotation.annotation_id
-        if add_content_documents and annotation_id not in manager.contents:
-            manager.contents.add(annotation.to_document(), doc_id=annotation_id)
         agraph.add_content(
             annotation_id,
             title=annotation.content.dublin_core.title,
@@ -203,11 +207,6 @@ def wire_annotations(
         manager._cache_row(annotation_id, annotation)  # noqa: SLF001 - wiring path
         manager.stats_catalogue.on_commit(annotation)
         manager._bump_epoch()  # noqa: SLF001 - wiring path
-
-
-def wire_annotation(manager, annotation: Annotation, add_content_document: bool = False) -> None:
-    """Wire one decoded annotation: :func:`wire_annotations` on a batch of one."""
-    wire_annotations(manager, [annotation], add_content_documents=add_content_document)
 
 
 # -- data-object (catalogue) record codec --------------------------------------
@@ -416,18 +415,17 @@ def load_instance(path: str | Path):
     return rebuild(payload)
 
 
-def rebuild(payload: dict[str, Any], eager_documents: bool = False):
+def rebuild(payload: dict[str, Any]):
     """Rebuild a Graphitti instance from a :func:`snapshot` payload.
 
-    Every annotation's content document is registered **lazily**: the
-    inverted index is fed the record's searchable text and the XML tree
-    regenerates from the columnar store only if something actually reads
-    it, so cold recovery neither builds nor retains the document object
-    graph.  A dumped document an annotation record owns (all of them, in a
-    v1 snapshot) is derivable and only keeps its place in the document
-    order; the others are materialized.  ``eager_documents=True`` renders
-    every annotation document up front instead (the benchmarks'
-    object-graph baseline).
+    Every annotation's content document is parked by
+    :func:`wire_annotations`, as a commit parks it: the inverted index is
+    fed the record's searchable text and the XML tree regenerates from the
+    columnar store only if something actually reads it, so cold recovery
+    neither builds nor retains the document object graph.  A dumped
+    document an annotation record owns (all of them, in a v1 snapshot) is
+    derivable and is not read; the others — documents no annotation owns —
+    are stored first, in dump order.
     """
     from repro.core.columns import AnnotationColumns
     from repro.core.manager import Graphitti
@@ -467,34 +465,18 @@ def rebuild(payload: dict[str, Any], eager_documents: bool = False):
     manager.idspace = AnnotationIdSpace()
     manager.stats_catalogue = StatisticsCatalogue()
 
-    # Rebuild the content collection: dumped documents first, in dump order,
-    # then the annotation documents no dump mentions (every one, in a v2
-    # snapshot).  Annotation documents derive from their records.
+    # Rebuild the content collection: documents no record owns first, in
+    # dump order, then every annotation document, parked by the wiring.
     from repro.xmlstore.collection import DocumentCollection
 
     manager.contents = DocumentCollection(
         f"{manager.name}-annotations", indexed=payload.get("indexed_contents", True)
     )
     annotations = [decode_annotation(item) for item in payload.get("annotations", [])]
-    records = {annotation.annotation_id: annotation for annotation in annotations}
-    dumped = payload.get("contents", {})
-    lazy: list[tuple[str, str, Any]] = []
-    for doc_id in dict.fromkeys([*dumped, *records]):
-        annotation = records.get(doc_id)
-        if annotation is not None and not eager_documents:
-            lazy.append(
-                (doc_id, annotation.searchable_text(), manager._document_regenerator(doc_id))
-            )
-            continue
-        manager.contents.add_lazy_many(lazy)  # keep the document order
-        lazy = []
-        document = (
-            XmlDocument.from_dict(dumped[doc_id])
-            if annotation is None
-            else annotation.to_document()
-        )
-        manager.contents.add(document, doc_id=doc_id)
-    manager.contents.add_lazy_many(lazy)
+    owned = {annotation.annotation_id for annotation in annotations}
+    for doc_id, document in payload.get("contents", {}).items():
+        if doc_id not in owned:
+            manager.contents.add(XmlDocument.from_dict(document), doc_id=doc_id)
 
     # Re-wire the a-graph and indexes from the same records, in one batch.
     wire_annotations(manager, annotations)
@@ -543,7 +525,6 @@ def freeze_manager(manager) -> FrozenManager:
     encoded inline.  Documents not backed by an annotation row — there are
     normally none — are captured eagerly so the frozen image is complete.
     """
-    manager.contents.flush_index()
     order = list(manager._annotation_order)  # noqa: SLF001 - freeze path
     slots = [manager.idspace.slot(annotation_id) for annotation_id in order]
     known = manager._annotation_order  # noqa: SLF001 - freeze path

@@ -60,7 +60,7 @@ class StatisticsCatalogue:
     """Incrementally maintained per-type and per-term annotation statistics.
 
     Fed by ``Graphitti.commit()`` / ``delete_annotation()`` (and the
-    persistence layer's ``wire_annotation``, so snapshot load and WAL
+    persistence layer's ``wire_annotations``, so snapshot load and WAL
     recovery rebuild it record by record).  :meth:`rebuild` recomputes
     everything from scratch; tests assert the incremental state equals it
     across the full durability lifecycle.

@@ -54,7 +54,7 @@ from repro.core.persistence import (
     encode_annotation,
     encode_register,
     encode_update_changes,
-    wire_annotation,
+    wire_annotations,
 )
 from repro.errors import ServiceError
 from repro.ontology.model import Ontology
@@ -313,8 +313,7 @@ def reserve_annotation_id(self) -> str:
             from_wire=lambda wire: {"annotation": decode_annotation(wire["annotation"])},
             **_ANNOTATION_RESULT),
       wal_op="commit", live=_live_commit,
-      apply=lambda manager, payload: wire_annotation(
-          manager, decode_annotation(payload), add_content_document=True),
+      apply=lambda manager, payload: wire_annotations(manager, [decode_annotation(payload)]),
       approve=lambda manager, annotation: manager.approve_commit([annotation]))
 def commit(self, annotation):
     """Commit one annotation (or builder); returns the committed annotation."""

@@ -15,8 +15,8 @@ instance in the coordination a multi-user deployment needs:
   prepared-plan memo keyed by the caller's text so a repeated text skips
   parsing and planning entirely;
 * **bulk ingest** — :meth:`bulk_commit` groups many annotations into one
-  lock acquisition and one group-committed WAL batch, deferring per-commit
-  keyword-index bookkeeping to the first subsequent search.
+  lock acquisition and one group-committed WAL batch, registered as one
+  batch (each spatial index and the keyword index fed once).
 
 The service's counters surface through ``Graphitti.statistics()`` under the
 ``"service"`` key, so existing stats tooling sees cache hit rates, WAL depth
@@ -162,7 +162,7 @@ class GraphittiService:
         self._rows_encoded = 0
         self._rows_copied = 0
         self._planner = QueryPlanner(self._manager)
-        self._view = _ReadView(self._manager, self._lock)
+        self._view = _ReadView(self._lock)
         self._manager.stats_providers.append(self._service_stats)
 
     # -- lifecycle -------------------------------------------------------------
@@ -240,16 +240,13 @@ class GraphittiService:
     # -- locking helpers -------------------------------------------------------
 
     def _read_view(self) -> "_ReadView":
-        """A consistent read view: shared lock + fully drained deferred work.
+        """A consistent read view: the shared lock, nothing more.
 
-        Deferred index work (from bulk commits) and stale document bodies
-        (from in-place updates) must not be drained by a reader mid-search —
-        materialization mutates shared dicts — so when either exists the
-        view first drains both under the write lock, then downgrades to the
-        shared lock.  The re-check loop covers a writer sneaking new
-        deferred work in between the drain and the read acquisition.
-        Documents a recovery merely parked (``add_lazy``) are not drained:
-        a reader that needs one builds it itself, and most are never read.
+        Nothing is deferred past a write: documents are parked and indexed
+        when they are registered or edited, and a reader handed a parked
+        document builds it itself (safe under the shared lock; see
+        :meth:`DocumentCollection._materialize
+        <repro.xmlstore.collection.DocumentCollection._materialize>`).
         """
         return self._view
 
@@ -363,7 +360,7 @@ class GraphittiService:
         """Commit a batch under ONE lock acquisition and ONE WAL group commit.
 
         The batch validates atomically (nothing applies if any member is
-        invalid), commits with deferred keyword indexing, and appends its WAL
+        invalid), is registered as one batch, and appends its WAL
         records with a single flush + fsync — the group-commit fast path the
         ingest benchmark measures.
         """
@@ -432,12 +429,12 @@ class GraphittiService:
     def checkpoint(self) -> Path | None:
         """Durable checkpoint at a quiesce point; waits for completion.
 
-        Drains deferred index work, rebuilds the a-graph component index,
-        seals + freezes under the write lock, then serializes OFF-lock and
-        joins the background thread before returning — callers observe the
-        old post-conditions (snapshot durable, WAL empty) while concurrent
-        writers never block on serialization.  Returns the snapshot path, or
-        None for a non-durable service (the index/component drain still runs).
+        Rebuilds the a-graph component index, seals + freezes under the
+        write lock, then serializes OFF-lock and joins the background thread
+        before returning — callers observe the old post-conditions
+        (snapshot durable, WAL empty) while concurrent writers never block
+        on serialization.  Returns the snapshot path, or None for a
+        non-durable service (the component rebuild still runs).
         """
         while True:
             self._join_checkpoint()
@@ -465,7 +462,6 @@ class GraphittiService:
         interval path simply tries again later rather than stacking seals).
         """
         with self.obs.span("checkpoint"):
-            self._manager.contents.flush_index()
             self._manager.agraph.graph.rebuild_components()
             self._ops_since_checkpoint = 0
             if self._store is None:
@@ -693,8 +689,7 @@ class GraphittiService:
         """Refuse what write *verb* would refuse here, under the read lock.
 
         A closed or fenced service refuses every write, so it refuses here
-        too; the write itself still approves under its own write lock.  No
-        approval reads the content index, so deferred indexing stays deferred.
+        too; the write itself still approves under its own write lock.
         """
         self._ensure_open()
         with self._lock.read_locked():
@@ -807,24 +802,13 @@ class _ReadView:
     generator frame per entry costs more than the shared-lock round trip.
     """
 
-    __slots__ = ("_manager", "_lock")
+    __slots__ = ("_lock",)
 
-    def __init__(self, manager: Graphitti, lock: ReadWriteLock):
-        self._manager = manager
+    def __init__(self, lock: ReadWriteLock):
         self._lock = lock
 
     def __enter__(self) -> None:
-        contents = self._manager.contents
-        lock = self._lock
-        while True:
-            if contents.pending_index_count or contents.stale_document_count:
-                with lock.write_locked():
-                    contents.flush_index()
-                    contents.materialize_documents()
-            lock.acquire_read()
-            if not (contents.pending_index_count or contents.stale_document_count):
-                return
-            lock.release_read()
+        self._lock.acquire_read()
 
     def __exit__(self, *exc_info: object) -> None:
         self._lock.release_read()

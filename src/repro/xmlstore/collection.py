@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import XmlStoreError
-from repro.analysis.annotations import requires_write_lock
 from repro.xmlstore.document import XmlDocument, XmlElement
 from repro.xmlstore.flwor import FlworQuery
 from repro.xmlstore.parser import parse_xml, serialize_xml
@@ -25,6 +24,10 @@ from repro.xmlstore.xpath import XPath
 class DocumentCollection:
     """A keyed collection of XML documents with a keyword index.
 
+    A document is either stored as a tree (:meth:`add`) or *parked*
+    (:meth:`add_lazy_many`): its exact searchable text is indexed at once
+    and a regenerator builds the tree for the first reader that is handed
+    it.  An in-place edit (:meth:`update_delta`) re-parks the document.
     Phrase verification reads one cached lower-cased text per document
     version, so a search never re-renders a document it verified before.
     """
@@ -33,28 +36,17 @@ class DocumentCollection:
         self.name = name
         self._documents: dict[str, XmlDocument] = {}
         self._index: InvertedIndex | None = InvertedIndex() if indexed else None
-        # Documents stored with ``defer_index=True`` whose text has not been
-        # fed to the inverted index yet (an ordered set of doc ids).
-        self._pending_index: dict[str, None] = {}
-        # Documents whose stored body is stale after an in-place update: the
-        # index already reflects the edit (exact text delta), but the XML
-        # regenerates lazily — doc id -> zero-arg regenerator.  The write
-        # path never pays document rendering; the first *reader* of the
-        # document does, once.
-        self._stale: dict[str, Callable[[], XmlDocument]] = {}
-        # Documents registered via :meth:`add_lazy` whose trees were never
-        # materialized — doc id -> regenerator.  Unlike a stale body, a
-        # parked document is safe for a *reader* to materialize (see
-        # :meth:`_materialize`), so nothing drains these ahead of reads.  The
-        # entry drops on materialization or when an in-place edit supersedes
-        # the registered body.
+        # Parked documents whose trees were never built — doc id ->
+        # regenerator.  Any reader may build one (see :meth:`_materialize`),
+        # so nothing drains these ahead of reads.  The entry drops on
+        # materialization or when :meth:`update` stores a new tree.
         self._lazy: dict[str, Callable[[], XmlDocument]] = {}
         # doc id -> the lower-cased searchable text of its *latest* body, the
         # string keyword verification reads.  Filled where the text is
-        # computed anyway (indexing, ``add_lazy_many``, ``update``) or by the
+        # computed anyway (``add``, ``add_lazy_many``, ``update``) or by the
         # first verify that misses; dropped only by ``update_delta`` and
-        # ``remove``.  A reader may fill it under the shared lock: readers
-        # never see a stale body, so the text they store is current.
+        # ``remove``.  A reader may fill it under the shared lock: it reads
+        # the latest body, so the text it stores is current.
         self._text: dict[str, str] = {}
         self._next_serial = 1
 
@@ -73,45 +65,25 @@ class DocumentCollection:
     # -- lazy materialization ---------------------------------------------------
 
     def _materialize(self, doc_id: str) -> None:
-        """Build the tree of one stale or parked document before a reader
-        sees it.
+        """Build the tree of one parked document before a reader sees it.
 
-        A stale body is regenerated by whoever holds the write lock (the
-        serving layer drains ``_stale`` before it lets readers in).  A parked
-        document may be built by any number of concurrent readers: each
-        publishes its tree over the placeholder *before* unparking the id, so
-        a reader that finds the id unparked always finds a tree — two racing
-        readers at worst build the same tree twice.
+        Any number of concurrent readers may do this: each publishes its
+        tree over the placeholder *before* unparking the id, so a reader
+        that finds the id unparked always finds a tree — two racing readers
+        at worst build the same tree twice.
         """
-        regenerator = self._stale.pop(doc_id, None)
+        regenerator = self._lazy.get(doc_id)
         if regenerator is None:
-            regenerator = self._lazy.get(doc_id)
-            if regenerator is None:
-                return
+            return
         document = regenerator()
         document.doc_id = doc_id
         self._documents[doc_id] = document
         self._lazy.pop(doc_id, None)
 
     def _materialize_all(self) -> None:
-        """Build every stale or parked document (bulk readers call this first)."""
-        for doc_id in (*self._stale, *self._lazy):
+        """Build every parked document (bulk readers call this first)."""
+        for doc_id in tuple(self._lazy):
             self._materialize(doc_id)
-
-    @property
-    def stale_document_count(self) -> int:
-        """Stored documents whose body an in-place update left stale.
-
-        These must be regenerated under the write lock before readers run;
-        documents merely parked by :meth:`add_lazy` are not counted (see
-        :attr:`lazy_document_count`).
-        """
-        return len(self._stale)
-
-    @requires_write_lock
-    def materialize_documents(self) -> None:
-        """Drain every pending lazy regeneration now (a quiesce point)."""
-        self._materialize_all()
 
     @property
     def indexed(self) -> bool:
@@ -124,17 +96,13 @@ class DocumentCollection:
 
     # -- mutation ------------------------------------------------------------------
 
-    def add(self, document: XmlDocument, doc_id: str | None = None, defer_index: bool = False) -> str:
-        """Store a document and return its id.
+    def add(self, document: XmlDocument, doc_id: str | None = None) -> str:
+        """Store a document tree and index it; return its id.
 
         The id is taken from (in priority order) the *doc_id* argument, the
-        document's own ``doc_id``, or a generated serial id.
-
-        With ``defer_index=True`` the document is stored immediately but its
-        keyword indexing (text extraction + tokenization, the dominant cost of
-        an add) is queued and performed lazily by :meth:`flush_index` — which
-        every index reader calls first, so searches never see a stale index.
-        Bulk ingest paths use this to amortize indexing out of the commit loop.
+        document's own ``doc_id``, or a generated serial id.  Annotation
+        documents are parked instead (:meth:`add_lazy_many`); this is for
+        documents no annotation owns.
         """
         identifier = doc_id or document.doc_id or self._generate_id()
         if identifier in self._documents:
@@ -142,42 +110,33 @@ class DocumentCollection:
         document.doc_id = identifier
         self._documents[identifier] = document
         if self._index is not None:
-            if defer_index:
-                self._pending_index[identifier] = None
-            else:
-                text = self._searchable_text(document)
-                self._index.add_document(identifier, text)
-                self._text[identifier] = text.lower()
+            text = self._searchable_text(document)
+            self._index.add_document(identifier, text)
+            self._text[identifier] = text.lower()
         return identifier
-
-    def add_lazy(
-        self, doc_id: str, searchable_text: str, regenerate: Callable[[], XmlDocument]
-    ) -> str:
-        """Register one document WITHOUT materializing its tree (a batch of
-        one; see :meth:`add_lazy_many`)."""
-        self.add_lazy_many([(doc_id, searchable_text, regenerate)])
-        return doc_id
 
     def add_lazy_many(
         self, entries: Iterable[tuple[str, str, Callable[[], XmlDocument]]]
     ) -> None:
-        """Register documents WITHOUT materializing their trees.
+        """Park documents: register them WITHOUT building their trees.
 
         Each entry is ``(doc_id, searchable_text, regenerate)``: the
         document's exact searchable text (the same string
         :meth:`_searchable_text` would extract) and a zero-arg regenerator
         producing the tree on demand.  The inverted index is fed from the
         texts as one batch, and each text becomes the document's one cached
-        lower-cased text per document version, which keyword verification
-        reads — so a lazily-registered document that is never read never
-        builds a tree at all.  Recovery uses this to register every
-        annotation content document from the snapshot's records — cold-start
-        cost and RSS scale with the index, not with the XML object graph.
+        lower-cased text, which keyword verification reads — so a parked
+        document that is never handed to a reader never builds a tree.
+        Every annotation document is registered this way, whether committed
+        live, replayed from the WAL or recovered from a snapshot.  A
+        duplicate id refuses the whole batch before any of it registers.
         """
-        texts: list[tuple[str, str]] = []
-        for doc_id, searchable_text, regenerate in entries:
+        entries = list(entries)
+        for doc_id, _, _ in entries:
             if doc_id in self._documents:
                 raise XmlStoreError(f"document id {doc_id!r} already present in {self.name!r}")
+        texts: list[tuple[str, str]] = []
+        for doc_id, searchable_text, regenerate in entries:
             # Placeholder entry: every reader materializes (via ``_lazy``)
             # before touching the stored value.
             self._documents[doc_id] = None
@@ -189,32 +148,8 @@ class DocumentCollection:
 
     @property
     def lazy_document_count(self) -> int:
-        """Documents registered lazily whose trees were never built."""
+        """Parked documents whose trees were never built."""
         return len(self._lazy)
-
-    @property
-    def pending_index_count(self) -> int:
-        """Number of stored documents whose indexing is still deferred."""
-        return len(self._pending_index)
-
-    @requires_write_lock
-    def flush_index(self) -> int:
-        """Index every deferred document now; returns how many were indexed.
-
-        Reading paths (keyword search, save/export) call this before touching
-        the inverted index, so deferral is invisible to queries.
-        """
-        if self._index is None or not self._pending_index:
-            return 0
-        pending, self._pending_index = self._pending_index, {}
-        for identifier in pending:
-            self._materialize(identifier)  # index the *latest* body
-            document = self._documents.get(identifier)
-            if document is not None:
-                text = self._searchable_text(document)
-                self._index.add_document(identifier, text)
-                self._text[identifier] = text.lower()
-        return len(pending)
 
     def add_xml(self, text: str, doc_id: str | None = None) -> str:
         """Parse XML text and store the resulting document."""
@@ -227,19 +162,15 @@ class DocumentCollection:
         ``add_document``), this hands the new text to
         :meth:`InvertedIndex.update_document`, so only the postings whose
         terms actually changed are touched — the inverted-index half of the
-        mutation lifecycle's delta maintenance.  A document whose indexing is
-        still deferred keeps its pending entry: the eventual flush reads the
-        *stored* document, which is now the new one, so the deferral stays
-        invisible to searches.
+        mutation lifecycle's delta maintenance.
         """
         if doc_id not in self._documents:
             raise XmlStoreError(f"no document {doc_id!r} in collection {self.name!r}")
-        self._stale.pop(doc_id, None)  # superseded before it was ever read
-        self._lazy.pop(doc_id, None)
+        self._lazy.pop(doc_id, None)  # superseded before it was ever read
         self._text.pop(doc_id, None)
         document.doc_id = doc_id
         self._documents[doc_id] = document
-        if self._index is not None and doc_id not in self._pending_index:
+        if self._index is not None:
             text = self._searchable_text(document)
             self._index.update_document(doc_id, text)
             self._text[doc_id] = text.lower()
@@ -259,38 +190,33 @@ class DocumentCollection:
         * the inverted index adjusts immediately and exactly from the text
           parts the edit removed/added (:meth:`InvertedIndex.apply_text_delta`
           — O(edit), not O(document));
-        * the stored XML is merely marked stale with a *regenerator*; the
-          first reader of the document (keyword verification, XPath, export)
-          materializes it once.  A write-heavy churn stream never
-          pays document rendering for bodies nobody reads in between.
+        * the document is re-parked with *regenerate*, exactly as
+          :meth:`add_lazy_many` parks it: the first reader handed the
+          document builds the new tree once, and the first verify renders
+          its text once.  A write-heavy churn stream never pays document
+          rendering for bodies nobody reads in between.
 
         The caller is trusted to hand exact parts — the manager's update
         path derives them from the same rendering rules ``to_document``
         uses, and the property tests pin the live index against a
-        from-scratch rebuild.  A document whose *initial* indexing is still
-        deferred only swaps its regenerator: the pending flush reads the
-        regenerated (latest) body anyway.
+        from-scratch rebuild.
         """
         if doc_id not in self._documents:
             raise XmlStoreError(f"no document {doc_id!r} in collection {self.name!r}")
-        self._stale[doc_id] = regenerate
-        self._lazy.pop(doc_id, None)  # the edit supersedes the registered body
+        self._documents[doc_id] = None
+        self._lazy[doc_id] = regenerate
         self._text.pop(doc_id, None)  # text changed; recompute on next verify
-        if self._index is None or doc_id in self._pending_index:
-            return
-        self._index.apply_text_delta(doc_id, removed_parts, added_parts)
+        if self._index is not None:
+            self._index.apply_text_delta(doc_id, removed_parts, added_parts)
 
     def remove(self, doc_id: str) -> None:
         """Remove a document (raises when absent)."""
         if doc_id not in self._documents:
             raise XmlStoreError(f"no document {doc_id!r} in collection {self.name!r}")
-        self._stale.pop(doc_id, None)
         self._lazy.pop(doc_id, None)
         self._text.pop(doc_id, None)
         del self._documents[doc_id]
-        if doc_id in self._pending_index:
-            del self._pending_index[doc_id]  # never reached the index
-        elif self._index is not None:
+        if self._index is not None:
             self._index.remove_document(doc_id)
 
     def _generate_id(self) -> str:
@@ -330,7 +256,6 @@ class DocumentCollection:
         if not phrase:
             return []
         if self._index is not None:
-            self.flush_index()
             candidates = self._index.search(keyword, mode=mode)
         else:
             candidates = set(self._documents)
@@ -346,9 +271,9 @@ class DocumentCollection:
         """Phrase-verify *doc_id* against its latest searchable text.
 
         Reads the one cached lower-cased text per document version, so a
-        lazily-registered document never builds its tree here.  A document
-        with no cached text (edited in place since, or in an unindexed
-        collection) materializes its latest body and renders the text once.
+        parked document never builds its tree here.  A document with no
+        cached text (edited in place since) materializes its latest body and
+        renders the text once.
         """
         text = self._text.get(doc_id)
         if text is None:
@@ -369,7 +294,6 @@ class DocumentCollection:
         if not phrase or doc_id not in self._documents:
             return False
         if self._index is not None:
-            self.flush_index()
             if not self._index.document_contains(doc_id, keyword, mode=mode):
                 return False
             if mode == "or":
@@ -384,9 +308,7 @@ class DocumentCollection:
 
         AND takes the rarest token's document frequency (an upper bound on
         the intersection), OR sums the frequencies (an upper bound on the
-        union).  Documents whose indexing is still deferred are not counted —
-        the estimate is a planning input, not an answer, and reading the
-        index without forcing a flush keeps this callable from any thread.
+        union).  Every stored document is indexed, parked or not.
         """
         if self._index is None:
             return len(self._documents)

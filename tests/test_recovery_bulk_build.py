@@ -2,8 +2,8 @@
 
 ``recover_manager`` hands the snapshot's records to the substrates as one
 batch (:func:`repro.core.persistence.wire_annotations`).  The reference here
-is the same durable root recovered the way it used to be: every record wired
-on its own through ``wire_annotation``, every document indexed on its own.
+is the same durable root recovered record by record: every record wired on
+its own, through ``wire_annotations`` on a batch of one, as WAL replay does.
 Both instances must be indistinguishable, and stay so under further writes.
 
 Also pinned: recovery pauses the cyclic collector and always puts it back,
@@ -35,7 +35,7 @@ from repro.core.persistence import (  # noqa: E402
     decode_annotation,
     hydrate_catalogue,
     rebuild,
-    wire_annotation,
+    wire_annotations,
 )
 from repro.datatypes.base import DataType  # noqa: E402
 from repro.service.durability import (  # noqa: E402
@@ -74,11 +74,11 @@ def recover_record_by_record(root: Path):
     """``recover_manager``'s result, built the way it was before batching."""
     payload = json.loads((root / SNAPSHOT_FILE).read_text(encoding="utf-8"))
     records = payload["annotations"]
-    # No annotation payloads: every document is rendered, added and indexed
-    # on its own, the way WAL replay adds one.
+    # No annotation payloads: every record is registered on its own, the way
+    # WAL replay registers one.
     manager = rebuild({**payload, "annotations": []})
     for item in records:
-        wire_annotation(manager, decode_annotation(item), add_content_document=True)
+        wire_annotations(manager, [decode_annotation(item)])
     hydrate_catalogue(manager)
     for record in read_segmented_records(root / WAL_FILE)[0]:
         if record["seq"] > payload["wal_seq"]:
@@ -114,8 +114,6 @@ def assert_same_instance(bulk, reference, probes: list[str]) -> None:
     for manager in (bulk, reference):  # both: the from-scratch pass counts as work
         manager.agraph.graph._rebuild_components()
         assert partition(manager.agraph.graph) == derived
-    bulk.contents.flush_index()
-    reference.contents.flush_index()
     assert bulk.contents._index._postings == reference.contents._index._postings
     assert bulk.contents._index._doc_lengths == reference.contents._index._doc_lengths
 
@@ -153,9 +151,6 @@ def test_bulk_recovery_equals_record_by_record_recovery_and_stays_equal(tmp_path
     bulk, info = recover_manager(root)
     assert info["snapshot"] and info["replayed"] == 30
     reference = recover_record_by_record(root)
-    # The two really were built differently: parked documents in one batch
-    # against documents added and indexed one at a time.
-    assert bulk.contents.lazy_document_count > 0 == reference.contents.lazy_document_count
     assert_same_instance(bulk, reference, probes)
 
     # 200+ further mixed writes, applied to both.
@@ -259,20 +254,17 @@ def test_first_keyword_query_after_recovery_materialises_only_what_it_returns(
     try:
         contents = service.manager.contents
         assert contents.lazy_document_count == FULL.annotations
-        assert contents.stale_document_count == 0
         keyword = corpus.vocabulary[0]  # the Zipf head: hundreds of matches
         # Evaluating a keyword condition reads the parked texts, never a tree.
         found = service.query(f'SELECT referents WHERE {{ CONTENT CONTAINS "{keyword}" }}')
         assert len(found.annotation_ids) > 100
         assert contents.lazy_document_count == FULL.annotations
-        assert contents.stale_document_count == 0
         assert regenerated == []
         # A page of contents builds the trees on that page, and nothing else.
         page = service.query(f'SELECT contents WHERE {{ CONTENT CONTAINS "{keyword}" }} LIMIT 7')
         assert len(page.annotation_ids) == 7
         assert sorted(regenerated) == sorted(page.annotation_ids)
         assert contents.lazy_document_count == FULL.annotations - 7
-        assert contents.stale_document_count == 0
     finally:
         service.close()
 

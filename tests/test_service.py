@@ -190,10 +190,15 @@ def test_bulk_commit_defers_index_until_search(service):
         .build()
         for index in range(4)
     ]
+    contents = service.manager.contents
+    parked = contents.lazy_document_count
     service.bulk_commit(batch)
-    assert service.manager.contents.pending_index_count == 4
-    assert len(service.search_by_keyword("deferred")) == 4  # flushed on demand
-    assert service.manager.contents.pending_index_count == 0
+    # Indexed at once, so the planner counts the batch before any search;
+    # the trees wait for a reader that is handed them.
+    assert contents.lazy_document_count == parked + 4
+    assert contents.keyword_document_frequency("deferred") == 4
+    assert len(service.search_by_keyword("deferred")) == 4
+    assert contents.lazy_document_count == parked + 4  # verified from the parked texts
 
 
 def test_empty_bulk_commit(service):

@@ -7,7 +7,8 @@
 * A v1 snapshot (every document dumped) written by commit d5983d2 recovers
   to exactly the instance that commit recovered from it.
 * A live instance and its checkpoint-recovered twin answer every keyword
-  alike.
+  alike, and every tree built on demand -- live, WAL-replayed or
+  snapshot-recovered -- is the record's ``Annotation.to_document()``.
 * Every snapshot carries a CRC32 of its bytes; damage that would still
   parse, and truncation, raise :class:`SnapshotCorruptionError`.
 * A checkpoint copies the records of unchanged rows from the snapshot it
@@ -38,7 +39,7 @@ from benchmarks.e2e.oracle import pages  # noqa: E402
 
 from repro.core.annotation import Annotation, AnnotationContent, Referent  # noqa: E402
 from repro.core.dublin_core import DublinCore  # noqa: E402
-from repro.core.persistence import CatalogueObject, rebuild, snapshot  # noqa: E402
+from repro.core.persistence import CatalogueObject, snapshot  # noqa: E402
 from repro.datatypes import DnaSequence, Image  # noqa: E402
 from repro.datatypes.base import DataType, SubstructureRef  # noqa: E402
 from repro.errors import SnapshotCorruptionError  # noqa: E402
@@ -175,20 +176,28 @@ def test_a_checkpoint_writes_records_and_only_the_documents_no_record_owns(tmp_p
     assert recovered.contents.lazy_document_count == recovered.annotation_count
 
 
-def test_eager_rebuild_renders_annotation_documents_from_the_records(tmp_path):
+def test_a_tree_built_on_demand_is_the_records_rendering(tmp_path):
     service = churned_root(tmp_path / "root", annotations=20, operations=40)
     try:
-        service.checkpoint()
         live = service.manager
-        payload = read_snapshot(tmp_path / "root" / SNAPSHOT_FILE)
-        eager = rebuild(payload, eager_documents=True)
-        lazy = rebuild(payload)
-        assert eager.contents.lazy_document_count == 0
-        assert eager.contents.document_ids() == lazy.contents.document_ids()
-        for doc_id in live.contents.document_ids():
-            expected = live.contents.get(doc_id).to_dict()
-            assert eager.contents.get(doc_id).to_dict() == expected
-            assert lazy.contents.get(doc_id).to_dict() == expected
+        replayed, info = recover_manager(tmp_path / "root")
+        assert info["replayed"] > 0
+        service.checkpoint()
+        recovered, info = recover_manager(tmp_path / "root")
+        assert info["snapshot"] and info["replayed"] == 0
+        assert recovered.contents.lazy_document_count == recovered.annotation_count
+        expected = {
+            annotation_id: live.annotation(annotation_id).to_document().to_dict()
+            for annotation_id in live.annotation_ids()
+        }
+        for manager in (live, replayed, recovered):
+            contents = manager.contents
+            assert contents.document_ids() == live.contents.document_ids()
+            for annotation_id in manager.annotation_ids():
+                built = contents.get(annotation_id).to_dict()
+                assert built == manager.annotation(annotation_id).to_document().to_dict()
+                assert built == expected[annotation_id], annotation_id
+            assert contents.lazy_document_count == 0
     finally:
         service.close()
 
@@ -202,7 +211,6 @@ def test_live_and_checkpoint_recovered_twins_answer_every_keyword_alike(tmp_path
         assert info["replayed"] == 0  # the snapshot alone
         twin = recovered.contents
         assert twin.lazy_document_count == recovered.annotation_count
-        live.flush_index()
         assert twin._index._postings == live._index._postings
         assert twin._index._doc_lengths == live._index._doc_lengths
         phrases = ["revised body", "initial mark", "churn annotation 7", "delete+recommit cycle"]
@@ -210,6 +218,50 @@ def test_live_and_checkpoint_recovered_twins_answer_every_keyword_alike(tmp_path
             assert twin.search_keyword(keyword) == live.search_keyword(keyword), keyword
     finally:
         service.close()
+
+
+def test_a_live_instance_plans_like_its_recovered_twin(tmp_path):
+    """Bulk ingest and edits leave the live instance laid out, and so
+    planned, exactly as recovery lays out its snapshot: every document
+    parked, every text indexed."""
+    keywords = ["zebra", "striped", "edited", "churn", "initial mark", "refined", "curated"]
+    texts = [f'SELECT contents WHERE {{ CONTENT CONTAINS "{keyword}" }}' for keyword in keywords]
+    texts += [
+        'SELECT referents WHERE { CONTENT CONTAINS "zebra" CONTENT CONTAINS "churn" }',
+        'SELECT contents WHERE { CONTENT CONTAINS "edited" NOT { CONTENT CONTAINS "zebra" } }',
+    ]
+
+    def planning(manager) -> tuple:
+        contents = manager.contents
+        estimates = [
+            contents.keyword_document_frequency(keyword, mode=mode)
+            for keyword in keywords
+            for mode in ("and", "or")
+        ]
+        return contents.lazy_document_count, estimates, [plain(manager.explain(text)) for text in texts]
+
+    service = GraphittiService.open(tmp_path / "root", config=CONFIG)
+    try:
+        churn = seed_churn_corpus(service, objects=3, annotations=30, tag="plan")
+        object_id = churn["object_ids"][0]
+        service.bulk_commit(
+            service.new_annotation(f"zebra-{serial}", keywords=["zebra"], body="striped")
+            .mark_sequence(object_id, serial, serial + 9)
+            for serial in range(5)
+        )
+        edited = churn["annotation_ids"][::4]
+        for serial, annotation_id in enumerate(edited):
+            changes = {"title": f"edited {serial}", "keywords": ["edited", "zebra"]}
+            service.update_annotation(annotation_id, changes)
+        live = planning(service.manager)  # before a checkpoint could tidy anything
+        service.checkpoint()
+    finally:
+        service.close()
+    recovered, info = recover_manager(tmp_path / "root")
+    assert info["replayed"] == 0
+    assert live[0] == recovered.annotation_count  # every document parked
+    assert live[1][0] == 5 + len(edited)  # "zebra", counted before any search
+    assert planning(recovered) == live
 
 
 # -- v1 compatibility -----------------------------------------------------------------

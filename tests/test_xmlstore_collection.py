@@ -172,45 +172,40 @@ def test_inverted_index_vocabulary():
     assert index.vocabulary_size >= 3
 
 
-def test_deferred_index_flushes_on_search():
-    collection = make_collection()
+def _park(collection, doc_id, xml):
+    """Park *xml* as annotation documents are registered: text, no tree."""
     from repro.xmlstore.parser import parse_xml
 
-    collection.add(parse_xml("<annotation><body>deferred protease</body></annotation>"),
-                   doc_id="d1", defer_index=True)
-    assert collection.pending_index_count == 1
-    # The search flushes pending work first, so results are never stale.
-    assert "d1" in collection.search_keyword("deferred")
-    assert collection.pending_index_count == 0
+    text = DocumentCollection._searchable_text(parse_xml(xml))
+    collection.add_lazy_many([(doc_id, text, lambda: parse_xml(xml))])
+
+
+def test_a_parked_document_is_searchable_before_its_tree_exists():
+    collection = make_collection()
+    _park(collection, "d1", "<annotation><body>parked protease</body></annotation>")
+    assert collection.lazy_document_count == 1
+    assert collection.keyword_document_frequency("parked") == 1
+    assert collection.search_keyword("parked protease") == ["d1"]
+    assert collection.lazy_document_count == 1  # verified from the text
+    assert collection.get("d1").root.find("body").text == "parked protease"
+    assert collection.lazy_document_count == 0
 
 
 def test_deferred_then_removed_never_indexed():
     collection = make_collection()
-    from repro.xmlstore.parser import parse_xml
-
-    collection.add(parse_xml("<annotation><body>ephemeral marker</body></annotation>"),
-                   doc_id="d1", defer_index=True)
+    _park(collection, "d1", "<annotation><body>ephemeral marker</body></annotation>")
     collection.remove("d1")
-    assert collection.pending_index_count == 0
+    assert collection.lazy_document_count == 0
     assert collection.search_keyword("ephemeral") == []
+    assert collection.keyword_document_frequency("ephemeral") == 0
 
 
 def test_deferred_then_replaced_indexes_new_text():
     collection = make_collection()
     from repro.xmlstore.parser import parse_xml
 
-    collection.add(parse_xml("<annotation><body>first text</body></annotation>"),
-                   doc_id="d1", defer_index=True)
+    _park(collection, "d1", "<annotation><body>first text</body></annotation>")
     collection.update("d1", parse_xml("<annotation><body>second text</body></annotation>"))
+    assert collection.lazy_document_count == 0  # the new tree superseded the parked one
     assert collection.search_keyword("second") == ["d1"]
     assert collection.search_keyword("first") == []
-
-
-def test_explicit_flush_index():
-    collection = make_collection()
-    from repro.xmlstore.parser import parse_xml
-
-    collection.add(parse_xml("<annotation><body>flushme now</body></annotation>"),
-                   doc_id="d1", defer_index=True)
-    assert collection.flush_index() == 1
-    assert collection.flush_index() == 0

@@ -2,9 +2,9 @@
 
 Covers the two new inverted-index paths (``update_document`` term diff,
 ``apply_text_delta`` exact part delta), the collection's in-place update
-methods, and the deferred-indexing delete regression: a document committed
-with ``defer_index=True`` and removed before ``flush_index()`` must never
-resurrect ghost postings.  Also pinned: keyword verification renders each
+methods (an edit re-parks the document), and the parked-document delete
+regression: a document removed before any reader built its tree must never
+leave ghost postings.  Also pinned: keyword verification renders each
 document version's text at most once, and concurrent readers cache only
 current texts.
 """
@@ -22,6 +22,12 @@ from repro.xmlstore.text_index import InvertedIndex
 
 def _doc(text: str):
     return parse_xml(f"<note label='tagged'>{text}</note>")
+
+
+def _park(collection: DocumentCollection, doc_id: str, text: str) -> None:
+    """Park ``_doc(text)`` as annotation documents are registered."""
+    searchable = DocumentCollection._searchable_text(_doc(text))
+    collection.add_lazy_many([(doc_id, searchable, lambda: _doc(text))])
 
 
 def _rebuilt(collection: DocumentCollection) -> InvertedIndex:
@@ -106,13 +112,13 @@ def test_collection_update_delta_is_lazy_and_exact():
     collection.update_delta(
         "d1", lambda: _doc("alpha gamma"), removed_parts=["beta"], added_parts=["gamma"]
     )
-    assert collection.stale_document_count == 1
+    assert collection.lazy_document_count == 1  # the edit re-parked it
     # index already reflects the edit, before any materialization
     assert collection._index.document_contains("d1", "gamma")
     assert not collection._index.document_contains("d1", "beta")
     # the first read materializes the new body
     assert "gamma" in collection.get("d1").text_content()
-    assert collection.stale_document_count == 0
+    assert collection.lazy_document_count == 0
     assert collection.search_keyword("gamma") == ["d1"]
     assert collection.search_keyword("beta") == []
     assert_index_equals_rebuild(collection)
@@ -122,7 +128,7 @@ def test_collection_update_eager_delta():
     collection = DocumentCollection("eager")
     collection.add(_doc("alpha beta"), doc_id="d1")
     collection.update("d1", _doc("alpha delta"))
-    assert collection.stale_document_count == 0
+    assert collection.lazy_document_count == 0
     assert collection.search_keyword("delta") == ["d1"]
     assert collection.search_keyword("beta") == []
     assert_index_equals_rebuild(collection)
@@ -147,38 +153,38 @@ def test_save_and_corpus_materialize(tmp_path):
     assert "omega" in collection.to_corpus_xml()
 
 
-# -- deferred-indexing delete regression (ghost postings) ----------------------
+# -- parked-document delete regression (ghost postings) -------------------------
 
 
 def test_deferred_add_then_remove_leaves_no_ghost_postings():
     collection = DocumentCollection("ghosts")
-    collection.add(_doc("phantom keyword"), doc_id="d1", defer_index=True)
-    collection.add(_doc("surviving keyword"), doc_id="d2", defer_index=True)
-    assert collection.pending_index_count == 2
-    collection.remove("d1")  # deleted before the flush ever indexed it
-    assert collection.pending_index_count == 1
-    flushed = collection.flush_index()
-    assert flushed == 1
+    _park(collection, "d1", "phantom keyword")
+    _park(collection, "d2", "surviving keyword")
+    assert collection.lazy_document_count == 2
+    collection.remove("d1")  # deleted before any reader built its tree
+    assert collection.lazy_document_count == 1
     assert collection.search_keyword("phantom") == []
     assert collection._index.document_frequency("phantom") == 0
     assert collection.search_keyword("surviving") == ["d2"]
     assert_index_equals_rebuild(collection)
 
 
-def test_deferred_update_then_flush_indexes_latest_body():
+def test_parked_then_edited_serves_latest_body():
+    """A parked document edited before any reader built it: the first
+    search and the first read both see the latest body."""
     collection = DocumentCollection("pending-update")
-    collection.add(_doc("first draft"), doc_id="d1", defer_index=True)
+    _park(collection, "d1", "first draft")
     collection.update_delta("d1", lambda: _doc("second draft"), ["first"], ["second"])
-    # still pending: the delta must NOT have touched the index
-    assert collection.pending_index_count == 1
-    collection.flush_index()
+    assert collection.lazy_document_count == 1
     assert collection.search_keyword("second") == ["d1"]
     assert collection.search_keyword("first") == []
+    assert collection.get("d1").text_content() == "second draft"
     assert_index_equals_rebuild(collection)
 
 
 def test_manager_bulk_commit_delete_flush_interleaving():
-    """Satellite regression: bulk_commit (defer) -> delete -> flush."""
+    """Regression: bulk commit (parked) -> delete -> search never finds the
+    deleted document."""
     from repro.core.manager import Graphitti
     from repro.datatypes import DnaSequence
 
@@ -190,13 +196,14 @@ def test_manager_bulk_commit_delete_flush_interleaving():
         .build()
         for i in range(4)
     ]
-    g.commit_many(batch)  # deferred indexing
-    assert g.contents.pending_index_count == 4
+    g.commit_many(batch)
+    assert g.contents.lazy_document_count == 4
+    assert g.contents.keyword_document_frequency("only2") == 1  # indexed at once
     g.delete_annotation("g2")
-    # the flush (triggered by the first search) must not resurrect g2
     assert g.search_by_keyword("only2") == []
     assert g.search_by_keyword("bulk") == ["g0", "g1", "g3"]
     assert g.contents._index.document_frequency("only2") == 0
+    assert g.contents.lazy_document_count == 3
     report = g.check_integrity()
     assert report.ok, report.errors
 
@@ -215,14 +222,12 @@ _PROBES = (
 
 
 def _twins():
-    """The same corpus ingested live (``add``) and as recovery registers it
-    (``add_lazy``: text only, tree on demand)."""
+    """The same corpus stored as trees (``add``) and parked as annotation
+    documents are registered (text only, tree on demand)."""
     live, recovered = DocumentCollection("live"), DocumentCollection("recovered")
     for doc_id, body in _BODIES.items():
         live.add(_doc(body), doc_id=doc_id)
-        recovered.add_lazy(
-            doc_id, DocumentCollection._searchable_text(_doc(body)), lambda body=body: _doc(body)
-        )
+        _park(recovered, doc_id, body)
     return live, recovered
 
 
@@ -258,13 +263,11 @@ def test_live_and_recovered_collections_search_alike_through_mutations():
         collection.remove("d3")
     assert_twins_agree(live, recovered)
     for collection in (live, recovered):
-        collection.add(_doc("late zeta cleavage site"), doc_id="d5", defer_index=True)
-        assert collection.pending_index_count == 1
-    assert_twins_agree(live, recovered)  # the search flushed the deferred add
+        _park(collection, "d5", "late zeta cleavage site")
+    assert_twins_agree(live, recovered)
     for collection in (live, recovered):
-        collection.add(_doc("never searched"), doc_id="d6", defer_index=True)
-        collection.update("d6", _doc("epsilon after all"))  # edited while still pending
-        assert collection.flush_index() == 1
+        _park(collection, "d6", "never searched")
+        collection.update("d6", _doc("epsilon after all"))  # replaced while still parked
     assert_twins_agree(live, recovered)
     assert_index_equals_rebuild(live)
 
@@ -288,6 +291,7 @@ def _probe(collection, probes: int = 50) -> None:
 def test_searchable_text_renders_once_per_document_version(monkeypatch):
     parked = {"p1": "parked alpha", "p2": "parked cleavage site"}
     parked_texts = {doc_id: DocumentCollection._searchable_text(_doc(body)) for doc_id, body in parked.items()}
+    late_text = DocumentCollection._searchable_text(_doc("late draft"))
     renders: Counter = Counter()
     searchable_text = DocumentCollection._searchable_text
 
@@ -303,12 +307,9 @@ def test_searchable_text_renders_once_per_document_version(monkeypatch):
     _probe(collection)
     assert renders == expected
 
-    collection.add(_doc("late draft"), doc_id="d5", defer_index=True)
-    assert renders == expected  # deferral renders nothing yet
-    collection.flush_index()
-    expected["d5"] += 1  # the flush renders it once
+    collection.add_lazy_many([("d5", late_text, lambda: _doc("late draft"))])
     _probe(collection)
-    assert renders == expected
+    assert renders == expected  # a parked text is verified, never rendered
 
     collection.update("d1", _doc("revised draft of alpha"))
     expected["d1"] += 1  # each update renders once
@@ -328,7 +329,7 @@ def test_searchable_text_renders_once_per_document_version(monkeypatch):
     assert renders == expected  # registered text is verified, never rendered
     assert collection.search_keyword("parked") == ["p1", "p2"]
     assert collection.search_keyword("zeta") == ["d2"]
-    assert collection.lazy_document_count == len(parked)
+    assert collection.lazy_document_count == len(parked) + 1  # and d5
 
 
 def _pages(result):
@@ -368,8 +369,8 @@ def test_concurrent_readers_cache_only_current_texts(tmp_path):
                 annotation_id, {"title": f"edited {annotation_id}", "keywords": ["edited", word]}
             )
     contents = service.manager.contents
-    assert contents.lazy_document_count == 90 - len(range(0, 90, 7))
-    assert contents.stale_document_count == len(edited)
+    # Recovered, live-ingested and edited documents alike are parked.
+    assert contents.lazy_document_count == 90 + 60
     keywords = ("churn", "edited", "edited churn", "initial mark", "mark 7 on", "curator-1", *CHURN_KEYWORDS)
     texts = [f'SELECT contents WHERE {{ CONTENT CONTAINS "{keyword}" }}' for keyword in keywords]
     texts.append('SELECT referents WHERE { CONTENT CONTAINS "churn" CONTENT CONTAINS "edited" }')
