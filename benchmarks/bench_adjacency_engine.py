@@ -141,7 +141,7 @@ def _indexed_path_eval(g: AGraph, sources, targets, bound):
         for node, source_distance in from_sources.items()
         if (target_distance := from_targets.get(node)) is not None
         and source_distance + target_distance <= bound
-        and graph.node(node).kind == "content"
+        and graph.kind(node) == "content"
     }
 
 

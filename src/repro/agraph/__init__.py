@@ -14,14 +14,13 @@ typed a-graph layer on top of it (:mod:`repro.agraph.agraph`), and the two
 primitives plus their supporting graph algorithms.
 """
 
-from repro.agraph.multigraph import Edge, LabeledMultigraph, Node
+from repro.agraph.multigraph import Edge, LabeledMultigraph
 from repro.agraph.agraph import AGraph, NodeKind
 from repro.agraph.connection import ConnectionSubgraph
 from repro.agraph.metrics import AGraphMetrics
 
 __all__ = [
     "LabeledMultigraph",
-    "Node",
     "Edge",
     "AGraph",
     "NodeKind",

@@ -28,10 +28,11 @@ The two primitives are:
 * :meth:`AGraph.connect` — ``connect(node1, node2, ...)``: a connection
   subgraph intervening a set of nodes.
 
-Traversals expand through the multigraph's zero-copy ``iter_incident``
-adjacency index, edge lookup along a reconstructed path uses the pair index,
-and component queries are answered by the multigraph's incremental union-find
-instead of a per-call BFS.
+Traversals expand through the multigraph's one adjacency map (a node's
+``(label, direction)`` buckets of neighbour ids), the edges along a
+reconstructed path are looked up in the same buckets, and component queries
+are answered by the multigraph's incremental union-find instead of a
+per-call BFS.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from collections import deque
 from typing import Any, Hashable, Iterable
 
 from repro.agraph.connection import ConnectionSubgraph
-from repro.agraph.multigraph import Edge, LabeledMultigraph
+from repro.agraph.multigraph import IN, Edge, LabeledMultigraph
 from repro.errors import AGraphError, UnknownNodeError
 
 #: Edge label: content --annotates--> referent.
@@ -50,6 +51,9 @@ ANNOTATES = "annotates"
 REFERS_TO = "refers_to"
 #: Edge label: referent --same_object--> referent (share a data object).
 SAME_OBJECT = "same_object"
+
+#: The bucket of a referent's incoming ``annotates`` edges: its contents.
+_ANNOTATED_BY = (ANNOTATES, IN)
 
 
 class NodeKind(enum.Enum):
@@ -103,26 +107,26 @@ class AGraph:
 
     # -- typed node/edge construction -----------------------------------------
 
-    def add_content(self, content_id: Hashable, **attributes: Any) -> Hashable:
-        """Add (or update) an annotation-content node."""
-        self._graph.add_node(content_id, kind=NodeKind.CONTENT.value, **attributes)
+    def add_content(self, content_id: Hashable) -> Hashable:
+        """Add an annotation-content node (a no-op when it exists)."""
+        self._graph.add_node(content_id, kind=NodeKind.CONTENT.value)
         return content_id
 
-    def add_referent(self, referent_id: Hashable, **attributes: Any) -> Hashable:
-        """Add (or update) a referent (marked-substructure) node."""
-        self._graph.add_node(referent_id, kind=NodeKind.REFERENT.value, **attributes)
+    def add_referent(self, referent_id: Hashable) -> Hashable:
+        """Add a referent (marked-substructure) node (a no-op when it exists)."""
+        self._graph.add_node(referent_id, kind=NodeKind.REFERENT.value)
         return referent_id
 
-    def add_ontology_node(self, term_id: Hashable, **attributes: Any) -> Hashable:
-        """Add (or update) an ontology-term node."""
-        self._graph.add_node(term_id, kind=NodeKind.ONTOLOGY.value, **attributes)
+    def add_ontology_node(self, term_id: Hashable) -> Hashable:
+        """Add an ontology-term node (a no-op when it exists)."""
+        self._graph.add_node(term_id, kind=NodeKind.ONTOLOGY.value)
         return term_id
 
     def check_edge(self, label: str, source: Hashable, target: Hashable) -> None:
         """Raise unless :data:`EDGE_TYPES` admits ``source --label--> target``
         between the two existing nodes."""
-        node = self._graph.node
-        source_kind, target_kind = node(source).kind, node(target).kind
+        kind = self._graph.kind
+        source_kind, target_kind = kind(source), kind(target)
         kinds = EDGE_TYPES.get(label)
         if kinds is None or source_kind not in kinds[0] or target_kind not in kinds[1]:
             raise AGraphError(
@@ -133,7 +137,8 @@ class AGraph:
     def link(self, label: str, source: Hashable, target: Hashable) -> Edge:
         """Add one ``source --label--> target`` edge after :meth:`check_edge`."""
         self.check_edge(label, source, target)
-        return self._graph.add_edge(source, target, label=label)
+        self._graph.add_edge(source, target, label=label)
+        return Edge(source, target, label)
 
     def unlink(self, label: str, source: Hashable, target: Hashable) -> bool:
         """Remove one copy of ``source --label--> target``; False when absent.
@@ -148,15 +153,15 @@ class AGraph:
 
     def contents(self) -> list[Hashable]:
         """Ids of every annotation-content node."""
-        return [node.node_id for node in self._graph.nodes_of_kind(NodeKind.CONTENT.value)]
+        return self._graph.nodes_of_kind(NodeKind.CONTENT.value)
 
     def referents(self) -> list[Hashable]:
         """Ids of every referent node."""
-        return [node.node_id for node in self._graph.nodes_of_kind(NodeKind.REFERENT.value)]
+        return self._graph.nodes_of_kind(NodeKind.REFERENT.value)
 
     def ontology_nodes(self) -> list[Hashable]:
         """Ids of every ontology node."""
-        return [node.node_id for node in self._graph.nodes_of_kind(NodeKind.ONTOLOGY.value)]
+        return self._graph.nodes_of_kind(NodeKind.ONTOLOGY.value)
 
     def referents_of(self, content_id: Hashable) -> list[Hashable]:
         """Referents annotated by *content_id*."""
@@ -170,18 +175,19 @@ class AGraph:
         """For a batch of referents, how many of them each content annotates.
 
         The one "referents -> annotation counts" step every spatial search
-        shares: one indexed ``annotates`` in-edge walk per referent, counted
-        in a plain dict keyed by content id.  Referent ids absent from the
-        graph are skipped, so callers can feed store-level hits straight in.
+        shares: one read of each referent's ``(annotates, IN)`` bucket,
+        counted in a plain dict keyed by content id.  Referent ids absent
+        from the graph are skipped, so callers can feed store-level hits
+        straight in.
         """
         counts: dict[Hashable, int] = {}
         get = counts.get
-        graph = self._graph
+        adjacency = self._graph.adjacency
         for referent_id in referent_ids:
-            if referent_id not in graph:
+            buckets = adjacency.get(referent_id)
+            if buckets is None:
                 continue
-            for edge in graph.iter_in_edges(referent_id, label=ANNOTATES):
-                source = edge.source
+            for source in buckets.get(_ANNOTATED_BY, ()):
                 counts[source] = get(source, 0) + 1
         return counts
 
@@ -191,10 +197,9 @@ class AGraph:
         related" relation."""
         related: set[Hashable] = set()
         graph = self._graph
-        for edge in graph.iter_out_edges(content_id, label=ANNOTATES):
-            for back in graph.iter_in_edges(edge.target, label=ANNOTATES):
-                if back.source != content_id:
-                    related.add(back.source)
+        for referent_id in graph.successors(content_id, label=ANNOTATES):
+            related.update(graph.predecessors(referent_id, label=ANNOTATES))
+        related.discard(content_id)
         return related
 
     def ontology_terms_of(self, node_id: Hashable) -> list[Hashable]:
@@ -213,7 +218,7 @@ class AGraph:
         exists.
 
         The search is a level-synchronous bidirectional BFS over the
-        multigraph's neighbor-id index: the smaller frontier expands one full
+        multigraph's adjacency map: the smaller frontier expands one full
         level at a time, and the best meeting node of a level yields a
         provably shortest path while visiting a fraction of the nodes a
         one-sided sweep would touch.
@@ -227,8 +232,8 @@ class AGraph:
         # The component index refutes most unreachable pairs without a BFS.
         if labels is None and not self._graph.same_component(node1, node2):
             return None
-        allowed = tuple(set(labels)) if labels is not None else None
-        adjacency = self._graph.undirected_adjacency
+        allowed = frozenset(labels) if labels is not None else None
+        adjacency = self._graph.adjacency
         prev_from_1: dict[Hashable, Hashable] = {node1: node1}
         prev_from_2: dict[Hashable, Hashable] = {node2: node2}
         frontier_1: list[Hashable] = [node1]
@@ -247,7 +252,7 @@ class AGraph:
                 if allowed is None:
                     groups = buckets.values()
                 else:
-                    groups = [buckets[label] for label in allowed if label in buckets]
+                    groups = [ids for (label, _), ids in buckets.items() if label in allowed]
                 for ids in groups:
                     for neighbor in ids:
                         if neighbor not in prev_here:
@@ -290,7 +295,7 @@ class AGraph:
         constraint with two BFS passes instead of one BFS per
         (source, target) pair.  Unknown source ids are ignored.
         """
-        allowed = tuple(set(labels)) if labels is not None else None
+        allowed = frozenset(labels) if labels is not None else None
         graph = self._graph
         distances: dict[Hashable, int] = {}
         frontier: list[Hashable] = []
@@ -299,7 +304,7 @@ class AGraph:
                 distances[source] = 0
                 frontier.append(source)
         depth = 0
-        adjacency = graph.undirected_adjacency
+        adjacency = graph.adjacency
         while frontier and (max_depth is None or depth < max_depth):
             depth += 1
             next_frontier: list[Hashable] = []
@@ -308,7 +313,7 @@ class AGraph:
                 if allowed is None:
                     groups = buckets.values()
                 else:
-                    groups = [buckets[label] for label in allowed if label in buckets]
+                    groups = [ids for (label, _), ids in buckets.items() if label in allowed]
                 for ids in groups:
                     for neighbor in ids:
                         if neighbor not in distances:
@@ -336,8 +341,8 @@ class AGraph:
         pending = set(stop_nodes) if stop_nodes is not None else None
         if pending is not None:
             pending.discard(root)
-        allowed = tuple(set(labels)) if labels is not None else None
-        adjacency = self._graph.undirected_adjacency
+        allowed = frozenset(labels) if labels is not None else None
+        adjacency = self._graph.adjacency
         previous: dict[Hashable, Hashable] = {root: root}
         queue: deque[Hashable] = deque([root])
         while queue:
@@ -348,7 +353,7 @@ class AGraph:
             if allowed is None:
                 groups = buckets.values()
             else:
-                groups = [buckets[label] for label in allowed if label in buckets]
+                groups = [ids for (label, _), ids in buckets.items() if label in allowed]
             for ids in groups:
                 for neighbor in ids:
                     if neighbor not in previous:

@@ -37,7 +37,7 @@ class ConnectionSubgraph:
     edges: list[Edge] = field(default_factory=list)
     paths: list[list[Hashable]] = field(default_factory=list)
     #: Set mirror of ``edges`` so membership checks stay O(1) as subgraphs
-    #: grow (``Edge`` is a frozen, hashable dataclass).
+    #: grow.
     _edge_set: set[Edge] = field(default_factory=set, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -1,21 +1,24 @@
-"""Directed labeled multigraph with indexed adjacency.
+"""Directed labeled multigraph stored as one adjacency map.
 
 The substrate of the a-graph: a directed graph that allows multiple, labeled
-edges between the same pair of nodes (hence *multi*-graph).  Nodes carry a
-kind and arbitrary attributes; edges carry a label and attributes.
+edges between the same pair of nodes (hence *multi*-graph).  A node is an id
+and a kind; an edge is its two endpoint ids and a label, and nothing else.
 
-Adjacency is indexed three ways so the query hot path never scans:
+The graph holds two structures besides its edge count and component index:
 
-* **per-node / per-label adjacency** — ``_out[node][label] -> [Edge]`` (and
-  the mirror ``_in``), so a label-filtered expansion touches only the edges
-  with that label instead of filtering the full incident list;
-* **pair index** — ``(source, target) -> [Edge]``, so path reconstruction
-  finds the edge between two adjacent nodes in O(1) instead of scanning the
-  source's incident lists;
-* **kind index** — ``kind -> ordered set of node ids``, so
-  :meth:`nodes_of_kind` stops scanning the whole node table.
+* **the adjacency map** — ``node -> (label, OUT | IN) -> [neighbour ids]``.
+  An edge ``s --label--> t`` is one entry ``t`` under ``s``'s
+  ``(label, OUT)`` bucket and one entry ``s`` under ``t``'s ``(label, IN)``
+  bucket, in insertion order.  A traversal that ignores direction iterates a
+  node's bucket values; a directed read (successors, predecessors, the
+  edges feeding a node) reads one bucket;
+* **the kind index** — ``kind -> ordered set of node ids``, so
+  :meth:`nodes_of_kind` never scans the node table.
 
-On top of the adjacency indexes the graph maintains an **incremental
+:class:`Edge` values are built on demand, for callers that want edge
+records (connection subgraphs, :meth:`edges`, the wire codec).
+
+On top of the adjacency the graph maintains an **incremental
 connected-component index** (union-find with size-balanced merging and path
 compression, treating edges as undirected).  ``add_node``/``add_edge`` update
 it in O(alpha); ``remove_node``/``remove_edge`` mark only the component they
@@ -23,71 +26,46 @@ touched as pending, and the next quiesce point (or component query)
 re-derives just those components from their own adjacency.  Component
 queries therefore cost O(1) after the (amortised) maintenance instead of a
 BFS per call, and a removal costs the component it split, not the graph.
-
-The ``iter_*`` accessors yield edges straight out of the index without
-copying; the list-returning accessors (``out_edges`` et al.) are kept for
-compatibility and defensive-copy semantics.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable, Iterator
+from typing import Any, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from repro.errors import AGraphError, UnknownNodeError
 from repro.analysis.annotations import requires_write_lock
 
+#: Bucket directions: the bucket of a node's outgoing, or incoming, edges.
+OUT, IN = "out", "in"
 
-@dataclass
-class Node:
-    """A graph node: an id, a kind tag, and free-form attributes."""
-
-    node_id: Hashable
-    kind: str = "node"
-    attributes: dict[str, Any] = field(default_factory=dict)
+#: One shared ``(label, direction)`` key object per distinct key, so every
+#: node's buckets reference it instead of holding a tuple of their own
+#: (lookups may pass any equal tuple).
+_KEYS: dict[tuple[str, str], tuple[str, str]] = {}
 
 
-@dataclass(frozen=True)
-class Edge:
+def _key(label: str, direction: str) -> tuple[str, str]:
+    key = (label, direction)
+    return _KEYS.setdefault(key, key)
+
+
+class Edge(NamedTuple):
     """A directed labeled edge between two nodes."""
 
     source: Hashable
     target: Hashable
     label: str = ""
-    attributes: tuple[tuple[str, Any], ...] = ()
-
-    def attribute(self, name: str, default: Any = None) -> Any:
-        """Value of attribute *name*, or *default*."""
-        for key, value in self.attributes:
-            if key == name:
-                return value
-        return default
-
-    def reversed(self) -> "Edge":
-        """The same edge with source/target swapped (for reverse walks)."""
-        return Edge(self.target, self.source, self.label, self.attributes)
 
 
 class LabeledMultigraph:
-    """A directed labeled multigraph with indexed forward/backward adjacency."""
+    """A directed labeled multigraph over one ``(label, direction)`` adjacency map."""
 
     def __init__(self) -> None:
-        self._nodes: dict[Hashable, Node] = {}
-        # node -> label -> edges (insertion order preserved within a label).
-        self._out: dict[Hashable, dict[str, list[Edge]]] = {}
-        self._in: dict[Hashable, dict[str, list[Edge]]] = {}
-        # node -> label -> neighbor ids, both directions merged.  This is the
-        # BFS expansion index: traversal touches plain id lists, never Edge
-        # objects (parallel edges appear once per edge; self-loops once).
-        self._undirected: dict[Hashable, dict[str, list[Hashable]]] = {}
-        # (source, target) -> edges, for O(1) edge lookup along a path.
-        self._pairs: dict[tuple[Hashable, Hashable], list[Edge]] = {}
+        self._kind: dict[Hashable, str] = {}
         # kind -> ordered set of node ids (dict used as an ordered set).
         self._kinds: dict[str, dict[Hashable, None]] = {}
-        self._label_counts: Counter[str] = Counter()
-        self._out_degree: dict[Hashable, int] = {}
-        self._in_degree: dict[Hashable, int] = {}
+        # node -> (label, OUT | IN) -> neighbour ids, one entry per edge end.
+        self._adjacency: dict[Hashable, dict[tuple[str, str], list[Hashable]]] = {}
         self._edge_count = 0
         # Union-find component index (undirected view of the edges):
         # node -> parent, and root -> member set.
@@ -104,75 +82,71 @@ class LabeledMultigraph:
     # -- size ----------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._kind)
 
     def __contains__(self, node_id: Hashable) -> bool:
-        return node_id in self._nodes
+        return node_id in self._kind
 
     @property
     def node_count(self) -> int:
         """Number of nodes."""
-        return len(self._nodes)
+        return len(self._kind)
 
     @property
     def edge_count(self) -> int:
         """Number of edges."""
         return self._edge_count
 
-    # -- nodes ----------------------------------------------------------------
+    @property
+    def adjacency(self) -> Mapping[Hashable, dict[tuple[str, str], list[Hashable]]]:
+        """The adjacency map: node -> ``(label, OUT | IN)`` -> neighbour ids.
 
-    def add_node(self, node_id: Hashable, kind: str = "node", **attributes: Any) -> Node:
-        """Add (or update) a node and return it."""
-        node = self._nodes.get(node_id)
-        if node is None:
-            node = Node(node_id, kind, dict(attributes))
-            self._nodes[node_id] = node
-            self._out[node_id] = {}
-            self._in[node_id] = {}
-            self._undirected[node_id] = {}
-            self._out_degree[node_id] = 0
-            self._in_degree[node_id] = 0
-            self._kinds.setdefault(kind, {})[node_id] = None
-            if node_id not in self._uf_parent:  # else: removed, still pending
-                self._uf_parent[node_id] = node_id
-                self._uf_members[node_id] = {node_id}
-        else:
-            if node.kind != kind:
-                old_bucket = self._kinds.get(node.kind)
-                if old_bucket is not None:
-                    old_bucket.pop(node_id, None)
-                    if not old_bucket:
-                        del self._kinds[node.kind]
-                self._kinds.setdefault(kind, {})[node_id] = None
-                node.kind = kind
-            node.attributes.update(attributes)
-        return node
+        Exposed for tight traversal loops that cannot afford a method call
+        per expanded node.  The mapping and its buckets are live graph
+        structure and MUST NOT be mutated by callers.
+        """
+        return self._adjacency
 
-    def node(self, node_id: Hashable) -> Node:
-        """The node with id *node_id* (raises when absent)."""
+    def _buckets(self, node_id: Hashable) -> dict[tuple[str, str], list[Hashable]]:
         try:
-            return self._nodes[node_id]
+            return self._adjacency[node_id]
         except KeyError:
             raise UnknownNodeError(f"no node {node_id!r} in the graph") from None
 
-    def has_node(self, node_id: Hashable) -> bool:
-        """True when the node exists."""
-        return node_id in self._nodes
+    # -- nodes ----------------------------------------------------------------
 
-    def nodes(self) -> Iterator[Node]:
-        """Iterate over every node."""
-        return iter(self._nodes.values())
+    def add_node(self, node_id: Hashable, kind: str = "node") -> None:
+        """Add a node; adding an existing node with its own kind is a no-op.
+
+        Raises :class:`~repro.errors.AGraphError`, changing nothing, when
+        *node_id* already holds another kind.
+        """
+        held = self._kind.get(node_id)
+        if held is not None:
+            if held != kind:
+                raise AGraphError(f"node {node_id!r} is a {held} node, not a {kind} node")
+            return
+        self._kind[node_id] = kind
+        self._adjacency[node_id] = {}
+        self._kinds.setdefault(kind, {})[node_id] = None
+        if node_id not in self._uf_parent:  # else: removed, still pending
+            self._uf_parent[node_id] = node_id
+            self._uf_members[node_id] = {node_id}
+
+    def kind(self, node_id: Hashable) -> str:
+        """The kind of node *node_id* (raises when absent)."""
+        try:
+            return self._kind[node_id]
+        except KeyError:
+            raise UnknownNodeError(f"no node {node_id!r} in the graph") from None
 
     def node_ids(self) -> tuple[Hashable, ...]:
         """All node ids."""
-        return tuple(self._nodes)
+        return tuple(self._kind)
 
-    def nodes_of_kind(self, kind: str) -> list[Node]:
-        """All nodes whose kind equals *kind* (answered from the kind index)."""
-        bucket = self._kinds.get(kind)
-        if not bucket:
-            return []
-        return [self._nodes[node_id] for node_id in bucket]
+    def nodes_of_kind(self, kind: str) -> list[Hashable]:
+        """Ids of the nodes whose kind equals *kind* (from the kind index)."""
+        return list(self._kinds.get(kind, ()))
 
     def kind_counts(self) -> dict[str, int]:
         """Map of kind -> number of nodes with that kind."""
@@ -184,68 +158,49 @@ class LabeledMultigraph:
         Only the node's own component is marked pending re-derivation (see
         :meth:`rebuild_components`); every other component stays as derived.
         """
-        if node_id not in self._nodes:
-            raise UnknownNodeError(f"no node {node_id!r} in the graph")
-        # Detach outgoing edges from their targets' in-indexes first; a
-        # self-loop is fully handled here and never appears in the in-pass.
-        for label, edges in self._out[node_id].items():
-            for edge in edges:
-                self._unindex_edge(edge)
-                if edge.target != node_id:
-                    bucket = self._in[edge.target]
-                    bucket[label] = [item for item in bucket[label] if item is not edge]
-                    if not bucket[label]:
-                        del bucket[label]
-                    self._in_degree[edge.target] -= 1
-                    self._drop_neighbor(edge.target, label, node_id)
-        for label, edges in self._in[node_id].items():
-            for edge in edges:
-                if edge.source == node_id:
-                    continue  # self-loop, already unindexed above
-                self._unindex_edge(edge)
-                bucket = self._out[edge.source]
-                bucket[label] = [item for item in bucket[label] if item is not edge]
-                if not bucket[label]:
-                    del bucket[label]
-                self._out_degree[edge.source] -= 1
-                self._drop_neighbor(edge.source, label, node_id)
-        node = self._nodes[node_id]
-        kind_bucket = self._kinds.get(node.kind)
-        if kind_bucket is not None:
-            kind_bucket.pop(node_id, None)
-            if not kind_bucket:
-                del self._kinds[node.kind]
-        del self._out[node_id]
-        del self._in[node_id]
-        del self._undirected[node_id]
-        del self._out_degree[node_id]
-        del self._in_degree[node_id]
-        del self._nodes[node_id]
+        buckets = self._buckets(node_id)
+        for (label, direction), neighbours in buckets.items():
+            mirror = (label, IN if direction == OUT else OUT)
+            for neighbour in neighbours:
+                if neighbour != node_id:  # a self-loop's other end goes with the node
+                    self._drop(neighbour, mirror, node_id)
+                    self._edge_count -= 1
+                elif direction == OUT:
+                    self._edge_count -= 1
+        kind = self._kind.pop(node_id)
+        kind_bucket = self._kinds[kind]
+        del kind_bucket[node_id]
+        if not kind_bucket:
+            del self._kinds[kind]
+        del self._adjacency[node_id]
         # Splitting a union-find set is not incremental: re-derive this one
         # component (not the graph) at the next quiesce point.
         self._uf_pending.add(self._find(node_id))
 
-    def _drop_neighbor(self, node_id: Hashable, label: str, neighbor: Hashable) -> None:
-        bucket = self._undirected[node_id]
-        bucket[label].remove(neighbor)
-        if not bucket[label]:
-            del bucket[label]
+    def _drop(self, node_id: Hashable, key: tuple[str, str], neighbour: Hashable) -> None:
+        buckets = self._adjacency[node_id]
+        neighbours = buckets[key]
+        neighbours.remove(neighbour)
+        if not neighbours:
+            del buckets[key]
 
-    def _unindex_edge(self, edge: Edge) -> None:
-        key = (edge.source, edge.target)
-        remaining = [item for item in self._pairs[key] if item is not edge]
-        if remaining:
-            self._pairs[key] = remaining
-        else:
-            del self._pairs[key]
-        self._label_counts[edge.label] -= 1
-        if not self._label_counts[edge.label]:
-            del self._label_counts[edge.label]
-        self._edge_count -= 1
+    # -- edges ----------------------------------------------------------------
+
+    def add_edge(self, source: Hashable, target: Hashable, label: str = "") -> None:
+        """Add a directed labeled edge (endpoints must already exist)."""
+        adjacency = self._adjacency
+        if source not in adjacency:
+            raise UnknownNodeError(f"edge source {source!r} is not a node")
+        if target not in adjacency:
+            raise UnknownNodeError(f"edge target {target!r} is not a node")
+        adjacency[source].setdefault(_key(label, OUT), []).append(target)
+        adjacency[target].setdefault(_key(label, IN), []).append(source)
+        self._edge_count += 1
+        self._union(source, target)
 
     def remove_edge(self, source: Hashable, target: Hashable, label: str) -> bool:
-        """Remove one directed ``source -> target`` edge carrying *label*
-        (the earliest such copy); returns False when there is none.
+        """Remove one directed ``source -> target`` edge carrying *label*;
+        returns False when there is none.
 
         This is the surgical counterpart of :meth:`remove_node` for the
         mutation-lifecycle paths that retract one relationship without
@@ -253,206 +208,107 @@ class LabeledMultigraph:
         component, so the endpoints' component is marked pending
         re-derivation exactly like :meth:`remove_node` does.
         """
-        edge = next(
-            (item for item in self._pairs.get((source, target), ()) if item.label == label), None
-        )
-        if edge is None:
+        if target not in self._adjacency.get(source, {}).get((label, OUT), ()):
             return False
-        self._unindex_edge(edge)
-        for bucket in (self._out[source], self._in[target]):
-            remaining = [item for item in bucket[label] if item is not edge]
-            if remaining:
-                bucket[label] = remaining
-            else:
-                del bucket[label]
-        self._out_degree[source] -= 1
-        self._in_degree[target] -= 1
-        self._drop_neighbor(source, label, target)
-        if source != target:
-            self._drop_neighbor(target, label, source)
+        self._drop(source, (label, OUT), target)
+        self._drop(target, (label, IN), source)
+        self._edge_count -= 1
         self._uf_pending.add(self._find(source))  # may have split it
         return True
 
-    # -- edges ----------------------------------------------------------------
-
-    def add_edge(
-        self,
-        source: Hashable,
-        target: Hashable,
-        label: str = "",
-        **attributes: Any,
-    ) -> Edge:
-        """Add a directed labeled edge (endpoints must already exist)."""
-        if source not in self._nodes:
-            raise UnknownNodeError(f"edge source {source!r} is not a node")
-        if target not in self._nodes:
-            raise UnknownNodeError(f"edge target {target!r} is not a node")
-        edge = Edge(source, target, label, tuple(sorted(attributes.items())))
-        self._out[source].setdefault(label, []).append(edge)
-        self._in[target].setdefault(label, []).append(edge)
-        self._undirected[source].setdefault(label, []).append(target)
-        if source != target:
-            self._undirected[target].setdefault(label, []).append(source)
-        self._pairs.setdefault((source, target), []).append(edge)
-        self._label_counts[label] += 1
-        self._out_degree[source] += 1
-        self._in_degree[target] += 1
-        self._edge_count += 1
-        self._union(source, target)
-        return edge
-
-    def out_edges(self, node_id: Hashable) -> list[Edge]:
-        """Outgoing edges of *node_id* (a fresh list; see ``iter_out_edges``)."""
-        return list(self.iter_out_edges(node_id))
+    def iter_out_edges(self, node_id: Hashable, label: str | None = None) -> Iterator[Edge]:
+        """Yield outgoing edges, optionally one label only."""
+        for (edge_label, direction), targets in self._buckets(node_id).items():
+            if direction == OUT and label in (None, edge_label):
+                for target in targets:
+                    yield Edge(node_id, target, edge_label)
 
     def in_edges(self, node_id: Hashable) -> list[Edge]:
-        """Incoming edges of *node_id* (a fresh list; see ``iter_in_edges``)."""
-        return list(self.iter_in_edges(node_id))
-
-    def iter_out_edges(self, node_id: Hashable, label: str | None = None) -> Iterator[Edge]:
-        """Yield outgoing edges without copying, optionally one label only."""
-        try:
-            buckets = self._out[node_id]
-        except KeyError:
-            raise UnknownNodeError(f"no node {node_id!r} in the graph") from None
-        if label is not None:
-            yield from buckets.get(label, ())
-            return
-        for edges in buckets.values():
-            yield from edges
-
-    def iter_in_edges(self, node_id: Hashable, label: str | None = None) -> Iterator[Edge]:
-        """Yield incoming edges without copying, optionally one label only."""
-        try:
-            buckets = self._in[node_id]
-        except KeyError:
-            raise UnknownNodeError(f"no node {node_id!r} in the graph") from None
-        if label is not None:
-            yield from buckets.get(label, ())
-            return
-        for edges in buckets.values():
-            yield from edges
-
-    def iter_incident(
-        self, node_id: Hashable, labels: Iterable[str] | None = None
-    ) -> Iterator[Edge]:
-        """Yield every incident edge (out then in), optionally label-filtered.
-
-        This is the zero-copy expansion step the BFS primitives use: no list
-        concatenation, and a label filter hits only the matching buckets.
-        """
-        try:
-            out_buckets = self._out[node_id]
-        except KeyError:
-            raise UnknownNodeError(f"no node {node_id!r} in the graph") from None
-        in_buckets = self._in[node_id]
-        if labels is None:
-            for edges in out_buckets.values():
-                yield from edges
-            for edges in in_buckets.values():
-                yield from edges
-            return
-        for label in labels:
-            yield from out_buckets.get(label, ())
-            yield from in_buckets.get(label, ())
+        """Incoming edges of *node_id*."""
+        return [
+            Edge(source, node_id, label)
+            for (label, direction), sources in self._buckets(node_id).items()
+            if direction == IN
+            for source in sources
+        ]
 
     def edges_between(self, source: Hashable, target: Hashable) -> list[Edge]:
-        """Every directed edge from *source* to *target* (pair index lookup)."""
-        return list(self._pairs.get((source, target), ()))
+        """Every directed edge from *source* to *target*."""
+        return [edge for edge in self.iter_out_edges(source) if edge.target == target]
 
     def find_edge(self, source: Hashable, target: Hashable) -> Edge | None:
-        """One edge joining the two nodes in either direction, or ``None``."""
-        edges = self._pairs.get((source, target))
-        if edges:
-            return edges[0]
-        edges = self._pairs.get((target, source))
-        if edges:
-            return edges[0]
+        """One edge joining the two nodes, preferring ``source -> target``
+        over ``target -> source``, or ``None``."""
+        for tail, head in ((source, target), (target, source)):
+            for (label, direction), heads in self._adjacency.get(tail, {}).items():
+                if direction == OUT and head in heads:
+                    return Edge(tail, head, label)
         return None
 
     def has_edge(self, source: Hashable, target: Hashable) -> bool:
         """True when a directed ``source -> target`` edge exists."""
-        return (source, target) in self._pairs
+        return any(
+            direction == OUT and target in targets
+            for (_, direction), targets in self._adjacency.get(source, {}).items()
+        )
 
     def edges(self) -> Iterator[Edge]:
         """Iterate over every edge."""
-        for buckets in self._out.values():
-            for edges in buckets.values():
-                yield from edges
+        for node_id in self._adjacency:
+            yield from self.iter_out_edges(node_id)
 
     def successors(self, node_id: Hashable, label: str | None = None) -> list[Hashable]:
         """Targets of outgoing edges (optionally filtered by label)."""
-        return [edge.target for edge in self.iter_out_edges(node_id, label)]
+        return self._ends(node_id, OUT, label)
 
     def predecessors(self, node_id: Hashable, label: str | None = None) -> list[Hashable]:
         """Sources of incoming edges (optionally filtered by label)."""
-        return [edge.source for edge in self.iter_in_edges(node_id, label)]
+        return self._ends(node_id, IN, label)
+
+    def _ends(self, node_id: Hashable, direction: str, label: str | None) -> list[Hashable]:
+        buckets = self._buckets(node_id)
+        if label is not None:
+            return list(buckets.get((label, direction), ()))
+        return [
+            neighbour
+            for (_, bucket_direction), neighbours in buckets.items()
+            if bucket_direction == direction
+            for neighbour in neighbours
+        ]
 
     def neighbors_undirected(self, node_id: Hashable) -> set[Hashable]:
         """All nodes connected to *node_id* ignoring edge direction."""
-        buckets = self.neighbor_buckets(node_id)
-        neighbors: set[Hashable] = set()
-        for ids in buckets.values():
-            neighbors.update(ids)
-        return neighbors
-
-    @property
-    def undirected_adjacency(self) -> dict[Hashable, dict[str, list[Hashable]]]:
-        """The whole BFS expansion index: node -> label -> neighbor ids.
-
-        Exposed for tight traversal loops that cannot afford a method call
-        per expanded node.  The mapping is live graph structure and MUST NOT
-        be mutated by callers.
-        """
-        return self._undirected
-
-    def neighbor_buckets(self, node_id: Hashable) -> dict[str, list[Hashable]]:
-        """Undirected neighbor ids of *node_id*, bucketed by edge label.
-
-        This is the raw BFS expansion index: the returned mapping is the
-        graph's own structure (label -> neighbor-id list, one entry per
-        incident edge) and MUST NOT be mutated by callers.  Traversals iterate
-        these plain id lists instead of materializing Edge objects.
-        """
-        try:
-            return self._undirected[node_id]
-        except KeyError:
-            raise UnknownNodeError(f"no node {node_id!r} in the graph") from None
+        return set(self.iter_neighbors(node_id))
 
     def iter_neighbors(
         self, node_id: Hashable, labels: Iterable[str] | None = None
     ) -> Iterator[Hashable]:
-        """Yield undirected neighbor ids (one per incident edge), optionally
+        """Yield undirected neighbour ids (one per edge end), optionally
         restricted to the given labels."""
-        buckets = self.neighbor_buckets(node_id)
+        buckets = self._buckets(node_id)
         if labels is None:
-            for ids in buckets.values():
-                yield from ids
+            for neighbours in buckets.values():
+                yield from neighbours
             return
         for label in labels:
-            yield from buckets.get(label, ())
+            yield from buckets.get((label, OUT), ())
+            yield from buckets.get((label, IN), ())
 
     def degree(self, node_id: Hashable) -> int:
-        """Total degree (in + out) of *node_id* (O(1) from the degree index)."""
-        if node_id not in self._nodes:
-            raise UnknownNodeError(f"no node {node_id!r} in the graph")
-        return self._out_degree[node_id] + self._in_degree[node_id]
+        """Total degree (in + out) of *node_id*; a self-loop counts twice."""
+        return sum(len(neighbours) for neighbours in self._buckets(node_id).values())
 
     def out_degree(self, node_id: Hashable) -> int:
         """Number of outgoing edges of *node_id*."""
-        if node_id not in self._nodes:
-            raise UnknownNodeError(f"no node {node_id!r} in the graph")
-        return self._out_degree[node_id]
+        return len(self._ends(node_id, OUT, None))
 
     def in_degree(self, node_id: Hashable) -> int:
         """Number of incoming edges of *node_id*."""
-        if node_id not in self._nodes:
-            raise UnknownNodeError(f"no node {node_id!r} in the graph")
-        return self._in_degree[node_id]
+        return len(self._ends(node_id, IN, None))
 
     def labels(self) -> set[str]:
         """Distinct edge labels present in the graph."""
-        return set(self._label_counts)
+        return {label for buckets in self._adjacency.values() for label, _ in buckets}
 
     # -- connected components (incremental union-find) -------------------------
 
@@ -484,7 +340,7 @@ class LabeledMultigraph:
         *members* must be closed under adjacency (whole components, or every
         node); ids no longer in the graph are dropped from the index.
         """
-        parent, groups, adjacency = self._uf_parent, self._uf_members, self._undirected
+        parent, groups, adjacency = self._uf_parent, self._uf_members, self._adjacency
         placed: set[Hashable] = set()
         for start in members:
             if start in placed:
@@ -511,7 +367,7 @@ class LabeledMultigraph:
         self._uf_parent.clear()
         self._uf_members.clear()
         self._uf_pending.clear()
-        self._rederive(self._nodes)
+        self._rederive(self._kind)
 
     def _ensure_components(self) -> bool:
         """Re-derive the pending components; True when there were any."""
@@ -548,7 +404,7 @@ class LabeledMultigraph:
         Two nodes are in the same component iff their roots are equal; the
         root itself is an arbitrary member and may change across mutations.
         """
-        if node_id not in self._nodes:
+        if node_id not in self._kind:
             raise UnknownNodeError(f"no node {node_id!r} in the graph")
         self._ensure_components()
         return self._find(node_id)
@@ -579,17 +435,6 @@ class LabeledMultigraph:
     def to_dict(self) -> dict[str, Any]:
         """JSON-compatible representation."""
         return {
-            "nodes": [
-                {"id": node.node_id, "kind": node.kind, "attributes": node.attributes}
-                for node in self._nodes.values()
-            ],
-            "edges": [
-                {
-                    "source": edge.source,
-                    "target": edge.target,
-                    "label": edge.label,
-                    "attributes": dict(edge.attributes),
-                }
-                for edge in self.edges()
-            ],
+            "nodes": [{"id": node_id, "kind": kind} for node_id, kind in self._kind.items()],
+            "edges": [edge._asdict() for edge in self.edges()],
         }

@@ -218,8 +218,9 @@ def mirror_agraph(agraph: Any) -> UnindexedMultigraph:
     """Copy an :class:`~repro.agraph.agraph.AGraph`'s structure into the
     unindexed baseline representation (same nodes, kinds, and edges)."""
     mirror = UnindexedMultigraph()
-    for node in agraph.graph.nodes():
-        mirror.add_node(node.node_id, kind=node.kind)
-    for edge in agraph.graph.edges():
+    graph = agraph.graph
+    for node_id in graph.node_ids():
+        mirror.add_node(node_id, kind=graph.kind(node_id))
+    for edge in graph.edges():
         mirror.add_edge(edge.source, edge.target, label=edge.label)
     return mirror

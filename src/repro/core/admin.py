@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.agraph.agraph import NodeKind
+from repro.agraph.multigraph import OUT
 from repro.errors import AGraphError
 
 
@@ -75,7 +76,7 @@ class Administrator:
                 report.fail(f"annotation {annotation_id!r} has no content document")
             if annotation_id not in manager.agraph:
                 report.fail(f"annotation {annotation_id!r} has no a-graph content node")
-            elif manager.agraph.graph.node(annotation_id).kind != NodeKind.CONTENT.value:
+            elif manager.agraph.graph.kind(annotation_id) != NodeKind.CONTENT.value:
                 report.fail(f"annotation {annotation_id!r} node is not a content node")
             for referent in annotation.referents:
                 referent_id = referent.referent_id
@@ -103,10 +104,15 @@ class Administrator:
         for referent_id in manager.agraph.referents():
             if referent_id not in manager.substructures:
                 report.warn(f"a-graph referent node {referent_id!r} is not in the substructure store")
+        # Count ``(label, source, target)`` straight from the OUT buckets:
+        # every edge once, and no Edge value built.
         live: Counter = Counter()
-        for edge in manager.agraph.graph.edges():
-            key = (edge.label, edge.source, edge.target)
-            live[key] += 1
+        for source, buckets in manager.agraph.graph.adjacency.items():
+            for (label, direction), targets in buckets.items():
+                if direction == OUT:
+                    for target in targets:
+                        live[label, source, target] += 1
+        for key, count in live.items():
             try:
                 manager.agraph.check_edge(*key)
             except AGraphError as exc:

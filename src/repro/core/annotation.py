@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from repro.agraph.agraph import ANNOTATES, REFERS_TO, SAME_OBJECT
+from repro.agraph.agraph import ANNOTATES, REFERS_TO, SAME_OBJECT, NodeKind
 from repro.core.dublin_core import DublinCore
 from repro.datatypes.base import SubstructureRef
 from repro.errors import AnnotationError
@@ -200,6 +200,16 @@ class Annotation:
             same_object.append(referent_id)
         edges.extend((REFERS_TO, annotation_id, term) for term in self.content.ontology_terms)
         return edges
+
+    def agraph_nodes(self) -> list[tuple[str, str]]:
+        """The a-graph nodes :meth:`agraph_edges` joins, as ``(id, kind)``
+        (a :class:`~repro.agraph.agraph.NodeKind` value) in wiring order."""
+        nodes = [(self.annotation_id, NodeKind.CONTENT.value)]
+        for referent in self._referents:
+            nodes.append((referent.referent_id, NodeKind.REFERENT.value))
+            nodes.extend((term, NodeKind.ONTOLOGY.value) for term in referent.ontology_terms)
+        nodes.extend((term, NodeKind.ONTOLOGY.value) for term in self.content.ontology_terms)
+        return nodes
 
     def to_document(self) -> XmlDocument:
         """Render the whole annotation as one XML document.

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter, OrderedDict
 from typing import Any, Callable, Iterable
 
-from repro.agraph.agraph import ANNOTATES, AGraph
+from repro.agraph.agraph import ANNOTATES, REFERS_TO, AGraph, NodeKind
 from repro.analysis.annotations import requires_write_lock
 from repro.agraph.connection import ConnectionSubgraph
 from repro.core.annotation import Annotation, Referent, rect_corners
@@ -250,11 +250,30 @@ class Graphitti:
             if identifier not in self._annotation_order:
                 return identifier
 
+    def _approve_node_kinds(
+        self, nodes: Iterable[tuple[str, str]], kinds: dict[str, str] | None = None
+    ) -> None:
+        """Refuse a write that would give one a-graph node id two kinds.
+
+        *nodes* are ``(id, kind)`` pairs the write adds; an id already in
+        the a-graph must keep its kind, and so must an id the same write
+        (*kinds*, shared across a batch) already gave one.
+        """
+        graph = self.agraph.graph
+        kinds = {} if kinds is None else kinds
+        for node_id, kind in nodes:
+            held = kinds.setdefault(node_id, graph.kind(node_id) if node_id in graph else kind)
+            if held != kind:
+                raise AnnotationError(
+                    f"id {node_id!r} names an a-graph {held} node, not a {kind} node"
+                )
+
     def approve_commit(self, annotations: Iterable[Annotation]) -> None:
         """Refuse committing *annotations* (one, or a batch) when an id is
-        committed here or repeats inside the batch, or a referent marks an
-        unregistered object."""
+        committed here or repeats inside the batch, a referent marks an
+        unregistered object, or an a-graph node id would take a second kind."""
         seen: set[str] = set()
+        kinds: dict[str, str] = {}
         for annotation in annotations:
             identifier = annotation.annotation_id
             if identifier in self._annotation_order or identifier in seen:
@@ -265,6 +284,7 @@ class Graphitti:
                     raise UnknownObjectError(
                         f"annotation references unregistered object {referent.ref.object_id!r}"
                     )
+            self._approve_node_kinds(annotation.agraph_nodes(), kinds)
 
     @requires_write_lock
     def commit(self, annotation: Annotation) -> Annotation:
@@ -405,8 +425,8 @@ class Graphitti:
 
         Returns the annotation's row view and the normalized change set
         (``add_referents`` decoded, ``remove_referents`` a list,
-        ``move_referents`` plain dicts, ``ontology_terms`` deduplicated), so
-        the apply decodes nothing twice.
+        ``move_referents`` plain dicts, ``ontology_terms`` deduplicated and
+        resolved), so the apply decodes nothing twice.
         """
         annotation = self.annotation(annotation_id)
         unknown = set(changes) - self._UPDATE_KEYS
@@ -425,12 +445,22 @@ class Graphitti:
             for referent_id, extent in dict(changes.get("move_referents", {})).items()
         }
         if "ontology_terms" in changes:
-            normalized["ontology_terms"] = list(dict.fromkeys(changes["ontology_terms"]))
+            normalized["ontology_terms"] = [
+                self.resolve_ontology_term(term)
+                for term in dict.fromkeys(changes["ontology_terms"])
+            ]
         for referent in additions:
             if referent.ref.object_id not in self.registry:
                 raise UnknownObjectError(
                     f"annotation references unregistered object {referent.ref.object_id!r}"
                 )
+        nodes = []
+        for referent in additions:
+            nodes.append((referent.referent_id, NodeKind.REFERENT.value))
+            nodes.extend((term, NodeKind.ONTOLOGY.value) for term in referent.ontology_terms)
+        content_terms = normalized.get("ontology_terms", ())
+        nodes.extend((term, NodeKind.ONTOLOGY.value) for term in content_terms)
+        self._approve_node_kinds(nodes)
         existing_ids = [ref.referent_id for ref in annotation.referents]
         for referent_id in removals:
             if referent_id not in existing_ids:
@@ -549,9 +579,7 @@ class Graphitti:
             added_parts.extend(str(value) for value in content.user_tags.values())
         if "ontology_terms" in changes:
             removed_parts.extend(str(term) for term in content.ontology_terms)
-            content.ontology_terms = [
-                self.resolve_ontology_term(term) for term in changes["ontology_terms"]
-            ]
+            content.ontology_terms = list(changes["ontology_terms"])
             added_parts.extend(str(term) for term in content.ontology_terms)
 
         # -- 2. referent removals -------------------------------------------
@@ -612,12 +640,7 @@ class Graphitti:
                         move_added,
                     )
 
-        # -- 6. content node attributes + delta document re-index ------------
-        self.agraph.add_content(
-            annotation_id,
-            title=dublin_core.title,
-            keywords=tuple(content.keywords()),
-        )
+        # -- 6. delta document re-index --------------------------------------
         # The index adjusts now (exactly, from the parts); the document is
         # re-parked — churn never renders documents nobody reads between edits.
         self.contents.update_delta(
@@ -743,16 +766,15 @@ class Graphitti:
         ontology term or any of its descendants."""
         target_terms = self._expand_ontology_term(term, ontology, include_descendants)
         matches: set[str] = set()
-        graph = self.agraph.graph
+        agraph = self.agraph
         for term_id in target_terms:
-            if term_id not in self.agraph:
+            if term_id not in agraph:
                 continue
-            for edge in graph.iter_in_edges(term_id):
-                node = graph.node(edge.source)
-                if node.kind == "content":
-                    matches.add(edge.source)
-                elif node.kind == "referent":
-                    matches.update(self.agraph.contents_annotating(edge.source))
+            for source in agraph.graph.predecessors(term_id, label=REFERS_TO):
+                if agraph.graph.kind(source) == NodeKind.CONTENT.value:
+                    matches.add(source)
+                else:
+                    matches.update(agraph.contents_annotating(source))
         return sorted(matches)
 
     def _expand_ontology_term(self, term: str, ontology: str | None, include_descendants: bool) -> set[str]:

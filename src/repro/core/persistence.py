@@ -42,7 +42,6 @@ import json
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.agraph.agraph import ANNOTATES, REFERS_TO
 from repro.core.annotation import Annotation, AnnotationContent, Referent
 from repro.core.dublin_core import DublinCore, normalized_dict
 from repro.datatypes.base import DataObject, DataType, SubstructureRef
@@ -146,18 +145,14 @@ def decode_annotation(payload: dict[str, Any]) -> Annotation:
 def link_edges(agraph, annotation: Annotation, edges: Iterable[tuple[str, str, str]]) -> None:
     """Link *edges*, drawn from ``annotation.agraph_edges()``, into *agraph*.
 
-    A referent node is added (or its attributes refreshed) just before each
-    ``annotates`` edge into it, and an ontology node just before each
-    ``refers_to`` edge into it, so a whole derivation builds its nodes in
-    wiring order.
+    First every node of :meth:`~repro.core.annotation.Annotation.agraph_nodes`
+    the a-graph does not hold yet is added, in wiring order, so the kind of
+    each node is decided in one place (and approved from the same list).
     """
-    refs = {referent.referent_id: referent.ref for referent in annotation.referents}
+    add_node = agraph.graph.add_node
+    for node_id, kind in annotation.agraph_nodes():
+        add_node(node_id, kind)
     for label, source, target in edges:
-        if label == ANNOTATES:
-            ref = refs[target]
-            agraph.add_referent(target, object=ref.object_id, data_type=ref.data_type.value)
-        elif label == REFERS_TO:
-            agraph.add_ontology_node(target)
         agraph.link(label, source, target)
 
 
@@ -192,11 +187,6 @@ def wire_annotations(manager, annotations: list[Annotation]) -> None:
     agraph = manager.agraph
     for annotation in annotations:
         annotation_id = annotation.annotation_id
-        agraph.add_content(
-            annotation_id,
-            title=annotation.content.dublin_core.title,
-            keywords=tuple(annotation.content.keywords()),
-        )
         link_edges(agraph, annotation, annotation.agraph_edges())
         # The columnar store, the statistics catalogue and the id interner
         # fill record by record, so a recovered instance matches the

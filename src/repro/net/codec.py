@@ -27,11 +27,6 @@ the version it encodes.  Without a memo every fragment is encoded afresh.
 Any page :func:`decode_query_result` cannot decode — a missing key, a row of
 the wrong shape, fragment text that is not JSON — raises
 :class:`~repro.errors.WireError`.
-
-One fidelity note: :class:`~repro.agraph.multigraph.Edge` attributes are not
-part of ``ConnectionSubgraph.to_dict`` and therefore not part of the wire
-shape either — merged GRAPH pages compare via ``to_dict`` on both the
-threaded and network paths, so the oracle-equivalence contract is unaffected.
 """
 
 from __future__ import annotations

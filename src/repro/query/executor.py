@@ -343,7 +343,7 @@ class QueryExecutor:
             target_distance = from_targets.get(node)
             if target_distance is None or source_distance + target_distance > bound:
                 continue
-            if graph.node(node).kind == "content":
+            if graph.kind(node) == "content":
                 reachable.add(node)
         return reachable
 

@@ -1,14 +1,15 @@
 """Property tests: the indexed multigraph agrees with a naive reference model.
 
-The indexed :class:`LabeledMultigraph` maintains per-label adjacency, a pair
-index, a kind index, degree counters, and an incremental union-find component
-index.  These tests drive it through interleaved ``add_node`` / ``add_edge`` /
+The indexed :class:`LabeledMultigraph` maintains one ``(label, direction)``
+adjacency map, a kind index, and an incremental union-find component index.
+These tests drive it through interleaved ``add_node`` / ``add_edge`` /
 ``remove_node`` / ``remove_edge`` sequences and check every observable against
 a deliberately dumb reference model (a node dict plus a flat edge list,
-re-derived per query), so any index that drifts out of sync is caught.  The
-component index is additionally checked after *every* step, on a copy, so
-components stay pending across steps exactly as they do between two quiesce
-points of the serving layer.
+re-derived per query), so any index that drifts out of sync is caught.  A node
+keeps its kind: ``add_node`` of an existing id with another kind is refused
+and changes nothing.  The component index is additionally checked after
+*every* step, on a copy, so components stay pending across steps exactly as
+they do between two quiesce points of the serving layer.
 
 Also holds the regression tests for the PR's bugfixes: ``connect()`` must
 validate an explicit hub up front, and a ``NOT`` constraint must not
@@ -23,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.agraph.agraph import ANNOTATES, AGraph
 from repro.agraph.multigraph import LabeledMultigraph
-from repro.errors import UnknownNodeError
+from repro.errors import AGraphError, UnknownNodeError
 
 KINDS = ("content", "referent", "ontology")
 LABELS = ("annotates", "refers_to", "relates")
@@ -134,9 +135,14 @@ def _apply(ops, after_step=None):
 def _step(graph, model, op):
     if op[0] == "node":
         _, node, kind = op
-        # The indexed graph updates kind in place; mirror that.
-        graph.add_node(node, kind=kind)
-        model.add_node(node, kind)
+        if model.nodes.get(node, kind) != kind:
+            before = graph.to_dict()
+            with pytest.raises(AGraphError):
+                graph.add_node(node, kind=kind)
+            assert graph.to_dict() == before
+        else:
+            graph.add_node(node, kind=kind)
+            model.add_node(node, kind)
     elif op[0] == "edge":
         _, source, target, label = op
         if source in model.nodes and target in model.nodes:
@@ -188,7 +194,7 @@ def test_adjacency_agrees_with_reference(ops):
         assert graph.neighbors_undirected(node) == model.neighbors(node)
         assert Counter(graph.iter_neighbors(node)).keys() == model.neighbors(node)
     for kind in KINDS:
-        assert {n.node_id for n in graph.nodes_of_kind(kind)} == model.nodes_of_kind(kind)
+        assert set(graph.nodes_of_kind(kind)) == model.nodes_of_kind(kind)
 
 
 def _assert_components_agree(graph, model):
@@ -246,7 +252,7 @@ def test_splitting_the_big_component():
 
 @settings(max_examples=80, deadline=None)
 @given(ops=_ops)
-def test_pair_index_agrees_with_reference(ops):
+def test_edge_lookups_agree_with_reference(ops):
     graph, model = _apply(ops)
     expected_pairs = Counter((s, t) for s, t, _ in model.edges)
     for (source, target), count in expected_pairs.items():
@@ -254,6 +260,8 @@ def test_pair_index_agrees_with_reference(ops):
         assert graph.has_edge(source, target)
         found = graph.find_edge(source, target)
         assert found is not None and {found.source, found.target} <= {source, target}
+        # An edge in the asked direction wins over one the other way.
+        assert (found.source, found.target) == (source, target)
     for node_a in model.nodes:
         for node_b in model.nodes:
             if (node_a, node_b) not in expected_pairs:

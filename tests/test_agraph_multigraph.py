@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.agraph.multigraph import Edge, LabeledMultigraph, Node
+from repro.agraph.multigraph import LabeledMultigraph
 from repro.errors import UnknownNodeError
 
 
@@ -13,7 +13,7 @@ def make_graph():
     g.add_node("c", kind="referent")
     g.add_edge("a", "b", label="annotates")
     g.add_edge("a", "c", label="annotates")
-    g.add_edge("b", "c", label="relates", weight=2)
+    g.add_edge("b", "c", label="relates")
     return g
 
 
@@ -23,18 +23,10 @@ def test_node_count_edge_count():
     assert g.edge_count == 3
 
 
-def test_add_node_updates_attributes():
-    g = LabeledMultigraph()
-    g.add_node("a", kind="content", title="x")
-    g.add_node("a", kind="content", extra="y")
-    assert g.node("a").attributes["title"] == "x"
-    assert g.node("a").attributes["extra"] == "y"
-
-
 def test_unknown_node():
     g = make_graph()
     with pytest.raises(UnknownNodeError):
-        g.node("ghost")
+        g.kind("ghost")
 
 
 def test_edge_requires_existing_nodes():
@@ -76,18 +68,6 @@ def test_degree():
     assert g.degree("c") == 2
 
 
-def test_edge_attribute():
-    g = make_graph()
-    relate = [e for e in g.edges() if e.label == "relates"][0]
-    assert relate.attribute("weight") == 2
-    assert relate.attribute("missing", 0) == 0
-
-
-def test_edge_reversed():
-    edge = Edge("a", "b", "x", (("w", 1),))
-    assert edge.reversed() == Edge("b", "a", "x", (("w", 1),))
-
-
 def test_remove_node_removes_edges():
     g = make_graph()
     g.remove_node("a")
@@ -98,7 +78,7 @@ def test_remove_node_removes_edges():
 
 def test_nodes_of_kind():
     g = make_graph()
-    assert {n.node_id for n in g.nodes_of_kind("referent")} == {"b", "c"}
+    assert set(g.nodes_of_kind("referent")) == {"b", "c"}
 
 
 def test_labels():

@@ -10,7 +10,7 @@ shard applies.
 
 import pytest
 
-from repro.core.annotation import Annotation, AnnotationContent
+from repro.core.annotation import Annotation, AnnotationContent, Referent
 from repro.core.dublin_core import DublinCore
 from repro.datatypes.sequence import DnaSequence
 from repro.errors import AnnotationError, GraphittiError, ServiceError, UnknownObjectError
@@ -42,13 +42,17 @@ def _ontology():
     return ontology
 
 
-def _annotation(annotation_id, *marks):
+def _annotation(annotation_id, *marks, terms=()):
     """A built annotation with a caller-chosen id, past any builder probe."""
     dublin_core = DublinCore(identifier=annotation_id, subject=[KEYWORD])
     annotation = Annotation(annotation_id, AnnotationContent(dublin_core=dublin_core))
     for obj, start, end in marks:
-        annotation.add_referent(obj.mark(start, end))
+        annotation.add_referent(obj.mark(start, end), ontology_terms=terms)
     return annotation
+
+
+#: A committed annotation whose id is the key a mark of obj-1[80:90] gets.
+NAMED_LIKE_A_REFERENT = "obj-1:iv:80-90"
 
 
 def _open(kind, root):
@@ -79,6 +83,7 @@ def deployment(request, tmp_path_factory):
     service.new_annotation("cross", keywords=[KEYWORD]).mark_sequence(
         "obj-0", 30, 40
     ).mark_sequence("obj-4", 5, 15).commit()
+    service.commit(_annotation(NAMED_LIKE_A_REFERENT, (OBJECTS["obj-1"], 21, 25)))
     yield service
     service.close()
 
@@ -128,6 +133,27 @@ CASES = [
      lambda service: service.delete_annotation("no-such-annotation")),
     ("delete-object-referenced-on-another-shard", AnnotationError,
      lambda service: service.delete_object("obj-4", cascade=False)),
+    # One id, one a-graph node kind: an annotation id, a referent id (its
+    # mark's key) and an ontology term never name the same node.
+    ("commit-id-is-a-referent-id", AnnotationError,
+     lambda service: service.commit(
+         _annotation(_seed_referent(service), (OBJECTS["obj-0"], 60, 70)))),
+    ("commit-referent-id-is-an-annotation-id", AnnotationError,
+     lambda service: service.commit(_annotation("fresh-1", (OBJECTS["obj-1"], 80, 90)))),
+    ("commit-term-is-an-annotation-id", AnnotationError,
+     lambda service: service.commit(
+         _annotation("fresh-2", (OBJECTS["obj-2"], 60, 70), terms=["seed-2"]))),
+    ("bulk-id-used-as-two-kinds", AnnotationError,
+     lambda service: service.bulk_commit([
+         _annotation("obj-3:iv:60-70", (OBJECTS["obj-3"], 1, 20)),
+         _annotation("fresh-3", (OBJECTS["obj-3"], 60, 70)),
+     ])),
+    ("update-adds-referent-id-of-an-annotation", AnnotationError,
+     lambda service: service.update_annotation(
+         "seed-1", {"add_referents": [Referent(OBJECTS["obj-1"].mark(80, 90))]})),
+    ("update-term-is-a-referent-id", AnnotationError,
+     lambda service: service.update_annotation(
+         "seed-0", {"ontology_terms": [_seed_referent(service)]})),
     ("duplicate-register", UnknownObjectError,
      lambda service: service.register(_sequence("obj-1"))),
     ("duplicate-register-ontology", GraphittiError,
