@@ -114,12 +114,6 @@ class LockOrderMonitor:
                 f"(over {self.acquisitions} recorded acquisitions)"
             )
 
-    def reset(self) -> None:
-        with self._mutex:
-            self.edges.clear()
-            self.acquisitions = 0
-        self._tls = threading.local()
-
 
 def name_lock(lock: object, name: str) -> object:
     """Give *lock* a stable node name in the acquisition graph."""

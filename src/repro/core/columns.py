@@ -238,9 +238,6 @@ class ReferentColumns:
     def view_at(self, slot: int) -> Referent | None:
         return self._view[slot]
 
-    def payload_at(self, slot: int) -> dict[str, Any] | None:
-        return self._payload[slot]
-
     @requires_write_lock
     def refresh(self, slot: int) -> None:
         """Re-derive the payload snapshot + packed columns from the canonical

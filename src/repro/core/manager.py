@@ -37,7 +37,7 @@ from repro.core.persistence import (
     wire_annotations,
 )
 from repro.core.substructure_store import SubstructureStore
-from repro.datatypes.base import DataObject, DataType
+from repro.datatypes.base import DataObject
 from repro.datatypes.registry import DataTypeRegistry
 from repro.errors import AnnotationError, GraphittiError, UnknownObjectError
 from repro.ontology.model import Ontology
@@ -342,18 +342,6 @@ class Graphitti:
         annotation = self.columns.materialize(annotation_id, slot, self.substructures.columns)
         self._cache_row(annotation_id, annotation)
         return annotation
-
-    def committed_referents(self, annotation_id: str) -> list[Referent]:
-        """Referents of *annotation_id*, or ``[]`` once it is deleted.
-
-        Materialized straight from the columns — GIL-atomic reads that touch
-        neither a lock nor the row cache — for the result-merge paths that
-        run after the query's own read view has closed.
-        """
-        slot = self.idspace.slot(annotation_id)
-        if slot is None or not self.columns.is_live(slot):
-            return []
-        return self.columns.materialize(annotation_id, slot, self.substructures.columns).referents
 
     def has_annotation(self, annotation_id: str) -> bool:
         """Whether *annotation_id* is a committed annotation."""

@@ -9,8 +9,6 @@ data type listed in the paper's annotation tab.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.datatypes.base import DataObject, DataType, SubstructureRef
 from repro.errors import MarkError
 from repro.spatial.interval import Interval
@@ -42,11 +40,6 @@ class MultipleSequenceAlignment(DataObject):
         self.rows = dict(rows)
         self.gap = gap
         self.width = widths.pop()
-
-    @property
-    def row_names(self) -> tuple[str, ...]:
-        """Ordered row names."""
-        return tuple(self.rows)
 
     @property
     def depth(self) -> int:
@@ -86,10 +79,6 @@ class MultipleSequenceAlignment(DataObject):
             interval=interval,
             label=label,
         )
-
-    def mark_column_blocks(self, ranges: Iterable[tuple[int, int]]) -> list[SubstructureRef]:
-        """Mark several column blocks."""
-        return [self.mark_columns(start, end) for start, end in ranges]
 
     def describe(self) -> str:
         return f"alignment {self.object_id} ({self.depth} rows x {self.width} cols)"

@@ -29,10 +29,6 @@ class ImageRegion:
             raise MarkError("region lo and hi must have equal dimensionality")
         self.name = name
 
-    def as_rect(self, space: str | None = None) -> Rect:
-        """Convert to a :class:`~repro.spatial.rect.Rect`."""
-        return Rect(self.lo, self.hi, space=space)
-
 
 class Image(DataObject):
     """A 2D or 3D image registered to a (possibly shared) coordinate space.

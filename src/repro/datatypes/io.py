@@ -88,10 +88,6 @@ class Feature:
     end: int
     label: str = ""
 
-    def as_range(self) -> tuple[int, int]:
-        """``(start, end)`` tuple."""
-        return (self.start, self.end)
-
 
 def parse_features(text: str) -> list[Feature]:
     """Parse a BED-like feature table (``object start end [label]`` per row)."""

@@ -58,10 +58,6 @@ class AnnotationError(GraphittiError):
     """Error raised by the core annotation model."""
 
 
-class UnknownDataTypeError(AnnotationError):
-    """A data type was used before being registered with the manager."""
-
-
 class UnknownObjectError(AnnotationError):
     """A data object identifier does not resolve to a registered object."""
 
@@ -76,10 +72,6 @@ class QueryError(GraphittiError):
 
 class QuerySyntaxError(QueryError):
     """The GQL text could not be lexed or parsed."""
-
-
-class QueryPlanError(QueryError):
-    """The planner could not produce a feasible subquery ordering."""
 
 
 class QueryExecutionError(QueryError):

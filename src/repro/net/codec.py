@@ -24,8 +24,16 @@ new object on every change (an edit, a moved shared referent, a delete and
 recommit), so an entry cannot go stale, and a weak-keyed memo drops it with
 the version it encodes.  Without a memo every fragment is encoded afresh.
 
+A worker's reply also carries the page's *shape*: the query's ``limit`` and
+``referent_sources``, the position of the annotation that introduced each
+referent.  The facade merges shard pages from those alone, so it neither
+parses the text nor reads a worker's state after the page was made.  The
+canonical page form (no ``shape``) is what the pinned fixtures and the e2e
+oracle compare, and it does not carry them.
+
 Any page :func:`decode_query_result` cannot decode — a missing key, a row of
-the wrong shape, fragment text that is not JSON — raises
+the wrong shape, fragment text that is not JSON, a ``limit`` or
+``referent_sources`` no executor makes — raises
 :class:`~repro.errors.WireError`.
 """
 
@@ -89,27 +97,26 @@ def _document_text(
 
 def encode_query_result(
     result: QueryResult,
-    referents_by_annotation: dict[str, list[dict[str, Any]]] | None = None,
     documents: MutableMapping[XmlDocument, str] | None = None,
+    *,
+    shape: bool = False,
 ) -> dict[str, Any]:
     """Encode a per-shard :class:`QueryResult` for the wire.
-
-    *referents_by_annotation* rides along for REFERENTS-kind queries: the
-    merge on the client side needs each annotation's full referent list to
-    rebuild pages in global order, and over the network it cannot reach into
-    the worker's manager the way the threaded merge does.  The flat page is
-    that map deduplicated in annotation order, so it is not shipped twice.
 
     Each fragment is shipped as the JSON text of its rows; *documents* is
     the worker's memo of those texts, keyed by stored document object (see
     the module docstring).  It is only read and assigned, never iterated, so
     connection threads can share it.
+
+    With *shape* the page also carries the query's ``limit`` and the
+    ``referent_sources`` positions, which is all a sharded merge needs
+    besides the page itself; a worker's reply sets it.  Without it the
+    encoding is the canonical page form that pinned fixtures compare.
     """
-    flat = result.referents if referents_by_annotation is None else ()
     payload: dict[str, Any] = {
         "return_kind": result.return_kind.value,
         "annotation_ids": list(result.annotation_ids),
-        "referents": [encode_referent(referent) for referent in flat],
+        "referents": [encode_referent(referent) for referent in result.referents],
         "subgraphs": [encode_subgraph(subgraph) for subgraph in result.subgraphs],
         "step_details": [dict(detail) for detail in result.step_details],
         "fragments": [
@@ -120,18 +127,20 @@ def encode_query_result(
         "degraded": result.degraded,
         "missing_shards": list(result.missing_shards),
     }
-    if referents_by_annotation is not None:
-        payload["referents_by_annotation"] = referents_by_annotation
+    if shape:
+        payload["limit"] = result.limit
+        payload["referent_sources"] = list(result.referent_sources)
     return payload
 
 
 def decode_query_result(payload: dict[str, Any]) -> QueryResult:
     """Rebuild a :class:`QueryResult` from :func:`encode_query_result`.
 
-    The optional per-annotation referent map is attached as
-    ``_net_referents_by_annotation`` (decoded) for the network merge hook,
-    and the flat page it replaced on the wire is rebuilt from it.  A page
-    that does not decode raises :class:`WireError`.
+    A page that does not decode raises :class:`WireError`, and so does one
+    that decodes to a page no executor makes: a ``limit`` that is not a
+    non-negative int, ``referent_sources`` that are not one non-decreasing
+    position in ``annotation_ids`` per referent (absent counts as empty), or
+    a CONTENTS page whose fragments do not pair with its ids.
     """
     try:
         result = QueryResult(
@@ -147,18 +156,24 @@ def decode_query_result(payload: dict[str, Any]) -> QueryResult:
             plan_fingerprint=payload.get("plan_fingerprint", ""),
             degraded=bool(payload.get("degraded", False)),
             missing_shards=list(payload.get("missing_shards", [])),
+            limit=payload.get("limit"),
+            referent_sources=payload.get("referent_sources", []),
         )
-        if "referents_by_annotation" in payload:
-            shipped = result._net_referents_by_annotation = {
-                annotation_id: [decode_referent(item) for item in items]
-                for annotation_id, items in payload["referents_by_annotation"].items()
-            }
-            seen: set[str] = set()
-            for annotation_id in result.annotation_ids:
-                for referent in shipped.get(annotation_id, ()):
-                    if referent.referent_id not in seen:
-                        seen.add(referent.referent_id)
-                        result.referents.append(referent)
-        return result
     except (GraphittiError, KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
         raise WireError(f"malformed query page: {exc!r:.200}") from exc
+    limit, sources = result.limit, result.referent_sources
+    if limit is not None and (type(limit) is not int or limit < 0):
+        raise WireError(f"malformed query page: limit {limit!r:.50}")
+    if (
+        type(sources) is not list
+        or len(sources) != len(result.referents)
+        or any(type(source) is not int for source in sources)
+        or any(later < earlier for earlier, later in zip(sources, sources[1:]))
+        or (sources and not 0 <= sources[0] <= sources[-1] < len(result.annotation_ids))
+    ):
+        raise WireError(f"malformed query page: referent_sources {sources!r:.100}")
+    if result.return_kind is ReturnKind.CONTENTS and len(result.fragments) != len(
+        result.annotation_ids
+    ):
+        raise WireError("malformed query page: fragments do not pair with annotation_ids")
+    return result

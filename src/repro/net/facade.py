@@ -9,11 +9,12 @@ topologies cannot drift apart.  Overridden are the per-shard scatter hook —
 **frame out, then the later rows' frames, then reply in**: every shard's
 request is in flight before the first reply is read, so a scatter is one
 blocking round on the caller's thread — and the seams that reach *into* a
-shard's memory: the REFERENTS merge reads the referent map each worker ships
-with its page, and builder support (``data_object`` /
+shard's memory: builder support (``data_object`` /
 ``resolve_ontology_term``) is served from a client-side catalog of what was
 registered through this facade (objects are replicated to every worker, but
-native payloads never cross the wire).
+native payloads never cross the wire).  Query pages merge exactly as in the
+threaded facade: a worker's page carries its ``LIMIT`` and which annotation
+introduced each referent, and the merge reads nothing else.
 
 Two worker modes:
 
@@ -49,7 +50,6 @@ from repro.errors import GraphittiError, ServiceError
 from repro.net.client import RetryPolicy, ShardClient
 from repro.net.server import ShardWorkerServer
 from repro.net.supervisor import HeartbeatMonitor, WorkerHandle
-from repro.query.result import QueryResult
 from repro.service.ops import READ, Op
 from repro.service.service import GraphittiService, ServiceConfig
 from repro.shard.router import shard_dir_name
@@ -336,10 +336,6 @@ class NetworkShardedGraphittiService(ShardedGraphittiService):
             op.name, op.wire_args(*args, **kwargs), write=op.kind != READ, meanwhile=then
         )
         return op.codec.decode(value) if op.codec.decode is not None else value
-
-    def _annotation_referents(self, index: int, annotation_id: str, result: QueryResult):
-        shipped = getattr(result, "_net_referents_by_annotation", None) or {}
-        return shipped.get(annotation_id, ())
 
     # -- builder support (client-side catalog) ---------------------------------
 

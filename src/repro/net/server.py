@@ -39,11 +39,10 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.core.persistence import encode_referent, encode_register
+from repro.core.persistence import encode_register
 from repro.errors import BackpressureError, GraphittiError, ServiceError
 from repro.net.codec import encode_query_result
 from repro.net.wire import WireError, read_frame, send_frame
-from repro.query.ast import ReturnKind
 from repro.service import ops
 from repro.service.service import GraphittiService, ServiceConfig
 from repro.shard.service import open_shard
@@ -312,21 +311,8 @@ class ShardWorkerServer:
         return status
 
     def _serve_query(self, args: dict[str, Any]) -> dict[str, Any]:
-        result = self.service.query(args["gql"])
-        referents_by_annotation = None
-        if result.return_kind is ReturnKind.REFERENTS:
-            # The client-side merge rebuilds referent pages in global order
-            # and cannot reach into this worker's manager the way the
-            # threaded merge does — ship each annotation's referent list.
-            manager = self.service.manager
-            referents_by_annotation = {
-                annotation_id: [
-                    encode_referent(referent)
-                    for referent in manager.committed_referents(annotation_id)
-                ]
-                for annotation_id in result.annotation_ids
-            }
-        return encode_query_result(result, referents_by_annotation, self._documents)
+        # The page carries its shape: the facade merges from the pages alone.
+        return encode_query_result(self.service.query(args["gql"]), self._documents, shape=True)
 
     def _serve_data_object(self, args: dict[str, Any]) -> dict[str, Any]:
         # The catalogue entry carries the metadata row the manager stored

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.errors import SpatialError
 
@@ -180,10 +179,6 @@ class Query:
         """Append a constraint (returns self for chaining)."""
         self.constraints.append(constraint)
         return self
-
-    def constraints_for(self, target: Target) -> list[Constraint]:
-        """Constraints targeting one kind of data element."""
-        return [constraint for constraint in self.constraints if constraint.target is target]
 
     def targets_present(self) -> list[Target]:
         """The distinct data-element targets this query touches."""

@@ -88,7 +88,9 @@ class QueryExecutor:
     def execute_plan(self, plan: QueryPlan) -> QueryResult:
         """Execute a pre-built :class:`QueryPlan`."""
         query = plan.query
-        result = QueryResult(return_kind=query.return_kind, plan_fingerprint=plan.fingerprint())
+        result = QueryResult(
+            return_kind=query.return_kind, plan_fingerprint=plan.fingerprint(), limit=query.limit
+        )
         surviving = self._narrow(plan, result)
         with self._span("collate") as span:
             span.set("survivors", len(surviving))
@@ -360,8 +362,9 @@ class QueryExecutor:
             columns = manager.columns
             refcols = manager.substructures.columns
             referents = []
+            sources = []
             seen = set()
-            for annotation_id in limited:
+            for position, annotation_id in enumerate(limited):
                 slot = manager.idspace.slot(annotation_id)
                 if slot is None or not columns.is_live(slot):
                     continue
@@ -377,7 +380,9 @@ class QueryExecutor:
                             referent_id=canonical.referent_id,
                         )
                     )
+                    sources.append(position)
             result.referents = referents
+            result.referent_sources = sources
         else:  # GRAPH
             result.annotation_ids = limited
             result.subgraphs = self._build_subgraphs(limited)

@@ -41,6 +41,13 @@ class QueryResult:
     degraded: bool = False
     #: Shard indices that did not contribute to a degraded merge.
     missing_shards: list[int] = field(default_factory=list)
+    #: The query's ``LIMIT`` (None without one): with ``return_kind`` it is
+    #: the page's shape, all a sharded merge needs to know of the query.
+    limit: int | None = None
+    #: One entry per referent: the position in ``annotation_ids`` of the
+    #: annotation whose collation introduced it (non-decreasing; empty
+    #: unless the page is REFERENTS).
+    referent_sources: list[int] = field(default_factory=list)
 
     def copy(self) -> "QueryResult":
         """An independent shallow copy (fresh page lists, shared elements).
@@ -61,6 +68,8 @@ class QueryResult:
             plan_fingerprint=self.plan_fingerprint,
             degraded=self.degraded,
             missing_shards=list(self.missing_shards),
+            limit=self.limit,
+            referent_sources=list(self.referent_sources),
         )
 
     @property

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -331,10 +331,6 @@ class ReplicatedGraphittiService:
     @property
     def primary(self) -> GraphittiService | None:
         return self._primary
-
-    @property
-    def primary_name(self) -> str:
-        return self._primary_dir
 
     @property
     def followers(self) -> list[ReplicaFollower]:

@@ -16,7 +16,9 @@ independent :class:`~repro.service.service.GraphittiService` shards:
   per-shard :class:`~repro.query.result.QueryResult` pages merge with a
   stable global ordering: annotation ids merge-sort lexicographically (the
   executor's own collation order), ``LIMIT`` is re-applied globally, and
-  fragments/referents/subgraphs follow the merged order.
+  fragments/referents/subgraphs follow the merged order.  The merge reads
+  the pages alone: each carries its return kind, its ``LIMIT`` and which
+  annotation introduced each referent.
 * **durability is per shard, coordination is a manifest** — every shard
   keeps its own WAL + snapshot directory; :meth:`checkpoint` checkpoints
   every shard and then atomically lands a ``shards.json`` manifest
@@ -50,7 +52,6 @@ from __future__ import annotations
 import hashlib
 import threading
 import uuid
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -68,7 +69,6 @@ from repro.errors import (
 )
 from repro.obs import Observability, merge_stats
 from repro.query.ast import Query, ReturnKind
-from repro.query.parser import parse_query
 from repro.query.result import QueryResult
 from repro.replica.replicated import (
     REPLICATION_MANIFEST,
@@ -258,11 +258,6 @@ class ShardedGraphittiService:
         self._checkpoints = 0
         self._closed = False
         self._recovery_info: dict[str, Any] | None = None
-        # caller's GQL text -> (return kind, limit); the merge step needs the
-        # query shape, and parsing it once per distinct text is enough (the
-        # shape does not depend on data, unlike plans).
-        self._shapes: OrderedDict[str, tuple[ReturnKind, int | None]] = OrderedDict()
-        self._shapes_mutex = threading.Lock()
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -395,35 +390,27 @@ class ShardedGraphittiService:
         verb: str,
         calls: Sequence[tuple[int, tuple, dict[str, Any]]],
         tolerate: tuple[type[GraphittiError], ...] = (),
-        meanwhile: Callable[[], None] | None = None,
     ) -> list[Any]:
         """The one scatter seam: table verb *verb* on each ``(shard index,
         args, kwargs)`` row of *calls*; results in row order.
 
-        Row k's :meth:`_shard_call` starts row k+1 through ``then``; after
-        the last row, *meanwhile* runs.  Every outcome is collected before
-        anything raises: what *meanwhile* raised, else the first failed row
+        Row k's :meth:`_shard_call` starts row k+1 through ``then``.  Every
+        outcome is collected before anything raises: the first failed row
         not of a *tolerate* class (a tolerated error stands in its row).
         """
         op = ops.OPS[verb]
-        outcomes: list[Any] = [None] * (len(calls) + 1)  # one per row, then *meanwhile*'s
+        outcomes: list[Any] = [None] * len(calls)
 
         def run_from(row: int) -> None:
+            if row == len(calls):
+                return
+            index, args, kwargs = calls[row]
             try:
-                if row < len(calls):
-                    index, args, kwargs = calls[row]
-                    outcomes[row] = self._shard_call(
-                        index, op, args, kwargs, lambda: run_from(row + 1)
-                    )
-                elif meanwhile is not None:
-                    meanwhile()
+                outcomes[row] = self._shard_call(index, op, args, kwargs, lambda: run_from(row + 1))
             except GraphittiError as exc:
                 outcomes[row] = exc
 
         run_from(0)
-        interrupted = outcomes.pop()
-        if interrupted is not None:
-            raise interrupted
         for outcome in outcomes:
             if isinstance(outcome, GraphittiError) and not isinstance(outcome, tolerate):
                 raise outcome
@@ -575,36 +562,19 @@ class ShardedGraphittiService:
 
     # -- read path -------------------------------------------------------------
 
-    def _query_shape(self, text_or_query: str | Query) -> tuple[ReturnKind, int | None]:
-        if isinstance(text_or_query, Query):
-            return text_or_query.return_kind, text_or_query.limit
-        with self._shapes_mutex:
-            shape = self._shapes.get(text_or_query)
-            if shape is not None:
-                self._shapes.move_to_end(text_or_query)
-                return shape
-        query = parse_query(text_or_query)
-        shape = (query.return_kind, query.limit)
-        with self._shapes_mutex:
-            self._shapes[text_or_query] = shape
-            self._shapes.move_to_end(text_or_query)
-            while len(self._shapes) > 512:
-                self._shapes.popitem(last=False)
-        return shape
-
     def query(self, text_or_query: str | Query) -> QueryResult:
         """Scatter the query to every shard and gather one merged result.
 
-        The facade parses the query shape itself, so malformed text fails
-        here whatever a shard's memoized plans hold.  Each shard serves from
-        its own cache when its epoch allows, which is the sharding win: a
-        write invalidates one shard's entry, not all N.
+        The shards parse the text; malformed text fails with the parser's
+        error once every shard has answered.  Each shard serves from its own
+        cache when its epoch allows, which is the sharding win: a write
+        invalidates one shard's entry, not all N.
         """
         obs = self.obs  # disabled: every span below is the shared no-op
         with obs.span("query") as root:
-            (return_kind, limit), results = self._shape_and_pages(text_or_query)
+            results = self._pages(text_or_query)
             with obs.span("merge") as merge_span:
-                merged = self._merge_results(return_kind, limit, results)
+                merged = self._merge_results(results)
                 merge_span.set("rows", merged.count)
         if obs.is_slow(root):
             if isinstance(text_or_query, str):
@@ -618,29 +588,18 @@ class ShardedGraphittiService:
             obs.record_slow("query", root, explain=explain)
         return merged
 
-    def _shape_and_pages(
-        self, text_or_query: str | Query
-    ) -> tuple[tuple[ReturnKind, int | None], list[QueryResult | None]]:
-        """The query's shape and its per-shard pages, in shard order.
+    def _pages(self, text_or_query: str | Query) -> list[QueryResult | None]:
+        """The query's per-shard pages, in shard order.
 
-        The shape is parsed inside the scatter round (overlapping a network
-        facade's workers); malformed text fails here, with the parser's
-        error.  An unreachable or timed-out shard raises a typed error naming
-        the missing shards, unless :attr:`degraded_reads` admits a partial
-        page: ``None`` takes its place and the merge tags the result.
+        An unreachable or timed-out shard raises a typed error naming the
+        missing shards, unless :attr:`degraded_reads` admits a partial page:
+        ``None`` takes its place and the merge tags the result.
         """
-        shape: list[Any] = []
-
-        def parse() -> None:
-            with self.obs.span("parse"):
-                shape.append(self._query_shape(text_or_query))
-
         with self.obs.span("scatter"):
             pages = self._scatter(
                 "query",
                 self._all(text_or_query),
                 tolerate=(ShardUnavailableError, ShardTimeoutError),
-                meanwhile=parse,
             )
         causes = {
             index: page for index, page in enumerate(pages) if isinstance(page, GraphittiError)
@@ -660,23 +619,22 @@ class ShardedGraphittiService:
             self.obs.count("query.degraded")
             for index in missing:
                 pages[index] = None
-        return shape[0], pages
+        return pages
 
-    def _merge_results(
-        self,
-        return_kind: ReturnKind,
-        limit: int | None,
-        results: list[QueryResult],
-    ) -> QueryResult:
-        """Merge per-shard result pages with stable global ordering.
+    def _merge_results(self, results: list[QueryResult | None]) -> QueryResult:
+        """Merge per-shard result pages with stable global ordering, from
+        the pages alone (at least one is present).
 
+        The return kind and ``LIMIT`` come from the first present page.
         Annotation ids merge lexicographically (each shard's list is already
         sorted by the executor's collation), ``LIMIT`` re-applies globally,
         fragments follow their ids, referents dedup in merged annotation
         order (matching the single-service collation), and subgraph pages
         order by their smallest member.
         """
-        merged = QueryResult(return_kind=return_kind)
+        shape = next(result for result in results if result is not None)
+        return_kind = shape.return_kind
+        merged = QueryResult(return_kind=return_kind, limit=shape.limit)
         digest = hashlib.sha256(
             "|".join(
                 "" if result is None else result.plan_fingerprint for result in results
@@ -685,34 +643,41 @@ class ShardedGraphittiService:
         merged.plan_fingerprint = f"shards[{len(results)}]:{digest}"
         # A None result is a shard that contributed nothing (a degraded
         # read); its rows are simply absent and the page is tagged.
-        entries: list[tuple[str, int, Any]] = []
+        # (annotation id, shard index, position on that shard's page)
+        entries: list[tuple[str, int, int]] = []
         for index, result in enumerate(results):
-            if result is None:
-                continue
-            aligned = len(result.fragments) == len(result.annotation_ids)
-            for position, annotation_id in enumerate(result.annotation_ids):
-                fragment = result.fragments[position] if aligned else None
-                entries.append((annotation_id, index, fragment))
+            if result is not None:
+                entries.extend(
+                    (annotation_id, index, position)
+                    for position, annotation_id in enumerate(result.annotation_ids)
+                )
         entries.sort(key=lambda entry: entry[0])
-        if limit is not None:
-            entries = entries[:limit]
+        if shape.limit is not None:
+            entries = entries[: shape.limit]
         merged.annotation_ids = [annotation_id for annotation_id, _, _ in entries]
         if return_kind is ReturnKind.CONTENTS:
-            merged.fragments = [fragment for _, _, fragment in entries]
+            merged.fragments = [
+                results[index].fragments[position] for _, index, position in entries
+            ]
         elif return_kind is ReturnKind.REFERENTS:
-            # Rebuild the global dedup-in-annotation-order page.  The flat
-            # per-shard referent lists cannot be interleaved (first-occurrence
-            # order is shard-local), so each annotation's referents are read
-            # from the owning shard's committed-annotation dict — a GIL-atomic
-            # lookup, not a per-id read-lock acquisition.
+            # Each shard page lists a referent once, under the annotation
+            # that introduced it there.  The global cut keeps a prefix of
+            # every shard's sorted ids, so a referent's first marker among
+            # the merged ids is one of those introducers: emitting each
+            # id's introduced referents, first occurrence wins, is the
+            # single-service dedup in annotation order.
+            introduced: dict[tuple[int, int], list[Any]] = {}
+            for index, result in enumerate(results):
+                if result is not None:
+                    for source, referent in zip(result.referent_sources, result.referents):
+                        introduced.setdefault((index, source), []).append(referent)
             seen: set[str] = set()
-            for annotation_id, index, _ in entries:
-                for referent in self._annotation_referents(
-                    index, annotation_id, results[index]
-                ):
+            for merged_position, (_, index, position) in enumerate(entries):
+                for referent in introduced.get((index, position), ()):
                     if referent.referent_id not in seen:
                         seen.add(referent.referent_id)
                         merged.referents.append(referent)
+                        merged.referent_sources.append(merged_position)
         else:  # GRAPH
             # Re-apply the global LIMIT: keep only pages whose members all
             # survived the merged cut, so every subgraph member is a returned
@@ -741,17 +706,6 @@ class ShardedGraphittiService:
                 attributed["shard"] = index
                 merged.step_details.append(attributed)
         return merged
-
-    def _annotation_referents(
-        self, index: int, annotation_id: str, result: QueryResult
-    ) -> Iterable[Any]:
-        """Referents of *annotation_id* for the REFERENTS merge.
-
-        Read lock-free from the owning shard's columns; the network facade
-        overrides this to use the referent map each worker ships with its
-        result page.
-        """
-        return self._shards[index].manager.committed_referents(annotation_id)
 
     def explain(self, text_or_query: str | Query) -> dict:
         """Aggregate EXPLAIN: the scatter plan, one per-shard plan each."""

@@ -356,11 +356,6 @@ class DocumentCollection:
         self._materialize_all()
         return FlworQuery(self._documents.values())
 
-    def filter_documents(self, predicate: Callable[[XmlDocument], bool]) -> list[XmlDocument]:
-        """Documents satisfying an arbitrary predicate."""
-        self._materialize_all()
-        return [document for document in self._documents.values() if predicate(document)]
-
     def fragments(self, xpath: str) -> list[XmlElement]:
         """All element fragments matching *xpath* across the collection."""
         return [node for _, node in self.select(xpath) if isinstance(node, XmlElement)]

@@ -242,16 +242,6 @@ class InvertedIndex:
             return result
         raise ValueError(f"unknown search mode {mode!r}")
 
-    def search_phrase_documents(self, phrase: str) -> set[str]:
-        """Conservative phrase search: documents containing every phrase token.
-
-        Exact adjacency is not tracked by the index; callers that need true
-        phrase semantics re-check the raw text of the candidates (this is the
-        standard candidate-then-verify pattern and is what
-        :class:`~repro.xmlstore.collection.DocumentCollection` does).
-        """
-        return self.search(phrase, mode="and")
-
     def document_contains(self, doc_id: str, query: str, mode: str = "and") -> bool:
         """Membership probe: would *doc_id* appear in ``search(query, mode)``?
 

@@ -320,8 +320,8 @@ def test_network_facade_scatters_without_a_thread_pool(facade):
         with service.obs.tracer.span("capture") as capture:
             service.query(PROBES[1])
         scatter = next(span for span in capture.children[0].children if span.name == "scatter")
-        assert [span.name for span in scatter.children] == ["parse", "shard.query", "shard.query"]
-        assert sorted(span.attributes["shard"] for span in scatter.children[1:]) == [0, 1]
+        assert [span.name for span in scatter.children] == ["shard.query", "shard.query"]
+        assert sorted(span.attributes["shard"] for span in scatter.children) == [0, 1]
 
         from repro.errors import QuerySyntaxError
 
@@ -335,9 +335,9 @@ def test_network_facade_scatters_without_a_thread_pool(facade):
 
 
 def test_malformed_text_fails_at_the_facade_with_every_reply_collected():
-    # The facade parses while its workers run, so malformed text does reach
-    # them — but it fails here with the parser's error, as on the threaded
-    # facade, and no socket is pooled with a worker's refusal unread.
+    # Every worker parses and refuses the text; the facade raises the
+    # parser's error, as on the threaded facade, only once every reply is
+    # read, so no socket is pooled with a worker's refusal unread.
     from repro.errors import QuerySyntaxError
 
     service = open_net()

@@ -25,6 +25,7 @@ import time
 import pytest
 
 from repro.core.manager import Graphitti
+from repro.core.persistence import decode_referent
 from repro.errors import WireError
 from repro.net import NetworkShardedGraphittiService, RetryPolicy
 from repro.net.codec import decode_query_result, encode_query_result
@@ -105,11 +106,29 @@ def test_the_memo_encodes_a_document_object_once():
     result = QueryResult(return_kind=ReturnKind.CONTENTS, annotation_ids=["a1"])
     result.fragments = [document]
     memo = {}
-    first = encode_query_result(result, None, memo)
+    first = encode_query_result(result, memo)
     assert memo == {document: first["fragments"][0]}
     memo[document] = "memoised"
-    assert encode_query_result(result, None, memo)["fragments"] == ["memoised"]
+    assert encode_query_result(result, memo)["fragments"] == ["memoised"]
     assert encode_query_result(result)["fragments"] == first["fragments"]  # no memo
+
+
+_REFERENT = {
+    "referent_id": "obj1:sub:end=5,start=1",
+    "ref": {"object_id": "obj1", "data_type": "dna_sequence", "descriptor": {"start": 1, "end": 5}},
+}
+
+
+def test_a_shaped_page_carries_its_limit_and_referent_sources():
+    result = QueryResult(
+        return_kind=ReturnKind.REFERENTS, annotation_ids=["a1", "a2"], limit=2
+    )
+    result.referents = [decode_referent(_REFERENT), decode_referent(_REFERENT)]
+    result.referent_sources = [0, 1]
+    assert "limit" not in encode_query_result(result)  # the canonical form
+    decoded = decode_query_result(json.loads(json.dumps(encode_query_result(result, shape=True))))
+    assert (decoded.limit, decoded.referent_sources) == (2, [0, 1])
+    assert decoded.copy().referent_sources == [0, 1] and decoded.copy().limit == 2
 
 
 def _damaged(change):
@@ -139,7 +158,22 @@ DAMAGED = {
     ),
     "fragments not a list": lambda page: page.update(fragments=3),
     "referent without a ref": lambda page: page.update(referents=[{"referent_id": "r"}]),
-    "referent map a list": lambda page: page.update(referents_by_annotation=[]),
+    "limit a string": lambda page: page.update(limit="3"),
+    "limit negative": lambda page: page.update(limit=-1),
+    "limit a boolean": lambda page: page.update(limit=True),
+    "referent sources a number": lambda page: page.update(referent_sources=0),
+    "referent sources without referents": lambda page: page.update(referent_sources=[0]),
+    "referent source past the ids": lambda page: page.update(
+        referents=[_REFERENT], referent_sources=[2]
+    ),
+    "referent source a string": lambda page: page.update(
+        referents=[_REFERENT], referent_sources=["0"]
+    ),
+    "referent sources decreasing": lambda page: page.update(
+        referents=[_REFERENT, _REFERENT], referent_sources=[1, 0]
+    ),
+    "referents without sources": lambda page: page.update(referents=[_REFERENT]),
+    "fragments fewer than ids": lambda page: page.update(fragments=[None]),
     "subgraph edge without a source": lambda page: page.update(subgraphs=[{"edges": [{}]}]),
 }
 

@@ -4,7 +4,9 @@ For any randomly generated corpus (objects, keywords, intervals, point
 annotations, deletes) and any shard count, a :class:`ShardedGraphittiService`
 must answer the probe query set — keyword, overlap, NOT, OR, LIMIT —
 bit-identically (ordering included) to one :class:`GraphittiService` holding
-the same annotations.
+the same annotations.  Half the annotations also mark one of a few shared
+extents on a second object, so one referent is marked from several shards,
+and REFERENTS probes cut it with small ``LIMIT`` values.
 """
 
 import random
@@ -26,7 +28,17 @@ PROBES = (
     'SELECT contents WHERE { ANY { CONTENT CONTAINS "protease" CONTENT CONTAINS "mutation" } }',
     'SELECT referents WHERE { INTERVAL OVERLAPS prop:chr1 [100, 700] }',
     'SELECT contents WHERE { CONTENT CONTAINS "mutation" } LIMIT 3',
+    # Shared referents (see ``SHARED_STARTS``) under a global cut.
+    "SELECT referents WHERE { INTERVAL OVERLAPS prop:chr1 [0, 1600] } LIMIT 1",
+    "SELECT referents WHERE { INTERVAL OVERLAPS prop:chr1 [0, 1600] } LIMIT 2",
+    "SELECT referents WHERE { INTERVAL OVERLAPS prop:chr1 [0, 1600] } LIMIT 5",
+    'SELECT referents WHERE { CONTENT CONTAINS "kinase" } LIMIT 3',
 )
+
+#: Extents a second mark picks from (on object 0, or 1 when the first mark
+#: is on 0): few enough that annotations routed to different shards (by
+#: their first object) often share one referent.
+SHARED_STARTS = (50, 300, 600)
 
 
 def _drive(service, num_annotations: int, delete_ratio: float, seed: int) -> None:
@@ -53,6 +65,10 @@ def _drive(service, num_annotations: int, delete_ratio: float, seed: int) -> Non
         # mix point annotations (start == end) in with ranged ones
         end = start if rng.random() < 0.3 else start + rng.randint(1, 60)
         builder.mark_sequence(object_ids[index % 5], start, end)
+        if rng.random() < 0.5:
+            second = object_ids[1 if index % 5 == 0 else 0]
+            shared = rng.choice(SHARED_STARTS)
+            builder.mark_sequence(second, shared, shared + 40)
         committed.append(service.commit(builder).annotation_id)
     victims = [
         annotation_id for annotation_id in committed if rng.random() < delete_ratio
