@@ -4,8 +4,8 @@ Two workloads measure what :mod:`repro.service` adds over the bare engine:
 
 * **cached repeated queries** — the same GQL query set executed repeatedly
   through a cache-fronted service vs. one with caching disabled (both pay
-  the same locking; the delta is the epoch-validated result cache plus the
-  prepared-plan memo).  Floor: **>= 5x**.
+  the same locking; the delta is the epoch-validated result cache).
+  Floor: **>= 5x**.
 * **bulk vs. sequential durable commits** — N annotations committed through
   ``bulk_commit`` (one lock acquisition, one group-committed WAL batch,
   one batch registration) vs. one ``commit`` per annotation (per-record
@@ -77,9 +77,7 @@ def measure_cache() -> dict[str, float]:
     """Repeated-query latency, cache-fronted vs. cache-disabled."""
     _, repetitions, _ = SCALE
     manager = build_corpus()
-    uncached = GraphittiService(
-        manager=manager, config=ServiceConfig(cache_capacity=0, plan_cache_capacity=0)
-    )
+    uncached = GraphittiService(manager=manager, config=ServiceConfig(cache_capacity=0))
     cached = GraphittiService(manager=manager, config=ServiceConfig())
     baseline_hits = _run_queries(uncached)
     warm_hits = _run_queries(cached)  # warm the cache once
@@ -205,9 +203,7 @@ def _bulk_equivalence_check() -> None:
 @pytest.fixture(scope="module")
 def corpus_services():
     manager = build_corpus()
-    uncached = GraphittiService(
-        manager=manager, config=ServiceConfig(cache_capacity=0, plan_cache_capacity=0)
-    )
+    uncached = GraphittiService(manager=manager, config=ServiceConfig(cache_capacity=0))
     cached = GraphittiService(manager=manager, config=ServiceConfig())
     _run_queries(cached)
     return uncached, cached

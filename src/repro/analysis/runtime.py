@@ -10,8 +10,8 @@ until a test asks):
   deadlock (or even concurrency) needs to occur, which is what makes this
   usable in a test suite.  ``monitoring()`` monkeypatches
   :class:`repro.service.locks.ReadWriteLock`'s acquire/release methods for
-  its scope; :func:`wrap_lock` adapts plain mutexes (cache mutex, plan memo)
-  into the same graph.
+  its scope; :func:`wrap_lock` adapts plain mutexes (the result cache's
+  mutex) into the same graph.
 * :func:`race_stress` / :func:`run_racing` — seeded race-stress mode.  When
   ``REPRO_ANALYSIS_RACE=1``, the interpreter switch interval drops to 10µs
   (maximizing interleavings) and racing thunks start barrier-aligned so they
@@ -132,7 +132,7 @@ class MonitoredLock:
     """A plain-mutex adapter feeding :class:`LockOrderMonitor`.
 
     Wraps ``threading.Lock``/``RLock`` objects the serving layer uses next
-    to the ReadWriteLock (cache mutex, prepared-plan memo) so cross-lock
+    to the ReadWriteLock (the result cache's mutex) so cross-lock
     ordering shows up in the same graph.
     """
 

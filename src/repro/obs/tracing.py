@@ -57,23 +57,6 @@ class Span:
     def set(self, key: str, value: Any) -> None:
         self.attributes[key] = value
 
-    def reparent(self, new_parent: "Span") -> None:
-        """Move this (finished) span under *new_parent*.
-
-        The service's query path opens its root span only after the result
-        cache misses — so the parse/plan spans, which necessarily ran
-        before that decision, are adopted after the fact.  Detaches from
-        the old parent (if any) so the span never appears twice.
-        """
-        old = self.parent
-        if old is not None:
-            try:
-                old.children.remove(self)
-            except ValueError:
-                pass
-        self.parent = new_parent
-        new_parent.children.append(self)
-
     def __enter__(self) -> "Span":
         self.parent = current_span()
         if self.parent is not None:
@@ -130,9 +113,6 @@ class _NullSpan:
         return []
 
     def set(self, key: str, value: Any) -> None:
-        pass
-
-    def reparent(self, new_parent: Any) -> None:
         pass
 
     def __enter__(self) -> "_NullSpan":

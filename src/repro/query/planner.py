@@ -76,7 +76,6 @@ class QueryPlan:
     ordered_constraints: list[Constraint]
     estimated_rows: list[int]
     groups: dict[Target, list[Constraint]] = field(default_factory=dict)
-    _fingerprint: str | None = field(default=None, repr=False, compare=False)
 
     def explain(self, actual_rows: dict[int, int] | None = None) -> str:
         """Human-readable plan explanation (estimated vs. actual rows).
@@ -85,7 +84,7 @@ class QueryPlan:
         pass :meth:`QueryResult.actual_rows
         <repro.query.result.QueryResult.actual_rows>` after executing to see
         ``est~`` against ``act=``.  Actuals live on the result, not the
-        plan: plans are memoized and shared across concurrent executions.
+        plan, which only describes what an execution will do.
         """
         lines = [f"PLAN (return {self.query.return_kind.value}):"]
         for position, constraint in enumerate(self.ordered_constraints):
@@ -104,19 +103,12 @@ class QueryPlan:
         """A stable digest of the plan's semantics.
 
         Two queries share a fingerprint exactly when they produce the same
-        return kind and the same ordered constraint sequence — so the
-        fingerprint reflects the order the planner actually chose, and
-        (together with the query's ``describe()``) is a sound cache key for
-        query results: a stats-driven re-plan that picks a different order
-        changes the fingerprint and naturally misses the old cache entries,
-        while a re-plan with the same order relies on the cache's epoch
-        tagging.  Computed once per plan (the executor stamps it on every
-        result, so it is on the execution path).  ``estimated_rows`` and
-        ``actual_rows`` are observational — they do not change which
-        annotations a plan returns — and are excluded.
+        return kind and the same ordered constraint sequence, so the
+        fingerprint shows the order the planner actually chose; the executor
+        stamps it on every result.  ``estimated_rows`` and ``actual_rows``
+        are observational — they do not change which annotations a plan
+        returns — and are excluded.
         """
-        if self._fingerprint is not None:
-            return self._fingerprint
         digest = hashlib.sha256()
         digest.update(self.query.return_kind.value.encode())
         for constraint in self.ordered_constraints:
@@ -124,8 +116,7 @@ class QueryPlan:
             digest.update(constraint.target.value.encode())
             digest.update(b":")
             digest.update(constraint.describe().encode())
-        self._fingerprint = digest.hexdigest()[:16]
-        return self._fingerprint
+        return digest.hexdigest()[:16]
 
 
 class QueryPlanner:

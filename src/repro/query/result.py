@@ -31,8 +31,8 @@ class QueryResult:
     step_details: list[dict[str, Any]] = field(default_factory=list)
     fragments: list[Any] = field(default_factory=list)
     #: Fingerprint of the plan that produced this result (see
-    #: :meth:`repro.query.planner.QueryPlan.fingerprint`); the serving layer
-    #: uses it as part of the result-cache key.
+    #: :meth:`repro.query.planner.QueryPlan.fingerprint`): which constraint
+    #: order ran.
     plan_fingerprint: str = ""
     #: Set by the network sharded service when the merge ran without every
     #: shard (opt-in partial results while a worker is dead or restarting).

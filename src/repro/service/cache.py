@@ -4,11 +4,10 @@ Repeated structural queries dominate annotation workloads, so the serving
 layer fronts the query engine with a result cache.  Correctness comes from
 two ingredients:
 
-* the **key** is the parsed query's ``describe()`` plus the plan
-  fingerprint (:meth:`~repro.query.planner.QueryPlan.fingerprint`): two
-  texts share entries exactly when they parse to equal queries, whatever
-  their spelling, and a result computed under one constraint order is never
-  served for another;
+* the **key** is the caller's query text (a built
+  :class:`~repro.query.ast.Query` keys as ``("query", describe())``, so it
+  never aliases a text): a hit costs no parse and no plan, and two
+  spellings of one query are two entries with equal answers;
 * every entry is **tagged with the mutation epoch** it was computed at.  The
   manager bumps its epoch on every mutation, and an entry from an older
   epoch is never served — invalidation is one integer compare, with no
@@ -99,13 +98,6 @@ class QueryResultCache:
             self._epoch = epoch
             self._invalidations += len(self._entries)
             self._entries.clear()
-
-    def clear(self) -> int:
-        """Drop every entry; returns how many were dropped."""
-        with self._mutex:
-            dropped = len(self._entries)
-            self._entries.clear()
-            return dropped
 
     def stats(self) -> dict[str, int | float]:
         """Hit / miss / eviction / invalidation counters plus the hit rate."""

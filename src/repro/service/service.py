@@ -9,11 +9,10 @@ instance in the coordination a multi-user deployment needs:
 * **durability** — every acknowledged mutation is appended to a write-ahead
   log layered on snapshots (see :mod:`repro.service.durability`), and
   :meth:`recover` rebuilds the exact pre-crash state from snapshot + replay;
-* **query-result caching** — results are cached under (the parsed query's
-  ``describe()``, plan fingerprint) and invalidated wholesale by
-  mutation-epoch compare (see :mod:`repro.service.cache`), with a
-  prepared-plan memo keyed by the caller's text so a repeated text skips
-  parsing and planning entirely;
+* **query-result caching** — results are cached under the caller's text
+  and invalidated wholesale by mutation-epoch compare (see
+  :mod:`repro.service.cache`), so a repeated text skips parsing, planning
+  and execution entirely;
 * **bulk ingest** — :meth:`bulk_commit` groups many annotations into one
   lock acquisition and one group-committed WAL batch, registered as one
   batch (each spatial index and the keyword index fed once).
@@ -26,8 +25,6 @@ and checkpoint counts without new plumbing.
 from __future__ import annotations
 
 import threading
-import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
@@ -48,7 +45,7 @@ from repro.obs import Observability, ObservabilityConfig
 from repro.query.ast import Query
 from repro.query.executor import QueryExecutor
 from repro.query.parser import parse_query
-from repro.query.planner import QueryPlan, QueryPlanner
+from repro.query.planner import QueryPlanner
 from repro.query.result import QueryResult
 from repro.service import ops
 from repro.service.cache import QueryResultCache
@@ -68,8 +65,6 @@ class ServiceConfig:
 
     #: Result-cache entries kept (LRU); 0 disables result caching.
     cache_capacity: int = 256
-    #: Prepared-plan memo entries kept (LRU); 0 disables the memo.
-    plan_cache_capacity: int = 512
     #: Mutations between automatic checkpoints; 0 means checkpoint manually.
     checkpoint_interval: int = 0
     #: WAL fsync policy: "always" (per record), "batch", or "never".
@@ -129,13 +124,6 @@ class GraphittiService:
         else:
             self._cache_hit_counter = None
         self._cache = QueryResultCache(self.config.cache_capacity)
-        # caller's text -> (mutation epoch the plan was computed at, result
-        # key, plan, fingerprint).  Cost-based plans depend on live
-        # statistics, so a memoized plan is only valid at the epoch it was
-        # planned at; any mutation forces a re-plan, whose fingerprint
-        # (covering the chosen order) keys the result cache.
-        self._plans: OrderedDict[str, tuple[int, str, QueryPlan, str]] = OrderedDict()
-        self._plans_mutex = threading.Lock()
         self._store = DurableStore(root, durability=self.config.durability) if root else None
         if self._store is not None and self.obs.enabled:
             self._store.wal.tracer = self.obs.tracer
@@ -574,22 +562,23 @@ class GraphittiService:
     def query(self, text_or_query: str | Query) -> QueryResult:
         """Run a GQL query through the result cache.
 
-        Cache key: (the parsed query's ``describe()``, plan fingerprint), so
-        a text and an equal :class:`Query` share entries; entries are valid
-        only at the mutation epoch they were computed at.  A repeated text
-        also skips parsing and planning via the prepared-plan memo.
+        Cache key: the caller's text, or ``("query", describe())`` for a
+        :class:`Query` object, so a text never aliases a built query; an
+        entry is valid only at the mutation epoch it was computed at.  A
+        hit parses and plans nothing.  Every mutation bumps the epoch and
+        empties the cache, so one key has one plan per epoch.
 
-        Planning happens *inside* the read view: the cost-based planner
-        reads live structures (interval-tree spans, catalogue dicts, the
-        ontology registry) that a concurrent writer may be mutating, so the
-        estimate pass needs the same shared lock the execution does.
+        Parsing and planning happen *inside* the read view: the cost-based
+        planner reads live structures (interval-tree spans, catalogue dicts,
+        the ontology registry) that a concurrent writer may be mutating, so
+        the estimate pass needs the same shared lock the execution does.
         """
         obs = self.obs
-        prep_spans: list = []
-        began = time.perf_counter()
+        if isinstance(text_or_query, Query):
+            key: Any = ("query", text_or_query.describe())
+        else:
+            key = text_or_query
         with self._read_view():
-            described, plan, fingerprint = self._prepare(text_or_query, prep_spans)
-            key = (described, fingerprint)
             epoch = self._manager.mutation_epoch
             cached = self._cache.get(key, epoch)
             if cached is not None:
@@ -603,16 +592,13 @@ class GraphittiService:
                     self._cache_hit_counter.inc()
                 return cached.copy()
             with obs.span("query") as root:
-                if root:
-                    # Backdate to before _prepare: the root span covers the
-                    # parse/plan work even though it was opened only once
-                    # the cache missed (the hit path must not pay for it).
-                    root.start = began
                 root.set("cache", "miss")
-                # The parse/plan spans finished before the root existed;
-                # adopt them so the trace still reads parse -> plan -> execute.
-                for span in prep_spans:
-                    span.reparent(root)
+                parsed = text_or_query
+                if not isinstance(parsed, Query):
+                    with obs.span("parse"):
+                        parsed = parse_query(parsed)
+                with obs.span("plan"):
+                    plan = self._planner.plan(parsed)
                 with obs.span("execute") as execute_span:
                     executor = QueryExecutor(
                         self._manager, planner=self._planner, tracer=obs.tracer
@@ -625,59 +611,9 @@ class GraphittiService:
         if obs.is_slow(root):
             # explain() re-takes the read lock, so the slow capture runs only
             # after the query's own view is released.
-            root.set("gql", text_or_query if isinstance(text_or_query, str) else described)
+            root.set("gql", text_or_query if isinstance(text_or_query, str) else key[1])
             obs.record_slow("query", root, explain=self.explain(text_or_query))
         return result
-
-    def _prepare(
-        self, text_or_query: str | Query, trace_sink: list | None = None
-    ) -> tuple[str, QueryPlan, str]:
-        """Parse + plan; returns (result key, plan, fingerprint).
-
-        A text's plan is memoized on (the caller's text, epoch): a memo hit
-        is one dict lookup.  The result key is the parsed query's
-        ``describe()``, the key a :class:`Query` object gets too.
-
-        A memoized plan is reused only while the manager's mutation epoch
-        matches the epoch it was planned at: cost-based plans embed live
-        cardinality estimates, and a mutation may change which order (and
-        which fingerprint) the planner picks.  Re-planning after a mutation
-        is what makes stats-driven plan changes miss stale result-cache
-        entries naturally — the fingerprint is part of the result key.
-
-        *trace_sink* collects the parse/plan spans so the caller can adopt
-        them under a root span it opens only after the cache misses.
-        """
-        epoch = self._manager.mutation_epoch
-        if isinstance(text_or_query, Query):
-            with self.obs.span("plan") as plan_span:
-                plan = self._planner.plan(text_or_query)
-            if plan_span and trace_sink is not None:
-                trace_sink.append(plan_span)
-            return text_or_query.describe(), plan, plan.fingerprint()
-        with self._plans_mutex:
-            prepared = self._plans.get(text_or_query)
-            if prepared is not None and prepared[0] == epoch:
-                # Memo hit: deliberately span-free — repeated hot queries
-                # skip parse AND plan, and the trace should show that.
-                self._plans.move_to_end(text_or_query)
-                return prepared[1:]
-        with self.obs.span("parse") as parse_span:
-            parsed = parse_query(text_or_query)
-        with self.obs.span("plan") as plan_span:
-            plan = self._planner.plan(parsed)
-        if plan_span and trace_sink is not None:
-            trace_sink.append(parse_span)
-            trace_sink.append(plan_span)
-        described = parsed.describe()
-        fingerprint = plan.fingerprint()
-        if self.config.plan_cache_capacity:
-            with self._plans_mutex:
-                self._plans[text_or_query] = (epoch, described, plan, fingerprint)
-                self._plans.move_to_end(text_or_query)
-                while len(self._plans) > self.config.plan_cache_capacity:
-                    self._plans.popitem(last=False)
-        return described, plan, fingerprint
 
     def explain(self, text_or_query: str | Query) -> dict:
         """Plan explanation without execution (read-locked): the plan
@@ -769,13 +705,9 @@ class GraphittiService:
     def _service_stats(self) -> dict[str, Any]:
         # Runs under the caller's read view (via manager.stats_providers or
         # statistics() above) — it must NOT touch self._lock, which is not
-        # reentrant.  The plan memo has its own mutex; hold it for the read
-        # so a concurrent _prepare eviction can't be observed mid-resize.
-        with self._plans_mutex:
-            prepared_plans = len(self._plans)
+        # reentrant.
         stats: dict[str, Any] = {
             "query_cache": self._cache.stats(),
-            "prepared_plans": prepared_plans,
             "ops_since_checkpoint": self._ops_since_checkpoint,
             "durable": self._store is not None,
         }

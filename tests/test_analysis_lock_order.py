@@ -3,24 +3,20 @@
 Every tier (single service, sharded facade, replicated deployment, net
 facade in thread mode) runs a real mixed workload with the ReadWriteLock
 class instrumented; the per-thread acquisition graph must come back acyclic.
-The plain mutexes that ride next to the service lock (query-result cache,
-prepared-plan memo) are wrapped into the same graph for the single-service
-run, so a service-lock-vs-cache-mutex inversion cannot hide.
+The plain mutex that rides next to the service lock (the query-result
+cache's) is wrapped into the same graph for the single-service run, so a
+service-lock-vs-cache-mutex inversion cannot hide.
 
 The proof that the detector FIRES on an inversion lives in
 test_analysis_runtime.py (inverted-order fixture); these tests are the
 other half: the shipped tree is clean.
 """
 
-import pytest
-
 from repro.analysis.runtime import monitoring, name_lock, wrap_lock
 from repro.core.manager import Graphitti
 from repro.service import GraphittiService, ServiceConfig
 from repro.shard import ShardedGraphittiService
 from repro.workloads.service_scenario import run_service_workload, seed_service_objects
-
-pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
 
 
 def test_service_mixed_workload_is_acyclic(tmp_path):
@@ -30,7 +26,6 @@ def test_service_mixed_workload_is_acyclic(tmp_path):
         )
         name_lock(service._lock, "service-lock")
         service._cache._mutex = wrap_lock("cache-mutex", service._cache._mutex, monitor)
-        service._plans_mutex = wrap_lock("plans-mutex", service._plans_mutex, monitor)
         object_ids = seed_service_objects(service)
         summary = run_service_workload(
             service,

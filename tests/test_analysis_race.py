@@ -14,14 +14,10 @@ integrity holds, applied records all visible) — the failures these would
 produce on a seeded race are wrong *values*, not just crashes.
 """
 
-import pytest
-
 from repro.analysis.runtime import race_rounds, race_stress, run_racing
 from repro.datatypes import DnaSequence
 from repro.service import GraphittiService, ServiceConfig
 from repro.service.cache import QueryResultCache
-
-pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
 
 
 def test_cache_put_hit_invalidate_race():

@@ -57,24 +57,6 @@ def test_thread_local_stacks_are_independent():
         assert [child.name for child in root.children] == ["child"]
 
 
-def test_reparent_moves_span_without_duplicates():
-    tracer = Tracer(enabled=True)
-    with tracer.span("old-parent") as old_parent:
-        with tracer.span("orphan") as orphan:
-            pass
-    with tracer.span("new-parent") as new_parent:
-        pass
-    orphan.reparent(new_parent)
-    assert orphan.parent is new_parent
-    assert orphan not in old_parent.children
-    assert orphan in new_parent.children
-    # Reparenting a parentless span also works.
-    with tracer.span("free") as free:
-        pass
-    free.reparent(new_parent)
-    assert free in new_parent.children
-
-
 def test_disabled_tracer_hands_out_null_span():
     tracer = Tracer(enabled=False)
     span = tracer.span("anything")
@@ -82,7 +64,6 @@ def test_disabled_tracer_hands_out_null_span():
     assert not span
     with span as entered:
         entered.set("key", "value")
-        entered.reparent(entered)
     assert span.attributes == {}
     assert span.children == []
     assert current_span() is None

@@ -7,8 +7,7 @@ Three families:
   no bitset survives across a mutation epoch (the executor builds and
   consumes candidate bitsets inside one ``execute()`` under the service's
   read lock; the statistics catalogue's TYPE index holds *string* id sets;
-  cached ``QueryResult`` pages hold string ids; memoized plans hold no
-  bitsets and are epoch-validated).  The property pins that: after any
+  cached ``QueryResult`` pages hold string ids and are epoch-validated).  The property pins that: after any
   delete/commit interleaving, every query answers from the live state alone
   — a recycled slot can never resurface its previous occupant.
 * **update equals delete+recommit** — the delta-maintenance path must land

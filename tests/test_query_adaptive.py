@@ -167,7 +167,7 @@ def test_explain_shows_estimated_and_actual(workload):
     result = QueryExecutor(workload).execute_plan(plan)
     explained = plan.explain(result.actual_rows())
     assert "act=" in explained
-    # Plans stay immutable across executions (they are memoized and shared).
+    # Executing a plan leaves it unchanged: actuals live on the result.
     assert "act=" not in plan.explain()
 
 

