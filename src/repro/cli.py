@@ -123,7 +123,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         return 1
     print(explanation["plan"])
     print(f"\nsubqueries: {explanation['subqueries']}")
-    print(f"estimated cost: {explanation['estimated_cost']}")
     print(f"targets: {', '.join(explanation['targets'])}")
     return 0
 

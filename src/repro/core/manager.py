@@ -115,7 +115,7 @@ class Graphitti:
         #: Dense annotation-id interner the column store keys its rows by
         #: (see :mod:`repro.query.idspace`).
         self.idspace = AnnotationIdSpace()
-        #: Live statistics catalogue feeding the cost-based planner; updated
+        #: Live statistics catalogue the planner counts from; updated
         #: on every commit/delete and rebuilt by snapshot load / WAL replay.
         self.stats_catalogue = StatisticsCatalogue()
 
@@ -797,8 +797,8 @@ class Graphitti:
         """Run a GQL query (text or :class:`~repro.query.ast.Query`) and return
         its :class:`~repro.query.result.QueryResult`.
 
-        The planner orders constraints by live cardinality estimates (see
-        :mod:`repro.query.stats`) and the executor adapts as the candidate
+        The planner orders constraints by the counts the indexes hold (see
+        :mod:`repro.query.planner`) and the executor adapts as the candidate
         set shrinks.  *tracer* (a :class:`repro.obs.Tracer`) makes the
         executor emit per-constraint and collation spans under whatever span
         is open on this thread.
@@ -811,13 +811,14 @@ class Graphitti:
         return QueryExecutor(self, tracer=tracer).execute(query)
 
     def explain(self, text_or_query) -> dict:
-        """Return the query plan and its estimated cost without executing it.
+        """Return the query plan without executing it.
 
         The returned dict holds the parsed query description, the ordered plan
-        explanation (with per-constraint row estimates), the per-type
-        subquery count, the planner's static cost estimate, and the
-        catalogue's estimated rows — the information an ``EXPLAIN`` surfaces.
-        It is the plan :meth:`query` would execute.
+        explanation, the per-type subquery count, the targets touched, and
+        ``estimated_rows``: each step's count, or None where the planner
+        counted none (a one-constraint query, a PATH, a tree walk that
+        stopped early) — the information an ``EXPLAIN`` surfaces.  It is the
+        plan :meth:`query` would execute.
         """
         from repro.query.ast import Query as _Query
         from repro.query.parser import parse_query
@@ -829,7 +830,6 @@ class Graphitti:
             "query": query.describe(),
             "plan": plan.explain(),
             "subqueries": plan.subquery_count(),
-            "estimated_cost": QueryPlanner.estimated_cost(query),
             "targets": [target.value for target in query.targets_present()],
             "estimated_rows": [
                 (constraint.describe(), rows)
@@ -934,7 +934,6 @@ class Graphitti:
             "ontologies": len(self._ontologies),
             "mutation_epoch": self.mutation_epoch,
             "catalogue": self.stats_catalogue.summary(),
-            "extent_summaries": self.substructures.extent_summaries(),
         }
         for provider in self.stats_providers:
             stats.update(provider())

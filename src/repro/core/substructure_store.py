@@ -9,7 +9,6 @@ overlap / containment queries the query processor issues against substructures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.core.annotation import Referent
@@ -20,30 +19,6 @@ from repro.spatial.interval import Interval
 from repro.spatial.interval_tree import IntervalIndexFamily
 from repro.spatial.rect import Rect
 from repro.spatial.rtree import RTreeFamily
-
-
-@dataclass
-class ExtentSummary:
-    """Count and summed measure of the extents indexed in one domain/space.
-
-    Both fields are maintained *exactly* on add and discard (so a recovered
-    instance's summaries equal a pre-crash instance's).  Bounding extents are
-    deliberately not kept here: the interval trees and R-trees already
-    maintain tight bounds (:meth:`~repro.spatial.interval_tree.IntervalTree.span`,
-    :meth:`~repro.spatial.rtree.RTree.bounds`) that shrink on removal, and
-    the store reads them live via :meth:`SubstructureStore.interval_bounds` /
-    :meth:`SubstructureStore.region_bounds`.
-    """
-
-    count: int = 0
-    total_measure: float = 0.0
-
-    def mean_measure(self) -> float:
-        """Mean extent measure of the indexed substructures."""
-        return self.total_measure / self.count if self.count else 0.0
-
-    def to_dict(self) -> dict:
-        return {"count": self.count, "total_measure": self.total_measure}
 
 
 class SubstructureStore:
@@ -60,10 +35,6 @@ class SubstructureStore:
         self._by_object: dict[str, set[str]] = {}
         # data type -> referent ids
         self._by_type: dict[DataType, set[str]] = {}
-        # coordinate domain -> summary of its indexed intervals
-        self._interval_summaries: dict[str, ExtentSummary] = {}
-        # coordinate space -> summary of its indexed regions
-        self._region_summaries: dict[str, ExtentSummary] = {}
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -98,9 +69,8 @@ class SubstructureStore:
     def add_many(self, referents: Iterable[Referent]) -> None:
         """Register a batch of referents (:meth:`add` for each, in order).
 
-        Columns, the per-object / per-type maps and the extent summaries fill
-        in batch order — the float sums are the ones repeated :meth:`add`
-        calls would produce — and each domain's / space's extents then reach
+        Columns and the per-object / per-type maps fill in batch order, and
+        each domain's / space's extents then reach
         their tree as one batch, which the tree builds in a single pass when
         it is empty or the batch is large against it (:meth:`IntervalTree.insert_many
         <repro.spatial.interval_tree.IntervalTree.insert_many>`,
@@ -132,16 +102,10 @@ class SubstructureStore:
         if ref.interval is not None:
             domain = ref.interval.domain or ref.object_id
             indexed = Interval(ref.interval.start, ref.interval.end, domain=domain, payload=referent_id)
-            summary = self._interval_summaries.setdefault(domain, ExtentSummary())
-            summary.count += 1
-            summary.total_measure += indexed.length
             return self._intervals, domain, indexed
         if ref.rect is not None:
             space = ref.rect.space or ref.object_id
             indexed = Rect(ref.rect.lo, ref.rect.hi, space=space, payload=referent_id)
-            summary = self._region_summaries.setdefault(space, ExtentSummary())
-            summary.count += 1
-            summary.total_measure += indexed.area()
             return self._rtrees, space, indexed
         return None
 
@@ -161,23 +125,11 @@ class SubstructureStore:
                     ref.interval.start, ref.interval.end, domain=domain, payload=referent_id
                 )
                 self._intervals.tree(domain).remove(indexed)
-            summary = self._interval_summaries.get(domain)
-            if summary is not None:
-                summary.count -= 1
-                summary.total_measure -= ref.interval.end - ref.interval.start
-                if summary.count <= 0:
-                    del self._interval_summaries[domain]
         elif ref.rect is not None:
             space = ref.rect.space or ref.object_id
             if space in self._rtrees:
                 indexed = Rect(ref.rect.lo, ref.rect.hi, space=space, payload=referent_id)
                 self._rtrees.tree(space).remove(indexed)
-            summary = self._region_summaries.get(space)
-            if summary is not None:
-                summary.count -= 1
-                summary.total_measure -= Rect(ref.rect.lo, ref.rect.hi).area()
-                if summary.count <= 0:
-                    del self._region_summaries[space]
         return True
 
     def move(
@@ -195,7 +147,7 @@ class SubstructureStore:
         new coordinates (omitted ones keep their old value), and the new
         extent is re-inserted into the *same* tree — one remove + one insert
         instead of the full referent teardown a delete+recommit pays.  The
-        extent summary adjusts by the measure delta, the referent id stays
+        referent id stays
         stable (a referent shared by several annotations moves for all of
         them — the substructure itself was refined), and the domain/space is
         immutable: moving across domains is a remove+add, not a move.
@@ -222,8 +174,6 @@ class SubstructureStore:
                 ref.descriptor["start"] = new_start
             if "end" in ref.descriptor:
                 ref.descriptor["end"] = new_end
-            summary = self._interval_summaries[domain]
-            summary.total_measure += moved.length - old.length
         elif ref.rect is not None:
             if start is not None or end is not None:
                 raise SpatialError(f"referent {referent_id!r} is 2D/3D; move it with lo/hi")
@@ -239,8 +189,6 @@ class SubstructureStore:
                 ref.descriptor["lo"] = list(new_lo)
             if "hi" in ref.descriptor:
                 ref.descriptor["hi"] = list(new_hi)
-            summary = self._region_summaries[space]
-            summary.total_measure += moved.area() - old.area()
         else:
             raise SpatialError(f"referent {referent_id!r} has no spatial extent to move")
         # Re-derive the copy-on-write payload snapshot + packed extent columns
@@ -276,52 +224,25 @@ class SubstructureStore:
     # extent enters its tree after the referent's columns and leaves it with
     # them, so the id searches hand the payloads back unchecked.
 
-    def interval_ids(self, domain: str, start: float, end: float) -> list[str]:
+    def interval_ids(
+        self, domain: str, start: float, end: float, stop: int | None = None
+    ) -> list[str]:
         """Ids of the referents whose 1D extent overlaps ``[start, end]`` in
-        *domain*, in ``(start, end)`` order."""
-        hits = self._intervals.search_overlap(domain, Interval(start, end, domain=domain))
+        *domain*, in ``(start, end)`` order.  With *stop*, the walk ends
+        once it has found more than *stop* of them (a prefix comes back)."""
+        hits = self._intervals.search_overlap(domain, Interval(start, end, domain=domain), stop)
         return [interval.payload for interval in hits]
 
-    def region_ids(self, space: str, lo: Iterable[float], hi: Iterable[float]) -> list[str]:
+    def region_ids(
+        self, space: str, lo: Iterable[float], hi: Iterable[float], stop: int | None = None
+    ) -> list[str]:
         """Ids of the referents whose 2D/3D extent overlaps the query box in
-        *space*, in the R-tree's depth-first order."""
-        hits = self._rtrees.search_overlap(space, Rect(tuple(lo), tuple(hi), space=space))
+        *space*, in the R-tree's depth-first order; *stop* as in
+        :meth:`interval_ids`."""
+        hits = self._rtrees.search_overlap(space, Rect(tuple(lo), tuple(hi), space=space), stop)
         return [rect.payload for rect in hits]
 
     # -- stats ----------------------------------------------------------------
-
-    def interval_summary(self, domain: str) -> ExtentSummary | None:
-        """Extent summary of *domain*'s indexed intervals (None when empty)."""
-        return self._interval_summaries.get(domain)
-
-    def region_summary(self, space: str) -> ExtentSummary | None:
-        """Extent summary of *space*'s indexed regions (None when empty)."""
-        return self._region_summaries.get(space)
-
-    def interval_bounds(self, domain: str) -> tuple[float, float] | None:
-        """Exact ``(lo, hi)`` bounds of *domain*'s indexed intervals."""
-        if domain not in self._intervals:
-            return None
-        span = self._intervals.tree(domain).span()
-        if span is None:
-            return None
-        return (span.start, span.end)
-
-    def region_bounds(self, space: str) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
-        """Exact ``(lo, hi)`` corner bounds of *space*'s indexed regions."""
-        if space not in self._rtrees:
-            return None
-        bounds = self._rtrees.tree(space).bounds()
-        if bounds is None:
-            return None
-        return (bounds.lo, bounds.hi)
-
-    def extent_summaries(self) -> dict[str, dict]:
-        """JSON-compatible dump of every per-domain/per-space extent summary."""
-        return {
-            "intervals": {domain: s.to_dict() for domain, s in self._interval_summaries.items()},
-            "regions": {space: s.to_dict() for space, s in self._region_summaries.items()},
-        }
 
     def total_indexed_intervals(self) -> int:
         """Number of intervals across every interval tree."""

@@ -123,7 +123,6 @@ def encode_query_result(
             None if fragment is None else _document_text(fragment, documents)
             for fragment in result.fragments
         ],
-        "plan_fingerprint": result.plan_fingerprint,
         "degraded": result.degraded,
         "missing_shards": list(result.missing_shards),
     }
@@ -153,7 +152,6 @@ def decode_query_result(payload: dict[str, Any]) -> QueryResult:
                 None if text is None else XmlDocument.from_rows(json.loads(text))
                 for text in payload.get("fragments", [])
             ],
-            plan_fingerprint=payload.get("plan_fingerprint", ""),
             degraded=bool(payload.get("degraded", False)),
             missing_shards=list(payload.get("missing_shards", [])),
             limit=payload.get("limit"),

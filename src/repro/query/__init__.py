@@ -14,10 +14,10 @@ This package implements GQL end to end:
 * :mod:`repro.query.ast` -- the query AST (constraints + return spec),
 * :mod:`repro.query.parser` -- the one-pattern scanner and the
   recursive-descent parser over its lexemes,
-* :mod:`repro.query.planner` -- per-type subquery separation + cost-based
-  ordering,
-* :mod:`repro.query.stats` -- the live statistics catalogue and cardinality
-  estimator feeding the cost-based planner,
+* :mod:`repro.query.planner` -- per-type subquery separation + ordering by
+  the counts the indexes hold, counted only when there is a choice,
+* :mod:`repro.query.stats` -- the live statistics catalogue the planner
+  counts from,
 * :mod:`repro.query.idspace` -- the dense annotation-id interner the
   column store keys its rows by,
 * :mod:`repro.query.executor` -- adaptive constraint evaluation (semi-join
@@ -45,7 +45,7 @@ from repro.query.idspace import AnnotationIdSpace
 from repro.query.parser import parse_query
 from repro.query.planner import QueryPlan, QueryPlanner
 from repro.query.result import QueryResult
-from repro.query.stats import CardinalityEstimator, StatisticsCatalogue
+from repro.query.stats import StatisticsCatalogue
 
 __all__ = [
     "Query",
@@ -66,6 +66,5 @@ __all__ = [
     "QueryResult",
     "AnnotationIdSpace",
     "StatisticsCatalogue",
-    "CardinalityEstimator",
     "parse_query",
 ]

@@ -54,9 +54,8 @@ class KeywordConstraint(Constraint):
     target: Target = field(default=Target.CONTENT, init=False)
 
     def describe(self) -> str:
-        # The mode changes the rows: plan fingerprints and the result key of
-        # a built Query are made from this text, so a non-default mode must
-        # show in it.
+        # The mode changes the rows: the result key of a built Query is made
+        # from this text, so a non-default mode must show in it.
         suffix = "" if self.mode == "and" else f" ({self.mode})"
         return f"content CONTAINS {self.keyword!r}{suffix}"
 

@@ -7,18 +7,14 @@ requested result form (contents, referents, or connection subgraphs), exactly
 the "collating partial results from these subqueries into a set of
 type-extended connection subgraphs" step the paper describes.
 
-The executor is **adaptive**:
-
-* the candidate set is a plain ``set[str]`` of annotation ids; the first
-  step materializes the plan's smallest-estimate constraint;
-* after each step it re-picks the cheapest remaining constraint *relative to
-  the current candidate count* — a constraint whose estimated match set
-  dwarfs the survivors is deferred, because probing beats materializing it;
-* index-backed constraints (keyword, ontology, overlap, region, type)
-  switch into **semi-join probe mode** whenever the surviving candidate set
-  is far below the constraint's estimated match set: each candidate is
-  verified against the index in O(1)-ish instead of materializing and
-  intersecting the full match set.
+The executor is **adaptive**: it runs the steps in plan order, and each
+index-backed constraint (keyword, ontology, overlap, region, type) that is
+not the first switches into **semi-join probe mode** when the surviving
+candidate set is far below the constraint's count, or the constraint was
+not counted: each candidate is verified against the index instead of
+materializing and intersecting the full match set.  A step whose match set
+the planner's counting walk already holds intersects with it, so no tree is
+walked twice for one query.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ from repro.query.ast import (
 )
 from repro.core.annotation import Referent
 from repro.obs.tracing import NULL_SPAN
-from repro.query.planner import QueryPlan, QueryPlanner
+from repro.query.planner import QueryPlan, QueryPlanner, spatial_matches
 from repro.query.result import QueryResult
 from repro.agraph.connection import ConnectionSubgraph
 from repro.errors import QueryExecutionError
@@ -48,7 +44,7 @@ from repro.errors import QueryExecutionError
 #: Verifying one candidate against an index costs roughly this many times a
 #: single row of a materialized match set (annotation lookup + per-referent
 #: checks vs. one set insertion).  Probe mode wins when
-#: ``|candidates| * PROBE_COST_FACTOR < estimated match rows``.
+#: ``|candidates| * PROBE_COST_FACTOR < counted match rows``.
 PROBE_COST_FACTOR = 4
 
 #: Constraint types the executor can verify per-candidate against an index.
@@ -88,9 +84,7 @@ class QueryExecutor:
     def execute_plan(self, plan: QueryPlan) -> QueryResult:
         """Execute a pre-built :class:`QueryPlan`."""
         query = plan.query
-        result = QueryResult(
-            return_kind=query.return_kind, plan_fingerprint=plan.fingerprint(), limit=query.limit
-        )
+        result = QueryResult(return_kind=query.return_kind, limit=query.limit)
         surviving = self._narrow(plan, result)
         with self._span("collate") as span:
             span.set("survivors", len(surviving))
@@ -98,56 +92,40 @@ class QueryExecutor:
         return result
 
     def _narrow(self, plan: QueryPlan, result: QueryResult) -> list[str]:
-        """Apply the plan's constraints adaptively; the sorted survivors."""
-        remaining: list[tuple[int, Constraint, int]] = [
-            (position, constraint, estimate)
-            for position, (constraint, estimate) in enumerate(
-                zip(plan.ordered_constraints, plan.estimated_rows)
-            )
-        ]
+        """Apply the plan's constraints in order; the sorted survivors."""
+        steps = zip(
+            plan.ordered_constraints,
+            plan.estimated_rows,
+            plan.matches or [None] * len(plan.ordered_constraints),
+        )
         candidates: set[str] | None = None
-        while remaining:
-            if candidates is None:
-                # Plan order already has the smallest estimate first.
-                index = 0
-            else:
-                count = len(candidates)
-                index = min(
-                    range(len(remaining)),
-                    key=lambda i: self._step_cost(remaining[i][1], remaining[i][2], count),
-                )
-            position, constraint, estimate = remaining.pop(index)
+        for position, (constraint, count, matched) in enumerate(steps):
             probe = (
-                candidates is not None
+                matched is None
+                and candidates is not None
                 and isinstance(constraint, _PROBEABLE)
-                and len(candidates) * PROBE_COST_FACTOR < estimate
+                and (count is None or len(candidates) * PROBE_COST_FACTOR < count)
             )
             with self._span("execute.constraint") as span:
                 if probe:
                     candidates = self._probe(constraint, candidates)
                     mode = "probe"
                 else:
-                    matched = self._evaluate(constraint, candidates)
+                    if matched is None:
+                        matched = self._evaluate(constraint, candidates)
                     candidates = matched if candidates is None else candidates & matched
                     mode = "materialize"
                 span.set("constraint", constraint.describe())
                 span.set("mode", mode)
                 span.set("survivors", len(candidates))
             result.record_step(
-                constraint.describe(), len(candidates), estimated=estimate, mode=mode, position=position
+                constraint.describe(), len(candidates), estimated=count, mode=mode, position=position
             )
             if not candidates:
                 break
         if candidates is None:
             return sorted(self._all_annotation_ids())
         return sorted(candidates)
-
-    @staticmethod
-    def _step_cost(constraint: Constraint, estimate: int, candidate_count: int) -> int:
-        """Estimated work to apply *constraint* to the current candidates."""
-        if isinstance(constraint, _PROBEABLE):
-            return min(estimate, candidate_count * PROBE_COST_FACTOR)
-        return estimate
 
     # -- semi-join probes ------------------------------------------------------
 
@@ -266,10 +244,8 @@ class QueryExecutor:
                     include_descendants=constraint.include_descendants,
                 )
             )
-        if isinstance(constraint, OverlapConstraint):
-            return self._evaluate_interval(constraint)
-        if isinstance(constraint, RegionConstraint):
-            return self._evaluate_region(constraint)
+        if isinstance(constraint, (OverlapConstraint, RegionConstraint)):
+            return spatial_matches(self._manager, constraint)
         if isinstance(constraint, TypeConstraint):
             return self._evaluate_type(constraint, candidates)
         if isinstance(constraint, PathConstraint):
@@ -291,21 +267,6 @@ class QueryExecutor:
                 universe = set(self._all_annotation_ids())
             return universe - self._evaluate(constraint.inner, universe)
         raise QueryExecutionError(f"unknown constraint type {type(constraint).__name__}")
-
-    # MINCOUNT is the paper's "images having at least 2 regions annotated
-    # with T" count constraint.
-
-    def _evaluate_interval(self, constraint: OverlapConstraint) -> set[str]:
-        manager = self._manager
-        referent_ids = manager.substructures.interval_ids(
-            constraint.domain, constraint.start, constraint.end
-        )
-        return _meeting(manager.agraph.annotation_counts(referent_ids), constraint.min_count)
-
-    def _evaluate_region(self, constraint: RegionConstraint) -> set[str]:
-        manager = self._manager
-        referent_ids = manager.substructures.region_ids(constraint.space, constraint.lo, constraint.hi)
-        return _meeting(manager.agraph.annotation_counts(referent_ids), constraint.min_count)
 
     def _evaluate_type(self, constraint: TypeConstraint, candidates: set[str] | None = None) -> set[str]:
         """Annotations with a referent of the requested data type.
@@ -458,11 +419,6 @@ class QueryExecutor:
 
     def _all_annotation_ids(self) -> list[str]:
         return list(self._manager.annotation_ids())
-
-
-def _meeting(counts: dict[str, int], min_count: int) -> set[str]:
-    """The annotations counted at least *min_count* times."""
-    return {annotation_id for annotation_id, count in counts.items() if count >= min_count}
 
 
 def _overlapping_pairs(referents: list) -> list[tuple]:

@@ -1,29 +1,30 @@
-"""Query planner: per-type subquery separation and cost-based ordering.
+"""Query planner: per-type subquery separation and count-based ordering.
 
 "The query processor operates by separating subqueries that belong to the
 different types of data elements, finding a feasible order among these
 subqueries, and collating partial results."
 
 The planner groups the query's constraints by the data element they target
-(content, ontology, 1D substructure, 2D/3D substructure, type, path), then
-orders them for execution: each constraint gets a cardinality estimate from
-the live :class:`~repro.query.stats.StatisticsCatalogue` and the constraints
-run smallest-estimate first, ties broken by a per-class selectivity table.
-The adaptive executor then re-orders the remainder after every step and
-switches index-backed constraints into semi-join probe mode when the
-surviving candidate set is far smaller than a constraint's estimated match
-set.
+(content, ontology, 1D substructure, 2D/3D substructure, type, path) and
+orders them for execution.  It counts only when there is a choice: a
+one-constraint query is planned with no count at all.  Otherwise KEYWORD,
+TYPE, ONTOLOGY, OR and NOT read their counts from the inverted index and
+the :class:`~repro.query.stats.StatisticsCatalogue`, and each top-level
+INTERVAL or REGION walks its tree, stopping once it has found more
+referents than the smallest count known so far.  A walk that finishes is
+that step's match set, which the executor reuses; a walk that stops leaves
+the step uncounted, to be probed once candidates exist.
 
-The result is a :class:`QueryPlan`: an ordered list of constraints plus the
-grouping and the per-constraint row estimates, which the executor runs step
-by step.
+Constraints run smallest count first, uncounted ones after the counted;
+PATH, which ignores the candidates, after every other positive constraint;
+NOT after every positive one.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
+from repro.errors import SpatialError
 from repro.query.ast import (
     Constraint,
     KeywordConstraint,
@@ -37,21 +38,6 @@ from repro.query.ast import (
     Target,
     TypeConstraint,
 )
-from repro.query.stats import CardinalityEstimator
-
-#: Lower score == more selective == scheduled earlier.  The tie-breaker
-#: between equal cardinality estimates (an empty corpus estimates every
-#: constraint at 0) and the basis of :meth:`QueryPlanner.estimated_cost`.
-_SELECTIVITY: dict[type, int] = {
-    KeywordConstraint: 10,
-    OntologyConstraint: 20,
-    OverlapConstraint: 15,
-    RegionConstraint: 15,
-    PathConstraint: 30,
-    OrConstraint: 45,
-    TypeConstraint: 60,
-    NotConstraint: 90,   # negation restricts the surviving candidates; last
-}
 
 
 @dataclass
@@ -63,22 +49,28 @@ class QueryPlan:
     query:
         The query being planned.
     ordered_constraints:
-        Constraints in planned execution order (smallest estimate first).
+        Constraints in planned execution order.
     estimated_rows:
-        The catalogue's cardinality estimate per constraint, aligned with
-        ``ordered_constraints``.
+        Each constraint's count, aligned with ``ordered_constraints``: what
+        the index holds for it, or None where nothing was counted (a
+        one-constraint plan, a PATH, a tree walk that stopped).
     groups:
         Constraints grouped by the data element they target (the per-type
         subqueries).
+    matches:
+        The match set of each INTERVAL / REGION whose counting walk
+        finished (None elsewhere), aligned with ``ordered_constraints``;
+        empty when nothing was walked.
     """
 
     query: Query
     ordered_constraints: list[Constraint]
-    estimated_rows: list[int]
+    estimated_rows: list[int | None]
     groups: dict[Target, list[Constraint]] = field(default_factory=dict)
+    matches: list[set[str] | None] = field(default_factory=list)
 
     def explain(self, actual_rows: dict[int, int] | None = None) -> str:
-        """Human-readable plan explanation (estimated vs. actual rows).
+        """Human-readable plan explanation (counted vs. actual rows).
 
         *actual_rows* maps plan positions to surviving candidate counts —
         pass :meth:`QueryResult.actual_rows
@@ -89,41 +81,47 @@ class QueryPlan:
         lines = [f"PLAN (return {self.query.return_kind.value}):"]
         for position, constraint in enumerate(self.ordered_constraints):
             line = f"  {position + 1}. [{constraint.target.value}] {constraint.describe()}"
-            annotations = [f"est~{self.estimated_rows[position]}"]
+            count = self.estimated_rows[position]
+            notes = [] if count is None else [f"est~{count}"]
             if actual_rows is not None and position in actual_rows:
-                annotations.append(f"act={actual_rows[position]}")
-            lines.append(f"{line}  ({', '.join(annotations)})")
+                notes.append(f"act={actual_rows[position]}")
+            lines.append(f"{line}  ({', '.join(notes)})" if notes else line)
         return "\n".join(lines)
 
     def subquery_count(self) -> int:
         """Number of distinct per-type subqueries."""
         return len(self.groups)
 
-    def fingerprint(self) -> str:
-        """A stable digest of the plan's semantics.
 
-        Two queries share a fingerprint exactly when they produce the same
-        return kind and the same ordered constraint sequence, so the
-        fingerprint shows the order the planner actually chose; the executor
-        stamps it on every result.  ``estimated_rows`` and ``actual_rows``
-        are observational — they do not change which annotations a plan
-        returns — and are excluded.
-        """
-        digest = hashlib.sha256()
-        digest.update(self.query.return_kind.value.encode())
-        for constraint in self.ordered_constraints:
-            digest.update(b"|")
-            digest.update(constraint.target.value.encode())
-            digest.update(b":")
-            digest.update(constraint.describe().encode())
-        return digest.hexdigest()[:16]
+def spatial_matches(manager, constraint, stop: int | None = None) -> set[str] | None:
+    """The annotations an INTERVAL or REGION constraint matches, from one
+    walk of its tree: those counted at least ``min_count`` times among the
+    overlapping referents (MINCOUNT is the paper's "images having at least
+    2 regions annotated with T").  With *stop*, None when the walk found
+    more than *stop* referents and stopped."""
+    store = manager.substructures
+    if isinstance(constraint, OverlapConstraint):
+        referent_ids = store.interval_ids(constraint.domain, constraint.start, constraint.end, stop)
+    else:
+        referent_ids = store.region_ids(constraint.space, constraint.lo, constraint.hi, stop)
+    if stop is not None and len(referent_ids) > stop:
+        return None
+    counts = manager.agraph.annotation_counts(referent_ids)
+    return {annotation_id for annotation_id, count in counts.items() if count >= constraint.min_count}
+
+
+def _rank(constraint: Constraint) -> int:
+    """0 for a constraint that may run first, 1 for PATH, 2 for NOT."""
+    if isinstance(constraint, NotConstraint):
+        return 2
+    return 1 if isinstance(constraint, PathConstraint) else 0
 
 
 class QueryPlanner:
     """Builds a :class:`QueryPlan` from a :class:`Query`.
 
-    *manager* is the :class:`~repro.core.manager.Graphitti` whose statistics
-    catalogue feeds the cardinality estimates.
+    *manager* is the :class:`~repro.core.manager.Graphitti` whose indexes
+    and statistics catalogue the counts come from.
     """
 
     def __init__(self, manager):
@@ -131,29 +129,79 @@ class QueryPlanner:
 
     def plan(self, query: Query) -> QueryPlan:
         """Produce an execution plan for *query*."""
-        groups: dict[Target, list[Constraint]] = {}
-        for constraint in query.constraints:
-            groups.setdefault(constraint.target, []).append(constraint)
-        estimator = CardinalityEstimator(self._manager)
         constraints = query.constraints
-        estimates = [estimator.estimate(constraint) for constraint in constraints]
+        groups: dict[Target, list[Constraint]] = {}
+        for constraint in constraints:
+            groups.setdefault(constraint.target, []).append(constraint)
+        self._refuse_misfit_boxes(constraints)
+        if len(constraints) < 2:
+            return QueryPlan(query, list(constraints), [None] * len(constraints), groups)
+        counts = [self._count(constraint) for constraint in constraints]
+        bound = min(
+            (
+                count
+                for constraint, count in zip(constraints, counts)
+                if count is not None and _rank(constraint) == 0
+            ),
+            default=None,
+        )
+        matches: list[set[str] | None] = [None] * len(constraints)
+        for index, constraint in enumerate(constraints):
+            if isinstance(constraint, (OverlapConstraint, RegionConstraint)):
+                matched = spatial_matches(self._manager, constraint, stop=bound)
+                if matched is not None:
+                    matches[index] = matched
+                    counts[index] = len(matched)
+                    bound = len(matched) if bound is None else min(bound, len(matched))
         # sorted() is stable: full ties keep declaration order.
         order = sorted(
             range(len(constraints)),
-            key=lambda i: (
-                estimates[i],
-                _SELECTIVITY.get(type(constraints[i]), 50),
-                constraints[i].describe(),
-            ),
+            key=lambda i: (_rank(constraints[i]), counts[i] is None, counts[i] or 0),
         )
         return QueryPlan(
             query=query,
             ordered_constraints=[constraints[i] for i in order],
-            estimated_rows=[estimates[i] for i in order],
+            estimated_rows=[counts[i] for i in order],
             groups=groups,
+            matches=[matches[i] for i in order],
         )
 
-    @staticmethod
-    def estimated_cost(query: Query) -> int:
-        """A crude additive cost estimate (sum of per-constraint selectivity)."""
-        return sum(_SELECTIVITY.get(type(constraint), 50) for constraint in query.constraints)
+    def _count(self, constraint: Constraint) -> int | None:
+        """What the inverted index and the catalogue hold for *constraint*
+        (None for a spatial or PATH constraint, or a composite holding one)."""
+        manager = self._manager
+        if isinstance(constraint, KeywordConstraint):
+            return manager.contents.keyword_document_frequency(constraint.keyword, mode=constraint.mode)
+        if isinstance(constraint, TypeConstraint):
+            return manager.stats_catalogue.type_count(constraint.data_type)
+        if isinstance(constraint, OntologyConstraint):
+            terms = manager._expand_ontology_term(  # noqa: SLF001 - planner-side expansion
+                constraint.term, constraint.ontology, constraint.include_descendants
+            )
+            catalogue = manager.stats_catalogue
+            return sum(catalogue.term_annotation_count(term) for term in terms)
+        if isinstance(constraint, OrConstraint):
+            parts = [self._count(part) for part in constraint.parts]
+            return None if None in parts else sum(parts)
+        if isinstance(constraint, NotConstraint):
+            inner = self._count(constraint.inner)
+            return None if inner is None else max(manager.annotation_count - inner, 0)
+        return None
+
+    def _refuse_misfit_boxes(self, constraints) -> None:
+        """Raise :class:`SpatialError` for a REGION box, top-level or nested,
+        whose dimension is not its space's, as the tree walk would: the
+        refusal must not depend on whether an earlier step ends the run."""
+        rtrees = self._manager.substructures.rtree_family
+        for constraint in constraints:
+            if isinstance(constraint, OrConstraint):
+                self._refuse_misfit_boxes(constraint.parts)
+            elif isinstance(constraint, NotConstraint):
+                self._refuse_misfit_boxes((constraint.inner,))
+            elif isinstance(constraint, RegionConstraint) and constraint.space in rtrees:
+                dimension = rtrees.tree(constraint.space).dimension
+                if dimension is not None and dimension != len(constraint.lo):
+                    raise SpatialError(
+                        f"dimension mismatch: {constraint.space!r} holds {dimension}-D regions, "
+                        f"the query box is {len(constraint.lo)}-D"
+                    )

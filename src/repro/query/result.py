@@ -25,15 +25,11 @@ class QueryResult:
     referents: list[Any] = field(default_factory=list)
     subgraphs: list[ConnectionSubgraph] = field(default_factory=list)
     #: Per-step execution detail: constraint label, surviving candidates,
-    #: the planner's estimated rows, how the step ran ("materialize" or
-    #: "probe" — the adaptive semi-join path), and the constraint's plan
-    #: position.  ``steps`` is derived from this.
+    #: the planner's count (None when it counted none), how the step ran
+    #: ("materialize" or "probe" — the adaptive semi-join path), and the
+    #: constraint's plan position.  ``steps`` is derived from this.
     step_details: list[dict[str, Any]] = field(default_factory=list)
     fragments: list[Any] = field(default_factory=list)
-    #: Fingerprint of the plan that produced this result (see
-    #: :meth:`repro.query.planner.QueryPlan.fingerprint`): which constraint
-    #: order ran.
-    plan_fingerprint: str = ""
     #: Set by the network sharded service when the merge ran without every
     #: shard (opt-in partial results while a worker is dead or restarting).
     #: A degraded result is complete for the shards listed as present but may
@@ -65,7 +61,6 @@ class QueryResult:
             subgraphs=list(self.subgraphs),
             step_details=[dict(detail) for detail in self.step_details],
             fragments=list(self.fragments),
-            plan_fingerprint=self.plan_fingerprint,
             degraded=self.degraded,
             missing_shards=list(self.missing_shards),
             limit=self.limit,
@@ -125,10 +120,10 @@ class QueryResult:
         """Human-readable trace of candidate-set sizes per subquery step."""
         lines = []
         for detail in self.step_details:
-            line = f"  after {detail['label']}: {detail['survivors']} candidates"
+            how = detail["mode"]
             if detail.get("estimated") is not None:
-                line += f" (est~{detail['estimated']}, {detail['mode']})"
-            lines.append(line)
+                how = f"est~{detail['estimated']}, {how}"
+            lines.append(f"  after {detail['label']}: {detail['survivors']} candidates ({how})")
         return "\n".join(lines)
 
     def to_dict(self) -> dict[str, Any]:
@@ -136,7 +131,6 @@ class QueryResult:
         return {
             "return_kind": self.return_kind.value,
             "count": self.count,
-            "plan_fingerprint": self.plan_fingerprint,
             "annotation_ids": list(self.annotation_ids),
             "referent_keys": [
                 referent.referent_id if hasattr(referent, "referent_id") else str(referent)

@@ -568,10 +568,11 @@ class GraphittiService:
         hit parses and plans nothing.  Every mutation bumps the epoch and
         empties the cache, so one key has one plan per epoch.
 
-        Parsing and planning happen *inside* the read view: the cost-based
-        planner reads live structures (interval-tree spans, catalogue dicts,
-        the ontology registry) that a concurrent writer may be mutating, so
-        the estimate pass needs the same shared lock the execution does.
+        Parsing and planning happen *inside* the read view: the planner
+        reads live structures (the inverted index, catalogue dicts, the
+        ontology registry, the interval trees and R-trees it walks to count)
+        that a concurrent writer may be mutating, so counting needs the same
+        shared lock the execution does.
         """
         obs = self.obs
         if isinstance(text_or_query, Query):

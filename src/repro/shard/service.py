@@ -49,7 +49,6 @@ NOT / OR) are per-annotation predicates and merge exactly.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import uuid
 from dataclasses import dataclass, field
@@ -635,12 +634,6 @@ class ShardedGraphittiService:
         shape = next(result for result in results if result is not None)
         return_kind = shape.return_kind
         merged = QueryResult(return_kind=return_kind, limit=shape.limit)
-        digest = hashlib.sha256(
-            "|".join(
-                "" if result is None else result.plan_fingerprint for result in results
-            ).encode("utf-8")
-        ).hexdigest()[:16]
-        merged.plan_fingerprint = f"shards[{len(results)}]:{digest}"
         # A None result is a shard that contributed nothing (a degraded
         # read); its rows are simply absent and the page is tagged.
         # (annotation id, shard index, position on that shard's page)
@@ -708,7 +701,10 @@ class ShardedGraphittiService:
         return merged
 
     def explain(self, text_or_query: str | Query) -> dict:
-        """Aggregate EXPLAIN: the scatter plan, one per-shard plan each."""
+        """Aggregate EXPLAIN: the scatter plan, one per-shard plan each.
+
+        ``estimated_rows_total`` sums the counts the shards' planners made;
+        a step planned without one adds nothing."""
         plans = self._scatter("explain", self._all(text_or_query))
         return {
             "query": plans[0]["query"],
@@ -717,8 +713,10 @@ class ShardedGraphittiService:
             "routing": ROUTING_SCHEME,
             "plans": plans,
             "estimated_rows_total": sum(
-                sum(rows for _, rows in plan.get("estimated_rows", []))
+                rows
                 for plan in plans
+                for _, rows in plan.get("estimated_rows", [])
+                if rows is not None
             ),
         }
 

@@ -258,7 +258,7 @@ class IntervalTree:
 
     # -- queries ------------------------------------------------------------
 
-    def search_overlap(self, query: Interval) -> list[Interval]:
+    def search_overlap(self, query: Interval, stop: int | None = None) -> list[Interval]:
         """All stored intervals overlapping *query*, sorted by (start, end);
         intervals sharing a key come in insertion order.
 
@@ -267,7 +267,9 @@ class IntervalTree:
         starts past the query's end.  A node's intervals all share its key, so
         a node whose key overlaps contributes them whole -- unless the query
         names a domain other than the tree's, when each interval's own domain
-        is tested (a domain-less interval still matches).
+        is tested (a domain-less interval still matches).  With *stop*, the
+        walk also ends once it holds more than *stop* intervals, and returns
+        that prefix of the answer.
         """
         start, end = query.start, query.end
         foreign = query.domain is not None and query.domain != self.domain
@@ -289,6 +291,8 @@ class IntervalTree:
                     results.extend(interval for interval in node.intervals if interval.overlaps(query))
                 else:
                     results.extend(node.intervals)
+                if stop is not None and len(results) > stop:
+                    return results
             node = node.right
 
     def stab(self, point: float) -> list[Interval]:
@@ -379,11 +383,12 @@ class IntervalIndexFamily:
         the batch is large against that tree; see :meth:`IntervalTree.insert_many`)."""
         self.tree(domain).insert_many(intervals)
 
-    def search_overlap(self, domain: str, query: Interval) -> list[Interval]:
-        """Overlap query against one domain (empty when the domain is unknown)."""
+    def search_overlap(self, domain: str, query: Interval, stop: int | None = None) -> list[Interval]:
+        """Overlap query against one domain (empty when the domain is unknown);
+        *stop* as in :meth:`IntervalTree.search_overlap`."""
         if domain not in self._trees:
             return []
-        return self._trees[domain].search_overlap(query)
+        return self._trees[domain].search_overlap(query, stop)
 
     def total_intervals(self) -> int:
         """Total number of indexed intervals across all domains."""

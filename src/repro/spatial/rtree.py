@@ -81,6 +81,11 @@ class RTree:
             return None
         return self._root.mbr()
 
+    @property
+    def dimension(self) -> int | None:
+        """The dimension of the stored boxes (None while the tree is empty)."""
+        return len(self._root.entries[0].rect.lo) if self._size else None
+
     def __iter__(self) -> Iterator[Rect]:
         yield from self._iterate(self._root)
 
@@ -131,7 +136,7 @@ class RTree:
         stored boxes (in an empty tree, than the first box given)."""
         if not rects:
             return
-        dimension = len((self._root.entries[0].rect if self._size else rects[0]).lo)
+        dimension = self.dimension or len(rects[0].lo)
         for rect in rects:
             if self.space is not None and rect.space not in (None, self.space):
                 raise SpatialError(
@@ -348,10 +353,11 @@ class RTree:
 
     # -- queries ------------------------------------------------------------
 
-    def search_overlap(self, query: Rect) -> list[Rect]:
+    def search_overlap(self, query: Rect, stop: int | None = None) -> list[Rect]:
         """All stored records whose box overlaps *query*, depth-first in
-        entry order."""
-        return self._search(query, containment=False)
+        entry order.  With *stop*, the walk ends once it holds more than
+        *stop* records, and returns that prefix of the answer."""
+        return self._search(query, containment=False, stop=stop)
 
     def search_contained_in(self, query: Rect) -> list[Rect]:
         """All stored records fully contained in *query*."""
@@ -404,7 +410,7 @@ class RTree:
             node = node.entries[0].child
         return height
 
-    def _search(self, query: Rect, containment: bool) -> list[Rect]:
+    def _search(self, query: Rect, containment: bool, stop: int | None = None) -> list[Rect]:
         """Depth-first walk in entry order that tests each entry's box once.
 
         The overlap comparison is inlined.  A box of another dimension than
@@ -412,7 +418,9 @@ class RTree:
         than the tree's, goes to ``_check_compatible``, which raises
         :class:`SpatialError` for it; stored boxes carry no space or the
         tree's, so a query in the tree's own space skips the space test.
-        With *containment*, a leaf record must also lie inside *query*.
+        With *containment*, a leaf record must also lie inside *query*.  With
+        *stop*, the walk ends after the first leaf that takes the results past
+        *stop* records.
         """
         query_lo, query_hi, space = query.lo, query.hi, query.space
         dimension = len(query_lo)
@@ -437,6 +445,8 @@ class RTree:
                         children.append(entry.child)
                     elif not containment or query.contains(rect):
                         results.append(rect)
+            if stop is not None and len(results) > stop:
+                return results
             # Reversed onto the stack, so the first child is walked first.
             stack.extend(reversed(children))
         return results
@@ -606,11 +616,12 @@ class RTreeFamily:
         the batch is large against that tree; see :meth:`RTree.insert_many`)."""
         self.tree(space).insert_many(rects)
 
-    def search_overlap(self, space: str, query: Rect) -> list[Rect]:
-        """Overlap query against one coordinate system."""
+    def search_overlap(self, space: str, query: Rect, stop: int | None = None) -> list[Rect]:
+        """Overlap query against one coordinate system; *stop* as in
+        :meth:`RTree.search_overlap`."""
         if space not in self._trees:
             return []
-        return self._trees[space].search_overlap(query)
+        return self._trees[space].search_overlap(query, stop)
 
     def total_rects(self) -> int:
         """Total number of indexed rectangles across all spaces."""

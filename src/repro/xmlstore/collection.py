@@ -10,6 +10,7 @@ XPath selection across the collection, and FLWOR-lite queries.
 from __future__ import annotations
 
 import json
+import threading
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -41,6 +42,8 @@ class DocumentCollection:
         # so nothing drains these ahead of reads.  The entry drops on
         # materialization or when :meth:`update` stores a new tree.
         self._lazy: dict[str, Callable[[], XmlDocument]] = {}
+        # Makes "still parked? then publish and unpark" one step.
+        self._publishing = threading.Lock()
         # doc id -> the lower-cased searchable text of its *latest* body, the
         # string keyword verification reads.  Filled where the text is
         # computed anyway (``add``, ``add_lazy_many``, ``update``) or by the
@@ -67,18 +70,23 @@ class DocumentCollection:
     def _materialize(self, doc_id: str) -> None:
         """Build the tree of one parked document before a reader sees it.
 
-        Any number of concurrent readers may do this: each publishes its
-        tree over the placeholder *before* unparking the id, so a reader
-        that finds the id unparked always finds a tree — two racing readers
-        at worst build the same tree twice.
+        Any number of concurrent readers may do this.  Only the first tree
+        is published: a reader publishes over the placeholder *before*
+        unparking the id, and only while the id is still parked, so a reader
+        that finds the id unparked always finds a tree, and a reader that
+        lost the race returns the winner's tree instead of replacing it.
+        Two racing readers at worst build the same tree twice, and no page
+        keeps a tree the collection no longer holds.
         """
         regenerator = self._lazy.get(doc_id)
         if regenerator is None:
             return
         document = regenerator()
         document.doc_id = doc_id
-        self._documents[doc_id] = document
-        self._lazy.pop(doc_id, None)
+        with self._publishing:
+            if self._lazy.get(doc_id) is regenerator:
+                self._documents[doc_id] = document
+                del self._lazy[doc_id]
 
     def _materialize_all(self) -> None:
         """Build every parked document (bulk readers call this first)."""

@@ -107,22 +107,24 @@ def _pages(result: QueryResult) -> tuple:
 
 
 def check_plan_order_invariance(manager, query) -> QueryResult:
-    """Run every permutation of *query*'s plan (estimates permuted alongside)
-    through ``execute_plan`` and require each to match the planner-free
-    reference; returns the reference."""
+    """Run every permutation of *query*'s plan (counts and walked match sets
+    permuted alongside) through ``execute_plan`` and require each to match
+    the planner-free reference; returns the reference."""
     reference = _reference_result(manager, query)
     plan = QueryPlanner(manager).plan(query)
     executor = QueryExecutor(manager)
-    steps = list(zip(plan.ordered_constraints, plan.estimated_rows))
+    matches = plan.matches or [None] * len(plan.ordered_constraints)
+    steps = list(zip(plan.ordered_constraints, plan.estimated_rows, matches))
     for order in itertools.permutations(steps):
         permuted = QueryPlan(
             query=query,
-            ordered_constraints=[constraint for constraint, _ in order],
-            estimated_rows=[estimate for _, estimate in order],
+            ordered_constraints=[constraint for constraint, _, _ in order],
+            estimated_rows=[count for _, count, _ in order],
             groups=plan.groups,
+            matches=[matched for _, _, matched in order],
         )
         assert _pages(executor.execute_plan(permuted)) == _pages(reference), [
-            constraint.describe() for constraint, _ in order
+            constraint.describe() for constraint, _, _ in order
         ]
     return reference
 

@@ -37,7 +37,7 @@ from repro.spatial.rtree import RTree  # noqa: E402
 COUNTS = (
     "data_objects", "annotations", "referents", "interval_trees", "rtrees",
     "indexed_intervals", "indexed_regions", "agraph_nodes", "agraph_nodes_by_kind",
-    "agraph_edges", "catalogue", "extent_summaries",
+    "agraph_edges", "catalogue",
 )
 
 

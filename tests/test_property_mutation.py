@@ -154,10 +154,11 @@ def test_update_equals_delete_plus_recommit(count, edits, seed):
     for text in probes:
         assert updated.query(text).annotation_ids == recommitted.query(text).annotation_ids
     assert updated.stats_catalogue.counts() == recommitted.stats_catalogue.counts()
-    assert (
-        updated.substructures.extent_summaries()
-        == recommitted.substructures.extent_summaries()
-    )
+    trees, twins = updated.substructures.interval_family, recommitted.substructures.interval_family
+    assert sorted(trees.domains) == sorted(twins.domains)
+    for domain in trees.domains:
+        tree, twin = trees.tree(domain), twins.tree(domain)
+        assert len(tree) == len(twin) and tree.span() == twin.span()
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])

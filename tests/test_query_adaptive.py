@@ -171,8 +171,8 @@ def test_explain_shows_estimated_and_actual(workload):
     assert "act=" not in plan.explain()
 
 
-def test_fingerprint_reflects_chosen_order(workload):
-    """The same GQL under different statistics fingerprints differently."""
+def test_plan_order_reflects_the_counts(workload):
+    """The same GQL under different statistics runs in a different order."""
     from repro.query.parser import parse_query
     from repro.query.planner import QueryPlanner
 
@@ -180,32 +180,37 @@ def test_fingerprint_reflects_chosen_order(workload):
         'SELECT contents WHERE { CONTENT CONTAINS "epitope" '
         "INTERVAL OVERLAPS genome:chrX [100, 250] TYPE dna_sequence }"
     )
-    cost_plan = QueryPlanner(workload).plan(parse_query(text))
+    counted_plan = QueryPlanner(workload).plan(parse_query(text))
     empty = Graphitti("adaptive-empty")
     empty_plan = QueryPlanner(empty).plan(parse_query(text))
-    orders = [c.describe() for c in cost_plan.ordered_constraints]
+    orders = [c.describe() for c in counted_plan.ordered_constraints]
     empty_orders = [c.describe() for c in empty_plan.ordered_constraints]
-    # The workload's stats pull the tiny interval window ahead of the
-    # keyword; the empty instance (all estimates 0) falls back to the
-    # selectivity tie-break where the keyword leads.  Different order, different digest.
+    # The workload's counts pull the tiny interval window ahead of the
+    # keyword; on the empty instance every count is 0 and the keyword,
+    # declared first, leads.
     assert orders[0].startswith("interval")
+    assert empty_plan.estimated_rows == [0, 0, 0]
     assert empty_orders[0].startswith("content")
-    assert cost_plan.fingerprint() != empty_plan.fingerprint()
-    # Same manager, same stats -> deterministic fingerprint.
+    # Same manager, same counts -> the same order.
     again = QueryPlanner(workload).plan(parse_query(text))
-    assert again.fingerprint() == cost_plan.fingerprint()
+    assert [c.describe() for c in again.ordered_constraints] == orders
 
 
 def test_small_corpus_plans_by_cost(workload):
-    """There is no small-corpus fallback: a 600-annotation corpus gets the
-    catalogue's estimates like any other, and the executor adapts on them."""
+    """There is no small-corpus fallback: a 600-annotation corpus is
+    counted like any other when there is a choice, and not counted when
+    there is none."""
     from repro.query.executor import QueryExecutor
-    from repro.query.stats import CardinalityEstimator
 
-    keyword = KeywordConstraint(keyword="epitope")
-    result = QueryExecutor(workload).execute(QueryBuilder.contents().contains("epitope").build())
-    assert [detail["estimated"] for detail in result.step_details] == [
-        CardinalityEstimator(workload).estimate(keyword)
+    executor = QueryExecutor(workload)
+    alone = executor.execute(QueryBuilder.contents().contains("epitope").build())
+    assert [detail["estimated"] for detail in alone.step_details] == [None]
+    paired = executor.execute(
+        QueryBuilder.contents().of_type("dna_sequence").contains("epitope").build()
+    )
+    assert [(detail["label"], detail["estimated"]) for detail in paired.step_details] == [
+        ("content CONTAINS 'epitope'", workload.contents.keyword_document_frequency("epitope")),
+        ("type dna_sequence", workload.stats_catalogue.type_count("dna_sequence")),
     ]
 
 

@@ -54,12 +54,18 @@ def test_a_box_whose_corners_differ_in_length_is_refused():
         QueryBuilder.contents().contains("zzz").overlaps_region("atlas", (), ())
 
 
+BOX = "REGION OVERLAPS atlas [1, 1, 1] .. [50, 50, 50]"
+
+
 @pytest.mark.parametrize("prefix", ["", EMPTY])
 def test_a_box_of_another_dimension_than_its_space_is_refused(manager, prefix):
-    text = f"SELECT contents WHERE {{ {prefix} REGION OVERLAPS atlas [1, 1, 1] .. [50, 50, 50] }}"
-    parse_query(text)  # well-formed on its own: the space's dimension decides
-    with pytest.raises(SpatialError, match="dimension"):
-        manager.query(text)
+    # Nested boxes too: NOT and ANY never reach their box once EMPTY has
+    # emptied the candidates, so the planner checks every box it is given.
+    for where in (BOX, f"NOT {{ {BOX} }}", f'ANY {{ CONTENT CONTAINS "site" {BOX} }}'):
+        text = f"SELECT contents WHERE {{ {prefix} {where} }}"
+        parse_query(text)  # well-formed on its own: the space's dimension decides
+        with pytest.raises(SpatialError, match="dimension"):
+            manager.query(text)
     query = QueryBuilder.contents().contains("zzz").overlaps_region("atlas", (1, 1, 1), (50, 50, 50)).build()
     with pytest.raises(SpatialError, match="dimension"):
         manager.query(query)

@@ -1,9 +1,8 @@
-"""Tests for the live statistics catalogue and cardinality estimation.
+"""Tests for the live statistics catalogue and the planner's counts.
 
-Covers the tentpole's stats contract: the incrementally maintained counts
-always equal a from-scratch rebuild — across commits, deletes, snapshot
-round-trips, and the full checkpoint + crash + recover durability
-lifecycle — and the estimates rank constraints sensibly.
+The incrementally maintained counts always equal a from-scratch rebuild —
+across commits, deletes, snapshot round-trips, and the full checkpoint +
+crash + recover durability lifecycle — and the counts rank constraints.
 """
 
 import pytest
@@ -31,8 +30,8 @@ def test_canonical_type_resolves_names_and_values():
 def test_catalogue_tracks_commits(small_graphitti):
     catalogue = small_graphitti.stats_catalogue
     assert catalogue.annotation_total == 2
-    assert catalogue.annotations_of_type("dna") == {"a1", "a2"}
-    assert catalogue.annotations_of_type("image") == {"a1"}
+    assert catalogue.members_of_type("dna") == {"a1", "a2"}
+    assert catalogue.members_of_type("image") == {"a1"}
     assert catalogue.term_annotation_count("protein:protease") == 1
     assert catalogue.counts() == _fresh_rebuild(small_graphitti).counts()
 
@@ -41,7 +40,7 @@ def test_catalogue_tracks_deletes(small_graphitti):
     small_graphitti.delete_annotation("a1")
     catalogue = small_graphitti.stats_catalogue
     assert catalogue.annotation_total == 1
-    assert catalogue.annotations_of_type("image") == frozenset()
+    assert catalogue.type_count("image") == 0
     assert catalogue.term_annotation_count("protein:protease") == 0
     assert catalogue.counts() == _fresh_rebuild(small_graphitti).counts()
 
@@ -77,28 +76,35 @@ def test_snapshot_rebuild_restores_catalogue(small_graphitti):
     assert _interned(restored) == {"a1", "a2"}
 
 
+def _extents(manager) -> tuple:
+    """``(indexed intervals, indexed regions, chr1 span, atlas bounds)``."""
+    stats = manager.statistics()
+    store = manager.substructures
+    return (
+        stats["indexed_intervals"],
+        stats["indexed_regions"],
+        store.interval_family.tree("chr1").span(),
+        store.rtree_family.tree("atlas:25um").bounds(),
+    )
+
+
 def test_extent_summaries_maintained(small_graphitti):
-    summary = small_graphitti.substructures.interval_summary("chr1")
-    assert summary is not None
+    from repro.spatial.interval import Interval
+    from repro.spatial.rect import Rect
+
     # a1 + a2 mark the same chr1[10,40] substructure -> one shared referent.
-    assert summary.count == 1
-    assert small_graphitti.substructures.interval_bounds("chr1") == (10, 40)
-    region = small_graphitti.substructures.region_summary("atlas:25um")
-    assert region is not None and region.count == 1
-    assert small_graphitti.substructures.region_bounds("atlas:25um") == ((10.0, 10.0), (40.0, 40.0))
+    indexed = (1, 1, Interval(10, 40, domain="chr1"), Rect((10.0, 10.0), (40.0, 40.0)))
+    assert _extents(small_graphitti) == indexed
     small_graphitti.delete_annotation("a2")
-    # The referent is still shared with a1, so the summary is unchanged.
-    summary = small_graphitti.substructures.interval_summary("chr1")
-    assert summary.count == 1
+    # The referent is still shared with a1, so the indexes are unchanged.
+    assert _extents(small_graphitti) == indexed
     small_graphitti.delete_annotation("a1")
-    assert small_graphitti.substructures.interval_summary("chr1") is None
-    assert small_graphitti.substructures.region_summary("atlas:25um") is None
+    assert _extents(small_graphitti) == (0, 0, None, None)
 
 
 def test_bounds_shrink_after_boundary_delete():
-    """Deleting the extremal extent tightens the live bounds, so pre-crash
-    statistics() equal post-recovery statistics() (recovery rebuilds tight
-    bounds from scratch)."""
+    """Deleting the extremal extent tightens the live bounds, so they equal
+    the bounds recovery rebuilds from scratch."""
     from repro.core.persistence import rebuild, snapshot
     from repro.datatypes import DnaSequence
 
@@ -106,12 +112,15 @@ def test_bounds_shrink_after_boundary_delete():
     manager.register(DnaSequence("seq1", "ACGT" * 100, domain="chr9"))
     manager.new_annotation("low", keywords=["x"]).mark_sequence("seq1", 30, 50).commit()
     manager.new_annotation("high", keywords=["x"]).mark_sequence("seq1", 90, 110).commit()
-    assert manager.substructures.interval_bounds("chr9") == (30, 110)
+    def indexed(instance):
+        tree = instance.substructures.interval_family.tree("chr9")
+        return len(tree), tree.span().as_tuple()
+
+    assert indexed(manager) == (2, (30, 110))
     manager.delete_annotation("low")
-    assert manager.substructures.interval_bounds("chr9") == (90, 110)
+    assert indexed(manager) == (1, (90, 110))
     restored = rebuild(snapshot(manager))
-    assert restored.statistics()["extent_summaries"] == manager.statistics()["extent_summaries"]
-    assert restored.substructures.interval_bounds("chr9") == (90, 110)
+    assert indexed(restored) == (1, (90, 110))
 
 
 def test_estimates_rank_skewed_constraints():
@@ -134,12 +143,10 @@ def test_estimates_rank_skewed_constraints():
 
 
 def test_estimate_zero_for_unknown_domain_and_term(small_graphitti):
-    from repro.query.ast import OntologyConstraint, OverlapConstraint
-    from repro.query.stats import CardinalityEstimator
-
-    estimator = CardinalityEstimator(small_graphitti)
-    assert estimator.estimate(OverlapConstraint(domain="nope", start=0, end=10)) == 0
-    assert estimator.estimate(OntologyConstraint(term="no-such-term")) == 0
+    explanation = small_graphitti.explain(
+        QueryBuilder.contents().overlaps_interval("nope", 0, 10).refers("no-such-term").build()
+    )
+    assert [rows for _, rows in explanation["estimated_rows"]] == [0, 0]
 
 
 def test_type_count_exact(small_graphitti):
@@ -193,4 +200,4 @@ def test_statistics_exposes_catalogue(small_graphitti):
     stats = small_graphitti.statistics()
     assert stats["catalogue"]["annotations"] == 2
     assert "dna_sequence" in stats["catalogue"]["annotations_by_type"]
-    assert "chr1" in stats["extent_summaries"]["intervals"]
+    assert "extent_summaries" not in stats

@@ -4,7 +4,7 @@ The result cache is keyed by the caller's text and tagged with the
 mutation epoch; every mutation empties it, so a text is parsed and planned
 once per epoch.  These tests prove the service can never serve a result
 that was produced under a different plan for the same query, even as live
-statistics shift the cost-based planner's chosen order.
+counts shift the planner's chosen order.
 """
 
 import pytest
@@ -40,22 +40,26 @@ def service():
     svc.close()
 
 
+def _order(result) -> list[str]:
+    """The targets of *result*'s steps, in the order they ran."""
+    return [detail["label"].split()[0] for detail in result.step_details]
+
+
 def test_plan_memo_replans_after_mutation(service):
-    # Stage 1: "shared" is rare, the window is broad -> keyword first.
+    # Stage 1: "shared" is as rare as the window -> keyword (declared) first.
     _commit(service, "a0", ["shared"], 0, 40)
     for index in range(30):
         _commit(service, f"bulk-{index}", ["filler"], 100 + index * 30, 120 + index * 30)
     first = service.query(QUERY)
-    first_fingerprint = first.plan_fingerprint
+    assert _order(first) == ["content", "interval"]
     # Stage 2: flood the corpus with "shared" annotations far from the
     # window, so the interval becomes the selective constraint.
     for index in range(60):
         _commit(service, f"shared-{index}", ["shared"], 600 + index * 10, 620 + index * 10)
     second = service.query(QUERY)
     assert second is not first
-    # The stats-driven re-plan chose a different order -> different
-    # fingerprint -> different cache key; the old entry cannot be served.
-    assert second.plan_fingerprint != first_fingerprint
+    # The mutation emptied the cache, and the re-plan counted afresh.
+    assert _order(second) == ["interval", "content"]
     assert second.annotation_ids == ["a0"]
 
 
@@ -66,20 +70,20 @@ def test_cached_result_always_matches_current_plan(service):
     # Same epoch, same plan -> cache hit (served as an equal, independent copy).
     assert hit.to_dict() == warm.to_dict()
     assert service.statistics()["service"]["query_cache"]["hits"] >= 1
-    assert hit.plan_fingerprint == warm.plan_fingerprint
+    assert hit.step_details == warm.step_details
     _commit(service, "a1", ["shared"], 10, 30)
     fresh = service.query(QUERY)
     assert fresh is not warm  # epoch bumped -> the stale entry cannot serve
     assert set(fresh.annotation_ids) == {"a0", "a1"}
 
 
-def test_query_object_and_text_agree_on_fingerprint(service):
+def test_query_object_and_text_agree_on_the_plan(service):
     from repro.query.parser import parse_query
 
     _commit(service, "a0", ["shared"], 0, 40)
     by_text = service.query(QUERY)
     by_object = service.query(parse_query(QUERY))
-    assert by_text.plan_fingerprint == by_object.plan_fingerprint
+    assert by_text.step_details == by_object.step_details
     assert by_text.annotation_ids == by_object.annotation_ids
 
 
@@ -96,7 +100,7 @@ def test_results_identical_across_epochs_and_orders(service, plan_order_invarian
 
 
 def test_explain_shows_the_plan_query_runs(service):
-    """explain() reports the order and estimates query() executes with."""
+    """explain() reports the order and counts query() executes with."""
     _commit(service, "a0", ["shared"], 0, 40)
     for index in range(30):
         _commit(service, f"bulk-{index}", ["filler"], 100 + index * 30, 120 + index * 30)

@@ -39,8 +39,7 @@ TEXTS = (
 def page(result):
     """*result*'s pages in the canonical wire form, without plan detail."""
     payload = encode_query_result(result)
-    for key in ("step_details", "plan_fingerprint"):
-        payload.pop(key)
+    payload.pop("step_details")
     return payload
 
 

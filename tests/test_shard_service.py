@@ -240,6 +240,13 @@ def test_explain_aggregates_per_shard_plans(pair):
     assert explanation["shards"] == 4
     assert len(explanation["plans"]) == 4
     assert all("plan" in plan for plan in explanation["plans"])
+    # A one-constraint query is planned with no count: the total sums none.
+    assert [rows for plan in explanation["plans"] for _, rows in plan["estimated_rows"]] == [None] * 4
+    assert explanation["estimated_rows_total"] == 0
+    counted = sharded.explain(PROBES[2])
+    assert counted["estimated_rows_total"] == sum(
+        rows for plan in counted["plans"] for _, rows in plan["estimated_rows"]
+    ) > 0
 
 
 def test_integrity_check_covers_every_shard(pair):

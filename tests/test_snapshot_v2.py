@@ -296,7 +296,9 @@ def test_a_v1_snapshot_recovers_the_instance_its_own_code_recovered(v1_root, v1_
     manager, info = recover_manager(v1_root)  # loads unverified
     assert info["base_seq"] == payload["wal_seq"]
     contents = manager.contents
-    assert plain(manager.statistics()) == v1_expected["statistics"]
+    # The extent summaries left statistics() after the fixture was written.
+    expected = {key: value for key, value in v1_expected["statistics"].items() if key != "extent_summaries"}
+    assert plain(manager.statistics()) == expected
     assert list(contents.document_ids()) == v1_expected["document_ids"]
     # The dumped annotation documents were ignored: every one is derived.
     assert contents.lazy_document_count == len(payload["annotations"])

@@ -9,8 +9,7 @@ bounds — so these tests pin the behaviours the audit focused on:
   (closed-interval semantics), at the tree, store, and full-query layers;
 * **bounds shrink after removal** — ``RTree.bounds()`` and
   ``IntervalTree.span()`` reflect deletions exactly (no stale expanded
-  boxes), which keeps :class:`CardinalityEstimator` extent estimates from
-  being skewed by dead extents.
+  boxes), and the planner's counting walk finds no dead extent.
 """
 
 import random
@@ -18,6 +17,7 @@ import random
 from repro.core.manager import Graphitti
 from repro.datatypes.image import Image
 from repro.datatypes.sequence import DnaSequence
+from repro.query.parser import parse_query
 from repro.spatial.interval import Interval
 from repro.spatial.interval_tree import IntervalTree
 from repro.spatial.rect import Rect
@@ -172,20 +172,25 @@ def test_point_annotation_survives_store_and_query_at_touching_endpoint(plan_ord
         assert executor._evaluate(constraint) == expected
 
 
-def test_estimator_extent_bounds_follow_deletions():
-    """Stale (expanded) bounds after deletes would skew the estimator's
-    overlap selectivity; the bounds it reads must track the live extents."""
-    manager = _point_instance()
-    store = manager.substructures
-    assert store.interval_bounds("zl:chr1") == (10.0, 50.0)
-    manager.delete_annotation("point-anno")
-    assert store.interval_bounds("zl:chr1") == (10.0, 40.0)
-    # a window beyond the live extents now estimates (and answers) empty
-    from repro.query.ast import OverlapConstraint
-    from repro.query.stats import CardinalityEstimator
+def _window_count(manager, window: str, data_type: str) -> int:
+    """The planner's count for *window*, planned beside a TYPE constraint
+    every annotation meets (so the walk is bounded but never stopped)."""
+    text = f"SELECT contents WHERE {{ {window} TYPE {data_type} }}"
+    return dict(manager.explain(text)["estimated_rows"])[parse_query(text).constraints[0].describe()]
 
-    estimator = CardinalityEstimator(manager)
-    assert estimator.estimate(OverlapConstraint(domain="zl:chr1", start=45, end=60)) == 0
+
+def test_estimator_extent_bounds_follow_deletions():
+    """The bounds must track the live extents after deletes, and so must
+    the planner's count, which walks the same tree."""
+    manager = _point_instance()
+    tree = manager.substructures.interval_family.tree("zl:chr1")
+    assert tree.span().as_tuple() == (10.0, 50.0)
+    window = "INTERVAL OVERLAPS zl:chr1 [45, 60]"
+    assert _window_count(manager, window, "dna") == 1
+    manager.delete_annotation("point-anno")
+    assert tree.span().as_tuple() == (10.0, 40.0)
+    # a window beyond the live extents now counts (and answers) empty
+    assert _window_count(manager, window, "dna") == 0
     assert manager.search_by_overlap_interval("zl:chr1", 45, 60) == []
 
 
@@ -202,14 +207,10 @@ def test_estimator_region_bounds_follow_deletions():
         .mark_region("zimg", (5, 5), (10, 10))
         .commit()
     )
-    assert manager.substructures.region_bounds("zl:atlas") == ((5.0, 5.0), (90.0, 90.0))
+    tree = manager.substructures.rtree_family.tree("zl:atlas")
+    assert tree.bounds() == Rect((5.0, 5.0), (90.0, 90.0))
+    window = "REGION OVERLAPS zl:atlas [70, 70] .. [95, 95]"
+    assert _window_count(manager, window, "image") == 1
     manager.delete_annotation("far-region")
-    assert manager.substructures.region_bounds("zl:atlas") == ((5.0, 5.0), (10.0, 10.0))
-    from repro.query.ast import RegionConstraint
-    from repro.query.stats import CardinalityEstimator
-
-    estimator = CardinalityEstimator(manager)
-    assert (
-        estimator.estimate(RegionConstraint(space="zl:atlas", lo=(70, 70), hi=(95, 95)))
-        == 0
-    )
+    assert tree.bounds() == Rect((5.0, 5.0), (10.0, 10.0))
+    assert _window_count(manager, window, "image") == 0

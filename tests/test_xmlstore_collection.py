@@ -209,3 +209,36 @@ def test_deferred_then_replaced_indexes_new_text():
     assert collection.lazy_document_count == 0  # the new tree superseded the parked one
     assert collection.search_keyword("second") == ["d1"]
     assert collection.search_keyword("first") == []
+
+
+def test_two_readers_of_a_parked_document_get_the_first_published_tree():
+    """The reader that started building first but finished last returns
+    the tree the other reader published, and leaves it published: a page
+    must never keep a tree the collection no longer holds."""
+    import threading
+
+    from repro.xmlstore.parser import parse_xml
+
+    xml = "<annotation><body>raced</body></annotation>"
+    collection = make_collection()
+    collection.add_lazy_many([("d1", "raced", lambda: build())])
+    first_is_building, second_published = threading.Event(), threading.Event()
+    builds = []
+
+    def build():
+        builds.append(len(builds))
+        if len(builds) == 1:  # the first reader stalls inside its build
+            first_is_building.set()
+            assert second_published.wait(10.0)
+        return parse_xml(xml)
+
+    got = {}
+    first = threading.Thread(target=lambda: got.setdefault("first", collection.get("d1")))
+    first.start()
+    assert first_is_building.wait(10.0)
+    got["second"] = collection.get("d1")
+    second_published.set()
+    first.join(10.0)
+    assert not first.is_alive() and len(builds) == 2
+    assert got["first"] is got["second"] is collection.get("d1")
+    assert collection.lazy_document_count == 0
