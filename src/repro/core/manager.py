@@ -29,6 +29,7 @@ from repro.agraph.connection import ConnectionSubgraph
 from repro.core.annotation import Annotation, Referent, rect_corners
 from repro.core.builder import AnnotationBuilder
 from repro.core.columns import AnnotationColumns
+from repro.core.footprint import Footprint, FootprintLog, sharing
 from repro.core.persistence import (
     decode_referent,
     encode_register,
@@ -105,10 +106,16 @@ class Graphitti:
         #: reconstructed; see :mod:`repro.core.persistence`).
         self.catalogue_only = False
         #: Monotonic counter bumped by every mutation (register / commit /
-        #: delete).  The serving layer's query-result cache tags entries with
-        #: the epoch they were computed at and treats any entry from an older
-        #: epoch as invalid, which makes cache invalidation a single compare.
+        #: update / delete / ...).  The serving layer's query-result cache
+        #: keeps its entries at one epoch: moving to a newer one it drops the
+        #: entries the writes in between can reach (their
+        #: :class:`~repro.core.footprint.Footprint` in :attr:`footprints`),
+        #: or every entry when a write left no footprint.
         self.mutation_epoch = 0
+        #: One footprint per epoch once a serving layer attaches the log
+        #: (:meth:`attach_footprints`); None until then, so a bare instance,
+        #: a snapshot load and WAL replay record nothing.
+        self.footprints: FootprintLog | None = None
         #: Extra statistics sources merged into :meth:`statistics` (the
         #: serving layer registers its cache/WAL counters here).
         self.stats_providers: list[Callable[[], dict[str, Any]]] = []
@@ -119,10 +126,43 @@ class Graphitti:
         #: on every commit/delete and rebuilt by snapshot load / WAL replay.
         self.stats_catalogue = StatisticsCatalogue()
 
-    def _bump_epoch(self) -> int:
-        """Advance the mutation epoch (called after every state mutation)."""
+    def _bump_epoch(self, footprint: Footprint | None = None) -> int:
+        """Advance the mutation epoch (called after every state mutation);
+        *footprint* is what the mutation touched (None: anything)."""
         self.mutation_epoch += 1
+        if self.footprints is not None:
+            self.footprints.record(self.mutation_epoch, footprint)
         return self.mutation_epoch
+
+    def attach_footprints(self) -> FootprintLog:
+        """The footprint log, started on first call: from then on every
+        mutation records what it touched."""
+        if self.footprints is None:
+            self.footprints = FootprintLog()
+        return self.footprints
+
+    def _footprint_before(self, annotation_id: str) -> tuple[Footprint, set[str]] | None:
+        """Start the footprint of a write to *annotation_id*: what it and
+        the annotations sharing a referent with it touch now, and their ids
+        (None while no log is attached)."""
+        if self.footprints is None:
+            return None
+        footprint = Footprint(self.contents.indexed)
+        before = sharing(self, annotation_id)
+        footprint.add_annotations(self, before)
+        return footprint, before
+
+    def _footprint_after(
+        self, annotation_id: str, started: tuple[Footprint, set[str]] | None = None
+    ) -> Footprint | None:
+        """Finish the footprint of a write to *annotation_id* that has
+        applied: add what it, its sharers and the sharers *started* found
+        touch now (a commit starts from nothing)."""
+        if self.footprints is None:
+            return None
+        footprint, before = started or (Footprint(self.contents.indexed), set())
+        footprint.add_annotations(self, before | sharing(self, annotation_id))
+        return footprint
 
     # -- ontology management --------------------------------------------------
 
@@ -367,6 +407,7 @@ class Graphitti:
         structure correct.
         """
         annotation = self.approve_delete_annotation(annotation_id)
+        started = self._footprint_before(annotation_id)
         self.contents.remove(annotation_id)
         self._unlink_edges(annotation.agraph_edges())
         if annotation_id in self.agraph:
@@ -378,7 +419,7 @@ class Graphitti:
         self._row_cache.pop(annotation_id, None)
         self.idspace.release(annotation_id)
         self.stats_catalogue.on_delete(annotation)
-        self._bump_epoch()
+        self._bump_epoch(self._footprint_after(annotation_id, started))
 
     def _unlink_edges(self, edges: list[tuple[str, str, str]]) -> None:
         """Unlink one copy of each derived edge in *edges*.
@@ -525,6 +566,7 @@ class Graphitti:
         applies.
         """
         annotation, changes = self.approve_update(annotation_id, changes)
+        started = self._footprint_before(annotation_id)
 
         # -- capture pre-update statistics inputs and a-graph edges ---------
         old_types = {referent.ref.data_type.value for referent in annotation.referents}
@@ -643,7 +685,7 @@ class Graphitti:
             self.columns.store(slot, annotation, self.substructures.columns)
         self._cache_row(annotation_id, annotation)
         self.stats_catalogue.on_update(annotation, old_types, old_terms)
-        self._bump_epoch()
+        self._bump_epoch(self._footprint_after(annotation_id, started))
         return annotation
 
     def _document_regenerator(self, annotation_id: str) -> Callable[[], Any]:

@@ -185,6 +185,10 @@ def wire_annotations(manager, annotations: list[Annotation]) -> None:
         referent for annotation in annotations for referent in annotation.referents
     )
     agraph = manager.agraph
+    # A batch longer than the footprint log outruns every reader of it, and
+    # each of them drops everything anyway: its epochs record no footprint.
+    log = manager.footprints
+    traced = log is not None and len(annotations) <= log.LENGTH
     for annotation in annotations:
         annotation_id = annotation.annotation_id
         link_edges(agraph, annotation, annotation.agraph_edges())
@@ -196,7 +200,8 @@ def wire_annotations(manager, annotations: list[Annotation]) -> None:
         manager._annotation_order[annotation_id] = None  # noqa: SLF001 - wiring path
         manager._cache_row(annotation_id, annotation)  # noqa: SLF001 - wiring path
         manager.stats_catalogue.on_commit(annotation)
-        manager._bump_epoch()  # noqa: SLF001 - wiring path
+        footprint = manager._footprint_after(annotation_id) if traced else None  # noqa: SLF001
+        manager._bump_epoch(footprint)  # noqa: SLF001 - wiring path
 
 
 # -- data-object (catalogue) record codec --------------------------------------
@@ -417,51 +422,20 @@ def rebuild(payload: dict[str, Any]):
     derivable and is not read; the others — documents no annotation owns —
     are stored first, in dump order.
     """
-    from repro.core.columns import AnnotationColumns
     from repro.core.manager import Graphitti
     from repro.xmlstore.document import XmlDocument
 
-    manager = Graphitti.__new__(Graphitti)
-    manager.name = payload.get("name", "graphitti")
-    manager.id_namespace = payload.get("id_namespace")
-    manager.mutation_epoch = 0
-    manager.stats_providers = []
-    # Rebuild ontologies.
-    manager._ontologies = {}
-    manager._ontology_ops = {}
+    manager = Graphitti(
+        payload.get("name", "graphitti"),
+        indexed_contents=payload.get("indexed_contents", True),
+        id_namespace=payload.get("id_namespace"),
+    )
+    manager.catalogue_only = True
     for ontology_payload in payload.get("ontologies", []):
         manager.register_ontology(Ontology.from_dict(ontology_payload))
     manager.metadata_rows = decode_object_metadata(payload["object_metadata"])
-    # Fresh substructure store, columns, a-graph, registry, annotations.
-    from collections import OrderedDict
-
-    from repro.agraph.agraph import AGraph
-    from repro.core.substructure_store import SubstructureStore
-    from repro.datatypes.registry import DataTypeRegistry
-    from repro.spatial.coordinate import CoordinateSystemRegistry
-
-    from repro.query.idspace import AnnotationIdSpace
-    from repro.query.stats import StatisticsCatalogue
-
-    manager.registry = DataTypeRegistry()
-    manager.substructures = SubstructureStore()
-    manager.agraph = AGraph()
-    manager.coordinate_systems = CoordinateSystemRegistry()
-    manager.columns = AnnotationColumns(pool=manager.substructures.columns.pool)
-    manager._annotation_order = {}
-    manager._row_cache = OrderedDict()
-    manager._next_annotation_serial = 1
-    manager.catalogue_only = True
-    manager.idspace = AnnotationIdSpace()
-    manager.stats_catalogue = StatisticsCatalogue()
-
-    # Rebuild the content collection: documents no record owns first, in
-    # dump order, then every annotation document, parked by the wiring.
-    from repro.xmlstore.collection import DocumentCollection
-
-    manager.contents = DocumentCollection(
-        f"{manager.name}-annotations", indexed=payload.get("indexed_contents", True)
-    )
+    # Documents no record owns first, in dump order, then every annotation
+    # document, parked by the wiring.
     annotations = [decode_annotation(item) for item in payload.get("annotations", [])]
     owned = {annotation.annotation_id for annotation in annotations}
     for doc_id, document in payload.get("contents", {}).items():

@@ -34,8 +34,9 @@ class OntologyOperations:
     ontology:
         The ontology to operate on.
     cache:
-        When True (default), CI results are memoised per (concept, relations)
-        key.  Call :meth:`invalidate_cache` after mutating the ontology.
+        When True (default), CI results and concept expansions are memoised
+        per (concept, relations) key.  Call :meth:`invalidate_cache` after
+        mutating the ontology.
     """
 
     #: Hierarchical predicates considered when walking "down" from a concept
@@ -46,10 +47,12 @@ class OntologyOperations:
         self.ontology = ontology
         self._cache_enabled = cache
         self._ci_cache: dict[tuple[str, tuple[str, ...]], frozenset[str]] = {}
+        self._expansions: dict[tuple[str, tuple[str, ...]], frozenset[str]] = {}
 
     def invalidate_cache(self) -> None:
         """Drop memoised results (call after mutating the ontology)."""
         self._ci_cache.clear()
+        self._expansions.clear()
 
     # -- instance-returning operations -------------------------------------------------
 
@@ -155,6 +158,12 @@ class OntologyOperations:
         This is the expansion used when a query condition says "annotated
         with ontology term T": any descendant of T also satisfies it.
         """
-        term_id = self.resolve_term(text)
         predicates = tuple(relations) if relations is not None else self.DEFAULT_HIERARCHY
-        return {term_id} | self.ontology.descendants(term_id, predicates)
+        key = (text, predicates)
+        expansion = self._expansions.get(key) if self._cache_enabled else None
+        if expansion is None:
+            term_id = self.resolve_term(text)
+            expansion = frozenset({term_id} | self.ontology.descendants(term_id, predicates))
+            if self._cache_enabled:
+                self._expansions[key] = expansion
+        return set(expansion)

@@ -8,13 +8,13 @@ the "collating partial results from these subqueries into a set of
 type-extended connection subgraphs" step the paper describes.
 
 The executor is **adaptive**: it runs the steps in plan order, and each
-index-backed constraint (keyword, ontology, overlap, region, type) that is
-not the first switches into **semi-join probe mode** when the surviving
-candidate set is far below the constraint's count, or the constraint was
-not counted: each candidate is verified against the index instead of
-materializing and intersecting the full match set.  A step whose match set
-the planner's counting walk already holds intersects with it, so no tree is
-walked twice for one query.
+index-backed constraint (keyword, ontology, overlap, region, type, and an
+OR or NOT built only of those) that is not the first switches into
+**semi-join probe mode** when the surviving candidate set is far below the
+constraint's count, or the constraint was not counted: each candidate is
+verified against the index instead of materializing and intersecting the
+full match set.  A step whose match set the planner's counting walk
+already holds intersects with it, so no tree is walked twice for one query.
 """
 
 from __future__ import annotations
@@ -55,6 +55,16 @@ _PROBEABLE = (
     RegionConstraint,
     TypeConstraint,
 )
+
+
+def _probeable(constraint: Constraint) -> bool:
+    """Whether *constraint* verifies per candidate: an index-backed leaf,
+    or an OR / NOT built only of those."""
+    if isinstance(constraint, OrConstraint):
+        return all(map(_probeable, constraint.parts))
+    if isinstance(constraint, NotConstraint):
+        return _probeable(constraint.inner)
+    return isinstance(constraint, _PROBEABLE)
 
 
 class QueryExecutor:
@@ -103,7 +113,7 @@ class QueryExecutor:
             probe = (
                 matched is None
                 and candidates is not None
-                and isinstance(constraint, _PROBEABLE)
+                and _probeable(constraint)
                 and (count is None or len(candidates) * PROBE_COST_FACTOR < count)
             )
             with self._span("execute.constraint") as span:
@@ -137,6 +147,17 @@ class QueryExecutor:
         full match-set materialization).
         """
         manager = self._manager
+        if isinstance(constraint, OrConstraint):
+            matched: set[str] = set()
+            rest = set(candidate_ids)
+            for part in constraint.parts:
+                found = self._probe(part, rest)
+                matched |= found
+                rest -= found
+            return matched
+        if isinstance(constraint, NotConstraint):
+            candidates = set(candidate_ids)
+            return candidates - self._probe(constraint.inner, candidates)
         if isinstance(constraint, KeywordConstraint):
             contents = manager.contents
             return {
@@ -156,7 +177,7 @@ class QueryExecutor:
             # reaches this annotation through the shared referent node
             # (exactly what search_by_ontology's edge walk sees).
             agraph = manager.agraph
-            matched: set[str] = set()
+            matched = set()
             for annotation_id in candidate_ids:
                 if not targets.isdisjoint(agraph.ontology_terms_of(annotation_id)):
                     matched.add(annotation_id)

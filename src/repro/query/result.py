@@ -27,7 +27,9 @@ class QueryResult:
     #: Per-step execution detail: constraint label, surviving candidates,
     #: the planner's count (None when it counted none), how the step ran
     #: ("materialize" or "probe" — the adaptive semi-join path), and the
-    #: constraint's plan position.  ``steps`` is derived from this.
+    #: constraint's plan position.  ``steps`` is derived from this.  A page
+    #: the service's result cache serves keeps the steps of the run that made
+    #: it: a later write the page outlived may have moved the counts.
     step_details: list[dict[str, Any]] = field(default_factory=list)
     fragments: list[Any] = field(default_factory=list)
     #: Set by the network sharded service when the merge ran without every

@@ -1,47 +1,257 @@
-"""Epoch-tagged LRU cache for query results.
+"""LRU cache for query results, dropped entry by entry as writes reach them.
 
 Repeated structural queries dominate annotation workloads, so the serving
 layer fronts the query engine with a result cache.  Correctness comes from
-two ingredients:
+three ingredients:
 
 * the **key** is the caller's query text (a built
   :class:`~repro.query.ast.Query` keys as ``("query", describe())``, so it
   never aliases a text): a hit costs no parse and no plan, and two
   spellings of one query are two entries with equal answers;
-* every entry is **tagged with the mutation epoch** it was computed at.  The
-  manager bumps its epoch on every mutation, and an entry from an older
-  epoch is never served — invalidation is one integer compare, with no
-  tracking of which queries a mutation could affect.  Epochs only grow, so
-  the first lookup or store that names a newer epoch than any before drops
-  every entry at once: a stale entry can never hit again, and kept until
-  its own key came back it would pin the document versions its result
-  holds (which the network worker's wire-text memo then cannot forget).
+* every entry holds at **one mutation epoch**, the newest any lookup or
+  store has named.  Moving to a newer epoch the cache reads the manager's
+  footprint log (:mod:`repro.core.footprint`) for the writes in between and
+  drops the entries they can reach; when a write left no footprint, or the
+  log no longer holds it, every entry drops.  A dropped entry never hits
+  again, and kept until its own key came back it would pin the document
+  versions its result holds (which the network worker's wire-text memo then
+  cannot forget);
+* every entry files a **dependency** (:func:`page_dependency`) on its plan's
+  first step, the *anchor*: the executor always materializes that step, so
+  every row of the page matched it.  A write can add a row, remove one or
+  change how one renders only through an annotation whose old or new state
+  matches the anchor, and the footprint holds both states of every
+  annotation a write affects.  A keyword is filed under its first token and
+  reached when all its tokens are footprint terms; an ontology constraint by
+  its expanded terms; a type by its type; an interval or region by its
+  domain or space, and reached on overlap; an OR by each of its parts.  Each
+  test holds whenever the executor's probe of the anchor could change its
+  answer, so the cache may drop too much, never too little.  A page whose
+  rows depend on the a-graph beyond the anchor drops on every write: a query
+  with a PATH anywhere, a first step that is NOT, no constraints at all, and
+  a GRAPH page with rows.
 
 The cache is LRU-bounded and thread-safe (its own mutex; callers hold the
-service read lock, which does not exclude other readers).
+service read lock, which does not exclude other readers, and the service
+advances it eagerly under its write lock).
 """
 
 from __future__ import annotations
 
 import threading
-
-from repro.errors import ConfigError
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
-from typing import Any, Hashable
+from typing import Any, Callable, Hashable
+
+from repro.core.footprint import Footprint, FootprintLog
+from repro.errors import ConfigError
+from repro.query.ast import (
+    KeywordConstraint,
+    OntologyConstraint,
+    OrConstraint,
+    OverlapConstraint,
+    PathConstraint,
+    RegionConstraint,
+    ReturnKind,
+    TypeConstraint,
+)
+from repro.query.stats import canonical_type
+from repro.xmlstore.text_index import tokenize
+
+KEYWORD, ONTOLOGY, TYPE, INTERVAL, REGION = "keyword", "ontology", "type", "interval", "region"
+
+#: Constraints that hold no other constraint.
+_LEAVES = (KeywordConstraint, OntologyConstraint, TypeConstraint, OverlapConstraint, RegionConstraint)
+
+#: An ontology constraint expanding to more terms than this is filed under
+#: one shared bucket (``None``) and tested by set intersection; a smaller one
+#: under each of its terms.
+_ONTOLOGY_FAN_OUT = 8
+
+
+def page_dependency(manager, plan, result) -> tuple | None:
+    """The dependency a page of *plan* (run on *manager*) files: one
+    ``(kind, bucket, payload)`` per anchor of its first step, or None when
+    any write may change the page."""
+    query = plan.query
+    if (
+        not plan.ordered_constraints
+        or (query.return_kind is ReturnKind.GRAPH and result.count)
+        or _has_path(query.constraints)
+    ):
+        return None
+    return _anchors(manager, plan.ordered_constraints[0])
+
+
+def _has_path(constraints) -> bool:
+    for constraint in constraints:
+        if isinstance(constraint, _LEAVES):
+            continue
+        if isinstance(constraint, PathConstraint):
+            return True
+        if isinstance(constraint, OrConstraint):
+            if _has_path(constraint.parts):
+                return True
+        elif _has_path((constraint.inner,)):
+            return True
+    return False
+
+
+def _anchors(manager, constraint) -> tuple | None:
+    if isinstance(constraint, KeywordConstraint):
+        tokens = tuple(tokenize(constraint.keyword))
+        if not tokens:
+            return None
+        if constraint.mode == "or":
+            return tuple((KEYWORD, token, (token,)) for token in tokens)
+        return ((KEYWORD, tokens[0], tokens),)
+    if isinstance(constraint, OverlapConstraint):
+        return ((INTERVAL, constraint.domain, (constraint.start, constraint.end)),)
+    if isinstance(constraint, OntologyConstraint):
+        terms = manager._expand_ontology_term(  # noqa: SLF001 - the probe's expansion
+            constraint.term, constraint.ontology, constraint.include_descendants
+        )
+        if len(terms) > _ONTOLOGY_FAN_OUT:
+            return ((ONTOLOGY, None, terms),)
+        return tuple((ONTOLOGY, term, None) for term in terms)
+    if isinstance(constraint, RegionConstraint):
+        return ((REGION, constraint.space, (constraint.lo, constraint.hi)),)
+    if isinstance(constraint, TypeConstraint):
+        return ((TYPE, canonical_type(constraint.data_type), None),)
+    if isinstance(constraint, OrConstraint):
+        anchors: tuple = ()
+        for part in constraint.parts:
+            found = _anchors(manager, part)
+            if found is None:
+                return None
+            anchors += found
+        return anchors
+    return None  # NOT: any annotation a write leaves unmatched enters it
+
+
+class _Extents:
+    """The INTERVAL or REGION anchors of one domain or space, sorted by the
+    start of their first axis, so a footprint extent visits only the anchors
+    whose first axis can overlap it."""
+
+    __slots__ = ("boxes", "starts", "items", "longest")
+
+    def __init__(self, boxes: bool):
+        #: Payloads are ``(lo, hi)`` boxes (REGION), else ``(start, end)``.
+        self.boxes = boxes
+        self.starts: list = []
+        #: ``(start, end, key, payload)`` per anchor, in ``starts`` order.
+        self.items: list = []
+        #: The widest first-axis span ever filed here.
+        self.longest = 0
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def add(self, key: Hashable, payload) -> None:
+        start, end = (payload[0][0], payload[1][0]) if self.boxes else payload
+        index = bisect_right(self.starts, start)
+        self.starts.insert(index, start)
+        self.items.insert(index, (start, end, key, payload))
+        if end - start > self.longest:
+            self.longest = end - start
+
+    def discard(self, key: Hashable, payload) -> None:
+        start = payload[0][0] if self.boxes else payload[0]
+        starts, items = self.starts, self.items
+        index = bisect_left(starts, start)
+        while index < len(items) and starts[index] == start:
+            if items[index][2] == key:
+                del starts[index], items[index]
+            else:
+                index += 1
+
+    def reach(self, extents: list, reached: set) -> None:
+        """Add the keys of the anchors overlapping one of *extents*."""
+        starts, items = self.starts, self.items
+        for extent in extents:
+            low, high = (extent[0][0], extent[1][0]) if self.boxes else extent
+            first = bisect_left(starts, low - self.longest)
+            for start, end, key, payload in items[first : bisect_right(starts, high)]:
+                if end < low:
+                    continue
+                if self.boxes:
+                    lo, hi = payload
+                    # A box of another dimension never matches; reaching
+                    # it only drops too much.
+                    if len(lo) == len(extent[0]) and not all(
+                        extent[0][axis] <= hi[axis] and extent[1][axis] >= lo[axis]
+                        for axis in range(1, len(lo))
+                    ):
+                        continue
+                reached.add(key)
+
+
+def _reached(filed: dict[str, dict], footprint: Footprint, reached: set) -> None:
+    """Add to *reached* the keys of the entries *footprint* reaches among
+    those *filed*."""
+    keyword = filed[KEYWORD]
+    terms = footprint.terms
+    if terms is None:
+        for bucket in keyword.values():
+            reached.update(bucket)
+    elif keyword:
+        for token in keyword.keys() & terms:
+            for key, payloads in keyword[token].items():
+                for tokens in payloads:
+                    if terms.issuperset(tokens):
+                        reached.add(key)
+                        break
+    ontology = filed[ONTOLOGY]
+    touched = footprint.ontology
+    if ontology and touched:
+        for term in touched:
+            reached.update(ontology.get(term, ()))
+        for key, payloads in ontology.get(None, {}).items():
+            for terms_of in payloads:
+                if not touched.isdisjoint(terms_of):
+                    reached.add(key)
+                    break
+    types = filed[TYPE]
+    for data_type in footprint.types:
+        reached.update(types.get(data_type, ()))
+    for kind, touched_extents in ((INTERVAL, footprint.intervals), (REGION, footprint.regions)):
+        anchors = filed[kind]
+        for domain, extents in touched_extents.items():
+            held = anchors.get(domain)
+            if held is not None:
+                held.reach(extents, reached)
 
 
 class QueryResultCache:
-    """A bounded, epoch-validated, thread-safe LRU of query results.
+    """A bounded, write-localised, thread-safe LRU of query results.
 
     ``capacity=0`` disables caching entirely (every lookup misses, nothing is
     stored) — the configuration the benchmarks use as the uncached baseline.
+    *footprints* is the manager's footprint log; without it every newer
+    epoch drops every entry.  *copy* makes the private copy a store keeps
+    and a hit hands out, so no two callers share one mutable value.
     """
 
-    def __init__(self, capacity: int = 256):
+    def __init__(
+        self,
+        capacity: int = 256,
+        footprints: FootprintLog | None = None,
+        copy: Callable[[Any], Any] | None = None,
+    ):
         if capacity < 0:
             raise ConfigError("cache capacity must be >= 0")
         self.capacity = capacity
-        self._entries: OrderedDict[Hashable, tuple[int, Any]] = OrderedDict()
+        self._footprints = footprints
+        self._copy = copy
+        #: key -> (value, dependency)
+        self._entries: OrderedDict[Hashable, tuple[Any, tuple | None]] = OrderedDict()
+        #: kind -> bucket -> key -> tuple of anchor payloads (an
+        #: :class:`_Extents` per INTERVAL / REGION bucket): the dependency
+        #: index.
+        self._filed: dict[str, dict] = {kind: {} for kind in (KEYWORD, ONTOLOGY, TYPE, INTERVAL, REGION)}
+        #: Keys of the entries every write reaches.
+        self._always: set[Hashable] = set()
         self._mutex = threading.Lock()
         #: The newest epoch a lookup or store has named; every entry is at it.
         self._epoch = 0
@@ -49,58 +259,125 @@ class QueryResultCache:
         self._misses = 0
         self._evictions = 0
         self._invalidations = 0
+        self._kept = 0
 
     def __len__(self) -> int:
         with self._mutex:
             return len(self._entries)
 
     def get(self, key: Hashable, epoch: int) -> Any | None:
-        """The cached value for *key* if it was computed at *epoch*, else None.
+        """A copy of the cached value for *key* at *epoch*, else None.
 
-        An entry tagged with an older epoch is stale by definition (some
-        mutation happened since); it is dropped and counted as an
-        invalidation as well as a miss.
+        Moving to a newer *epoch* first drops the entries the writes in
+        between reach; a lookup at an older epoch than the cache holds
+        misses.
         """
         with self._mutex:
-            self._advance(epoch)
-            entry = self._entries.get(key)
+            if epoch > self._epoch:
+                self._advance(epoch)
+            entry = self._entries.get(key) if epoch == self._epoch else None
             if entry is None:
-                self._misses += 1
-                return None
-            entry_epoch, value = entry
-            if entry_epoch != epoch:
-                del self._entries[key]
-                self._invalidations += 1
                 self._misses += 1
                 return None
             self._entries.move_to_end(key)
             self._hits += 1
-            return value
+        value = entry[0]
+        return value if self._copy is None else self._copy(value)
 
-    def put(self, key: Hashable, epoch: int, value: Any) -> None:
-        """Store *value* for *key* computed at *epoch* (LRU-evicting)."""
+    def put(self, key: Hashable, epoch: int, value: Any, dependency: tuple | None = None) -> None:
+        """Store a copy of *value* for *key* computed at *epoch* (LRU-evicting),
+        filed under *dependency* (None: every write reaches it)."""
         if self.capacity == 0:
             return
+        if self._copy is not None:
+            value = self._copy(value)
         with self._mutex:
-            self._advance(epoch)
-            if epoch != self._epoch:
+            if epoch > self._epoch:
+                self._advance(epoch)
+            elif epoch < self._epoch:
                 return  # computed before a mutation that has since landed
-            self._entries[key] = (epoch, value)
-            self._entries.move_to_end(key)
+            if key in self._entries:
+                self._unfile(key)
+            self._entries[key] = (value, dependency)  # a new key: the MRU end
+            if dependency is None:
+                self._always.add(key)
+            else:
+                filed = self._filed
+                for kind, bucket, payload in dependency:
+                    index = filed[kind]
+                    held = index.get(bucket)
+                    if kind is INTERVAL or kind is REGION:
+                        if held is None:
+                            held = index[bucket] = _Extents(kind is REGION)
+                        held.add(key, payload)
+                    else:
+                        if held is None:
+                            held = index[bucket] = {}
+                        held[key] = held.get(key, ()) + (payload,)
             while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+                self._unfile(next(iter(self._entries)))
                 self._evictions += 1
 
+    def advance(self, epoch: int) -> None:
+        """Move to *epoch* now, dropping what the writes since reached (the
+        service calls this under its write lock, so readers never pay it)."""
+        with self._mutex:
+            self._advance(epoch)
+
+    def clear(self) -> None:
+        """Drop every entry (a closed service keeps no pages alive)."""
+        with self._mutex:
+            self._clear()
+
     def _advance(self, epoch: int) -> None:
-        """Drop every entry, as invalidated, when *epoch* is newer than all
-        seen before (the caller holds the mutex)."""
-        if epoch > self._epoch:
-            self._epoch = epoch
+        """Move to *epoch* when it is newer (the caller holds the mutex)."""
+        if epoch <= self._epoch:
+            return
+        log, since = self._footprints, self._epoch
+        self._epoch = epoch
+        if not self._entries:
+            return
+        footprints = None if log is None else log.since(since, epoch)
+        if footprints is None:
             self._invalidations += len(self._entries)
-            self._entries.clear()
+            self._clear()
+            return
+        reached = self._always.copy()
+        for footprint in footprints:
+            _reached(self._filed, footprint, reached)
+        for key in reached:
+            self._unfile(key)
+        self._invalidations += len(reached)
+        self._kept += len(self._entries)
+
+    def _clear(self) -> None:
+        self._entries.clear()
+        self._always.clear()
+        for index in self._filed.values():
+            index.clear()
+
+    def _unfile(self, key: Hashable) -> None:
+        """Remove *key*'s entry and its dependency (the mutex is held)."""
+        _, dependency = self._entries.pop(key)
+        if dependency is None:
+            self._always.discard(key)
+            return
+        filed = self._filed
+        for kind, bucket, payload in dependency:
+            index = filed[kind]
+            held = index.get(bucket)
+            if held is None:
+                continue
+            if kind is INTERVAL or kind is REGION:
+                held.discard(key, payload)
+            else:
+                held.pop(key, None)
+            if not held:
+                del index[bucket]
 
     def stats(self) -> dict[str, int | float]:
-        """Hit / miss / eviction / invalidation counters plus the hit rate."""
+        """Hit / miss / eviction / invalidation / kept counters plus the hit
+        rate; ``kept`` counts entries that outlived a newer epoch."""
         with self._mutex:
             lookups = self._hits + self._misses
             return {
@@ -110,5 +387,6 @@ class QueryResultCache:
                 "misses": self._misses,
                 "evictions": self._evictions,
                 "invalidations": self._invalidations,
+                "kept": self._kept,
                 "hit_rate": (self._hits / lookups) if lookups else 0.0,
             }

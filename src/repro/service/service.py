@@ -9,8 +9,8 @@ instance in the coordination a multi-user deployment needs:
 * **durability** — every acknowledged mutation is appended to a write-ahead
   log layered on snapshots (see :mod:`repro.service.durability`), and
   :meth:`recover` rebuilds the exact pre-crash state from snapshot + replay;
-* **query-result caching** — results are cached under the caller's text
-  and invalidated wholesale by mutation-epoch compare (see
+* **query-result caching** — results are cached under the caller's text,
+  and a write drops only the entries it can reach (see
   :mod:`repro.service.cache`), so a repeated text skips parsing, planning
   and execution entirely;
 * **bulk ingest** — :meth:`bulk_commit` groups many annotations into one
@@ -48,7 +48,7 @@ from repro.query.parser import parse_query
 from repro.query.planner import QueryPlanner
 from repro.query.result import QueryResult
 from repro.service import ops
-from repro.service.cache import QueryResultCache
+from repro.service.cache import QueryResultCache, page_dependency
 from repro.service.durability import (
     DurableStore,
     enter_gil_courtesy,
@@ -123,7 +123,12 @@ class GraphittiService:
             self._cache_hit_counter = self.obs.registry.counter("query.cache_hits")
         else:
             self._cache_hit_counter = None
-        self._cache = QueryResultCache(self.config.cache_capacity)
+        capacity = self.config.cache_capacity
+        self._cache = QueryResultCache(
+            capacity,
+            footprints=self._manager.attach_footprints() if capacity else None,
+            copy=QueryResult.copy,
+        )
         self._store = DurableStore(root, durability=self.config.durability) if root else None
         if self._store is not None and self.obs.enabled:
             self._store.wal.tracer = self.obs.tracer
@@ -217,6 +222,7 @@ class GraphittiService:
                 self._manager.stats_providers.remove(self._service_stats)
             except ValueError:
                 pass
+            self._cache.clear()
             self._closed = True
 
     def __enter__(self) -> "GraphittiService":
@@ -397,7 +403,12 @@ class GraphittiService:
 
     @requires_write_lock
     def _after_mutation_locked(self, count: int) -> None:
-        """Post-mutation bookkeeping; caller holds the write lock."""
+        """Post-mutation bookkeeping; caller holds the write lock.
+
+        The result cache drops what the write reached here, so no reader
+        pays for it.
+        """
+        self._cache.advance(self._manager.mutation_epoch)
         self._ops_since_checkpoint += count
         interval = self.config.checkpoint_interval
         if self._store is not None and interval and self._ops_since_checkpoint >= interval:
@@ -563,10 +574,13 @@ class GraphittiService:
         """Run a GQL query through the result cache.
 
         Cache key: the caller's text, or ``("query", describe())`` for a
-        :class:`Query` object, so a text never aliases a built query; an
-        entry is valid only at the mutation epoch it was computed at.  A
-        hit parses and plans nothing.  Every mutation bumps the epoch and
-        empties the cache, so one key has one plan per epoch.
+        :class:`Query` object, so a text never aliases a built query.  A
+        hit parses and plans nothing.  A miss files its page under its
+        plan's first step (:func:`~repro.service.cache.page_dependency`),
+        and a write drops the pages its footprint reaches, so a page
+        outlives every write that cannot change it.  A hit's
+        ``step_details`` describe the run that made the page: counts of
+        steps after the first may have moved since.
 
         Parsing and planning happen *inside* the read view: the planner
         reads live structures (the inverted index, catalogue dicts, the
@@ -581,17 +595,18 @@ class GraphittiService:
             key = text_or_query
         with self._read_view():
             epoch = self._manager.mutation_epoch
+            # The cache hands out its own copy: concurrent readers share
+            # the hot entry, and a caller consuming its pages in place must
+            # not corrupt it for everyone else.
             cached = self._cache.get(key, epoch)
             if cached is not None:
-                # Defensive copy: concurrent readers share the hot entry,
-                # and a caller consuming its pages in place must not
-                # corrupt the entry for everyone else.  A hit pays ONE
-                # counter increment and no span: a cached query runs in a
-                # few microseconds, so even a single span would breach the
-                # <10% overhead gate the cached path is the floor for.
+                # A hit pays ONE counter increment and no span: a cached
+                # query runs in a few microseconds, so even a single span
+                # would breach the <10% overhead gate the cached path is
+                # the floor for.
                 if self._cache_hit_counter is not None:
                     self._cache_hit_counter.inc()
-                return cached.copy()
+                return cached
             with obs.span("query") as root:
                 root.set("cache", "miss")
                 parsed = text_or_query
@@ -606,9 +621,12 @@ class GraphittiService:
                     )
                     result = executor.execute_plan(plan)
                     execute_span.set("rows", result.count)
-                # Cache a private copy so post-return mutations by THIS caller
-                # cannot leak into future hits either.
-                self._cache.put(key, epoch, result.copy())
+                # The cache keeps a private copy, so post-return mutations by
+                # THIS caller cannot leak into future hits either.
+                if self._cache.capacity:
+                    self._cache.put(
+                        key, epoch, result, page_dependency(self._manager, plan, result)
+                    )
         if obs.is_slow(root):
             # explain() re-takes the read lock, so the slow capture runs only
             # after the query's own view is released.

@@ -311,6 +311,12 @@ class DocumentCollection:
             return True
         return self._verify_text(doc_id, phrase)
 
+    def indexed_terms(self, doc_id: str) -> tuple[str, ...]:
+        """The inverted-index terms of *doc_id*: a keyword matches the
+        document only if every one of its tokens is among them.  Requires an
+        indexed collection."""
+        return self._index.document_terms(doc_id)
+
     def keyword_document_frequency(self, keyword: str, mode: str = "and") -> int:
         """Estimated number of documents matching *keyword* (planner input).
 

@@ -259,6 +259,10 @@ class InvertedIndex:
             return any(doc_id in self._postings.get(token, ()) for token in tokens)
         raise ValueError(f"unknown search mode {mode!r}")
 
+    def document_terms(self, doc_id: str) -> tuple[str, ...]:
+        """The terms indexed for *doc_id* (empty when it is not indexed)."""
+        return self._doc_terms.get(doc_id, ())
+
     def term_frequency(self, term: str, doc_id: str) -> int:
         """Occurrences of *term* in *doc_id* (0 when absent)."""
         return self._postings.get(term.lower(), {}).get(doc_id, 0)

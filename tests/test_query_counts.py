@@ -8,7 +8,10 @@ bare :class:`~repro.Graphitti`, and the ``adhoc`` rows of
 
 * the step that runs first matches at most twice as many annotations as
   the query's most selective constraint;
-* no query walks a spatial tree more often than it has spatial constraints.
+* no query walks a spatial tree more often than it has spatial constraints;
+* the ``not_any`` rows (INTERVAL, NOT { keyword }, ANY { two keywords })
+  probe their NOT and ANY steps whenever the probe rule says so, with the
+  pages the materializing evaluation gives.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ from benchmarks.e2e.corpus import FULL, Corpus  # noqa: E402
 from benchmarks.e2e.driver import ingest  # noqa: E402
 from repro import Graphitti  # noqa: E402
 from repro.query.ast import NotConstraint, OrConstraint, OverlapConstraint, RegionConstraint  # noqa: E402
-from repro.query.executor import QueryExecutor  # noqa: E402
+from repro.net.codec import encode_query_result  # noqa: E402
+from repro.query import executor as executor_module  # noqa: E402
+from repro.query.executor import PROBE_COST_FACTOR, QueryExecutor  # noqa: E402
 from repro.query.parser import parse_query  # noqa: E402
 from repro.spatial.interval_tree import IntervalIndexFamily  # noqa: E402
 from repro.spatial.rtree import RTreeFamily  # noqa: E402
@@ -88,3 +93,44 @@ def test_each_spatial_constraint_walks_its_tree_at_most_once(manager, adhoc, mon
         walks.clear()
         manager.query(query)
         assert len(walks) <= spatial_constraints(query.constraints), query.describe()
+
+
+def page(result) -> dict:
+    payload = encode_query_result(result)
+    payload.pop("step_details")
+    return payload
+
+
+def test_not_and_any_steps_probe_the_survivors(manager, adhoc, monkeypatch):
+    rows = [
+        query for query in adhoc
+        if [type(constraint) for constraint in query.constraints]
+        == [OverlapConstraint, NotConstraint, OrConstraint]
+    ]
+    assert len(rows) >= 15
+    results = [manager.query(query) for query in rows]
+    probed = {"NOT": 0, "ANY": 0}
+    for result in results:
+        survivors = None
+        for detail in result.step_details:
+            label = detail["label"][:3]
+            if survivors is not None and label in probed:
+                expected = detail["estimated"] is None or (
+                    survivors * PROBE_COST_FACTOR < detail["estimated"]
+                )
+                assert detail["mode"] == ("probe" if expected else "materialize"), detail
+                probed[label] += detail["mode"] == "probe"
+            survivors = detail["survivors"]
+    assert probed["NOT"] >= 10 and probed["ANY"] >= 1, probed
+    # The same plans with OR and NOT materialized, as before they probed.
+    monkeypatch.setattr(executor_module, "_probeable", lambda constraint: isinstance(
+        constraint, executor_module._PROBEABLE  # noqa: SLF001 - the leaf rule alone
+    ))
+    for query, result in zip(rows, results):
+        materialized = manager.query(query)
+        assert all(
+            detail["mode"] == "materialize"
+            for detail in materialized.step_details
+            if detail["label"][:3] in probed
+        )
+        assert page(materialized) == page(result), query.describe()

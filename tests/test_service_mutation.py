@@ -149,7 +149,8 @@ def test_update_after_bulk_commit_before_flush(tmp_path):
 
 def test_update_replans_prepared_plan():
     """A result from before the update must not serve afterwards — the
-    epoch bump empties the cache, so the text is parsed and planned again."""
+    update reaches the page's keyword step and drops it, so the text is
+    parsed and planned again."""
     service = _seeded()
     probe = 'SELECT contents WHERE { CONTENT CONTAINS "alpha" TYPE dna_sequence }'
     first = service.query(probe)

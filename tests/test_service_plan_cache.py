@@ -1,10 +1,11 @@
 """Service-level guarantees for stats-driven plans and the result cache.
 
-The result cache is keyed by the caller's text and tagged with the
-mutation epoch; every mutation empties it, so a text is parsed and planned
-once per epoch.  These tests prove the service can never serve a result
-that was produced under a different plan for the same query, even as live
-counts shift the planner's chosen order.
+The result cache is keyed by the caller's text and filed under its plan's
+first step; a mutation drops the entries it reaches, so a text is parsed
+and planned again once a write could change its rows.  These tests prove
+the service can never serve a result that was produced under a different
+plan for the same query, even as live counts shift the planner's chosen
+order.
 """
 
 import pytest
@@ -58,7 +59,8 @@ def test_plan_memo_replans_after_mutation(service):
         _commit(service, f"shared-{index}", ["shared"], 600 + index * 10, 620 + index * 10)
     second = service.query(QUERY)
     assert second is not first
-    # The mutation emptied the cache, and the re-plan counted afresh.
+    # The commits reached the keyword step the page was filed under, and
+    # the re-plan counted afresh.
     assert _order(second) == ["interval", "content"]
     assert second.annotation_ids == ["a0"]
 
@@ -73,7 +75,7 @@ def test_cached_result_always_matches_current_plan(service):
     assert hit.step_details == warm.step_details
     _commit(service, "a1", ["shared"], 10, 30)
     fresh = service.query(QUERY)
-    assert fresh is not warm  # epoch bumped -> the stale entry cannot serve
+    assert fresh is not warm  # the commit reached the entry -> it cannot serve
     assert set(fresh.annotation_ids) == {"a0", "a1"}
 
 
