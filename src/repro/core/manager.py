@@ -112,10 +112,12 @@ class Graphitti:
         #: :class:`~repro.core.footprint.Footprint` in :attr:`footprints`),
         #: or every entry when a write left no footprint.
         self.mutation_epoch = 0
-        #: One footprint per epoch once a serving layer attaches the log
-        #: (:meth:`attach_footprints`); None until then, so a bare instance,
-        #: a snapshot load and WAL replay record nothing.
+        #: One footprint per epoch while a serving layer is attached to the
+        #: log (:meth:`attach_footprints`); None otherwise, so a bare
+        #: instance, a snapshot load, WAL replay and a manager whose services
+        #: have closed record nothing.
         self.footprints: FootprintLog | None = None
+        self._footprint_readers = 0
         #: Extra statistics sources merged into :meth:`statistics` (the
         #: serving layer registers its cache/WAL counters here).
         self.stats_providers: list[Callable[[], dict[str, Any]]] = []
@@ -130,16 +132,25 @@ class Graphitti:
         """Advance the mutation epoch (called after every state mutation);
         *footprint* is what the mutation touched (None: anything)."""
         self.mutation_epoch += 1
-        if self.footprints is not None:
-            self.footprints.record(self.mutation_epoch, footprint)
+        log = self.footprints  # read once: a closing service may detach it
+        if log is not None:
+            log.record(self.mutation_epoch, footprint)
         return self.mutation_epoch
 
     def attach_footprints(self) -> FootprintLog:
-        """The footprint log, started on first call: from then on every
-        mutation records what it touched."""
+        """The footprint log, started for its first reader: until the last
+        reader detaches, every mutation records what it touched."""
         if self.footprints is None:
             self.footprints = FootprintLog()
+        self._footprint_readers += 1
         return self.footprints
+
+    def detach_footprints(self) -> None:
+        """Release one reader of the footprint log; the last one stops the
+        recording."""
+        self._footprint_readers -= 1
+        if not self._footprint_readers:
+            self.footprints = None
 
     def _footprint_before(self, annotation_id: str) -> tuple[Footprint, set[str]] | None:
         """Start the footprint of a write to *annotation_id*: what it and

@@ -16,20 +16,21 @@ three ingredients:
   again, and kept until its own key came back it would pin the document
   versions its result holds (which the network worker's wire-text memo then
   cannot forget);
-* every entry files a **dependency** (:func:`page_dependency`) on its plan's
-  first step, the *anchor*: the executor always materializes that step, so
-  every row of the page matched it.  A write can add a row, remove one or
-  change how one renders only through an annotation whose old or new state
-  matches the anchor, and the footprint holds both states of every
-  annotation a write affects.  A keyword is filed under its first token and
-  reached when all its tokens are footprint terms; an ontology constraint by
-  its expanded terms; a type by its type; an interval or region by its
-  domain or space, and reached on overlap; an OR by each of its parts.  Each
-  test holds whenever the executor's probe of the anchor could change its
-  answer, so the cache may drop too much, never too little.  A page whose
-  rows depend on the a-graph beyond the anchor drops on every write: a query
-  with a PATH anywhere, a first step that is NOT, no constraints at all, and
-  a GRAPH page with rows.
+* every entry is stored with a **dependency** (:func:`page_dependency`) on
+  its plan's first step, the *anchor*: the executor always materializes that
+  step, so every row of the page matched it.  A write can add a row, remove
+  one or change how one renders only through an annotation whose old or new
+  state matches the anchor, and the footprint holds both states of every
+  annotation a write affects.  A keyword is reached when all its tokens are
+  footprint terms; an ontology constraint when one of its expanded terms
+  is; a type by its type; an interval or region when one of the
+  footprint's extents in its domain or space overlaps it; an OR through
+  any of its parts.  Each test holds whenever the executor's probe of the
+  anchor could change its answer, so the cache may drop too much, never
+  too little.  A page whose rows depend on the a-graph beyond the anchor
+  drops on every write: a query with a PATH anywhere, a first step that is
+  NOT, no constraints at all, and a GRAPH page with rows.  A write tests
+  every entry's dependency in one pass (at most ``capacity`` of them).
 
 The cache is LRU-bounded and thread-safe (its own mutex; callers hold the
 service read lock, which does not exclude other readers, and the service
@@ -39,9 +40,8 @@ advances it eagerly under its write lock).
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left, bisect_right
 from collections import OrderedDict
-from typing import Any, Callable, Hashable
+from typing import Any, Hashable
 
 from repro.core.footprint import Footprint, FootprintLog
 from repro.errors import ConfigError
@@ -63,16 +63,11 @@ KEYWORD, ONTOLOGY, TYPE, INTERVAL, REGION = "keyword", "ontology", "type", "inte
 #: Constraints that hold no other constraint.
 _LEAVES = (KeywordConstraint, OntologyConstraint, TypeConstraint, OverlapConstraint, RegionConstraint)
 
-#: An ontology constraint expanding to more terms than this is filed under
-#: one shared bucket (``None``) and tested by set intersection; a smaller one
-#: under each of its terms.
-_ONTOLOGY_FAN_OUT = 8
-
 
 def page_dependency(manager, plan, result) -> tuple | None:
-    """The dependency a page of *plan* (run on *manager*) files: one
-    ``(kind, bucket, payload)`` per anchor of its first step, or None when
-    any write may change the page."""
+    """The dependency a page of *plan* (run on *manager*) is stored with:
+    one ``(kind, payload)`` per anchor of its first step, or None when any
+    write may change the page."""
     query = plan.query
     if (
         not plan.ordered_constraints
@@ -103,21 +98,19 @@ def _anchors(manager, constraint) -> tuple | None:
         if not tokens:
             return None
         if constraint.mode == "or":
-            return tuple((KEYWORD, token, (token,)) for token in tokens)
-        return ((KEYWORD, tokens[0], tokens),)
+            return tuple((KEYWORD, (token,)) for token in tokens)
+        return ((KEYWORD, tokens),)
     if isinstance(constraint, OverlapConstraint):
-        return ((INTERVAL, constraint.domain, (constraint.start, constraint.end)),)
+        return ((INTERVAL, (constraint.domain, constraint.start, constraint.end)),)
     if isinstance(constraint, OntologyConstraint):
         terms = manager._expand_ontology_term(  # noqa: SLF001 - the probe's expansion
             constraint.term, constraint.ontology, constraint.include_descendants
         )
-        if len(terms) > _ONTOLOGY_FAN_OUT:
-            return ((ONTOLOGY, None, terms),)
-        return tuple((ONTOLOGY, term, None) for term in terms)
+        return ((ONTOLOGY, terms),)
     if isinstance(constraint, RegionConstraint):
-        return ((REGION, constraint.space, (constraint.lo, constraint.hi)),)
+        return ((REGION, (constraint.space, constraint.lo, constraint.hi)),)
     if isinstance(constraint, TypeConstraint):
-        return ((TYPE, canonical_type(constraint.data_type), None),)
+        return ((TYPE, canonical_type(constraint.data_type)),)
     if isinstance(constraint, OrConstraint):
         anchors: tuple = ()
         for part in constraint.parts:
@@ -129,98 +122,34 @@ def _anchors(manager, constraint) -> tuple | None:
     return None  # NOT: any annotation a write leaves unmatched enters it
 
 
-class _Extents:
-    """The INTERVAL or REGION anchors of one domain or space, sorted by the
-    start of their first axis, so a footprint extent visits only the anchors
-    whose first axis can overlap it."""
-
-    __slots__ = ("boxes", "starts", "items", "longest")
-
-    def __init__(self, boxes: bool):
-        #: Payloads are ``(lo, hi)`` boxes (REGION), else ``(start, end)``.
-        self.boxes = boxes
-        self.starts: list = []
-        #: ``(start, end, key, payload)`` per anchor, in ``starts`` order.
-        self.items: list = []
-        #: The widest first-axis span ever filed here.
-        self.longest = 0
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def add(self, key: Hashable, payload) -> None:
-        start, end = (payload[0][0], payload[1][0]) if self.boxes else payload
-        index = bisect_right(self.starts, start)
-        self.starts.insert(index, start)
-        self.items.insert(index, (start, end, key, payload))
-        if end - start > self.longest:
-            self.longest = end - start
-
-    def discard(self, key: Hashable, payload) -> None:
-        start = payload[0][0] if self.boxes else payload[0]
-        starts, items = self.starts, self.items
-        index = bisect_left(starts, start)
-        while index < len(items) and starts[index] == start:
-            if items[index][2] == key:
-                del starts[index], items[index]
-            else:
-                index += 1
-
-    def reach(self, extents: list, reached: set) -> None:
-        """Add the keys of the anchors overlapping one of *extents*."""
-        starts, items = self.starts, self.items
-        for extent in extents:
-            low, high = (extent[0][0], extent[1][0]) if self.boxes else extent
-            first = bisect_left(starts, low - self.longest)
-            for start, end, key, payload in items[first : bisect_right(starts, high)]:
-                if end < low:
-                    continue
-                if self.boxes:
-                    lo, hi = payload
-                    # A box of another dimension never matches; reaching
-                    # it only drops too much.
-                    if len(lo) == len(extent[0]) and not all(
-                        extent[0][axis] <= hi[axis] and extent[1][axis] >= lo[axis]
-                        for axis in range(1, len(lo))
-                    ):
-                        continue
-                reached.add(key)
-
-
-def _reached(filed: dict[str, dict], footprint: Footprint, reached: set) -> None:
-    """Add to *reached* the keys of the entries *footprint* reaches among
-    those *filed*."""
-    keyword = filed[KEYWORD]
-    terms = footprint.terms
-    if terms is None:
-        for bucket in keyword.values():
-            reached.update(bucket)
-    elif keyword:
-        for token in keyword.keys() & terms:
-            for key, payloads in keyword[token].items():
-                for tokens in payloads:
-                    if terms.issuperset(tokens):
-                        reached.add(key)
-                        break
-    ontology = filed[ONTOLOGY]
-    touched = footprint.ontology
-    if ontology and touched:
-        for term in touched:
-            reached.update(ontology.get(term, ()))
-        for key, payloads in ontology.get(None, {}).items():
-            for terms_of in payloads:
-                if not touched.isdisjoint(terms_of):
-                    reached.add(key)
-                    break
-    types = filed[TYPE]
-    for data_type in footprint.types:
-        reached.update(types.get(data_type, ()))
-    for kind, touched_extents in ((INTERVAL, footprint.intervals), (REGION, footprint.regions)):
-        anchors = filed[kind]
-        for domain, extents in touched_extents.items():
-            held = anchors.get(domain)
-            if held is not None:
-                held.reach(extents, reached)
+def _reaches(footprint: Footprint, dependency: tuple) -> bool:
+    """Whether *footprint* reaches one of *dependency*'s anchors."""
+    for kind, payload in dependency:
+        if kind is KEYWORD:
+            terms = footprint.terms
+            if terms is None or terms.issuperset(payload):
+                return True
+        elif kind is ONTOLOGY:
+            if not footprint.ontology.isdisjoint(payload):
+                return True
+        elif kind is TYPE:
+            if payload in footprint.types:
+                return True
+        elif kind is INTERVAL:
+            domain, start, end = payload
+            for low, high in footprint.intervals.get(domain, ()):
+                if start <= high and end >= low:
+                    return True
+        else:
+            space, lo, hi = payload
+            for low, high in footprint.regions.get(space, ()):
+                # A box of another dimension never matches; reaching it
+                # only drops too much.
+                if len(low) != len(lo) or all(
+                    low[axis] <= hi[axis] and high[axis] >= lo[axis] for axis in range(len(lo))
+                ):
+                    return True
+    return False
 
 
 class QueryResultCache:
@@ -229,29 +158,18 @@ class QueryResultCache:
     ``capacity=0`` disables caching entirely (every lookup misses, nothing is
     stored) — the configuration the benchmarks use as the uncached baseline.
     *footprints* is the manager's footprint log; without it every newer
-    epoch drops every entry.  *copy* makes the private copy a store keeps
-    and a hit hands out, so no two callers share one mutable value.
+    epoch drops every entry.  Values must have a ``copy()``: a store keeps
+    a private copy and a hit hands out another, so no two callers share one
+    mutable value.
     """
 
-    def __init__(
-        self,
-        capacity: int = 256,
-        footprints: FootprintLog | None = None,
-        copy: Callable[[Any], Any] | None = None,
-    ):
+    def __init__(self, capacity: int = 256, footprints: FootprintLog | None = None):
         if capacity < 0:
             raise ConfigError("cache capacity must be >= 0")
         self.capacity = capacity
         self._footprints = footprints
-        self._copy = copy
         #: key -> (value, dependency)
         self._entries: OrderedDict[Hashable, tuple[Any, tuple | None]] = OrderedDict()
-        #: kind -> bucket -> key -> tuple of anchor payloads (an
-        #: :class:`_Extents` per INTERVAL / REGION bucket): the dependency
-        #: index.
-        self._filed: dict[str, dict] = {kind: {} for kind in (KEYWORD, ONTOLOGY, TYPE, INTERVAL, REGION)}
-        #: Keys of the entries every write reaches.
-        self._always: set[Hashable] = set()
         self._mutex = threading.Lock()
         #: The newest epoch a lookup or store has named; every entry is at it.
         self._epoch = 0
@@ -281,41 +199,23 @@ class QueryResultCache:
                 return None
             self._entries.move_to_end(key)
             self._hits += 1
-        value = entry[0]
-        return value if self._copy is None else self._copy(value)
+        return entry[0].copy()
 
     def put(self, key: Hashable, epoch: int, value: Any, dependency: tuple | None = None) -> None:
-        """Store a copy of *value* for *key* computed at *epoch* (LRU-evicting),
-        filed under *dependency* (None: every write reaches it)."""
+        """Store a copy of *value* for *key* computed at *epoch* (LRU-evicting)
+        with its *dependency* (None: every write reaches it)."""
         if self.capacity == 0:
             return
-        if self._copy is not None:
-            value = self._copy(value)
+        value = value.copy()
         with self._mutex:
             if epoch > self._epoch:
                 self._advance(epoch)
             elif epoch < self._epoch:
                 return  # computed before a mutation that has since landed
-            if key in self._entries:
-                self._unfile(key)
+            self._entries.pop(key, None)
             self._entries[key] = (value, dependency)  # a new key: the MRU end
-            if dependency is None:
-                self._always.add(key)
-            else:
-                filed = self._filed
-                for kind, bucket, payload in dependency:
-                    index = filed[kind]
-                    held = index.get(bucket)
-                    if kind is INTERVAL or kind is REGION:
-                        if held is None:
-                            held = index[bucket] = _Extents(kind is REGION)
-                        held.add(key, payload)
-                    else:
-                        if held is None:
-                            held = index[bucket] = {}
-                        held[key] = held.get(key, ()) + (payload,)
             while len(self._entries) > self.capacity:
-                self._unfile(next(iter(self._entries)))
+                self._entries.popitem(last=False)
                 self._evictions += 1
 
     def advance(self, epoch: int) -> None:
@@ -327,7 +227,7 @@ class QueryResultCache:
     def clear(self) -> None:
         """Drop every entry (a closed service keeps no pages alive)."""
         with self._mutex:
-            self._clear()
+            self._entries.clear()
 
     def _advance(self, epoch: int) -> None:
         """Move to *epoch* when it is newer (the caller holds the mutex)."""
@@ -335,45 +235,24 @@ class QueryResultCache:
             return
         log, since = self._footprints, self._epoch
         self._epoch = epoch
-        if not self._entries:
+        entries = self._entries
+        if not entries:
             return
         footprints = None if log is None else log.since(since, epoch)
         if footprints is None:
-            self._invalidations += len(self._entries)
-            self._clear()
+            self._invalidations += len(entries)
+            entries.clear()
             return
-        reached = self._always.copy()
         for footprint in footprints:
-            _reached(self._filed, footprint, reached)
-        for key in reached:
-            self._unfile(key)
-        self._invalidations += len(reached)
-        self._kept += len(self._entries)
-
-    def _clear(self) -> None:
-        self._entries.clear()
-        self._always.clear()
-        for index in self._filed.values():
-            index.clear()
-
-    def _unfile(self, key: Hashable) -> None:
-        """Remove *key*'s entry and its dependency (the mutex is held)."""
-        _, dependency = self._entries.pop(key)
-        if dependency is None:
-            self._always.discard(key)
-            return
-        filed = self._filed
-        for kind, bucket, payload in dependency:
-            index = filed[kind]
-            held = index.get(bucket)
-            if held is None:
-                continue
-            if kind is INTERVAL or kind is REGION:
-                held.discard(key, payload)
-            else:
-                held.pop(key, None)
-            if not held:
-                del index[bucket]
+            reached = [
+                key
+                for key, (_, dependency) in entries.items()
+                if dependency is None or _reaches(footprint, dependency)
+            ]
+            for key in reached:
+                del entries[key]
+            self._invalidations += len(reached)
+        self._kept += len(entries)
 
     def stats(self) -> dict[str, int | float]:
         """Hit / miss / eviction / invalidation / kept counters plus the hit

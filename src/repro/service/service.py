@@ -125,9 +125,7 @@ class GraphittiService:
             self._cache_hit_counter = None
         capacity = self.config.cache_capacity
         self._cache = QueryResultCache(
-            capacity,
-            footprints=self._manager.attach_footprints() if capacity else None,
-            copy=QueryResult.copy,
+            capacity, footprints=self._manager.attach_footprints() if capacity else None
         )
         self._store = DurableStore(root, durability=self.config.durability) if root else None
         if self._store is not None and self.obs.enabled:
@@ -222,6 +220,10 @@ class GraphittiService:
                 self._manager.stats_providers.remove(self._service_stats)
             except ValueError:
                 pass
+            # A long-lived manager stops recording footprints nobody reads
+            # once its last service closes.
+            if self._cache.capacity:
+                self._manager.detach_footprints()
             self._cache.clear()
             self._closed = True
 
@@ -575,8 +577,9 @@ class GraphittiService:
 
         Cache key: the caller's text, or ``("query", describe())`` for a
         :class:`Query` object, so a text never aliases a built query.  A
-        hit parses and plans nothing.  A miss files its page under its
-        plan's first step (:func:`~repro.service.cache.page_dependency`),
+        hit parses and plans nothing.  A miss stores its page with a
+        dependency on its plan's first step
+        (:func:`~repro.service.cache.page_dependency`),
         and a write drops the pages its footprint reaches, so a page
         outlives every write that cannot change it.  A hit's
         ``step_details`` describe the run that made the page: counts of

@@ -29,15 +29,15 @@ from repro.service.cache import QueryResultCache
 def test_hit_and_miss():
     cache = QueryResultCache(capacity=4)
     assert cache.get("k", epoch=1) is None
-    cache.put("k", epoch=1, value="v")
-    assert cache.get("k", epoch=1) == "v"
+    cache.put("k", epoch=1, value=["v"])
+    assert cache.get("k", epoch=1) == ["v"]
     stats = cache.stats()
     assert stats["hits"] == 1 and stats["misses"] == 1
 
 
 def test_epoch_bump_invalidates():
     cache = QueryResultCache(capacity=4)
-    cache.put("k", epoch=1, value="v")
+    cache.put("k", epoch=1, value=["v"])
     assert cache.get("k", epoch=2) is None  # stale epoch -> dropped
     assert len(cache) == 0
     stats = cache.stats()
@@ -50,33 +50,33 @@ def test_a_newer_epoch_drops_every_older_entry():
     # A stale entry never hits again; held until its own key came back it
     # would keep its result (and the documents in it) alive.
     cache = QueryResultCache(capacity=4)
-    cache.put("a", 1, "A")
-    cache.put("b", 1, "B")
+    cache.put("a", 1, ["A"])
+    cache.put("b", 1, ["B"])
     assert cache.get("c", 2) is None
     assert len(cache) == 0
     assert cache.stats()["invalidations"] == 2
-    cache.put("c", 2, "C")
-    cache.put("a", 1, "late A")  # computed before epoch 2 landed: not kept
-    assert cache.get("c", 2) == "C"
+    cache.put("c", 2, ["C"])
+    cache.put("a", 1, ["late A"])  # computed before epoch 2 landed: not kept
+    assert cache.get("c", 2) == ["C"]
     assert cache.get("a", 2) is None
     assert len(cache) == 1
 
 
 def test_lru_eviction_order():
     cache = QueryResultCache(capacity=2)
-    cache.put("a", 1, "A")
-    cache.put("b", 1, "B")
-    assert cache.get("a", 1) == "A"  # touch a -> b becomes LRU
-    cache.put("c", 1, "C")
+    cache.put("a", 1, ["A"])
+    cache.put("b", 1, ["B"])
+    assert cache.get("a", 1) == ["A"]  # touch a -> b becomes LRU
+    cache.put("c", 1, ["C"])
     assert cache.get("b", 1) is None
-    assert cache.get("a", 1) == "A"
-    assert cache.get("c", 1) == "C"
+    assert cache.get("a", 1) == ["A"]
+    assert cache.get("c", 1) == ["C"]
     assert cache.stats()["evictions"] == 1
 
 
 def test_capacity_zero_disables():
     cache = QueryResultCache(capacity=0)
-    cache.put("k", 1, "v")
+    cache.put("k", 1, ["v"])
     assert cache.get("k", 1) is None
     assert len(cache) == 0
 
@@ -88,7 +88,7 @@ def test_negative_capacity_rejected():
 
 def test_clear_and_hit_rate():
     cache = QueryResultCache(capacity=4)
-    cache.put("k", 1, "v")
+    cache.put("k", 1, ["v"])
     cache.get("k", 1)
     cache.get("other", 1)
     stats = cache.stats()

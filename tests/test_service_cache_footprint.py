@@ -1,7 +1,7 @@
 """A write drops the cached pages it can reach, and only those.
 
-The service's result cache files each page under its plan's first step and
-drops it when a write's footprint (:mod:`repro.core.footprint`) reaches
+The service's result cache stores each page with a dependency on its plan's
+first step and drops it when a write's footprint (:mod:`repro.core.footprint`) reaches
 that step.  The footprint holds the written annotation and every annotation
 sharing a referent with it, before and after the write; the first three
 tests fail when the sharers are left out.
@@ -29,7 +29,7 @@ from repro.query.ast import (
 )
 from repro.query.executor import QueryExecutor
 from repro.query.planner import QueryPlan
-from repro.service import GraphittiService
+from repro.service import GraphittiService, ServiceConfig
 from repro.service.cache import QueryResultCache, page_dependency
 
 BETA_CONTENTS = 'SELECT contents WHERE { CONTENT CONTAINS "beta" }'
@@ -156,6 +156,23 @@ def test_a_closed_service_keeps_no_pages(pair):
     assert len(service._cache) == 0  # noqa: SLF001 - what a closed service pins
 
 
+def test_a_manager_records_no_footprint_after_its_last_service_closes():
+    manager = Graphitti("long-lived")
+    _populate(manager)
+    assert manager.footprints is None  # a bare instance records nothing
+    first = GraphittiService(manager=manager)
+    second = GraphittiService(manager=manager)
+    first.close()
+    manager.update_annotation("A", {"title": "still read by the second"})
+    assert manager.footprints.since(manager.mutation_epoch - 1, manager.mutation_epoch)
+    second.close()
+    assert manager.footprints is None
+    manager.update_annotation("A", {"title": "read by nobody"})
+    assert manager.footprints is None
+    GraphittiService(manager=manager, config=ServiceConfig(cache_capacity=0)).close()
+    assert manager.footprints is None  # an uncached service reads no log
+
+
 # -- the footprint test holds whenever the probe's answer can change ------------
 
 SITES = [(0, 10), (5, 25), (40, 60), (100, 130)]
@@ -275,7 +292,7 @@ def test_the_footprint_reaches_every_anchor_whose_probe_can_change(specs, write,
     plan = QueryPlan(Query(ReturnKind.CONTENTS, [constraint]), [constraint], [None])
     dependency = page_dependency(manager, plan, None)
     assert dependency is not None
-    cache.put("page", manager.mutation_epoch, "rows", dependency)
+    cache.put("page", manager.mutation_epoch, ["rows"], dependency)
     matched_before = executor._probe(constraint, ids)  # noqa: SLF001 - the probe semantics
     states_before = _states(manager)
     try:

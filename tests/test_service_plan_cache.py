@@ -1,11 +1,13 @@
 """Service-level guarantees for stats-driven plans and the result cache.
 
-The result cache is keyed by the caller's text and filed under its plan's
-first step; a mutation drops the entries it reaches, so a text is parsed
-and planned again once a write could change its rows.  These tests prove
-the service can never serve a result that was produced under a different
-plan for the same query, even as live counts shift the planner's chosen
-order.
+The result cache is keyed by the caller's text and each entry depends on
+its plan's first step; a mutation drops the entries it reaches, so a text
+is parsed and planned again once a write could change its rows.  A page may
+outlive writes that shift the counts of its later steps, so a served page's
+``step_details`` describe the run that made it, not necessarily the plan
+the planner would choose now.  These tests prove what holds throughout: a
+served page's rows equal a fresh page's rows, and a write that reaches the
+page re-plans it under the live counts.
 """
 
 import pytest
@@ -59,7 +61,7 @@ def test_plan_memo_replans_after_mutation(service):
         _commit(service, f"shared-{index}", ["shared"], 600 + index * 10, 620 + index * 10)
     second = service.query(QUERY)
     assert second is not first
-    # The commits reached the keyword step the page was filed under, and
+    # The commits reached the keyword step the page depends on, and
     # the re-plan counted afresh.
     assert _order(second) == ["interval", "content"]
     assert second.annotation_ids == ["a0"]
