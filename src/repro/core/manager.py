@@ -29,7 +29,7 @@ from repro.agraph.connection import ConnectionSubgraph
 from repro.core.annotation import Annotation, Referent, rect_corners
 from repro.core.builder import AnnotationBuilder
 from repro.core.columns import AnnotationColumns
-from repro.core.footprint import Footprint, FootprintLog, sharing
+from repro.core.footprint import Footprint, FootprintLog, WriteState, text_delta, write_footprint
 from repro.core.persistence import (
     decode_referent,
     encode_register,
@@ -66,9 +66,6 @@ class Graphitti:
     ----------
     name:
         Instance name (used to name the content collection and snapshots).
-    indexed_contents:
-        Whether the annotation-content collection maintains a keyword index
-        (default True; set False to benchmark the index-free path).
     id_namespace:
         Optional namespace woven into generated annotation ids
         (``anno-<namespace>-000001``).  The sharded serving layer sets one
@@ -76,18 +73,13 @@ class Graphitti:
         point lookups route without a scatter.
     """
 
-    def __init__(
-        self,
-        name: str = "graphitti",
-        indexed_contents: bool = True,
-        id_namespace: str | None = None,
-    ):
+    def __init__(self, name: str = "graphitti", id_namespace: str | None = None):
         self.name = name
         self.id_namespace = id_namespace
         self.registry = DataTypeRegistry()
         #: ``object_id -> metadata row`` in registration order.
         self.metadata_rows: dict[str, dict[str, Any]] = {}
-        self.contents = DocumentCollection(f"{name}-annotations", indexed=indexed_contents)
+        self.contents = DocumentCollection(f"{name}-annotations")
         self.substructures = SubstructureStore()
         self.agraph = AGraph()
         self.coordinate_systems = CoordinateSystemRegistry()
@@ -152,28 +144,20 @@ class Graphitti:
         if not self._footprint_readers:
             self.footprints = None
 
-    def _footprint_before(self, annotation_id: str) -> tuple[Footprint, set[str]] | None:
-        """Start the footprint of a write to *annotation_id*: what it and
-        the annotations sharing a referent with it touch now, and their ids
-        (None while no log is attached)."""
-        if self.footprints is None:
-            return None
-        footprint = Footprint(self.contents.indexed)
-        before = sharing(self, annotation_id)
-        footprint.add_annotations(self, before)
-        return footprint, before
-
-    def _footprint_after(
-        self, annotation_id: str, started: tuple[Footprint, set[str]] | None = None
-    ) -> Footprint | None:
-        """Finish the footprint of a write to *annotation_id* that has
-        applied: add what it, its sharers and the sharers *started* found
-        touch now (a commit starts from nothing)."""
-        if self.footprints is None:
-            return None
-        footprint, before = started or (Footprint(self.contents.indexed), set())
-        footprint.add_annotations(self, before | sharing(self, annotation_id))
-        return footprint
+    def _rewire(
+        self, annotation: Annotation, before: WriteState | None, after: WriteState | None
+    ) -> None:
+        """Link the a-graph edges in ``after - before`` and unlink those in
+        ``before - after`` (a commit links every edge of *after*, nodes
+        first, in wiring order)."""
+        if before is None:
+            link_edges(self.agraph, annotation, after.edges)
+        elif after is None:
+            self._unlink_edges(before.edges)
+        elif after.edges != before.edges:
+            old, new = Counter(before.edges), Counter(after.edges)
+            link_edges(self.agraph, annotation, (new - old).elements())
+            self._unlink_edges(list((old - new).elements()))
 
     # -- ontology management --------------------------------------------------
 
@@ -418,9 +402,9 @@ class Graphitti:
         structure correct.
         """
         annotation = self.approve_delete_annotation(annotation_id)
-        started = self._footprint_before(annotation_id)
-        self.contents.remove(annotation_id)
-        self._unlink_edges(annotation.agraph_edges())
+        before = WriteState(annotation)
+        terms = self.contents.remove(annotation_id)
+        self._rewire(annotation, before, None)
         if annotation_id in self.agraph:
             self.agraph.graph.remove_node(annotation_id)
         slot = self.idspace.slot(annotation_id)
@@ -429,8 +413,8 @@ class Graphitti:
         del self._annotation_order[annotation_id]
         self._row_cache.pop(annotation_id, None)
         self.idspace.release(annotation_id)
-        self.stats_catalogue.on_delete(annotation)
-        self._bump_epoch(self._footprint_after(annotation_id, started))
+        self.stats_catalogue.apply(annotation_id, before, None)
+        self._bump_epoch(write_footprint(self, annotation_id, before, None, terms))
 
     def _unlink_edges(self, edges: list[tuple[str, str, str]]) -> None:
         """Unlink one copy of each derived edge in *edges*.
@@ -568,105 +552,60 @@ class Graphitti:
           (or ``{"lo": .., "hi": ..}``) extent moves applied in place inside
           the interval tree / R-tree.
 
-        Index maintenance is proportional to the *diff*: the inverted index
-        re-posts only changed terms (via the doc→terms reverse map), spatial
-        trees see one remove+insert per moved extent, the statistics
-        catalogue adjusts by set differences, and the annotation keeps its
-        dense id-space slot (no release/re-intern, so no slot churn).  The
-        whole change set is approved (:meth:`approve_update`) before anything
-        applies.
+        The whole change set is approved (:meth:`approve_update`) before
+        anything applies.  The annotation's :class:`WriteState` is taken
+        once before the edit and once after, and every index applies that
+        pair: the inverted index re-posts only the searchable part groups
+        that differ, the a-graph links and unlinks only the edges that
+        differ, the statistics catalogue adjusts by the type and term
+        differences, and the footprint (while a serving layer reads one) is
+        the two states plus each annotation sharing a referent with them,
+        read once after the edit.  Moves are one remove+insert inside the owning
+        spatial tree, and the annotation keeps its dense id-space slot.
         """
         annotation, changes = self.approve_update(annotation_id, changes)
-        started = self._footprint_before(annotation_id)
-
-        # -- capture pre-update statistics inputs and a-graph edges ---------
-        old_types = {referent.ref.data_type.value for referent in annotation.referents}
-        old_terms = set(annotation.ontology_terms())
-        old_edges = annotation.agraph_edges()
-        # Exact searchable-text delta of the edit: every part (field text,
-        # attribute value) the edit removes/adds, accumulated as the change
-        # applies.  Token counts are additive over parts (the document codec
-        # joins them with whitespace), so the inverted index can re-post
-        # O(edit) terms instead of re-tokenizing the whole document.
-        removed_parts: list[str] = []
-        added_parts: list[str] = []
+        before = WriteState(annotation, searchable=True)
 
         # -- 1. content field edits (in place) ------------------------------
         content = annotation.content
         dublin_core = content.dublin_core
-        if "title" in changes:
-            removed_parts.append(dublin_core.title)
-            dublin_core.title = changes["title"]
-            added_parts.append(dublin_core.title)
-        if "creator" in changes:
-            removed_parts.append(dublin_core.creator)
-            dublin_core.creator = changes["creator"]
-            added_parts.append(dublin_core.creator)
-        if "description" in changes:
-            removed_parts.append(dublin_core.description)
-            dublin_core.description = changes["description"]
-            added_parts.append(dublin_core.description)
+        for field in ("title", "creator", "description"):
+            if field in changes:
+                setattr(dublin_core, field, changes[field])
         if "keywords" in changes:
-            removed_parts.extend(str(item) for item in dublin_core.subject if item)
             dublin_core.subject = list(changes["keywords"])
-            added_parts.extend(str(item) for item in dublin_core.subject if item)
         if "body" in changes:
-            removed_parts.append(content.body)
             content.body = changes["body"]
-            added_parts.append(content.body)
         if "user_tags" in changes:
-            removed_parts.extend(str(value) for value in content.user_tags.values())
             content.user_tags = dict(changes["user_tags"])
-            added_parts.extend(str(value) for value in content.user_tags.values())
         if "ontology_terms" in changes:
-            removed_parts.extend(str(term) for term in content.ontology_terms)
             content.ontology_terms = list(changes["ontology_terms"])
-            added_parts.extend(str(term) for term in content.ontology_terms)
 
-        # -- 2. referent removals -------------------------------------------
-        for referent_id in dict.fromkeys(changes["remove_referents"]):
-            for referent in annotation._referents:  # noqa: SLF001 - owning mutation path
-                if referent.referent_id == referent_id:
-                    for parts in referent.searchable_parts():
-                        removed_parts.extend(parts)
+        # -- 2. referent removals and additions -----------------------------
+        removals = set(changes["remove_referents"])
+        if removals:
             annotation._referents = [  # noqa: SLF001 - owning mutation path
-                referent for referent in annotation._referents
-                if referent.referent_id != referent_id
+                referent for referent in annotation._referents  # noqa: SLF001
+                if referent.referent_id not in removals
             ]
-
-        # -- 3. referent additions ------------------------------------------
         for referent in changes["add_referents"]:
             annotation._referents.append(referent)  # noqa: SLF001 - owning mutation path
             self.substructures.add(referent)
-            for parts in referent.searchable_parts():
-                added_parts.extend(parts)
 
-        # -- 4. a-graph: link what the edit derives anew, unlink what it lost
-        # (shared-referent survival rule); field edits and moves derive the
-        # same edges, so they skip this.
-        new_edges = annotation.agraph_edges()
-        if new_edges != old_edges:
-            old_counts, new_counts = Counter(old_edges), Counter(new_edges)
-            link_edges(self.agraph, annotation, (new_counts - old_counts).elements())
-            self._unlink_edges(list((old_counts - new_counts).elements()))
-
-        # -- 5. extent moves (one remove+insert inside the owning tree) ------
+        # -- 3. extent moves (one remove+insert inside the owning tree) ------
         for referent_id, extent in changes["move_referents"].items():
             moved = self.substructures.get(referent_id)
             move_removed = _extent_text_parts(moved.ref)
             self.substructures.move(referent_id, **extent)
             move_added = _extent_text_parts(moved.ref)
-            removed_parts.extend(move_removed)
-            added_parts.extend(move_added)
             # A shared substructure moves for EVERY annotation marking it.
             # The store's referent is canonical (its ref just mutated), and
             # column-materialized row views wrap that same ref object, so
             # they see the move automatically.  Only cached rows seeded at
             # commit hold their own Referent copies and need the explicit
-            # adoption; each sharer's stored document gets the same
-            # coordinate delta so every index stays exact.  The updating
-            # annotation syncs too, but its delta is already accumulated
-            # above and its document lands in step 6.
+            # adoption.  Each sharer's stored document gets the coordinate
+            # delta so every index stays exact (the edited annotation's own
+            # delta comes from its two states below).
             for sharer_id in self.agraph.contents_annotating(referent_id):
                 cached = self._row_cache.get(sharer_id)
                 if cached is not None:
@@ -681,22 +620,23 @@ class Graphitti:
                         move_added,
                     )
 
-        # -- 6. delta document re-index --------------------------------------
-        # The index adjusts now (exactly, from the parts); the document is
-        # re-parked — churn never renders documents nobody reads between edits.
-        self.contents.update_delta(
-            annotation_id, self._document_regenerator(annotation_id), removed_parts, added_parts
+        # -- 4. every index applies the before/after pair --------------------
+        # The document is re-parked: churn never renders documents nobody
+        # reads between edits.
+        after = WriteState(annotation, searchable=True)
+        old_terms, new_terms = self.contents.update_delta(
+            annotation_id, self._document_regenerator(annotation_id), *text_delta(before, after)
         )
-
-        # -- 7. catalogue delta; the id-space slot stays put by design -------
+        self._rewire(annotation, before, after)
         # Re-store the edited row at its (unchanged) slot: the old blob/span
         # becomes tombstone garbage reclaimed by compaction.
         slot = self.idspace.slot(annotation_id)
         if slot is not None:
             self.columns.store(slot, annotation, self.substructures.columns)
         self._cache_row(annotation_id, annotation)
-        self.stats_catalogue.on_update(annotation, old_types, old_terms)
-        self._bump_epoch(self._footprint_after(annotation_id, started))
+        self.stats_catalogue.apply(annotation_id, before, after)
+        terms = (*old_terms, *new_terms)
+        self._bump_epoch(write_footprint(self, annotation_id, before, after, terms))
         return annotation
 
     def _document_regenerator(self, annotation_id: str) -> Callable[[], Any]:

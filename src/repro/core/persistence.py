@@ -44,6 +44,7 @@ from typing import Any, Iterable
 
 from repro.core.annotation import Annotation, AnnotationContent, Referent
 from repro.core.dublin_core import DublinCore, normalized_dict
+from repro.core.footprint import WriteState, write_footprint
 from repro.datatypes.base import DataObject, DataType, SubstructureRef
 from repro.errors import AnnotationError, GraphittiError
 from repro.ontology.model import Ontology
@@ -169,11 +170,14 @@ def wire_annotations(manager, annotations: list[Annotation]) -> None:
     tree is built for the first reader handed it.  The batch's referents
     reach the substructure store as one batch, so each index takes its share
     in one ``insert_many`` call -- a bulk build when the index is empty, one
-    rebuild when the batch is large against it, inserts otherwise; each
-    annotation's a-graph edges are exactly its
-    :meth:`~repro.core.annotation.Annotation.agraph_edges`.
+    rebuild when the batch is large against it, inserts otherwise.  Each
+    annotation then applies its :class:`~repro.core.footprint.WriteState`
+    as a write with no before-state: the a-graph links exactly its
+    :meth:`~repro.core.annotation.Annotation.agraph_edges` and the
+    statistics catalogue counts its types and terms.
     """
-    manager.contents.add_lazy_many(
+    contents = manager.contents
+    contents.add_lazy_many(
         (
             annotation.annotation_id,
             annotation.searchable_text(),
@@ -184,14 +188,14 @@ def wire_annotations(manager, annotations: list[Annotation]) -> None:
     manager.substructures.add_many(
         referent for annotation in annotations for referent in annotation.referents
     )
-    agraph = manager.agraph
     # A batch longer than the footprint log outruns every reader of it, and
     # each of them drops everything anyway: its epochs record no footprint.
     log = manager.footprints
     traced = log is not None and len(annotations) <= log.LENGTH
     for annotation in annotations:
         annotation_id = annotation.annotation_id
-        link_edges(agraph, annotation, annotation.agraph_edges())
+        after = WriteState(annotation)
+        manager._rewire(annotation, None, after)  # noqa: SLF001 - wiring path
         # The columnar store, the statistics catalogue and the id interner
         # fill record by record, so a recovered instance matches the
         # pre-crash state; the committed object seeds the row cache.
@@ -199,8 +203,11 @@ def wire_annotations(manager, annotations: list[Annotation]) -> None:
         manager.columns.store(slot, annotation, manager.substructures.columns)
         manager._annotation_order[annotation_id] = None  # noqa: SLF001 - wiring path
         manager._cache_row(annotation_id, annotation)  # noqa: SLF001 - wiring path
-        manager.stats_catalogue.on_commit(annotation)
-        footprint = manager._footprint_after(annotation_id) if traced else None  # noqa: SLF001
+        manager.stats_catalogue.apply(annotation_id, None, after)
+        footprint = None
+        if traced:
+            terms = contents.indexed_terms(annotation_id)
+            footprint = write_footprint(manager, annotation_id, None, after, terms)
         manager._bump_epoch(footprint)  # noqa: SLF001 - wiring path
 
 
@@ -425,11 +432,7 @@ def rebuild(payload: dict[str, Any]):
     from repro.core.manager import Graphitti
     from repro.xmlstore.document import XmlDocument
 
-    manager = Graphitti(
-        payload.get("name", "graphitti"),
-        indexed_contents=payload.get("indexed_contents", True),
-        id_namespace=payload.get("id_namespace"),
-    )
+    manager = Graphitti(payload.get("name", "graphitti"), id_namespace=payload.get("id_namespace"))
     manager.catalogue_only = True
     for ontology_payload in payload.get("ontologies", []):
         manager.register_ontology(Ontology.from_dict(ontology_payload))
@@ -462,15 +465,14 @@ class FrozenManager:
     """
 
     __slots__ = (
-        "name", "id_namespace", "indexed_contents", "ontologies",
+        "name", "id_namespace", "ontologies",
         "object_metadata", "order", "slots", "acols", "rcols", "stores", "extra_documents",
     )
 
-    def __init__(self, name, id_namespace, indexed_contents, ontologies,
+    def __init__(self, name, id_namespace, ontologies,
                  object_metadata, order, slots, acols, rcols, stores, extra_documents):
         self.name = name
         self.id_namespace = id_namespace
-        self.indexed_contents = indexed_contents
         self.ontologies = ontologies
         self.object_metadata = object_metadata
         self.order = order
@@ -501,7 +503,6 @@ def freeze_manager(manager) -> FrozenManager:
     return FrozenManager(
         name=manager.name,
         id_namespace=manager.id_namespace,
-        indexed_contents=manager.contents.indexed,
         ontologies=[manager.ontology(name).to_dict() for name in manager.ontologies()],
         object_metadata=encode_object_metadata(manager.name, manager.metadata_rows.values()),
         order=order,
@@ -601,7 +602,6 @@ def snapshot_from_frozen(frozen: FrozenManager, base: CheckpointBase | None = No
     return {
         "name": frozen.name,
         "id_namespace": frozen.id_namespace,
-        "indexed_contents": frozen.indexed_contents,
         "ontologies": frozen.ontologies,
         "object_metadata": frozen.object_metadata,
         "contents": dict(frozen.extra_documents),

@@ -39,8 +39,8 @@ def canonical_type(data_type: str) -> str:
 class StatisticsCatalogue:
     """Incrementally maintained per-type and per-term annotation statistics.
 
-    Fed by ``Graphitti.commit()`` / ``delete_annotation()`` (and the
-    persistence layer's ``wire_annotations``, so snapshot load and WAL
+    Fed by every commit, update and delete (:meth:`apply`, from the
+    persistence layer's ``wire_annotations`` too, so snapshot load and WAL
     recovery rebuild it record by record).  :meth:`rebuild` recomputes
     everything from scratch; tests assert the incremental state equals it
     across the full durability lifecycle.
@@ -55,41 +55,17 @@ class StatisticsCatalogue:
 
     # -- incremental maintenance ----------------------------------------------
 
-    def on_commit(self, annotation) -> None:
-        """Account a newly committed annotation."""
-        annotation_id = annotation.annotation_id
-        self._annotation_total += 1
-        for value in {referent.ref.data_type.value for referent in annotation.referents}:
-            self._by_type.setdefault(value, set()).add(annotation_id)
-        for term in annotation.ontology_terms():
-            self._term_counts[term] = self._term_counts.get(term, 0) + 1
+    def apply(self, annotation_id: str, before, after) -> None:
+        """Move *annotation_id* from state *before* to state *after*.
 
-    def on_delete(self, annotation) -> None:
-        """Remove a deleted annotation's contribution."""
-        annotation_id = annotation.annotation_id
-        self._annotation_total -= 1
-        for value in {referent.ref.data_type.value for referent in annotation.referents}:
-            members = self._by_type.get(value)
-            if members is not None:
-                members.discard(annotation_id)
-                if not members:
-                    del self._by_type[value]
-        for term in annotation.ontology_terms():
-            remaining = self._term_counts.get(term, 0) - 1
-            if remaining > 0:
-                self._term_counts[term] = remaining
-            else:
-                self._term_counts.pop(term, None)
-
-    def on_update(self, annotation, old_types: set[str], old_terms: set[str]) -> None:
-        """Delta-adjust for an in-place update (the live total is unchanged).
-
-        *old_types* / *old_terms* are the annotation's pre-update referent
-        type values and ontology terms; only the symmetric differences touch
-        the catalogue, so an update that edits a title costs nothing here.
+        Each state is a :class:`~repro.core.footprint.WriteState` (its
+        ``types`` and ``terms``); a commit has no *before* and a delete no
+        *after*.  Only the differences touch the catalogue, so an update
+        that edits a title costs nothing here.
         """
-        annotation_id = annotation.annotation_id
-        new_types = {referent.ref.data_type.value for referent in annotation.referents}
+        old_types, old_terms = (before.types, before.terms) if before else (_EMPTY, _EMPTY)
+        new_types, new_terms = (after.types, after.terms) if after else (_EMPTY, _EMPTY)
+        self._annotation_total += (after is not None) - (before is not None)
         for value in old_types - new_types:
             members = self._by_type.get(value)
             if members is not None:
@@ -98,7 +74,6 @@ class StatisticsCatalogue:
                     del self._by_type[value]
         for value in new_types - old_types:
             self._by_type.setdefault(value, set()).add(annotation_id)
-        new_terms = set(annotation.ontology_terms())
         for term in old_terms - new_terms:
             remaining = self._term_counts.get(term, 0) - 1
             if remaining > 0:

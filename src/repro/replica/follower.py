@@ -131,8 +131,10 @@ class ReplicaFollower:
                 service._store.wal.append_record(record)  # noqa: SLF001
             # Same discipline as the live mutation path: never let a reader
             # race the lazy component rebuild (no-op unless a record removed
-            # a-graph nodes or edges).
+            # a-graph nodes or edges), and drop the cached pages the records
+            # reached here, so no reader pays for it.
             service.manager.agraph.graph.rebuild_components()
+            service._cache.advance(service.manager.mutation_epoch)  # noqa: SLF001
         return self.applied_seq
 
     # -- snapshot re-seed ------------------------------------------------------

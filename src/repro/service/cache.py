@@ -20,8 +20,12 @@ three ingredients:
   its plan's first step, the *anchor*: the executor always materializes that
   step, so every row of the page matched it.  A write can add a row, remove
   one or change how one renders only through an annotation whose old or new
-  state matches the anchor, and the footprint holds both states of every
-  annotation a write affects.  A keyword is reached when all its tokens are
+  state matches the anchor.  The footprint holds the written annotation's
+  state before and after the write, and each annotation sharing one of its
+  referents as it stands after; a write changes such a sharer only through
+  the shared referents, which the written annotation's two states hold too,
+  so the footprint covers every affected annotation's old and new states
+  (:mod:`repro.core.footprint`).  A keyword is reached when all its tokens are
   footprint terms; an ontology constraint when one of its expanded terms
   is; a type by its type; an interval or region when one of the
   footprint's extents in its domain or space overlaps it; an OR through
@@ -33,8 +37,9 @@ three ingredients:
   every entry's dependency in one pass (at most ``capacity`` of them).
 
 The cache is LRU-bounded and thread-safe (its own mutex; callers hold the
-service read lock, which does not exclude other readers, and the service
-advances it eagerly under its write lock).
+service read lock, which does not exclude other readers).  Every writer --
+the service's own write path and a replica follower applying a shipment --
+advances it under the write lock, so readers never pay the drop.
 """
 
 from __future__ import annotations
@@ -126,8 +131,7 @@ def _reaches(footprint: Footprint, dependency: tuple) -> bool:
     """Whether *footprint* reaches one of *dependency*'s anchors."""
     for kind, payload in dependency:
         if kind is KEYWORD:
-            terms = footprint.terms
-            if terms is None or terms.issuperset(payload):
+            if footprint.terms.issuperset(payload):
                 return True
         elif kind is ONTOLOGY:
             if not footprint.ontology.isdisjoint(payload):
@@ -219,8 +223,8 @@ class QueryResultCache:
                 self._evictions += 1
 
     def advance(self, epoch: int) -> None:
-        """Move to *epoch* now, dropping what the writes since reached (the
-        service calls this under its write lock, so readers never pay it)."""
+        """Move to *epoch* now, dropping what the writes since reached (every
+        writer calls this under its write lock, so readers never pay it)."""
         with self._mutex:
             self._advance(epoch)
 

@@ -33,20 +33,20 @@ class DocumentCollection:
     version, so a search never re-renders a document it verified before.
     """
 
-    def __init__(self, name: str = "annotations", indexed: bool = True):
+    def __init__(self, name: str = "annotations"):
         self.name = name
         self._documents: dict[str, XmlDocument] = {}
-        self._index: InvertedIndex | None = InvertedIndex() if indexed else None
+        self._index = InvertedIndex()
         # Parked documents whose trees were never built — doc id ->
         # regenerator.  Any reader may build one (see :meth:`_materialize`),
         # so nothing drains these ahead of reads.  The entry drops on
-        # materialization or when :meth:`update` stores a new tree.
+        # materialization or removal.
         self._lazy: dict[str, Callable[[], XmlDocument]] = {}
         # Makes "still parked? then publish and unpark" one step.
         self._publishing = threading.Lock()
         # doc id -> the lower-cased searchable text of its *latest* body, the
         # string keyword verification reads.  Filled where the text is
-        # computed anyway (``add``, ``add_lazy_many``, ``update``) or by the
+        # computed anyway (``add``, ``add_lazy_many``) or by the
         # first verify that misses; dropped only by ``update_delta`` and
         # ``remove``.  A reader may fill it under the shared lock: it reads
         # the latest body, so the text it stores is current.
@@ -93,11 +93,6 @@ class DocumentCollection:
         for doc_id in tuple(self._lazy):
             self._materialize(doc_id)
 
-    @property
-    def indexed(self) -> bool:
-        """Whether an inverted keyword index is maintained."""
-        return self._index is not None
-
     def document_ids(self) -> tuple[str, ...]:
         """Ids of every stored document, in insertion order."""
         return tuple(self._documents)
@@ -117,10 +112,9 @@ class DocumentCollection:
             raise XmlStoreError(f"document id {identifier!r} already present in {self.name!r}")
         document.doc_id = identifier
         self._documents[identifier] = document
-        if self._index is not None:
-            text = self._searchable_text(document)
-            self._index.add_document(identifier, text)
-            self._text[identifier] = text.lower()
+        text = self._searchable_text(document)
+        self._index.add_document(identifier, text)
+        self._text[identifier] = text.lower()
         return identifier
 
     def add_lazy_many(
@@ -151,8 +145,7 @@ class DocumentCollection:
             self._lazy[doc_id] = regenerate
             self._text[doc_id] = searchable_text.lower()
             texts.append((doc_id, searchable_text))
-        if self._index is not None:
-            self._index.add_documents(texts)
+        self._index.add_documents(texts)
 
     @property
     def lazy_document_count(self) -> int:
@@ -163,37 +156,17 @@ class DocumentCollection:
         """Parse XML text and store the resulting document."""
         return self.add(parse_xml(text), doc_id=doc_id)
 
-    def update(self, doc_id: str, document: XmlDocument) -> None:
-        """Replace a stored document with *delta* index maintenance.
-
-        Unlike re-adding it (which re-feeds the whole text through
-        ``add_document``), this hands the new text to
-        :meth:`InvertedIndex.update_document`, so only the postings whose
-        terms actually changed are touched — the inverted-index half of the
-        mutation lifecycle's delta maintenance.
-        """
-        if doc_id not in self._documents:
-            raise XmlStoreError(f"no document {doc_id!r} in collection {self.name!r}")
-        self._lazy.pop(doc_id, None)  # superseded before it was ever read
-        self._text.pop(doc_id, None)
-        document.doc_id = doc_id
-        self._documents[doc_id] = document
-        if self._index is not None:
-            text = self._searchable_text(document)
-            self._index.update_document(doc_id, text)
-            self._text[doc_id] = text.lower()
-
     def update_delta(
         self,
         doc_id: str,
         regenerate: Callable[[], XmlDocument],
         removed_parts: list[str],
         added_parts: list[str],
-    ) -> None:
-        """In-place document update paying only the *delta*, at write time.
+    ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """In-place document update paying only the *delta*, at write time;
+        returns the document's index terms before and after.
 
-        The fast half of :meth:`update`, and the document-store leg of the
-        mutation lifecycle:
+        The document-store leg of the mutation lifecycle:
 
         * the inverted index adjusts immediately and exactly from the text
           parts the edit removed/added (:meth:`InvertedIndex.apply_text_delta`
@@ -205,8 +178,8 @@ class DocumentCollection:
           rendering for bodies nobody reads in between.
 
         The caller is trusted to hand exact parts — the manager's update
-        path derives them from the same rendering rules ``to_document``
-        uses, and the property tests pin the live index against a
+        path diffs the document's searchable part groups before and after
+        the edit, and the property tests pin the live index against a
         from-scratch rebuild.
         """
         if doc_id not in self._documents:
@@ -214,18 +187,16 @@ class DocumentCollection:
         self._documents[doc_id] = None
         self._lazy[doc_id] = regenerate
         self._text.pop(doc_id, None)  # text changed; recompute on next verify
-        if self._index is not None:
-            self._index.apply_text_delta(doc_id, removed_parts, added_parts)
+        return self._index.apply_text_delta(doc_id, removed_parts, added_parts)
 
-    def remove(self, doc_id: str) -> None:
-        """Remove a document (raises when absent)."""
+    def remove(self, doc_id: str) -> tuple[str, ...]:
+        """Remove a document (raises when absent); returns its index terms."""
         if doc_id not in self._documents:
             raise XmlStoreError(f"no document {doc_id!r} in collection {self.name!r}")
         self._lazy.pop(doc_id, None)
         self._text.pop(doc_id, None)
         del self._documents[doc_id]
-        if self._index is not None:
-            self._index.remove_document(doc_id)
+        return self._index.remove_document(doc_id)
 
     def _generate_id(self) -> str:
         while True:
@@ -255,18 +226,15 @@ class DocumentCollection:
     def search_keyword(self, keyword: str, mode: str = "and") -> list[str]:
         """Document ids whose content contains the keyword(s).
 
-        Uses the inverted index for candidate generation when available, then
-        verifies each candidate against the raw text (so multi-word phrases
-        behave like substring search, matching the paper's "'protease' should
-        be a substring" condition).
+        The inverted index generates candidates, then each is verified
+        against the raw text (so multi-word phrases behave like substring
+        search, matching the paper's "'protease' should be a substring"
+        condition).
         """
         phrase = keyword.strip().lower()
         if not phrase:
             return []
-        if self._index is not None:
-            candidates = self._index.search(keyword, mode=mode)
-        else:
-            candidates = set(self._documents)
+        candidates = self._index.search(keyword, mode=mode)
         if mode == "or":
             return sorted(candidates)
         matches = []
@@ -301,20 +269,13 @@ class DocumentCollection:
         phrase = keyword.strip().lower()
         if not phrase or doc_id not in self._documents:
             return False
-        if self._index is not None:
-            if not self._index.document_contains(doc_id, keyword, mode=mode):
-                return False
-            if mode == "or":
-                return True
-        elif mode == "or":
-            # Mirrors search_keyword's index-free OR path (every document).
-            return True
-        return self._verify_text(doc_id, phrase)
+        if not self._index.document_contains(doc_id, keyword, mode=mode):
+            return False
+        return mode == "or" or self._verify_text(doc_id, phrase)
 
     def indexed_terms(self, doc_id: str) -> tuple[str, ...]:
         """The inverted-index terms of *doc_id*: a keyword matches the
-        document only if every one of its tokens is among them.  Requires an
-        indexed collection."""
+        document only if every one of its tokens is among them."""
         return self._index.document_terms(doc_id)
 
     def keyword_document_frequency(self, keyword: str, mode: str = "and") -> int:
@@ -324,8 +285,6 @@ class DocumentCollection:
         the intersection), OR sums the frequencies (an upper bound on the
         union).  Every stored document is indexed, parked or not.
         """
-        if self._index is None:
-            return len(self._documents)
         from repro.xmlstore.text_index import tokenize
 
         tokens = tokenize(keyword)
@@ -383,7 +342,6 @@ class DocumentCollection:
         target.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "name": self.name,
-            "indexed": self.indexed,
             "documents": {doc_id: document.to_dict() for doc_id, document in self._documents.items()},
         }
         with target.open("w", encoding="utf-8") as handle:
@@ -398,7 +356,7 @@ class DocumentCollection:
             raise XmlStoreError(f"collection snapshot {source} does not exist")
         with source.open("r", encoding="utf-8") as handle:
             payload = json.load(handle)
-        collection = cls(name=payload.get("name", "annotations"), indexed=payload.get("indexed", True))
+        collection = cls(name=payload.get("name", "annotations"))
         for doc_id, document_payload in payload.get("documents", {}).items():
             collection.add(XmlDocument.from_dict(document_payload), doc_id=doc_id)
         return collection
@@ -423,12 +381,12 @@ class DocumentCollection:
         return serialize_xml(XmlDocument(root, doc_id=self.name))
 
     @classmethod
-    def from_corpus_xml(cls, text: str, indexed: bool = True) -> "DocumentCollection":
+    def from_corpus_xml(cls, text: str) -> "DocumentCollection":
         """Reconstruct a collection from :meth:`to_corpus_xml` output."""
         document = parse_xml(text)
         if document.root.tag != "corpus":
             raise XmlStoreError("expected a <corpus> root element")
-        collection = cls(name=document.root.get("name", "annotations"), indexed=indexed)
+        collection = cls(name=document.root.get("name", "annotations"))
         for wrapper in document.root.find_all("document"):
             doc_id = wrapper.get("id")
             children = wrapper.children

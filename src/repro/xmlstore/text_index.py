@@ -111,52 +111,12 @@ class InvertedIndex:
             self._doc_lengths[doc_id] = len(tokens)
             self._doc_terms[doc_id] = tuple(counts)
 
-    def update_document(self, doc_id: str, text: str) -> tuple[int, int]:
-        """Re-index a document's text by *term diff*; returns ``(touched, dropped)``.
-
-        Where :meth:`add_document` on an already-indexed id removes every old
-        posting and re-inserts every new one, this walks the document's own
-        reverse map (:attr:`_doc_terms`) against the new term counts and only
-        touches postings that actually changed: terms no longer present are
-        dropped, terms with a new count are rewritten, and unchanged terms —
-        the overwhelming majority under a small edit — are never visited.
-        ``touched`` counts postings written, ``dropped`` postings removed; an
-        unindexed id falls back to a plain :meth:`add_document`.
-        """
-        if doc_id not in self._doc_lengths:
-            self.add_document(doc_id, text)
-            return (len(self._doc_terms.get(doc_id, ())), 0)
-        tokens = tokenize(text)
-        counts = Counter()
-        for token in tokens:
-            for term in _expand_token(token):
-                counts[term] += 1
-        touched = dropped = 0
-        for term in self._doc_terms.get(doc_id, ()):
-            if term in counts:
-                continue
-            postings = self._postings.get(term)
-            if postings is None:
-                continue
-            postings.pop(doc_id, None)
-            if not postings:
-                del self._postings[term]
-            dropped += 1
-        for term, count in counts.items():
-            postings = self._postings.setdefault(term, {})
-            if postings.get(doc_id) != count:
-                postings[doc_id] = count
-                touched += 1
-        self._doc_lengths[doc_id] = len(tokens)
-        self._doc_terms[doc_id] = tuple(counts)
-        return (touched, dropped)
-
     def apply_text_delta(
         self,
         doc_id: str,
         removed_parts: Iterable[str],
         added_parts: Iterable[str],
-    ) -> tuple[int, int]:
+    ) -> tuple[tuple[str, ...], tuple[str, ...]]:
         """Adjust a document's postings by an **exact text-part delta**.
 
         The searchable text of a document is a space-joined sequence of parts
@@ -167,7 +127,7 @@ class InvertedIndex:
         an O(edit) re-index instead of an O(document) one.  The document must
         already be indexed; counts are floored at zero so an inexact caller
         degrades to a slightly-overcounted index rather than a corrupt one.
-        Returns ``(touched, dropped)`` posting counts.
+        Returns the document's terms before and after.
         """
         if doc_id not in self._doc_lengths:
             raise KeyError(f"document {doc_id!r} is not indexed")
@@ -180,8 +140,8 @@ class InvertedIndex:
         for token in removed_tokens:
             for term in _expand_token(token):
                 delta[term] -= 1
-        touched = dropped = 0
-        current_terms = set(self._doc_terms.get(doc_id, ()))
+        old_terms = self._doc_terms.get(doc_id, ())
+        current_terms = set(old_terms)
         for term, change in delta.items():
             if change == 0:
                 continue
@@ -190,28 +150,28 @@ class InvertedIndex:
             if count > 0:
                 postings[doc_id] = count
                 current_terms.add(term)
-                touched += 1
             else:
                 postings.pop(doc_id, None)
                 if not postings:
                     del self._postings[term]
                 current_terms.discard(term)
-                dropped += 1
-        self._doc_terms[doc_id] = tuple(current_terms)
+        new_terms = self._doc_terms[doc_id] = tuple(current_terms)
         self._doc_lengths[doc_id] = max(
             0, self._doc_lengths[doc_id] + len(added_tokens) - len(removed_tokens)
         )
-        return (touched, dropped)
+        return old_terms, new_terms
 
-    def remove_document(self, doc_id: str) -> None:
-        """Remove a document from the index (no-op when absent).
+    def remove_document(self, doc_id: str) -> tuple[str, ...]:
+        """Remove a document from the index (no-op when absent); returns the
+        terms it held.
 
         O(terms in the document): the reverse map names exactly the postings
         lists holding the document, so the vocabulary is never scanned.
         """
         if doc_id not in self._doc_lengths:
-            return
-        for term in self._doc_terms.pop(doc_id, ()):
+            return ()
+        terms = self._doc_terms.pop(doc_id, ())
+        for term in terms:
             postings = self._postings.get(term)
             if postings is None:
                 continue
@@ -219,6 +179,7 @@ class InvertedIndex:
             if not postings:
                 del self._postings[term]
         del self._doc_lengths[doc_id]
+        return terms
 
     def search(self, query: str, mode: str = "and") -> set[str]:
         """Document ids matching the query keywords.

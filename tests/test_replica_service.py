@@ -251,3 +251,23 @@ def test_sharded_deployment_with_replicas(tmp_path):
         assert all(row["term"] == 1 for row in rows)
     finally:
         service.close()
+
+
+def test_a_shipment_advances_the_follower_cache_under_its_write_lock(tmp_path):
+    """A follower drops what a shipment reached while it applies it, so the
+    first reader after the shipment finds the cache at the manager's epoch
+    and a page the shipment missed still hits."""
+    with open_deployment(tmp_path / "rep", replicas=1) as service:
+        seed(service)
+        service.ship()
+        follower = service.followers[0]
+        assert follower.query(PROBE).count == 3
+        service.new_annotation("fresh-0", keywords=["fresh"]).mark_sequence(
+            "rep_seq1", 300, 320
+        ).commit()
+        service.ship()
+        cache = follower.service._cache  # noqa: SLF001 - the follower's result cache
+        assert cache._epoch == follower.manager.mutation_epoch  # noqa: SLF001
+        hits = cache.stats()["hits"]
+        assert follower.query(PROBE).count == 3
+        assert cache.stats()["hits"] == hits + 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.annotation import Referent
 from repro.core.manager import Graphitti
 from repro.datatypes.image import Image
 from repro.datatypes.sequence import DnaSequence
@@ -237,6 +238,9 @@ _WRITES = st.one_of(
     st.tuples(st.just("update"), st.fixed_dictionaries(
         {"ontology_terms": st.lists(st.sampled_from(TERMS), max_size=2)})),
     st.tuples(st.just("move"), st.sampled_from(SITES)),
+    # Sharers enter (a term on a site others may mark) and leave.
+    st.tuples(st.just("add"), st.tuples(st.sampled_from(SITES), st.sampled_from(TERMS))),
+    st.tuples(st.just("remove"), st.integers(0, 3)),
     st.tuples(st.just("delete"), st.none()),
 )
 
@@ -270,6 +274,15 @@ def _apply(manager, write, target_id: str) -> None:
             manager.update_annotation(
                 target_id, {"move_referents": {referent.referent_id: {"start": start, "end": end}}}
             )
+    elif kind == "add":
+        (start, end), term = payload
+        added = Referent(manager.data_object("seq").mark(start, end), ontology_terms=[term])
+        manager.update_annotation(target_id, {"add_referents": [added]})
+    elif kind == "remove":
+        referents = manager.annotation(target_id).referents
+        if referents:
+            doomed = referents[payload % len(referents)].referent_id
+            manager.update_annotation(target_id, {"remove_referents": [doomed]})
     else:
         manager.delete_annotation(target_id)
 

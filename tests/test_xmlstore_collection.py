@@ -7,8 +7,8 @@ from repro.xmlstore.collection import DocumentCollection
 from repro.xmlstore.text_index import InvertedIndex, tokenize
 
 
-def make_collection(indexed=True):
-    collection = DocumentCollection("test", indexed=indexed)
+def make_collection():
+    collection = DocumentCollection("test")
     collection.add_xml(
         "<annotation><dc:subject>protease</dc:subject><body>cleavage site of protein.TP53</body></annotation>",
         doc_id="a1",
@@ -45,15 +45,9 @@ def test_generated_ids():
 
 
 def test_keyword_search_indexed():
-    collection = make_collection(indexed=True)
+    collection = make_collection()
     assert collection.search_keyword("protease") == ["a1", "a3"]
     assert collection.search_keyword("kinase") == ["a2"]
-
-
-def test_keyword_search_unindexed_matches_indexed():
-    indexed = make_collection(indexed=True)
-    scanned = make_collection(indexed=False)
-    assert indexed.search_keyword("protease") == scanned.search_keyword("protease")
 
 
 def test_scan_keyword():
@@ -78,8 +72,14 @@ def test_replace():
     collection = make_collection()
     from repro.xmlstore.parser import parse_xml
 
-    collection.update("a2", parse_xml("<annotation><body>protease now</body></annotation>"))
+    collection.update_delta(
+        "a2",
+        lambda: parse_xml("<annotation><body>protease now</body></annotation>"),
+        ["kinase", "phosphorylation"],
+        ["protease now"],
+    )
     assert "a2" in collection.search_keyword("protease")
+    assert collection.search_keyword("kinase") == []
 
 
 def test_select_xpath():
@@ -205,8 +205,13 @@ def test_deferred_then_replaced_indexes_new_text():
     from repro.xmlstore.parser import parse_xml
 
     _park(collection, "d1", "<annotation><body>first text</body></annotation>")
-    collection.update("d1", parse_xml("<annotation><body>second text</body></annotation>"))
-    assert collection.lazy_document_count == 0  # the new tree superseded the parked one
+    collection.update_delta(
+        "d1",
+        lambda: parse_xml("<annotation><body>second text</body></annotation>"),
+        ["first"],
+        ["second"],
+    )
+    assert collection.lazy_document_count == 1  # re-parked with the new body
     assert collection.search_keyword("second") == ["d1"]
     assert collection.search_keyword("first") == []
 

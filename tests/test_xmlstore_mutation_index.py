@@ -1,8 +1,8 @@
 """Delta index maintenance and lazy document regeneration in the xmlstore.
 
-Covers the two new inverted-index paths (``update_document`` term diff,
-``apply_text_delta`` exact part delta), the collection's in-place update
-methods (an edit re-parks the document), and the parked-document delete
+Covers the inverted index's one update path (``apply_text_delta``, an exact
+part delta), the collection's in-place update (an edit re-parks the
+document), and the parked-document delete
 regression: a document removed before any reader built its tree must never
 leave ghost postings.  Also pinned: keyword verification renders each
 document version's text at most once, and concurrent readers cache only
@@ -47,34 +47,6 @@ def assert_index_equals_rebuild(collection: DocumentCollection):
     }
 
 
-# -- InvertedIndex.update_document (full-text term diff) -----------------------
-
-
-def test_update_document_matches_full_reindex():
-    index = InvertedIndex()
-    index.add_document("d1", "alpha beta gamma alpha")
-    touched, dropped = index.update_document("d1", "beta delta delta")
-    assert dropped == 2  # alpha, gamma
-    assert touched >= 1  # delta (new), beta unchanged
-    reference = InvertedIndex()
-    reference.add_document("d1", "beta delta delta")
-    assert index._postings == reference._postings
-    assert index._doc_lengths == reference._doc_lengths
-
-
-def test_update_document_unindexed_falls_back_to_add():
-    index = InvertedIndex()
-    index.update_document("d1", "fresh words")
-    assert index.document_frequency("fresh") == 1
-
-
-def test_update_document_unchanged_text_touches_nothing():
-    index = InvertedIndex()
-    index.add_document("d1", "alpha beta")
-    touched, dropped = index.update_document("d1", "alpha beta")
-    assert (touched, dropped) == (0, 0)
-
-
 # -- InvertedIndex.apply_text_delta (exact part delta) -------------------------
 
 
@@ -86,6 +58,23 @@ def test_apply_text_delta_equals_reindex():
     reference.add_document("d1", "alpha beta title-new words shared")
     assert index._postings == reference._postings
     assert index._doc_lengths == reference._doc_lengths
+
+
+def test_apply_text_delta_returns_old_and_new_terms():
+    index = InvertedIndex()
+    index.add_document("d1", "alpha beta-gamma")
+    old, new = index.apply_text_delta("d1", ["beta-gamma"], ["delta"])
+    assert set(old) == {"alpha", "beta-gamma", "beta", "gamma"}
+    assert set(new) == {"alpha", "delta"} == set(index.document_terms("d1"))
+
+
+def test_apply_text_delta_of_equal_parts_changes_nothing():
+    index = InvertedIndex()
+    index.add_document("d1", "alpha beta")
+    postings = {term: dict(docs) for term, docs in index._postings.items()}
+    old, new = index.apply_text_delta("d1", ["alpha"], ["alpha"])
+    assert set(old) == set(new) == {"alpha", "beta"}
+    assert index._postings == postings
 
 
 def test_apply_text_delta_requires_indexed_document():
@@ -120,16 +109,6 @@ def test_collection_update_delta_is_lazy_and_exact():
     assert "gamma" in collection.get("d1").text_content()
     assert collection.lazy_document_count == 0
     assert collection.search_keyword("gamma") == ["d1"]
-    assert collection.search_keyword("beta") == []
-    assert_index_equals_rebuild(collection)
-
-
-def test_collection_update_eager_delta():
-    collection = DocumentCollection("eager")
-    collection.add(_doc("alpha beta"), doc_id="d1")
-    collection.update("d1", _doc("alpha delta"))
-    assert collection.lazy_document_count == 0
-    assert collection.search_keyword("delta") == ["d1"]
     assert collection.search_keyword("beta") == []
     assert_index_equals_rebuild(collection)
 
@@ -252,7 +231,12 @@ def test_live_and_recovered_collections_search_alike_through_mutations():
     # verification never built a recovered tree, and never needs to
     assert recovered.lazy_document_count == len(_BODIES) and live.lazy_document_count == 0
     for collection in (live, recovered):
-        collection.update("d1", _doc("revised draft of alpha"))
+        collection.update_delta(
+            "d1",
+            lambda: _doc("revised draft of alpha"),
+            ["Alpha beta cleavage site"],
+            ["revised draft of alpha"],
+        )
     assert_twins_agree(live, recovered)
     for collection in (live, recovered):
         collection.update_delta(
@@ -267,7 +251,10 @@ def test_live_and_recovered_collections_search_alike_through_mutations():
     assert_twins_agree(live, recovered)
     for collection in (live, recovered):
         _park(collection, "d6", "never searched")
-        collection.update("d6", _doc("epsilon after all"))  # replaced while still parked
+        # edited while still parked
+        collection.update_delta(
+            "d6", lambda: _doc("epsilon after all"), ["never searched"], ["epsilon after all"]
+        )
     assert_twins_agree(live, recovered)
     assert_index_equals_rebuild(live)
 
@@ -311,9 +298,14 @@ def test_searchable_text_renders_once_per_document_version(monkeypatch):
     _probe(collection)
     assert renders == expected  # a parked text is verified, never rendered
 
-    collection.update("d1", _doc("revised draft of alpha"))
-    expected["d1"] += 1  # each update renders once
+    collection.update_delta(
+        "d1",
+        lambda: _doc("revised draft of alpha"),
+        ["Alpha beta cleavage site"],
+        ["revised draft of alpha"],
+    )
     _probe(collection)
+    expected["d1"] += 1  # the first verify after an edit renders once
     assert renders == expected
 
     collection.update_delta("d2", lambda: _doc("beta zeta Binding pocket"), ["gamma"], ["zeta"])
