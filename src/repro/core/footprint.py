@@ -19,16 +19,17 @@ the write too: a write changes a sharer only through the shared referents'
 extents and ontology terms (and, under a move, their coordinate tokens), and
 the written annotation's own two states render those same referents.
 
-The manager appends one entry per mutation epoch to a :class:`FootprintLog`
-once the serving layer attaches one (:meth:`Graphitti.attach_footprints
-<repro.core.manager.Graphitti.attach_footprints>`).  ``None`` is the entry of
-a write no footprint describes (registrations, ontologies, object retirement,
-compaction): a cache reading it drops everything.
+The manager hands each write's footprint to its sinks as the write applies
+(:meth:`Graphitti.attach_footprints
+<repro.core.manager.Graphitti.attach_footprints>`) and builds none while no
+sink is attached.  ``None`` is the footprint of a write no footprint
+describes (registrations, ontologies, object retirement, compaction, each
+member of a batch of several annotations): a cache handed it drops
+everything.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable
 
 
@@ -140,13 +141,13 @@ def write_footprint(
     terms: Iterable[str],
 ) -> Footprint | None:
     """The footprint of a write to *annotation_id* that has applied, or None
-    while *manager* keeps no footprint log.
+    while no sink of *manager* takes one.
 
     *before* / *after* are the written annotation's states and *terms* the
     index terms of its document before and after; each sharer of a referent
     of either state is read now, once.
     """
-    if manager.footprints is None:
+    if not manager.footprint_sinks:
         return None
     footprint = Footprint()
     footprint.terms.update(terms)
@@ -179,32 +180,3 @@ def write_footprint(
                 footprint.types.add(ref.data_type.value)
                 footprint._add_extent(ref.object_id, ref.interval, ref.rect)
     return footprint
-
-
-class FootprintLog:
-    """The footprints of the last :attr:`LENGTH` mutation epochs."""
-
-    #: Epochs remembered; a reader further behind drops everything.
-    LENGTH = 64
-
-    def __init__(self) -> None:
-        self._entries: deque[tuple[int, Footprint | None]] = deque(maxlen=self.LENGTH)
-
-    def record(self, epoch: int, footprint: Footprint | None) -> None:
-        """Note *footprint* (None: unknown reach) as epoch *epoch*'s."""
-        self._entries.append((epoch, footprint))
-
-    def since(self, epoch: int, newest: int) -> list[Footprint] | None:
-        """The footprints of epochs ``epoch + 1 .. newest``, or None when one
-        of them is unknown or no longer held."""
-        entries = self._entries
-        count = newest - epoch
-        if count <= 0 or count > len(entries):
-            return [] if count <= 0 else None
-        footprints = []
-        for position in range(len(entries) - count, len(entries)):
-            held, footprint = entries[position]
-            if footprint is None or held != newest - (len(entries) - 1 - position):
-                return None
-            footprints.append(footprint)
-        return footprints

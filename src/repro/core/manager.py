@@ -29,7 +29,7 @@ from repro.agraph.connection import ConnectionSubgraph
 from repro.core.annotation import Annotation, Referent, rect_corners
 from repro.core.builder import AnnotationBuilder
 from repro.core.columns import AnnotationColumns
-from repro.core.footprint import Footprint, FootprintLog, WriteState, text_delta, write_footprint
+from repro.core.footprint import Footprint, WriteState, text_delta, write_footprint
 from repro.core.persistence import (
     decode_referent,
     encode_register,
@@ -98,18 +98,14 @@ class Graphitti:
         #: reconstructed; see :mod:`repro.core.persistence`).
         self.catalogue_only = False
         #: Monotonic counter bumped by every mutation (register / commit /
-        #: update / delete / ...).  The serving layer's query-result cache
-        #: keeps its entries at one epoch: moving to a newer one it drops the
-        #: entries the writes in between can reach (their
-        #: :class:`~repro.core.footprint.Footprint` in :attr:`footprints`),
-        #: or every entry when a write left no footprint.
+        #: update / delete / ...); :meth:`statistics` reports it.
         self.mutation_epoch = 0
-        #: One footprint per epoch while a serving layer is attached to the
-        #: log (:meth:`attach_footprints`); None otherwise, so a bare
-        #: instance, a snapshot load, WAL replay and a manager whose services
-        #: have closed record nothing.
-        self.footprints: FootprintLog | None = None
-        self._footprint_readers = 0
+        #: Called with each mutation's :class:`~repro.core.footprint.Footprint`
+        #: (None: it may touch anything) as the mutation applies; empty
+        #: unless a serving layer attached its result cache
+        #: (:meth:`attach_footprints`), so a bare instance, a snapshot load,
+        #: WAL replay and a manager whose services have closed build none.
+        self.footprint_sinks: tuple[Callable[[Footprint | None], None], ...] = ()
         #: Extra statistics sources merged into :meth:`statistics` (the
         #: serving layer registers its cache/WAL counters here).
         self.stats_providers: list[Callable[[], dict[str, Any]]] = []
@@ -120,29 +116,23 @@ class Graphitti:
         #: on every commit/delete and rebuilt by snapshot load / WAL replay.
         self.stats_catalogue = StatisticsCatalogue()
 
-    def _bump_epoch(self, footprint: Footprint | None = None) -> int:
-        """Advance the mutation epoch (called after every state mutation);
-        *footprint* is what the mutation touched (None: anything)."""
+    def _bump_epoch(self, footprint: Footprint | None = None) -> None:
+        """Advance the mutation epoch (called after every state mutation)
+        and hand each footprint sink *footprint*, what the mutation touched
+        (None: anything)."""
         self.mutation_epoch += 1
-        log = self.footprints  # read once: a closing service may detach it
-        if log is not None:
-            log.record(self.mutation_epoch, footprint)
-        return self.mutation_epoch
+        for sink in self.footprint_sinks:
+            sink(footprint)
 
-    def attach_footprints(self) -> FootprintLog:
-        """The footprint log, started for its first reader: until the last
-        reader detaches, every mutation records what it touched."""
-        if self.footprints is None:
-            self.footprints = FootprintLog()
-        self._footprint_readers += 1
-        return self.footprints
+    def attach_footprints(self, sink: Callable[[Footprint | None], None]) -> None:
+        """Hand *sink* the footprint of every mutation from now on."""
+        self.footprint_sinks += (sink,)
 
-    def detach_footprints(self) -> None:
-        """Release one reader of the footprint log; the last one stops the
-        recording."""
-        self._footprint_readers -= 1
-        if not self._footprint_readers:
-            self.footprints = None
+    def detach_footprints(self, sink: Callable[[Footprint | None], None]) -> None:
+        """Stop handing *sink* footprints."""
+        sinks = list(self.footprint_sinks)
+        sinks.remove(sink)
+        self.footprint_sinks = tuple(sinks)
 
     def _rewire(
         self, annotation: Annotation, before: WriteState | None, after: WriteState | None
@@ -558,7 +548,7 @@ class Graphitti:
         pair: the inverted index re-posts only the searchable part groups
         that differ, the a-graph links and unlinks only the edges that
         differ, the statistics catalogue adjusts by the type and term
-        differences, and the footprint (while a serving layer reads one) is
+        differences, and the footprint (while a sink takes one) is
         the two states plus each annotation sharing a referent with them,
         read once after the edit.  Moves are one remove+insert inside the owning
         spatial tree, and the annotation keeps its dense id-space slot.

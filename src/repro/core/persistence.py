@@ -176,6 +176,11 @@ def wire_annotations(manager, annotations: list[Annotation]) -> None:
     :meth:`~repro.core.annotation.Annotation.agraph_edges` and the
     statistics catalogue counts its types and terms.
     """
+    # Referents first: the store settles the id each one is filed under,
+    # which the searchable text and the a-graph edges carry.
+    manager.substructures.add_many(
+        referent for annotation in annotations for referent in annotation.referents
+    )
     contents = manager.contents
     contents.add_lazy_many(
         (
@@ -185,13 +190,9 @@ def wire_annotations(manager, annotations: list[Annotation]) -> None:
         )
         for annotation in annotations
     )
-    manager.substructures.add_many(
-        referent for annotation in annotations for referent in annotation.referents
-    )
-    # A batch longer than the footprint log outruns every reader of it, and
-    # each of them drops everything anyway: its epochs record no footprint.
-    log = manager.footprints
-    traced = log is not None and len(annotations) <= log.LENGTH
+    # Only a lone commit is worth a footprint: each member of a longer batch
+    # (an ingest, a bulk commit, a snapshot load) drops every cached page.
+    traced = len(annotations) == 1 and bool(manager.footprint_sinks)
     for annotation in annotations:
         annotation_id = annotation.annotation_id
         after = WriteState(annotation)

@@ -91,8 +91,7 @@ class SubstructureStore:
         Returns ``(index family, domain or space, extent to index)``, or
         ``None`` when the referent is already present or has no extent.
         """
-        referent_id = referent.referent_id
-        assert referent_id is not None
+        referent_id = referent.referent_id = self._filed_id(referent)
         if referent_id in self.columns:
             return None
         self.columns.add(referent)
@@ -108,6 +107,23 @@ class SubstructureStore:
             indexed = Rect(ref.rect.lo, ref.rect.hi, space=space, payload=referent_id)
             return self._rtrees, space, indexed
         return None
+
+    def _filed_id(self, referent: Referent) -> str:
+        """The id *referent* is filed under: its own, unless a live referent
+        with that id marks another extent (it moved after its id was derived
+        from its first extent); then the first of ``id#2``, ``id#3``, ...
+        that is free or marks this extent.  It depends on the store alone,
+        so WAL replay, a follower and the owning shard file a mark where the
+        live write did."""
+        referent_id = referent.referent_id
+        assert referent_id is not None
+        candidate, serial = referent_id, 1
+        while True:
+            held = self.columns.view(candidate)
+            if held is None or held.ref.key() == referent.ref.key():
+                return candidate
+            serial += 1
+            candidate = f"{referent_id}#{serial}"
 
     def discard(self, referent_id: str) -> bool:
         """Remove a referent and its indexed extent; returns ``True`` if present."""

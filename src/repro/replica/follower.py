@@ -1,7 +1,7 @@
 """A read replica of one served Graphitti instance.
 
 A :class:`ReplicaFollower` owns a full :class:`~repro.service.GraphittiService`
-of its own — manager, read/write lock, epoch-tagged result cache, and a
+of its own — manager, read/write lock, result cache, and a
 durable snapshot+WAL directory — but its *only* writer is the replication
 pipeline: shipped primary WAL records are applied through the same
 :func:`~repro.service.durability.apply_record` codec recovery uses, then
@@ -131,10 +131,9 @@ class ReplicaFollower:
                 service._store.wal.append_record(record)  # noqa: SLF001
             # Same discipline as the live mutation path: never let a reader
             # race the lazy component rebuild (no-op unless a record removed
-            # a-graph nodes or edges), and drop the cached pages the records
-            # reached here, so no reader pays for it.
+            # a-graph nodes or edges).  Each record dropped the cached pages
+            # it reached as it applied, under this lock.
             service.manager.agraph.graph.rebuild_components()
-            service._cache.advance(service.manager.mutation_epoch)  # noqa: SLF001
         return self.applied_seq
 
     # -- snapshot re-seed ------------------------------------------------------

@@ -79,32 +79,19 @@ def read_replication_manifest(root: str | Path) -> dict[str, Any] | None:
 class ReplicationConfig:
     """Tunables of one :class:`ReplicatedGraphittiService`."""
 
-    #: Seconds between background ship pumps (ignored when auto_ship=False).
-    ship_interval: float = 0.02
     #: Run the shipper in a background thread; False means the caller pumps
     #: via :meth:`ReplicatedGraphittiService.ship` (deterministic test mode —
     #: bounded-staleness reads still pump inline while they wait).
     auto_ship: bool = True
-    #: Seconds between failure-detector ticks (ignored when auto_failover=False).
-    heartbeat_interval: float = 0.05
-    #: Consecutive missed heartbeats before the lease is considered lost.
-    lease_ticks: int = 3
     #: Run the failure detector in a background thread; False means the
     #: caller ticks via :meth:`ReplicatedGraphittiService.tick` (deterministic
     #: test mode) or promotes explicitly.
     auto_failover: bool = False
-    #: First retry delay of a bounded-staleness read that found no follower
-    #: caught up to its min_seq.
-    read_backoff: float = 0.002
-    #: Exponential backoff multiplier between read retries.
-    read_backoff_multiplier: float = 2.0
     #: Total seconds a read waits for a follower before degrading to primary.
     read_deadline: float = 0.25
     #: Default read consistency: "eventual" (any follower), "fresh" (follower
     #: caught up to the last acknowledged write), or "primary".
     default_read: str = "eventual"
-    #: Max records per shipment datagram.
-    ship_batch: int = 512
 
 
 def _delegate(op: ops.Op) -> Callable | None:
@@ -140,6 +127,19 @@ class ReplicatedGraphittiService:
     plus the replication verbs: ``ship``, ``tick``, ``promote``,
     ``failover``.
     """
+
+    #: Seconds between background ship pumps (when ``auto_ship``).
+    SHIP_INTERVAL = 0.02
+    #: Max records per shipment datagram.
+    SHIP_BATCH = 512
+    #: Seconds between failure-detector ticks (when ``auto_failover``).
+    HEARTBEAT_INTERVAL = 0.05
+    #: Consecutive missed heartbeats before the lease is considered lost.
+    LEASE_TICKS = 3
+    #: First retry delay of a bounded-staleness read that found no follower
+    #: caught up to its min_seq, and the multiplier between retries.
+    READ_BACKOFF = 0.002
+    READ_BACKOFF_MULTIPLIER = 2.0
 
     def __init__(
         self,
@@ -403,7 +403,7 @@ class ReplicatedGraphittiService:
         cursor = self._cursors[follower.name]
         pending = self._pending[follower.name]
         try:
-            fresh = cursor.poll(max_records=self.replication.ship_batch)
+            fresh = cursor.poll(max_records=self.SHIP_BATCH)
         except ReplicationGapError:
             self._reseed_follower(follower)
             return 0
@@ -469,7 +469,7 @@ class ReplicatedGraphittiService:
         self._reseeds += 1
 
     def _ship_loop(self) -> None:
-        while not self._stop.wait(self.replication.ship_interval):
+        while not self._stop.wait(self.SHIP_INTERVAL):
             try:
                 self.ship()
             except Exception as exc:  # noqa: BLE001 - surfaced via stats, not a dead thread
@@ -506,9 +506,8 @@ class ReplicatedGraphittiService:
         instead of spinning.  Returns None when the deadline expires — the
         caller degrades to the primary.
         """
-        rc = self.replication
-        deadline = time.monotonic() + rc.read_deadline
-        delay = rc.read_backoff
+        deadline = time.monotonic() + self.replication.read_deadline
+        delay = self.READ_BACKOFF
         while True:
             candidate = self._pick_follower(need, affinity)
             if candidate is not None:
@@ -527,7 +526,7 @@ class ReplicatedGraphittiService:
                 return None
             self._reads["retries"] += 1
             time.sleep(delay)
-            delay *= rc.read_backoff_multiplier
+            delay *= self.READ_BACKOFF_MULTIPLIER
 
     def query(
         self,
@@ -545,9 +544,8 @@ class ReplicatedGraphittiService:
 
         Textual queries route with *query affinity*: the query text hashes
         to a preferred follower, so each follower's result cache owns a
-        disjoint slice of the hot query set and a shipment's epoch bump
-        re-executes each hot query once across the fleet instead of once
-        per follower.  A lagging preferred follower falls through to the
+        disjoint slice of the hot query set and a page a shipment drops is
+        re-executed once across the fleet instead of once per follower.  A lagging preferred follower falls through to the
         next one — affinity is a cache hint, never a consistency rule.
         """
         mode = consistency or self.replication.default_read
@@ -609,14 +607,14 @@ class ReplicatedGraphittiService:
         """One deterministic failure-detector step; True when it failed over.
 
         A healthy tick resets the missed-heartbeat count (a lease renewal);
-        ``lease_ticks`` consecutive misses lose the lease and trigger
+        ``LEASE_TICKS`` consecutive misses lose the lease and trigger
         :meth:`failover`.
         """
         if self.primary_alive():
             self._missed_heartbeats = 0
             return False
         self._missed_heartbeats += 1
-        if self._missed_heartbeats < self.replication.lease_ticks:
+        if self._missed_heartbeats < self.LEASE_TICKS:
             return False
         if not self._followers:
             return False  # nothing to promote; writes stay refused
@@ -624,7 +622,7 @@ class ReplicatedGraphittiService:
         return True
 
     def _monitor_loop(self) -> None:
-        while not self._stop.wait(self.replication.heartbeat_interval):
+        while not self._stop.wait(self.HEARTBEAT_INTERVAL):
             try:
                 self.tick()
             except Exception as exc:  # noqa: BLE001

@@ -2,11 +2,11 @@
 
 Wraps a :class:`~repro.core.manager.Graphitti` instance in the machinery a
 multi-user deployment needs — single-writer/multi-reader locking, a
-write-ahead log with snapshot checkpoints and crash recovery, an
-epoch-invalidated query-result cache, and a group-committed bulk ingest path:
+write-ahead log with snapshot checkpoints and crash recovery, a
+write-invalidated query-result cache, and a group-committed bulk ingest path:
 
 * :mod:`repro.service.locks` -- the writer-preference readers-writer lock,
-* :mod:`repro.service.cache` -- the epoch-tagged LRU result cache,
+* :mod:`repro.service.cache` -- the LRU result cache each write trims,
 * :mod:`repro.service.wal` -- the append-only JSONL write-ahead log,
 * :mod:`repro.service.durability` -- snapshot+WAL lifecycle and recovery,
 * :mod:`repro.service.service` -- the :class:`GraphittiService` facade.

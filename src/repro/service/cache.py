@@ -8,14 +8,12 @@ three ingredients:
   :class:`~repro.query.ast.Query` keys as ``("query", describe())``, so it
   never aliases a text): a hit costs no parse and no plan, and two
   spellings of one query are two entries with equal answers;
-* every entry holds at **one mutation epoch**, the newest any lookup or
-  store has named.  Moving to a newer epoch the cache reads the manager's
-  footprint log (:mod:`repro.core.footprint`) for the writes in between and
-  drops the entries they can reach; when a write left no footprint, or the
-  log no longer holds it, every entry drops.  A dropped entry never hits
-  again, and kept until its own key came back it would pin the document
-  versions its result holds (which the network worker's wire-text memo then
-  cannot forget);
+* every write hands the cache its footprint (:mod:`repro.core.footprint`)
+  as it applies, and the cache drops the entries the footprint can reach at
+  once; a write no footprint describes drops every entry.  A dropped entry
+  never hits again, and kept until its own key came back it would pin the
+  document versions its result holds (which the network worker's wire-text
+  memo then cannot forget);
 * every entry is stored with a **dependency** (:func:`page_dependency`) on
   its plan's first step, the *anchor*: the executor always materializes that
   step, so every row of the page matched it.  A write can add a row, remove
@@ -37,9 +35,12 @@ three ingredients:
   every entry's dependency in one pass (at most ``capacity`` of them).
 
 The cache is LRU-bounded and thread-safe (its own mutex; callers hold the
-service read lock, which does not exclude other readers).  Every writer --
-the service's own write path and a replica follower applying a shipment --
-advances it under the write lock, so readers never pay the drop.
+service read lock, which does not exclude other readers).  No entry is ever
+stale: a page is computed and stored under the service read lock, and every
+write -- the service's own write path and a replica follower applying a
+shipment -- applies, and drops what it reaches, under the write lock, so no
+page is stored after a write it does not reflect, and readers never pay the
+drop.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Hashable
 
-from repro.core.footprint import Footprint, FootprintLog
+from repro.core.footprint import Footprint
 from repro.errors import ConfigError
 from repro.query.ast import (
     KeywordConstraint,
@@ -161,22 +162,17 @@ class QueryResultCache:
 
     ``capacity=0`` disables caching entirely (every lookup misses, nothing is
     stored) — the configuration the benchmarks use as the uncached baseline.
-    *footprints* is the manager's footprint log; without it every newer
-    epoch drops every entry.  Values must have a ``copy()``: a store keeps
-    a private copy and a hit hands out another, so no two callers share one
-    mutable value.
+    Values must have a ``copy()``: a store keeps a private copy and a hit
+    hands out another, so no two callers share one mutable value.
     """
 
-    def __init__(self, capacity: int = 256, footprints: FootprintLog | None = None):
+    def __init__(self, capacity: int = 256):
         if capacity < 0:
             raise ConfigError("cache capacity must be >= 0")
         self.capacity = capacity
-        self._footprints = footprints
         #: key -> (value, dependency)
         self._entries: OrderedDict[Hashable, tuple[Any, tuple | None]] = OrderedDict()
         self._mutex = threading.Lock()
-        #: The newest epoch a lookup or store has named; every entry is at it.
-        self._epoch = 0
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -187,17 +183,10 @@ class QueryResultCache:
         with self._mutex:
             return len(self._entries)
 
-    def get(self, key: Hashable, epoch: int) -> Any | None:
-        """A copy of the cached value for *key* at *epoch*, else None.
-
-        Moving to a newer *epoch* first drops the entries the writes in
-        between reach; a lookup at an older epoch than the cache holds
-        misses.
-        """
+    def get(self, key: Hashable) -> Any | None:
+        """A copy of the cached value for *key*, else None."""
         with self._mutex:
-            if epoch > self._epoch:
-                self._advance(epoch)
-            entry = self._entries.get(key) if epoch == self._epoch else None
+            entry = self._entries.get(key)
             if entry is None:
                 self._misses += 1
                 return None
@@ -205,49 +194,29 @@ class QueryResultCache:
             self._hits += 1
         return entry[0].copy()
 
-    def put(self, key: Hashable, epoch: int, value: Any, dependency: tuple | None = None) -> None:
-        """Store a copy of *value* for *key* computed at *epoch* (LRU-evicting)
-        with its *dependency* (None: every write reaches it)."""
+    def put(self, key: Hashable, value: Any, dependency: tuple | None = None) -> None:
+        """Store a copy of *value* for *key* (LRU-evicting) with its
+        *dependency* (None: every write reaches it)."""
         if self.capacity == 0:
             return
         value = value.copy()
         with self._mutex:
-            if epoch > self._epoch:
-                self._advance(epoch)
-            elif epoch < self._epoch:
-                return  # computed before a mutation that has since landed
             self._entries.pop(key, None)
             self._entries[key] = (value, dependency)  # a new key: the MRU end
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self._evictions += 1
 
-    def advance(self, epoch: int) -> None:
-        """Move to *epoch* now, dropping what the writes since reached (every
-        writer calls this under its write lock, so readers never pay it)."""
+    def invalidate(self, footprint: Footprint | None) -> None:
+        """Drop the entries *footprint* reaches (None: every entry)."""
         with self._mutex:
-            self._advance(epoch)
-
-    def clear(self) -> None:
-        """Drop every entry (a closed service keeps no pages alive)."""
-        with self._mutex:
-            self._entries.clear()
-
-    def _advance(self, epoch: int) -> None:
-        """Move to *epoch* when it is newer (the caller holds the mutex)."""
-        if epoch <= self._epoch:
-            return
-        log, since = self._footprints, self._epoch
-        self._epoch = epoch
-        entries = self._entries
-        if not entries:
-            return
-        footprints = None if log is None else log.since(since, epoch)
-        if footprints is None:
-            self._invalidations += len(entries)
-            entries.clear()
-            return
-        for footprint in footprints:
+            entries = self._entries
+            if not entries:
+                return
+            if footprint is None:
+                self._invalidations += len(entries)
+                entries.clear()
+                return
             reached = [
                 key
                 for key, (_, dependency) in entries.items()
@@ -256,11 +225,16 @@ class QueryResultCache:
             for key in reached:
                 del entries[key]
             self._invalidations += len(reached)
-        self._kept += len(entries)
+            self._kept += len(entries)
+
+    def clear(self) -> None:
+        """Drop every entry (a closed service keeps no pages alive)."""
+        with self._mutex:
+            self._entries.clear()
 
     def stats(self) -> dict[str, int | float]:
         """Hit / miss / eviction / invalidation / kept counters plus the hit
-        rate; ``kept`` counts entries that outlived a newer epoch."""
+        rate; ``kept`` counts entries that outlived a write."""
         with self._mutex:
             lookups = self._hits + self._misses
             return {

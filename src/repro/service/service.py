@@ -118,15 +118,10 @@ class GraphittiService:
         self._lock = ReadWriteLock()
         if self.obs.enabled:
             self._lock.instrument(self.obs.registry)
-            # Pre-resolved: the cache-hit path pays one .inc(), not a
-            # locked registry lookup per query.
-            self._cache_hit_counter = self.obs.registry.counter("query.cache_hits")
-        else:
-            self._cache_hit_counter = None
         capacity = self.config.cache_capacity
-        self._cache = QueryResultCache(
-            capacity, footprints=self._manager.attach_footprints() if capacity else None
-        )
+        self._cache = QueryResultCache(capacity)
+        if capacity:
+            self._manager.attach_footprints(self._cache.invalidate)
         self._store = DurableStore(root, durability=self.config.durability) if root else None
         if self._store is not None and self.obs.enabled:
             self._store.wal.tracer = self.obs.tracer
@@ -220,10 +215,9 @@ class GraphittiService:
                 self._manager.stats_providers.remove(self._service_stats)
             except ValueError:
                 pass
-            # A long-lived manager stops recording footprints nobody reads
-            # once its last service closes.
+            # A long-lived manager stops building footprints for a dead cache.
             if self._cache.capacity:
-                self._manager.detach_footprints()
+                self._manager.detach_footprints(self._cache.invalidate)
             self._cache.clear()
             self._closed = True
 
@@ -405,12 +399,7 @@ class GraphittiService:
 
     @requires_write_lock
     def _after_mutation_locked(self, count: int) -> None:
-        """Post-mutation bookkeeping; caller holds the write lock.
-
-        The result cache drops what the write reached here, so no reader
-        pays for it.
-        """
-        self._cache.advance(self._manager.mutation_epoch)
+        """Post-mutation bookkeeping; caller holds the write lock."""
         self._ops_since_checkpoint += count
         interval = self.config.checkpoint_interval
         if self._store is not None and interval and self._ops_since_checkpoint >= interval:
@@ -579,11 +568,13 @@ class GraphittiService:
         :class:`Query` object, so a text never aliases a built query.  A
         hit parses and plans nothing.  A miss stores its page with a
         dependency on its plan's first step
-        (:func:`~repro.service.cache.page_dependency`),
-        and a write drops the pages its footprint reaches, so a page
-        outlives every write that cannot change it.  A hit's
-        ``step_details`` describe the run that made the page: counts of
-        steps after the first may have moved since.
+        (:func:`~repro.service.cache.page_dependency`), and each write
+        drops the pages its footprint reaches as it applies, so a page
+        outlives every write that cannot change it.  The page is computed
+        and stored inside one read view while every write applies under the
+        write lock, so no page is stored after a write it does not reflect.
+        A hit's ``step_details`` describe the run that made the page: counts
+        of steps after the first may have moved since.
 
         Parsing and planning happen *inside* the read view: the planner
         reads live structures (the inverted index, catalogue dicts, the
@@ -597,18 +588,15 @@ class GraphittiService:
         else:
             key = text_or_query
         with self._read_view():
-            epoch = self._manager.mutation_epoch
             # The cache hands out its own copy: concurrent readers share
             # the hot entry, and a caller consuming its pages in place must
             # not corrupt it for everyone else.
-            cached = self._cache.get(key, epoch)
+            cached = self._cache.get(key)
             if cached is not None:
-                # A hit pays ONE counter increment and no span: a cached
-                # query runs in a few microseconds, so even a single span
-                # would breach the <10% overhead gate the cached path is
-                # the floor for.
-                if self._cache_hit_counter is not None:
-                    self._cache_hit_counter.inc()
+                # A hit records nothing: a cached query runs in a few
+                # microseconds, so even one counter increment is most of the
+                # <10% overhead gate the cached path is the floor for.
+                # metrics() reads the hit count off the cache instead.
                 return cached
             with obs.span("query") as root:
                 root.set("cache", "miss")
@@ -627,9 +615,7 @@ class GraphittiService:
                 # The cache keeps a private copy, so post-return mutations by
                 # THIS caller cannot leak into future hits either.
                 if self._cache.capacity:
-                    self._cache.put(
-                        key, epoch, result, page_dependency(self._manager, plan, result)
-                    )
+                    self._cache.put(key, result, page_dependency(self._manager, plan, result))
         if obs.is_slow(root):
             # explain() re-takes the read lock, so the slow capture runs only
             # after the query's own view is released.
@@ -695,7 +681,9 @@ class GraphittiService:
 
         Column-storage and WAL-segment gauges are refreshed into the registry
         here, so a scrape always reports the current slot/heap/segment
-        occupancy without a counter on every mutation.
+        occupancy without a counter on every mutation; so is the
+        ``query.cache_hits`` counter, from the result cache's own count,
+        so a hit pays no increment.
         """
         if self.obs.enabled:
             # Storage/WAL gauge sources (column occupancy, segment stats) are
@@ -703,6 +691,8 @@ class GraphittiService:
             # scrape cannot race a compaction swapping the arrays out.
             with self._lock.read_locked():
                 self._refresh_storage_gauges()
+            hits = self.obs.registry.counter("query.cache_hits")
+            hits.inc(self._cache.stats()["hits"] - hits.value)
         return self.obs.snapshot()
 
     def _refresh_storage_gauges(self) -> None:

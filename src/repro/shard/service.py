@@ -12,7 +12,7 @@ independent :class:`~repro.service.service.GraphittiService` shards:
   after another on the caller's thread (in-process shards share one
   interpreter: a pool would add hops, not parallelism; concurrent callers
   read a shard in turn); each shard plans against its own statistics
-  catalogue and serves from its own epoch-tagged result cache, and the
+  catalogue and serves from its own result cache, and the
   per-shard :class:`~repro.query.result.QueryResult` pages merge with a
   stable global ordering: annotation ids merge-sort lexicographically (the
   executor's own collation order), ``LIMIT`` is re-applied globally, and
@@ -566,8 +566,8 @@ class ShardedGraphittiService:
 
         The shards parse the text; malformed text fails with the parser's
         error once every shard has answered.  Each shard serves from its own
-        cache when its epoch allows, which is the sharding win: a write
-        invalidates one shard's entry, not all N.
+        cache while no write to it reached the page, which is the sharding
+        win: a write invalidates one shard's entry, not all N.
         """
         obs = self.obs  # disabled: every span below is the shared no-op
         with obs.span("query") as root:

@@ -2,12 +2,12 @@
 
 Models the read-scaling traffic shape replication targets: ~95% repeated
 structural queries, ~5% single-annotation commits.  On an unreplicated
-service every commit bumps the one mutation epoch, so each hot query
-re-executes right after every write.  Behind a
+service every commit drops the hot pages it reaches, so each of them
+re-executes right after the write.  Behind a
 :class:`~repro.replica.ReplicatedGraphittiService`, commits land on the
 primary while eventual-consistency reads round-robin the followers — whose
-result caches are invalidated only when a WAL shipment is applied, i.e. in
-batches at the ship interval rather than per write.
+result caches drop pages only when a WAL shipment is applied, i.e. at the
+ship interval rather than per write.
 
 The driver only uses the common service surface (``register`` /
 ``new_annotation`` / ``commit`` / ``bulk_commit`` / ``query``), so the same

@@ -4,7 +4,7 @@ Always run (downsized); under ``REPRO_ANALYSIS_RACE=1`` the iteration counts
 scale up and the interpreter switch interval drops to 10µs (conftest), so
 the barrier-aligned threads genuinely collide inside the seams:
 
-* cache put / hit / epoch-bump invalidation,
+* cache put / hit / invalidation,
 * mutation epoch bump vs concurrent reads,
 * checkpoint seal+freeze vs concurrent commits,
 * follower apply vs follower reads.
@@ -27,17 +27,19 @@ def test_cache_put_hit_invalidate_race():
     with race_stress():
         for epoch in range(rounds):
             def put():
-                cache.put("k", epoch, {"epoch": epoch})
+                cache.put("k", {"epoch": epoch})
 
             def hit():
-                value = cache.get("k", epoch)
-                # A hit must never surface another epoch's value.
+                value = cache.get("k")
+                # A hit never surfaces a value put before the last drop.
                 assert value is None or value["epoch"] == epoch
 
-            def stale_probe():
-                assert cache.get("k", epoch + 1) is None or True
+            def invalidate():
+                cache.invalidate(None)
 
-            run_racing([put, hit, hit, stale_probe])
+            run_racing([put, hit, hit, invalidate])
+            cache.invalidate(None)  # the next round's write lands
+            assert cache.get("k") is None
     stats = cache.stats()
     assert stats["entries"] <= 32
 

@@ -289,6 +289,69 @@ def test_shared_referent_move_syncs_every_sharer(instance):
     assert report.ok, report.errors
 
 
+def test_a_mark_of_a_moved_referents_first_extent_gets_its_own_referent(tmp_path):
+    """A marks seq[10, 20] and moves it to [30, 45]; B then marks seq[10, 20].
+    B's key-derived id names A's moved referent, so B's mark is filed under
+    the next free id with its own extent, and every later mark of [10, 20]
+    (a commit, an added referent) shares B's.  WAL replay and a snapshot
+    load file each mark where the live writes did."""
+    from repro.core.persistence import encode_annotation
+    from repro.net.codec import encode_query_result
+    from repro.service import GraphittiService, ServiceConfig
+
+    root = tmp_path / "svc"
+    config = ServiceConfig(checkpoint_on_close=False)
+    service = GraphittiService.open(root, config=config)
+    service.register(DnaSequence("seq", "ACGT" * 100, domain="d:chr1"))
+    service.new_annotation("A", keywords=["alpha"]).mark_sequence("seq", 10, 20).commit()
+    moved = service.annotation("A").referents[0].referent_id
+    service.update_annotation("A", {"move_referents": {moved: {"start": 30, "end": 45}}})
+    service.new_annotation("B", keywords=["beta"]).mark_sequence("seq", 10, 20).commit()
+    service.new_annotation("C", keywords=["gamma"]).mark_sequence("seq", 10, 20).commit()
+    service.new_annotation("D", keywords=["delta"]).mark_sequence("seq", 60, 70).commit()
+    added = Referent(service.manager.data_object("seq").mark(10, 20))
+    service.update_annotation("D", {"add_referents": [added]})
+
+    filed = service.annotation("B").referents[0].referent_id
+    assert filed != moved
+    assert service.annotation("C").referents[0].referent_id == filed
+    assert [r.referent_id for r in service.annotation("D").referents][1] == filed
+    assert service.manager.search_by_overlap_interval("d:chr1", 10, 20) == ["B", "C", "D"]
+    assert service.manager.search_by_overlap_interval("d:chr1", 30, 45) == ["A"]
+    service.manager._row_cache.clear()  # noqa: SLF001 - rows materialize from the columns
+    interval = service.annotation("B").referents[0].ref.interval
+    assert (interval.start, interval.end) == (10, 20)
+    assert service.check_integrity().ok
+
+    texts = [
+        'SELECT contents WHERE { INTERVAL OVERLAPS d:chr1 [10, 20] }',
+        'SELECT referents WHERE { INTERVAL OVERLAPS d:chr1 [0, 50] }',
+        'SELECT referents WHERE { CONTENT CONTAINS "beta" }',
+        'SELECT graph WHERE { CONTENT CONTAINS "delta" }',
+    ]
+
+    def pages(target) -> list:
+        rows = [encode_annotation(target.annotation(name)) for name in "ABCD"]
+        answers = []
+        for text in texts:
+            page = encode_query_result(target.query(text))
+            page.pop("step_details")
+            answers.append(page)
+        return rows + answers
+
+    live = pages(service)
+    service.close()  # no closing checkpoint: recovery replays every write
+    replayed = GraphittiService.recover(root, config=config)
+    assert replayed.recovery_info["replayed"] > 0
+    assert pages(replayed) == live
+    replayed.checkpoint()
+    replayed.close()
+    rebuilt = GraphittiService.recover(root, config=config)  # the snapshot alone
+    assert rebuilt.recovery_info["replayed"] == 0
+    assert pages(rebuilt) == live
+    rebuilt.close()
+
+
 def test_update_unregistered_object_raises(instance):
     from repro.datatypes.base import DataType, SubstructureRef
 

@@ -167,7 +167,7 @@ def test_heartbeat_monitor_detects_the_dead_primary(tmp_path):
         ticks = 0
         while not service.tick():
             ticks += 1
-            assert ticks <= MANUAL.lease_ticks + 1
+            assert ticks <= ReplicatedGraphittiService.LEASE_TICKS + 1
         assert service.term == 2
         assert_zero_acked_loss(service, acked)
 

@@ -255,8 +255,8 @@ def test_sharded_deployment_with_replicas(tmp_path):
 
 def test_a_shipment_advances_the_follower_cache_under_its_write_lock(tmp_path):
     """A follower drops what a shipment reached while it applies it, so the
-    first reader after the shipment finds the cache at the manager's epoch
-    and a page the shipment missed still hits."""
+    first reader after the shipment pays no drop and a page the shipment
+    missed still hits."""
     with open_deployment(tmp_path / "rep", replicas=1) as service:
         seed(service)
         service.ship()
@@ -265,9 +265,32 @@ def test_a_shipment_advances_the_follower_cache_under_its_write_lock(tmp_path):
         service.new_annotation("fresh-0", keywords=["fresh"]).mark_sequence(
             "rep_seq1", 300, 320
         ).commit()
-        service.ship()
         cache = follower.service._cache  # noqa: SLF001 - the follower's result cache
-        assert cache._epoch == follower.manager.mutation_epoch  # noqa: SLF001
+        kept = cache.stats()["kept"]
+        service.ship()
+        assert cache.stats()["kept"] == kept + 1  # tested before any reader came
         hits = cache.stats()["hits"]
         assert follower.query(PROBE).count == 3
         assert cache.stats()["hits"] == hits + 1
+
+
+def test_a_long_shipment_keeps_the_pages_none_of_its_records_reach(tmp_path):
+    """Each shipped record drops only what it reaches, however many records
+    one shipment carries (more than 64 here)."""
+    with open_deployment(tmp_path / "rep", replicas=1) as service:
+        seed(service)
+        service.ship()
+        follower = service.followers[0]
+        assert follower.query(PROBE).count == 3
+        for index in range(70):
+            service.new_annotation(f"fresh-{index}", keywords=["fresh"]).mark_sequence(
+                "rep_seq1", 400 + index, 402 + index
+            ).commit()
+        before = follower.applied_seq
+        service.ship()
+        assert follower.applied_seq - before >= 70
+        cache = follower.service._cache  # noqa: SLF001 - the follower's result cache
+        hits = cache.stats()["hits"]
+        assert follower.query(PROBE).count == 3
+        assert cache.stats()["hits"] == hits + 1
+        assert cache.stats()["invalidations"] == 0

@@ -1,4 +1,4 @@
-"""Tests for the epoch-tagged LRU query-result cache and the keys the service gives it."""
+"""Tests for the LRU query-result cache and the keys the service gives it."""
 
 import dataclasses
 import threading
@@ -28,56 +28,57 @@ from repro.service.cache import QueryResultCache
 
 def test_hit_and_miss():
     cache = QueryResultCache(capacity=4)
-    assert cache.get("k", epoch=1) is None
-    cache.put("k", epoch=1, value=["v"])
-    assert cache.get("k", epoch=1) == ["v"]
+    assert cache.get("k") is None
+    cache.put("k", ["v"])
+    assert cache.get("k") == ["v"]
     stats = cache.stats()
     assert stats["hits"] == 1 and stats["misses"] == 1
 
 
 def test_epoch_bump_invalidates():
     cache = QueryResultCache(capacity=4)
-    cache.put("k", epoch=1, value=["v"])
-    assert cache.get("k", epoch=2) is None  # stale epoch -> dropped
+    cache.put("k", ["v"])
+    cache.invalidate(None)  # a write no footprint describes
+    assert cache.get("k") is None
     assert len(cache) == 0
     stats = cache.stats()
     assert stats["invalidations"] == 1
-    # And the old value never resurfaces, even at the old epoch.
-    assert cache.get("k", epoch=1) is None
+    # And the old value never resurfaces.
+    assert cache.get("k") is None
 
 
 def test_a_newer_epoch_drops_every_older_entry():
     # A stale entry never hits again; held until its own key came back it
     # would keep its result (and the documents in it) alive.
     cache = QueryResultCache(capacity=4)
-    cache.put("a", 1, ["A"])
-    cache.put("b", 1, ["B"])
-    assert cache.get("c", 2) is None
+    cache.put("a", ["A"])
+    cache.put("b", ["B"])
+    cache.invalidate(None)
+    assert cache.get("c") is None
     assert len(cache) == 0
     assert cache.stats()["invalidations"] == 2
-    cache.put("c", 2, ["C"])
-    cache.put("a", 1, ["late A"])  # computed before epoch 2 landed: not kept
-    assert cache.get("c", 2) == ["C"]
-    assert cache.get("a", 2) is None
+    cache.put("c", ["C"])
+    assert cache.get("c") == ["C"]
+    assert cache.get("a") is None
     assert len(cache) == 1
 
 
 def test_lru_eviction_order():
     cache = QueryResultCache(capacity=2)
-    cache.put("a", 1, ["A"])
-    cache.put("b", 1, ["B"])
-    assert cache.get("a", 1) == ["A"]  # touch a -> b becomes LRU
-    cache.put("c", 1, ["C"])
-    assert cache.get("b", 1) is None
-    assert cache.get("a", 1) == ["A"]
-    assert cache.get("c", 1) == ["C"]
+    cache.put("a", ["A"])
+    cache.put("b", ["B"])
+    assert cache.get("a") == ["A"]  # touch a -> b becomes LRU
+    cache.put("c", ["C"])
+    assert cache.get("b") is None
+    assert cache.get("a") == ["A"]
+    assert cache.get("c") == ["C"]
     assert cache.stats()["evictions"] == 1
 
 
 def test_capacity_zero_disables():
     cache = QueryResultCache(capacity=0)
-    cache.put("k", 1, ["v"])
-    assert cache.get("k", 1) is None
+    cache.put("k", ["v"])
+    assert cache.get("k") is None
     assert len(cache) == 0
 
 
@@ -88,9 +89,9 @@ def test_negative_capacity_rejected():
 
 def test_clear_and_hit_rate():
     cache = QueryResultCache(capacity=4)
-    cache.put("k", 1, ["v"])
-    cache.get("k", 1)
-    cache.get("other", 1)
+    cache.put("k", ["v"])
+    cache.get("k")
+    cache.get("other")
     stats = cache.stats()
     assert stats["entries"] == 1
     assert stats["hit_rate"] == pytest.approx(0.5)

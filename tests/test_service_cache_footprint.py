@@ -160,18 +160,22 @@ def test_a_closed_service_keeps_no_pages(pair):
 def test_a_manager_records_no_footprint_after_its_last_service_closes():
     manager = Graphitti("long-lived")
     _populate(manager)
-    assert manager.footprints is None  # a bare instance records nothing
+    assert manager.footprint_sinks == ()  # a bare instance records nothing
     first = GraphittiService(manager=manager)
     second = GraphittiService(manager=manager)
     first.close()
+    assert manager.footprint_sinks == (second._cache.invalidate,)  # noqa: SLF001
+    # The edit misses the "delta" page, which a write without a footprint
+    # would have dropped.
+    second.query('SELECT contents WHERE { CONTENT CONTAINS "delta" }')
     manager.update_annotation("A", {"title": "still read by the second"})
-    assert manager.footprints.since(manager.mutation_epoch - 1, manager.mutation_epoch)
+    assert second.statistics()["service"]["query_cache"]["kept"] == 1
     second.close()
-    assert manager.footprints is None
+    assert manager.footprint_sinks == ()
     manager.update_annotation("A", {"title": "read by nobody"})
-    assert manager.footprints is None
+    assert manager.footprint_sinks == ()
     GraphittiService(manager=manager, config=ServiceConfig(cache_capacity=0)).close()
-    assert manager.footprints is None  # an uncached service reads no log
+    assert manager.footprint_sinks == ()  # an uncached service attaches no sink
 
 
 # -- the footprint test holds whenever the probe's answer can change ------------
@@ -299,13 +303,14 @@ def test_the_footprint_reaches_every_anchor_whose_probe_can_change(specs, write,
     if not ids:
         return
     target_id = ids[pick % len(ids)]
-    cache = QueryResultCache(4, footprints=manager.attach_footprints())
+    cache = QueryResultCache(4)
+    manager.attach_footprints(cache.invalidate)
     executor = QueryExecutor(manager)
 
     plan = QueryPlan(Query(ReturnKind.CONTENTS, [constraint]), [constraint], [None])
     dependency = page_dependency(manager, plan, None)
     assert dependency is not None
-    cache.put("page", manager.mutation_epoch, ["rows"], dependency)
+    cache.put("page", ["rows"], dependency)
     matched_before = executor._probe(constraint, ids)  # noqa: SLF001 - the probe semantics
     states_before = _states(manager)
     try:
@@ -314,7 +319,6 @@ def test_the_footprint_reaches_every_anchor_whose_probe_can_change(specs, write,
         return
     matched_after = executor._probe(constraint, manager.annotation_ids())  # noqa: SLF001
     states_after = _states(manager)
-    cache.advance(manager.mutation_epoch)
     if len(cache):  # kept: nothing the page shows may have changed
         assert matched_after == matched_before
         for annotation_id in matched_before:

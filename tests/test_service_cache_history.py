@@ -3,7 +3,7 @@
 Random histories of writes run through a :class:`GraphittiService` and a bare
 :class:`Graphitti` side by side: commits on shared extents with ontology
 terms, field edits, moves, added and removed referents, content-term edits,
-deletes, and batch commits longer than the footprint log.  After every step
+deletes, and batch commits of several annotations.  After every step
 each text of a fixed pool is served by the service (through its result
 cache, which a write empties only where it reaches) and must equal the bare
 instance's fresh page.  The pool covers every constraint kind, every return
@@ -12,10 +12,8 @@ kind, LIMIT, MINCOUNT, ANY, NOT and PATH.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.footprint import FootprintLog
 from repro.core.manager import Graphitti
 from repro.core.persistence import encode_referent
 from repro.core.annotation import Referent
@@ -120,7 +118,7 @@ def _write(data, bare: Graphitti, serial: list[int]):
     )
     kind = data.draw(st.sampled_from(kinds))
     if kind in ("commit", "batch"):
-        size = 1 if kind == "commit" else data.draw(st.integers(FootprintLog.LENGTH + 1, 6))
+        size = 1 if kind == "commit" else data.draw(st.integers(2, 6))
         specs = [data.draw(_SPEC) for _ in range(size)]
         names = []
         for _ in specs:
@@ -177,19 +175,13 @@ def _page(result) -> dict:
     return payload
 
 
-@pytest.fixture
-def short_log(monkeypatch):
-    """A footprint log a batch of commits outruns."""
-    monkeypatch.setattr(FootprintLog, "LENGTH", 3)
-
-
 @settings(
     max_examples=40,
     deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    suppress_health_check=[HealthCheck.too_slow],
 )
 @given(st.data())
-def test_a_cached_page_equals_a_fresh_page_after_every_step(short_log, data):
+def test_a_cached_page_equals_a_fresh_page_after_every_step(data):
     service = GraphittiService(manager=Graphitti("served"))
     bare = Graphitti("bare")
     try:
