@@ -17,6 +17,7 @@ from typing import Any
 from repro.agraph.agraph import NodeKind
 from repro.agraph.multigraph import OUT
 from repro.errors import AGraphError
+from repro.xmlstore.text_index import InvertedIndex
 
 
 @dataclass
@@ -60,20 +61,30 @@ class Administrator:
         """Run every cross-substrate consistency check.
 
         Verifies that, for every committed annotation, (a) its content
-        document is in the collection, (b) its content node is in the a-graph,
-        (c) each referent is indexed, and (d) every referenced data object is
-        registered; then that every a-graph edge fits ``EDGE_TYPES`` and that
-        the edges are exactly the sum of the annotations' derived edges.
+        document is in the collection, holds the lower-cased searchable text
+        of its row and is indexed under exactly that text's terms, (b) its
+        content node is in the a-graph, (c) each referent is indexed, and (d)
+        every referenced data object is registered; then that every a-graph
+        edge fits ``EDGE_TYPES`` and that the edges are exactly the sum of
+        the annotations' derived edges.
         """
         report = IntegrityReport()
         manager = self._manager
         derived: Counter = Counter()
+        contents = manager.contents
+        fresh = InvertedIndex()
         for annotation in manager.annotations():
             report.checks_run += 1
             annotation_id = annotation.annotation_id
             derived.update(annotation.agraph_edges())
-            if annotation_id not in manager.contents:
+            text = annotation.searchable_text().lower()
+            fresh.add_document(annotation_id, text)
+            if annotation_id not in contents:
                 report.fail(f"annotation {annotation_id!r} has no content document")
+            elif contents.text(annotation_id) != text:
+                report.fail(f"annotation {annotation_id!r}: its document's text is not its row's")
+            elif set(contents.indexed_terms(annotation_id)) != set(fresh.document_terms(annotation_id)):
+                report.fail(f"annotation {annotation_id!r}: its index terms are not its text's")
             if annotation_id not in manager.agraph:
                 report.fail(f"annotation {annotation_id!r} has no a-graph content node")
             elif manager.agraph.graph.kind(annotation_id) != NodeKind.CONTENT.value:

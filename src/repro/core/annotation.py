@@ -239,8 +239,9 @@ class Annotation:
 
         Byte-identical to ``DocumentCollection._searchable_text`` of the
         rendered document: every truthy text depth-first, space-joined, then
-        every attribute value in document order.  Recovery indexes a record
-        with it, so a document nobody reads never becomes a tree.
+        every attribute value in document order.  Registration, recovery and
+        every edit hand it to the document collection, so a document nobody
+        reads never becomes a tree.
         """
         content = self.content
         texts = [text for _, text in content.dublin_core.populated()]

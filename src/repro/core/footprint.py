@@ -2,10 +2,12 @@
 
 Each commit, update and delete captures the written annotation's
 :class:`WriteState` once before it applies (a commit has none) and once after
-(a delete has none), and every consumer applies that pair: the text index
-re-posts the text part groups that differ, the statistics catalogue adjusts by the type
-and term differences, and the a-graph links the edges in ``after - before``
-and unlinks those in ``before - after``.
+(a delete has none), and every consumer applies that pair: the statistics
+catalogue adjusts by the type and term differences, and the a-graph links
+the edges in ``after - before`` and unlinks those in ``before - after``.
+The text index needs no state: an edit hands the document collection the
+annotation's new searchable text, and the collection diffs it against the
+text it keeps.
 
 A :class:`Footprint` is the part of the indexes one write can change a query
 answer through: the index terms of the annotation documents it affects, the
@@ -35,20 +37,17 @@ from typing import Iterable
 
 class WriteState:
     """What one annotation contributes to the derived indexes at one moment:
-    its searchable text part groups, referent data types, content and
-    referent ontology terms, a-graph edges and referent extents.
+    its referent data types, content and referent ontology terms, a-graph
+    edges and referent extents.
 
-    ``parts`` (see :func:`searchable_groups`) is taken only when
-    *searchable* is set: an update diffs it, a commit indexes the whole text
-    and a delete drops the whole document.  ``extents`` maps each referent id
-    to ``(object id, interval, rect)``; a move replaces a referent's interval
-    or rect object rather than changing it, so a state taken before the move
-    keeps the old extent.
+    ``extents`` maps each referent id to ``(object id, interval, rect)``; a
+    move replaces a referent's interval or rect object rather than changing
+    it, so a state taken before the move keeps the old extent.
     """
 
-    __slots__ = ("parts", "types", "terms", "edges", "extents")
+    __slots__ = ("types", "terms", "edges", "extents")
 
-    def __init__(self, annotation, searchable: bool = False):
+    def __init__(self, annotation):
         referents = annotation.referents
         self.types = {referent.ref.data_type.value for referent in referents}
         self.extents = {
@@ -57,57 +56,6 @@ class WriteState:
         }
         self.terms: set[str] = annotation.ontology_terms()
         self.edges: list[tuple[str, str, str]] = annotation.agraph_edges()
-        self.parts = searchable_groups(annotation) if searchable else None
-
-
-def searchable_groups(annotation) -> dict:
-    """The parts of :meth:`Annotation.searchable_text
-    <repro.core.annotation.Annotation.searchable_text>` grouped by where they
-    come from: each Dublin Core element, the body, the tags, the content's
-    id and ontology terms, and each referent (keyed by its id; every key is
-    unique, so an id marked twice keeps two groups)."""
-    content = annotation.content
-    groups: dict = {1: (content.body,), 2: tuple(content.user_tags.values())}
-    groups[3] = (annotation.annotation_id, *content.ontology_terms)
-    for name, text in content.dublin_core.populated():
-        groups[name] = groups.get(name, ()) + (text,)
-    for referent in annotation.referents:
-        texts, attributes = referent.searchable_parts()
-        key = referent.referent_id
-        while key in groups:
-            key = (key,)
-        groups[key] = (*texts, *attributes)
-    return groups
-
-
-def text_delta(before: WriteState, after: WriteState) -> tuple[list[str], list[str]]:
-    """The parts *before* holds and *after* does not, and the reverse.
-
-    A document's token multiset is additive over its parts, so these two
-    lists are its exact index delta.  Two versions of a group of one length
-    differ only where their parts do (a retitle, a moved extent's
-    coordinates); a group that changed length, appeared or went away
-    differs whole.
-    """
-    old, new = before.parts, after.parts
-    removed: list[str] = []
-    added: list[str] = []
-    for key, group in old.items():
-        other = new.get(key)
-        if other == group:
-            continue
-        if other is not None and len(other) == len(group):
-            for was, now in zip(group, other):
-                if was != now:
-                    removed.append(was)
-                    added.append(now)
-        else:
-            removed.extend(group)
-            added.extend(other or ())
-    for key, group in new.items():
-        if key not in old:
-            added.extend(group)
-    return removed, added
 
 
 class Footprint:

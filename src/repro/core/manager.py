@@ -26,10 +26,10 @@ from typing import Any, Callable, Iterable
 from repro.agraph.agraph import ANNOTATES, REFERS_TO, AGraph, NodeKind
 from repro.analysis.annotations import requires_write_lock
 from repro.agraph.connection import ConnectionSubgraph
-from repro.core.annotation import Annotation, Referent, rect_corners
+from repro.core.annotation import Annotation, Referent
 from repro.core.builder import AnnotationBuilder
 from repro.core.columns import AnnotationColumns
-from repro.core.footprint import Footprint, WriteState, text_delta, write_footprint
+from repro.core.footprint import Footprint, WriteState, write_footprint
 from repro.core.persistence import (
     decode_referent,
     encode_register,
@@ -47,16 +47,6 @@ from repro.query.idspace import AnnotationIdSpace
 from repro.query.stats import StatisticsCatalogue
 from repro.spatial.coordinate import CoordinateSystemRegistry
 from repro.xmlstore.collection import DocumentCollection
-
-
-def _extent_text_parts(ref) -> list[str]:
-    """The rendered coordinate strings of a spatial extent (its document
-    text contribution that changes under a move)."""
-    if ref.interval is not None:
-        return [str(ref.interval.start), str(ref.interval.end)]
-    if ref.rect is not None:
-        return list(rect_corners(ref.rect))
-    return []
 
 
 class Graphitti:
@@ -545,16 +535,18 @@ class Graphitti:
         The whole change set is approved (:meth:`approve_update`) before
         anything applies.  The annotation's :class:`WriteState` is taken
         once before the edit and once after, and every index applies that
-        pair: the inverted index re-posts only the searchable part groups
-        that differ, the a-graph links and unlinks only the edges that
-        differ, the statistics catalogue adjusts by the type and term
-        differences, and the footprint (while a sink takes one) is
-        the two states plus each annotation sharing a referent with them,
-        read once after the edit.  Moves are one remove+insert inside the owning
-        spatial tree, and the annotation keeps its dense id-space slot.
+        pair: the a-graph links and unlinks only the edges that differ, the
+        statistics catalogue adjusts by the type and term differences, and
+        the footprint (while a sink takes one) is the two states plus each
+        annotation sharing a referent with them, read once after the edit.
+        The document collection is handed the annotation's searchable text,
+        rendered once after the edit (and each sharer of a moved referent
+        its own), and re-indexes only the span that changed.  Moves are one
+        remove+insert inside the owning spatial tree, and the annotation
+        keeps its dense id-space slot.
         """
         annotation, changes = self.approve_update(annotation_id, changes)
-        before = WriteState(annotation, searchable=True)
+        before = WriteState(annotation)
 
         # -- 1. content field edits (in place) ------------------------------
         content = annotation.content
@@ -583,39 +575,37 @@ class Graphitti:
             self.substructures.add(referent)
 
         # -- 3. extent moves (one remove+insert inside the owning tree) ------
+        sharers: dict[str, None] = {}
         for referent_id, extent in changes["move_referents"].items():
             moved = self.substructures.get(referent_id)
-            move_removed = _extent_text_parts(moved.ref)
             self.substructures.move(referent_id, **extent)
-            move_added = _extent_text_parts(moved.ref)
             # A shared substructure moves for EVERY annotation marking it.
             # The store's referent is canonical (its ref just mutated), and
             # column-materialized row views wrap that same ref object, so
             # they see the move automatically.  Only cached rows seeded at
             # commit hold their own Referent copies and need the explicit
-            # adoption.  Each sharer's stored document gets the coordinate
-            # delta so every index stays exact (the edited annotation's own
-            # delta comes from its two states below).
+            # adoption.
             for sharer_id in self.agraph.contents_annotating(referent_id):
                 cached = self._row_cache.get(sharer_id)
                 if cached is not None:
                     for shared_referent in cached._referents:  # noqa: SLF001 - sync path
                         if shared_referent.referent_id == referent_id:
                             shared_referent.ref = moved.ref
-                if sharer_id != annotation_id:
-                    self.contents.update_delta(
-                        sharer_id,
-                        self._document_regenerator(sharer_id),
-                        move_removed,
-                        move_added,
-                    )
+                sharers[sharer_id] = None
+        sharers.pop(annotation_id, None)
+        for sharer_id in sharers:  # each sharer's document renders the new extent
+            self.contents.update(
+                sharer_id,
+                self._document_regenerator(sharer_id),
+                self.annotation(sharer_id).searchable_text(),
+            )
 
         # -- 4. every index applies the before/after pair --------------------
         # The document is re-parked: churn never renders documents nobody
         # reads between edits.
-        after = WriteState(annotation, searchable=True)
-        old_terms, new_terms = self.contents.update_delta(
-            annotation_id, self._document_regenerator(annotation_id), *text_delta(before, after)
+        after = WriteState(annotation)
+        old_terms, new_terms = self.contents.update(
+            annotation_id, self._document_regenerator(annotation_id), annotation.searchable_text()
         )
         self._rewire(annotation, before, after)
         # Re-store the edited row at its (unchanged) slot: the old blob/span

@@ -18,7 +18,7 @@ from repro.errors import XmlStoreError
 from repro.xmlstore.document import XmlDocument, XmlElement
 from repro.xmlstore.flwor import FlworQuery
 from repro.xmlstore.parser import parse_xml, serialize_xml
-from repro.xmlstore.text_index import InvertedIndex
+from repro.xmlstore.text_index import InvertedIndex, changed_span
 from repro.xmlstore.xpath import XPath
 
 
@@ -28,9 +28,10 @@ class DocumentCollection:
     A document is either stored as a tree (:meth:`add`) or *parked*
     (:meth:`add_lazy_many`): its exact searchable text is indexed at once
     and a regenerator builds the tree for the first reader that is handed
-    it.  An in-place edit (:meth:`update_delta`) re-parks the document.
-    Phrase verification reads one cached lower-cased text per document
-    version, so a search never re-renders a document it verified before.
+    it.  An in-place edit (:meth:`update`) hands over the document's new
+    text and re-parks it.  The collection keeps each document's lower-cased
+    text; the index is fed that same string and phrase verification reads
+    it, so a search never renders a document.
     """
 
     def __init__(self, name: str = "annotations"):
@@ -44,12 +45,10 @@ class DocumentCollection:
         self._lazy: dict[str, Callable[[], XmlDocument]] = {}
         # Makes "still parked? then publish and unpark" one step.
         self._publishing = threading.Lock()
-        # doc id -> the lower-cased searchable text of its *latest* body, the
-        # string keyword verification reads.  Filled where the text is
-        # computed anyway (``add``, ``add_lazy_many``) or by the
-        # first verify that misses; dropped only by ``update_delta`` and
-        # ``remove``.  A reader may fill it under the shared lock: it reads
-        # the latest body, so the text it stores is current.
+        # doc id -> the lower-cased searchable text of its latest body: the
+        # string the index tokenizes and keyword verification reads.
+        # Written only by ``add``, ``add_lazy_many`` and ``update`` and
+        # dropped only by ``remove``, all under the write lock.
         self._text: dict[str, str] = {}
         self._next_serial = 1
 
@@ -112,9 +111,8 @@ class DocumentCollection:
             raise XmlStoreError(f"document id {identifier!r} already present in {self.name!r}")
         document.doc_id = identifier
         self._documents[identifier] = document
-        text = self._searchable_text(document)
+        text = self._text[identifier] = self._searchable_text(document).lower()
         self._index.add_document(identifier, text)
-        self._text[identifier] = text.lower()
         return identifier
 
     def add_lazy_many(
@@ -125,10 +123,10 @@ class DocumentCollection:
         Each entry is ``(doc_id, searchable_text, regenerate)``: the
         document's exact searchable text (the same string
         :meth:`_searchable_text` would extract) and a zero-arg regenerator
-        producing the tree on demand.  The inverted index is fed from the
-        texts as one batch, and each text becomes the document's one cached
-        lower-cased text, which keyword verification reads — so a parked
-        document that is never handed to a reader never builds a tree.
+        producing the tree on demand.  Each text is lower-cased once, kept
+        as the document's text and fed to the inverted index in one batch,
+        so a parked document that is never handed to a reader never builds
+        a tree.
         Every annotation document is registered this way, whether committed
         live, replayed from the WAL or recovered from a snapshot.  A
         duplicate id refuses the whole batch before any of it registers.
@@ -143,8 +141,8 @@ class DocumentCollection:
             # before touching the stored value.
             self._documents[doc_id] = None
             self._lazy[doc_id] = regenerate
-            self._text[doc_id] = searchable_text.lower()
-            texts.append((doc_id, searchable_text))
+            text = self._text[doc_id] = searchable_text.lower()
+            texts.append((doc_id, text))
         self._index.add_documents(texts)
 
     @property
@@ -156,38 +154,27 @@ class DocumentCollection:
         """Parse XML text and store the resulting document."""
         return self.add(parse_xml(text), doc_id=doc_id)
 
-    def update_delta(
-        self,
-        doc_id: str,
-        regenerate: Callable[[], XmlDocument],
-        removed_parts: list[str],
-        added_parts: list[str],
+    def update(
+        self, doc_id: str, regenerate: Callable[[], XmlDocument], text: str
     ) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """In-place document update paying only the *delta*, at write time;
-        returns the document's index terms before and after.
+        """Replace a document's searchable text with *text* and re-park it
+        with *regenerate*; returns its index terms before and after.
 
-        The document-store leg of the mutation lifecycle:
-
-        * the inverted index adjusts immediately and exactly from the text
-          parts the edit removed/added (:meth:`InvertedIndex.apply_text_delta`
-          — O(edit), not O(document));
-        * the document is re-parked with *regenerate*, exactly as
-          :meth:`add_lazy_many` parks it: the first reader handed the
-          document builds the new tree once, and the first verify renders
-          its text once.  A write-heavy churn stream never pays document
-          rendering for bodies nobody reads in between.
-
-        The caller is trusted to hand exact parts — the manager's update
-        path diffs the document's searchable part groups before and after
-        the edit, and the property tests pin the live index against a
-        from-scratch rebuild.
+        The index re-posts only the changed span of the old and new texts
+        (their common prefix and suffix cut away), widened out to the
+        nearest character no token can hold, so the tokens outside it are
+        the same in both texts and the re-index is O(edit), not
+        O(document).  The first reader handed the document builds the new
+        tree once; a write-heavy stream never renders bodies nobody reads.
         """
         if doc_id not in self._documents:
             raise XmlStoreError(f"no document {doc_id!r} in collection {self.name!r}")
+        old = self._text[doc_id]
+        new = self._text[doc_id] = text.lower()
         self._documents[doc_id] = None
         self._lazy[doc_id] = regenerate
-        self._text.pop(doc_id, None)  # text changed; recompute on next verify
-        return self._index.apply_text_delta(doc_id, removed_parts, added_parts)
+        start, old_end, new_end = changed_span(old, new)
+        return self._index.apply_text_delta(doc_id, [old[start:old_end]], [new[start:new_end]])
 
     def remove(self, doc_id: str) -> tuple[str, ...]:
         """Remove a document (raises when absent); returns its index terms."""
@@ -244,18 +231,9 @@ class DocumentCollection:
         return sorted(matches)
 
     def _verify_text(self, doc_id: str, phrase: str) -> bool:
-        """Phrase-verify *doc_id* against its latest searchable text.
-
-        Reads the one cached lower-cased text per document version, so a
-        parked document never builds its tree here.  A document with no
-        cached text (edited in place since) materializes its latest body and
-        renders the text once.
-        """
-        text = self._text.get(doc_id)
-        if text is None:
-            self._materialize(doc_id)  # verify against the latest body
-            text = self._searchable_text(self._documents[doc_id]).lower()
-            self._text[doc_id] = text
+        """Phrase-verify *doc_id* against its kept lower-cased text (a
+        parked document never builds its tree here)."""
+        text = self._text[doc_id]
         return phrase in text or all(token in text for token in phrase.split())
 
     def document_matches_keyword(self, doc_id: str, keyword: str, mode: str = "and") -> bool:
@@ -272,6 +250,11 @@ class DocumentCollection:
         if not self._index.document_contains(doc_id, keyword, mode=mode):
             return False
         return mode == "or" or self._verify_text(doc_id, phrase)
+
+    def text(self, doc_id: str) -> str | None:
+        """The lower-cased searchable text kept for *doc_id* (None when
+        absent): what the index tokenized and verification reads."""
+        return self._text.get(doc_id)
 
     def indexed_terms(self, doc_id: str) -> tuple[str, ...]:
         """The inverted-index terms of *doc_id*: a keyword matches the
@@ -299,8 +282,8 @@ class DocumentCollection:
         """Index-free keyword search (full scan); baseline for benchmarks.
 
         Renders every document's text from its tree and never reads the
-        cached ``_text``, so tests can use it as ground truth for the
-        index-and-cache path of :meth:`search_keyword`.
+        kept ``_text``, so tests can use it as ground truth for the
+        index-and-kept-text path of :meth:`search_keyword`.
         """
         self._materialize_all()
         phrase = keyword.strip().lower()

@@ -9,10 +9,13 @@ scanning every XML document.
 from __future__ import annotations
 
 import re
+import string
 from collections import Counter
 from typing import Iterable, Iterator
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.\-]*")
+#: Every character a token can hold; any other character ends a token.
+_TOKEN_CHARS = frozenset(string.ascii_letters + string.digits + "_.-")
 
 #: Minimal English stop-word list; annotation text is mostly technical terms.
 STOP_WORDS = frozenset(
@@ -25,16 +28,51 @@ STOP_WORDS = frozenset(
 
 
 def tokenize(text: str, drop_stop_words: bool = True) -> list[str]:
-    """Split *text* into lower-cased tokens.
+    """Split the lower-cased *text* into tokens.
 
+    Lower-casing comes first, so a character that lower-cases to ASCII (the
+    Kelvin sign to ``k``) tokenizes as the text keyword verification reads.
     Tokens keep internal dots, dashes and underscores so identifiers like
     ``protein.TP53`` survive as single searchable terms (and are *also*
     indexed by their dot-separated parts by :class:`InvertedIndex`).
     """
-    tokens = [token.lower() for token in _TOKEN_RE.findall(text or "")]
+    tokens = _TOKEN_RE.findall((text or "").lower())
     if drop_stop_words:
         tokens = [token for token in tokens if token not in STOP_WORDS]
     return tokens
+
+
+def _shared_prefix(old: str, new: str, limit: int) -> int:
+    """Length of the longest common prefix of *old* and *new*, at most
+    *limit*, found by halving slice comparisons."""
+    low, high = 0, limit
+    while low < high:
+        middle = (low + high + 1) // 2
+        if old[low:middle] == new[low:middle]:
+            low = middle
+        else:
+            high = middle - 1
+    return low
+
+
+def changed_span(old: str, new: str) -> tuple[int, int, int]:
+    """``(start, old_end, new_end)``: the span where *old* and *new* differ,
+    their common prefix and suffix cut away, then widened out to the
+    nearest character no token can hold.
+
+    Every token outside the span is then a token of both texts, so
+    replacing ``old[start:old_end]`` by ``new[start:new_end]`` is an exact
+    index delta of one text into the other.
+    """
+    start = _shared_prefix(old, new, min(len(old), len(new)))
+    suffix = _shared_prefix(old[::-1], new[::-1], min(len(old), len(new)) - start)
+    old_end, new_end = len(old) - suffix, len(new) - suffix
+    while start and old[start - 1] in _TOKEN_CHARS:
+        start -= 1
+    while old_end < len(old) and old[old_end] in _TOKEN_CHARS:
+        old_end += 1
+        new_end += 1
+    return start, old_end, new_end
 
 
 def _expand_token(token: str) -> set[str]:
@@ -114,25 +152,24 @@ class InvertedIndex:
     def apply_text_delta(
         self,
         doc_id: str,
-        removed_parts: Iterable[str],
-        added_parts: Iterable[str],
+        removed: Iterable[str],
+        added: Iterable[str],
     ) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """Adjust a document's postings by an **exact text-part delta**.
+        """Adjust a document's postings by an **exact text delta**: the
+        tokens of the *removed* texts go and those of the *added* texts come.
 
-        The searchable text of a document is a space-joined sequence of parts
-        (text nodes and attribute values), so its token multiset is additive
-        over parts.  A caller that knows exactly which parts an edit removed
-        and added (the mutation lifecycle's update path does) can hand them
-        here, and only the terms whose counts actually change are touched —
-        an O(edit) re-index instead of an O(document) one.  The document must
-        already be indexed; counts are floored at zero so an inexact caller
-        degrades to a slightly-overcounted index rather than a corrupt one.
-        Returns the document's terms before and after.
+        A document's token multiset is additive over texts that no token
+        crosses (see :func:`changed_span`), so only the terms whose counts
+        actually change are touched — an O(edit) re-index instead of an
+        O(document) one.  The document must already be indexed; counts are
+        floored at zero so an inexact caller degrades to a slightly
+        overcounted index rather than a corrupt one.  Returns the
+        document's terms before and after.
         """
         if doc_id not in self._doc_lengths:
             raise KeyError(f"document {doc_id!r} is not indexed")
-        removed_tokens = [token for part in removed_parts for token in tokenize(part)]
-        added_tokens = [token for part in added_parts for token in tokenize(part)]
+        removed_tokens = [token for text in removed for token in tokenize(text)]
+        added_tokens = [token for text in added for token in tokenize(text)]
         delta: Counter = Counter()
         for token in added_tokens:
             for term in _expand_token(token):

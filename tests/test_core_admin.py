@@ -32,6 +32,16 @@ def test_integrity_detects_corruption(small_graphitti):
     assert any("a1" in error for error in report.errors)
 
 
+def test_integrity_detects_an_extent_its_documents_do_not_index(small_graphitti):
+    # Move a referent in the store behind the manager's back: the documents
+    # of the annotations marking it still index the old coordinates.
+    referent_id = small_graphitti.annotation("a2").referents[0].referent_id
+    small_graphitti.substructures.move(referent_id, start=100, end=120)
+    report = small_graphitti.check_integrity()
+    assert not report.ok
+    assert any("text is not its row's" in error for error in report.errors)
+
+
 def test_orphan_objects(small_graphitti):
     # prot1 is registered but never annotated in the small fixture
     admin = small_graphitti.administrator()

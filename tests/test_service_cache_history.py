@@ -6,8 +6,9 @@ terms, field edits, moves, added and removed referents, content-term edits,
 deletes, and batch commits of several annotations.  After every step
 each text of a fixed pool is served by the service (through its result
 cache, which a write empties only where it reaches) and must equal the bare
-instance's fresh page.  The pool covers every constraint kind, every return
-kind, LIMIT, MINCOUNT, ANY, NOT and PATH.
+instance's fresh page, and both instances must pass their integrity check
+(each document's text and index terms are its row's).  The pool covers every
+constraint kind, every return kind, LIMIT, MINCOUNT, ANY, NOT and PATH.
 """
 
 from __future__ import annotations
@@ -201,5 +202,8 @@ def test_a_cached_page_equals_a_fresh_page_after_every_step(data):
                 assert outcomes[0] == outcomes[1], (step, kind, outcomes)
             for text in POOL:
                 assert _page(service.query(text)) == _page(bare.query(text)), (step, kind, text)
+            for target in (service, bare):
+                report = target.check_integrity()
+                assert report.ok, (step, kind, report.errors)
     finally:
         service.close()

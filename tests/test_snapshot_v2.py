@@ -134,7 +134,7 @@ def annotations(draw) -> Annotation:
 def test_searchable_text_is_the_rendered_documents(annotation):
     rendered = DocumentCollection._searchable_text(annotation.to_document())
     assert annotation.searchable_text() == rendered
-    for referent in annotation.referents:  # the update path's delta parts
+    for referent in annotation.referents:  # each referent's share of the text
         element = referent.to_element()
         texts_, attributes = referent.searchable_parts()
         assert texts_ == [node.text for node in element.iter() if node.text]

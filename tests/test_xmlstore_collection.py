@@ -72,12 +72,9 @@ def test_replace():
     collection = make_collection()
     from repro.xmlstore.parser import parse_xml
 
-    collection.update_delta(
-        "a2",
-        lambda: parse_xml("<annotation><body>protease now</body></annotation>"),
-        ["kinase", "phosphorylation"],
-        ["protease now"],
-    )
+    replacement = "<annotation><body>protease now</body></annotation>"
+    text = DocumentCollection._searchable_text(parse_xml(replacement))
+    collection.update("a2", lambda: parse_xml(replacement), text)
     assert "a2" in collection.search_keyword("protease")
     assert collection.search_keyword("kinase") == []
 
@@ -205,12 +202,9 @@ def test_deferred_then_replaced_indexes_new_text():
     from repro.xmlstore.parser import parse_xml
 
     _park(collection, "d1", "<annotation><body>first text</body></annotation>")
-    collection.update_delta(
-        "d1",
-        lambda: parse_xml("<annotation><body>second text</body></annotation>"),
-        ["first"],
-        ["second"],
-    )
+    replacement = "<annotation><body>second text</body></annotation>"
+    text = DocumentCollection._searchable_text(parse_xml(replacement))
+    collection.update("d1", lambda: parse_xml(replacement), text)
     assert collection.lazy_document_count == 1  # re-parked with the new body
     assert collection.search_keyword("second") == ["d1"]
     assert collection.search_keyword("first") == []

@@ -1,12 +1,12 @@
 """Delta index maintenance and lazy document regeneration in the xmlstore.
 
 Covers the inverted index's one update path (``apply_text_delta``, an exact
-part delta), the collection's in-place update (an edit re-parks the
-document), and the parked-document delete
-regression: a document removed before any reader built its tree must never
-leave ghost postings.  Also pinned: keyword verification renders each
-document version's text at most once, and concurrent readers cache only
-current texts.
+text delta), the collection's in-place update (an edit hands over the new
+text, re-posts only the changed span and re-parks the document), and the
+parked-document delete regression: a document removed before any reader
+built its tree must never leave ghost postings.  Also pinned: keyword
+verification never renders a document, the index tokenizes the lower-cased
+text verification reads, and concurrent readers see only current texts.
 """
 
 import sys
@@ -14,6 +14,7 @@ import threading
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.xmlstore.collection import DocumentCollection
 from repro.xmlstore.parser import parse_xml
@@ -28,6 +29,12 @@ def _park(collection: DocumentCollection, doc_id: str, text: str) -> None:
     """Park ``_doc(text)`` as annotation documents are registered."""
     searchable = DocumentCollection._searchable_text(_doc(text))
     collection.add_lazy_many([(doc_id, searchable, lambda: _doc(text))])
+
+
+def _update(collection: DocumentCollection, doc_id: str, text: str) -> None:
+    """Edit a document to ``_doc(text)`` as the manager edits one."""
+    searchable = DocumentCollection._searchable_text(_doc(text))
+    collection.update(doc_id, lambda: _doc(text), searchable)
 
 
 def _rebuilt(collection: DocumentCollection) -> InvertedIndex:
@@ -95,12 +102,10 @@ def test_apply_text_delta_floors_at_zero():
 # -- DocumentCollection in-place updates ---------------------------------------
 
 
-def test_collection_update_delta_is_lazy_and_exact():
+def test_collection_update_is_lazy_and_exact():
     collection = DocumentCollection("lazy")
     collection.add(_doc("alpha beta"), doc_id="d1")
-    collection.update_delta(
-        "d1", lambda: _doc("alpha gamma"), removed_parts=["beta"], added_parts=["gamma"]
-    )
+    _update(collection, "d1", "alpha gamma")
     assert collection.lazy_document_count == 1  # the edit re-parked it
     # index already reflects the edit, before any materialization
     assert collection._index.document_contains("d1", "gamma")
@@ -116,17 +121,16 @@ def test_collection_update_delta_is_lazy_and_exact():
 def test_search_materializes_stale_candidates():
     collection = DocumentCollection("verify")
     collection.add(_doc("alpha beta"), doc_id="d1")
-    collection.update_delta(
-        "d1", lambda: _doc("alpha phrase match"), ["beta"], ["phrase match"]
-    )
+    _update(collection, "d1", "alpha phrase match")
     # phrase verification must read the *new* body, not the stale one
     assert collection.search_keyword("phrase match") == ["d1"]
+    assert collection.search_keyword("alpha beta") == []
 
 
 def test_save_and_corpus_materialize(tmp_path):
     collection = DocumentCollection("persist")
     collection.add(_doc("alpha"), doc_id="d1")
-    collection.update_delta("d1", lambda: _doc("omega"), ["alpha"], ["omega"])
+    _update(collection, "d1", "omega")
     reloaded = DocumentCollection.load(collection.save(tmp_path / "c.json"))
     assert "omega" in reloaded.get("d1").text_content()
     assert "omega" in collection.to_corpus_xml()
@@ -153,7 +157,7 @@ def test_parked_then_edited_serves_latest_body():
     search and the first read both see the latest body."""
     collection = DocumentCollection("pending-update")
     _park(collection, "d1", "first draft")
-    collection.update_delta("d1", lambda: _doc("second draft"), ["first"], ["second"])
+    _update(collection, "d1", "second draft")
     assert collection.lazy_document_count == 1
     assert collection.search_keyword("second") == ["d1"]
     assert collection.search_keyword("first") == []
@@ -231,17 +235,10 @@ def test_live_and_recovered_collections_search_alike_through_mutations():
     # verification never built a recovered tree, and never needs to
     assert recovered.lazy_document_count == len(_BODIES) and live.lazy_document_count == 0
     for collection in (live, recovered):
-        collection.update_delta(
-            "d1",
-            lambda: _doc("revised draft of alpha"),
-            ["Alpha beta cleavage site"],
-            ["revised draft of alpha"],
-        )
+        _update(collection, "d1", "revised draft of alpha")
     assert_twins_agree(live, recovered)
     for collection in (live, recovered):
-        collection.update_delta(
-            "d2", lambda: _doc("beta zeta Binding pocket"), ["gamma"], ["zeta"]
-        )
+        _update(collection, "d2", "beta zeta Binding pocket")
     assert_twins_agree(live, recovered)
     for collection in (live, recovered):
         collection.remove("d3")
@@ -251,10 +248,7 @@ def test_live_and_recovered_collections_search_alike_through_mutations():
     assert_twins_agree(live, recovered)
     for collection in (live, recovered):
         _park(collection, "d6", "never searched")
-        # edited while still parked
-        collection.update_delta(
-            "d6", lambda: _doc("epsilon after all"), ["never searched"], ["epsilon after all"]
-        )
+        _update(collection, "d6", "epsilon after all")  # edited while still parked
     assert_twins_agree(live, recovered)
     assert_index_equals_rebuild(live)
 
@@ -298,21 +292,13 @@ def test_searchable_text_renders_once_per_document_version(monkeypatch):
     _probe(collection)
     assert renders == expected  # a parked text is verified, never rendered
 
-    collection.update_delta(
-        "d1",
-        lambda: _doc("revised draft of alpha"),
-        ["Alpha beta cleavage site"],
-        ["revised draft of alpha"],
-    )
-    _probe(collection)
-    expected["d1"] += 1  # the first verify after an edit renders once
-    assert renders == expected
-
-    collection.update_delta("d2", lambda: _doc("beta zeta Binding pocket"), ["gamma"], ["zeta"])
-    assert renders == expected  # the edit itself renders nothing
-    _probe(collection)
-    expected["d2"] += 1  # the first verify after it renders once
-    assert renders == expected
+    edits = {"d1": "revised draft of alpha", "d2": "beta zeta Binding pocket"}
+    edited_texts = {doc_id: searchable_text(_doc(body)) for doc_id, body in edits.items()}
+    for doc_id, body in edits.items():
+        collection.update(doc_id, lambda body=body: _doc(body), edited_texts[doc_id])
+        assert renders == expected  # the edit hands over its text: nothing renders
+        _probe(collection)
+        assert renders == expected  # and no verify after it renders either
 
     collection.add_lazy_many(
         (doc_id, parked_texts[doc_id], lambda body=body: _doc(body)) for doc_id, body in parked.items()
@@ -321,7 +307,7 @@ def test_searchable_text_renders_once_per_document_version(monkeypatch):
     assert renders == expected  # registered text is verified, never rendered
     assert collection.search_keyword("parked") == ["p1", "p2"]
     assert collection.search_keyword("zeta") == ["d2"]
-    assert collection.lazy_document_count == len(parked) + 1  # and d5
+    assert collection.lazy_document_count == len(parked) + 1 + len(edits)  # d5 and the edited
 
 
 def _pages(result):
@@ -332,10 +318,9 @@ def _pages(result):
 
 
 def test_concurrent_readers_cache_only_current_texts(tmp_path):
-    """Eight readers fill the text cache under the shared lock of a service
-    whose corpus is recovered (parked), live-ingested and edited in place;
-    every page matches a single-threaded oracle, every cached text is the
-    latest body's."""
+    """Eight readers verify under the shared lock of a service whose corpus
+    is recovered (parked), live-ingested and edited in place; every page
+    matches a single-threaded oracle, every kept text is the latest body's."""
     from repro.core.manager import Graphitti
     from repro.service.service import GraphittiService, ServiceConfig
     from repro.workloads import seed_churn_corpus
@@ -399,3 +384,43 @@ def test_concurrent_readers_cache_only_current_texts(tmp_path):
             assert text == DocumentCollection._searchable_text(contents.get(doc_id)).lower(), doc_id
     finally:
         service.close()
+
+
+# -- the index tokenizes the text verification reads ------------------------------
+
+
+def test_a_character_lower_casing_to_ascii_is_indexed_as_verified():
+    """The Kelvin sign lower-cases to ASCII ``k``: index and verify must both
+    read ``kelvin``, on every path a text enters by."""
+    kelvin = "\u212aelvin scale"
+    collection = DocumentCollection("kelvin")
+    collection.add(_doc(kelvin), doc_id="d1")
+    _park(collection, "d2", kelvin)
+    collection.add(_doc("celsius"), doc_id="d3")
+    _update(collection, "d3", kelvin)
+    assert collection.search_keyword("kelvin") == collection.scan_keyword("kelvin") == ["d1", "d2", "d3"]
+    assert collection.search_keyword(kelvin) == ["d1", "d2", "d3"]
+    assert all(collection.document_matches_keyword(doc_id, "kelvin") for doc_id in ("d1", "d2", "d3"))
+    assert_index_equals_rebuild(collection)
+
+
+_PIECES = st.sampled_from(
+    ["alpha", "Beta", "gamma-ray", "x_y", "v1.2", "...", "-_-", "_.", "--a", "9", "the", "of", "and",
+     "\u212aelvin", "\u0130stanbul", "caf\u00e9", "\u00df", "na\u00efve", "", " ", "\n", "<", "=", "\u00a0"]
+)
+_TEXTS = st.lists(_PIECES, max_size=12).map("".join) | st.lists(_PIECES, max_size=12).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(old=_TEXTS, new=_TEXTS)
+def test_an_update_leaves_the_index_a_fresh_index_of_the_new_text(old, new):
+    collection = DocumentCollection("span")
+    collection.add_lazy_many([("d1", old, lambda: _doc(old))])
+    old_terms, new_terms = collection.update("d1", lambda: _doc(new), new)
+    fresh = InvertedIndex()
+    fresh.add_document("d1", new.lower())
+    live = collection._index
+    assert live._postings == fresh._postings
+    assert live._doc_lengths == fresh._doc_lengths
+    assert set(new_terms) == set(live.document_terms("d1")) == set(fresh.document_terms("d1"))
+    assert collection.text("d1") == new.lower()
