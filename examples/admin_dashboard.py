@@ -3,14 +3,14 @@
 Run with ``python examples/admin_dashboard.py``.  Builds the influenza study
 and prints the administrative reports the paper's third tab would show:
 integrity status, index economy, orphan detection, per-object annotation
-leaderboard, and per-creator activity — then snapshots and reloads the whole
-instance to show persistence round-trips.
+leaderboard, and per-creator activity — then serves the study from a temporary
+root (checksummed snapshot plus write-ahead log) and recovers it to show that
+persistence round-trips.
 """
 
 import tempfile
-from pathlib import Path
 
-from repro.core.persistence import load_instance, save_instance
+from repro.service import GraphittiService
 from repro.workloads import build_influenza_instance
 
 
@@ -36,13 +36,13 @@ def main() -> None:
     for creator, count in sorted(admin.creator_activity().items()):
         print(f"  {creator}: {count} annotation(s)")
 
-    print("\n=== snapshot / reload round-trip ===")
-    with tempfile.TemporaryDirectory() as directory:
-        path = save_instance(g, Path(directory) / "influenza.json")
-        reloaded = load_instance(path)
-        print(f"  saved to {path.name}, reloaded {reloaded.annotation_count} annotations")
-        print("  reloaded integrity:", reloaded.check_integrity().summary())
-        print("  reloaded query 'cleavage':", reloaded.search_by_keyword("cleavage"))
+    print("\n=== serve / recover round-trip ===")
+    with tempfile.TemporaryDirectory() as root:
+        GraphittiService.open(root, manager_factory=lambda: g).close()
+        with GraphittiService.recover(root) as reloaded:
+            print(f"  served from a root, recovered {reloaded.annotation_count} annotations")
+            print("  recovered integrity:", reloaded.check_integrity().summary())
+            print("  recovered query 'cleavage':", reloaded.search_by_keyword("cleavage"))
 
 
 if __name__ == "__main__":

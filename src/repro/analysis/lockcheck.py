@@ -67,7 +67,6 @@ BLOCKING_NAMES = frozenset(
         "read_previous_snapshot",
         "write_snapshot",
         "snapshot_from_frozen",
-        "save_instance",
         "_join_checkpoint",
     }
 )

@@ -2,22 +2,23 @@
 
 Run as ``python -m repro <command>``.  The CLI drives the same workflows the
 paper's GUI does — build a study, inspect it, administer it, and query it —
-against a persisted instance snapshot.
+against a served root: the directory ``serve`` keeps, a checksummed
+snapshot plus a write-ahead log.
 
 Commands
 --------
-``build {influenza,neuroscience} PATH``
-    Build a paper scenario and save it to PATH.
-``stats PATH``
+``build {influenza,neuroscience} ROOT``
+    Build a paper scenario into a new served root at ROOT.
+``stats ROOT``
     Print instance statistics.
-``admin PATH``
+``admin ROOT``
     Print the administrative report (integrity, economy, orphans, activity).
-``query PATH GQL``
+``query ROOT GQL``
     Run a GQL query and print the result.
-``update PATH ANNOTATION_ID [--title/--body/--keywords/...]``
-    Update a committed annotation in place (delta index maintenance).
-``delete-object PATH OBJECT_ID [--no-cascade]``
-    Retire a data object, cascading through its annotations.
+``update ROOT ANNOTATION_ID [--title/--body/--keywords/...]``
+    Update a committed annotation in place (one WAL record).
+``delete-object ROOT OBJECT_ID [--no-cascade]``
+    Retire a data object, cascading through its annotations (one WAL record).
 ``scenarios``
     List the built-in scenarios.
 ``serve ROOT``
@@ -51,11 +52,11 @@ Commands
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
-from repro.core.persistence import load_instance, save_instance
 from repro.errors import GraphittiError, ServiceError
 from repro.workloads import build_influenza_instance, build_neuroscience_instance
 
@@ -73,25 +74,65 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    if args.scenario not in _SCENARIOS:
-        print(f"unknown scenario {args.scenario!r}", file=sys.stderr)
+    from repro.service import GraphittiService, ServiceConfig
+
+    root = Path(args.root)
+    if root.exists() and any(root.iterdir()):
+        print(f"{root} is not empty; build seeds a new root", file=sys.stderr)
         return 2
-    instance = _SCENARIOS[args.scenario]()
-    path = save_instance(instance, args.path)
-    print(f"built {args.scenario} scenario ({instance.annotation_count} annotations) -> {path}")
+    service = GraphittiService.open(
+        root,
+        config=ServiceConfig(checkpoint_on_close=False),
+        manager_factory=_SCENARIOS[args.scenario],
+    )
+    count = service.annotation_count
+    service.close()
+    print(f"built {args.scenario} scenario ({count} annotations) -> {root}")
     return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    instance = load_instance(args.path)
-    for key, value in instance.statistics().items():
+def _on_root(command: Callable) -> Callable[[argparse.Namespace], int]:
+    """Run ``command(args, service)`` on the instance served at ``args.root``.
+
+    The root is recovered without a closing checkpoint, so a read leaves its
+    bytes as they were and a write adds exactly its own WAL record.  A root
+    without single-service state — missing, empty or sharded — is refused
+    before anything is opened or created.
+    """
+
+    @functools.wraps(command)
+    def run(args: argparse.Namespace) -> int:
+        from repro.service import GraphittiService, ServiceConfig
+        from repro.service.durability import has_durable_state
+
+        if not has_durable_state(args.root):
+            print(
+                f"{args.root} holds no single-service instance "
+                "(create one with: build SCENARIO ROOT)",
+                file=sys.stderr,
+            )
+            return 2
+        service = GraphittiService.recover(
+            args.root, config=ServiceConfig(checkpoint_on_close=False)
+        )
+        try:
+            return command(args, service)
+        finally:
+            service.close()
+
+    return run
+
+
+@_on_root
+def _cmd_stats(args: argparse.Namespace, service) -> int:
+    for key, value in service.statistics().items():
         print(f"{key}: {value}")
     return 0
 
 
-def _cmd_admin(args: argparse.Namespace) -> int:
-    instance = load_instance(args.path)
-    admin = instance.administrator()
+@_on_root
+def _cmd_admin(args: argparse.Namespace, service) -> int:
+    admin = service.manager.administrator()
     print(admin.check_integrity().summary())
     print("\nindex economy:")
     for key, value in admin.index_economy().items():
@@ -106,18 +147,18 @@ def _cmd_admin(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+@_on_root
+def _cmd_report(args: argparse.Namespace, service) -> int:
     from repro.workloads.reporting import study_report
 
-    instance = load_instance(args.path)
-    print(study_report(instance))
+    print(study_report(service.manager))
     return 0
 
 
-def _cmd_explain(args: argparse.Namespace) -> int:
-    instance = load_instance(args.path)
+@_on_root
+def _cmd_explain(args: argparse.Namespace, service) -> int:
     try:
-        explanation = instance.explain(args.gql)
+        explanation = service.explain(args.gql)
     except GraphittiError as exc:
         print(f"query error: {exc}", file=sys.stderr)
         return 1
@@ -169,7 +210,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         net=args.net,
         shards=args.shards,
         replicas=args.replicas,
-        manager_factory=_SCENARIOS[args.scenario] if args.scenario else None,
         **net_options,
     )
     _report_opened(service, args)
@@ -239,7 +279,6 @@ def _open_service_for_root(
     net: bool = False,
     shards: int | None = None,
     replicas: int | None = None,
-    manager_factory=None,
     **net_options,
 ):
     """Open (or recover) the service at *root*, detecting its topology.
@@ -267,16 +306,14 @@ def _open_service_for_root(
     if replicas is not None or (root / "replication.json").exists():
         from repro.replica import ReplicatedGraphittiService
 
-        return ReplicatedGraphittiService.open(
-            root, replicas=replicas, config=config, manager_factory=manager_factory
-        )
+        return ReplicatedGraphittiService.open(root, replicas=replicas, config=config)
     from repro.service import GraphittiService
 
-    return GraphittiService.open(root, config=config, manager_factory=manager_factory)
+    return GraphittiService.open(root, config=config)
 
 
 def _report_opened(service, args: argparse.Namespace) -> None:
-    """Say what ``serve`` opened: topology, what recovery replayed, an unused --scenario."""
+    """Say what ``serve`` opened: topology and what recovery replayed."""
     info = service.recovery_info
     sharded = hasattr(service, "shard_count")
     if args.net:
@@ -308,12 +345,6 @@ def _report_opened(service, args: argparse.Namespace) -> None:
             f"replayed {info['replayed']} WAL record(s)"
             + (", torn tail dropped" if info["torn_tail"] else "")
         )
-    if args.scenario and (sharded or info is not None):
-        print(
-            f"note: --scenario {args.scenario} ignored — scenarios only seed a fresh, "
-            "unsharded root (sharded roots start empty)",
-            file=sys.stderr,
-        )
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
@@ -321,14 +352,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
     from repro.obs import render_prometheus
 
-    # Only pass net= when requested: test doubles wrap the opener with the
-    # historical (root, config) signature.
-    opener_kwargs = {}
-    if getattr(args, "net", False):
-        if not _is_sharded_root(Path(args.root)):
-            raise ServiceError(f"--net requires a sharded root; {args.root} is not sharded")
-        opener_kwargs = {"net": True}
-    service = _open_service_for_root(args.root, **opener_kwargs)
+    if args.net and not _is_sharded_root(Path(args.root)):
+        raise ServiceError(f"--net requires a sharded root; {args.root} is not sharded")
+    service = _open_service_for_root(args.root, net=args.net)
     try:
         if args.exercise:
             from repro.workloads.service_scenario import READER_QUERIES
@@ -466,8 +492,8 @@ def _cmd_promote(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_update(args: argparse.Namespace) -> int:
-    instance = load_instance(args.path)
+@_on_root
+def _cmd_update(args: argparse.Namespace, service) -> int:
     changes: dict = {}
     if args.title is not None:
         changes["title"] = args.title
@@ -491,32 +517,25 @@ def _cmd_update(args: argparse.Namespace) -> int:
     if not changes:
         print("nothing to update (pass at least one change flag)", file=sys.stderr)
         return 2
-    instance.update_annotation(args.annotation_id, changes)
-    save_instance(instance, args.path)
-    print(f"updated {args.annotation_id} ({', '.join(sorted(changes))}) -> {args.path}")
+    service.update_annotation(args.annotation_id, changes)
+    print(f"updated {args.annotation_id} ({', '.join(sorted(changes))}) -> {args.root}")
     return 0
 
 
-def _cmd_delete_object(args: argparse.Namespace) -> int:
-    from repro.core.persistence import hydrate_catalogue
-
-    instance = load_instance(args.path)
-    # Snapshot loads are catalogue-only; give every metadata row its registry
-    # placeholder so the delete can validate and unregister it.
-    hydrate_catalogue(instance)
-    cascaded = instance.delete_object(args.object_id, cascade=not args.no_cascade)
-    save_instance(instance, args.path)
+@_on_root
+def _cmd_delete_object(args: argparse.Namespace, service) -> int:
+    cascaded = service.delete_object(args.object_id, cascade=not args.no_cascade)
     print(
         f"deleted object {args.object_id} "
-        f"(cascaded {len(cascaded)} annotation(s)) -> {args.path}"
+        f"(cascaded {len(cascaded)} annotation(s)) -> {args.root}"
     )
     return 0
 
 
-def _cmd_query(args: argparse.Namespace) -> int:
-    instance = load_instance(args.path)
+@_on_root
+def _cmd_query(args: argparse.Namespace, service) -> int:
     try:
-        result = instance.query(args.gql)
+        result = service.query(args.gql)
     except GraphittiError as exc:
         print(f"query error: {exc}", file=sys.stderr)
         return 1
@@ -556,32 +575,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_scen = sub.add_parser("scenarios", help="list built-in scenarios")
     p_scen.set_defaults(func=_cmd_scenarios)
 
-    p_build = sub.add_parser("build", help="build a scenario and save it")
+    p_build = sub.add_parser("build", help="build a scenario into a new served root")
     p_build.add_argument("scenario", choices=sorted(_SCENARIOS))
-    p_build.add_argument("path")
+    p_build.add_argument("root")
     p_build.set_defaults(func=_cmd_build)
 
     p_stats = sub.add_parser("stats", help="print instance statistics")
-    p_stats.add_argument("path")
+    p_stats.add_argument("root")
     p_stats.set_defaults(func=_cmd_stats)
 
     p_admin = sub.add_parser("admin", help="print the administrative report")
-    p_admin.add_argument("path")
+    p_admin.add_argument("root")
     p_admin.set_defaults(func=_cmd_admin)
 
     p_report = sub.add_parser("report", help="print a Markdown study report")
-    p_report.add_argument("path")
+    p_report.add_argument("root")
     p_report.set_defaults(func=_cmd_report)
 
     p_query = sub.add_parser("query", help="run a GQL query")
-    p_query.add_argument("path")
+    p_query.add_argument("root")
     p_query.add_argument("gql")
     p_query.set_defaults(func=_cmd_query)
 
     p_update = sub.add_parser(
         "update", help="update a committed annotation in place (delta index maintenance)"
     )
-    p_update.add_argument("path")
+    p_update.add_argument("root")
     p_update.add_argument("annotation_id")
     p_update.add_argument("--title", default=None)
     p_update.add_argument("--creator", default=None)
@@ -599,14 +618,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_delobj = sub.add_parser(
         "delete-object", help="retire a data object, cascading through its annotations"
     )
-    p_delobj.add_argument("path")
+    p_delobj.add_argument("root")
     p_delobj.add_argument("object_id")
     p_delobj.add_argument("--no-cascade", action="store_true",
                           help="refuse instead of cascading when annotations still reference it")
     p_delobj.set_defaults(func=_cmd_delete_object)
 
     p_explain = sub.add_parser("explain", help="show a query plan without executing")
-    p_explain.add_argument("path")
+    p_explain.add_argument("root")
     p_explain.add_argument("gql")
     p_explain.set_defaults(func=_cmd_explain)
 
@@ -623,13 +642,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "combined with --shards); reads route to followers under "
                               "bounded staleness. A previously replicated root adopts "
                               "its manifest topology")
-    p_serve.add_argument("--scenario", choices=sorted(_SCENARIOS), default=None,
-                         help="seed a fresh instance from a paper scenario")
     p_serve.add_argument("--readers", type=int, default=4)
     p_serve.add_argument("--writers", type=int, default=2)
     p_serve.add_argument("--queries", type=int, default=200, help="queries per reader")
     p_serve.add_argument("--commits", type=int, default=40, help="commits per writer")
-    p_serve.add_argument("--durability", choices=["always", "batch", "never"], default="always")
+    p_serve.add_argument("--durability", choices=["always", "never"], default="always")
     p_serve.add_argument("--checkpoint-interval", type=int, default=0,
                          help="mutations between automatic checkpoints (0 = manual)")
     p_serve.add_argument("--cache-capacity", type=int, default=256)
@@ -654,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument("--port", type=int, default=0,
                           help="listen port; 0 picks an ephemeral port (announced in net.json)")
     p_worker.add_argument("--max-inflight", type=int, default=64)
-    p_worker.add_argument("--durability", choices=["always", "batch", "never"], default="always")
+    p_worker.add_argument("--durability", choices=["always", "never"], default="always")
     p_worker.add_argument("--checkpoint-interval", type=int, default=0)
     p_worker.add_argument("--cache-capacity", type=int, default=256)
     p_worker.add_argument("--no-obs", action="store_true",

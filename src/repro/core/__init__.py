@@ -16,7 +16,7 @@ from repro.core.dublin_core import DublinCore
 from repro.core.annotation import Annotation, AnnotationContent, Referent
 from repro.core.manager import Graphitti
 from repro.core.admin import Administrator, IntegrityReport
-from repro.core.persistence import load_instance, save_instance, snapshot
+from repro.core.persistence import snapshot
 
 __all__ = [
     "DublinCore",
@@ -26,7 +26,5 @@ __all__ = [
     "Graphitti",
     "Administrator",
     "IntegrityReport",
-    "save_instance",
-    "load_instance",
     "snapshot",
 ]

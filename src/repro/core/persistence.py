@@ -39,14 +39,13 @@ object registrations (as catalogue entries).
 from __future__ import annotations
 
 import json
-from pathlib import Path
 from typing import Any, Iterable
 
 from repro.core.annotation import Annotation, AnnotationContent, Referent
 from repro.core.dublin_core import DublinCore, normalized_dict
 from repro.core.footprint import WriteState, write_footprint
 from repro.datatypes.base import DataObject, DataType, SubstructureRef
-from repro.errors import AnnotationError, GraphittiError
+from repro.errors import AnnotationError
 from repro.ontology.model import Ontology
 
 
@@ -397,25 +396,6 @@ def snapshot(manager) -> dict[str, Any]:
     """Produce a JSON-compatible snapshot of *manager* (a checkpoint's
     payload, built in the caller's thread)."""
     return snapshot_from_frozen(freeze_manager(manager))
-
-
-def save_instance(manager, path: str | Path) -> Path:
-    """Write a Graphitti snapshot to *path* as JSON."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8") as handle:
-        json.dump(snapshot(manager), handle, indent=2)
-    return target
-
-
-def load_instance(path: str | Path):
-    """Rebuild a query/explore-capable Graphitti instance from a snapshot."""
-    source = Path(path)
-    if not source.exists():
-        raise GraphittiError(f"instance snapshot {source} does not exist")
-    with source.open("r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    return rebuild(payload)
 
 
 def rebuild(payload: dict[str, Any]):

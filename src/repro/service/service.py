@@ -67,7 +67,7 @@ class ServiceConfig:
     cache_capacity: int = 256
     #: Mutations between automatic checkpoints; 0 means checkpoint manually.
     checkpoint_interval: int = 0
-    #: WAL fsync policy: "always" (per record), "batch", or "never".
+    #: WAL fsync policy: "always" (per record or batch) or "never".
     durability: str = "always"
     #: Checkpoint once more when the service closes.
     checkpoint_on_close: bool = True

@@ -39,8 +39,8 @@ from repro.errors import ServiceError, WalCorruptionError
 from repro.analysis.annotations import io_under_lock_ok
 from repro.service.ops import WAL_OPS, wal_row
 
-#: fsync policies: every record, every batch/explicit sync, or never.
-DURABILITY_MODES = ("always", "batch", "never")
+#: fsync policies: every record (and batch), or never.
+DURABILITY_MODES = ("always", "never")
 
 
 def fsync_dir(path: str | Path) -> None:
@@ -293,7 +293,7 @@ class WriteAheadLog:
         if not seqs:
             return seqs
         self._handle.flush()
-        if self.durability in ("always", "batch"):
+        if self.durability != "never":
             self._fsync()
         return seqs
 

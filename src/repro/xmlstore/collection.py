@@ -9,9 +9,7 @@ XPath selection across the collection, and FLWOR-lite queries.
 
 from __future__ import annotations
 
-import json
 import threading
-from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import XmlStoreError
@@ -316,33 +314,7 @@ class DocumentCollection:
         """All element fragments matching *xpath* across the collection."""
         return [node for _, node in self.select(xpath) if isinstance(node, XmlElement)]
 
-    # -- persistence -------------------------------------------------------------------
-
-    def save(self, path: str | Path) -> Path:
-        """Write the collection to a JSON file."""
-        self._materialize_all()
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "name": self.name,
-            "documents": {doc_id: document.to_dict() for doc_id, document in self._documents.items()},
-        }
-        with target.open("w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-        return target
-
-    @classmethod
-    def load(cls, path: str | Path) -> "DocumentCollection":
-        """Read a collection previously written with :meth:`save`."""
-        source = Path(path)
-        if not source.exists():
-            raise XmlStoreError(f"collection snapshot {source} does not exist")
-        with source.open("r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        collection = cls(name=payload.get("name", "annotations"))
-        for doc_id, document_payload in payload.get("documents", {}).items():
-            collection.add(XmlDocument.from_dict(document_payload), doc_id=doc_id)
-        return collection
+    # -- export ------------------------------------------------------------------------
 
     def export_xml(self, doc_id: str) -> str:
         """Serialize one stored document back to XML text."""

@@ -1,8 +1,40 @@
 """Tests for the command-line interface."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.service import GraphittiService, ServiceConfig
+from repro.service.durability import SNAPSHOT_FILE, WAL_FILE
+from repro.service.wal import read_segmented_records
+
+EDITED = 'SELECT contents WHERE { CONTENT CONTAINS "curated-edit" }'
+READ_VERBS = [
+    ["stats"],
+    ["admin"],
+    ["report"],
+    ["query", 'SELECT graph WHERE { PATH "binding" TO "lineage" MAXLEN 6 }'],
+    ["explain", 'SELECT contents WHERE { CONTENT CONTAINS "flu" }'],
+]
+WRITE_VERBS = [
+    ["update", "flu-a1", "--title", "revised"],
+    ["delete-object", "HA_duck"],
+]
+
+
+def file_digests(root: Path) -> dict[str, str]:
+    return {
+        str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def wal_seqs(root: Path) -> list[int]:
+    records, _ = read_segmented_records(root / WAL_FILE)
+    return [record["seq"] for record in records]
 
 
 def test_scenarios(capsys):
@@ -13,26 +45,26 @@ def test_scenarios(capsys):
 
 
 def test_build_and_stats(tmp_path, capsys):
-    path = str(tmp_path / "flu.json")
-    assert main(["build", "influenza", path]) == 0
+    root = str(tmp_path / "flu")
+    assert main(["build", "influenza", root]) == 0
     capsys.readouterr()
-    assert main(["stats", path]) == 0
+    assert main(["stats", root]) == 0
     out = capsys.readouterr().out
     assert "annotations: 4" in out
 
 
 def test_build_neuroscience(tmp_path, capsys):
-    path = str(tmp_path / "neuro.json")
-    assert main(["build", "neuroscience", path]) == 0
+    root = str(tmp_path / "neuro")
+    assert main(["build", "neuroscience", root]) == 0
     out = capsys.readouterr().out
     assert "neuroscience" in out
 
 
 def test_admin(tmp_path, capsys):
-    path = str(tmp_path / "flu.json")
-    main(["build", "influenza", path])
+    root = str(tmp_path / "flu")
+    main(["build", "influenza", root])
     capsys.readouterr()
-    assert main(["admin", path]) == 0
+    assert main(["admin", root]) == 0
     out = capsys.readouterr().out
     assert "integrity" in out
     assert "index economy" in out
@@ -40,41 +72,41 @@ def test_admin(tmp_path, capsys):
 
 
 def test_query(tmp_path, capsys):
-    path = str(tmp_path / "flu.json")
-    main(["build", "influenza", path])
+    root = str(tmp_path / "flu")
+    main(["build", "influenza", root])
     capsys.readouterr()
-    assert main(["query", path, 'SELECT contents WHERE { CONTENT CONTAINS "cleavage" }']) == 0
+    assert main(["query", root, 'SELECT contents WHERE { CONTENT CONTAINS "cleavage" }']) == 0
     out = capsys.readouterr().out
     assert "result count: 2" in out
     assert "flu-a1" in out
 
 
 def test_query_syntax_error(tmp_path, capsys):
-    path = str(tmp_path / "flu.json")
-    main(["build", "influenza", path])
+    root = str(tmp_path / "flu")
+    main(["build", "influenza", root])
     capsys.readouterr()
-    assert main(["query", path, "NOT VALID GQL"]) == 1
+    assert main(["query", root, "NOT VALID GQL"]) == 1
     err = capsys.readouterr().err
     assert "query error" in err
 
 
 def test_query_graph_return(tmp_path, capsys):
-    path = str(tmp_path / "neuro.json")
-    main(["build", "neuroscience", path])
+    root = str(tmp_path / "neuro")
+    main(["build", "neuroscience", root])
     capsys.readouterr()
-    main(["query", path, 'SELECT graph WHERE { REFERENT REFERS "Deep Cerebellar nuclei" }'])
+    main(["query", root, 'SELECT graph WHERE { REFERENT REFERS "Deep Cerebellar nuclei" }'])
     out = capsys.readouterr().out
     assert "subgraph" in out
 
 
 def test_update_roundtrip(tmp_path, capsys):
-    path = str(tmp_path / "flu.json")
-    main(["build", "influenza", path])
+    root = str(tmp_path / "flu")
+    main(["build", "influenza", root])
     capsys.readouterr()
     assert (
         main(
             [
-                "update", path, "flu-a1",
+                "update", root, "flu-a1",
                 "--title", "revised cleavage note",
                 "--keywords", "cleavage,curated-edit",
                 "--body", "refined by the command line",
@@ -84,40 +116,102 @@ def test_update_roundtrip(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert "updated flu-a1" in out
-    assert main(["query", path, 'SELECT contents WHERE { CONTENT CONTAINS "curated-edit" }']) == 0
+    assert main(["query", root, 'SELECT contents WHERE { CONTENT CONTAINS "curated-edit" }']) == 0
     out = capsys.readouterr().out
     assert "result count: 1" in out
     assert "flu-a1" in out
 
 
 def test_update_requires_a_change(tmp_path, capsys):
-    path = str(tmp_path / "flu.json")
-    main(["build", "influenza", path])
+    root = str(tmp_path / "flu")
+    main(["build", "influenza", root])
     capsys.readouterr()
-    assert main(["update", path, "flu-a1"]) == 2
+    assert main(["update", root, "flu-a1"]) == 2
     assert "nothing to update" in capsys.readouterr().err
 
 
 def test_delete_object_roundtrip(tmp_path, capsys):
-    path = str(tmp_path / "flu.json")
-    main(["build", "influenza", path])
+    root = str(tmp_path / "flu")
+    main(["build", "influenza", root])
     capsys.readouterr()
-    assert main(["delete-object", path, "HA_duck"]) == 0
+    assert main(["delete-object", root, "HA_duck"]) == 0
     out = capsys.readouterr().out
     assert "cascaded 1 annotation(s)" in out
-    assert main(["stats", path]) == 0
+    assert main(["stats", root]) == 0
     assert "annotations: 3" in capsys.readouterr().out
 
 
 def test_delete_object_no_cascade_refuses(tmp_path, capsys):
-    path = str(tmp_path / "flu.json")
-    main(["build", "influenza", path])
+    root = str(tmp_path / "flu")
+    main(["build", "influenza", root])
     capsys.readouterr()
-    assert main(["delete-object", path, "HA_duck", "--no-cascade"]) == 1
+    assert main(["delete-object", root, "HA_duck", "--no-cascade"]) == 1
     assert "error:" in capsys.readouterr().err
-    # the snapshot is untouched
-    assert main(["stats", path]) == 0
+    # the root is untouched
+    assert main(["stats", root]) == 0
     assert "annotations: 4" in capsys.readouterr().out
+
+
+def test_read_verbs_leave_every_byte_of_the_root_unchanged(tmp_path, capsys):
+    root = tmp_path / "flu"
+    assert main(["build", "influenza", str(root)]) == 0
+    # A logged edit, so each read replays the WAL as well as the snapshot.
+    assert main(["update", str(root), "flu-a1", "--keywords", "cleavage,curated-edit"]) == 0
+    before = file_digests(root)
+    assert SNAPSHOT_FILE in before and WAL_FILE in before
+    for verb, *rest in READ_VERBS:
+        assert main([verb, str(root), *rest]) == 0, verb
+        assert file_digests(root) == before, verb
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("verb", READ_VERBS + WRITE_VERBS, ids=lambda verb: verb[0])
+def test_a_verb_on_a_missing_root_exits_2_and_creates_nothing(tmp_path, capsys, verb):
+    root = tmp_path / "missing"
+    assert main([verb[0], str(root), *verb[1:]]) == 2
+    assert str(root) in capsys.readouterr().err
+    assert not root.exists()
+
+
+def test_a_damaged_snapshot_is_refused_not_parsed(tmp_path, capsys):
+    root = tmp_path / "flu"
+    assert main(["build", "influenza", str(root)]) == 0
+    snapshot = root / SNAPSHOT_FILE
+    data = snapshot.read_bytes()
+    assert b"cleavage" in data
+    snapshot.write_bytes(data.replace(b"cleavage", b"xleavage", 1))
+    capsys.readouterr()
+    assert main(["query", str(root), 'SELECT contents WHERE { CONTENT CONTAINS "xleavage" }']) != 0
+    captured = capsys.readouterr()
+    assert "damaged" in captured.err and "crc32" in captured.err
+    assert "result count" not in captured.out
+
+
+def test_an_edit_is_one_wal_record_and_a_refused_one_is_none(tmp_path, capsys):
+    root = tmp_path / "flu"
+    assert main(["build", "influenza", str(root)]) == 0
+    before = wal_seqs(root)
+    assert main(["update", str(root), "flu-a1", "--keywords", "cleavage,curated-edit"]) == 0
+    assert main(["delete-object", str(root), "HA_duck", "--no-cascade"]) == 1
+    after = wal_seqs(root)
+    assert len(after) == len(before) + 1
+    capsys.readouterr()
+    service = GraphittiService.recover(root, config=ServiceConfig(checkpoint_on_close=False))
+    try:
+        assert service.recovery_info["replayed"] == 1
+        assert service.query(EDITED).annotation_ids == ["flu-a1"]
+        assert service.annotation_count == 4
+    finally:
+        service.close()
+
+
+def test_build_refuses_a_root_that_holds_state(tmp_path, capsys):
+    root = tmp_path / "flu"
+    assert main(["build", "influenza", str(root)]) == 0
+    before = file_digests(root)
+    assert main(["build", "neuroscience", str(root)]) == 2
+    assert str(root) in capsys.readouterr().err
+    assert file_digests(root) == before
 
 
 def test_parser_requires_command():
@@ -128,14 +222,16 @@ def test_parser_requires_command():
 
 def test_serve_fresh_and_reopen(tmp_path, capsys):
     root = str(tmp_path / "served")
+    assert main(["build", "influenza", root]) == 0
+    capsys.readouterr()
     args = [
-        "serve", root, "--scenario", "influenza",
+        "serve", root,
         "--readers", "2", "--writers", "1", "--queries", "20", "--commits", "6",
         "--durability", "never",
     ]
     assert main(args) == 0
     out = capsys.readouterr().out
-    assert "opened fresh instance" in out
+    assert "recovered instance" in out
     assert "cache:" in out and "checkpoints:" in out
     # Second invocation recovers the durable state and keeps serving.
     assert main([
@@ -211,6 +307,6 @@ def test_serve_net_spawns_workers_and_metrics_net_reads_them(tmp_path, capsys):
 
 def test_metrics_net_refuses_an_unsharded_root(tmp_path, capsys):
     root = str(tmp_path / "plain")
-    assert main(["build", "influenza", root + "/instance.json"]) == 0
+    assert main(["build", "influenza", root]) == 0
     capsys.readouterr()
     assert main(["metrics", str(tmp_path / "missing"), "--net"]) == 1

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.persistence import load_instance, rebuild, save_instance, snapshot
+from repro.core.persistence import rebuild, snapshot
 from repro.datatypes import DnaSequence
-from repro.errors import GraphittiError, UnknownObjectError
+from repro.errors import UnknownObjectError
 from repro.query.builder import QueryBuilder
 
 
@@ -62,17 +62,6 @@ def test_reloaded_query_graph(neuroscience):
     reloaded = rebuild(snapshot(neuroscience))
     result = reloaded.query(QueryBuilder.graph().refers("alpha-synuclein").build())
     assert result.count >= 1
-
-
-def test_save_load_file(tmp_path, influenza):
-    path = save_instance(influenza, tmp_path / "instance.json")
-    reloaded = load_instance(path)
-    assert reloaded.annotation_count == influenza.annotation_count
-
-
-def test_load_missing(tmp_path):
-    with pytest.raises(GraphittiError):
-        load_instance(tmp_path / "missing.json")
 
 
 def test_metadata_preserved(influenza):

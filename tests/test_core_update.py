@@ -1,9 +1,12 @@
 """Manager-level ``update_annotation``: delta maintenance semantics."""
 
+import json
+
 import pytest
 
 from repro.core.annotation import Referent
 from repro.core.manager import Graphitti
+from repro.core.persistence import rebuild, snapshot
 from repro.datatypes import DnaSequence, Image
 from repro.errors import AnnotationError, UnknownObjectError
 from repro.ontology.builtin import build_protein_ontology
@@ -374,12 +377,8 @@ def test_update_cannot_strip_last_referent_without_terms(instance):
     assert report.ok, report.errors
 
 
-def test_update_on_reloaded_snapshot(tmp_path, instance):
-    from repro.core.persistence import load_instance, save_instance
-
-    path = tmp_path / "inst.json"
-    save_instance(instance, path)
-    reloaded = load_instance(path)
+def test_update_on_reloaded_snapshot(instance):
+    reloaded = rebuild(json.loads(json.dumps(snapshot(instance))))
     reloaded.update_annotation("a1", {"keywords": ["reloaded-edit"]})
     assert reloaded.search_by_keyword("reloaded-edit") == ["a1"]
     report = reloaded.check_integrity()

@@ -376,9 +376,10 @@ def test_cli_metrics_reports_disabled(tmp_path, monkeypatch):
 
     original = cli_module._open_service_for_root
 
-    def _open_disabled(path, config=None):
+    def _open_disabled(path, **kwargs):
         return original(
             path,
+            **kwargs,
             config=ServiceConfig(
                 durability="always",
                 observability=ObservabilityConfig(enabled=False),
@@ -386,5 +387,5 @@ def test_cli_metrics_reports_disabled(tmp_path, monkeypatch):
         )
 
     monkeypatch.setattr(cli_module, "_open_service_for_root", _open_disabled)
-    args = argparse.Namespace(root=str(root), format="json", exercise=0)
+    args = argparse.Namespace(root=str(root), format="json", exercise=0, net=False)
     assert cli_module._cmd_metrics(args) == 1

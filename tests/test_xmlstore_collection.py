@@ -115,14 +115,6 @@ def test_flwor_where_path_equals():
     assert results == ["a2"]
 
 
-def test_collection_save_load(tmp_path):
-    collection = make_collection()
-    path = collection.save(tmp_path / "c.json")
-    loaded = DocumentCollection.load(path)
-    assert len(loaded) == 3
-    assert loaded.search_keyword("protease") == ["a1", "a3"]
-
-
 def test_export_xml():
     collection = make_collection()
     xml = collection.export_xml("a1")

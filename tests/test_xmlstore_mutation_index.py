@@ -127,13 +127,14 @@ def test_search_materializes_stale_candidates():
     assert collection.search_keyword("alpha beta") == []
 
 
-def test_save_and_corpus_materialize(tmp_path):
+def test_save_and_corpus_materialize():
     collection = DocumentCollection("persist")
     collection.add(_doc("alpha"), doc_id="d1")
     _update(collection, "d1", "omega")
-    reloaded = DocumentCollection.load(collection.save(tmp_path / "c.json"))
+    corpus = collection.to_corpus_xml()
+    assert "omega" in corpus
+    reloaded = DocumentCollection.from_corpus_xml(corpus)
     assert "omega" in reloaded.get("d1").text_content()
-    assert "omega" in collection.to_corpus_xml()
 
 
 # -- parked-document delete regression (ghost postings) -------------------------
