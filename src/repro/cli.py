@@ -312,6 +312,19 @@ def _open_service_for_root(
     return GraphittiService.open(root, config=config)
 
 
+def _open_existing_root(root: str | Path, **options):
+    """Open the instance at *root* as :func:`_open_service_for_root` does, or
+    return None after saying so when *root* holds no instance in any
+    topology — a mistyped path is refused, not created."""
+    from repro.service.durability import has_durable_state
+
+    root = Path(root)
+    if has_durable_state(root) or _is_sharded_root(root) or (root / "replication.json").exists():
+        return _open_service_for_root(root, **options)
+    print(f"{root} holds no instance (create one with: build SCENARIO ROOT)", file=sys.stderr)
+    return None
+
+
 def _report_opened(service, args: argparse.Namespace) -> None:
     """Say what ``serve`` opened: topology and what recovery replayed."""
     info = service.recovery_info
@@ -354,7 +367,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
     if args.net and not _is_sharded_root(Path(args.root)):
         raise ServiceError(f"--net requires a sharded root; {args.root} is not sharded")
-    service = _open_service_for_root(args.root, net=args.net)
+    service = _open_existing_root(args.root, net=args.net)
+    if service is None:
+        return 2
     try:
         if args.exercise:
             from repro.workloads.service_scenario import READER_QUERIES
@@ -378,7 +393,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_compact(args: argparse.Namespace) -> int:
     import json
 
-    service = _open_service_for_root(args.root)
+    service = _open_existing_root(args.root)
+    if service is None:
+        return 2
     try:
         report = service.compact()
     finally:
@@ -410,7 +427,9 @@ def _cmd_compact(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import format_span
 
-    service = _open_service_for_root(args.root)
+    service = _open_existing_root(args.root)
+    if service is None:
+        return 2
     try:
         if not service.obs.enabled:
             print("observability is disabled for this service", file=sys.stderr)

@@ -98,8 +98,9 @@ class WalCorruptionError(ServiceError):
     """The write-ahead log contains an unreadable record before its tail.
 
     A truncated *final* record is expected after a crash and is tolerated by
-    replay; corruption anywhere earlier means the log cannot be trusted and
-    recovery refuses to guess."""
+    every reader (:func:`repro.service.wal.scan_records`), except in a sealed
+    segment, which is fsynced whole; corruption anywhere earlier means the
+    log cannot be trusted and recovery refuses to guess."""
 
 
 class SnapshotCorruptionError(ServiceError):

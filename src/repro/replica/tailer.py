@@ -2,54 +2,53 @@
 
 :func:`~repro.service.wal.read_records` slurps a whole log — fine for
 recovery, useless for a follower that must see each new record once.
-:class:`WalCursor` reads the same file **incrementally** from a byte offset:
+:class:`WalCursor` reads the same log **incrementally**: sealed segments it
+has not seen yet, then the active file from a byte offset.  Every byte it
+reads goes through :func:`~repro.service.wal.scan_records`, the rule
+recovery uses, so:
 
 * ``poll()`` returns only the records appended since the last poll, and the
-  cursor's ``offset`` advances past exactly the records it returned;
+  cursor's ``offset`` advances past exactly the records it consumed;
 * a **torn tail** (the incomplete final line a crash — or a write caught
   mid-flush — leaves) is never consumed and never an error: the cursor stops
   before it and re-reads it next poll, by which time the writer has either
   completed the line or a reopened :class:`~repro.service.wal.WriteAheadLog`
-  has truncated it away;
+  has cut it away;
 * damage **before** the tail raises :class:`~repro.errors.WalCorruptionError`
   — a mid-file unreadable record means acknowledged history is lost and the
   follower must not silently skip it;
-* a file that *shrank* below the cursor's offset is a checkpoint truncation:
-  the cursor restarts at offset 0 and relies on its sequence filter (records
-  at or below ``last_seq`` are already applied) to stay idempotent.  If the
-  first record after a truncation leaves a **gap** above ``last_seq + 1``,
-  the records in between were checkpointed away before this cursor saw them
-  and :class:`ReplicationGapError` tells the caller to re-seed from the
+* an active file that *shrank* below the cursor's offset (a reopen cut its
+  torn tail, or it was rewritten) restarts the cursor at offset 0, and its
+  sequence filter (records at or below ``last_seq`` are already applied)
+  keeps the restart idempotent;
+* records resuming above ``last_seq + 1`` mean the records in between were
+  checkpointed away before this cursor saw them, and
+  :class:`ReplicationGapError` tells the caller to re-seed from the
   primary's snapshot instead of replaying an incomplete history.
 
 The module also provides the **shipment codec**: :func:`encode_shipment`
 turns records back into the same JSONL bytes the WAL holds, and
-:func:`decode_shipment` parses a shipment datagram tolerating a torn final
-record (the transit analogue of the crash-torn tail).  Each shipment is
-self-contained — a torn record is simply re-shipped whole next round.
+:func:`decode_shipment` parses a shipment datagram by the same rule (a torn
+final record is the transit analogue of the crash-torn tail).  Each shipment
+is self-contained — a torn record is simply re-shipped whole next round.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Any
 
 from repro.errors import ServiceError, WalCorruptionError
-from repro.service.wal import (
-    _last_seq_in,
-    encode_record,
-    parse_record,
-    sealed_segment_paths,
-    segment_index,
-)
+from repro.service.wal import encode_record, scan_records, sealed_segment_paths, segment_index
 
 
 class ReplicationGapError(ServiceError):
     """The WAL no longer holds the records a cursor still needs.
 
-    Raised when a truncation-restarted cursor finds the log resuming above
-    ``last_seq + 1``: the missing records were folded into a snapshot the
-    cursor has not seen.  The fix is a snapshot re-seed, not a replay.
+    Raised when a cursor finds the log resuming above ``last_seq + 1``: the
+    missing records were folded into a snapshot the cursor has not seen.
+    The fix is a snapshot re-seed, not a replay.
     """
 
     def __init__(self, needed: int, available: int, path: str | Path):
@@ -63,12 +62,13 @@ class ReplicationGapError(ServiceError):
 
 
 class WalCursor:
-    """An offset-based incremental reader over one WAL file.
+    """An incremental reader over one WAL: its sealed segments, then its
+    active file from a byte offset.
 
     Parameters
     ----------
     path:
-        The WAL file to tail (may not exist yet).
+        The active WAL file to tail (may not exist yet).
     offset:
         Byte offset to resume from (0 for a fresh cursor; a persisted
         follower passes the offset it had reached).
@@ -83,7 +83,6 @@ class WalCursor:
         self.offset = int(offset)
         self.last_seq = int(last_seq)
         self.truncation_restarts = 0
-        self.segment_rollovers = 0
         #: Sealed segments with index below this are fully consumed (or were
         #: skipped as already-applied history).  Deliberately NOT part of
         #: :meth:`state`: a re-created cursor rescans the sealed directory and
@@ -94,129 +93,79 @@ class WalCursor:
         """Return the complete, unseen records appended since the last poll.
 
         Sealed segments (a checkpoint rotated the active log out from under
-        us) are drained first, in seal order; rollover is ordinary operation,
+        us) are read first, in seal order; rollover is ordinary operation,
         not a gap.  Never consumes a torn active tail; raises
-        :class:`WalCorruptionError` for mid-file damage and
+        :class:`WalCorruptionError` for damage before the tail and
         :class:`ReplicationGapError` only when the records this cursor still
         needs were pruned away entirely.
         """
-        records: list[dict[str, Any]] = []
-        self._drain_sealed(records, max_records)
-        if max_records is not None and len(records) >= max_records:
-            return records
-        if not self.path.exists():
-            return records
-        size = self.path.stat().st_size
-        if size < self.offset:
-            # Checkpoint truncated (or rewrote) the file under us; restart
-            # and let the seq filter drop everything already applied.
+        out: list[dict[str, Any]] = []
+        for segment in self._unseen_sealed():
+            try:
+                records, _ = scan_records(segment.read_bytes(), segment, sealed=True)
+            except FileNotFoundError:
+                records = []  # pruned under us: superseded history
+            if self._take(records, out, max_records, segment) < len(records):
+                return out  # resume this segment next poll; the seq filter dedups
+            # The active path now names a file younger than this segment.
+            self._next_sealed = segment_index(self.path, segment) + 1
             self.offset = 0
-            self.truncation_restarts += 1
-        if size == self.offset:
-            return records
-        with self.path.open("rb") as handle:
-            handle.seek(self.offset)
-            raw = handle.read()
-        consumed = 0
-        scan = 0
-        while True:
-            newline = raw.find(b"\n", scan)
-            if newline < 0:
-                break  # incomplete final line: the torn tail, never consumed
-            line = raw[scan:newline]
-            record = parse_record(line)
-            if record is None:
-                if raw.find(b"\n", newline + 1) < 0:
-                    # The damaged line is the final one in the file; treat it
-                    # like a torn tail (a crash can flush a partial line that
-                    # happens to end in a newline).  Do not consume it: the
-                    # writer reopening the log truncates it away, at which
-                    # point the shrink-restart path takes over.
-                    break
-                if self._has_unseen_sealed():
-                    # A seal raced this poll: the bytes at our offset belong
-                    # to a different (fresh) active file.  Consume nothing;
-                    # the next poll drains the new sealed segment first and
-                    # resets the offset.
-                    break
-                raise WalCorruptionError(
-                    f"unreadable WAL record before the tail of {self.path} "
-                    f"(byte offset {self.offset + scan})"
-                )
-            scan = newline + 1
-            if record["seq"] <= self.last_seq:
-                consumed = scan  # already applied; safe to skip past
-                continue
-            if record["seq"] > self.last_seq + 1:
-                if self._has_unseen_sealed():
-                    break  # the missing records are in a just-sealed segment
+        try:
+            with self.path.open("rb") as handle:
+                if os.fstat(handle.fileno()).st_size < self.offset:
+                    # The file shrank under us; restart and let the seq
+                    # filter drop everything already applied.
+                    self.offset = 0
+                    self.truncation_restarts += 1
+                handle.seek(self.offset)
+                raw = handle.read()
+        except FileNotFoundError:
+            return out
+        try:
+            records, ends = scan_records(raw, self.path)
+        except WalCorruptionError:
+            if self._unseen_sealed():
+                # A seal raced this poll: the bytes at our offset belong to a
+                # fresh active file.  Consume nothing; the next poll reads
+                # the new sealed segment first and resets the offset.
+                return out
+            raise
+        taken = self._take(records, out, max_records, self.path)
+        if taken:
+            self.offset += ends[taken - 1]
+        return out
+
+    def _take(
+        self,
+        records: list[dict[str, Any]],
+        out: list[dict[str, Any]],
+        max_records: int | None,
+        source: Path,
+    ) -> int:
+        """Move *records* past ``last_seq`` into *out*; returns how many of
+        *records* were consumed (applied ones are skipped and consumed)."""
+        for taken, record in enumerate(records):
+            if max_records is not None and len(out) >= max_records:
+                return taken
+            seq = record["seq"]
+            if seq > self.last_seq + 1:
+                if source == self.path and self._unseen_sealed():
+                    return taken  # the missing records are in a just-sealed segment
                 # The records between last_seq and this one are in no file
                 # (pruned away before this cursor saw them, or the cursor was
                 # pointed at a log whose snapshot it never loaded).
-                raise ReplicationGapError(self.last_seq + 1, record["seq"], self.path)
-            records.append(record)
-            self.last_seq = record["seq"]
-            consumed = scan
-            if max_records is not None and len(records) >= max_records:
-                break
-        self.offset += consumed
-        return records
-
-    def _has_unseen_sealed(self) -> bool:
-        for candidate in sealed_segment_paths(self.path):
-            index = segment_index(self.path, candidate)
-            if index is not None and index >= self._next_sealed:
-                return True
-        return False
-
-    def _drain_sealed(self, out: list[dict[str, Any]], max_records: int | None) -> None:
-        """Replay sealed segments this cursor has not fully consumed yet.
-
-        Sealed files are immutable and end on a complete line, so a torn or
-        damaged line inside one is real corruption.  A segment whose final
-        sequence number is at or below ``last_seq`` is skipped from its tail
-        alone.  Fully consuming a segment resets ``offset`` to 0: the active
-        path now names a file younger than everything just replayed.
-        """
-        for segment in sealed_segment_paths(self.path):
-            index = segment_index(self.path, segment)
-            if index is None or index < self._next_sealed:
-                continue
-            if max_records is not None and len(out) >= max_records:
-                return  # resume this segment next poll; the seq filter dedups
-            if _last_seq_in(segment) <= self.last_seq:
-                self._next_sealed = index + 1
-                self.offset = 0
-                continue
-            raw = segment.read_bytes()
-            scan = 0
-            while scan < len(raw):
-                if max_records is not None and len(out) >= max_records:
-                    return
-                newline = raw.find(b"\n", scan)
-                if newline < 0:
-                    raise WalCorruptionError(
-                        f"sealed WAL segment {segment} has a torn tail; sealed "
-                        "history must be whole"
-                    )
-                record = parse_record(raw[scan:newline])
-                if record is None:
-                    raise WalCorruptionError(
-                        f"unreadable record in sealed WAL segment {segment} "
-                        f"(byte offset {scan})"
-                    )
-                scan = newline + 1
-                if record["seq"] <= self.last_seq:
-                    continue
-                if record["seq"] > self.last_seq + 1:
-                    # Sealed history resumes above what we need: the segments
-                    # in between were pruned before this cursor saw them.
-                    raise ReplicationGapError(self.last_seq + 1, record["seq"], segment)
+                raise ReplicationGapError(self.last_seq + 1, seq, source)
+            if seq > self.last_seq:
                 out.append(record)
-                self.last_seq = record["seq"]
-            self._next_sealed = index + 1
-            self.segment_rollovers += 1
-            self.offset = 0
+                self.last_seq = seq
+        return len(records)
+
+    def _unseen_sealed(self) -> list[Path]:
+        return [
+            segment
+            for segment in sealed_segment_paths(self.path)
+            if segment_index(self.path, segment) >= self._next_sealed
+        ]
 
     def state(self) -> dict[str, int]:
         """The resumable cursor position (offset + seq high-water mark)."""
@@ -236,31 +185,19 @@ def decode_shipment(
 ) -> tuple[list[dict[str, Any]], bool]:
     """Parse a shipment; returns ``(records, torn_tail)``.
 
-    Tolerates exactly one torn record at the end (a transit tear — the
-    shipper re-ships it whole next round, so losing it here is safe).
-    Damage anywhere earlier raises :class:`WalCorruptionError`, and records
-    must advance strictly past *last_seq* and each other — a shipment that
-    rewinds the sequence is a double-apply attempt, not a retry.
+    Reads by :func:`~repro.service.wal.scan_records`: exactly one torn record
+    at the end is tolerated (a transit tear — the shipper re-ships it whole
+    next round, so losing it here is safe) and damage anywhere earlier
+    raises :class:`WalCorruptionError`.  Records must advance strictly past
+    *last_seq* and each other — a shipment that rewinds the sequence is a
+    double-apply attempt, not a retry.
     """
-    records: list[dict[str, Any]] = []
-    torn = False
-    previous = last_seq
-    lines = payload.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()
-    last = len(lines) - 1
-    for position, line in enumerate(lines):
-        record = parse_record(line)
-        if record is None:
-            if position == last:
-                torn = True
-                break
-            raise WalCorruptionError("unreadable record before the tail of a shipment")
-        if record["seq"] <= previous:
+    records, ends = scan_records(payload, "a shipment")
+    for record in records:
+        if record["seq"] <= last_seq:
             raise WalCorruptionError(
-                f"shipment seq {record['seq']} does not advance past {previous} "
+                f"shipment seq {record['seq']} does not advance past {last_seq} "
                 "(stale or duplicated history rejected)"
             )
-        previous = record["seq"]
-        records.append(record)
-    return records, torn
+        last_seq = record["seq"]
+    return records, len(payload) > (ends[-1] if ends else 0)

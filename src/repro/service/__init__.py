@@ -20,9 +20,9 @@ from repro.service.wal import (
     WriteAheadLog,
     encode_record,
     fsync_dir,
-    parse_record,
     read_records,
     read_segmented_records,
+    scan_records,
 )
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
     "WriteAheadLog",
     "read_records",
     "read_segmented_records",
-    "parse_record",
+    "scan_records",
     "encode_record",
     "fsync_dir",
     "DurableStore",

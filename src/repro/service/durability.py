@@ -411,9 +411,9 @@ class DurableStore:
         self.snapshot_path = self.root / SNAPSHOT_FILE
         self.wal = WriteAheadLog(self.root / WAL_FILE, durability=durability)
         # The log alone cannot know the sequence high-water mark after a
-        # checkpoint truncated it: numbering must continue ABOVE the
-        # snapshot's wal_seq, or records appended after a reopen would be
-        # skipped at recovery as already-applied.
+        # checkpoint pruned the segments it sealed: numbering must continue
+        # ABOVE the snapshot's wal_seq, or records appended after a reopen
+        # would be skipped at recovery as already-applied.
         snapshot_seq = self._snapshot_wal_seq()
         if snapshot_seq > self.wal.last_seq:
             self.wal.last_seq = snapshot_seq

@@ -1,19 +1,24 @@
 """Append-only write-ahead log of serving-layer mutations.
 
 One JSON record per line (JSONL), each ``{"seq": n, "op": ..., "payload": ...}``.
-The log layers on :mod:`repro.core.persistence` snapshots: a checkpoint writes
-a snapshot embedding the last logged sequence number and truncates the log, so
-recovery is *snapshot + replay of the records logged after it*.
+The log layers on :mod:`repro.core.persistence` snapshots: a checkpoint seals
+the active file into a numbered segment, writes a snapshot embedding the last
+logged sequence number, and then prunes the segments that snapshot supersedes,
+so recovery is *snapshot + replay of the records logged after it*.
 
 Crash semantics:
 
 * every append is flushed; with ``durability="always"`` it is also fsynced,
   so an acknowledged mutation survives a machine crash;
-* a crash mid-append leaves a **torn final line**; :func:`read_records`
+* a crash mid-append leaves a **torn final line**; :func:`scan_records`
   tolerates exactly that (the unacknowledged tail op is lost, as it must be)
   but raises :class:`~repro.errors.WalCorruptionError` for damage anywhere
   before the tail — a log that lies about acknowledged history must not be
   silently replayed.
+
+:func:`scan_records` is the one reader of log bytes: recovery, the WAL's own
+reopen, the replication cursor and the shipment decoder all go through it, so
+they accept the same records and refuse the same damage.
 
 Batched appends (:meth:`WriteAheadLog.append_many`) write the whole group and
 sync **once** — the group-commit optimization behind the serving layer's bulk
@@ -112,47 +117,14 @@ def sealed_segment_paths(active: str | Path) -> list[Path]:
 def read_segmented_records(active: str | Path) -> tuple[list[dict[str, Any]], bool]:
     """Parse sealed segments plus the active log, in order.
 
-    Sealed segments are fsynced whole before the rename that seals them, so a
-    torn tail inside one is acknowledged history gone bad — that raises
-    :class:`WalCorruptionError` rather than being shrugged off as a crash
-    artifact.  Only the *active* file may legitimately end mid-line.
+    A sealed segment must be whole (see :func:`scan_records`); only the
+    *active* file may legitimately end mid-line.
     """
-    active = Path(active)
     records: list[dict[str, Any]] = []
     for segment in sealed_segment_paths(active):
-        segment_records, torn = read_records(segment)
-        if torn:
-            raise WalCorruptionError(
-                f"sealed WAL segment {segment} has a torn tail; sealed history "
-                "must be whole (segments are fsynced before the sealing rename)"
-            )
-        records.extend(segment_records)
+        records += scan_records(segment.read_bytes(), segment, sealed=True)[0]
     active_records, torn = read_records(active)
-    records.extend(active_records)
-    return records, torn
-
-
-def _last_seq_in(path: Path) -> int:
-    """Sequence number of the final record in a sealed segment.
-
-    Reads only the file tail — sealed segments end on a complete line, so the
-    last parseable line is the last record.
-    """
-    try:
-        size = path.stat().st_size
-    except OSError:
-        return 0
-    if size == 0:
-        return 0
-    with path.open("rb") as handle:
-        if size > 65536:
-            handle.seek(size - 65536)
-        tail = handle.read()
-    for line in reversed(tail.split(b"\n")):
-        record = parse_record(line)
-        if record is not None:
-            return record["seq"]
-    return 0
+    return records + active_records, torn
 
 
 def encode_record(record: dict[str, Any]) -> str:
@@ -175,40 +147,61 @@ def encode_record(record: dict[str, Any]) -> str:
 def read_records(path: str | Path) -> tuple[list[dict[str, Any]], bool]:
     """Parse the log at *path*; returns ``(records, torn_tail)``.
 
-    ``torn_tail`` is True when the final line was unreadable (the signature a
-    crash mid-append leaves).  An unreadable or malformed record *before* the
-    final line raises :class:`WalCorruptionError`.
+    ``torn_tail`` is True when :func:`scan_records` left a torn final line
+    out (the signature a crash mid-append leaves).
     """
     source = Path(path)
-    if not source.exists():
+    try:
+        raw = source.read_bytes()
+    except FileNotFoundError:
         return [], False
-    raw = source.read_bytes()
-    if not raw:
-        return [], False
+    records, ends = scan_records(raw, source)
+    return records, len(raw) > (ends[-1] if ends else 0)
+
+
+def scan_records(
+    raw: bytes, source: object, sealed: bool = False
+) -> tuple[list[dict[str, Any]], list[int]]:
+    """Parse log bytes into ``(records, ends)``: the one WAL line rule.
+
+    ``ends[i]`` is the byte offset just past record *i*'s newline.  Only the
+    final line may be torn — unterminated (an append is acknowledged only
+    once its newline is durable) or unreadable — and a torn final line is
+    left out.  A *sealed* segment is fsynced whole before the rename that
+    seals it, so a torn line there is acknowledged history gone bad and
+    raises :class:`WalCorruptionError`, as does an unreadable line anywhere
+    before the final one.  *source* names the bytes in error messages.
+    """
     lines = raw.split(b"\n")
-    # A complete log ends with a newline, leaving one empty trailing chunk.
-    if lines and lines[-1] == b"":
-        lines.pop()
+    unterminated = lines.pop()  # b"" when the bytes end on a newline
     records: list[dict[str, Any]] = []
+    ends: list[int] = []
+    end = 0
     last = len(lines) - 1
     for position, line in enumerate(lines):
         record = parse_record(line)
         if record is None:
-            if position == last:
-                return records, True
-            raise WalCorruptionError(
-                f"unreadable WAL record at line {position + 1} of {source} (not the tail)"
-            )
+            if position < last or unterminated:
+                raise WalCorruptionError(
+                    f"unreadable WAL record at line {position + 1} of {source} (not the tail)"
+                )
+            break
         records.append(record)
-    return records, False
+        end += len(line) + 1
+        ends.append(end)
+    if sealed and end < len(raw):
+        raise WalCorruptionError(
+            f"sealed WAL segment {source} has a torn tail; sealed history "
+            "must be whole (segments are fsynced before the sealing rename)"
+        )
+    return records, ends
 
 
 def parse_record(line: bytes) -> dict[str, Any] | None:
     """Parse one JSONL line into a WAL record; None when it is not one.
 
-    Shared with the replication tailer (:mod:`repro.replica.tailer`), whose
-    shipped byte stream must accept exactly the records :func:`read_records`
-    accepts.
+    Called only by :func:`scan_records`, which decides what an unreadable
+    line means.
     """
     try:
         record = json.loads(line.decode("utf-8"))
@@ -250,17 +243,26 @@ class WriteAheadLog:
         #: as ``(index, path, last_seq)``.  Segment files are read-only once
         #: sealed; only :meth:`prune_sealed` removes them.
         self._sealed: list[tuple[int, Path, int]] = []
+        self.last_seq = 0
         for segment in sealed_segment_paths(self.path):
-            index = segment_index(self.path, segment)
-            self._sealed.append((index, segment, _last_seq_in(segment)))
-        existing, torn = read_records(self.path)
-        sealed_last = self._sealed[-1][2] if self._sealed else 0
-        self.last_seq = existing[-1]["seq"] if existing else sealed_last
+            records, _ = scan_records(segment.read_bytes(), segment, sealed=True)
+            if records:
+                self.last_seq = records[-1]["seq"]
+            self._sealed.append((segment_index(self.path, segment), segment, self.last_seq))
+        try:
+            raw = self.path.read_bytes()
+        except FileNotFoundError:
+            raw = b""
+        existing, ends = scan_records(raw, self.path)
+        if existing:
+            self.last_seq = existing[-1]["seq"]
         self.record_count = len(existing)
-        if torn:
-            # Drop the torn tail so new appends start on a clean line.
-            self._truncate_to_records(existing)
         self._handle = self.path.open("a", encoding="utf-8")
+        kept = ends[-1] if ends else 0
+        if kept < len(raw):
+            # Drop the torn tail so new appends start on a clean line.
+            self._handle.truncate(kept)
+            os.fsync(self._handle.fileno())
 
     # -- appends ---------------------------------------------------------------
 
@@ -345,19 +347,6 @@ class WriteAheadLog:
         if self.durability != "never":
             self._fsync()
 
-    def truncate(self) -> None:
-        """Drop every record (sequence numbering continues where it left off).
-
-        Called after a checkpoint whose snapshot embeds ``last_seq``; records
-        at or below that mark are superseded by the snapshot.
-        """
-        self._handle.truncate(0)
-        self._handle.seek(0)
-        self._handle.flush()
-        if self.durability != "never":
-            self._fsync()
-        self.record_count = 0
-
     # -- segments --------------------------------------------------------------
 
     @io_under_lock_ok
@@ -430,18 +419,6 @@ class WriteAheadLog:
             "sealed_bytes": sealed_bytes,
             "active_bytes": active_bytes,
         }
-
-    def _truncate_to_records(self, records: list[dict[str, Any]]) -> None:
-        """Rewrite the file to exactly *records* (tears a damaged tail off)."""
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(encode_record(record) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
-        # The rename is only durable once the directory entry reaches disk.
-        fsync_dir(self.path.parent)
 
     def close(self) -> None:
         """Flush, sync and close the underlying file."""

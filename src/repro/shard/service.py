@@ -807,8 +807,8 @@ class ShardedGraphittiService:
     def checkpoint(self) -> Path | None:
         """Checkpoint every shard, then land the manifest.
 
-        Each shard's checkpoint is individually atomic (snapshot rename +
-        WAL truncate); the manifest — written last, write-temp + fsync +
+        Each shard's checkpoint is individually atomic (WAL seal, snapshot
+        rename, segment prune); the manifest — written last, write-temp + fsync +
         rename — records the coordinated point.  A crash between shard
         checkpoints leaves every shard independently consistent and the old
         manifest in place, which recovery handles like any mid-checkpoint

@@ -22,6 +22,12 @@ WRITE_VERBS = [
     ["update", "flu-a1", "--title", "revised"],
     ["delete-object", "HA_duck"],
 ]
+#: Verbs that open a root in any topology (single, sharded or replicated).
+ANY_TOPOLOGY_VERBS = [
+    ["metrics"],
+    ["compact"],
+    ["trace", 'SELECT contents WHERE { CONTENT CONTAINS "flu" }'],
+]
 
 
 def file_digests(root: Path) -> dict[str, str]:
@@ -165,7 +171,9 @@ def test_read_verbs_leave_every_byte_of_the_root_unchanged(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("verb", READ_VERBS + WRITE_VERBS, ids=lambda verb: verb[0])
+@pytest.mark.parametrize(
+    "verb", READ_VERBS + WRITE_VERBS + ANY_TOPOLOGY_VERBS, ids=lambda verb: verb[0]
+)
 def test_a_verb_on_a_missing_root_exits_2_and_creates_nothing(tmp_path, capsys, verb):
     root = tmp_path / "missing"
     assert main([verb[0], str(root), *verb[1:]]) == 2

@@ -3,9 +3,10 @@
 The cursor is the shipping side of replication — these tests pin the
 contract the follower pipeline builds on: complete records are returned
 exactly once, a torn tail is never consumed and never an error, mid-file
-damage refuses to replay, a checkpoint truncation restarts the cursor
-idempotently, and a truncation that skipped history the cursor never saw
-raises :class:`ReplicationGapError` instead of silently dropping it.
+damage refuses to replay (as recovery refuses it), a file that shrank
+restarts the cursor idempotently, a sealed segment is read whole, and
+history the cursor never saw raises :class:`ReplicationGapError` instead of
+silently dropping it.
 """
 
 import json
@@ -13,6 +14,7 @@ import json
 import pytest
 
 from repro.errors import WalCorruptionError
+from repro.service.wal import read_records, sealed_segment_name
 from repro.replica import (
     ReplicationGapError,
     WalCursor,
@@ -80,6 +82,26 @@ def test_mid_file_damage_raises(tmp_path):
     cursor = WalCursor(wal)
     with pytest.raises(WalCorruptionError):
         cursor.poll()
+
+
+def test_damage_before_a_torn_tail_raises_like_read_records(tmp_path):
+    wal = tmp_path / "wal.jsonl"
+    wal.write_text(_line(1) + "{damaged\n" + '{"seq":3')
+    with pytest.raises(WalCorruptionError):
+        read_records(wal)
+    with pytest.raises(WalCorruptionError):
+        WalCursor(wal).poll()
+
+
+def test_a_sealed_record_over_64_kib_is_not_skipped(tmp_path):
+    wal = tmp_path / "wal.jsonl"
+    big = {"seq": 2, "op": "commit", "payload": {"body": "x" * 70_000}}
+    sealed = tmp_path / sealed_segment_name(wal, 1)
+    sealed.write_text(_line(1) + json.dumps(big, separators=(",", ":")) + "\n")
+    _write(wal, 3)
+    cursor = WalCursor(wal, last_seq=1)
+    assert [r["seq"] for r in cursor.poll()] == [2, 3]
+    assert cursor.poll() == []
 
 
 def test_truncation_restart_is_idempotent(tmp_path):

@@ -34,7 +34,8 @@ NO_CLOSE_CHECKPOINT = ServiceConfig(checkpoint_on_close=False)
 WARM, ACKED = 8, 8
 
 # The child: warm corpus -> clean checkpoint -> more acknowledged commits ->
-# checkpoint that SIGKILLs itself at the seam named by argv[2].  The clean
+# checkpoint that SIGKILLs itself at the seam named by argv[2]; the last
+# acknowledged commit's body is padded by argv[6] bytes.  The clean
 # checkpoint first means the killed one runs against a real prior snapshot
 # and prior sealed-segment history, not a fresh root.
 _CHILD_CODE = """
@@ -46,14 +47,15 @@ from repro.service import GraphittiService, ServiceConfig
 service = GraphittiService.open(root, config=ServiceConfig(checkpoint_on_close=False))
 service.register(DnaSequence("crash_seq", "ACGT" * 120, domain="crash:chr1"))
 
-def commit(prefix, count):
+def commit(prefix, count, pad=0):
     for index in range(count):
+        padding = " " + "x" * pad if pad and index == count - 1 else ""
         (
             service.new_annotation(
                 f"{prefix}-{index}",
                 title=f"{prefix} annotation {index}",
                 keywords=["crash", prefix],
-                body=f"{prefix} crash-matrix annotation {index}",
+                body=f"{prefix} crash-matrix annotation {index}{padding}",
             )
             .mark_sequence("crash_seq", index * 12, index * 12 + 10)
             .commit()
@@ -61,7 +63,7 @@ def commit(prefix, count):
 
 commit("warm", int(sys.argv[3]))
 service.checkpoint()
-commit("acked", int(sys.argv[4]))
+commit("acked", int(sys.argv[4]), int(sys.argv[6]))
 print("ACKED", flush=True)
 os.environ[sys.argv[5]] = seam
 service.checkpoint()
@@ -69,7 +71,7 @@ print("SURVIVED", flush=True)
 """
 
 
-def _run_child_killed_at(root: Path, seam: str) -> subprocess.CompletedProcess:
+def _run_child_killed_at(root: Path, seam: str, pad: int = 0) -> subprocess.CompletedProcess:
     completed = subprocess.run(
         [
             sys.executable,
@@ -80,6 +82,7 @@ def _run_child_killed_at(root: Path, seam: str) -> subprocess.CompletedProcess:
             str(WARM),
             str(ACKED),
             KILL_ENV,
+            str(pad),
         ],
         capture_output=True,
         text=True,
@@ -113,12 +116,21 @@ def test_kill_at_checkpoint_seam_loses_no_acknowledged_write(tmp_path, seam):
         recovered.close()
 
 
-@pytest.mark.parametrize("seam", ["seal", "tmp", "rename", "prune"])
-def test_recovered_root_checkpoints_cleanly_after_kill(tmp_path, seam):
-    """The crash leftovers (orphaned tmp, stale segments) must not poison the
-    next checkpoint: recover, commit more, checkpoint, recover again."""
+@pytest.mark.parametrize(
+    "seam, pad",
+    [pytest.param(seam, 0, id=seam) for seam in ("seal", "tmp", "rename", "prune")]
+    # The last acknowledged record is over 64 KiB: the reopened log must
+    # still number its next record above it, or the next recovery refuses
+    # a replayed seq that does not advance.
+    + [pytest.param("seal", 70_000, id="seal-record-over-64kib")],
+)
+def test_recovered_root_checkpoints_cleanly_after_kill(tmp_path, seam, pad):
+    """The crash leftovers (orphaned tmp, stale segments) must not poison
+    what follows: recover, commit more, recover again, checkpoint, and
+    recover a third time."""
     root = tmp_path / f"relife-{seam}"
-    _run_child_killed_at(root, seam)
+    _run_child_killed_at(root, seam, pad)
+    expected = _expected_ids() | {"post-crash"}
 
     recovered = GraphittiService.recover(root, config=NO_CLOSE_CHECKPOINT)
     try:
@@ -133,18 +145,23 @@ def test_recovered_root_checkpoints_cleanly_after_kill(tmp_path, seam):
             .mark_sequence("relife_seq", 300, 320)
             .commit()
         )
-        recovered.checkpoint()
     finally:
         recovered.close()
-    assert not (root / "snapshot.json.tmp").exists()
 
     reopened = GraphittiService.recover(root, config=NO_CLOSE_CHECKPOINT)
     try:
-        ids = {a.annotation_id for a in reopened.manager.annotations()}
-        assert ids == _expected_ids() | {"post-crash"}
-        assert reopened.check_integrity().ok
+        assert {a.annotation_id for a in reopened.manager.annotations()} == expected
+        reopened.checkpoint()
     finally:
         reopened.close()
+    assert not (root / "snapshot.json.tmp").exists()
+
+    checkpointed = GraphittiService.recover(root, config=NO_CLOSE_CHECKPOINT)
+    try:
+        assert {a.annotation_id for a in checkpointed.manager.annotations()} == expected
+        assert checkpointed.check_integrity().ok
+    finally:
+        checkpointed.close()
 
 
 def test_kill_after_tmp_leaves_orphan_and_old_snapshot(tmp_path):

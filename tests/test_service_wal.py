@@ -1,4 +1,4 @@
-"""Tests for the write-ahead log: appends, torn tails, corruption, truncation."""
+"""Tests for the write-ahead log: appends, torn tails, corruption, reopen."""
 
 import json
 
@@ -106,14 +106,19 @@ def test_reopen_after_torn_tail_rewrites_clean(tmp_path):
     assert [record["payload"]["n"] for record in records] == [1, 3]
 
 
-def test_truncate_keeps_numbering(tmp_path):
-    with _wal(tmp_path) as wal:
-        wal.append("commit", {"n": 1})
-        wal.truncate()
-        assert wal.record_count == 0
-        assert wal.append("commit", {"n": 2}) == 2  # numbering continues
-    records, _ = read_records(tmp_path / "wal.jsonl")
-    assert [record["seq"] for record in records] == [2]
+def test_an_unterminated_final_line_is_torn_even_when_it_parses(tmp_path):
+    # An append is acknowledged only once its newline is written, so a final
+    # line without one was never acknowledged; keeping it would glue the
+    # next append onto it and lose both.
+    path = tmp_path / "wal.jsonl"
+    path.write_text(encode_record({"seq": 1, "op": "commit", "payload": {"n": 1}}))
+    assert read_records(path) == ([], True)
+    with WriteAheadLog(path, durability="never") as wal:
+        assert wal.last_seq == 0
+        assert wal.append("commit", {"n": 2}) == 1
+    records, torn = read_records(path)
+    assert not torn
+    assert [record["payload"]["n"] for record in records] == [2]
 
 
 def test_missing_and_empty_files(tmp_path):
