@@ -380,7 +380,7 @@ class ReplicatedGraphittiService:
 
     def _reset_cursor(self, follower: ReplicaFollower) -> None:
         self._cursors[follower.name] = WalCursor(
-            self._primary_root() / WAL_FILE, offset=0, last_seq=follower.applied_seq
+            self._primary_root() / WAL_FILE, last_seq=follower.applied_seq
         )
         self._pending[follower.name] = []
 

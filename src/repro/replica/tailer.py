@@ -1,11 +1,11 @@
 """Incremental WAL tailing: the shipping side of replication.
 
-:func:`~repro.service.wal.read_records` slurps a whole log — fine for
-recovery, useless for a follower that must see each new record once.
-:class:`WalCursor` reads the same log **incrementally**: sealed segments it
-has not seen yet, then the active file from a byte offset.  Every byte it
-reads goes through :func:`~repro.service.wal.scan_records`, the rule
-recovery uses, so:
+:class:`WalCursor` reads a log **incrementally**, so a follower sees each
+new record once: it keeps one byte ``offset`` into whichever file it is
+draining — a sealed segment it has not finished, or the active file — and
+each poll reads that file from there.  Every byte it reads goes through
+:func:`~repro.service.wal.iter_records`, the rule recovery uses, which
+parses only the records the poll takes, so:
 
 * ``poll()`` returns only the records appended since the last poll, and the
   cursor's ``offset`` advances past exactly the records it consumed;
@@ -17,8 +17,8 @@ recovery uses, so:
 * damage **before** the tail raises :class:`~repro.errors.WalCorruptionError`
   — a mid-file unreadable record means acknowledged history is lost and the
   follower must not silently skip it;
-* an active file that *shrank* below the cursor's offset (a reopen cut its
-  torn tail, or it was rewritten) restarts the cursor at offset 0, and its
+* a file that *shrank* below the cursor's offset (a reopen cut its torn
+  tail, or it was rewritten) restarts the cursor at offset 0, and its
   sequence filter (records at or below ``last_seq`` are already applied)
   keeps the restart idempotent;
 * records resuming above ``last_seq + 1`` mean the records in between were
@@ -37,10 +37,16 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO
 
 from repro.errors import ServiceError, WalCorruptionError
-from repro.service.wal import encode_record, scan_records, sealed_segment_paths, segment_index
+from repro.service.wal import (
+    encode_record,
+    iter_records,
+    scan_records,
+    sealed_segment_paths,
+    segment_index,
+)
 
 
 class ReplicationGapError(ServiceError):
@@ -63,30 +69,29 @@ class ReplicationGapError(ServiceError):
 
 class WalCursor:
     """An incremental reader over one WAL: its sealed segments, then its
-    active file from a byte offset.
+    active file, each from a byte offset.
 
     Parameters
     ----------
     path:
         The active WAL file to tail (may not exist yet).
-    offset:
-        Byte offset to resume from (0 for a fresh cursor; a persisted
-        follower passes the offset it had reached).
     last_seq:
         Highest sequence number already consumed; records at or below it are
         skipped (the idempotence filter that makes truncation restarts and
         re-ships safe).
     """
 
-    def __init__(self, path: str | Path, offset: int = 0, last_seq: int = 0):
+    def __init__(self, path: str | Path, last_seq: int = 0):
         self.path = Path(path)
-        self.offset = int(offset)
         self.last_seq = int(last_seq)
+        #: Bytes consumed of the file ``_file`` names, ``(st_dev, st_ino)``:
+        #: sealing renames the active file, so an offset taken in it still
+        #: holds once it is a segment, and any other file starts at 0.
+        self.offset = 0
+        self._file: tuple[int, int] | None = None
         self.truncation_restarts = 0
         #: Sealed segments with index below this are fully consumed (or were
-        #: skipped as already-applied history).  Deliberately NOT part of
-        #: :meth:`state`: a re-created cursor rescans the sealed directory and
-        #: the seq filter makes the rescan idempotent.
+        #: skipped as already-applied history).
         self._next_sealed = 0
 
     def poll(self, max_records: int | None = None) -> list[dict[str, Any]]:
@@ -100,57 +105,52 @@ class WalCursor:
         needs were pruned away entirely.
         """
         out: list[dict[str, Any]] = []
-        for segment in self._unseen_sealed():
-            try:
-                records, _ = scan_records(segment.read_bytes(), segment, sealed=True)
-            except FileNotFoundError:
-                records = []  # pruned under us: superseded history
-            if self._take(records, out, max_records, segment) < len(records):
-                return out  # resume this segment next poll; the seq filter dedups
-            # The active path now names a file younger than this segment.
-            self._next_sealed = segment_index(self.path, segment) + 1
-            self.offset = 0
+        # The active file is opened before the segments are listed, so a
+        # seal racing this poll either shows in the listing or renamed the
+        # very file held open here: every record this poll can miss is in
+        # a file the next poll lists.
         try:
-            with self.path.open("rb") as handle:
-                if os.fstat(handle.fileno()).st_size < self.offset:
-                    # The file shrank under us; restart and let the seq
-                    # filter drop everything already applied.
-                    self.offset = 0
-                    self.truncation_restarts += 1
-                handle.seek(self.offset)
-                raw = handle.read()
+            active = self.path.open("rb")
         except FileNotFoundError:
-            return out
+            active = None
         try:
-            records, ends = scan_records(raw, self.path)
-        except WalCorruptionError:
-            if self._unseen_sealed():
-                # A seal raced this poll: the bytes at our offset belong to a
-                # fresh active file.  Consume nothing; the next poll reads
-                # the new sealed segment first and resets the offset.
-                return out
-            raise
-        taken = self._take(records, out, max_records, self.path)
-        if taken:
-            self.offset += ends[taken - 1]
-        return out
+            for segment in sealed_segment_paths(self.path):
+                index = segment_index(self.path, segment)
+                if index < self._next_sealed:
+                    continue
+                if len(out) == max_records:
+                    return out
+                try:
+                    with segment.open("rb") as handle:
+                        if not self._drain(handle, segment, out, max_records):
+                            return out  # resume at this segment's offset
+                except FileNotFoundError:
+                    pass  # pruned under us: superseded history
+                self._next_sealed = index + 1
+            if active is not None and len(out) != max_records:
+                self._drain(active, self.path, out, max_records)
+            return out
+        finally:
+            if active is not None:
+                active.close()
 
-    def _take(
-        self,
-        records: list[dict[str, Any]],
-        out: list[dict[str, Any]],
-        max_records: int | None,
-        source: Path,
-    ) -> int:
-        """Move *records* past ``last_seq`` into *out*; returns how many of
-        *records* were consumed (applied ones are skipped and consumed)."""
-        for taken, record in enumerate(records):
-            if max_records is not None and len(out) >= max_records:
-                return taken
+    def _drain(self, handle: BinaryIO, source: Path, out: list, max_records: int | None) -> bool:
+        """Move the records of *handle* past ``offset`` and ``last_seq`` into
+        *out*, up to *max_records*; True when the file is read to its end."""
+        stat = os.fstat(handle.fileno())
+        if (stat.st_dev, stat.st_ino) != self._file:
+            self._file = (stat.st_dev, stat.st_ino)
+            self.offset = 0
+        elif stat.st_size < self.offset:
+            # The file shrank under us; restart and let the seq filter drop
+            # everything already applied.
+            self.offset = 0
+            self.truncation_restarts += 1
+        start = self.offset
+        handle.seek(start)
+        for record, end in iter_records(handle.read(), source, sealed=source != self.path):
             seq = record["seq"]
             if seq > self.last_seq + 1:
-                if source == self.path and self._unseen_sealed():
-                    return taken  # the missing records are in a just-sealed segment
                 # The records between last_seq and this one are in no file
                 # (pruned away before this cursor saw them, or the cursor was
                 # pointed at a log whose snapshot it never loaded).
@@ -158,18 +158,10 @@ class WalCursor:
             if seq > self.last_seq:
                 out.append(record)
                 self.last_seq = seq
-        return len(records)
-
-    def _unseen_sealed(self) -> list[Path]:
-        return [
-            segment
-            for segment in sealed_segment_paths(self.path)
-            if segment_index(self.path, segment) >= self._next_sealed
-        ]
-
-    def state(self) -> dict[str, int]:
-        """The resumable cursor position (offset + seq high-water mark)."""
-        return {"offset": self.offset, "last_seq": self.last_seq}
+            self.offset = start + end
+            if len(out) == max_records:
+                return False
+        return True
 
 
 # -- shipment codec ------------------------------------------------------------

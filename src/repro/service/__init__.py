@@ -20,7 +20,6 @@ from repro.service.wal import (
     WriteAheadLog,
     encode_record,
     fsync_dir,
-    read_records,
     read_segmented_records,
     scan_records,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "ReadWriteLock",
     "QueryResultCache",
     "WriteAheadLog",
-    "read_records",
     "read_segmented_records",
     "scan_records",
     "encode_record",

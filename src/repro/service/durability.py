@@ -496,8 +496,8 @@ class DurableStore:
 def has_durable_state(root: str | Path) -> bool:
     """Whether *root* holds a single service's snapshot or WAL records.
 
-    Plain stats — no WAL open (which would repair a torn tail before
-    recovery can report it) and no log parse.  A crash after a seal but
+    Plain stats — no WAL open (which would create the log it asks about)
+    and no log parse.  A crash after a seal but
     before the snapshot landed leaves an empty active file next to sealed
     segments — that is state too.
     """
@@ -516,8 +516,12 @@ def apply_record(manager, record: dict[str, Any]) -> None:
 
 
 @collector_paused()
-def recover_manager(root: str | Path):
+def recover_manager(root: str | Path, log: tuple[list[dict[str, Any]], bool] | None = None):
     """Rebuild the manager for the instance at *root*.
+
+    *log* is ``(records, torn_tail)`` as the open of *root*'s WAL read it
+    (:attr:`~repro.service.wal.WriteAheadLog.opened`); without it the log is
+    read here, and left as it is.
 
     Runs with the cyclic collector paused: recovery only allocates — the
     decoded payload, then the structures built from it — so the generational
@@ -531,21 +535,10 @@ def recover_manager(root: str | Path):
     snapshot_path = root / SNAPSHOT_FILE
     wal_path = root / WAL_FILE
     # Sealed segments first, the active file last — one ordered record stream.
-    records, torn_tail = read_segmented_records(wal_path)
-    if not snapshot_path.exists() and not records:
-        if torn_tail:
-            # A crash mid-append of the very first record: the only line is
-            # torn, so nothing was ever acknowledged.  The correct recovered
-            # state is a fresh instance, not a refusal to open the root.
-            from repro.core.manager import Graphitti
-
-            return Graphitti(root.name or "graphitti"), {
-                "snapshot": False,
-                "base_seq": 0,
-                "replayed": 0,
-                "skipped": 0,
-                "torn_tail": True,
-            }
+    records, torn_tail = read_segmented_records(wal_path) if log is None else log
+    # A log whose only line is torn (a crash mid-append of the very first
+    # record) acknowledged nothing: it recovers to a fresh instance.
+    if not snapshot_path.exists() and not records and not torn_tail:
         raise ServiceError(f"no snapshot or WAL records to recover from in {root}")
 
     base_seq = 0

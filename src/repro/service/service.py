@@ -122,9 +122,11 @@ class GraphittiService:
         self._cache = QueryResultCache(capacity)
         if capacity:
             self._manager.attach_footprints(self._cache.invalidate)
-        self._store = DurableStore(root, durability=self.config.durability) if root else None
-        if self._store is not None and self.obs.enabled:
-            self._store.wal.tracer = self.obs.tracer
+        self._store: DurableStore | None = None
+        if root:
+            store = DurableStore(root, durability=self.config.durability)
+            store.wal.opened = None  # nothing recovers from this open's read
+            self._attach_store(store)
         self._wal_failed = False
         self._fenced = False
         #: Called after every successful WAL append, before the mutation is
@@ -176,11 +178,27 @@ class GraphittiService:
 
     @classmethod
     def recover(cls, root: str | Path, config: ServiceConfig | None = None) -> "GraphittiService":
-        """Rebuild the service at *root* from its snapshot + WAL replay."""
-        manager, info = recover_manager(root)
-        service = cls(manager=manager, root=root, config=config)
+        """Rebuild the service at *root* from its snapshot + WAL replay (of
+        the records the store's WAL read as it opened: the log is read once)."""
+        if not has_durable_state(root):
+            raise ServiceError(f"no snapshot or WAL records to recover from in {root}")
+        config = config or ServiceConfig()
+        store = DurableStore(root, durability=config.durability)
+        try:
+            log, store.wal.opened = store.wal.opened, None
+            manager, info = recover_manager(root, log)
+        except BaseException:
+            store.close()
+            raise
+        service = cls(manager=manager, config=config)
+        service._attach_store(store)
         service._recovery_info = info
         return service
+
+    def _attach_store(self, store: DurableStore) -> None:
+        self._store = store
+        if self.obs.enabled:
+            store.wal.tracer = self.obs.tracer
 
     @property
     def manager(self) -> Graphitti:

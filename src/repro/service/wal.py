@@ -10,15 +10,15 @@ Crash semantics:
 
 * every append is flushed; with ``durability="always"`` it is also fsynced,
   so an acknowledged mutation survives a machine crash;
-* a crash mid-append leaves a **torn final line**; :func:`scan_records`
+* a crash mid-append leaves a **torn final line**; :func:`iter_records`
   tolerates exactly that (the unacknowledged tail op is lost, as it must be)
   but raises :class:`~repro.errors.WalCorruptionError` for damage anywhere
   before the tail — a log that lies about acknowledged history must not be
   silently replayed.
 
-:func:`scan_records` is the one reader of log bytes: recovery, the WAL's own
-reopen, the replication cursor and the shipment decoder all go through it, so
-they accept the same records and refuse the same damage.
+:func:`iter_records` is the one reader of log bytes: the WAL's open (whose
+records recovery replays), the replication cursor and the shipment decoder
+all go through it, so they accept the same records and refuse the same damage.
 
 Batched appends (:meth:`WriteAheadLog.append_many`) write the whole group and
 sync **once** — the group-commit optimization behind the serving layer's bulk
@@ -38,7 +38,7 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import ServiceError, WalCorruptionError
 from repro.analysis.annotations import io_under_lock_ok
@@ -114,17 +114,28 @@ def sealed_segment_paths(active: str | Path) -> list[Path]:
     return [path for _, path in sorted(found)]
 
 
-def read_segmented_records(active: str | Path) -> tuple[list[dict[str, Any]], bool]:
-    """Parse sealed segments plus the active log, in order.
+def read_segmented_records(
+    active: str | Path, files: list | None = None
+) -> tuple[list[dict[str, Any]], bool]:
+    """Parse sealed segments plus the active log, in order: ``(records, torn_tail)``.
 
-    A sealed segment must be whole (see :func:`scan_records`); only the
-    *active* file may legitimately end mid-line.
+    Only the *active* file may end mid-line (see :func:`iter_records`); a
+    missing file reads as empty.  A *files* list gets one ``(path, records,
+    end)`` per file, *end* just past its last record: how
+    :class:`WriteAheadLog` learns its segments from this one scan.
     """
-    records: list[dict[str, Any]] = []
-    for segment in sealed_segment_paths(active):
-        records += scan_records(segment.read_bytes(), segment, sealed=True)[0]
-    active_records, torn = read_records(active)
-    return records + active_records, torn
+    active = Path(active)
+    files = [] if files is None else files
+    for path in sealed_segment_paths(active) + [active]:
+        try:
+            raw = path.read_bytes()
+        except FileNotFoundError:
+            raw = b""
+        records, end = [], 0
+        for record, end in iter_records(raw, path, sealed=path != active):
+            records.append(record)
+        files.append((path, records, end))
+    return [record for _, records, _ in files for record in records], len(raw) > files[-1][2]
 
 
 def encode_record(record: dict[str, Any]) -> str:
@@ -132,7 +143,7 @@ def encode_record(record: dict[str, Any]) -> str:
 
     Raises :class:`ServiceError` when the payload holds a value JSON cannot
     represent natively (sets, objects, NaN/Infinity, non-string keys...): a
-    record that cannot round-trip through :func:`read_records` must never be
+    record that cannot round-trip through :func:`iter_records` must never be
     acknowledged, because replay — the whole point of the log — would lose it.
     """
     try:
@@ -144,63 +155,51 @@ def encode_record(record: dict[str, Any]) -> str:
         ) from exc
 
 
-def read_records(path: str | Path) -> tuple[list[dict[str, Any]], bool]:
-    """Parse the log at *path*; returns ``(records, torn_tail)``.
-
-    ``torn_tail`` is True when :func:`scan_records` left a torn final line
-    out (the signature a crash mid-append leaves).
-    """
-    source = Path(path)
-    try:
-        raw = source.read_bytes()
-    except FileNotFoundError:
-        return [], False
-    records, ends = scan_records(raw, source)
-    return records, len(raw) > (ends[-1] if ends else 0)
-
-
-def scan_records(
+def iter_records(
     raw: bytes, source: object, sealed: bool = False
-) -> tuple[list[dict[str, Any]], list[int]]:
-    """Parse log bytes into ``(records, ends)``: the one WAL line rule.
+) -> Iterator[tuple[dict[str, Any], int]]:
+    """Parse log bytes lazily into ``(record, end)`` pairs: the one WAL line rule.
 
-    ``ends[i]`` is the byte offset just past record *i*'s newline.  Only the
+    ``end`` is the byte offset just past the record's newline.  Only the
     final line may be torn — unterminated (an append is acknowledged only
-    once its newline is durable) or unreadable — and a torn final line is
-    left out.  A *sealed* segment is fsynced whole before the rename that
-    seals it, so a torn line there is acknowledged history gone bad and
-    raises :class:`WalCorruptionError`, as does an unreadable line anywhere
-    before the final one.  *source* names the bytes in error messages.
+    once its newline is durable; such a line is never parsed) or unreadable
+    — and a torn final line is left out.  A *sealed* segment is fsynced
+    whole before the rename that seals it, so a torn line there is
+    acknowledged history gone bad and raises :class:`WalCorruptionError`,
+    as does an unreadable line anywhere before the final one.  *source*
+    names the bytes in error messages.
     """
-    lines = raw.split(b"\n")
-    unterminated = lines.pop()  # b"" when the bytes end on a newline
-    records: list[dict[str, Any]] = []
-    ends: list[int] = []
     end = 0
-    last = len(lines) - 1
-    for position, line in enumerate(lines):
-        record = parse_record(line)
+    while (stop := raw.find(b"\n", end)) >= 0:
+        record = parse_record(raw[end:stop])
         if record is None:
-            if position < last or unterminated:
+            if stop + 1 < len(raw):
+                line = raw.count(b"\n", 0, stop) + 1
                 raise WalCorruptionError(
-                    f"unreadable WAL record at line {position + 1} of {source} (not the tail)"
+                    f"unreadable WAL record at line {line} of {source} (not the tail)"
                 )
             break
-        records.append(record)
-        end += len(line) + 1
-        ends.append(end)
+        end = stop + 1
+        yield record, end
     if sealed and end < len(raw):
         raise WalCorruptionError(
             f"sealed WAL segment {source} has a torn tail; sealed history "
             "must be whole (segments are fsynced before the sealing rename)"
         )
-    return records, ends
+
+
+def scan_records(
+    raw: bytes, source: object, sealed: bool = False
+) -> tuple[list[dict[str, Any]], list[int]]:
+    """:func:`iter_records` read to the end, as ``(records, ends)``."""
+    pairs = list(iter_records(raw, source, sealed))
+    return [record for record, _ in pairs], [end for _, end in pairs]
 
 
 def parse_record(line: bytes) -> dict[str, Any] | None:
     """Parse one JSONL line into a WAL record; None when it is not one.
 
-    Called only by :func:`scan_records`, which decides what an unreadable
+    Called only by :func:`iter_records`, which decides what an unreadable
     line means.
     """
     try:
@@ -239,27 +238,26 @@ class WriteAheadLog:
         #: duration feeds the span histogram.  None keeps the raw call.
         self.tracer = None
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        #: What this open read, ``(records, torn_tail)``, the torn tail
+        #: since cut: recovery replays it (and drops it) instead of
+        #: reading the log again.
+        files: list[tuple[Path, list[dict[str, Any]], int]] = []
+        self.opened: tuple[list[dict[str, Any]], bool] | None = read_segmented_records(
+            self.path, files
+        )
         #: Sealed, immutable segments preceding the active file, oldest first,
         #: as ``(index, path, last_seq)``.  Segment files are read-only once
         #: sealed; only :meth:`prune_sealed` removes them.
         self._sealed: list[tuple[int, Path, int]] = []
         self.last_seq = 0
-        for segment in sealed_segment_paths(self.path):
-            records, _ = scan_records(segment.read_bytes(), segment, sealed=True)
+        for path, records, kept in files:  # the active file comes last
             if records:
                 self.last_seq = records[-1]["seq"]
-            self._sealed.append((segment_index(self.path, segment), segment, self.last_seq))
-        try:
-            raw = self.path.read_bytes()
-        except FileNotFoundError:
-            raw = b""
-        existing, ends = scan_records(raw, self.path)
-        if existing:
-            self.last_seq = existing[-1]["seq"]
-        self.record_count = len(existing)
+            if path != self.path:
+                self._sealed.append((segment_index(self.path, path), path, self.last_seq))
+        self.record_count = len(records)
         self._handle = self.path.open("a", encoding="utf-8")
-        kept = ends[-1] if ends else 0
-        if kept < len(raw):
+        if self.opened[1]:
             # Drop the torn tail so new appends start on a clean line.
             self._handle.truncate(kept)
             os.fsync(self._handle.fileno())
@@ -376,10 +374,6 @@ class WriteAheadLog:
         # One directory fsync covers both the rename and the new active file.
         fsync_dir(self.path.parent)
         return sealed_path
-
-    def sealed_segments(self) -> list[Path]:
-        """Paths of the sealed segments, oldest first."""
-        return [path for _, path, _ in self._sealed]
 
     def prune_sealed(self, upto_seq: int) -> list[Path]:
         """Delete sealed segments whose records are all at or below *upto_seq*.

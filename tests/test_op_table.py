@@ -20,7 +20,7 @@ from repro.errors import AnnotationError, GraphittiError
 from repro.net import NetworkShardedGraphittiService, ShardClient
 from repro.ontology.model import Ontology
 from repro.replica import ReplicatedGraphittiService, ReplicationConfig
-from repro.service import GraphittiService, ServiceConfig, ops, read_records
+from repro.service import GraphittiService, ServiceConfig, ops, read_segmented_records
 from repro.service.wal import WAL_OPS
 from repro.shard import ShardedGraphittiService
 
@@ -150,7 +150,7 @@ def test_seventh_op_emits_and_replays(tmp_path, retitle):
     _seed(service)
     updated = service.retitle("t1", title="after")
     assert updated.content.dublin_core.title == "after"
-    records, torn = read_records(tmp_path / "wal.jsonl")
+    records, torn = read_segmented_records(tmp_path / "wal.jsonl")
     assert not torn
     assert records[-1]["op"] == "retitle"
     assert records[-1]["payload"] == {"annotation_id": "t1", "title": "after"}
@@ -198,7 +198,7 @@ def test_seventh_op_crosses_the_wire(tmp_path, retitle):
         assert service.retitle("t1", "after").content.dublin_core.title == "after"
         assert _title(service) == "after"
         owner = service._owning_shard("t1")
-        records, _ = read_records(tmp_path / f"shard-{owner:02d}" / "wal.jsonl")
+        records, _ = read_segmented_records(tmp_path / f"shard-{owner:02d}" / "wal.jsonl")
         assert records[-1]["op"] == "retitle"
     finally:
         service.close()

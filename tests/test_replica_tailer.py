@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.errors import WalCorruptionError
-from repro.service.wal import read_records, sealed_segment_name
+from repro.service.wal import read_segmented_records, sealed_segment_name
 from repro.replica import (
     ReplicationGapError,
     WalCursor,
@@ -39,7 +39,7 @@ def _write(path, *seqs, tail=""):
 def test_poll_missing_file_returns_nothing(tmp_path):
     cursor = WalCursor(tmp_path / "wal.jsonl")
     assert cursor.poll() == []
-    assert cursor.state() == {"offset": 0, "last_seq": 0}
+    assert cursor.last_seq == 0
 
 
 def test_poll_returns_each_record_exactly_once(tmp_path):
@@ -51,7 +51,8 @@ def test_poll_returns_each_record_exactly_once(tmp_path):
     with wal.open("a") as handle:
         handle.write(_line(3))
     assert [r["seq"] for r in cursor.poll()] == [3]
-    assert cursor.state() == {"offset": wal.stat().st_size, "last_seq": 3}
+    assert cursor.last_seq == 3
+    assert cursor.poll() == []
 
 
 def test_torn_tail_never_consumed_then_completed(tmp_path):
@@ -88,7 +89,7 @@ def test_damage_before_a_torn_tail_raises_like_read_records(tmp_path):
     wal = tmp_path / "wal.jsonl"
     wal.write_text(_line(1) + "{damaged\n" + '{"seq":3')
     with pytest.raises(WalCorruptionError):
-        read_records(wal)
+        read_segmented_records(wal)
     with pytest.raises(WalCorruptionError):
         WalCursor(wal).poll()
 
@@ -150,8 +151,49 @@ def test_state_resumes_a_new_cursor(tmp_path):
     cursor = WalCursor(wal)
     cursor.poll()
     _write(wal, 1, 2, 3)
-    resumed = WalCursor(wal, **cursor.state())
+    resumed = WalCursor(wal, last_seq=cursor.last_seq)
     assert [r["seq"] for r in resumed.poll()] == [3]
+
+
+@pytest.mark.parametrize("seal_before_listing", [True, False])
+def test_a_seal_racing_a_poll_loses_and_repeats_nothing(tmp_path, monkeypatch, seal_before_listing):
+    """A checkpoint seals the active file while a poll runs: before the
+    poll lists the sealed segments, or after.  Either way no poll raises,
+    and the polls that follow ship each record once."""
+    from repro.replica import tailer
+
+    wal = tmp_path / "wal.jsonl"
+    _write(wal, 1, 2)
+    cursor = WalCursor(wal)
+    assert [r["seq"] for r in cursor.poll()] == [1, 2]
+    with wal.open("a") as handle:
+        handle.write(_line(3))
+    listing = tailer.sealed_segment_paths
+
+    def sealing_listing(path):
+        before = listing(path)
+        wal.rename(tmp_path / sealed_segment_name(wal, 1))
+        _write(wal, 4)
+        monkeypatch.setattr(tailer, "sealed_segment_paths", listing)
+        return listing(path) if seal_before_listing else before
+
+    monkeypatch.setattr(tailer, "sealed_segment_paths", sealing_listing)
+    assert [r["seq"] for _ in range(3) for r in cursor.poll()] == [3, 4]
+    assert cursor.poll() == []
+
+
+def test_a_segment_drained_in_batches_reads_on_from_its_offset(tmp_path):
+    wal = tmp_path / "wal.jsonl"
+    _write(wal, 1, 2, 3)
+    cursor = WalCursor(wal)
+    assert [r["seq"] for r in cursor.poll(max_records=2)] == [1, 2]
+    # The file the cursor is part-way through is sealed: it reads on from
+    # its offset in the segment, then starts the new active file at 0.
+    wal.rename(tmp_path / sealed_segment_name(wal, 1))
+    _write(wal, 4, 5)
+    assert [r["seq"] for r in cursor.poll(max_records=2)] == [3, 4]
+    assert [r["seq"] for r in cursor.poll()] == [5]
+    assert cursor.offset == wal.stat().st_size
 
 
 # -- shipment codec ------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from repro.datatypes import DnaSequence
 from repro.errors import ServiceError
 from repro.query.parser import parse_query
-from repro.service import GraphittiService, ServiceConfig, read_records
+from repro.service import GraphittiService, ServiceConfig, read_segmented_records
 from repro.workloads import build_influenza_instance
 
 KEYWORD_QUERY = 'SELECT contents WHERE { CONTENT CONTAINS "cleavage" }'
@@ -114,7 +114,7 @@ def test_register_and_commit_logged(durable_service):
         .mark_sequence("svc_seq", 5, 25)
         .commit()
     )
-    records, torn = read_records(durable_service._store.wal_path)
+    records, torn = read_segmented_records(durable_service._store.wal_path)
     assert not torn
     assert [record["op"] for record in records] == ["register", "commit"]
 

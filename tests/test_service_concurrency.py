@@ -14,7 +14,7 @@ import pytest
 from repro.core.manager import Graphitti
 from repro.service import GraphittiService, ServiceConfig
 from repro.service.durability import apply_record
-from repro.service.wal import read_records
+from repro.service.wal import read_segmented_records
 from repro.workloads.service_scenario import run_service_workload, seed_service_objects
 
 
@@ -65,7 +65,7 @@ def test_final_state_matches_serial_replay(stressed):
     """Replaying the WAL serially on a fresh instance yields the same state
     the concurrent run produced — writer serialization really worked."""
     service, _, root = stressed
-    records, torn = read_records(root / "wal.jsonl")
+    records, torn = read_segmented_records(root / "wal.jsonl")
     assert not torn
     reference = Graphitti("stress")
     for record in records:

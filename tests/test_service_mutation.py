@@ -5,7 +5,7 @@ import pytest
 from repro.core.annotation import Referent
 from repro.datatypes import DnaSequence
 from repro.errors import AnnotationError
-from repro.service import GraphittiService, ServiceConfig, read_records
+from repro.service import GraphittiService, ServiceConfig, read_segmented_records
 from repro.service.durability import recover_manager
 
 NO_CLOSE_CHECKPOINT = ServiceConfig(checkpoint_on_close=False)
@@ -37,7 +37,7 @@ def test_update_logs_codec_shaped_record(tmp_path):
         },
     )
     service.close()
-    records, torn = read_records(root / "wal.jsonl")
+    records, torn = read_segmented_records(root / "wal.jsonl")
     assert not torn
     record = records[-1]
     assert record["op"] == "update_annotation"
@@ -67,7 +67,7 @@ def test_update_and_delete_object_replay_to_same_state(tmp_path):
     service.close()
 
     recovered, info = recover_manager(root)
-    assert info["replayed"] == len(read_records(root / "wal.jsonl")[0])
+    assert info["replayed"] == len(read_segmented_records(root / "wal.jsonl")[0])
     stats = recovered.statistics()
     for volatile in ("mutation_epoch", "service"):
         stats.pop(volatile, None)

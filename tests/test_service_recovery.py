@@ -13,7 +13,7 @@ import pytest
 from repro.core.manager import Graphitti
 from repro.datatypes import DnaSequence
 from repro.ontology import build_protein_ontology
-from repro.service import GraphittiService, ServiceConfig, read_records
+from repro.service import GraphittiService, ServiceConfig, read_segmented_records
 from repro.service.durability import apply_record, recover_manager
 from repro.service.wal import WriteAheadLog
 
@@ -94,7 +94,7 @@ def assert_equivalent(recovered, expected):
 
 def test_recover_full_log(tmp_path):
     root = scripted_root(tmp_path)
-    records, torn = read_records(root / "wal.jsonl")
+    records, torn = read_segmented_records(root / "wal.jsonl")
     # 1 ontology + 2 registers + 6 commits + 1 delete + 1 update + 1 delete_object
     assert not torn and len(records) == 12
     assert [record["op"] for record in records[-2:]] == ["update_annotation", "delete_object"]
@@ -108,7 +108,7 @@ def test_recover_full_log(tmp_path):
 
 def test_crash_at_every_record_boundary(tmp_path):
     root = scripted_root(tmp_path)
-    records, _ = read_records(root / "wal.jsonl")
+    records, _ = read_segmented_records(root / "wal.jsonl")
     snapshot_bytes = (root / "snapshot.json").read_bytes()
     for cut in range(1, len(records) + 1):
         crash_root = tmp_path / f"crash-{cut}"
@@ -126,7 +126,7 @@ def test_crash_at_every_record_boundary(tmp_path):
 def test_crash_mid_record_tears_tail(tmp_path):
     root = scripted_root(tmp_path)
     wal_bytes = (root / "wal.jsonl").read_bytes()
-    records, _ = read_records(root / "wal.jsonl")
+    records, _ = read_segmented_records(root / "wal.jsonl")
     # Cut a few bytes into the last record: the tail is torn, every earlier
     # record survives.
     offsets = wal_bytes.rstrip(b"\n").rfind(b"\n")
@@ -147,7 +147,7 @@ def test_crash_between_snapshot_and_truncate(tmp_path):
     truncate must not double-apply: replay skips records the snapshot covers."""
     root = scripted_root(tmp_path)
     wal_bytes = (root / "wal.jsonl").read_bytes()
-    records, _ = read_records(root / "wal.jsonl")
+    records, _ = read_segmented_records(root / "wal.jsonl")
 
     service = GraphittiService.recover(root, config=NO_CLOSE_CHECKPOINT)
     service.checkpoint()  # snapshot written, WAL truncated
@@ -215,7 +215,7 @@ def test_wal_numbering_survives_reopen_after_checkpoint(tmp_path):
     )
     service.close()  # no checkpoint: the new records stay in the WAL
 
-    records, _ = read_records(root / "wal.jsonl")
+    records, _ = read_segmented_records(root / "wal.jsonl")
     assert all(record["seq"] > base_seq for record in records)
     recovered, info = recover_manager(root)
     assert info["skipped"] == 0
@@ -236,7 +236,7 @@ def test_crash_tears_checkpoint_boundary_record(tmp_path):
     import json
 
     root = scripted_root(tmp_path)
-    records, _ = read_records(root / "wal.jsonl")
+    records, _ = read_segmented_records(root / "wal.jsonl")
 
     service = GraphittiService.recover(root, config=NO_CLOSE_CHECKPOINT)
     reference_stats = service.statistics()
@@ -270,7 +270,7 @@ def test_crash_tears_checkpoint_boundary_record(tmp_path):
     assert service._store.wal.last_seq == boundary_seq
     service.register(DnaSequence("rec_seq9", "ACGT" * 50, domain="rec:chr1", offset=4000))
     service.close()
-    post_records, _ = read_records(root / "wal.jsonl")
+    post_records, _ = read_segmented_records(root / "wal.jsonl")
     assert post_records[-1]["seq"] == boundary_seq + 1
     recovered, info = recover_manager(root)
     assert info["replayed"] == 1  # the new record is NOT skipped
@@ -301,7 +301,7 @@ def test_snapshotless_torn_only_wal_recovers_to_fresh(tmp_path):
     assert service.recovery_info["torn_tail"] is True
     service.register(DnaSequence("fresh_seq", "ACGT" * 50, domain="fa:1"))
     service.close()
-    records, torn = read_records(root / "wal.jsonl")
+    records, torn = read_segmented_records(root / "wal.jsonl")
     assert not torn and [record["seq"] for record in records] == [1]
 
 
@@ -312,7 +312,7 @@ def test_non_monotonic_wal_seq_is_corruption(tmp_path):
 
     root = scripted_root(tmp_path)
     wal_path = root / "wal.jsonl"
-    records, _ = read_records(wal_path)
+    records, _ = read_segmented_records(wal_path)
     lines = wal_path.read_bytes().splitlines(keepends=True)
     # duplicate the first commit record's line at the end (a doctored log)
     wal_path.write_bytes(b"".join(lines) + lines[3])

@@ -10,7 +10,7 @@ from repro.service.wal import (
     WriteAheadLog,
     encode_record,
     parse_record,
-    read_records,
+    read_segmented_records,
     write_json_atomic,
 )
 
@@ -24,7 +24,7 @@ def test_append_assigns_sequence(tmp_path):
         assert wal.append("commit", {"annotation_id": "a1"}) == 1
         assert wal.append("delete_annotation", {"annotation_id": "a1"}) == 2
         assert wal.last_seq == 2 and wal.record_count == 2
-    records, torn = read_records(tmp_path / "wal.jsonl")
+    records, torn = read_segmented_records(tmp_path / "wal.jsonl")
     assert not torn
     assert [record["seq"] for record in records] == [1, 2]
     assert records[0]["op"] == "commit"
@@ -34,7 +34,7 @@ def test_append_many_is_one_batch(tmp_path):
     with _wal(tmp_path) as wal:
         seqs = wal.append_many([("commit", {"n": index}) for index in range(5)])
     assert seqs == [1, 2, 3, 4, 5]
-    records, _ = read_records(tmp_path / "wal.jsonl")
+    records, _ = read_segmented_records(tmp_path / "wal.jsonl")
     assert len(records) == 5
 
 
@@ -50,7 +50,7 @@ def test_reopen_continues_numbering(tmp_path):
     with _wal(tmp_path) as wal:
         assert wal.last_seq == 1
         assert wal.append("commit", {"n": 2}) == 2
-    records, _ = read_records(tmp_path / "wal.jsonl")
+    records, _ = read_segmented_records(tmp_path / "wal.jsonl")
     assert [record["seq"] for record in records] == [1, 2]
 
 
@@ -62,7 +62,7 @@ def test_torn_tail_tolerated(tmp_path):
     # Simulate a crash mid-append: chop bytes off the final record.
     raw = path.read_bytes()
     path.write_bytes(raw[:-9])
-    records, torn = read_records(path)
+    records, torn = read_segmented_records(path)
     assert torn
     assert [record["payload"]["n"] for record in records] == [1]
 
@@ -77,7 +77,7 @@ def test_corruption_before_tail_raises(tmp_path):
     lines[1] = b"{garbage!}\n"
     path.write_bytes(b"".join(lines))
     with pytest.raises(WalCorruptionError):
-        read_records(path)
+        read_segmented_records(path)
 
 
 def test_record_with_bad_shape_is_corruption(tmp_path):
@@ -88,7 +88,7 @@ def test_record_with_bad_shape_is_corruption(tmp_path):
         + json.dumps({"seq": 2, "op": "commit", "payload": {}}) + "\n"
     )
     with pytest.raises(WalCorruptionError):
-        read_records(path)
+        read_segmented_records(path)
 
 
 def test_reopen_after_torn_tail_rewrites_clean(tmp_path):
@@ -101,7 +101,7 @@ def test_reopen_after_torn_tail_rewrites_clean(tmp_path):
     with WriteAheadLog(path, durability="never") as wal:
         assert wal.last_seq == 1  # torn record dropped
         wal.append("commit", {"n": 3})
-    records, torn = read_records(path)
+    records, torn = read_segmented_records(path)
     assert not torn
     assert [record["payload"]["n"] for record in records] == [1, 3]
 
@@ -112,20 +112,20 @@ def test_an_unterminated_final_line_is_torn_even_when_it_parses(tmp_path):
     # next append onto it and lose both.
     path = tmp_path / "wal.jsonl"
     path.write_text(encode_record({"seq": 1, "op": "commit", "payload": {"n": 1}}))
-    assert read_records(path) == ([], True)
+    assert read_segmented_records(path) == ([], True)
     with WriteAheadLog(path, durability="never") as wal:
         assert wal.last_seq == 0
         assert wal.append("commit", {"n": 2}) == 1
-    records, torn = read_records(path)
+    records, torn = read_segmented_records(path)
     assert not torn
     assert [record["payload"]["n"] for record in records] == [2]
 
 
 def test_missing_and_empty_files(tmp_path):
-    assert read_records(tmp_path / "absent.jsonl") == ([], False)
+    assert read_segmented_records(tmp_path / "absent.jsonl") == ([], False)
     empty = tmp_path / "empty.jsonl"
     empty.write_bytes(b"")
-    assert read_records(empty) == ([], False)
+    assert read_segmented_records(empty) == ([], False)
 
 
 def test_bad_durability_mode_rejected(tmp_path):
@@ -145,7 +145,7 @@ def test_unserializable_payload_rejected_before_append(tmp_path):
             wal.append("commit", {"score": float("nan")})
         # The refusals left no partial line behind: the log is still clean.
         assert wal.append("commit", {"n": 1}) == 1
-    records, torn = read_records(tmp_path / "wal.jsonl")
+    records, torn = read_segmented_records(tmp_path / "wal.jsonl")
     assert not torn
     assert [record["seq"] for record in records] == [1]
 
@@ -168,7 +168,7 @@ def test_codec_round_trips_every_op_shape(tmp_path):
     """
     from test_service_recovery import scripted_root
 
-    records, torn = read_records(scripted_root(tmp_path) / "wal.jsonl")
+    records, torn = read_segmented_records(scripted_root(tmp_path) / "wal.jsonl")
     assert not torn
     assert {record["op"] for record in records} == set(WAL_OPS)
     for record in records:
