@@ -3,7 +3,10 @@
 Run as ``python -m repro <command>``.  The CLI drives the same workflows the
 paper's GUI does — build a study, inspect it, administer it, and query it —
 against a served root: the directory ``serve`` keeps, a checksummed
-snapshot plus a write-ahead log.
+snapshot plus a write-ahead log (or shard and replica directories of them).
+Every verb on an existing root opens it through :func:`_open_root` in the
+topology on its disk, without a closing checkpoint: a read leaves every byte
+as it was.
 
 Commands
 --------
@@ -33,15 +36,13 @@ Commands
     under a bumped term.  ``--assume-primary-dead`` runs the crash drill
     (the primary directory is only read, never opened live).
 ``metrics ROOT``
-    Open the instance at ROOT (single, sharded or replicated — the topology
-    is detected like ``serve`` does) and print its merged observability
-    snapshot as JSON or Prometheus text.  ``--exercise N`` first runs the
-    reader query mix N times so a cold instance has distributions to show.
+    Print the merged observability snapshot as JSON or Prometheus text.
+    ``--exercise N`` first runs the reader query mix N times so a cold
+    instance has distributions to show.
 ``compact ROOT``
-    Compact the column storage of a served root (single, sharded or
-    replicated): rewrite the annotation/referent heaps dropping tombstoned
-    rows, checkpoint, and prune superseded WAL segments.  Prints before/after
-    storage gauges (``--json`` for the full report).
+    Compact the column storage: rewrite the annotation/referent heaps
+    dropping tombstoned rows, checkpoint, and prune superseded WAL segments.
+    Prints before/after storage gauges (``--json`` for the full report).
 ``trace ROOT GQL``
     Run one query and pretty-print its span tree — parse, plan, per-
     constraint execution, cache behavior, and (sharded) one child span per
@@ -91,36 +92,92 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _on_root(command: Callable) -> Callable[[argparse.Namespace], int]:
-    """Run ``command(args, service)`` on the instance served at ``args.root``.
+def _on_root(command: Callable, one_manager: bool = False) -> Callable[[argparse.Namespace], int]:
+    """Run ``command(args, service)`` on the instance :func:`_open_root`
+    opens at ``args.root``, then close it; a refused root exits 2.
 
-    The root is recovered without a closing checkpoint, so a read leaves its
-    bytes as they were and a write adds exactly its own WAL record.  A root
-    without single-service state — missing, empty or sharded — is refused
-    before anything is opened or created.
+    *one_manager* marks a verb that reads ``service.manager``: a sharded
+    root has one per shard and is refused.
     """
 
     @functools.wraps(command)
     def run(args: argparse.Namespace) -> int:
-        from repro.service import GraphittiService, ServiceConfig
-        from repro.service.durability import has_durable_state
-
-        if not has_durable_state(args.root):
-            print(
-                f"{args.root} holds no single-service instance "
-                "(create one with: build SCENARIO ROOT)",
-                file=sys.stderr,
-            )
+        service = _open_root(args.root, net=getattr(args, "net", False), one_manager=one_manager)
+        if service is None:
             return 2
-        service = GraphittiService.recover(
-            args.root, config=ServiceConfig(checkpoint_on_close=False)
-        )
         try:
             return command(args, service)
         finally:
             service.close()
 
     return run
+
+
+def _open_root(
+    root: str | Path,
+    config=None,
+    create: bool = False,
+    one_manager: bool = False,
+    net: bool = False,
+    shards: int | None = None,
+    replicas: int | None = None,
+    **net_options,
+):
+    """Open the instance at *root* in the topology on its disk: the CLI's
+    one opener.
+
+    The topology is read once, first match wins: a ``shards.json`` manifest
+    or ``shard-*`` directories open sharded (``net=True`` serves the shards
+    from worker processes over TCP), a ``replication.json`` opens
+    replicated, a snapshot or WAL opens one service.  What is on disk wins
+    over *shards* and *replicas*: serving a sharded root unsharded would open
+    an empty instance next to the shard directories and look like data loss.
+
+    With *create* (``serve``) a root without state is laid out as *shards*
+    and *replicas* ask, and closing checkpoints.  Otherwise the root is
+    recovered without a closing checkpoint, so a read leaves every byte as
+    it was and a write adds only its own WAL records, and a replicated root
+    reads ``fresh``, as replicated shards do.  A root without state, or a
+    sharded one under *one_manager*, is refused: None after saying why, with
+    nothing opened or created.
+    """
+    from dataclasses import replace
+
+    from repro.replica import REPLICATION_MANIFEST, ReplicatedGraphittiService, ReplicationConfig
+    from repro.service import GraphittiService, ServiceConfig
+    from repro.service.durability import has_durable_state
+    from repro.shard import ShardedGraphittiService, is_sharded_root
+
+    root = Path(root)
+    sharded = is_sharded_root(root)
+    replicated = (root / REPLICATION_MANIFEST).exists()
+    replication = None
+    if not create:
+        if net and not sharded:
+            raise ServiceError(f"--net requires a sharded root; {root} is not sharded")
+        if not (sharded or replicated or has_durable_state(root)):
+            print(f"{root} holds no instance (create one with: build SCENARIO ROOT)",
+                  file=sys.stderr)
+            return None
+        if sharded and one_manager:
+            print(f"{root} is sharded: this verb reads one manager, and each shard "
+                  "has its own", file=sys.stderr)
+            return None
+        config = replace(config or ServiceConfig(), checkpoint_on_close=False)
+        replication = ReplicationConfig(default_read="fresh")
+    if net:
+        from repro.net import NetworkShardedGraphittiService
+
+        return NetworkShardedGraphittiService.open(
+            root, shards=shards, config=config, **net_options
+        )
+    if sharded or (shards is not None and shards > 1):
+        return ShardedGraphittiService.open(root, shards=shards, config=config, replicas=replicas)
+    if replicated or replicas is not None:
+        return ReplicatedGraphittiService.open(
+            root, replicas=replicas, config=config, replication=replication
+        )
+    return GraphittiService.open(root, config=config)
 
 
 @_on_root
@@ -130,7 +187,7 @@ def _cmd_stats(args: argparse.Namespace, service) -> int:
     return 0
 
 
-@_on_root
+@functools.partial(_on_root, one_manager=True)
 def _cmd_admin(args: argparse.Namespace, service) -> int:
     admin = service.manager.administrator()
     print(admin.check_integrity().summary())
@@ -147,7 +204,7 @@ def _cmd_admin(args: argparse.Namespace, service) -> int:
     return 0
 
 
-@_on_root
+@functools.partial(_on_root, one_manager=True)
 def _cmd_report(args: argparse.Namespace, service) -> int:
     from repro.workloads.reporting import study_report
 
@@ -162,9 +219,11 @@ def _cmd_explain(args: argparse.Namespace, service) -> int:
     except GraphittiError as exc:
         print(f"query error: {exc}", file=sys.stderr)
         return 1
-    print(explanation["plan"])
-    print(f"\nsubqueries: {explanation['subqueries']}")
-    print(f"targets: {', '.join(explanation['targets'])}")
+    sharded = "plans" in explanation
+    for index, plan in enumerate(explanation.get("plans", [explanation])):
+        print(f"shard {index}:\n{plan['plan']}" if sharded else plan["plan"])
+    print(f"\nsubqueries: {plan['subqueries']}")
+    print(f"targets: {', '.join(plan['targets'])}")
     return 0
 
 
@@ -204,9 +263,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "max_inflight": args.max_inflight,
             "heartbeat_interval_s": args.heartbeat_interval,
         }
-    service = _open_service_for_root(
+    service = _open_root(
         args.root,
         config=_service_config(args),
+        create=True,
         net=args.net,
         shards=args.shards,
         replicas=args.replicas,
@@ -267,64 +327,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _is_sharded_root(root: Path) -> bool:
-    from repro.shard import read_manifest
-
-    return root.exists() and (read_manifest(root) is not None or any(root.glob("shard-*")))
-
-
-def _open_service_for_root(
-    root: str | Path,
-    config=None,
-    net: bool = False,
-    shards: int | None = None,
-    replicas: int | None = None,
-    **net_options,
-):
-    """Open (or recover) the service at *root*, detecting its topology.
-
-    A ``shards.json`` manifest (or ``shard-*`` directories) opens sharded, as
-    does asking for more than one shard; ``net=True`` serves the shards from
-    worker processes over TCP.  A ``replication.json`` (or *replicas*) opens
-    replicated; otherwise a single service.  What is on disk wins: serving a
-    sharded root unsharded would open a fresh empty instance NEXT TO the
-    shard directories and look like data loss.
-    """
-    root = Path(root)
-    if net:
-        from repro.net import NetworkShardedGraphittiService
-
-        return NetworkShardedGraphittiService.open(
-            root, shards=shards, config=config, **net_options
-        )
-    if (shards is not None and shards > 1) or _is_sharded_root(root):
-        from repro.shard import ShardedGraphittiService
-
-        return ShardedGraphittiService.open(
-            root, shards=shards, config=config, replicas=replicas
-        )
-    if replicas is not None or (root / "replication.json").exists():
-        from repro.replica import ReplicatedGraphittiService
-
-        return ReplicatedGraphittiService.open(root, replicas=replicas, config=config)
-    from repro.service import GraphittiService
-
-    return GraphittiService.open(root, config=config)
-
-
-def _open_existing_root(root: str | Path, **options):
-    """Open the instance at *root* as :func:`_open_service_for_root` does, or
-    return None after saying so when *root* holds no instance in any
-    topology — a mistyped path is refused, not created."""
-    from repro.service.durability import has_durable_state
-
-    root = Path(root)
-    if has_durable_state(root) or _is_sharded_root(root) or (root / "replication.json").exists():
-        return _open_service_for_root(root, **options)
-    print(f"{root} holds no instance (create one with: build SCENARIO ROOT)", file=sys.stderr)
-    return None
-
-
 def _report_opened(service, args: argparse.Namespace) -> None:
     """Say what ``serve`` opened: topology and what recovery replayed."""
     info = service.recovery_info
@@ -360,46 +362,34 @@ def _report_opened(service, args: argparse.Namespace) -> None:
         )
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
+@_on_root
+def _cmd_metrics(args: argparse.Namespace, service) -> int:
     import json
 
     from repro.obs import render_prometheus
 
-    if args.net and not _is_sharded_root(Path(args.root)):
-        raise ServiceError(f"--net requires a sharded root; {args.root} is not sharded")
-    service = _open_existing_root(args.root, net=args.net)
-    if service is None:
-        return 2
-    try:
-        if args.exercise:
-            from repro.workloads.service_scenario import READER_QUERIES
+    if args.exercise:
+        from repro.workloads.service_scenario import READER_QUERIES
 
-            for _ in range(args.exercise):
-                for text in READER_QUERIES:
-                    service.query(text)
-        snapshot = service.metrics()
-        if not snapshot.get("enabled"):
-            print("observability is disabled for this service", file=sys.stderr)
-            return 1
-        if args.format == "prometheus":
-            print(render_prometheus(snapshot), end="")
-        else:
-            print(json.dumps(snapshot, indent=2, sort_keys=True, default=str))
-    finally:
-        service.close()
+        for _ in range(args.exercise):
+            for text in READER_QUERIES:
+                service.query(text)
+    snapshot = service.metrics()
+    if not snapshot.get("enabled"):
+        print("observability is disabled for this service", file=sys.stderr)
+        return 1
+    if args.format == "prometheus":
+        print(render_prometheus(snapshot), end="")
+    else:
+        print(json.dumps(snapshot, indent=2, sort_keys=True, default=str))
     return 0
 
 
-def _cmd_compact(args: argparse.Namespace) -> int:
+@_on_root
+def _cmd_compact(args: argparse.Namespace, service) -> int:
     import json
 
-    service = _open_existing_root(args.root)
-    if service is None:
-        return 2
-    try:
-        report = service.compact()
-    finally:
-        service.close()
+    report = service.compact()
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True, default=str))
         return 0
@@ -424,79 +414,72 @@ def _cmd_compact(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
+@_on_root
+def _cmd_trace(args: argparse.Namespace, service) -> int:
     from repro.obs import format_span
 
-    service = _open_existing_root(args.root)
-    if service is None:
-        return 2
-    try:
-        if not service.obs.enabled:
-            print("observability is disabled for this service", file=sys.stderr)
+    if not service.obs.enabled:
+        print("observability is disabled for this service", file=sys.stderr)
+        return 1
+    if args.warm:
+        try:
+            service.query(args.gql)
+        except GraphittiError as exc:
+            print(f"query error: {exc}", file=sys.stderr)
             return 1
-        if args.warm:
-            try:
-                service.query(args.gql)
-            except GraphittiError as exc:
-                print(f"query error: {exc}", file=sys.stderr)
-                return 1
-        # A wrapper span captures the query's whole tree without touching
-        # the service internals: the query's root span parents to it via
-        # the thread-local span stack.
-        with service.obs.tracer.span("trace") as capture:
-            try:
-                result = service.query(args.gql)
-            except GraphittiError as exc:
-                print(f"query error: {exc}", file=sys.stderr)
-                return 1
-        print(f"result count: {result.count}")
-        print()
-        if capture.children:
-            for child in capture.children:
-                print(format_span(child))
-        else:
-            # A result-cache hit is deliberately span-free (it is the
-            # latency floor the overhead gate protects).
-            print("(served from the result cache — no spans recorded)")
-        slow = service.slow_ops()
-        if slow:
-            newest = slow[-1]
-            print(
-                f"\nslow-op log: {len(slow)} entr{'y' if len(slow) == 1 else 'ies'} "
-                f"(newest: {newest['op']} at {newest['duration_s'] * 1000:.1f} ms)"
-            )
-    finally:
-        service.close()
+    # A wrapper span captures the query's whole tree without touching
+    # the service internals: the query's root span parents to it via
+    # the thread-local span stack.
+    with service.obs.tracer.span("trace") as capture:
+        try:
+            result = service.query(args.gql)
+        except GraphittiError as exc:
+            print(f"query error: {exc}", file=sys.stderr)
+            return 1
+    print(f"result count: {result.count}")
+    print()
+    if capture.children:
+        for child in capture.children:
+            print(format_span(child))
+    else:
+        # A result-cache hit is deliberately span-free (it is the
+        # latency floor the overhead gate protects).
+        print("(served from the result cache — no spans recorded)")
+    slow = service.slow_ops()
+    if slow:
+        newest = slow[-1]
+        print(
+            f"\nslow-op log: {len(slow)} entr{'y' if len(slow) == 1 else 'ies'} "
+            f"(newest: {newest['op']} at {newest['duration_s'] * 1000:.1f} ms)"
+        )
     return 0
 
 
 def _cmd_promote(args: argparse.Namespace) -> int:
     from repro.replica import ReplicatedGraphittiService, ReplicationConfig
+    from repro.shard import ShardedGraphittiService, is_sharded_root
 
     root = Path(args.root)
     manual = ReplicationConfig(auto_ship=False, auto_failover=False)
-    if _is_sharded_root(root):
-        from repro.shard import ShardedGraphittiService
-
+    if is_sharded_root(root):
         if args.shard is None:
             print("sharded root: pass --shard to pick which shard fails over",
                   file=sys.stderr)
             return 2
         service = ShardedGraphittiService.open(root)
         try:
+            if not 0 <= args.shard < service.shard_count:
+                print(f"no shard {args.shard} (topology has {service.shard_count})",
+                      file=sys.stderr)
+                return 2
             shard = service.shards[args.shard]
-        except IndexError:
-            print(f"no shard {args.shard} (topology has {service.shard_count})",
-                  file=sys.stderr)
+            if not hasattr(shard, "promote"):
+                print(f"shard {args.shard} is not replicated; nothing to promote",
+                      file=sys.stderr)
+                return 2
+            report = shard.promote(args.target)
+        finally:
             service.close()
-            return 2
-        if not hasattr(shard, "promote"):
-            print(f"shard {args.shard} is not replicated; nothing to promote",
-                  file=sys.stderr)
-            service.close()
-            return 2
-        report = shard.promote(args.target)
-        service.close()
     else:
         service = ReplicatedGraphittiService.recover(
             root, replication=manual, assume_primary_dead=args.assume_primary_dead
@@ -590,37 +573,36 @@ def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse parser (exposed for testing)."""
     parser = argparse.ArgumentParser(prog="repro", description="Graphitti command-line interface")
     sub = parser.add_subparsers(dest="command", required=True)
+    # The ServiceConfig flags serve and shard-worker share (see _service_config).
+    service_flags = argparse.ArgumentParser(add_help=False)
+    service_flags.add_argument("--durability", choices=["always", "never"], default="always")
+    service_flags.add_argument("--checkpoint-interval", type=int, default=0,
+                               help="mutations between automatic checkpoints (0 = manual)")
+    service_flags.add_argument("--cache-capacity", type=int, default=256)
 
-    p_scen = sub.add_parser("scenarios", help="list built-in scenarios")
-    p_scen.set_defaults(func=_cmd_scenarios)
 
-    p_build = sub.add_parser("build", help="build a scenario into a new served root")
+    def verb(name: str, func: Callable, help: str, *positionals: str, **options):
+        command = sub.add_parser(name, help=help, **options)
+        for positional in positionals:
+            command.add_argument(positional)
+        command.set_defaults(func=func)
+        return command
+
+    verb("scenarios", _cmd_scenarios, "list built-in scenarios")
+    p_build = verb("build", _cmd_build, "build a scenario into a new served root")
     p_build.add_argument("scenario", choices=sorted(_SCENARIOS))
     p_build.add_argument("root")
-    p_build.set_defaults(func=_cmd_build)
+    verb("stats", _cmd_stats, "print instance statistics", "root")
+    verb("admin", _cmd_admin, "print the administrative report", "root")
+    verb("report", _cmd_report, "print a Markdown study report", "root")
+    verb("query", _cmd_query, "run a GQL query", "root", "gql")
+    verb("explain", _cmd_explain, "show a query plan without executing", "root", "gql")
 
-    p_stats = sub.add_parser("stats", help="print instance statistics")
-    p_stats.add_argument("root")
-    p_stats.set_defaults(func=_cmd_stats)
-
-    p_admin = sub.add_parser("admin", help="print the administrative report")
-    p_admin.add_argument("root")
-    p_admin.set_defaults(func=_cmd_admin)
-
-    p_report = sub.add_parser("report", help="print a Markdown study report")
-    p_report.add_argument("root")
-    p_report.set_defaults(func=_cmd_report)
-
-    p_query = sub.add_parser("query", help="run a GQL query")
-    p_query.add_argument("root")
-    p_query.add_argument("gql")
-    p_query.set_defaults(func=_cmd_query)
-
-    p_update = sub.add_parser(
-        "update", help="update a committed annotation in place (delta index maintenance)"
+    p_update = verb(
+        "update", _cmd_update,
+        "update a committed annotation in place (delta index maintenance)",
+        "root", "annotation_id",
     )
-    p_update.add_argument("root")
-    p_update.add_argument("annotation_id")
     p_update.add_argument("--title", default=None)
     p_update.add_argument("--creator", default=None)
     p_update.add_argument("--body", default=None)
@@ -632,24 +614,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_update.add_argument("--move-referent", action="append", default=[], nargs=3,
                           metavar=("REFERENT_ID", "START", "END"),
                           help="move a 1D referent's extent in place (repeatable)")
-    p_update.set_defaults(func=_cmd_update)
 
-    p_delobj = sub.add_parser(
-        "delete-object", help="retire a data object, cascading through its annotations"
+    p_delobj = verb(
+        "delete-object", _cmd_delete_object,
+        "retire a data object, cascading through its annotations", "root", "object_id",
     )
-    p_delobj.add_argument("root")
-    p_delobj.add_argument("object_id")
     p_delobj.add_argument("--no-cascade", action="store_true",
                           help="refuse instead of cascading when annotations still reference it")
-    p_delobj.set_defaults(func=_cmd_delete_object)
 
-    p_explain = sub.add_parser("explain", help="show a query plan without executing")
-    p_explain.add_argument("root")
-    p_explain.add_argument("gql")
-    p_explain.set_defaults(func=_cmd_explain)
-
-    p_serve = sub.add_parser(
-        "serve", help="open/recover a durable served instance and drive a mixed workload"
+    p_serve = verb(
+        "serve", _cmd_serve,
+        "open/recover a durable served instance and drive a mixed workload",
+        parents=[service_flags],
     )
     p_serve.add_argument("root", help="directory holding snapshot.json + wal.jsonl")
     p_serve.add_argument("--shards", type=int, default=None,
@@ -665,10 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--writers", type=int, default=2)
     p_serve.add_argument("--queries", type=int, default=200, help="queries per reader")
     p_serve.add_argument("--commits", type=int, default=40, help="commits per writer")
-    p_serve.add_argument("--durability", choices=["always", "never"], default="always")
-    p_serve.add_argument("--checkpoint-interval", type=int, default=0,
-                         help="mutations between automatic checkpoints (0 = manual)")
-    p_serve.add_argument("--cache-capacity", type=int, default=256)
     p_serve.add_argument("--net", action="store_true",
                          help="serve each shard from its own worker process over TCP")
     p_serve.add_argument("--port-base", type=int, default=None,
@@ -678,11 +650,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="with --net: seconds between supervisor heartbeat probes")
     p_serve.add_argument("--max-inflight", type=int, default=64,
                          help="with --net: per-shard write-window size before backpressure")
-    p_serve.set_defaults(func=_cmd_serve)
 
-    p_worker = sub.add_parser(
-        "shard-worker",
-        help="run one shard worker process (normally spawned by serve --net)",
+    p_worker = verb(
+        "shard-worker", _cmd_shard_worker,
+        "run one shard worker process (normally spawned by serve --net)",
+        parents=[service_flags],
     )
     p_worker.add_argument("root", help="this shard's directory (snapshot.json + wal.jsonl)")
     p_worker.add_argument("--shard-index", type=int, required=True)
@@ -690,15 +662,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument("--port", type=int, default=0,
                           help="listen port; 0 picks an ephemeral port (announced in net.json)")
     p_worker.add_argument("--max-inflight", type=int, default=64)
-    p_worker.add_argument("--durability", choices=["always", "never"], default="always")
-    p_worker.add_argument("--checkpoint-interval", type=int, default=0)
-    p_worker.add_argument("--cache-capacity", type=int, default=256)
     p_worker.add_argument("--no-obs", action="store_true",
                           help="disable the worker's observability layer")
-    p_worker.set_defaults(func=_cmd_shard_worker)
 
-    p_promote = sub.add_parser(
-        "promote", help="fenced failover: promote a follower of a replicated root"
+    p_promote = verb(
+        "promote", _cmd_promote, "fenced failover: promote a follower of a replicated root"
     )
     p_promote.add_argument("root", help="directory holding replication.json (or shards.json)")
     p_promote.add_argument("--target", default=None,
@@ -709,43 +677,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_promote.add_argument("--assume-primary-dead", action="store_true",
                            help="crash drill: never open the primary live, only read "
                                 "its WAL as the shipping source")
-    p_promote.set_defaults(func=_cmd_promote)
 
-    p_metrics = sub.add_parser(
-        "metrics", help="print the merged observability snapshot of a served root"
+    p_metrics = verb(
+        "metrics", _cmd_metrics, "print the merged observability snapshot of a served root",
+        "root",
     )
-    p_metrics.add_argument("root", help="service root (single, sharded, or replicated)")
     p_metrics.add_argument("--format", choices=["json", "prometheus"], default="json")
     p_metrics.add_argument("--net", action="store_true",
                            help="serve a sharded root via worker processes while sampling")
     p_metrics.add_argument("--exercise", type=int, default=0, metavar="N",
                            help="run the reader query mix N times first so a cold "
                                 "instance has latency distributions to show")
-    p_metrics.set_defaults(func=_cmd_metrics)
 
-    p_compact = sub.add_parser(
-        "compact",
-        help="compact a served root's column storage and prune WAL segments",
+    p_compact = verb(
+        "compact", _cmd_compact,
+        "compact a served root's column storage and prune WAL segments", "root",
     )
-    p_compact.add_argument("root", help="service root (single, sharded, or replicated)")
     p_compact.add_argument("--json", action="store_true",
                            help="print the full before/after storage report as JSON")
-    p_compact.set_defaults(func=_cmd_compact)
 
-    p_trace = sub.add_parser(
-        "trace", help="run one GQL query and pretty-print its span tree"
+    p_trace = verb(
+        "trace", _cmd_trace, "run one GQL query and pretty-print its span tree", "root", "gql"
     )
-    p_trace.add_argument("root", help="service root (single, sharded, or replicated)")
-    p_trace.add_argument("gql")
     p_trace.add_argument("--warm", action="store_true",
                          help="run the query once before tracing so the traced run "
                               "shows the cached path")
-    p_trace.set_defaults(func=_cmd_trace)
 
-    p_lint = sub.add_parser(
-        "lint",
-        help="run the repo-specific static checkers (lock discipline, WAL "
-             "lifecycle, error taxonomy)",
+    p_lint = verb(
+        "lint", _cmd_lint,
+        "run the repo-specific static checkers (lock discipline, WAL lifecycle, error taxonomy)",
     )
     p_lint.add_argument("paths", nargs="*",
                         help="files/directories to lint as a self-contained "
@@ -756,7 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "advisory")
     p_lint.add_argument("--json", action="store_true",
                         help="emit the machine-readable report")
-    p_lint.set_defaults(func=_cmd_lint)
     return parser
 
 

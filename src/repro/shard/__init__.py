@@ -10,6 +10,7 @@
 from repro.shard.router import (
     MANIFEST_FILE,
     ROUTING_SCHEME,
+    is_sharded_root,
     read_manifest,
     shard_for_annotation,
     shard_for_key,
@@ -23,6 +24,7 @@ __all__ = [
     "ShardedIntegrityReport",
     "MANIFEST_FILE",
     "ROUTING_SCHEME",
+    "is_sharded_root",
     "read_manifest",
     "shard_for_key",
     "shard_for_annotation",

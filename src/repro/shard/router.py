@@ -88,3 +88,9 @@ def read_manifest(root: str | Path) -> dict[str, Any] | None:
             f"this router implements {ROUTING_SCHEME!r}"
         )
     return manifest
+
+
+def is_sharded_root(root: str | Path) -> bool:
+    """Whether *root* holds a sharded deployment: a manifest, or ``shard-*``
+    directories whose manifest never landed (they ARE the topology)."""
+    return read_manifest(root) is not None or any(Path(root).glob("shard-*"))

@@ -81,6 +81,7 @@ from repro.service.wal import write_json_atomic
 from repro.shard.router import (
     MANIFEST_FILE,
     ROUTING_SCHEME,
+    is_sharded_root,
     read_manifest,
     shard_dir_name,
     shard_for_annotation,
@@ -335,8 +336,7 @@ class ShardedGraphittiService:
         cls, root: str | Path, config: ServiceConfig | None = None
     ) -> "ShardedGraphittiService":
         """Recover the deployment at *root*; raises when it holds no state."""
-        root = Path(root)
-        if read_manifest(root) is None and not any(root.glob("shard-*")):
+        if not is_sharded_root(root):
             raise ServiceError(f"no shard manifest or shard directories under {root}")
         return cls.open(root, config=config)
 

@@ -1,14 +1,17 @@
 """Tests for the command-line interface."""
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.replica import REPLICATION_MANIFEST
 from repro.service import GraphittiService, ServiceConfig
 from repro.service.durability import SNAPSHOT_FILE, WAL_FILE
 from repro.service.wal import read_segmented_records
+from repro.shard import MANIFEST_FILE, ShardedGraphittiService, shard_for_key
 
 EDITED = 'SELECT contents WHERE { CONTENT CONTAINS "curated-edit" }'
 READ_VERBS = [
@@ -17,17 +20,16 @@ READ_VERBS = [
     ["report"],
     ["query", 'SELECT graph WHERE { PATH "binding" TO "lineage" MAXLEN 6 }'],
     ["explain", 'SELECT contents WHERE { CONTENT CONTAINS "flu" }'],
+    ["metrics"],
+    ["trace", 'SELECT contents WHERE { CONTENT CONTAINS "flu" }'],
 ]
 WRITE_VERBS = [
     ["update", "flu-a1", "--title", "revised"],
     ["delete-object", "HA_duck"],
-]
-#: Verbs that open a root in any topology (single, sharded or replicated).
-ANY_TOPOLOGY_VERBS = [
-    ["metrics"],
     ["compact"],
-    ["trace", 'SELECT contents WHERE { CONTENT CONTAINS "flu" }'],
 ]
+#: Read verbs that need one manager: a sharded root is refused.
+ONE_MANAGER_VERBS = {"admin", "report"}
 
 
 def file_digests(root: Path) -> dict[str, str]:
@@ -171,9 +173,65 @@ def test_read_verbs_leave_every_byte_of_the_root_unchanged(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize(
-    "verb", READ_VERBS + WRITE_VERBS + ANY_TOPOLOGY_VERBS, ids=lambda verb: verb[0]
-)
+def sharded_root(tmp_path: Path, replicas: int | None = None) -> Path:
+    """A 2-shard root holding one annotation per data object."""
+    from repro.datatypes.sequence import DnaSequence
+
+    root = tmp_path / "fleet"
+    service = ShardedGraphittiService.open(root, shards=2, replicas=replicas)
+    for index in range(4):
+        service.register(DnaSequence(f"seq-{index}", "ACGT" * 50, domain="fleet:chr1"))
+        service.new_annotation(f"fleet-{index}", title=f"flu note {index}").mark_sequence(
+            f"seq-{index}", 10, 40
+        ).commit()
+    service.close()
+    return root
+
+
+def test_read_verbs_leave_every_byte_of_a_sharded_root_unchanged(tmp_path, capsys):
+    root = sharded_root(tmp_path)
+    assert main(["update", str(root), "fleet-0", "--keywords", "curated-edit"]) == 0
+    before = file_digests(root)
+    for verb, *rest in READ_VERBS:
+        expected = 2 if verb in ONE_MANAGER_VERBS else 0
+        assert main([verb, str(root), *rest]) == expected, verb
+        assert file_digests(root) == before, verb
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        if expected:
+            assert "sharded" in err
+        if verb == "explain":
+            assert "shard 0:" in out and "shard 1:" in out
+    assert main(["query", str(root), EDITED]) == 0
+    assert "annotations: fleet-0" in capsys.readouterr().out
+
+
+def test_an_edit_on_a_sharded_root_is_one_wal_record_on_its_shard(tmp_path, capsys):
+    root = sharded_root(tmp_path)
+    owner = f"shard-{shard_for_key('seq-0', 2):02d}"
+    before = file_digests(root)
+    assert wal_seqs(root / owner) == []
+    assert main(["update", str(root), "fleet-0", "--title", "revised"]) == 0
+    assert len(wal_seqs(root / owner)) == 1
+    after = file_digests(root)
+    # The manifest records each shard's WAL high-water mark.
+    assert {name for name in after if after[name] != before.get(name)} == {
+        f"{owner}/{WAL_FILE}", MANIFEST_FILE
+    }
+    capsys.readouterr()
+
+
+def test_promote_refuses_a_shard_index_outside_the_topology(tmp_path, capsys):
+    root = sharded_root(tmp_path, replicas=1)
+    manifests = [root / f"shard-0{index}" / REPLICATION_MANIFEST for index in range(2)]
+    terms = [json.loads(path.read_text())["term"] for path in manifests]
+    for index in ("-1", "2"):
+        assert main(["promote", str(root), "--shard", index]) == 2
+        assert f"no shard {index}" in capsys.readouterr().err
+    assert [json.loads(path.read_text())["term"] for path in manifests] == terms
+
+
+@pytest.mark.parametrize("verb", READ_VERBS + WRITE_VERBS, ids=lambda verb: verb[0])
 def test_a_verb_on_a_missing_root_exits_2_and_creates_nothing(tmp_path, capsys, verb):
     root = tmp_path / "missing"
     assert main([verb[0], str(root), *verb[1:]]) == 2

@@ -374,7 +374,7 @@ def test_cli_metrics_reports_disabled(tmp_path, monkeypatch):
     # deployment by forcing the opener to pass a disabled config.
     from repro import cli as cli_module
 
-    original = cli_module._open_service_for_root
+    original = cli_module._open_root
 
     def _open_disabled(path, **kwargs):
         return original(
@@ -386,6 +386,6 @@ def test_cli_metrics_reports_disabled(tmp_path, monkeypatch):
             ),
         )
 
-    monkeypatch.setattr(cli_module, "_open_service_for_root", _open_disabled)
+    monkeypatch.setattr(cli_module, "_open_root", _open_disabled)
     args = argparse.Namespace(root=str(root), format="json", exercise=0, net=False)
     assert cli_module._cmd_metrics(args) == 1
